@@ -9,10 +9,13 @@ Predictions are table-driven from the ridge/sub-parabolic flags:
                                            caustic:    cuspidal edge
     anything else                      -> undetermined
 
-Meshes are for inspection, not recognition.  Offsets use the exact unit
-normal away from the singular locus and the extended normal orientation
-across it (blow-up chart), so the offset-distance invariant holds to
-rounding.
+Meshes are for inspection, not recognition.  Every mesh comes from one
+vectorized kernel, ``_point_geometry``, evaluated over the whole parameter
+grid at once: points, raw normals and, for the focal sheet, the bounded
+principal curvature.  Offsets use the exact unit normal away from the
+singular locus and the extended normal orientation across it (blow-up
+chart), so the offset-distance invariant holds to rounding.  Triangulation
+is array slicing of the node-index grid.
 """
 
 from __future__ import annotations
@@ -126,47 +129,75 @@ class WavefrontSpec:
 
 
 def _grid_faces(nu, nv, keep):
-    """CCW triangulation of an (nu x nv) node grid, skipping dropped nodes."""
-    index = -np.ones(nu * nv, dtype=int)
-    index[keep] = np.arange(keep.sum())
-    faces = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            q = [i * nv + j, (i + 1) * nv + j, (i + 1) * nv + j + 1, i * nv + j + 1]
-            ids = index[q]
-            if (ids[[0, 1, 2]] >= 0).all():
-                faces.append(ids[[0, 1, 2]])
-            if (ids[[0, 2, 3]] >= 0).all():
-                faces.append(ids[[0, 2, 3]])
-    return np.array(faces, dtype=int) if faces else np.zeros((0, 3), dtype=int)
+    """CCW triangulation of an (nu x nv) node grid, skipping dropped nodes.
+
+    Each cell (a, b, c, d) = (i j, i+1 j, i+1 j+1, i j+1) gives the triangles
+    (a, b, c) and (a, c, d), in row-major cell order; a triangle touching a
+    dropped node is left out.
+    """
+    index = np.full(nu * nv, -1)
+    index[keep] = np.arange(np.count_nonzero(keep))
+    index = index.reshape(nu, nv)
+    a, b = index[:-1, :-1], index[1:, :-1]
+    c, d = index[1:, 1:], index[:-1, 1:]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return tris[(tris >= 0).all(axis=1)]
 
 
-def _evaluate_germ(germ, uu, vv):
-    pts = np.empty(uu.shape + (3,))
-    for idx, comp in enumerate(germ.components()):
-        pts[..., idx] = comp.evaluate(uu, vv)
-    return pts
+def _stack(jets, uu, vv):
+    """Jet values at every node, as (..., 3); constant jets fill the grid."""
+    return np.stack([jet.evaluate(uu, vv) + 0 * uu for jet in jets], axis=-1)
 
 
-def _raw_normals(germ, uu, vv):
-    gu = np.stack(
-        [c.partial("u").evaluate(uu, vv) + 0 * uu for c in germ.components()], axis=-1
-    )
-    gv = np.stack(
-        [c.partial("v").evaluate(uu, vv) + 0 * uu for c in germ.components()], axis=-1
-    )
+def _dot(a, b):
+    return (a * b).sum(axis=-1)
+
+
+def _point_geometry(germ, uu, vv, curvature=False):
+    """Point-wise geometry of the germ over (u, v) arrays of one shape.
+
+    Returns the points, the raw normals g_u x g_v, their lengths and, with
+    ``curvature``, the bounded principal curvature with respect to the unit
+    raw normal (NaN where E G - F^2 <= 0 or the mean term vanishes; None
+    without ``curvature``).  Every partial jet is built once, whatever the
+    number of nodes.
+    """
+    comps = germ.to_float().components()
+    pts = np.stack([comp.evaluate(uu, vv) for comp in comps], axis=-1)
+    du = [comp.partial("u") for comp in comps]
+    dv = [comp.partial("v") for comp in comps]
+    gu, gv = _stack(du, uu, vv), _stack(dv, uu, vv)
     cross = np.cross(gu, gv)
     norms = np.linalg.norm(cross, axis=-1)
-    return cross, norms
+    if not curvature:
+        return pts, cross, norms, None
+    guu = _stack([d.partial("u") for d in du], uu, vv)
+    guv = _stack([d.partial("v") for d in du], uu, vv)
+    gvv = _stack([d.partial("v") for d in dv], uu, vv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nhat = cross / norms[..., None]
+        E, F, G = _dot(gu, gu), _dot(gu, gv), _dot(gv, gv)
+        L, M, N = _dot(nhat, guu), _dot(nhat, guv), _dot(nhat, gvv)
+        A = E * G - F * F
+        B = E * N - 2 * F * M + G * L
+        C = L * N - M * M
+        disc = np.maximum(B * B - 4 * A * C, 0.0)
+        kappa = 2 * C / (B + np.copysign(np.sqrt(disc), B))
+    kappa[(A <= 0.0) | (B == 0.0)] = np.nan
+    return pts, cross, norms, kappa
+
+
+def _parameter_grid(nu, nv, extent):
+    us = np.linspace(-extent, extent, nu)
+    vs = np.linspace(-extent, extent, nv)
+    return np.meshgrid(us, vs, indexing="ij")
 
 
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
     nu, nv = grid
-    us = np.linspace(-extent, extent, nu)
-    vs = np.linspace(-extent, extent, nv)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts = _evaluate_germ(germ, uu, vv)
+    uu, vv = _parameter_grid(nu, nv, extent)
+    pts = _point_geometry(germ, uu, vv)[0]
     keep = np.ones(nu * nv, dtype=bool)
     faces = _grid_faces(nu, nv, keep)
     return Mesh(
@@ -183,16 +214,13 @@ def wavefront_mesh(germ, spec, sign=1):
     if spec.chart == "blowup":
         return _blowup_offset_mesh(germ, spec, sign)
     nu, nv = spec.grid
-    us = np.linspace(-spec.extent, spec.extent, nu)
-    vs = np.linspace(-spec.extent, spec.extent, nv)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts = _evaluate_germ(germ, uu, vv)
+    uu, vv = _parameter_grid(nu, nv, spec.extent)
+    pts, cross, norms, _ = _point_geometry(germ, uu, vv)
     if spec.t0 == 0.0:
         keep = np.ones(nu * nv, dtype=bool)
         verts = pts.reshape(-1, 3)
         skipped = 0
     else:
-        cross, norms = _raw_normals(germ, uu, vv)
         scale = max(norms.max(), 1e-30)
         keep2d = norms > 1e-12 * scale
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -217,54 +245,52 @@ def wavefront_mesh(germ, spec, sign=1):
     ).validate()
 
 
-def _blowup_nodes(spec):
-    nr, ntheta = spec.grid
-    rs = np.linspace(-spec.r_max, spec.r_max, nr)
-    thetas = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ntheta)
-    return rs, thetas
+def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
+    """Geometry over the blow-up chart's (r, theta) grid, flattened row-major.
 
-
-def _extended_normal_at(ctx, germ, r, theta):
-    """Exact unit normal with the extended (sign-corrected) orientation."""
+    Returns the points, the unit normals with the extended orientation, the
+    bounded curvature with respect to them (None without ``curvature``) and
+    the mask of usable nodes.  Nodes with |cos theta| <= COS_TOL or a
+    vanishing normal are not usable; the r = 0 row takes the closed-form
+    limits.
+    """
     n = ctx.n
-    c = math.cos(theta)
-    if r == 0.0:
-        return np.array(normal_r0_closed(ctx, theta))
-    u, v = ctx.map_point(r, theta)
-    gu = np.array([comp.partial("u").evaluate(u, v) for comp in germ.components()])
-    gv = np.array([comp.partial("v").evaluate(u, v) for comp in germ.components()])
-    cross = np.cross(gu, gv)
-    norm = np.linalg.norm(cross)
-    if norm == 0.0:
-        return None
-    orient = math.copysign(1.0, r ** (n + 1) * c**n)
-    return orient * cross / norm
+    nr, ntheta = grid
+    rs = np.linspace(-r_max, r_max, nr)
+    thetas = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ntheta)
+    # math.cos/sin as in the closed forms; numpy's SIMD sin/cos may differ
+    # from them in the last ulp
+    cos = np.array([math.cos(t) for t in thetas])
+    sin = np.array([math.sin(t) for t in thetas])
+    rpow = (rs ** (n + 1))[:, None] * cos**n
+    uu = rs[:, None] * cos
+    vv = rpow * sin
+    pts, cross, norms, kappa = _point_geometry(germ, uu, vv, curvature)
+    orient = np.copysign(1.0, rpow)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals = orient[..., None] * cross / norms[..., None]
+    if curvature:
+        kappa = orient * kappa  # flipping the normal flips kappa exactly
+    cos_ok = np.abs(cos) > COS_TOL
+    keep = (norms != 0.0) & cos_ok
+    for i in np.flatnonzero(rs == 0.0):
+        keep[i] = cos_ok
+        for j in np.flatnonzero(cos_ok):
+            normals[i, j] = normal_r0_closed(ctx, thetas[j])
+            if curvature:
+                kappa[i, j] = k10_closed(ctx, thetas[j])
+    if curvature:
+        kappa = kappa.reshape(-1)
+    return pts.reshape(-1, 3), normals.reshape(-1, 3), kappa, keep.reshape(-1)
 
 
 def _blowup_offset_mesh(germ, spec, sign):
-    ctx = spec.context
     nr, ntheta = spec.grid
-    rs, thetas = _blowup_nodes(spec)
-    verts = []
-    keep = np.zeros(nr * ntheta, dtype=bool)
-    skipped = 0
-    for i, r in enumerate(rs):
-        for j, theta in enumerate(thetas):
-            if abs(math.cos(theta)) <= COS_TOL:
-                skipped += 1
-                continue
-            normal = _extended_normal_at(ctx, germ, r, theta)
-            if normal is None:
-                skipped += 1
-                continue
-            u, v = ctx.map_point(r, theta)
-            point = np.array([comp.evaluate(u, v) for comp in germ.components()])
-            verts.append(point + sign * spec.t0 * normal)
-            keep[i * ntheta + j] = True
-    faces = _grid_faces(nr, ntheta, keep)
+    pts, normals, _, keep = _blowup_geometry(spec.context, germ, spec.grid, spec.r_max)
+    verts = pts[keep] + sign * spec.t0 * normals[keep]
     return Mesh(
-        np.array(verts) if verts else np.zeros((0, 3)),
-        faces,
+        verts,
+        _grid_faces(nr, ntheta, keep),
         {
             "kind": "wavefront",
             "chart": "blowup",
@@ -273,33 +299,8 @@ def _blowup_offset_mesh(germ, spec, sign):
             "grid": [nr, ntheta],
             "r_max": spec.r_max,
         },
-        skipped,
+        int((~keep).sum()),
     ).validate()
-
-
-def _bounded_curvature_at(ctx, germ, r, theta):
-    """The bounded principal curvature w.r.t. the extended normal."""
-    if r == 0.0:
-        return k10_closed(ctx, theta)
-    u, v = ctx.map_point(r, theta)
-    comps = germ.components()
-    gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-    gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-    nhat = _extended_normal_at(ctx, germ, r, theta)
-    if nhat is None:
-        return None
-    guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
-    guv = np.array([c.partial("u").partial("v").evaluate(u, v) for c in comps])
-    gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
-    E, F, G = gu @ gu, gu @ gv, gv @ gv
-    L, M, N = nhat @ guu, nhat @ guv, nhat @ gvv
-    A = E * G - F * F
-    B = E * N - 2 * F * M + G * L
-    C = L * N - M * M
-    if A <= 0.0 or B == 0.0:
-        return None
-    disc = max(B * B - 4 * A * C, 0.0)
-    return 2 * C / (B + math.copysign(math.sqrt(disc), B))
 
 
 def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5, focal_distance_max=100.0):
@@ -308,32 +309,16 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5, focal_distance_max=100.0):
     Nodes where the bounded curvature (nearly) vanishes are skipped: their
     centers escape beyond focal_distance_max and carry no information.
     """
-    germ = ctx.nf.reconstruct()
     nr, ntheta = grid
-    rs = np.linspace(-r_max, r_max, nr)
-    thetas = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ntheta)
     kappa_min = max(ctx.tol, 1.0 / focal_distance_max)
-    verts = []
-    keep = np.zeros(nr * ntheta, dtype=bool)
-    skipped = 0
-    for i, r in enumerate(rs):
-        for j, theta in enumerate(thetas):
-            if abs(math.cos(theta)) <= COS_TOL:
-                skipped += 1
-                continue
-            kappa = _bounded_curvature_at(ctx, germ, r, theta)
-            normal = _extended_normal_at(ctx, germ, r, theta)
-            if kappa is None or normal is None or abs(kappa) <= kappa_min:
-                skipped += 1
-                continue
-            u, v = ctx.map_point(r, theta)
-            point = np.array([c.evaluate(u, v) for c in germ.components()])
-            verts.append(point + normal / kappa)
-            keep[i * ntheta + j] = True
-    faces = _grid_faces(nr, ntheta, keep)
+    pts, normals, kappa, keep = _blowup_geometry(
+        ctx, ctx.nf.reconstruct(), grid, r_max, curvature=True
+    )
+    keep &= np.abs(kappa) > kappa_min  # NaN kappa fails this too
+    verts = pts[keep] + normals[keep] / kappa[keep, None]
     return Mesh(
-        np.array(verts) if verts else np.zeros((0, 3)),
-        faces,
+        verts,
+        _grid_faces(nr, ntheta, keep),
         {"kind": "focal-sheet", "grid": [nr, ntheta], "r_max": r_max},
-        skipped,
+        int((~keep).sum()),
     ).validate()

@@ -408,23 +408,40 @@ def load_report(path):
     return data
 
 
+# Lines formatted per write: one % operation per block instead of per line,
+# with memory bounded by the block, not the mesh.
+_LINES_PER_WRITE = 1024
+
+
+def _mesh_blocks(mesh, fmt):
+    """The mesh file as a stream of strings, each a block of whole lines."""
+    import numpy as np  # here, so that importing germ_io does not load numpy
+
+    vertices = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
+    faces = np.asarray(mesh.faces, dtype=int).reshape(-1, 3) + 1
+    if fmt == "csv":
+        yield "x,y,z\n"
+        tables = [(vertices, "%.17g,%.17g,%.17g\n")]
+    else:
+        if not len(vertices) and not len(faces):
+            yield "\n"
+        tables = [(vertices, "v %.17g %.17g %.17g\n"), (faces, "f %d %d %d\n")]
+    for rows, line in tables:
+        for start in range(0, len(rows), _LINES_PER_WRITE):
+            block = rows[start:start + _LINES_PER_WRITE]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def emit_mesh(mesh, path_or_file, fmt="obj"):
-    """Write a mesh as Wavefront OBJ (v/f records) or CSV x,y,z rows."""
+    """Write a mesh as Wavefront OBJ (v/f records) or CSV x,y,z rows.
+
+    The text is streamed in blocks of lines; an empty OBJ mesh is a lone
+    newline.
+    """
     if fmt not in ("obj", "csv"):
         raise UsageError("mesh format must be 'obj' or 'csv'")
-    lines = []
-    if fmt == "obj":
-        for vx, vy, vz in mesh.vertices:
-            lines.append("v %.17g %.17g %.17g" % (vx, vy, vz))
-        for a, b, c in mesh.faces:
-            lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
-    else:
-        lines.append("x,y,z")
-        for vx, vy, vz in mesh.vertices:
-            lines.append("%.17g,%.17g,%.17g" % (vx, vy, vz))
-    text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+        path_or_file.writelines(_mesh_blocks(mesh, fmt))
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_mesh_blocks(mesh, fmt))

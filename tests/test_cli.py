@@ -135,6 +135,25 @@ class TestMesh:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "x,y,z"
 
+    def test_exact_mode_direct_wavefront(self, tmp_path, capsys):
+        # v^2 is already 1/2*v^2, so the normal form stays exact
+        germ = dict(S1_GERM, components=["u", "1/2*v^2", "v^3 + u^2*v"])
+        path = write_germ(tmp_path, germ)
+        code, out, _ = run(capsys, "classify", "--input", path)
+        assert code == 0 and json.loads(out)["normal_form"]["mode"] == "exact"
+        out_path = tmp_path / "w.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path),
+            "--kind", "wavefront", "--t0", "0.1", "--grid", "9x9",
+        )
+        assert code == 0, err
+        summary = json.loads(out)["mesh"]
+        # the odd grid puts a node on the singular point, which is dropped
+        assert (summary["vertices"], summary["skipped"]) == (80, 1)
+        lines = out_path.read_text().splitlines()
+        assert sum(line.startswith("v ") for line in lines) == 80
+        assert sum(line.startswith("f ") for line in lines) == summary["faces"]
+
     def test_focal_mesh(self, tmp_path, capsys):
         germ = dict(S1_GERM, components=["u", "v^2 + u^2", "v^3 + u^2*v"])
         path = write_germ(tmp_path, germ)

@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from germforge.blowup import BlowupContext, k10_closed, ridge_report
+from germforge import germ_io, pipeline
+from germforge.blowup import (
+    COS_TOL,
+    BlowupContext,
+    k10_closed,
+    normal_r0_closed,
+    ridge_report,
+)
 from germforge.errors import HypothesisError, UsageError
 from germforge.front import (
     FrontType,
     WavefrontSpec,
+    _grid_faces,
+    _point_geometry,
     focal_sheet_mesh,
     front_verdict,
     surface_mesh,
@@ -16,6 +25,160 @@ from germforge.front import (
 from germforge.jets import FLOAT
 
 from conftest import germ_from_strings, make_nf
+
+
+# ---------------------------------------------------------------------------
+# scalar per-node reference: one node at a time, from the jet partials
+# ---------------------------------------------------------------------------
+
+
+def ref_extended_normal(ctx, germ, r, theta):
+    """Unit normal with the extended orientation, or None where it vanishes."""
+    n = ctx.n
+    c = math.cos(theta)
+    if r == 0.0:
+        return np.array(normal_r0_closed(ctx, theta))
+    u, v = ctx.map_point(r, theta)
+    gu = np.array([comp.partial("u").evaluate(u, v) for comp in germ.components()])
+    gv = np.array([comp.partial("v").evaluate(u, v) for comp in germ.components()])
+    cross = np.cross(gu, gv)
+    norm = np.linalg.norm(cross)
+    if norm == 0.0:
+        return None
+    orient = math.copysign(1.0, r ** (n + 1) * c**n)
+    return orient * cross / norm
+
+
+def ref_bounded_curvature(ctx, germ, r, theta):
+    """Bounded principal curvature w.r.t. the extended normal, or None."""
+    if r == 0.0:
+        return k10_closed(ctx, theta)
+    u, v = ctx.map_point(r, theta)
+    comps = germ.components()
+    gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
+    gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
+    nhat = ref_extended_normal(ctx, germ, r, theta)
+    if nhat is None:
+        return None
+    guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
+    guv = np.array([c.partial("u").partial("v").evaluate(u, v) for c in comps])
+    gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
+    E, F, G = gu @ gu, gu @ gv, gv @ gv
+    L, M, N = nhat @ guu, nhat @ guv, nhat @ gvv
+    A = E * G - F * F
+    B = E * N - 2 * F * M + G * L
+    C = L * N - M * M
+    if A <= 0.0 or B == 0.0:
+        return None
+    disc = max(B * B - 4 * A * C, 0.0)
+    return 2 * C / (B + math.copysign(math.sqrt(disc), B))
+
+
+def ref_grid_faces(nu, nv, keep):
+    """Cell-by-cell triangulation, triangles (a, b, c) and (a, c, d)."""
+    index = -np.ones(nu * nv, dtype=int)
+    index[keep] = np.arange(keep.sum())
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            q = [i * nv + j, (i + 1) * nv + j, (i + 1) * nv + j + 1, i * nv + j + 1]
+            ids = index[q]
+            if (ids[[0, 1, 2]] >= 0).all():
+                faces.append(ids[[0, 1, 2]])
+            if (ids[[0, 2, 3]] >= 0).all():
+                faces.append(ids[[0, 2, 3]])
+    return np.array(faces, dtype=int) if faces else np.zeros((0, 3), dtype=int)
+
+
+def ref_blowup_nodes(grid, r_max):
+    rs = np.linspace(-r_max, r_max, grid[0])
+    thetas = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, grid[1])
+    return [(r, theta) for r in rs for theta in thetas]
+
+
+def ref_point(ctx, germ, r, theta):
+    u, v = ctx.map_point(r, theta)
+    return np.array([comp.evaluate(u, v) for comp in germ.components()])
+
+
+def ref_blowup_offset(ctx, germ, grid, r_max, t0, sign):
+    """(vertices, faces, skipped) of the blow-up-chart offset, node by node."""
+    verts, keep = [], []
+    for r, theta in ref_blowup_nodes(grid, r_max):
+        normal = None
+        if abs(math.cos(theta)) > COS_TOL:
+            normal = ref_extended_normal(ctx, germ, r, theta)
+        keep.append(normal is not None)
+        if normal is not None:
+            verts.append(ref_point(ctx, germ, r, theta) + sign * t0 * normal)
+    keep = np.array(keep)
+    return np.array(verts), ref_grid_faces(*grid, keep), int((~keep).sum())
+
+
+def ref_focal_sheet(ctx, grid, r_max, focal_distance_max=100.0):
+    """(vertices, faces, skipped) of the focal sheet, node by node."""
+    germ = ctx.nf.reconstruct()
+    kappa_min = max(ctx.tol, 1.0 / focal_distance_max)
+    verts, keep = [], []
+    for r, theta in ref_blowup_nodes(grid, r_max):
+        kappa = normal = None
+        if abs(math.cos(theta)) > COS_TOL:
+            kappa = ref_bounded_curvature(ctx, germ, r, theta)
+            normal = ref_extended_normal(ctx, germ, r, theta)
+        ok = kappa is not None and normal is not None and abs(kappa) > kappa_min
+        keep.append(ok)
+        if ok:
+            verts.append(ref_point(ctx, germ, r, theta) + normal / kappa)
+    keep = np.array(keep)
+    return np.array(verts), ref_grid_faces(*grid, keep), int((~keep).sum())
+
+
+def ref_direct_mesh(germ, grid, extent, t0=0.0, sign=1):
+    """(vertices, faces, skipped) of the direct chart from whole-grid arrays."""
+    nu, nv = grid
+    uu, vv = np.meshgrid(
+        np.linspace(-extent, extent, nu), np.linspace(-extent, extent, nv),
+        indexing="ij",
+    )
+    pts = np.empty(uu.shape + (3,))
+    for idx, comp in enumerate(germ.components()):
+        pts[..., idx] = comp.evaluate(uu, vv)
+    keep = np.ones(nu * nv, dtype=bool)
+    if t0 == 0.0:
+        return pts.reshape(-1, 3), ref_grid_faces(nu, nv, keep), 0
+    comps = germ.components()
+    gu = np.stack([c.partial("u").evaluate(uu, vv) + 0 * uu for c in comps], axis=-1)
+    gv = np.stack([c.partial("v").evaluate(uu, vv) + 0 * uu for c in comps], axis=-1)
+    cross = np.cross(gu, gv)
+    norms = np.linalg.norm(cross, axis=-1)
+    keep = (norms > 1e-12 * max(norms.max(), 1e-30)).reshape(-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        offset = pts + sign * t0 * (cross / norms[..., None])
+    verts = offset.reshape(-1, 3)[keep]
+    return verts, ref_grid_faces(nu, nv, keep), int((~keep).sum())
+
+
+def classified_ctx(components):
+    doc = {"variables": ["u", "v"], "components": components, "order": 9,
+           "mode": "exact"}
+    outcome = pipeline.classify_spec(germ_io.germ_spec_from_dict(doc))
+    return outcome.mond.label, pipeline.blowup_context(outcome)
+
+
+GEOMETRY_GERMS = {
+    "S1+": ["u", "1/2*v^2 + 7/10*u^2 + 4/5*u^3",
+            "v^3 + 7/5*u^2*v - 2/5*u^3 + 1/2*u^4 + 3/10*u*v^2"],
+    "B2+": ["u", "1/2*v^2 + 3/5*u^2 - 1/2*u^3",
+            "6/5*u^2*v + v^5 + 1/3*u^3 - 1/4*u*v^2"],
+    "C3+": ["u", "1/2*v^2 + 1/2*u^2 + 1/3*u^3",
+            "u*v^3 + u^3*v + 2/5*u^3 - 1/5*u^4"],
+}
+
+
+def assert_vertices_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(want), 1.0)
+    assert np.all(np.abs(got - want) <= rel * scale)
 
 
 def ctx_s1():
@@ -144,11 +307,10 @@ class TestMeshes:
         checked = 0
         for idx, (r, theta) in enumerate(nodes):
             # reproduce the keep-decision: vertices appear in grid order
-            from germforge.front import _bounded_curvature_at, _extended_normal_at
             if abs(math.cos(theta)) <= 1e-7:
                 continue
-            kappa = _bounded_curvature_at(ctx, germ, r, theta)
-            normal = _extended_normal_at(ctx, germ, r, theta)
+            kappa = ref_bounded_curvature(ctx, germ, r, theta)
+            normal = ref_extended_normal(ctx, germ, r, theta)
             if kappa is None or normal is None or abs(kappa) <= max(ctx.tol, 1e-2):
                 continue
             p = mesh.vertices[vi]
@@ -217,3 +379,70 @@ class TestBlowupChartOffsets:
             assert wf.vertices.shape == base.vertices.shape
             dist = np.linalg.norm(wf.vertices - base.vertices, axis=1)
             assert np.max(np.abs(dist - t0)) < 1e-9
+
+
+class TestKernelMatchesScalarReference:
+    def test_grid_faces_match_double_loop(self):
+        rng = np.random.default_rng(7)
+        nu, nv = 37, 53
+        for keep in (
+            rng.random(nu * nv) >= 0.05,
+            np.ones(nu * nv, dtype=bool),
+            np.zeros(nu * nv, dtype=bool),
+        ):
+            got = _grid_faces(nu, nv, keep)
+            want = ref_grid_faces(nu, nv, keep)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_curvature_undefined_where_mean_term_vanishes(self):
+        # on z = u^2 - v^2 the term E N - 2 F M + G L is exactly 0 at |u| = |v|
+        germ = germ_from_strings(["u", "v", "u^2 - v^2"], 4).to_float()
+        grid = np.arange(-4, 5) / 8.0  # dyadic, so u^2 = v^2 holds exactly
+        uu, vv = np.meshgrid(grid, grid, indexing="ij")
+        kappa = _point_geometry(germ, uu, vv, curvature=True)[3]
+        assert np.array_equal(np.isnan(kappa), np.abs(uu) == np.abs(vv))
+
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    def test_blowup_offsets_match(self, label):
+        got_label, ctx = classified_ctx(GEOMETRY_GERMS[label])
+        assert got_label == label
+        germ = ctx.nf.reconstruct()
+        grid, r_max, t0 = (21, 32), 0.5, 0.15
+        for sign in (1, -1):
+            spec = WavefrontSpec(t0=t0, grid=grid, chart="blowup", r_max=r_max,
+                                 context=ctx)
+            mesh = wavefront_mesh(germ, spec, sign)
+            verts, faces, skipped = ref_blowup_offset(ctx, germ, grid, r_max, t0, sign)
+            assert_vertices_close(mesh.vertices, verts)
+            assert np.array_equal(mesh.faces, faces)
+            assert mesh.skipped == skipped
+
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    def test_focal_sheet_matches(self, label):
+        _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+        grid, r_max = (21, 32), 0.5
+        mesh = focal_sheet_mesh(ctx, grid, r_max)
+        verts, faces, skipped = ref_focal_sheet(ctx, grid, r_max)
+        assert 0 < len(verts) < grid[0] * grid[1]
+        assert_vertices_close(mesh.vertices, verts)
+        assert np.array_equal(mesh.faces, faces)
+        assert mesh.skipped == skipped
+
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    def test_direct_chart_and_surface_equal(self, label):
+        _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+        germ = ctx.nf.reconstruct()
+        grid, extent = (33, 33), 0.8
+        surf = surface_mesh(germ, grid, extent)
+        verts, faces, _ = ref_direct_mesh(germ, grid, extent)
+        assert np.array_equal(surf.vertices, verts)
+        assert np.array_equal(surf.faces, faces)
+        for t0, sign in ((0.0, 1), (0.1, 1), (0.1, -1)):
+            spec = WavefrontSpec(t0=t0, grid=grid, extent=extent)
+            mesh = wavefront_mesh(germ, spec, sign)
+            verts, faces, skipped = ref_direct_mesh(germ, grid, extent, t0, sign)
+            assert skipped == (1 if t0 else 0)  # the odd grid hits the origin
+            assert np.array_equal(mesh.vertices, verts)
+            assert np.array_equal(mesh.faces, faces)
+            assert mesh.skipped == skipped

@@ -1,10 +1,12 @@
+import io
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from germforge.errors import ParseError, SchemaError
+from germforge.errors import ParseError, SchemaError, UsageError
 from germforge.germ_io import (
     emit_mesh,
     emit_report,
@@ -17,7 +19,24 @@ from germforge.germ_io import (
 )
 from germforge.jets import EXACT, FLOAT, Jet2
 
-from conftest import rand_jet
+from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
+
+from conftest import germ_from_strings, rand_jet
+
+
+def reference_mesh_text(mesh, fmt):
+    """The whole mesh file, formatted value by value and joined."""
+    lines = []
+    if fmt == "obj":
+        for vx, vy, vz in mesh.vertices:
+            lines.append("v %.17g %.17g %.17g" % (vx, vy, vz))
+        for a, b, c in mesh.faces:
+            lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
+    else:
+        lines.append("x,y,z")
+        for vx, vy, vz in mesh.vertices:
+            lines.append("%.17g,%.17g,%.17g" % (vx, vy, vz))
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:
@@ -157,3 +176,39 @@ class TestMeshIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,z"
         assert len(lines) == 3
+
+    @staticmethod
+    def _numpy_meshes():
+        germ = germ_from_strings(["u", "v^2", "u^2*v + v^3"], 5).to_float()
+        odd = WavefrontSpec(t0=0.3, grid=(9, 11), extent=0.7)
+        special = np.array([[-0.0, 1e-300, -1.5e300], [0.1, 2.0 / 3.0, -7.0]])
+        return [
+            surface_mesh(germ, (41, 37), 0.9),  # more lines than one block
+            wavefront_mesh(germ, odd, -1),  # drops the node at the origin
+            Mesh(special, np.array([[0, 1, 1]])),
+            Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
+        ]
+
+    @pytest.mark.parametrize("fmt", ["obj", "csv"])
+    def test_numpy_mesh_bytes_match_reference(self, tmp_path, fmt):
+        for idx, mesh in enumerate(self._numpy_meshes()):
+            path = tmp_path / ("m%d.%s" % (idx, fmt))
+            emit_mesh(mesh, path, fmt)
+            want = reference_mesh_text(mesh, fmt)
+            assert path.read_bytes() == want.encode("utf-8")
+            buf = io.StringIO()
+            emit_mesh(mesh, buf, fmt)
+            assert buf.getvalue() == want
+
+    def test_empty_mesh_text(self):
+        empty = Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+        for fmt, want in (("obj", "\n"), ("csv", "x,y,z\n")):
+            buf = io.StringIO()
+            emit_mesh(empty, buf, fmt)
+            assert buf.getvalue() == want
+
+    def test_bad_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "m.ply"
+        with pytest.raises(UsageError):
+            emit_mesh(self._Mesh(), path, "ply")
+        assert not path.exists()
