@@ -22,7 +22,7 @@ from .closed_forms import KNOWN_DISCREPANCIES, crosscheck_closed_forms
 from .distance import ProbePoint, classify_distance, versality_rank_test
 from .errors import GermforgeError, InternalConsistencyError, UsageError
 from .front import WavefrontSpec, focal_sheet_mesh, surface_mesh, wavefront_mesh
-from .germ_io import emit_mesh, emit_report, format_number, load_germ
+from .germ_io import emit_mesh, emit_report, format_number, load_germ, write_json
 from .jets import EXACT
 from .normal_form import NormalFormCoeffs
 from .oracle import K_EQUIV, R_PLUS, split_and_type
@@ -177,8 +177,7 @@ def _cmd_mesh(args):
         vertices=len(mesh.vertices), faces=len(mesh.faces), skipped=mesh.skipped,
         output=args.output, format=args.format,
     )
-    json.dump({"mesh": summary}, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    write_json({"mesh": summary}, sys.stdout)
     return 0
 
 
@@ -302,14 +301,7 @@ def _cmd_verify(args):
     }
     hard_failure = hard_failure or bool(mismatches_v)
 
-    out = sys.stdout
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(result, out, indent=2, sort_keys=True)
-        out.write("\n")
+    write_json(result, args.output or sys.stdout)
     return 2 if hard_failure else 0
 
 

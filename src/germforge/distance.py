@@ -153,17 +153,10 @@ def distance_jet(nf, p, order=None):
 
 
 def _split_residual_u(nf, p, order=6):
-    """Pure-u residual after formally splitting off the v^2 block (y0 != 0)."""
-    d = distance_jet(nf, p, order)
-    qv = d.coeff(0, 2)
-    u = Jet2.variable("u", order, nf.mode)
-    v = Jet2.variable("v", order, nf.mode)
-    for j in range(2, order):
-        cj = d.coeff(j, 1)
-        if cj:
-            shift = Jet2.monomial(j, 0, -cj / (2 * qv), order, nf.mode)
-            d = d.substitute(u, v + shift)
-    return {i: d.coeff(i, 0) for i in range(3, order + 1)}
+    """Pure-u residual after formally splitting off the v^2 block (y0 != 0):
+    the distance jet restricted to its critical curve d_v = 0."""
+    g = oracle.critical_curve_restriction(distance_jet(nf, p, order), "v")
+    return {i: g[i] for i in range(3, order + 1)}
 
 
 def classify_distance(nf, p):

@@ -382,16 +382,21 @@ def load_germ(path):
 REPORT_KEYS = ("class", "normal_form", "geometry", "distance", "focal_locus", "warnings")
 
 
+def write_json(doc, path_or_file):
+    """Write ``doc`` as deterministic JSON (sorted keys, indent 2, final newline)."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def emit_report(report, path_or_file):
     """Write a report dict as deterministic JSON."""
     for key in REPORT_KEYS:
         report.setdefault(key, None if key != "warnings" else [])
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text + "\n")
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    write_json(report, path_or_file)
 
 
 def load_report(path):

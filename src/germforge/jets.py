@@ -43,6 +43,20 @@ def _as_float(c):
     return x
 
 
+def _accumulate(out, terms):
+    """Add exact ``terms`` into the coefficient dict ``out``, dropping zeros."""
+    for k, c in terms.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s += c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
 class Jet2:
     """Sparse polynomial in (u, v) truncated at total degree ``order``."""
 
@@ -76,6 +90,19 @@ class Jet2:
                 floor = FLOAT_ZERO_REL * max(1.0, max(abs(c) for c in clean.values()))
                 clean = {k: c for k, c in clean.items() if abs(c) > floor}
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, order, coeffs):
+        """Exact-mode jet over ``coeffs`` as given, without validation.
+
+        Only for results of exact arithmetic on validated jets: every key
+        is within ``order`` and every value is a nonzero Fraction.
+        """
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "order", order)
+        object.__setattr__(jet, "mode", EXACT)
+        object.__setattr__(jet, "coeffs", coeffs)
+        return jet
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet2 is immutable")
@@ -169,6 +196,9 @@ class Jet2:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.coeffs)
+        if self.mode == EXACT:
+            _accumulate(out, other.coeffs)
+            return Jet2._trusted(self.order, out)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return Jet2(self.order, out, self.mode)
@@ -177,7 +207,10 @@ class Jet2:
         return self + (-other)
 
     def __neg__(self):
-        return Jet2(self.order, {k: -c for k, c in self.coeffs.items()}, self.mode)
+        out = {k: -c for k, c in self.coeffs.items()}
+        if self.mode == EXACT:
+            return Jet2._trusted(self.order, out)
+        return Jet2(self.order, out, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
@@ -190,9 +223,18 @@ class Jet2:
                     if i + j > order:
                         continue
                     key = (i, j)
-                    out[key] = out.get(key, 0) + c1 * c2
+                    prev = out.get(key)
+                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
+            if self.mode == EXACT:
+                return Jet2._trusted(order, {k: c for k, c in out.items() if c})
             return Jet2(order, out, self.mode)
         # scalar
+        if self.mode == EXACT and isinstance(other, (int, Fraction)):
+            if not other:
+                return Jet2._trusted(self.order, {})
+            return Jet2._trusted(
+                self.order, {k: c * other for k, c in self.coeffs.items()}
+            )
         return Jet2(
             self.order, {k: c * other for k, c in self.coeffs.items()}, self.mode
         )
@@ -243,6 +285,18 @@ class Jet2:
         v_pow = [one]
         for _ in range(max_j):
             v_pow.append(v_pow[-1] * v_new)
+        if mode == EXACT:
+            # sum_i u_new^i * (sum_j c_ij v_new^j): one jet product per power of u
+            rows = {}
+            for (i, j), c in self.coeffs.items():
+                _accumulate(
+                    rows.setdefault(i, {}),
+                    {k: c * x for k, x in v_pow[j].coeffs.items()},
+                )
+            acc = {}
+            for i, row in rows.items():
+                _accumulate(acc, (u_pow[i] * Jet2._trusted(order, row)).coeffs)
+            return Jet2._trusted(order, acc)
         acc = Jet2.zero(order, mode)
         for (i, j), c in self.coeffs.items():
             acc = acc + u_pow[i] * v_pow[j] * c

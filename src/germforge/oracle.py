@@ -1,13 +1,20 @@
-"""Independent brute-force ground truth for the distance-function analysis.
+"""Independent ground truth for the distance-function analysis.
 
-``split_and_type`` types a critical function jet by formally splitting off
-the nondegenerate quadratic part and reading the residual; it is used by
-the tests as an oracle against the closed-form classifier.
+``split_and_type`` types a critical function jet by the splitting lemma.
+On a corank-1 Hessian it solves the critical-curve equation f_u = 0 (or
+f_v = 0) for one variable as a power series in the other, one coefficient
+at a time, and reads the residual: f restricted to that curve.  The same
+kernel, ``critical_curve_restriction``, gives ``distance`` its pure-u
+residual.  The tests use ``split_and_type`` as an oracle against the
+closed-form classifier.
 ``versality_rank_oracle`` decides R+/K-versality of a 3-parameter family
-as a rank condition over the monomial basis of a jet space.
+as a rank condition over the monomial basis of a jet space.  A module
+element's row is its generator's coefficients shifted by the monomial's
+exponent, and ``rank_of_rows`` eliminates on sparse rows.
 
 Everything here runs in exact rational arithmetic; float inputs are
-rationalized (denominators up to 10**6) with a warning recorded.
+rationalized (denominators up to 10**6) with a warning recorded.  Only
+``critical_curve_restriction`` also accepts float jets.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import UsageError
+from .errors import SingularSeriesError, UsageError
 from .jets import EXACT, Jet2
 
 RATIONALIZE_DENOMINATOR = 10**6
@@ -52,9 +59,12 @@ def _exactify(jet, warnings):
 def split_and_type(f, order=6):
     """Type a function jet with a critical point at the origin.
 
-    Diagonalizes the Hessian, completes squares formally on the
-    nondegenerate block, and types the residual one-variable jet
-    (corank 1) or the cubic discriminant (corank 2).
+    A nondegenerate Hessian is A1.  Corank 2 is typed by the discriminant
+    of the cubic part (D4 or more degenerate).  Corank 1 is split at its
+    critical curve: with c20 != 0 (else with u and v swapped), u = phi(v)
+    solves f_u(phi(v), v) = 0, and the residual g(v) = f(phi(v), v) from
+    degree 3 on is stored as a jet in v.  Its lowest degree m gives A_{m-1};
+    a zero residual up to ``order`` is MoreDegenerate.
     """
     warnings = []
     f = _exactify(f, warnings)
@@ -84,39 +94,81 @@ def split_and_type(f, order=6):
             return SingularityType("D4", corank=2, warnings=warnings)
         return SingularityType("MoreDegenerate", corank=2, warnings=warnings)
 
-    # corank 1: move the nondegenerate direction onto u
-    u = Jet2.variable("u", order, EXACT)
-    v = Jet2.variable("v", order, EXACT)
-    if c20 == 0:
-        if c02 != 0:
-            f = f.substitute(v, u)  # swap variables
-        else:
-            # c11 != 0 would mean det != 0; cannot happen here
-            raise UsageError("inconsistent Hessian data")
-        c20, c11 = f.coeff(2, 0), f.coeff(1, 1)
-    if c11 != 0:
-        alpha = -c11 / (2 * c20)
-        f = f.substitute(u + alpha * v, v)
-
-    # iteratively remove u * v^j cross terms (ascending j)
-    c20 = f.coeff(2, 0)
-    for j in range(1, order):
-        cj = f.coeff(1, j)
-        if cj != 0:
-            shift = Jet2.monomial(0, j, -cj / (2 * c20), order, EXACT)
-            f = f.substitute(u + shift, v)
-
-    residual = Jet2(
-        order,
-        {(i, j): c for (i, j), c in f.coeffs.items() if i == 0 and j >= 3},
-        EXACT,
-    )
+    # corank 1: solve for the variable whose square survives in the Hessian
+    # (c20 == 0 forces c11 == 0 and c02 != 0 here)
+    g = critical_curve_restriction(f, "u" if c20 != 0 else "v")
+    residual = Jet2(order, {(0, j): g[j] for j in range(3, order + 1) if g[j]}, EXACT)
     if residual.is_zero():
         return SingularityType(
             "MoreDegenerate", corank=1, residual=residual, warnings=warnings
         )
     m = min(j for (_, j) in residual.coeffs)
     return SingularityType("A", m - 1, corank=1, residual=residual, warnings=warnings)
+
+
+def _mul_series(a, b, n):
+    """Product of dense one-variable series, truncated after degree n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _horner(polys, x, n):
+    """sum_i polys[i](t) * x(t)^i as a dense series truncated after degree n.
+
+    ``x`` must vanish at 0: with x = O(t^m), polys[i] only reaches
+    degrees >= i*m, so the sum stops at i = n // m.
+    """
+    m = next((d for d, c in enumerate(x) if c), None)
+    top = min(len(polys) - 1, n // m) if m else 0
+    acc = polys[top][: n + 1]
+    for i in range(top - 1, -1, -1):
+        acc = _mul_series(acc, x, n)
+        for d, c in enumerate(polys[i][: n + 1]):
+            if c:
+                acc[d] += c
+    return acc
+
+
+def critical_curve_restriction(f, solve_for="u"):
+    """Dense coefficients g[0..order] of f restricted to its critical curve.
+
+    For ``solve_for="u"``, phi(v) = p_1 v + p_2 v^2 + ... solves
+    f_u(phi(v), v) = 0 one coefficient at a time,
+
+        p_k = -[v^k] f_u(phi_{<k}(v), v) / (2 c_20),
+
+    and g(v) = f(phi(v), v).  ``solve_for="v"`` swaps the roles of u and v.
+    This is the splitting lemma: in the coordinates (u - phi(v), v), f is
+    c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at
+    the origin and a nonzero coefficient on the square of the solved
+    variable.  Works over Fractions or floats.
+    """
+    if solve_for not in ("u", "v"):
+        raise UsageError("solve_for must be 'u' or 'v'")
+    lead = 2 * f.coeff(*((2, 0) if solve_for == "u" else (0, 2)))
+    if not lead:
+        raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
+    order = f.order
+    # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
+    rows = [[0] * (order + 1) for _ in range(order + 1)]
+    for (i, j), c in f.coeffs.items():
+        if solve_for == "v":
+            i, j = j, i
+        rows[i][j] = c
+    f_s = [[(i + 1) * c for c in row] for i, row in enumerate(rows[1:])]
+    # phi mod t^(K+1) with 2K + 2 > order is enough: g is stationary in phi
+    # (f_s vanishes on the root), so an O(t^(K+1)) error in the root moves
+    # g only at O(t^(2K+2)).
+    phi = [0] * (order // 2 + 1)
+    for k in range(1, len(phi)):
+        phi[k] = -_horner(f_s, phi, k)[k] / lead
+    zero = Fraction(0) if f.mode == EXACT else 0.0
+    return [c or zero for c in _horner(rows, phi, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -128,41 +180,42 @@ def _monomials_upto(order):
     return [(i, j) for d in range(order + 1) for i in range(d, -1, -1) for j in [d - i]]
 
 
-def _row(jet, basis_index, order):
-    row = [Fraction(0)] * len(basis_index)
-    for (i, j), c in jet.coeffs.items():
-        if i + j <= order:
-            row[basis_index[(i, j)]] = Fraction(c)
-    return row
+def _row(coeffs, basis_index, order, shift=(0, 0)):
+    """Sparse row {basis column: coefficient} of t^shift * sum(coeffs)."""
+    si, sj = shift
+    return {
+        basis_index[(i + si, j + sj)]: c
+        for (i, j), c in coeffs.items()
+        if i + j + si + sj <= order
+    }
 
 
 def rank_of_rows(rows):
-    """Rank of a list of Fraction row vectors via Gaussian elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
+    """Rank of a list of Fraction row vectors by exact elimination.
+
+    Rows may be dense sequences or sparse {column: value} dicts.  Each row
+    is reduced against the pivot rows found so far, always at its lowest
+    nonzero column; a row that does not reduce to zero becomes the pivot
+    row of that column, scaled so that its leading entry is 1.
+    """
+    pivots = {}
+    for r in rows:
+        row = dict(r) if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                lead = row.pop(col)
+                pivots[col] = {c: x / lead for c, x in row.items()}
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        pv = pr[col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
+            factor = row.pop(col)
+            for c, x in pivot.items():
+                y = row.get(c, 0) - factor * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def versality_rank_oracle(family_jets, function_jet, flavor, order):
@@ -172,7 +225,8 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
     base point; ``function_jet`` is the unfolded function itself.
     Flavor "r-plus" adjoins constants and the Jacobian module of the
     function; flavor "k" adjoins the function (value-normalized) to the
-    module and drops the constants.
+    module and drops the constants.  The row of a module element
+    t^m * gen is gen's coefficients shifted by the exponent m.
     """
     if flavor not in (R_PLUS, K_EQUIV):
         raise UsageError("flavor must be %r or %r" % (R_PLUS, K_EQUIV))
@@ -183,22 +237,16 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
         )
     warnings = []
     f = _exactify(function_jet, warnings)
-    fam = [_exactify(j, warnings).with_order(f.order) for j in family_jets]
+    fam = [_exactify(j, warnings) for j in family_jets]
     basis = _monomials_upto(order)
     basis_index = {m: idx for idx, m in enumerate(basis)}
 
-    fu, fv = f.partial("u").with_order(f.order), f.partial("v").with_order(f.order)
-    module_gens = [fu, fv]
+    module_gens = [f.partial("u").coeffs, f.partial("v").coeffs]
     if flavor == K_EQUIV:
-        module_gens.append(f - Jet2.const(f.constant_term(), f.order, EXACT))
+        module_gens.append({k: c for k, c in f.coeffs.items() if k != (0, 0)})
 
-    rows = []
-    for gen in module_gens:
-        for (i, j) in basis:
-            mono = Jet2.monomial(i, j, 1, f.order, EXACT)
-            rows.append(_row(mono * gen, basis_index, order))
-    for jet in fam:
-        rows.append(_row(jet, basis_index, order))
+    rows = [_row(gen, basis_index, order, m) for gen in module_gens for m in basis]
+    rows.extend(_row(jet.coeffs, basis_index, order) for jet in fam)
     if flavor == R_PLUS:
-        rows.append(_row(Jet2.const(1, f.order, EXACT), basis_index, order))
+        rows.append({basis_index[(0, 0)]: Fraction(1)})
     return rank_of_rows(rows) == len(basis)

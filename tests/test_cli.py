@@ -1,6 +1,9 @@
 import json
+import pathlib
 
 from germforge.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 S1_GERM = {
     "variables": ["u", "v"],
@@ -179,6 +182,19 @@ class TestVerify:
         table = result["crosscheck"]["entries"]
         assert table
         assert not any(e["hard_mismatch"] for e in table)
+
+    def test_verify_stdout_pinned(self, tmp_path, capsys):
+        # captured before verify and the mesh summary shared germ_io.write_json
+        path = write_germ(tmp_path, S1_GERM)
+        code, out, err = run(
+            capsys, "verify", "--input", path, "--samples", "10", "--seed", "3"
+        )
+        assert code == 0, err
+        assert out == (DATA / "verify_s1_samples10_seed3.json").read_text()
+        report = tmp_path / "verify.json"
+        run(capsys, "verify", "--input", path, "--samples", "10", "--seed", "3",
+            "--output", str(report))
+        assert report.read_text() == out
 
     def test_verify_deterministic(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)

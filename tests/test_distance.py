@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+from germforge import distance
 from germforge.blowup import BlowupContext
 from germforge.distance import (
     Branch,
@@ -16,6 +17,7 @@ from germforge.distance import (
     singular_point_type,
     versality_rank_test,
 )
+from germforge.jets import FLOAT, Jet2
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
 from conftest import make_nf, rand_fraction
@@ -318,3 +320,95 @@ class TestFocalVerdictCoherence:
                 assert on2.sing_type in (
                     DistSing.A2, DistSing.A3, DistSing.A4PLUS,
                 )
+
+
+# ---------------------------------------------------------------------------
+# The critical-curve residual against the shift loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_split_residual_u(nf, p, order=6):
+    """Residual by ascending shifts v -> v + s u^j that clear the u^j v terms."""
+    d = distance_jet(nf, p, order)
+    qv = d.coeff(0, 2)
+    u = Jet2.variable("u", order, nf.mode)
+    v = Jet2.variable("v", order, nf.mode)
+    for j in range(2, order):
+        cj = d.coeff(j, 1)
+        if cj:
+            shift = Jet2.monomial(j, 0, -cj / (2 * qv), order, nf.mode)
+            d = d.substitute(u, v + shift)
+    return {i: d.coeff(i, 0) for i in range(3, order + 1)}
+
+
+def _random_full_nf(rng, order, mode="exact"):
+    a = {(i, d - i): rand_fraction(rng)
+         for d in range(3, order + 1) for i in range(d + 1) if rng.random() < 0.6}
+    a[(2, 0)] = rand_fraction(rng)
+    b = {i: rand_fraction(rng) for i in range(2, order + 1) if rng.random() < 0.6}
+    return make_nf(order, mode, a, b)
+
+
+def _case_4a_float_nf(rng, order=8):
+    """Float normal form and probe with pw = t3 = C4 = 0 (case 4a) by construction."""
+    nf = _random_full_nf(rng, order, FLOAT)
+    y0 = float(rand_fraction(rng, 3, 2, nonzero=True))
+    z0 = float(rand_fraction(rng, 3, 2))
+    a, b = dict(nf.a), dict(nf.b)
+    a20, a30, a40, a21 = (nf.a_(i, j) for i, j in ((2, 0), (3, 0), (4, 0), (2, 1)))
+    b[2] = (1 - a20 * z0) / y0
+    b[3] = -a30 * z0 / y0
+    b[4] = -(a40 * y0 * z0 - 3 * a21**2 * z0**2 - 3 * (a20**2 + b[2] ** 2) * y0) / y0**2
+    b = {i: c for i, c in b.items() if c}
+    return make_nf(order, FLOAT, a, b), ProbePoint(0.0, y0, z0)
+
+
+class TestResidualKernelMatchesReference:
+    def test_exact_residual_dicts_equal(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            nf = _random_full_nf(rng, 8)
+            p = probe(0, rand_fraction(rng, nonzero=True), rand_fraction(rng))
+            for order in (6, 7, 8):
+                got = distance._split_residual_u(nf, p, order)
+                assert got == ref_split_residual_u(nf, p, order)
+                assert all(isinstance(c, Fraction) for c in got.values())
+
+    def test_float_quintic_and_4a_verdict(self, monkeypatch):
+        rng = random.Random(8)
+        verdicts = []
+        for _ in range(40):
+            nf, p = _case_4a_float_nf(rng)
+            verdicts.append(classify_distance(nf, p))
+        with monkeypatch.context() as m:
+            m.setattr(distance, "_split_residual_u", ref_split_residual_u)
+            ref_verdicts = [classify_distance(nf, p) for nf, p in
+                            (_case_4a_float_nf(r) for r in [random.Random(8)] * 40)]
+        for got, want in zip(verdicts, ref_verdicts):
+            assert got.case == want.case == "4a"
+            assert (got.sing_type, got.r_plus_versal, got.k_versal) == (
+                want.sing_type, want.r_plus_versal, want.k_versal
+            )
+            q, ref_q = got.witness["quintic"], want.witness["quintic"]
+            assert abs(q - ref_q) <= 1e-12 * abs(ref_q), (q, ref_q)
+
+    def test_float_floor_no_longer_deletes_the_quintic(self):
+        # |b4| ~ 4e4 makes the shift loop's intermediate jets large enough
+        # for the relative float floor to drop the u^5 term (it read 0.0);
+        # the critical-curve kernel agrees with exact arithmetic on the
+        # same float data.
+        a = {(2, 0): Fraction(-3, 2), (0, 3): Fraction(3, 2), (2, 1): Fraction(7, 4),
+             (1, 3): Fraction(4, 3), (4, 0): 1, (3, 2): 4, (4, 1): Fraction(7, 5),
+             (5, 0): Fraction(7, 5), (0, 6): 1, (2, 4): Fraction(-9, 2), (5, 1): 3,
+             (0, 7): 6, (4, 3): Fraction(-6, 5), (5, 2): 2, (6, 1): Fraction(-6, 5),
+             (0, 8): Fraction(1, 5), (5, 3): Fraction(5, 2), (8, 0): -9}
+        b = {2: -50, 4: 41970, 5: -2, 8: Fraction(-1, 3)}
+        nf = make_nf(8, FLOAT, a, b)
+        p = ProbePoint(0.0, 0.25, -9.0)
+        assert classify_distance(nf, p).case == "4a"
+        exact_nf = make_nf(8, "exact", {k: Fraction(float(c)) for k, c in a.items()},
+                           {k: Fraction(float(c)) for k, c in b.items()})
+        exact_p = ProbePoint(Fraction(0), Fraction(1, 4), Fraction(-9))
+        want = float(distance._split_residual_u(exact_nf, exact_p, 8)[5])
+        got = distance._split_residual_u(nf, p, 8)[5]
+        assert want != 0 and abs(got - want) <= 1e-9 * abs(want), (got, want)

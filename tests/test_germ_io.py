@@ -16,6 +16,7 @@ from germforge.germ_io import (
     load_report,
     parse_polynomial,
     print_polynomial,
+    write_json,
 )
 from germforge.jets import EXACT, FLOAT, Jet2
 
@@ -149,6 +150,15 @@ class TestReports:
         path = tmp_path / "report.json"
         emit_report(report, path)
         assert load_report(path) == report
+
+    def test_write_json_path_and_stream_agree(self, tmp_path):
+        doc = {"b": [1, "2/3"], "a": {"z": None, "y": True}}
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        buf = io.StringIO()
+        write_json(doc, buf)
+        text = '{\n  "a": {\n    "y": true,\n    "z": null\n  },\n  "b": [\n    1,\n    "2/3"\n  ]\n}\n'
+        assert path.read_text() == buf.getvalue() == text
 
     def test_malformed_json_names_field(self, tmp_path):
         path = tmp_path / "report.json"
