@@ -2,7 +2,12 @@
 (R^2, 0) -> (R^3, 0): A-simple class recognition, curvature series over the
 singularity, distance-squared function singularities and versality, focal
 loci, and wave-front/caustic type predictions.
+
+The names from ``front`` (which needs numpy) and ``closed_forms`` are
+resolved on first access, so importing the package loads neither module.
 """
+
+import importlib
 
 from .blowup import (
     BlowupContext,
@@ -15,11 +20,9 @@ from .blowup import (
     curvature_series,
     extended_normal,
     fundamental_forms,
-    principal_direction_lifts,
     ridge_report,
     theta_grid,
 )
-from .closed_forms import crosscheck_closed_forms
 from .distance import (
     Branch,
     DistSing,
@@ -34,16 +37,6 @@ from .distance import (
     geometric_verdict,
     singular_point_type,
     versality_rank_test,
-)
-from .front import (
-    FrontType,
-    FrontVerdict,
-    Mesh,
-    WavefrontSpec,
-    focal_sheet_mesh,
-    front_verdict,
-    surface_mesh,
-    wavefront_mesh,
 )
 from .germ_io import (
     GermSpec,
@@ -81,3 +74,49 @@ from .oracle import (
 from .pipeline import ClassificationOutcome, classify_germ, classify_spec
 
 __version__ = "0.1.0"
+
+# public name -> submodule, imported on first access (PEP 562)
+_LAZY = {
+    "crosscheck_closed_forms": "closed_forms",
+    "FrontType": "front",
+    "FrontVerdict": "front",
+    "Mesh": "front",
+    "WavefrontSpec": "front",
+    "focal_sheet_mesh": "front",
+    "front_verdict": "front",
+    "surface_mesh": "front",
+    "wavefront_mesh": "front",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = [
+    "BkRecursionTrace", "BlowupContext", "Branch", "ClassificationOutcome",
+    "CurvatureSeries", "DistSing", "DistanceVerdict", "EXACT", "FLOAT",
+    "FocalKind", "FocalLocus", "FormSeries", "FrontType", "FrontVerdict",
+    "GermJets", "GermSpec", "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag",
+    "NormalFormCoeffs", "NormalSeries", "PointType", "ProbePoint", "R_PLUS",
+    "RidgeReport", "SingularPointType", "SingularityType", "TransformLog",
+    "TwoJetClass", "WavefrontSpec", "bk_recursion", "build_context", "classify",
+    "classify_distance", "classify_germ", "classify_spec", "corank_at_origin",
+    "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
+    "emit_report", "expand_germ", "extended_normal", "focal_locus",
+    "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
+    "invert_series_1d", "load_germ", "parse_polynomial", "print_polynomial",
+    "reduce_to_normal_form", "ridge_report", "singular_point_type",
+    "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
+    "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",
+    "wavefront_mesh",
+]

@@ -440,19 +440,6 @@ def curvature_series(ctx, theta, forms=None, depth=DEPTH):
     )
 
 
-def principal_direction_lifts(ctx, theta):
-    """Lift coefficients of the two principal direction fields.
-
-    Returns ((xi10, xi11), (eta10, eta11)) for the bounded field and
-    ((xi21,), (eta20, eta21)) for the unbounded one.
-    """
-    cs = curvature_series(ctx, theta)
-    return ((cs.xi10, cs.xi11), (cs.eta10, cs.eta11)), (
-        (cs.xi21,),
-        (cs.eta20, cs.eta21),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the leading coefficients (small, typo-safe set)
 # ---------------------------------------------------------------------------

@@ -12,21 +12,17 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
 from . import germ_io, pipeline
 from .blowup import theta_grid
-from .closed_forms import KNOWN_DISCREPANCIES, crosscheck_closed_forms
-from .distance import ProbePoint, classify_distance, versality_rank_test
+from .distance import ProbePoint, classify_distance, distance_jet, versality_rank_test
 from .errors import GermforgeError, InternalConsistencyError, UsageError
-from .front import WavefrontSpec, focal_sheet_mesh, surface_mesh, wavefront_mesh
-from .germ_io import emit_mesh, emit_report, format_number, load_germ, write_json
+from .germ_io import emit_mesh, emit_report, format_number, read_germ_spec, write_json
 from .jets import EXACT
 from .normal_form import NormalFormCoeffs
 from .oracle import K_EQUIV, R_PLUS, split_and_type
-from .distance import distance_jet
 
 CROSSCHECK_TOL = 1e-6
 
@@ -99,7 +95,7 @@ def _emit(report, args):
 
 
 def _load(args):
-    spec, _ = load_germ(args.input)
+    spec = read_germ_spec(args.input)
     mode = _resolve_mode(args)
     if args.order:
         spec = germ_io.GermSpec(
@@ -149,6 +145,9 @@ def _parse_grid(text):
 
 
 def _cmd_mesh(args):
+    # front loads numpy, which no other subcommand needs
+    from .front import WavefrontSpec, focal_sheet_mesh, surface_mesh, wavefront_mesh
+
     spec, outcome = _load(args)
     if not args.output:
         raise UsageError("mesh output requires --output")
@@ -157,7 +156,7 @@ def _cmd_mesh(args):
     germ = (
         outcome.nf.reconstruct()
         if outcome.nf is not None
-        else germ_io.expand_germ(spec)
+        else germ_io.expand_germ(spec, mode=_resolve_mode(args))
     )
     if args.kind == "surface":
         mesh = surface_mesh(germ, grid, args.extent)
@@ -254,6 +253,11 @@ def _verify_versality_samples(rng, samples):
 
 
 def _cmd_verify(args):
+    # only verify samples at random and runs the closed-form corpus
+    import random
+
+    from .closed_forms import KNOWN_DISCREPANCIES, crosscheck_closed_forms
+
     spec, outcome = _load(args)
     rng = random.Random(args.seed)
     result = {"seed": args.seed, "samples": args.samples}

@@ -364,14 +364,19 @@ def expand_germ(spec, order=None, mode=None):
     return GermJets(*jets)
 
 
-def load_germ(path):
-    """Load a germ file; returns (GermSpec, GermJets)."""
+def read_germ_spec(path):
+    """Read a germ file into a GermSpec without expanding its components."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("germ", "invalid JSON: %s" % exc)
-    spec = germ_spec_from_dict(data)
+    return germ_spec_from_dict(data)
+
+
+def load_germ(path):
+    """Load a germ file; returns (GermSpec, GermJets)."""
+    spec = read_germ_spec(path)
     return spec, expand_germ(spec)
 
 

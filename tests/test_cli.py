@@ -1,9 +1,16 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
+import types
 
+import germforge
 from germforge.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 S1_GERM = {
     "variables": ["u", "v"],
@@ -213,6 +220,27 @@ class TestModeOverride:
         code, out, _ = run(capsys, "classify", "--input", path)
         assert json.loads(out)["normal_form"]["mode"] == "float"
 
+    def test_override_applies_before_parsing(self, tmp_path, capsys):
+        # the components are parsed once, in the mode the run uses
+        germ = dict(S1_GERM, components=["u", "0.5*v^2", "u^2*v + v^3"])
+        path = write_germ(tmp_path, germ)
+        code, out, err = run(capsys, "classify", "--input", path)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "decimal literal '0.5' requires float mode; use a p/q rational"
+                     " (line 1, column 1)"
+        }
+        code, out, err = run(capsys, "classify", "--input", path, "--mode", "float")
+        assert code == 0, err
+        assert json.loads(out)["class"]["label"] == "S1+"
+        # a cross-cap has no normal form, so mesh expands the germ itself
+        germ = dict(S1_GERM, components=["u", "0.5*v^2", "u*v"])
+        path = write_germ(tmp_path, germ, "cross_cap.json")
+        code, out, err = run(capsys, "mesh", "--input", path, "--mode", "float",
+                             "--output", str(tmp_path / "m.obj"), "--grid", "4x4")
+        assert code == 0, err
+        assert json.loads(out)["mesh"]["vertices"] == 16
+
 
 class TestVerifyHardMismatch:
     def test_corrupted_reference_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -229,3 +257,101 @@ class TestVerifyHardMismatch:
             e["hard_mismatch"] and e["symbol"] == "n21"
             for e in result["crosscheck"]["entries"]
         )
+
+
+# the public names of the package; front's and closed_forms' load on access
+PUBLIC_NAMES = [
+    "BkRecursionTrace", "BlowupContext", "Branch", "ClassificationOutcome",
+    "CurvatureSeries", "DistSing", "DistanceVerdict", "EXACT", "FLOAT",
+    "FocalKind", "FocalLocus", "FormSeries", "FrontType", "FrontVerdict",
+    "GermJets", "GermSpec", "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag",
+    "NormalFormCoeffs", "NormalSeries", "PointType", "ProbePoint", "R_PLUS",
+    "RidgeReport", "SingularPointType", "SingularityType", "TransformLog",
+    "TwoJetClass", "WavefrontSpec", "bk_recursion", "build_context", "classify",
+    "classify_distance", "classify_germ", "classify_spec", "corank_at_origin",
+    "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
+    "emit_report", "expand_germ", "extended_normal", "focal_locus",
+    "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
+    "invert_series_1d", "load_germ", "parse_polynomial", "print_polynomial",
+    "reduce_to_normal_form", "ridge_report", "singular_point_type",
+    "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
+    "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",
+    "wavefront_mesh",
+]
+HEAVY = ("numpy", "germforge.front", "germforge.closed_forms")
+
+
+def python(*argv):
+    """Run a fresh interpreter on the package in src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GERMFORGE_MODE", None)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestColdStart:
+    def test_non_mesh_calls_load_no_heavy_module(self, tmp_path):
+        path = write_germ(tmp_path, S1_GERM)
+        script = textwrap.dedent("""
+            import json, sys
+            heavy = %r
+            loaded = {}
+            def note(step):
+                loaded[step] = [m for m in heavy if m in sys.modules]
+            import germforge
+            note("import germforge")
+            import germforge.cli
+            note("import germforge.cli")
+            for command in ("classify", "geometry", "distance", "focal"):
+                code = germforge.cli.main(
+                    [command, "--input", sys.argv[1], "--output", sys.argv[2]])
+                assert code == 0, command
+                note(command)
+            print(json.dumps(loaded))
+        """) % (HEAVY,)
+        proc = python("-c", script, path, str(tmp_path / "report.json"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert list(loaded) == [
+            "import germforge", "import germforge.cli",
+            "classify", "geometry", "distance", "focal",
+        ]
+        assert all(mods == [] for mods in loaded.values()), loaded
+
+    def test_mesh_and_verify_still_run(self, tmp_path):
+        path = write_germ(tmp_path, S1_GERM)
+        mesh = tmp_path / "m.obj"
+        proc = python("-m", "germforge.cli", "mesh", "--input", path,
+                      "--output", str(mesh), "--grid", "8x8")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["mesh"]["vertices"] == 64
+        proc = python("-m", "germforge.cli", "verify", "--input", path,
+                      "--samples", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["crosscheck"]["entries"]
+
+    def test_every_exported_name_resolves_in_a_fresh_process(self):
+        script = textwrap.dedent("""
+            import germforge
+            bad = [n for n in germforge.__all__ if getattr(germforge, n, None) is None]
+            assert not bad, bad
+            import germforge.closed_forms, germforge.front
+            assert germforge.Mesh is germforge.front.Mesh
+            assert (germforge.crosscheck_closed_forms
+                    is germforge.closed_forms.crosscheck_closed_forms)
+            namespace = {}
+            exec("from germforge import *", namespace)
+            assert set(germforge.__all__) <= set(namespace)
+        """)
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_public_names_pinned(self):
+        assert sorted(germforge.__all__) == PUBLIC_NAMES
+        public = {
+            name for name in dir(germforge)
+            if not name.startswith("_")
+            and not isinstance(getattr(germforge, name), types.ModuleType)
+        }
+        assert public == set(PUBLIC_NAMES)

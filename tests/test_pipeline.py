@@ -87,3 +87,24 @@ class TestHighIndexClasses:
         spec = GermSpec(("u", "v"), ("u", "v^2", "v^3 + u^12*v"), 6, "exact")
         out = classify_spec(spec, k_max=8)
         assert out.mond.tag is MondTag.INDETERMINATE
+
+
+class TestTargetShearedFloatReduction:
+    SHEARED = ("u", "1/2*v^2", "1/2*v^2 + 5*v^3 - 5/2*u^9*v")
+
+    def test_shear_removed_germ_is_s8(self):
+        # z - y undoes the shear: a_03 = 5 and the first nonzero a_{k+1,1}
+        # is a_91, so the class is S8 (even k, no sign)
+        spec = GermSpec(("u", "v"), ("u", "1/2*v^2", "5*v^3 - 5/2*u^9*v"), 10, "exact")
+        assert classify_spec(spec).mond.label == "S8"
+
+    # Open defect: rotating the shear away takes sqrt(2), so the reduction
+    # runs in float; at the working order 17 the high-order coefficients blow
+    # up and Jet2's relative float floor deletes the v^2 term.
+    @pytest.mark.xfail(raises=UnsupportedGermError, strict=True,
+                       reason="float reduction of target-sheared germs loses v^2")
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_sheared_germ_classifies_as_s8(self, mode):
+        spec = GermSpec(("u", "v"), self.SHEARED, 10, mode)
+        out = classify_spec(spec)
+        assert (out.mond.label, out.mond.sign) == ("S8", None)
