@@ -47,7 +47,7 @@ from .germ_io import (
     parse_polynomial,
     print_polynomial,
 )
-from .jets import EXACT, FLOAT, GermJets, Jet2, invert_series_1d
+from .jets import EXACT, FLOAT, GermJets, Jet2
 from .mond import (
     BkRecursionTrace,
     MondClass,
@@ -114,7 +114,7 @@ __all__ = [
     "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
     "emit_report", "expand_germ", "extended_normal", "focal_locus",
     "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
-    "invert_series_1d", "load_germ", "parse_polynomial", "print_polynomial",
+    "load_germ", "parse_polynomial", "print_polynomial",
     "reduce_to_normal_form", "ridge_report", "singular_point_type",
     "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
     "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",

@@ -10,10 +10,10 @@ exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
 module computes those series numerically per theta through a generic
-pullback/series pipeline, classifies ridge and sub-parabolic directions via
-the trigonometric invariants delta_1/2/3, and cross-checks the pipeline
-against independently stated closed-form expressions for the coefficients
-(kept as a validation corpus, never as a code path).
+pullback/series pipeline and classifies ridge and sub-parabolic directions
+via the trigonometric invariants delta_1/2/3.  closed_forms.py checks the
+pipeline against independently stated closed-form expressions for the
+depth-1/2 coefficients it covers.
 """
 
 from __future__ import annotations
@@ -158,8 +158,6 @@ class BlowupContext:
             gu[2] * gv[0] - gu[0] * gv[2],
             gu[0] * gv[1] - gu[1] * gv[0],
         ]
-        object.__setattr__(self, "_gu", gu)
-        object.__setattr__(self, "_gv", gv)
         object.__setattr__(self, "_cross", cross)
         object.__setattr__(
             self,
@@ -293,62 +291,6 @@ class FormSeries:
     M: list
     N: list
 
-    @property
-    def E2(self):
-        return self.E[2]
-
-    @property
-    def F0(self):
-        return self.F[0]
-
-    @property
-    def F1(self):
-        return self.F[1]
-
-    @property
-    def G0(self):
-        return self.G[0]
-
-    @property
-    def G1(self):
-        return self.G[1]
-
-    @property
-    def L0(self):
-        return self.L[0]
-
-    @property
-    def L1(self):
-        return self.L[1]
-
-    @property
-    def L2(self):
-        return self.L[2]
-
-    @property
-    def M0(self):
-        return self.M[0]
-
-    @property
-    def M1(self):
-        return self.M[1]
-
-    @property
-    def M2(self):
-        return self.M[2]
-
-    @property
-    def N0(self):
-        return self.N[0]
-
-    @property
-    def N1(self):
-        return self.N[1]
-
-    @property
-    def N2(self):
-        return self.N[2]
-
 
 def fundamental_forms(ctx, theta, depth=DEPTH):
     """Pulled-back first/second fundamental form coefficient series."""
@@ -381,26 +323,6 @@ class CurvatureSeries:
     eta21: float
     swapped: bool  # true when N0 < 0 (index convention swaps the curvatures)
 
-    @property
-    def K0(self):
-        return self.K[0]
-
-    @property
-    def K1(self):
-        return self.K[1]
-
-    @property
-    def K2(self):
-        return self.K[2]
-
-    @property
-    def k10(self):
-        return self.k1[0]
-
-    @property
-    def k20(self):
-        return self.k2[0]
-
 
 def curvature_series(ctx, theta, forms=None, depth=DEPTH):
     """Curvature and principal-direction data; needs |cos theta| > tol."""
@@ -427,16 +349,16 @@ def curvature_series(ctx, theta, forms=None, depth=DEPTH):
 
     cn = c**n
     tanpart = c - n * s * s / c
-    xi10 = fs.N0 * tanpart - fs.M0 * s / cn
-    xi11 = fs.N1 * tanpart - fs.M1 * s / cn
-    eta10 = -(n + 1) * fs.N1 * s - fs.M1 * c / cn
-    eta11 = -(n + 1) * fs.N2 * s - (fs.M2 - k1[0] * fs.F0) * c / cn
-    xi21 = k2[0] * fs.F0 * s / cn
-    eta20 = k2[0] * fs.F0 * c / cn
-    eta21 = (k2[0] * fs.F1 + k2[1] * fs.F0) * c / cn
+    xi10 = fs.N[0] * tanpart - fs.M[0] * s / cn
+    xi11 = fs.N[1] * tanpart - fs.M[1] * s / cn
+    eta10 = -(n + 1) * fs.N[1] * s - fs.M[1] * c / cn
+    eta11 = -(n + 1) * fs.N[2] * s - (fs.M[2] - k1[0] * fs.F[0]) * c / cn
+    xi21 = k2[0] * fs.F[0] * s / cn
+    eta20 = k2[0] * fs.F[0] * c / cn
+    eta21 = (k2[0] * fs.F[1] + k2[1] * fs.F[0]) * c / cn
     return CurvatureSeries(
         theta, kappa, k1, k2, xi10, xi11, eta10, eta11, xi21, eta20, eta21,
-        swapped=fs.N0 < 0,
+        swapped=fs.N[0] < 0,
     )
 
 
@@ -585,7 +507,7 @@ def geometry_samples(ctx, thetas=None):
         }
         if abs(math.cos(theta)) > COS_TOL:
             cs = curvature_series(ctx, theta)
-            rec["K0"] = cs.K0
-            rec["k20"] = cs.k20
+            rec["K0"] = cs.K[0]
+            rec["k20"] = cs.k2[0]
         records.append(rec)
     return records

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import germ_io, pipeline
-from .blowup import theta_grid
 from .distance import ProbePoint, classify_distance, distance_jet, versality_rank_test
 from .errors import GermforgeError, InternalConsistencyError, UsageError
 from .germ_io import emit_mesh, emit_report, format_number, read_germ_spec, write_json
@@ -77,7 +76,11 @@ def _build_parser():
     p = sub.add_parser("verify", help="closed-form crosscheck + oracle sampling")
     common(p)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--theta-samples", type=int, default=3)
+    p.add_argument(
+        "--theta-samples", type=int, default=3,
+        help="closed-form check angles: the first N of pi/6, pi/4, pi/3, "
+        "or for N > 3 the N-point theta grid without pi/2",
+    )
     return parser
 
 
@@ -252,11 +255,25 @@ def _verify_versality_samples(rng, samples):
     return agree, mismatches
 
 
+def _verify_thetas(samples):
+    """Cross-check angles: up to three fixed ones, or a uniform grid.
+
+    The grid is theta_grid's without its endpoint pi/2, the principal normal
+    direction, where the curvature series are undefined.
+    """
+    if samples < 0:
+        raise UsageError("--theta-samples must not be negative")
+    if samples <= 3:
+        return [math.pi / 6, math.pi / 4, math.pi / 3][:samples]
+    step = math.pi / samples
+    return [-math.pi / 2 + step * i for i in range(1, samples)]
+
+
 def _cmd_verify(args):
     # only verify samples at random and runs the closed-form corpus
     import random
 
-    from .closed_forms import KNOWN_DISCREPANCIES, crosscheck_closed_forms
+    from .closed_forms import crosscheck_closed_forms
 
     spec, outcome = _load(args)
     rng = random.Random(args.seed)
@@ -265,13 +282,9 @@ def _cmd_verify(args):
 
     if outcome.has_geometry:
         ctx = pipeline.blowup_context(outcome)
-        thetas = [math.pi / 6, math.pi / 4, math.pi / 3][: args.theta_samples]
-        if args.theta_samples > 3:
-            thetas = theta_grid(args.theta_samples)
         table = []
-        for entry in crosscheck_closed_forms(ctx, thetas):
-            scale = max(1.0, abs(entry.pipeline))
-            bad = not entry.suspected_typo and abs(entry.delta) > CROSSCHECK_TOL * scale
+        for entry in crosscheck_closed_forms(ctx, _verify_thetas(args.theta_samples)):
+            bad = abs(entry.delta) > CROSSCHECK_TOL * max(1.0, abs(entry.pipeline))
             hard_failure = hard_failure or bad
             table.append(
                 {
@@ -284,10 +297,7 @@ def _cmd_verify(args):
                     "hard_mismatch": bad,
                 }
             )
-        result["crosscheck"] = {
-            "entries": table,
-            "known_discrepancies": sorted(KNOWN_DISCREPANCIES),
-        }
+        result["crosscheck"] = {"entries": table}
     else:
         result["crosscheck"] = None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ModeMismatchError, SingularSeriesError, UsageError
+from .errors import ModeMismatchError, UsageError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -358,34 +358,6 @@ class Jet2:
                 parts.append(f"{c}*{mono}")
             body = " + ".join(parts)
         return f"Jet2[{self.mode}, order={self.order}]({body})"
-
-
-def invert_series_1d(s, var="u"):
-    """Compositional inverse of a one-variable jet c*t + O(t^2), c != 0.
-
-    The result w satisfies s(w(t)) = t up to the truncation order.
-    """
-    other = "v" if var == "u" else "u"
-    for (i, j) in s.coeffs:
-        if (other == "v" and j) or (other == "u" and i):
-            raise UsageError("invert_series_1d expects a jet in %r only" % var)
-    if s.constant_term():
-        raise UsageError("series to invert must vanish at 0")
-    lead = s.coeff(1, 0) if var == "u" else s.coeff(0, 1)
-    if not lead:
-        raise SingularSeriesError("vanishing linear coefficient; not invertible")
-    order, mode = s.order, s.mode
-    t = Jet2.variable(var, order, mode)
-    inv_lead = (Fraction(1) / lead) if mode == EXACT else 1.0 / lead
-    tail = s - lead * t  # O(t^2)
-    w = t * inv_lead
-    for _ in range(order):
-        if var == "u":
-            corr = tail.substitute(w, Jet2.zero(order, mode))
-        else:
-            corr = tail.substitute(Jet2.zero(order, mode), w)
-        w = (t - corr) * inv_lead
-    return w
 
 
 class GermJets:

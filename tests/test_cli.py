@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -6,8 +7,11 @@ import sys
 import textwrap
 import types
 
+import pytest
+
 import germforge
 from germforge.cli import main
+from germforge.closed_forms import CROSSCHECK_SYMBOLS
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -190,8 +194,27 @@ class TestVerify:
         assert table
         assert not any(e["hard_mismatch"] for e in table)
 
+    @pytest.mark.parametrize("samples", [5, 8])
+    def test_theta_grid_leaves_out_the_principal_normal(self, tmp_path, capsys, samples):
+        path = write_germ(tmp_path, S1_GERM)
+        code, out, err = run(capsys, "verify", "--input", path, "--samples", "2",
+                             "--theta-samples", str(samples))
+        assert code == 0, err
+        entries = json.loads(out)["crosscheck"]["entries"]
+        for symbol in CROSSCHECK_SYMBOLS:
+            thetas = [float(e["theta"]) for e in entries if e["symbol"] == symbol]
+            assert len(thetas) == samples - 1
+            assert all(abs(t) < math.pi / 2 - 1e-3 for t in thetas)
+        assert len(entries) == len(CROSSCHECK_SYMBOLS) * (samples - 1)
+        assert not any(e["hard_mismatch"] for e in entries)
+
+    def test_negative_theta_samples_is_usage_error(self, tmp_path, capsys):
+        path = write_germ(tmp_path, S1_GERM)
+        code, _, err = run(capsys, "verify", "--input", path, "--theta-samples", "-1")
+        assert code == 1
+        assert json.loads(err) == {"error": "--theta-samples must not be negative"}
+
     def test_verify_stdout_pinned(self, tmp_path, capsys):
-        # captured before verify and the mesh summary shared germ_io.write_json
         path = write_germ(tmp_path, S1_GERM)
         code, out, err = run(
             capsys, "verify", "--input", path, "--samples", "10", "--seed", "3"
@@ -272,7 +295,7 @@ PUBLIC_NAMES = [
     "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
     "emit_report", "expand_germ", "extended_normal", "focal_locus",
     "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
-    "invert_series_1d", "load_germ", "parse_polynomial", "print_polynomial",
+    "load_germ", "parse_polynomial", "print_polynomial",
     "reduce_to_normal_form", "ridge_report", "singular_point_type",
     "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
     "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from germforge.errors import ModeMismatchError, SingularSeriesError, UsageError
-from germforge.jets import EXACT, FLOAT, GermJets, Jet2, invert_series_1d
+from germforge.errors import ModeMismatchError, UsageError
+from germforge.jets import EXACT, FLOAT, GermJets, Jet2
 
 from conftest import rand_jet
 
@@ -97,28 +97,6 @@ class TestPartial:
 
     def test_constant_derivative_is_zero(self):
         assert Jet2.const(5, 3).partial("u").is_zero()
-
-
-class TestInvertSeries:
-    def test_identity(self):
-        t = Jet2.variable("u", 3)
-        assert invert_series_1d(t, "u") == t
-
-    def test_linear(self):
-        s = jet(3, {(1, 0): 2})
-        assert invert_series_1d(s, "u") == jet(3, {(1, 0): Fraction(1, 2)})
-
-    def test_t_plus_t_squared(self):
-        # independent oracle: compose and check s(w) = t + O(t^4)
-        s = jet(3, {(1, 0): 1, (2, 0): 1})
-        w = invert_series_1d(s, "u")
-        assert w == jet(3, {(1, 0): 1, (2, 0): -1, (3, 0): 2})
-        composed = s.substitute(w, Jet2.zero(3))
-        assert composed == Jet2.variable("u", 3)
-
-    def test_vanishing_linear_coefficient(self):
-        with pytest.raises(SingularSeriesError):
-            invert_series_1d(jet(3, {(2, 0): 1}), "u")
 
 
 class TestRingProperties:
