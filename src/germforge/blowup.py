@@ -28,7 +28,7 @@ from .errors import (
     PrincipalNormalDirectionError,
     UsageError,
 )
-from .jets import FLOAT, Jet2
+from .jets import FLOAT, Jet2, is_zero
 from .mond import MondTag
 from .normal_form import NormalFormCoeffs
 
@@ -124,7 +124,6 @@ class BlowupContext:
 
     nf: NormalFormCoeffs
     n: int
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.n < 1:
@@ -196,7 +195,7 @@ class BlowupContext:
         return r * c, r ** (self.n + 1) * c**self.n * s
 
 
-def build_context(nf, mond, tol=1e-9):
+def build_context(nf, mond):
     """Blow-up context with the exponent induced by the class."""
     rule = _BLOWUP_EXPONENT.get(mond.tag)
     if rule is None:
@@ -204,7 +203,7 @@ def build_context(nf, mond, tol=1e-9):
             "blow-up geometry is defined for S_k, B_k, C_k, F_4 only (got %s)"
             % mond.label
         )
-    return BlowupContext(nf, rule(mond.k), tol)
+    return BlowupContext(nf, rule(mond.k))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +220,13 @@ def pullback_series(ctx, jet, theta, depth=DEPTH, r_shift=0, cos_shift=0):
     n = ctx.n
     c, s = math.cos(theta), math.sin(theta)
     out = [0.0] * (depth + 1)
-    scale = max(1.0, float(jet.max_abs()))
     for (i, j), coef in jet.coeffs.items():
         k = i + j * (n + 1) - r_shift
         if k > depth:
             continue
         ce = i + j * n - cos_shift
         if k < 0 or ce < 0:
-            if abs(coef) > 1e-9 * scale:
+            if not is_zero(coef, max(1.0, float(jet.max_abs()))):
                 raise InternalConsistencyError(
                     "pullback factor r^%d cos^%d does not divide the u^%d v^%d term"
                     % (r_shift, cos_shift, i, j)
@@ -290,6 +288,7 @@ class FormSeries:
     L: list
     M: list
     N: list
+    normal: NormalSeries  # the extended normal L, M, N were taken against
 
 
 def fundamental_forms(ctx, theta, depth=DEPTH):
@@ -303,7 +302,7 @@ def fundamental_forms(ctx, theta, depth=DEPTH):
     l = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], theta, depth))
     m = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], theta, depth, ctx.n, 0))
     nn = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], theta, depth))
-    return FormSeries(theta, e, f, g, l, m, nn)
+    return FormSeries(theta, e, f, g, l, m, nn, normal)
 
 
 @dataclass
@@ -325,7 +324,7 @@ class CurvatureSeries:
 
 
 def curvature_series(ctx, theta, forms=None, depth=DEPTH):
-    """Curvature and principal-direction data; needs |cos theta| > tol."""
+    """Curvature and principal-direction data; needs |cos theta| > COS_TOL."""
     c, s = math.cos(theta), math.sin(theta)
     if abs(c) <= COS_TOL:
         raise PrincipalNormalDirectionError(
@@ -371,6 +370,12 @@ def k10_closed(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
     nf = ctx.nf
     return (-ctx.a_lead * nf.b_(2) * c + ctx.fact * nf.a_(2, 0) * s) / ctx.ma(theta)
+
+
+def k10_scale(ctx, theta):
+    """Magnitude of the two terms of k10_closed, for zero tests on k10."""
+    nf = ctx.nf
+    return max(abs(ctx.a_lead * nf.b_(2)), abs(ctx.fact * nf.a_(2, 0))) / ctx.ma(theta)
 
 
 def k20_closed(ctx, theta):
@@ -441,10 +446,6 @@ def delta3(ctx, theta):
     return nf.a_(2, 0) * ctx.a_lead * c + ctx.fact * nf.b_(2) * s
 
 
-def _near_zero(value, scale, tol):
-    return abs(value) <= tol * max(1.0, scale)
-
-
 def ridge_report(ctx, theta):
     nf = ctx.nf
     a, m = ctx.a_lead, ctx.fact
@@ -460,16 +461,15 @@ def ridge_report(ctx, theta):
         12.0 * abs(nf.a_(2, 1)),
     )
     s3 = max(abs(nf.a_(2, 0) * a), abs(m * nf.b_(2)))
-    is_ridge = _near_zero(d1, s1, ctx.tol)
-    first_order = is_ridge and not _near_zero(d2, s2, ctx.tol)
-    subpar = _near_zero(d3, s3, ctx.tol)
+    is_ridge = is_zero(d1, max(1.0, s1))
+    first_order = is_ridge and not is_zero(d2, max(1.0, s2))
+    subpar = is_zero(d3, max(1.0, s3))
     if abs(math.cos(theta)) <= COS_TOL:
         ptype = None
     else:
         k0 = K0_closed(ctx, theta)
-        k10_scale = max(abs(a * nf.b_(2)), abs(m * nf.a_(2, 0))) / ctx.ma(theta)
-        k0_scale = abs(k20_closed(ctx, theta)) * k10_scale
-        if _near_zero(k0, k0_scale, ctx.tol):
+        k0_scale = abs(k20_closed(ctx, theta)) * k10_scale(ctx, theta)
+        if is_zero(k0, max(1.0, k0_scale)):
             ptype = PointType.PARABOLIC
         else:
             ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC

@@ -98,9 +98,13 @@ def _emit(report, args):
 
 
 def _load(args):
+    if args.order is not None and args.order < 1:
+        raise UsageError("--order must be >= 1")
+    if args.kmax < 1:
+        raise UsageError("--kmax must be >= 1")
     spec = read_germ_spec(args.input)
     mode = _resolve_mode(args)
-    if args.order:
+    if args.order is not None:
         spec = germ_io.GermSpec(
             spec.variables, spec.components, args.order, spec.mode,
             spec.probes, spec.theta_lambda,
@@ -142,9 +146,12 @@ def _cmd_focal(args):
 def _parse_grid(text):
     try:
         a, b = text.lower().split("x")
-        return (int(a), int(b))
+        grid = (int(a), int(b))
     except ValueError:
         raise UsageError("--grid expects WIDTHxHEIGHT, e.g. 64x64")
+    if min(grid) < 2:
+        raise UsageError("--grid sizes must be >= 2")
+    return grid
 
 
 def _cmd_mesh(args):

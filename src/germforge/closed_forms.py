@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .blowup import curvature_series, extended_normal, fundamental_forms
+# extended_normal is not called here (fundamental_forms returns the normal it
+# used) but stays importable: perfbench/tracing.py wraps it under this module.
+from .blowup import curvature_series, extended_normal, fundamental_forms  # noqa: F401
 
 
 def _shorthands(ctx, theta):
@@ -181,8 +183,8 @@ class CrosscheckEntry:
 
 def pipeline_values(ctx, theta):
     """Series-pipeline values of every cross-checked coefficient."""
-    normal = extended_normal(ctx, theta)
     forms = fundamental_forms(ctx, theta)
+    normal = forms.normal
     curv = curvature_series(ctx, theta, forms=forms)
     return {
         "n21": normal.n2[1],

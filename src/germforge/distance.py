@@ -30,9 +30,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle
-from .blowup import COS_TOL, K0_closed, k10_closed, normal_r0_closed, ridge_report
+from .blowup import (
+    COS_TOL, K0_closed, k10_closed, k10_scale, normal_r0_closed, ridge_report,
+)
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, FLOAT, FLOAT_ZERO_REL, Jet2
+from .jets import EXACT, Jet2, is_zero
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -123,8 +125,6 @@ def _zero_test(nf, p):
     scaling by the full normal form would let high-order factorial-scaled
     coefficients mask the relevant quantities.
     """
-    if nf.mode == EXACT:
-        return lambda x: x == 0
     low = [1.0]
     for (i, j), c in nf.a.items():
         if i + j <= 4:
@@ -135,7 +135,7 @@ def _zero_test(nf, p):
     if p is not None:
         low.append(p.scale())
     scale = max(low)
-    return lambda x: abs(float(x)) <= FLOAT_ZERO_REL * scale
+    return lambda x: is_zero(x, scale, nf.mode)
 
 
 def distance_jet(nf, p, order=None):
@@ -328,10 +328,7 @@ def geometric_verdict(ctx, theta0, lam):
         return GeometricVerdict(verdict, expected, flags, p)
 
     k10 = k10_closed(ctx, theta0)
-    k10_scale = max(
-        abs(ctx.a_lead * nf.b_(2)), abs(ctx.fact * nf.a_(2, 0))
-    ) / ctx.ma(theta0)
-    focal = abs(lam * k10 - 1.0) <= FLOAT_ZERO_REL * max(1.0, abs(lam) * k10_scale)
+    focal = is_zero(lam * k10 - 1.0, max(1.0, abs(lam) * k10_scale(ctx, theta0)))
     flags["on_focal_locus"] = focal
     flags["parabolic"] = z(K0_closed(ctx, theta0))
     rr = ridge_report(ctx, theta0)

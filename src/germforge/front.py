@@ -27,8 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .blowup import COS_TOL, k10_closed, normal_r0_closed, ridge_report
+from .blowup import COS_TOL, k10_closed, k10_scale, normal_r0_closed, ridge_report
 from .errors import HypothesisError, UsageError
+from .jets import is_zero
+
+# Focal-sheet nodes whose bounded curvature is at most this are skipped:
+# their centers lie beyond distance 1 / KAPPA_MIN = 100.
+KAPPA_MIN = 0.01
 
 
 class FrontType(Enum):
@@ -71,12 +76,8 @@ def front_verdict(ctx, theta0):
         return FrontVerdict(
             theta0, FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis
         )
-    k10 = k10_closed(ctx, theta0)
-    nf = ctx.nf
-    k10_scale = max(
-        1.0, abs(ctx.a_lead * nf.b_(2)), abs(ctx.fact * nf.a_(2, 0))
-    ) / ctx.ma(theta0)
-    if abs(k10) <= ctx.tol * k10_scale:
+    scale = max(1.0 / ctx.ma(theta0), k10_scale(ctx, theta0))
+    if is_zero(k10_closed(ctx, theta0), scale):
         raise HypothesisError(
             "the bounded principal curvature vanishes at theta0 = %g" % theta0
         )
@@ -303,18 +304,17 @@ def _blowup_offset_mesh(germ, spec, sign):
     ).validate()
 
 
-def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5, focal_distance_max=100.0):
+def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     """Sheet of centers g + n / kappa_1 for the bounded curvature branch.
 
-    Nodes where the bounded curvature (nearly) vanishes are skipped: their
-    centers escape beyond focal_distance_max and carry no information.
+    Nodes where |kappa_1| <= KAPPA_MIN are skipped: their centers escape
+    far from the surface and carry no information.
     """
     nr, ntheta = grid
-    kappa_min = max(ctx.tol, 1.0 / focal_distance_max)
     pts, normals, kappa, keep = _blowup_geometry(
         ctx, ctx.nf.reconstruct(), grid, r_max, curvature=True
     )
-    keep &= np.abs(kappa) > kappa_min  # NaN kappa fails this too
+    keep &= np.abs(kappa) > KAPPA_MIN  # NaN kappa fails this too
     verts = pts[keep] + normals[keep] / kappa[keep, None]
     return Mesh(
         verts,

@@ -22,6 +22,18 @@ FLOAT = "float"
 FLOAT_ZERO_REL = 1e-9
 
 
+def is_zero(x, scale=1.0, mode=FLOAT):
+    """The one zero test behind every verdict.
+
+    Exact mode compares with 0.  Float mode accepts |x| <= FLOAT_ZERO_REL *
+    scale, where the caller passes the magnitude of the data x came from
+    (floored at 1 where the site wants an absolute floor).
+    """
+    if mode == EXACT:
+        return x == 0
+    return abs(float(x)) <= FLOAT_ZERO_REL * scale
+
+
 def _as_exact(c):
     if isinstance(c, Fraction):
         return c

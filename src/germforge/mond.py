@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import UsageError
-from .jets import EXACT, FLOAT, Jet2
+from .jets import EXACT, FLOAT, Jet2, is_zero
 
 DEFAULT_K_MAX = 8
 
@@ -158,16 +158,11 @@ def verify_by_substitution(nf, trace, k):
     final = p.substitute(_shift_jet(trace.c, order, nf.mode), v)
     scale = max(1.0, float(final.max_abs()))
     for j in range(2, k + 1):
-        if not nf.is_zero_value(final.coeff(1, 2 * j - 1), scale):
+        if not is_zero(final.coeff(1, 2 * j - 1), scale, nf.mode):
             return False
     for n in range(2, k + 1):
         lhs, rhs = final.coeff(0, 2 * n + 1), trace.xi.get(n)
-        if rhs is None:
-            return False
-        if nf.mode == EXACT:
-            if lhs != rhs:
-                return False
-        elif not nf.is_zero_value(lhs - rhs, scale):
+        if rhs is None or not is_zero(lhs - rhs, scale, nf.mode):
             return False
     return True
 
@@ -215,7 +210,7 @@ def classify(nf, k_max=DEFAULT_K_MAX):
                     % (nf.order, k, b_order(k))
                 )
             trace = bk_recursion(nf, k)
-            if not nf.is_zero_value(trace.xi[k], trace.scale):
+            if not is_zero(trace.xi[k], trace.scale, nf.mode):
                 sign = _sign_of(trace.xi[k] * a21)
                 return ClassifyResult(MondClass(MondTag.B, k, sign), trace, warnings)
         return indeterminate("xi_n = 0 for all n <= %d" % k_max)

@@ -12,6 +12,7 @@ falls back to float64 otherwise, recording which mode was used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2
+from .jets import EXACT, FLOAT, GermJets, Jet2, is_zero
 
 
 class TwoJetClass(Enum):
@@ -59,10 +60,7 @@ class NormalFormCoeffs:
         zero = Fraction(0) if self.mode == EXACT else 0.0
         return self.b.get(i, zero)
 
-    def scale(self):
-        vals = [abs(c) for c in self.a.values()] + [abs(c) for c in self.b.values()]
-        return max([1.0] + [float(v) for v in vals])
-
+    @functools.cached_property
     def germ_scale(self):
         """Largest germ-normalized coefficient |a_ij| / (i! j!), |b_i| / i!.
 
@@ -77,27 +75,9 @@ class NormalFormCoeffs:
             vals.append(abs(float(c)) / math.factorial(i))
         return max(vals)
 
-    def is_zero_value(self, x, scale=None):
-        if self.mode == EXACT:
-            return x == 0
-        return abs(float(x)) <= FLOAT_ZERO_REL * (
-            self.scale() if scale is None else scale
-        )
-
     def is_zero_a(self, i, j):
-        if self.mode == EXACT:
-            return self.a_(i, j) == 0
-        normalized = abs(float(self.a_(i, j))) / (
-            math.factorial(i) * math.factorial(j)
-        )
-        return normalized <= FLOAT_ZERO_REL * self.germ_scale()
-
-    def is_zero_b(self, i):
-        if self.mode == EXACT:
-            return self.b_(i) == 0
-        return abs(float(self.b_(i))) / math.factorial(i) <= (
-            FLOAT_ZERO_REL * self.germ_scale()
-        )
+        norm = math.factorial(i) * math.factorial(j)
+        return is_zero(self.a_(i, j) / norm, self.germ_scale, self.mode)
 
     def second_component(self, order=None):
         order = self.order if order is None else order
@@ -193,18 +173,14 @@ def _scale_of(rows):
 
 
 def _matrix_rank_3x2(rows, mode):
-    tol = FLOAT_ZERO_REL * _scale_of(rows)
-
-    def nz(x):
-        return x != 0 if mode == EXACT else abs(float(x)) > tol
-
+    scale = _scale_of(rows)
     minors = []
     for r1 in range(3):
         for r2 in range(r1 + 1, 3):
             minors.append(rows[r1][0] * rows[r2][1] - rows[r1][1] * rows[r2][0])
-    if any(nz(m) for m in minors):
+    if not all(is_zero(m, scale, mode) for m in minors):
         return 2
-    if any(nz(x) for row in rows for x in row):
+    if not all(is_zero(x, scale, mode) for row in rows for x in row):
         return 1
     return 0
 
@@ -242,12 +218,8 @@ def _normalize_linear_part(g, log):
     w = col_u if max(abs(float(c)) for c in col_u) >= max(
         abs(float(c)) for c in col_v
     ) else col_v
-    tol = FLOAT_ZERO_REL * _scale_of(rows)
-
-    def nz(x):
-        return x != 0 if mode == EXACT else abs(float(x)) > tol
-
-    if nz(w[1]) or nz(w[2]):
+    scale = _scale_of(rows)
+    if not (is_zero(w[1], scale, mode) and is_zero(w[2], scale, mode)):
         norm2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         norm, mode = _sqrt_scalar(norm2, mode)
         if mode == FLOAT and g.mode == EXACT:
@@ -272,7 +244,7 @@ def _normalize_linear_part(g, log):
     # source linear change making the first component u + O(2)
     l1, l2 = g.x.coeff(1, 0), g.x.coeff(0, 1)
     n2 = l1 * l1 + l2 * l2
-    if not nz(n2):
+    if is_zero(n2, scale, mode):
         raise UsageError("vanishing differential of the first component")
     one = Fraction(1) if mode == EXACT else 1.0
     if l1 != one or (l2 if mode == EXACT else float(l2)) != 0:
@@ -314,15 +286,10 @@ def _two_jet_data(g):
 
 def _classify_two_jet(data, mode):
     scale = max([1.0] + [abs(float(v)) for v in data.values()])
-    tol = FLOAT_ZERO_REL * scale
-
-    def nz(x):
-        return x != 0 if mode == EXACT else abs(float(x)) > tol
-
     det = data["b11"] * data["a02"] - data["b02"] * data["a11"]
-    has_v2 = nz(data["a02"]) or nz(data["b02"])
-    has_uv = nz(data["a11"]) or nz(data["b11"])
-    if has_v2 and nz(det):
+    has_v2 = not all(is_zero(data[key], scale, mode) for key in ("a02", "b02"))
+    has_uv = not all(is_zero(data[key], scale, mode) for key in ("a11", "b11"))
+    if has_v2 and not is_zero(det, scale, mode):
         return TwoJetClass.CROSS_CAP
     if has_v2:
         return TwoJetClass.UV_SQUARED
@@ -437,11 +404,8 @@ def _extract_coeffs(g):
 
 def _check_form(g, nf):
     half = Fraction(1, 2) if g.mode == EXACT else 0.5
-    tol = FLOAT_ZERO_REL * max(1.0, float(g.y.max_abs()))
-    v2 = g.y.coeff(0, 2)
-    if (g.mode == EXACT and v2 != half) or (
-        g.mode == FLOAT and abs(v2 - 0.5) > tol
-    ):
+    scale = max(1.0, float(g.y.max_abs()))
+    if not is_zero(g.y.coeff(0, 2) - half, scale, g.mode):
         raise UnsupportedGermError("reduction failed: v^2 coefficient is not 1/2")
     for (i, j) in g.y.coeffs:
         if (i, j) != (0, 2) and j != 0:

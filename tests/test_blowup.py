@@ -21,7 +21,7 @@ from germforge.blowup import (
     theta_grid,
 )
 from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
-from germforge.errors import PrincipalNormalDirectionError, UsageError
+from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionError, UsageError
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
@@ -121,6 +121,15 @@ class TestPullback:
         assert series[6] == pytest.approx(c**4 * s**2)
         assert all(x == 0 for x in series[:6])
 
+    def test_shift_must_divide_every_term(self):
+        ctx = BlowupContext(nf_s1(), 1)
+        # u^2 / r^2 = cos^2 theta; u / r^2 has no series
+        assert pullback_series(ctx, Jet2(6, {(2, 0): 1.0}, FLOAT), 0.3, 2, 2)[0] == (
+            math.cos(0.3) ** 2
+        )
+        with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
+            pullback_series(ctx, Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT), 0.3, 2, 2)
+
 
 class TestExtendedNormal:
     def test_at_pi_over_2(self):
@@ -156,6 +165,13 @@ class TestExtendedNormal:
                 for theta in theta_grid(64):
                     defect = extended_normal(ctx, theta).unit_defect()
                     assert max(abs(x) for x in defect) < 1e-10
+
+    def test_forms_carry_the_normal_they_used(self, rng):
+        for n in (1, 2, 3):
+            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            for theta in theta_grid(16):
+                normal = fundamental_forms(ctx, theta).normal
+                assert normal == extended_normal(ctx, theta)
 
 
 class TestFormsAndCurvature:

@@ -78,6 +78,21 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["class"]["tag"] == "TWO_JET_UV"
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--order", "-3"), ("--order", "0"), ("--kmax", "-2"), ("--kmax", "0")]
+    )
+    def test_order_and_kmax_below_one_are_usage_errors(self, tmp_path, capsys, flag, value):
+        path = write_germ(tmp_path, S1_GERM)
+        code, out, err = run(capsys, "classify", "--input", path, flag, value)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "%s must be >= 1" % flag}
+
+    def test_order_override_reaches_the_report(self, tmp_path, capsys):
+        path = write_germ(tmp_path, S1_GERM)
+        code, out, err = run(capsys, "classify", "--input", path, "--order", "1")
+        assert code == 0, err
+        assert json.loads(out)["germ"]["order"] == 1
+
 
 class TestGeometry:
     def test_sweep_has_samples(self, tmp_path, capsys):
@@ -167,6 +182,19 @@ class TestMesh:
         lines = out_path.read_text().splitlines()
         assert sum(line.startswith("v ") for line in lines) == 80
         assert sum(line.startswith("f ") for line in lines) == summary["faces"]
+
+    @pytest.mark.parametrize("kind", ["surface", "wavefront", "focal"])
+    @pytest.mark.parametrize("grid", ["-3x4", "0x4", "1x1", "8x1"])
+    def test_grid_below_two_is_usage_error(self, tmp_path, capsys, kind, grid):
+        path = write_germ(tmp_path, S1_GERM)
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path),
+            "--kind", kind, "--grid=" + grid,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "--grid sizes must be >= 2"}
+        assert not out_path.exists()
 
     def test_focal_mesh(self, tmp_path, capsys):
         germ = dict(S1_GERM, components=["u", "v^2 + u^2", "v^3 + u^2*v"])

@@ -22,7 +22,7 @@ from germforge.front import (
     surface_mesh,
     wavefront_mesh,
 )
-from germforge.jets import FLOAT
+from germforge.jets import FLOAT, FLOAT_ZERO_REL
 
 from conftest import germ_from_strings, make_nf
 
@@ -118,7 +118,7 @@ def ref_blowup_offset(ctx, germ, grid, r_max, t0, sign):
 def ref_focal_sheet(ctx, grid, r_max, focal_distance_max=100.0):
     """(vertices, faces, skipped) of the focal sheet, node by node."""
     germ = ctx.nf.reconstruct()
-    kappa_min = max(ctx.tol, 1.0 / focal_distance_max)
+    kappa_min = max(FLOAT_ZERO_REL, 1.0 / focal_distance_max)
     verts, keep = [], []
     for r, theta in ref_blowup_nodes(grid, r_max):
         kappa = normal = None
@@ -311,7 +311,7 @@ class TestMeshes:
                 continue
             kappa = ref_bounded_curvature(ctx, germ, r, theta)
             normal = ref_extended_normal(ctx, germ, r, theta)
-            if kappa is None or normal is None or abs(kappa) <= max(ctx.tol, 1e-2):
+            if kappa is None or normal is None or abs(kappa) <= max(FLOAT_ZERO_REL, 1e-2):
                 continue
             p = mesh.vertices[vi]
             vi += 1
