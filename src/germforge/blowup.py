@@ -19,7 +19,7 @@ depth-1/2 coefficients it covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -128,8 +128,7 @@ class BlowupContext:
     def __post_init__(self):
         if self.n < 1:
             raise UsageError("blow-up exponent n must be >= 1")
-        nf = self.nf.to_float()
-        object.__setattr__(self, "nf", nf)
+        nf = self.nf = self.nf.to_float()
         if nf.order < self.n + 4:
             raise UsageError(
                 "normal form order %d too small for blow-up depth-2 series "
@@ -152,25 +151,20 @@ class BlowupContext:
         z = germ.z.with_order(jet_order)
         gu = [c.partial("u").with_order(jet_order) for c in (x, y, z)]
         gv = [c.partial("v").with_order(jet_order) for c in (x, y, z)]
-        cross = [
+        self._cross = [
             gu[1] * gv[2] - gu[2] * gv[1],
             gu[2] * gv[0] - gu[0] * gv[2],
             gu[0] * gv[1] - gu[1] * gv[0],
         ]
-        object.__setattr__(self, "_cross", cross)
-        object.__setattr__(
-            self,
-            "_second",
-            {
-                "uu": [c.partial("u").partial("u").with_order(jet_order) for c in (x, y, z)],
-                "uv": [c.partial("u").partial("v").with_order(jet_order) for c in (x, y, z)],
-                "vv": [c.partial("v").partial("v").with_order(jet_order) for c in (x, y, z)],
-            },
-        )
+        self._second = {
+            "uu": [c.partial("u").partial("u").with_order(jet_order) for c in (x, y, z)],
+            "uv": [c.partial("u").partial("v").with_order(jet_order) for c in (x, y, z)],
+            "vv": [c.partial("v").partial("v").with_order(jet_order) for c in (x, y, z)],
+        }
         e_jet = sum((a * b for a, b in zip(gu, gu)), Jet2.zero(jet_order, FLOAT))
         f_jet = sum((a * b for a, b in zip(gu, gv)), Jet2.zero(jet_order, FLOAT))
         g_jet = sum((a * b for a, b in zip(gv, gv)), Jet2.zero(jet_order, FLOAT))
-        object.__setattr__(self, "_efg", (e_jet, f_jet, g_jet))
+        self._efg = (e_jet, f_jet, g_jet)
 
     @property
     def epsilon(self):
@@ -188,11 +182,6 @@ class BlowupContext:
     def ma(self, theta):
         c, s = math.cos(theta), math.sin(theta)
         return math.sqrt(self.a_lead**2 * c * c + self.fact**2 * s * s)
-
-    def map_point(self, r, theta):
-        """The resolving map (r, theta) -> (u, v)."""
-        c, s = math.cos(theta), math.sin(theta)
-        return r * c, r ** (self.n + 1) * c**self.n * s
 
 
 def build_context(nf, mond):
@@ -236,8 +225,8 @@ def pullback_series(ctx, jet, theta, depth=DEPTH, r_shift=0, cos_shift=0):
     return out
 
 
-def _vector_pullback(ctx, jets, theta, depth=DEPTH, r_shift=0, cos_shift=0):
-    return [pullback_series(ctx, j, theta, depth, r_shift, cos_shift) for j in jets]
+def _vector_pullback(ctx, jets, theta, r_shift=0, cos_shift=0):
+    return [pullback_series(ctx, j, theta, DEPTH, r_shift, cos_shift) for j in jets]
 
 
 def _dot(a_vec, b_vec):
@@ -264,9 +253,9 @@ class NormalSeries:
         return total
 
 
-def extended_normal(ctx, theta, depth=DEPTH):
+def extended_normal(ctx, theta):
     """Unit normal continued across the exceptional set, as r-series."""
-    w = _vector_pullback(ctx, ctx._cross, theta, depth, ctx.n + 1, ctx.n)
+    w = _vector_pullback(ctx, ctx._cross, theta, ctx.n + 1, ctx.n)
     norm = s_sqrt(_dot(w, w))
     inv = s_recip(norm)
     n1, n2, n3 = (s_mul(comp, inv) for comp in w)
@@ -291,17 +280,17 @@ class FormSeries:
     normal: NormalSeries  # the extended normal L, M, N were taken against
 
 
-def fundamental_forms(ctx, theta, depth=DEPTH):
+def fundamental_forms(ctx, theta):
     """Pulled-back first/second fundamental form coefficient series."""
     e_jet, f_jet, g_jet = ctx._efg
-    e = pullback_series(ctx, e_jet, theta, depth)
-    f = pullback_series(ctx, f_jet, theta, depth, ctx.n + 2, 0)
-    g = pullback_series(ctx, g_jet, theta, depth, 2 * ctx.n + 2, 0)
-    normal = extended_normal(ctx, theta, depth)
+    e = pullback_series(ctx, e_jet, theta)
+    f = pullback_series(ctx, f_jet, theta, DEPTH, ctx.n + 2, 0)
+    g = pullback_series(ctx, g_jet, theta, DEPTH, 2 * ctx.n + 2, 0)
+    normal = extended_normal(ctx, theta)
     nvec = [normal.n1, normal.n2, normal.n3]
-    l = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], theta, depth))
-    m = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], theta, depth, ctx.n, 0))
-    nn = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], theta, depth))
+    l = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], theta))
+    m = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], theta, ctx.n, 0))
+    nn = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], theta))
     return FormSeries(theta, e, f, g, l, m, nn, normal)
 
 
@@ -313,24 +302,15 @@ class CurvatureSeries:
     K: list       # [K0, K1, K2]
     k1: list      # [k10, k11, k12], the bounded principal curvature
     k2: list      # [k20, k21, k22], coefficient series of r^(2n+2) kappa_2
-    xi10: float
-    xi11: float
-    eta10: float
-    eta11: float
-    xi21: float
-    eta20: float
-    eta21: float
-    swapped: bool  # true when N0 < 0 (index convention swaps the curvatures)
 
 
-def curvature_series(ctx, theta, forms=None, depth=DEPTH):
-    """Curvature and principal-direction data; needs |cos theta| > COS_TOL."""
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c) <= COS_TOL:
+def curvature_series(ctx, theta, forms=None):
+    """Curvature series at theta; needs |cos theta| > COS_TOL."""
+    if abs(math.cos(theta)) <= COS_TOL:
         raise PrincipalNormalDirectionError(
             "theta = %g is on the principal normal direction" % theta
         )
-    fs = forms or fundamental_forms(ctx, theta, depth)
+    fs = forms or fundamental_forms(ctx, theta)
     n = ctx.n
     # numerator LN - M^2 (the M^2 block re-enters at r^(2n))
     cnum = s_mul(fs.L, fs.N)
@@ -342,22 +322,8 @@ def curvature_series(ctx, theta, forms=None, depth=DEPTH):
     den = s_sub(den, fsq)
     # mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
     bser = s_mul(fs.E, fs.N)
-    kappa = s_div(cnum, den)
-    k1 = s_div(cnum, bser)
-    k2 = s_div(bser, den)
-
-    cn = c**n
-    tanpart = c - n * s * s / c
-    xi10 = fs.N[0] * tanpart - fs.M[0] * s / cn
-    xi11 = fs.N[1] * tanpart - fs.M[1] * s / cn
-    eta10 = -(n + 1) * fs.N[1] * s - fs.M[1] * c / cn
-    eta11 = -(n + 1) * fs.N[2] * s - (fs.M[2] - k1[0] * fs.F[0]) * c / cn
-    xi21 = k2[0] * fs.F[0] * s / cn
-    eta20 = k2[0] * fs.F[0] * c / cn
-    eta21 = (k2[0] * fs.F[1] + k2[1] * fs.F[0]) * c / cn
     return CurvatureSeries(
-        theta, kappa, k1, k2, xi10, xi11, eta10, eta11, xi21, eta20, eta21,
-        swapped=fs.N[0] < 0,
+        theta, s_div(cnum, den), s_div(cnum, bser), s_div(bser, den)
     )
 
 
@@ -416,6 +382,15 @@ class RidgeReport:
     is_first_order_ridge: bool
     is_subparabolic: bool
     point_type: Optional[PointType]  # None on the principal normal direction
+
+    @property
+    def flags(self):
+        """The direction flags the front and distance predictions read."""
+        return {
+            "is_ridge": self.is_ridge,
+            "is_first_order_ridge": self.is_first_order_ridge,
+            "is_subparabolic": self.is_subparabolic,
+        }
 
 
 def delta1(ctx, theta):
@@ -484,9 +459,8 @@ def theta_grid(samples=64):
     return [-math.pi / 2 + step * i for i in range(1, samples + 1)]
 
 
-def geometry_samples(ctx, thetas=None):
+def geometry_samples(ctx, thetas):
     """Per-theta geometry records for the report (cos-divided values off pi/2)."""
-    thetas = theta_grid() if thetas is None else thetas
     records = []
     for theta in thetas:
         rr = ridge_report(ctx, theta)
@@ -496,16 +470,12 @@ def geometry_samples(ctx, thetas=None):
             "delta2": rr.delta2,
             "delta3": rr.delta3,
             "point_type": rr.point_type.value if rr.point_type else None,
-            "flags": {
-                "is_ridge": rr.is_ridge,
-                "is_first_order_ridge": rr.is_first_order_ridge,
-                "is_subparabolic": rr.is_subparabolic,
-            },
+            "flags": rr.flags,
             "K0": None,
             "k10": k10_closed(ctx, theta),
             "k20": None,
         }
-        if abs(math.cos(theta)) > COS_TOL:
+        if rr.point_type is not None:
             cs = curvature_series(ctx, theta)
             rec["K0"] = cs.K[0]
             rec["k20"] = cs.k2[0]

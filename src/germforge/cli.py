@@ -282,6 +282,8 @@ def _cmd_verify(args):
 
     from .closed_forms import crosscheck_closed_forms
 
+    if args.samples < 0:
+        raise UsageError("--samples must not be negative")
     spec, outcome = _load(args)
     rng = random.Random(args.seed)
     result = {"seed": args.seed, "samples": args.samples}

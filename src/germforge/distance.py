@@ -30,9 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle
-from .blowup import (
-    COS_TOL, K0_closed, k10_closed, k10_scale, normal_r0_closed, ridge_report,
-)
+from .blowup import PointType, k10_closed, k10_scale, normal_r0_closed, ridge_report
 from .errors import InternalConsistencyError, UsageError
 from .jets import EXACT, Jet2, is_zero
 from .oracle import K_EQUIV, R_PLUS
@@ -306,13 +304,11 @@ def geometric_verdict(ctx, theta0, lam):
     _, n20, n30 = normal_r0_closed(ctx, theta0)
     p = ProbePoint(0.0, lam * n20, lam * n30)
     verdict = classify_distance(nf, p)
-    z = _zero_test(nf, p)
-    flags = {}
+    rr = ridge_report(ctx, theta0)
 
-    if abs(math.cos(theta0)) <= COS_TOL:
-        flags["on_principal_normal"] = True
-        at_intersection = z(nf.a_(2, 0) * p.z0 - 1)
-        flags["focal_intersection"] = at_intersection
+    if rr.point_type is None:
+        at_intersection = _zero_test(nf, p)(nf.a_(2, 0) * p.z0 - 1)
+        flags = {"on_principal_normal": True, "focal_intersection": at_intersection}
         if at_intersection:
             expected = DistSing.D4PLUS
             ok = verdict.sing_type is DistSing.D4PLUS
@@ -329,12 +325,9 @@ def geometric_verdict(ctx, theta0, lam):
 
     k10 = k10_closed(ctx, theta0)
     focal = is_zero(lam * k10 - 1.0, max(1.0, abs(lam) * k10_scale(ctx, theta0)))
-    flags["on_focal_locus"] = focal
-    flags["parabolic"] = z(K0_closed(ctx, theta0))
-    rr = ridge_report(ctx, theta0)
-    flags["is_ridge"] = rr.is_ridge
-    flags["is_first_order_ridge"] = rr.is_first_order_ridge
-    flags["is_subparabolic"] = rr.is_subparabolic
+    flags = dict(
+        rr.flags, on_focal_locus=focal, parabolic=rr.point_type is PointType.PARABOLIC
+    )
 
     if not focal:
         expected = DistSing.A1

@@ -66,12 +66,8 @@ def front_verdict(ctx, theta0):
     versal and no type is claimed: both predictions are Undetermined.
     """
     rr = ridge_report(ctx, theta0)
-    basis = {
-        "is_ridge": rr.is_ridge,
-        "is_first_order_ridge": rr.is_first_order_ridge,
-        "is_subparabolic": rr.is_subparabolic,
-    }
-    if abs(math.cos(theta0)) <= COS_TOL:
+    basis = rr.flags
+    if rr.point_type is None:
         basis["on_principal_normal"] = True
         return FrontVerdict(
             theta0, FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis
@@ -81,9 +77,7 @@ def front_verdict(ctx, theta0):
         raise HypothesisError(
             "the bounded principal curvature vanishes at theta0 = %g" % theta0
         )
-    wavefront, caustic = verdict_from_flags(
-        rr.is_ridge, rr.is_first_order_ridge, rr.is_subparabolic
-    )
+    wavefront, caustic = verdict_from_flags(**basis)
     return FrontVerdict(theta0, wavefront, caustic, basis)
 
 
@@ -123,10 +117,18 @@ class WavefrontSpec:
             raise UsageError("t0 must be a finite nonnegative offset")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise UsageError("grid sizes must be >= 2")
+        _check_width("extent", self.extent)
+        _check_width("r_max", self.r_max)
         if self.chart not in ("direct", "blowup"):
             raise UsageError("chart must be 'direct' or 'blowup'")
         if self.chart == "blowup" and self.context is None:
             raise UsageError("the blow-up chart needs a BlowupContext")
+
+
+def _check_width(name, value):
+    """Reject a sampling half-width that is not a finite positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError("%s must be a finite positive number" % name)
 
 
 def _grid_faces(nu, nv, keep):
@@ -196,6 +198,7 @@ def _parameter_grid(nu, nv, extent):
 
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
+    _check_width("extent", extent)
     nu, nv = grid
     uu, vv = _parameter_grid(nu, nv, extent)
     pts = _point_geometry(germ, uu, vv)[0]
@@ -310,6 +313,7 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     Nodes where |kappa_1| <= KAPPA_MIN are skipped: their centers escape
     far from the surface and carry no information.
     """
+    _check_width("r_max", r_max)
     nr, ntheta = grid
     pts, normals, kappa, keep = _blowup_geometry(
         ctx, ctx.nf.reconstruct(), grid, r_max, curvature=True

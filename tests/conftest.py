@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from germforge.jets import EXACT, GermJets, Jet2
@@ -43,6 +45,51 @@ def germ_from_strings(components, order, mode=EXACT):
 
     jets = [parse_polynomial(c, ("u", "v"), order, mode) for c in components]
     return GermJets(*jets)
+
+
+def raw_geometry(ctx, r, theta, germ=None):
+    """Point-wise geometry at the blow-up node (r, theta), one node at a time.
+
+    The scalar reference for the series pipeline, the mesh kernel and the
+    curvature limits: the germ (default: the context's normal form) is
+    evaluated with its jet partials at (u, v) = (r cos, r^(n+1) cos^n sin).
+    Returns the point, g_u, g_v, E/F/G, the unit normal with the extended
+    orientation sign(r^(n+1) cos^n theta), L/M/N, the Gaussian curvature K,
+    and the bounded and unbounded principal curvatures kappa and kappa2.
+    Where g_u x g_v vanishes the normal and every value built on it is None;
+    kappa and kappa2 are also None where E G - F^2 <= 0 or the mean term
+    E N - 2 F M + G L vanishes.
+    """
+    n = ctx.n
+    c, s = math.cos(theta), math.sin(theta)
+    u, v = r * c, r ** (n + 1) * c**n * s
+    comps = (ctx.nf.reconstruct() if germ is None else germ).components()
+
+    def at(jets):
+        return np.array([jet.evaluate(u, v) for jet in jets])
+
+    du = [comp.partial("u") for comp in comps]
+    dv = [comp.partial("v") for comp in comps]
+    gu, gv = at(du), at(dv)
+    E, F, G = gu @ gu, gu @ gv, gv @ gv
+    geo = dict(point=at(comps), gu=gu, gv=gv, E=E, F=F, G=G, normal=None,
+               L=None, M=None, N=None, K=None, kappa=None, kappa2=None)
+    cross = np.cross(gu, gv)
+    norm = np.linalg.norm(cross)
+    if norm == 0.0:
+        return geo
+    nhat = math.copysign(1.0, r ** (n + 1) * c**n) * cross / norm
+    L = nhat @ at([d.partial("u") for d in du])
+    M = nhat @ at([d.partial("v") for d in du])
+    N = nhat @ at([d.partial("v") for d in dv])
+    A = E * G - F * F
+    B = E * N - 2 * F * M + G * L
+    C = L * N - M * M
+    geo.update(normal=nhat, L=L, M=M, N=N, K=C / A)
+    if A > 0.0 and B != 0.0:
+        root = B + math.copysign(math.sqrt(max(B * B - 4 * A * C, 0.0)), B)
+        geo.update(kappa=2 * C / root, kappa2=root / (2 * A))
+    return geo
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from germforge.normal_form import reduce_to_normal_form
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 from germforge.distance import versality_rank_test
 
-from conftest import germ_from_strings, make_nf, rand_fraction
+from conftest import germ_from_strings, make_nf, rand_fraction, raw_geometry
 
 
 def _line(num, name, ok):
@@ -348,21 +348,6 @@ def _nf_f4(rng):
     return nf, MondClass(MondTag.F4)
 
 
-def _raw_gauss(ctx, germ, r, theta):
-    u, v = ctx.map_point(r, theta)
-    comps = germ.components()
-    gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-    gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-    guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
-    guv = np.array([c.partial("u").partial("v").evaluate(u, v) for c in comps])
-    gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
-    cross = np.cross(gu, gv)
-    nhat = cross / np.linalg.norm(cross)
-    E, F, G = gu @ gu, gu @ gv, gv @ gv
-    L, M, N = nhat @ guu, nhat @ guv, nhat @ gvv
-    return (L * N - M * M) / (E * G - F * F)
-
-
 def test_criterion_5_curvature_limit():
     with _Reporter(5, "scaled Gaussian curvature limit"):
         rng = random.Random(505)
@@ -379,7 +364,7 @@ def test_criterion_5_curvature_limit():
                 for theta in thetas:
                     k0 = K0_closed(ctx, theta)
                     vals = [
-                        r**power * _raw_gauss(ctx, germ, r, theta) for r in radii
+                        r**power * raw_geometry(ctx, r, theta, germ)["K"] for r in radii
                     ]
                     errs = [abs(v - k0) for v in vals]
                     fit = np.polyfit(radii, vals, 2)

@@ -1,5 +1,5 @@
 import math
-import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionE
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
-from conftest import make_nf
+from conftest import make_nf, raw_geometry
 
 
 def nf_s1(**extra):
@@ -67,6 +67,30 @@ def random_geometry_nf(rng, n):
         a[(0, 3)] = rng.uniform(-1, 1)
     b = {2: rng.uniform(-1, 1), 3: rng.uniform(-1, 1), 4: rng.uniform(-1, 1)}
     return make_nf(order=n + 4, mode=FLOAT, a=a, b=b)
+
+
+def lifted_series(ctx, theta):
+    """curvature_series at theta plus the principal-direction lift coefficients.
+
+    xi1*, eta1* lift the bounded principal direction and eta2* the unbounded
+    one into the (r, theta) frame, as series in r; they are built from the
+    pipeline's form and curvature series.
+    """
+    n = ctx.n
+    c, s = math.cos(theta), math.sin(theta)
+    fs = fundamental_forms(ctx, theta)
+    cs = curvature_series(ctx, theta, forms=fs)
+    cn = c**n
+    tanpart = c - n * s * s / c
+    return SimpleNamespace(
+        **vars(cs),
+        xi10=fs.N[0] * tanpart - fs.M[0] * s / cn,
+        xi11=fs.N[1] * tanpart - fs.M[1] * s / cn,
+        eta10=-(n + 1) * fs.N[1] * s - fs.M[1] * c / cn,
+        eta11=-(n + 1) * fs.N[2] * s - (fs.M[2] - cs.k1[0] * fs.F[0]) * c / cn,
+        eta20=cs.k2[0] * fs.F[0] * c / cn,
+        eta21=(cs.k2[0] * fs.F[1] + cs.k2[1] * fs.F[0]) * c / cn,
+    )
 
 
 class TestContext:
@@ -213,7 +237,7 @@ class TestFormsAndCurvature:
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             for theta in (-1.1, -0.3, 0.2, 0.9):
-                cs = curvature_series(ctx, theta)
+                cs = lifted_series(ctx, theta)
                 assert cs.xi10 == pytest.approx(-ctx.a_lead / ctx.ma(theta))
 
     def test_eta10_closed_form(self, rng):
@@ -228,13 +252,13 @@ class TestFormsAndCurvature:
                       + nf.a_(n + 2, 1) * c) * c * s
                     / ((n + 2) * ctx.ma(theta))
                 )
-                cs = curvature_series(ctx, theta)
+                cs = lifted_series(ctx, theta)
                 assert cs.eta10 == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_eta20_at_zero(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            cs = curvature_series(ctx, 0.0)
+            cs = lifted_series(ctx, 0.0)
             expected = (
                 -ctx.fact * ctx.nf.a_(2, 0) * ctx.a_lead**2 / ctx.ma(0.0) ** 3
             )
@@ -272,27 +296,6 @@ class TestFormsAndCurvature:
 class TestRawSeriesOracle:
     """The series pipeline against direct evaluation at small r."""
 
-    @staticmethod
-    def raw(ctx, r, theta):
-        n = ctx.n
-        u, v = ctx.map_point(r, theta)
-        comps = ctx.nf.reconstruct().components()
-        gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-        gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-        guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
-        gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
-        cross = np.cross(gu, gv)
-        sign = math.copysign(1.0, r ** (n + 1) * math.cos(theta) ** n)
-        nhat = sign * cross / np.linalg.norm(cross)
-        return {
-            "n2": nhat[1],
-            "n3": nhat[2],
-            "L": float(nhat @ guu),
-            "N": float(nhat @ gvv),
-            "E": float(gu @ gu),
-            "G": float(gv @ gv),
-        }
-
     def test_series_match_raw_fits(self, rng):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
@@ -301,14 +304,14 @@ class TestRawSeriesOracle:
                 ns = extended_normal(ctx, theta)
                 fs = fundamental_forms(ctx, theta)
                 vander = np.vander(rs, 4, increasing=True)
-                for key, series in (
-                    ("n2", ns.n2),
-                    ("n3", ns.n3),
-                    ("L", fs.L),
-                    ("N", fs.N),
+                raws = [raw_geometry(ctx, r, theta) for r in rs]
+                for key, vals, series in (
+                    ("n2", [q["normal"][1] for q in raws], ns.n2),
+                    ("n3", [q["normal"][2] for q in raws], ns.n3),
+                    ("L", [q["L"] for q in raws], fs.L),
+                    ("N", [q["N"] for q in raws], fs.N),
                 ):
-                    vals = np.array([self.raw(ctx, r, theta)[key] for r in rs])
-                    fit, *_ = np.linalg.lstsq(vander, vals, rcond=None)
+                    fit, *_ = np.linalg.lstsq(vander, np.array(vals), rcond=None)
                     for k in range(3):
                         assert abs(series[k] - fit[k]) < 5e-4 * max(
                             1.0, abs(series[k])
@@ -416,17 +419,17 @@ class TestDirectionalDerivativeIdentities:
         ) / (12 * h * h)
 
     def _v1_k1(self, ctx, theta):
-        cs = curvature_series(ctx, theta)
+        cs = lifted_series(ctx, theta)
         k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
         return cs.xi10 * cs.k1[1] + cs.eta10 * k10p
 
     def _v1sq_k1(self, ctx, theta):
-        c0 = curvature_series(ctx, theta)
+        c0 = lifted_series(ctx, theta)
         k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
         k10pp = self._d2(lambda t: curvature_series(ctx, t).k1[0], theta)
         k11p = self._d1(lambda t: curvature_series(ctx, t).k1[1], theta)
-        xi10p = self._d1(lambda t: curvature_series(ctx, t).xi10, theta)
-        eta10p = self._d1(lambda t: curvature_series(ctx, t).eta10, theta)
+        xi10p = self._d1(lambda t: lifted_series(ctx, t).xi10, theta)
+        eta10p = self._d1(lambda t: lifted_series(ctx, t).eta10, theta)
         return c0.xi10 * (
             c0.xi11 * c0.k1[1] + 2 * c0.xi10 * c0.k1[2] + c0.eta11 * k10p
             + c0.eta10 * k11p
@@ -469,7 +472,7 @@ class TestDirectionalDerivativeIdentities:
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             a, m = ctx.a_lead, ctx.fact
             for theta in (-0.7, 0.2, 0.9):
-                cs = curvature_series(ctx, theta)
+                cs = lifted_series(ctx, theta)
                 k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
                 got = cs.eta20 * k10p
                 c = math.cos(theta)
@@ -480,7 +483,7 @@ class TestDirectionalDerivativeIdentities:
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
             # the zero set is exactly the sub-parabolic direction
             th_sp = math.atan(-ctx.nf.a_(2, 0) * a / (m * ctx.nf.b_(2)))
-            cs = curvature_series(ctx, th_sp)
+            cs = lifted_series(ctx, th_sp)
             k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], th_sp)
             assert abs(cs.eta20 * k10p) < 1e-10
 
@@ -490,31 +493,8 @@ class TestLiftedDirectionRawFits:
 
     The lifted fields are assembled from exact jet data at small r and
     expressed in the (r, theta) frame; their fitted series must match the
-    pipeline's xi/eta coefficients.
+    lifted_series xi/eta coefficients.
     """
-
-    @staticmethod
-    def _raw_frame(ctx, r, theta):
-        n = ctx.n
-        u, v = ctx.map_point(r, theta)
-        comps = ctx.nf.reconstruct().components()
-        gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-        gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-        guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
-        guv = np.array([c.partial("u").partial("v").evaluate(u, v) for c in comps])
-        gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
-        cross = np.cross(gu, gv)
-        sign = math.copysign(1.0, r ** (n + 1) * math.cos(theta) ** n)
-        nhat = sign * cross / np.linalg.norm(cross)
-        E, F, G = gu @ gu, gu @ gv, gv @ gv
-        L, M, N = nhat @ guu, nhat @ guv, nhat @ gvv
-        A = E * G - F * F
-        B = E * N - 2 * F * M + G * L
-        C = L * N - M * M
-        disc = max(B * B - 4 * A * C, 0.0)
-        kb = 2 * C / (B + math.copysign(math.sqrt(disc), B))
-        k2 = (B + math.copysign(math.sqrt(disc), B)) / (2 * A)
-        return dict(E=E, F=F, G=G, L=L, M=M, N=N, kb=kb, k2=k2)
 
     def test_lift_coefficients_match_raw(self, rng):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
@@ -522,7 +502,7 @@ class TestLiftedDirectionRawFits:
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             theta = 0.6
             c, s = math.cos(theta), math.sin(theta)
-            cs = curvature_series(ctx, theta)
+            cs = lifted_series(ctx, theta)
             vander = np.vander(rs, 4, increasing=True)
 
             def fit(fn):
@@ -531,23 +511,23 @@ class TestLiftedDirectionRawFits:
                 return coef
 
             def xi_raw(r):
-                q = self._raw_frame(ctx, r, theta)
-                return (q["N"] - q["kb"] * q["G"]) * (c - n * s * s / c) - (
-                    q["M"] - q["kb"] * q["F"]
+                q = raw_geometry(ctx, r, theta)
+                return (q["N"] - q["kappa"] * q["G"]) * (c - n * s * s / c) - (
+                    q["M"] - q["kappa"] * q["F"]
                 ) * s / (r**n * c**n)
 
             def eta_raw(r):
-                q = self._raw_frame(ctx, r, theta)
+                q = raw_geometry(ctx, r, theta)
                 return (
-                    -(n + 1) * s * (q["N"] - q["kb"] * q["G"])
-                    - (q["M"] - q["kb"] * q["F"]) * c ** (1 - n) / r**n
+                    -(n + 1) * s * (q["N"] - q["kappa"] * q["G"])
+                    - (q["M"] - q["kappa"] * q["F"]) * c ** (1 - n) / r**n
                 ) / r
 
             def eta2_raw(r):
-                q = self._raw_frame(ctx, r, theta)
+                q = raw_geometry(ctx, r, theta)
                 return r ** (2 * n + 1) * (
-                    -(n + 1) * s * (q["N"] - q["k2"] * q["G"]) / r
-                    - (q["M"] - q["k2"] * q["F"]) * c ** (1 - n) / r ** (n + 1)
+                    -(n + 1) * s * (q["N"] - q["kappa2"] * q["G"]) / r
+                    - (q["M"] - q["kappa2"] * q["F"]) * c ** (1 - n) / r ** (n + 1)
                 )
 
             xi = fit(xi_raw)

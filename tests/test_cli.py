@@ -196,6 +196,35 @@ class TestMesh:
         assert json.loads(err) == {"error": "--grid sizes must be >= 2"}
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--kind", "focal", "--rmax", "0"], "r_max"),
+        (["--extent", "0"], "extent"),
+        (["--kind", "wavefront", "--chart", "blowup", "--rmax", "-1"], "r_max"),
+        (["--kind", "wavefront", "--extent", "nan"], "extent"),
+        (["--extent", "inf"], "extent"),
+    ])
+    def test_bad_extent_or_rmax_is_usage_error(self, tmp_path, capsys, argv, name):
+        path = write_germ(tmp_path, S1_GERM)
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path), "--grid", "8x8",
+            *argv,
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "%s must be a finite positive number" % name}
+        assert not out_path.exists()
+
+    def test_infinite_extent_prints_one_line_in_a_fresh_process(self, tmp_path):
+        # numpy warnings would reach stderr ahead of the error object
+        path = write_germ(tmp_path, S1_GERM)
+        proc = python("-m", "germforge.cli", "mesh", "--input", path,
+                      "--output", str(tmp_path / "m.obj"), "--extent", "inf")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            '{"error": "extent must be a finite positive number"}'
+        ]
+
     def test_focal_mesh(self, tmp_path, capsys):
         germ = dict(S1_GERM, components=["u", "v^2 + u^2", "v^3 + u^2*v"])
         path = write_germ(tmp_path, germ)
@@ -242,6 +271,12 @@ class TestVerify:
         assert code == 1
         assert json.loads(err) == {"error": "--theta-samples must not be negative"}
 
+    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
+        path = write_germ(tmp_path, S1_GERM)
+        code, out, err = run(capsys, "verify", "--input", path, "--samples", "-3")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "--samples must not be negative"}
+
     def test_verify_stdout_pinned(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
         code, out, err = run(
@@ -259,6 +294,38 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--input", path, "--samples", "10")
         _, out2, _ = run(capsys, "verify", "--input", path, "--samples", "10")
         assert out1 == out2
+
+
+class TestSpecialDirectionsPinned:
+    """geometry and distance reports of an exact S1+ germ with a20, b2, a30 and
+    b3 all nonzero.  Its theta-lambda pairs reach every branch of
+    geometric_verdict: the principal normal at and away from the focal
+    intersection, off the focal locus, focal off the ridge, and focal at the
+    ridge and at the sub-parabolic direction; the last pair lies on the
+    parabolic direction tan theta = a b2 / (m a20)."""
+
+    GERM = DATA / "s1_special_directions_germ.json"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["geometry", "--theta-samples", "16"], "s1_special_directions_geometry16.json"),
+        (["distance"], "s1_special_directions_distance.json"),
+    ])
+    def test_report_pinned(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv, "--input", str(self.GERM))
+        assert code == 0, err
+        assert out == (DATA / name).read_text()
+
+    def test_pairs_reach_every_branch(self):
+        report = json.loads((DATA / "s1_special_directions_distance.json").read_text())
+        pairs = report["distance"]["normal_directions"]
+        assert [rec["sing_type"] for rec in pairs] == [
+            "D4plus", "A2", "A1", "A2", "A3", "A2", "A1"]
+        flags = [rec["flags"] for rec in pairs]
+        assert [f.get("focal_intersection") for f in flags[:2]] == [True, False]
+        assert [f["on_focal_locus"] for f in flags[2:]] == [
+            False, True, True, True, False]
+        assert flags[4]["is_first_order_ridge"] and flags[5]["is_subparabolic"]
+        assert [f["parabolic"] for f in flags[2:]] == [False] * 4 + [True]
 
 
 class TestModeOverride:

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from germforge import germ_io, pipeline
 from germforge.blowup import (
     COS_TOL,
     BlowupContext,
+    PointType,
+    geometry_samples,
     k10_closed,
     normal_r0_closed,
     ridge_report,
+    theta_grid,
 )
+from germforge.distance import geometric_verdict
 from germforge.errors import HypothesisError, UsageError
 from germforge.front import (
     FrontType,
@@ -24,7 +29,7 @@ from germforge.front import (
 )
 from germforge.jets import FLOAT, FLOAT_ZERO_REL
 
-from conftest import germ_from_strings, make_nf
+from conftest import germ_from_strings, make_nf, raw_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -32,46 +37,14 @@ from conftest import germ_from_strings, make_nf
 # ---------------------------------------------------------------------------
 
 
-def ref_extended_normal(ctx, germ, r, theta):
-    """Unit normal with the extended orientation, or None where it vanishes."""
-    n = ctx.n
-    c = math.cos(theta)
+def ref_node(ctx, germ, r, theta):
+    """raw_geometry at one blow-up node; on the exceptional set r = 0 the
+    unit normal and the bounded curvature take their closed-form limits."""
+    geo = raw_geometry(ctx, r, theta, germ)
     if r == 0.0:
-        return np.array(normal_r0_closed(ctx, theta))
-    u, v = ctx.map_point(r, theta)
-    gu = np.array([comp.partial("u").evaluate(u, v) for comp in germ.components()])
-    gv = np.array([comp.partial("v").evaluate(u, v) for comp in germ.components()])
-    cross = np.cross(gu, gv)
-    norm = np.linalg.norm(cross)
-    if norm == 0.0:
-        return None
-    orient = math.copysign(1.0, r ** (n + 1) * c**n)
-    return orient * cross / norm
-
-
-def ref_bounded_curvature(ctx, germ, r, theta):
-    """Bounded principal curvature w.r.t. the extended normal, or None."""
-    if r == 0.0:
-        return k10_closed(ctx, theta)
-    u, v = ctx.map_point(r, theta)
-    comps = germ.components()
-    gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-    gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-    nhat = ref_extended_normal(ctx, germ, r, theta)
-    if nhat is None:
-        return None
-    guu = np.array([c.partial("u").partial("u").evaluate(u, v) for c in comps])
-    guv = np.array([c.partial("u").partial("v").evaluate(u, v) for c in comps])
-    gvv = np.array([c.partial("v").partial("v").evaluate(u, v) for c in comps])
-    E, F, G = gu @ gu, gu @ gv, gv @ gv
-    L, M, N = nhat @ guu, nhat @ guv, nhat @ gvv
-    A = E * G - F * F
-    B = E * N - 2 * F * M + G * L
-    C = L * N - M * M
-    if A <= 0.0 or B == 0.0:
-        return None
-    disc = max(B * B - 4 * A * C, 0.0)
-    return 2 * C / (B + math.copysign(math.sqrt(disc), B))
+        geo.update(normal=np.array(normal_r0_closed(ctx, theta)),
+                   kappa=k10_closed(ctx, theta))
+    return geo
 
 
 def ref_grid_faces(nu, nv, keep):
@@ -96,21 +69,16 @@ def ref_blowup_nodes(grid, r_max):
     return [(r, theta) for r in rs for theta in thetas]
 
 
-def ref_point(ctx, germ, r, theta):
-    u, v = ctx.map_point(r, theta)
-    return np.array([comp.evaluate(u, v) for comp in germ.components()])
-
-
 def ref_blowup_offset(ctx, germ, grid, r_max, t0, sign):
     """(vertices, faces, skipped) of the blow-up-chart offset, node by node."""
     verts, keep = [], []
     for r, theta in ref_blowup_nodes(grid, r_max):
-        normal = None
+        geo = {"normal": None}
         if abs(math.cos(theta)) > COS_TOL:
-            normal = ref_extended_normal(ctx, germ, r, theta)
-        keep.append(normal is not None)
-        if normal is not None:
-            verts.append(ref_point(ctx, germ, r, theta) + sign * t0 * normal)
+            geo = ref_node(ctx, germ, r, theta)
+        keep.append(geo["normal"] is not None)
+        if geo["normal"] is not None:
+            verts.append(geo["point"] + sign * t0 * geo["normal"])
     keep = np.array(keep)
     return np.array(verts), ref_grid_faces(*grid, keep), int((~keep).sum())
 
@@ -121,14 +89,14 @@ def ref_focal_sheet(ctx, grid, r_max, focal_distance_max=100.0):
     kappa_min = max(FLOAT_ZERO_REL, 1.0 / focal_distance_max)
     verts, keep = [], []
     for r, theta in ref_blowup_nodes(grid, r_max):
-        kappa = normal = None
+        geo = {"normal": None, "kappa": None}
         if abs(math.cos(theta)) > COS_TOL:
-            kappa = ref_bounded_curvature(ctx, germ, r, theta)
-            normal = ref_extended_normal(ctx, germ, r, theta)
+            geo = ref_node(ctx, germ, r, theta)
+        kappa, normal = geo["kappa"], geo["normal"]
         ok = kappa is not None and normal is not None and abs(kappa) > kappa_min
         keep.append(ok)
         if ok:
-            verts.append(ref_point(ctx, germ, r, theta) + normal / kappa)
+            verts.append(geo["point"] + normal / kappa)
     keep = np.array(keep)
     return np.array(verts), ref_grid_faces(*grid, keep), int((~keep).sum())
 
@@ -255,6 +223,65 @@ class TestFrontVerdict:
             front_verdict(ctx, 0.4)
 
 
+class TestDirectionFlagsAgree:
+    """ridge_report decides the direction flags; the geometry samples, the
+    front basis and the distance route's flags all repeat its decision."""
+
+    GERM = pathlib.Path(__file__).parent / "data" / "s1_special_directions_germ.json"
+
+    @classmethod
+    def ctx(cls):
+        spec = germ_io.read_germ_spec(str(cls.GERM))
+        return pipeline.blowup_context(pipeline.classify_spec(spec))
+
+    @staticmethod
+    def special_thetas(ctx):
+        """The ridge, sub-parabolic and parabolic directions (tan theta)."""
+        nf, a, m = ctx.nf, ctx.a_lead, ctx.fact
+        return (
+            math.atan(a * nf.b_(3) / (m * nf.a_(3, 0))),
+            math.atan(-a * nf.a_(2, 0) / (m * nf.b_(2))),
+            math.atan(a * nf.b_(2) / (m * nf.a_(2, 0))),
+        )
+
+    def test_parabolic_flag_follows_the_point_type(self):
+        ctx = self.ctx()
+        *_, parabolic = special = self.special_thetas(ctx)
+        assert ridge_report(ctx, parabolic).point_type is PointType.PARABOLIC
+        for theta in theta_grid(16)[:-1] + list(special):  # all off pi/2
+            rr = ridge_report(ctx, theta)
+            flags = geometric_verdict(ctx, theta, 1.0).flags
+            assert flags["parabolic"] is (rr.point_type is PointType.PARABOLIC)
+            assert {key: flags[key] for key in rr.flags} == rr.flags
+        assert geometric_verdict(ctx, parabolic, 1.0).flags["parabolic"] is True
+
+    def test_front_basis_equals_the_geometry_flags(self):
+        ctx = self.ctx()
+        ridge, subparabolic, parabolic = self.special_thetas(ctx)
+        thetas = theta_grid(16) + [ridge, subparabolic]
+        records = geometry_samples(ctx, thetas)
+        principal = 0
+        for theta, rec in zip(thetas, records):
+            basis = front_verdict(ctx, theta).basis
+            if basis.pop("on_principal_normal", False):
+                principal += 1
+                assert rec["point_type"] is None
+            else:
+                assert rec["point_type"] is not None
+            assert basis == rec["flags"] == ridge_report(ctx, theta).flags
+        assert principal == 1
+        assert records[-2]["flags"]["is_first_order_ridge"]
+        assert records[-1]["flags"]["is_subparabolic"]
+        with pytest.raises(HypothesisError):
+            front_verdict(ctx, parabolic)  # k10 vanishes there
+        assert geometry_samples(ctx, [parabolic])[0]["point_type"] == "parabolic"
+
+    def test_flags_are_a_fresh_dict(self):
+        rr = ridge_report(self.ctx(), math.pi / 2)
+        rr.flags["on_principal_normal"] = True
+        assert set(rr.flags) == {"is_ridge", "is_first_order_ridge", "is_subparabolic"}
+
+
 class TestMeshes:
     GERM = ["u", "v^2", "u^2*v + v^3"]
 
@@ -302,27 +329,22 @@ class TestMeshes:
         rs = np.linspace(-0.3, 0.3, 15)
         thetas = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, 24)
         nodes = [(r, t) for r in rs for t in thetas]
-        comps = germ.components()
         vi = 0
         checked = 0
         for idx, (r, theta) in enumerate(nodes):
             # reproduce the keep-decision: vertices appear in grid order
             if abs(math.cos(theta)) <= 1e-7:
                 continue
-            kappa = ref_bounded_curvature(ctx, germ, r, theta)
-            normal = ref_extended_normal(ctx, germ, r, theta)
+            geo = ref_node(ctx, germ, r, theta)
+            kappa, normal = geo["kappa"], geo["normal"]
             if kappa is None or normal is None or abs(kappa) <= max(FLOAT_ZERO_REL, 1e-2):
                 continue
             p = mesh.vertices[vi]
             vi += 1
             if r == 0.0:
                 continue
-            u, v = ctx.map_point(r, theta)
-            gpt = np.array([c.evaluate(u, v) for c in comps])
-            gu = np.array([c.partial("u").evaluate(u, v) for c in comps])
-            gv = np.array([c.partial("v").evaluate(u, v) for c in comps])
-            du = float((gpt - p) @ gu)
-            dv = float((gpt - p) @ gv)
+            du = float((geo["point"] - p) @ geo["gu"])
+            dv = float((geo["point"] - p) @ geo["gv"])
             assert abs(du) < 1e-6 and abs(dv) < 1e-6
             checked += 1
         assert vi == len(mesh.vertices)
