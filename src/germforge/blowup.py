@@ -245,13 +245,6 @@ class NormalSeries:
     n2: list
     n3: list
 
-    def unit_defect(self):
-        """Series of n1^2+n2^2+n3^2 - 1 (should vanish through depth)."""
-        total = s_add(s_add(s_mul(self.n1, self.n1), s_mul(self.n2, self.n2)),
-                      s_mul(self.n3, self.n3))
-        total[0] -= 1.0
-        return total
-
 
 def extended_normal(ctx, theta):
     """Unit normal continued across the exceptional set, as r-series."""

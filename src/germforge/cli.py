@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -45,7 +44,6 @@ def _build_parser():
             choices=["exact", "float"],
             help="override the germ file's scalar mode",
         )
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
     p = sub.add_parser("classify", help="normal form + class + singular point type")
     common(p)
@@ -76,18 +74,13 @@ def _build_parser():
     p = sub.add_parser("verify", help="closed-form crosscheck + oracle sampling")
     common(p)
     p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument(
         "--theta-samples", type=int, default=3,
         help="closed-form check angles: the first N of pi/6, pi/4, pi/3, "
         "or for N > 3 the N-point theta grid without pi/2",
     )
     return parser
-
-
-def _resolve_mode(args):
-    if args.mode:
-        return args.mode
-    return os.environ.get("GERMFORGE_MODE") or None
 
 
 def _emit(report, args):
@@ -103,13 +96,12 @@ def _load(args):
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
     spec = read_germ_spec(args.input)
-    mode = _resolve_mode(args)
     if args.order is not None:
         spec = germ_io.GermSpec(
             spec.variables, spec.components, args.order, spec.mode,
             spec.probes, spec.theta_lambda,
         )
-    outcome = pipeline.classify_spec(spec, k_max=args.kmax, mode=mode)
+    outcome = pipeline.classify_spec(spec, k_max=args.kmax, mode=args.mode)
     return spec, outcome
 
 
@@ -166,7 +158,7 @@ def _cmd_mesh(args):
     germ = (
         outcome.nf.reconstruct()
         if outcome.nf is not None
-        else germ_io.expand_germ(spec, mode=_resolve_mode(args))
+        else germ_io.expand_germ(spec, mode=args.mode)
     )
     if args.kind == "surface":
         mesh = surface_mesh(germ, grid, args.extent)

@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from . import oracle
 from .blowup import PointType, k10_closed, k10_scale, normal_r0_closed, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, Jet2, is_zero
+from .jets import Jet2, is_zero, scalar
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -57,8 +56,9 @@ class ProbePoint:
     z0: object
 
     def as_mode(self, mode):
-        conv = (lambda x: Fraction(x)) if mode == EXACT else float
-        return ProbePoint(conv(self.x0), conv(self.y0), conv(self.z0))
+        return ProbePoint(
+            scalar(self.x0, mode), scalar(self.y0, mode), scalar(self.z0, mode)
+        )
 
     def scale(self):
         return max(1.0, abs(float(self.x0)), abs(float(self.y0)), abs(float(self.z0)))
@@ -143,11 +143,10 @@ def distance_jet(nf, p, order=None):
     u = Jet2.variable("u", order, nf.mode)
     y = nf.second_component(order)
     z = nf.third_component(order)
-    half = Fraction(1, 2) if nf.mode == EXACT else 0.5
     du = u - Jet2.const(p.x0, order, nf.mode)
     dy = y - Jet2.const(p.y0, order, nf.mode)
     dz = z - Jet2.const(p.z0, order, nf.mode)
-    return (du * du + dy * dy + dz * dz) * half
+    return (du * du + dy * dy + dz * dz) * scalar(0.5, nf.mode)
 
 
 def _split_residual_u(nf, p, order=6):
@@ -256,8 +255,7 @@ def focal_locus(nf):
     """The degenerate-probe locus in the (y, z) normal plane."""
     z = _zero_test(nf, None)
     a20, b2 = nf.a_(2, 0), nf.b_(2)
-    one = Fraction(1) if nf.mode == EXACT else 1.0
-    zero = 0 * one
+    one, zero = scalar(1, nf.mode), scalar(0, nf.mode)
     principal = FocalLine(one, zero, zero)  # y = 0
     if not z(a20):
         second = FocalLine(b2, a20, one)

@@ -115,14 +115,19 @@ class WavefrontSpec:
     def __post_init__(self):
         if self.t0 < 0 or not math.isfinite(self.t0):
             raise UsageError("t0 must be a finite nonnegative offset")
-        if self.grid[0] < 2 or self.grid[1] < 2:
-            raise UsageError("grid sizes must be >= 2")
+        _check_grid(self.grid)
         _check_width("extent", self.extent)
         _check_width("r_max", self.r_max)
         if self.chart not in ("direct", "blowup"):
             raise UsageError("chart must be 'direct' or 'blowup'")
         if self.chart == "blowup" and self.context is None:
             raise UsageError("the blow-up chart needs a BlowupContext")
+
+
+def _check_grid(grid):
+    """Reject a sampling grid without two sizes of at least 2."""
+    if len(grid) != 2 or min(grid) < 2:
+        raise UsageError("grid sizes must be >= 2")
 
 
 def _check_width(name, value):
@@ -198,6 +203,7 @@ def _parameter_grid(nu, nv, extent):
 
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
+    _check_grid(grid)
     _check_width("extent", extent)
     nu, nv = grid
     uu, vv = _parameter_grid(nu, nv, extent)
@@ -313,6 +319,7 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     Nodes where |kappa_1| <= KAPPA_MIN are skipped: their centers escape
     far from the surface and carry no information.
     """
+    _check_grid(grid)
     _check_width("r_max", r_max)
     nr, ntheta = grid
     pts, normals, kappa, keep = _blowup_geometry(

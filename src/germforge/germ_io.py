@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError, UsageError
-from .jets import EXACT, FLOAT, GermJets, Jet2
+from .jets import EXACT, FLOAT, GermJets, Jet2, scalar
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,24 @@ class _Parser:
             if int(den) == 0:
                 raise ParseError("zero denominator", tok.line, tok.col)
             value = Fraction(int(num), int(den))
-        else:  # decimal
-            if self.mode == EXACT:
-                raise ParseError(
-                    "decimal literal %r requires float mode; use a p/q rational"
-                    % tok.value,
-                    tok.line,
-                    tok.col,
-                )
-            return Jet2.const(float(tok.value), self.order, self.mode)
-        if self.mode == FLOAT:
-            return Jet2.const(float(value), self.order, self.mode)
-        return Jet2.const(value, self.order, self.mode)
+        elif self.mode == EXACT:
+            raise ParseError(
+                "decimal literal %r requires float mode; use a p/q rational"
+                % tok.value,
+                tok.line,
+                tok.col,
+            )
+        else:
+            value = float(tok.value)
+        try:
+            return Jet2.const(value, self.order, self.mode)
+        except UsageError:
+            raise ParseError(
+                "number literal of %d characters lies outside float range"
+                % len(tok.value),
+                tok.line,
+                tok.col,
+            ) from None
 
     def parse(self):
         jet = self.expr()
@@ -327,26 +333,28 @@ def germ_spec_from_dict(data, where="germ"):
     for idx, p in enumerate(data.get("probes", [])):
         if not isinstance(p, list) or len(p) != 3:
             raise SchemaError(f"{where}.probes[{idx}]", "expected [x, y, z]")
-        probes.append(tuple(_parse_probe_scalar(c, mode, f"{where}.probes[{idx}]") for c in p))
+        probes.append(tuple(_parse_scalar(c, mode, f"{where}.probes[{idx}]") for c in p))
     pairs = []
     for idx, p in enumerate(data.get("theta_lambda", [])):
         if not isinstance(p, list) or len(p) != 2:
             raise SchemaError(f"{where}.theta_lambda[{idx}]", "expected [theta, lambda]")
-        pairs.append((float(p[0]), float(p[1])))
+        pairs.append(tuple(_parse_scalar(c, FLOAT, f"{where}.theta_lambda[{idx}]") for c in p))
     return GermSpec(
         tuple(variables), tuple(components), order, mode, tuple(probes), tuple(pairs)
     )
 
 
-def _parse_probe_scalar(c, mode, where):
-    if isinstance(c, (int, float)):
-        return Fraction(c).limit_denominator(10**12) if mode == EXACT else float(c)
-    if isinstance(c, str):
-        try:
-            return read_number(c, mode)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(where, "bad numeric string %r" % c)
-    raise SchemaError(where, "expected a number or numeric string")
+def _parse_scalar(c, mode, where):
+    """A JSON number or numeric string as a finite scalar of ``mode``."""
+    if not isinstance(c, (int, float, str)):
+        raise SchemaError(where, "expected a number or numeric string")
+    try:
+        x = scalar(read_number(c, mode) if isinstance(c, str) else c, mode)
+    except (ValueError, ZeroDivisionError, OverflowError, UsageError):
+        raise SchemaError(where, "expected a finite number, got %r" % c) from None
+    if mode == EXACT and not isinstance(c, str):
+        x = x.limit_denominator(10**12)
+    return x
 
 
 def expand_germ(spec, order=None, mode=None):

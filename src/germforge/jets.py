@@ -49,10 +49,24 @@ def _as_exact(c):
 
 
 def _as_float(c):
-    x = float(c)
+    try:
+        x = float(c)
+    except OverflowError:
+        raise UsageError("float-mode numbers must lie within float range") from None
     if not math.isfinite(x):
-        raise UsageError("float-mode coefficients must be finite, got %r" % x)
+        raise UsageError("float-mode numbers must be finite, got %r" % x)
     return x
+
+
+def scalar(x, mode):
+    """The number ``x`` in scalar mode ``mode``: a Fraction, or a finite float.
+
+    The one place that says what a number of a mode is; float mode raises
+    UsageError for NaN, an infinity or a value outside float range.
+    """
+    if mode == EXACT:
+        return Fraction(x)
+    return _as_float(x)
 
 
 def _accumulate(out, terms):
@@ -137,15 +151,11 @@ class Jet2:
             return cls(order, {(0, 1): 1}, mode)
         raise UsageError("variable must be 'u' or 'v'")
 
-    @classmethod
-    def monomial(cls, i, j, c, order, mode=EXACT):
-        return cls(order, {(i, j): c}, mode)
-
     # -- basic queries -----------------------------------------------
 
     def coeff(self, i, j):
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self.coeffs.get((i, j), zero)
+        c = self.coeffs.get((i, j))
+        return scalar(0, self.mode) if c is None else c
 
     def items(self):
         return self.coeffs.items()
@@ -180,16 +190,6 @@ class Jet2:
 
     def __hash__(self):
         return hash((self.order, self.mode, frozenset(self.coeffs.items())))
-
-    def approx_eq(self, other, tol=1e-9):
-        if self.order != other.order:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        scale = max(1.0, float(self.max_abs()), float(other.max_abs()))
-        return all(
-            abs(float(self.coeff(*k)) - float(other.coeff(*k))) <= tol * scale
-            for k in keys
-        )
 
     # -- arithmetic ----------------------------------------------------
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .errors import UsageError
-from .jets import EXACT, FLOAT, Jet2, is_zero
+from .jets import FLOAT, Jet2, is_zero, scalar
 
 DEFAULT_K_MAX = 8
 
@@ -103,10 +102,8 @@ def _odd_part_jet(nf, order):
     terms = {}
     for (i, j), aij in nf.a.items():
         if j % 2 == 1 and i + j <= order:
-            terms[(i, j)] = (
-                Fraction(aij) / (math.factorial(i) * math.factorial(j))
-                if nf.mode == EXACT
-                else float(aij) / (math.factorial(i) * math.factorial(j))
+            terms[(i, j)] = scalar(aij, nf.mode) / (
+                math.factorial(i) * math.factorial(j)
             )
     return Jet2(order, terms, nf.mode)
 

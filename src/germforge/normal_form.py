@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, GermJets, Jet2, is_zero
+from .jets import EXACT, FLOAT, GermJets, Jet2, is_zero, scalar
 
 
 class TwoJetClass(Enum):
@@ -53,12 +53,12 @@ class NormalFormCoeffs:
                 raise UsageError("b[%d] outside the valid index range" % i)
 
     def a_(self, i, j):
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self.a.get((i, j), zero)
+        c = self.a.get((i, j))
+        return scalar(0, self.mode) if c is None else c
 
     def b_(self, i):
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self.b.get(i, zero)
+        c = self.b.get(i)
+        return scalar(0, self.mode) if c is None else c
 
     @functools.cached_property
     def germ_scale(self):
@@ -81,11 +81,10 @@ class NormalFormCoeffs:
 
     def second_component(self, order=None):
         order = self.order if order is None else order
-        half = Fraction(1, 2) if self.mode == EXACT else 0.5
-        terms = {(0, 2): half}
+        terms = {(0, 2): scalar(0.5, self.mode)}
         for i, bi in self.b.items():
             if i <= order:
-                terms[(i, 0)] = _div_factorial(bi, math.factorial(i), self.mode)
+                terms[(i, 0)] = scalar(bi, self.mode) / math.factorial(i)
         return Jet2(order, terms, self.mode)
 
     def third_component(self, order=None):
@@ -93,8 +92,8 @@ class NormalFormCoeffs:
         terms = {}
         for (i, j), aij in self.a.items():
             if i + j <= order:
-                terms[(i, j)] = _div_factorial(
-                    aij, math.factorial(i) * math.factorial(j), self.mode
+                terms[(i, j)] = scalar(aij, self.mode) / (
+                    math.factorial(i) * math.factorial(j)
                 )
         return Jet2(order, terms, self.mode)
 
@@ -113,12 +112,6 @@ class NormalFormCoeffs:
             {k: float(c) for k, c in self.a.items()},
             {k: float(c) for k, c in self.b.items()},
         )
-
-
-def _div_factorial(c, f, mode):
-    if mode == EXACT:
-        return Fraction(c) / f
-    return float(c) / f
 
 
 @dataclass(frozen=True)
@@ -204,9 +197,7 @@ def _sqrt_scalar(x, mode):
 
 
 def _identity3(mode):
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    return [[scalar(int(r == c), mode) for c in range(3)] for r in range(3)]
 
 
 def _normalize_linear_part(g, log):
@@ -234,7 +225,7 @@ def _normalize_linear_part(g, log):
         ]
         g = g.rotate(rot)
         log.add_rotation(rot, mode)
-    elif (w[0] < 0) if mode == EXACT else (float(w[0]) < 0):
+    elif w[0] < 0:
         rot = _identity3(mode)
         rot[0][0] = -rot[0][0]
         rot[1][1] = -rot[1][1]
@@ -246,8 +237,7 @@ def _normalize_linear_part(g, log):
     n2 = l1 * l1 + l2 * l2
     if is_zero(n2, scale, mode):
         raise UsageError("vanishing differential of the first component")
-    one = Fraction(1) if mode == EXACT else 1.0
-    if l1 != one or (l2 if mode == EXACT else float(l2)) != 0:
+    if l1 != 1 or l2 != 0:
         m11, m21 = l1 / n2, l2 / n2
         m12, m22 = -l2, l1
         order = g.order
@@ -356,9 +346,8 @@ def reduce_to_normal_form(g, order=None):
         s_now, b11n = float(s_now), float(b11n)
         root = math.sqrt(s_now)
     c10 = -b11n / s_now
-    c01 = (Fraction(1) if mode == EXACT else 1.0) / root
-    one = Fraction(1) if mode == EXACT else 1.0
-    if c10 != 0 * one or c01 != one:
+    c01 = scalar(1, mode) / root
+    if c10 != 0 or c01 != 1:
         order_now = g.order
         u_var = Jet2.variable("u", order_now, mode)
         v_var = Jet2.variable("v", order_now, mode)
@@ -403,9 +392,8 @@ def _extract_coeffs(g):
 
 
 def _check_form(g, nf):
-    half = Fraction(1, 2) if g.mode == EXACT else 0.5
     scale = max(1.0, float(g.y.max_abs()))
-    if not is_zero(g.y.coeff(0, 2) - half, scale, g.mode):
+    if not is_zero(g.y.coeff(0, 2) - scalar(0.5, g.mode), scale, g.mode):
         raise UnsupportedGermError("reduction failed: v^2 coefficient is not 1/2")
     for (i, j) in g.y.coeffs:
         if (i, j) != (0, 2) and j != 0:

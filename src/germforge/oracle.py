@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SingularSeriesError, UsageError
-from .jets import EXACT, Jet2
+from .jets import EXACT, Jet2, scalar
 
 RATIONALIZE_DENOMINATOR = 10**6
 
@@ -167,7 +167,7 @@ def critical_curve_restriction(f, solve_for="u"):
     phi = [0] * (order // 2 + 1)
     for k in range(1, len(phi)):
         phi[k] = -_horner(f_s, phi, k)[k] / lead
-    zero = Fraction(0) if f.mode == EXACT else 0.0
+    zero = scalar(0, f.mode)
     return [c or zero for c in _horner(rows, phi, order)]
 
 

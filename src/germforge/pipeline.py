@@ -74,13 +74,13 @@ def classify_germ(germ, k_max=DEFAULT_K_MAX):
     )
 
 
-def working_order(spec, k_max=DEFAULT_K_MAX, max_order=MAX_ORDER):
+def working_order(spec, k_max=DEFAULT_K_MAX):
     """Jet order for classification: enough for every class probed."""
-    return max(spec.order, min(2 * k_max + 1, max_order))
+    return max(spec.order, min(2 * k_max + 1, MAX_ORDER))
 
 
-def classify_spec(spec, k_max=DEFAULT_K_MAX, mode=None, max_order=MAX_ORDER):
-    germ = expand_germ(spec, order=working_order(spec, k_max, max_order), mode=mode)
+def classify_spec(spec, k_max=DEFAULT_K_MAX, mode=None):
+    germ = expand_germ(spec, order=working_order(spec, k_max), mode=mode)
     return classify_germ(germ, k_max)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from germforge.blowup import s_add, s_mul
 from germforge.jets import EXACT, GermJets, Jet2
 from germforge.normal_form import NormalFormCoeffs
 
@@ -38,6 +39,27 @@ def make_nf(order=6, mode=EXACT, a=None, b=None):
         a = {k: float(v) for k, v in a.items()}
         b = {k: float(v) for k, v in b.items()}
     return NormalFormCoeffs(order, mode, a, b)
+
+
+def jets_close(a, b, tol=1e-9):
+    """Jets of one order whose coefficients agree within tol times the
+    largest coefficient magnitude (at least 1)."""
+    if a.order != b.order:
+        return False
+    keys = set(a.coeffs) | set(b.coeffs)
+    scale = max(1.0, float(a.max_abs()), float(b.max_abs()))
+    return all(
+        abs(float(a.coeff(*k)) - float(b.coeff(*k))) <= tol * scale for k in keys
+    )
+
+
+def unit_defect(normal):
+    """Series of n1^2 + n2^2 + n3^2 - 1 for a NormalSeries (vanishes through
+    its depth when the normal has unit length)."""
+    total = s_add(s_add(s_mul(normal.n1, normal.n1), s_mul(normal.n2, normal.n2)),
+                  s_mul(normal.n3, normal.n3))
+    total[0] -= 1.0
+    return total
 
 
 def germ_from_strings(components, order, mode=EXACT):

@@ -35,7 +35,7 @@ from germforge.normal_form import reduce_to_normal_form
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 from germforge.distance import versality_rank_test
 
-from conftest import germ_from_strings, make_nf, rand_fraction, raw_geometry
+from conftest import germ_from_strings, make_nf, rand_fraction, raw_geometry, unit_defect
 
 
 def _line(num, name, ok):
@@ -404,7 +404,7 @@ def test_criterion_6_identity_suite():
         for nf, mond in germs:
             ctx = build_context(nf, mond)
             for theta in theta_grid(32):
-                defect = extended_normal(ctx, theta).unit_defect()
+                defect = unit_defect(extended_normal(ctx, theta))
                 assert max(abs(x) for x in defect) <= 1e-10
                 if abs(math.cos(theta)) <= 1e-7:
                     continue

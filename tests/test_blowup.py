@@ -25,7 +25,7 @@ from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionE
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
-from conftest import make_nf, raw_geometry
+from conftest import make_nf, raw_geometry, unit_defect
 
 
 def nf_s1(**extra):
@@ -187,7 +187,7 @@ class TestExtendedNormal:
             for _ in range(10):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 for theta in theta_grid(64):
-                    defect = extended_normal(ctx, theta).unit_defect()
+                    defect = unit_defect(extended_normal(ctx, theta))
                     assert max(abs(x) for x in defect) < 1e-10
 
     def test_forms_carry_the_normal_they_used(self, rng):

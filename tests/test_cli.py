@@ -329,13 +329,14 @@ class TestSpecialDirectionsPinned:
 
 
 class TestModeOverride:
-    def test_env_var_forces_float(self, tmp_path, capsys, monkeypatch):
+    def test_mode_flag_forces_float(self, tmp_path, capsys, monkeypatch):
+        # --mode is the only override of the file's mode; the environment is not read
         germ = dict(S1_GERM, components=["u", "1/2*v^2", "u^2*v + v^3"])
         path = write_germ(tmp_path, germ)
-        code, out, _ = run(capsys, "classify", "--input", path)
-        assert json.loads(out)["normal_form"]["mode"] == "exact"
         monkeypatch.setenv("GERMFORGE_MODE", "float")
         code, out, _ = run(capsys, "classify", "--input", path)
+        assert json.loads(out)["normal_form"]["mode"] == "exact"
+        code, out, _ = run(capsys, "classify", "--input", path, "--mode", "float")
         assert json.loads(out)["normal_form"]["mode"] == "float"
 
     def test_override_applies_before_parsing(self, tmp_path, capsys):
@@ -358,6 +359,44 @@ class TestModeOverride:
                              "--output", str(tmp_path / "m.obj"), "--grid", "4x4")
         assert code == 0, err
         assert json.loads(out)["mesh"]["vertices"] == 16
+
+
+FLOAT_S1 = dict(S1_GERM, components=["u", "1/2*v^2", "u^2*v + v^3"], mode="float")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("germ, error", [
+        (dict(FLOAT_S1, probes=[[0, "1e400", 1]]),
+         "germ.probes[0]: expected a finite number, got '1e400'"),
+        (dict(FLOAT_S1, probes=[[0, "nan", 1]]),
+         "germ.probes[0]: expected a finite number, got 'nan'"),
+        # an exact file whose reduction falls back to float
+        (dict(S1_GERM, probes=[[0, "1e400", 1]]),
+         "float-mode numbers must lie within float range"),
+        (dict(FLOAT_S1, theta_lambda=[["x", 1]]),
+         "germ.theta_lambda[0]: expected a finite number, got 'x'"),
+        (dict(FLOAT_S1, theta_lambda=[[None, 1]]),
+         "germ.theta_lambda[0]: expected a number or numeric string"),
+        (dict(FLOAT_S1, theta_lambda=[[math.inf, 1]]),
+         "germ.theta_lambda[0]: expected a finite number, got inf"),
+        (dict(FLOAT_S1, components=["u", "1/2*v^2", "v^3 + 1%s*u^2*v" % ("0" * 400)]),
+         "number literal of 401 characters lies outside float range"
+         " (line 1, column 7)"),
+    ])
+    def test_exits_one_with_one_error_line(self, tmp_path, capsys, germ, error):
+        path = write_germ(tmp_path, germ)
+        code, out, err = run(capsys, "distance", "--input", path)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": error}
+
+
+@pytest.mark.parametrize("command", ["classify", "geometry", "distance", "focal", "mesh"])
+def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
+    path = write_germ(tmp_path, S1_GERM)
+    code, out, err = run(capsys, command, "--input", path, "--seed", "3")
+    assert (code, out) == (1, "")
+    assert "--seed" in json.loads(err)["error"]
 
 
 class TestVerifyHardMismatch:

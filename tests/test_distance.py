@@ -336,7 +336,7 @@ def ref_split_residual_u(nf, p, order=6):
     for j in range(2, order):
         cj = d.coeff(j, 1)
         if cj:
-            shift = Jet2.monomial(j, 0, -cj / (2 * qv), order, nf.mode)
+            shift = Jet2(order, {(j, 0): -cj / (2 * qv)}, nf.mode)
             d = d.substitute(u, v + shift)
     return {i: d.coeff(i, 0) for i in range(3, order + 1)}
 

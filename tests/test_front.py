@@ -385,6 +385,17 @@ class TestMeshes:
         with pytest.raises(UsageError):
             WavefrontSpec(chart="blowup")
 
+    @pytest.mark.parametrize("grid", [(1, 5), (0, 4), (-2, 3), (5,)])
+    def test_grid_below_two_rejected_by_every_mesh(self, grid):
+        ctx = ctx_s1()
+        germ = ctx.nf.reconstruct()
+        with pytest.raises(UsageError, match="grid sizes must be >= 2"):
+            WavefrontSpec(grid=grid)
+        with pytest.raises(UsageError, match="grid sizes must be >= 2"):
+            surface_mesh(germ, grid, 1.0)
+        with pytest.raises(UsageError, match="grid sizes must be >= 2"):
+            focal_sheet_mesh(ctx, grid, 0.5)
+
 
 class TestBlowupChartOffsets:
     def test_offset_distance_in_blowup_chart(self):

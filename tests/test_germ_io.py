@@ -136,6 +136,44 @@ class TestGermFiles:
         spec = germ_spec_from_dict(data)
         assert spec.probes == ((Fraction(0), Fraction(1, 2), Fraction(3)),)
 
+    def test_theta_lambda_parsed(self):
+        data = dict(self.GERM, theta_lambda=[[1, "0.25"], ["1/2", -2.5]])
+        spec = germ_spec_from_dict(data)
+        assert spec.theta_lambda == ((1.0, 0.25), (0.5, -2.5))
+        assert all(type(x) is float for pair in spec.theta_lambda for x in pair)
+
+    @pytest.mark.parametrize("field, mode, entry", [
+        ("probes", "float", [0, "1e400", 1]),
+        ("probes", "float", [0, "nan", 1]),
+        ("probes", "float", [0, float("inf"), 1]),
+        ("probes", "exact", [0, float("inf"), 1]),
+        ("probes", "exact", [0, float("nan"), 1]),
+        ("probes", "exact", [0, "x", 1]),
+        ("probes", "exact", [0, None, 1]),
+        ("theta_lambda", "exact", ["x", 1]),
+        ("theta_lambda", "exact", [None, 1]),
+        ("theta_lambda", "exact", [float("inf"), 1]),
+        ("theta_lambda", "float", [0.5, "-inf"]),
+        ("theta_lambda", "float", [10**400, 1]),
+    ])
+    def test_non_finite_or_non_numeric_entry_names_its_field(self, field, mode, entry):
+        good = [0, 1, 0] if field == "probes" else [0.1, 1]
+        data = dict(self.GERM, mode=mode, **{field: [good, entry]})
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(data)
+        assert exc.value.field == "germ.%s[1]" % field
+
+    def test_literal_outside_float_range_is_a_parse_error(self):
+        big = "1" + "0" * 400
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("u^2*v + %s*u^4" % big, order=6, mode=FLOAT)
+        assert (exc.value.line, exc.value.column) == (1, 9)
+        assert big not in str(exc.value) and len(str(exc.value)) < 120
+        with pytest.raises(ParseError):
+            parse_polynomial(big + ".5*u^4", order=6, mode=FLOAT)
+        # the same literal is an exact rational
+        assert parse_polynomial(big + "*u", order=2).coeff(1, 0) == 10**400
+
 
 class TestReports:
     def test_round_trip(self, tmp_path):

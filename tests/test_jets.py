@@ -9,7 +9,7 @@ import pytest
 from germforge import blowup, front
 from germforge.blowup import BlowupContext, PointType, k10_closed, k10_scale, k20_closed
 from germforge.errors import HypothesisError, ModeMismatchError, UsageError
-from germforge.jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero
+from germforge.jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar
 
 from conftest import make_nf, rand_jet
 
@@ -69,7 +69,7 @@ class TestSubstitute:
         p = jet(3, {(0, 2): Fraction(1, 2)})
         c = Fraction(7, 2)
         u3, v3 = Jet2.variable("u", 3), Jet2.variable("v", 3)
-        vn = v3 + Jet2.monomial(2, 0, c, 3)
+        vn = v3 + Jet2(3, {(2, 0): c})
         out = p.substitute(u3, vn)
         assert out == jet(3, {(0, 2): Fraction(1, 2), (2, 1): c})
 
@@ -83,7 +83,7 @@ class TestSubstitute:
 
         p = jet(3, {(0, 3): 1.0}, FLOAT)
         u3 = Jet2.variable("u", 3, FLOAT)
-        vn = Jet2.monomial(0, 1, 1 / math.sqrt(2), 3, FLOAT)
+        vn = Jet2(3, {(0, 1): 1 / math.sqrt(2)}, FLOAT)
         out = p.substitute(u3, vn)
         assert out.coeff(0, 3) == pytest.approx(1 / (2 * math.sqrt(2)))
 
@@ -523,3 +523,63 @@ class TestOneZeroTest:
         assert _zero_test_leaks(source) == [
             "import FLOAT_ZERO_REL", "1e-09", "FLOAT_ZERO_REL", "below 1e-9",
         ]
+
+
+class TestScalar:
+    def test_exact_mode_is_a_fraction(self):
+        assert scalar(0.5, EXACT) == Fraction(1, 2)
+        assert type(scalar(3, EXACT)) is Fraction
+        assert scalar(Fraction(2, 3), EXACT) == Fraction(2, 3)
+
+    def test_float_mode_is_a_float(self):
+        assert scalar(Fraction(1, 4), FLOAT) == 0.25
+        assert type(scalar(1, FLOAT)) is float
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 10**400, Fraction(10**400, 3)]
+    )
+    def test_float_mode_rejects_non_finite(self, value):
+        with pytest.raises(UsageError):
+            scalar(value, FLOAT)
+
+    def test_float_jets_reject_an_overflowing_coefficient(self):
+        with pytest.raises(UsageError):
+            Jet2(2, {(1, 0): 10**400}, FLOAT)
+
+
+def _mode_forks(source):
+    """Lines of conditional expressions that pick a value by ==/!= on a mode."""
+    forks = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.IfExp):
+            continue
+        for sub in ast.walk(node.test):
+            if isinstance(sub, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops
+            ) and any(
+                (isinstance(x, ast.Name) and x.id == "mode")
+                or (isinstance(x, ast.Attribute) and x.attr == "mode")
+                for x in [sub.left, *sub.comparators]
+            ):
+                forks.append(node.lineno)
+                break
+    return forks
+
+
+class TestOneScalarMode:
+    def test_only_jets_forks_on_the_mode_inline(self):
+        modules = sorted(SRC.glob("*.py"))
+        assert len(modules) > 5 and SRC / "jets.py" in modules
+        for path in modules:
+            if path.name != "jets.py":
+                assert _mode_forks(path.read_text()) == [], path.name
+
+    def test_guard_sees_an_inline_fork(self):
+        source = (
+            "half = Fraction(1, 2) if mode == EXACT else 0.5\n"
+            "zero = 0.0 if self.mode != EXACT else Fraction(0)\n"
+            "if mode == EXACT:\n"
+            "    pass\n"
+            "mode = spec.mode if mode is None else mode\n"
+        )
+        assert _mode_forks(source) == [1, 2]

@@ -191,8 +191,8 @@ def _random_conjugate(rng, g):
     for _ in range(2):
         i, j = rng.randint(0, 2), rng.randint(0, 2)
         if 2 <= i + j <= 3:
-            u_new = u_new + Jet2.monomial(i, j, rng.uniform(-0.4, 0.4), order, FLOAT)
-            v_new = v_new + Jet2.monomial(j, i, rng.uniform(-0.4, 0.4), order, FLOAT)
+            u_new = u_new + Jet2(order, {(i, j): rng.uniform(-0.4, 0.4)}, FLOAT)
+            v_new = v_new + Jet2(order, {(j, i): rng.uniform(-0.4, 0.4)}, FLOAT)
     conj = g.substitute(u_new, v_new)
     # target: random rotation from three elementary angles
     rot = _random_rotation(rng)

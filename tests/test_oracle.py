@@ -191,7 +191,7 @@ def ref_split_and_type(f, order=6):
     for j in range(1, order):
         cj = f.coeff(1, j)
         if cj != 0:
-            shift = Jet2.monomial(0, j, -cj / (2 * c20), order, EXACT)
+            shift = Jet2(order, {(0, j): -cj / (2 * c20)}, EXACT)
             f = f.substitute(u + shift, v)
     residual = Jet2(
         order,
