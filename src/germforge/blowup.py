@@ -9,9 +9,10 @@ n chosen per class (S_k -> k, B_k -> 1, C_k -> k-1, F_4 -> 2).  Along the
 exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
-module computes those series numerically per theta through a generic
-pullback/series pipeline and classifies ridge and sub-parabolic directions
-via the trigonometric invariants delta_1/2/3.  closed_forms.py checks the
+module computes those series numerically through a generic pullback/series
+pipeline, column-wise over a whole theta grid at once (one theta is the
+one-element grid), and classifies ridge and sub-parabolic directions via the
+trigonometric invariants delta_1/2/3.  closed_forms.py checks the
 pipeline against independently stated closed-form expressions for the
 depth-1/2 coefficients it covers.
 """
@@ -37,73 +38,74 @@ COS_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# truncated r-series helpers (lists of floats, length DEPTH + 1)
+# truncated r-series over a theta grid: DEPTH + 1 columns, each a list of
+# floats over the grid.  Every helper keeps the one-theta loop order per
+# element, so a coefficient has the same bits on any grid.
 # ---------------------------------------------------------------------------
 
 
-def s_zero(depth=DEPTH):
-    return [0.0] * (depth + 1)
-
-
 def s_add(a, b):
-    return [x + y for x, y in zip(a, b)]
+    return [[x + y for x, y in zip(ca, cb)] for ca, cb in zip(a, b)]
 
 
 def s_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
+    return [[x - y for x, y in zip(ca, cb)] for ca, cb in zip(a, b)]
 
 
 def s_mul(a, b):
     depth = len(a) - 1
-    out = [0.0] * (depth + 1)
-    for i, x in enumerate(a):
-        if x == 0.0:
-            continue
+    out = [[0.0] * len(a[0]) for _ in range(depth + 1)]
+    for i, xs in enumerate(a):
         for j in range(depth + 1 - i):
-            out[i + j] += x * b[j]
+            out[i + j] = [acc if x == 0.0 else acc + x * y
+                          for acc, x, y in zip(out[i + j], xs, b[j])]
     return out
 
 
 def s_recip(a):
-    if a[0] == 0.0:
+    lead = a[0]
+    if 0.0 in lead:
         raise InternalConsistencyError("series reciprocal of a vanishing leading term")
-    depth = len(a) - 1
-    out = [0.0] * (depth + 1)
-    out[0] = 1.0 / a[0]
-    for k in range(1, depth + 1):
-        acc = 0.0
+    out = [[1.0 / x for x in lead]]
+    for k in range(1, len(a)):
+        acc = [0.0] * len(lead)
         for i in range(1, k + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -acc / a[0]
+            acc = [t + x * y for t, x, y in zip(acc, a[i], out[k - i])]
+        out.append([-t / x for t, x in zip(acc, lead)])
     return out
 
 
-def s_div(a, b):
-    return s_mul(a, s_recip(b))
-
-
 def s_sqrt(a):
-    if a[0] <= 0.0:
+    if any(x <= 0.0 for x in a[0]):
         raise InternalConsistencyError("series sqrt needs a positive leading term")
-    depth = len(a) - 1
-    out = [0.0] * (depth + 1)
-    out[0] = math.sqrt(a[0])
-    for k in range(1, depth + 1):
+    root = [math.sqrt(x) for x in a[0]]
+    out = [root]
+    for k in range(1, len(a)):
         acc = a[k]
         for i in range(1, k):
-            acc -= out[i] * out[k - i]
-        out[k] = acc / (2.0 * out[0])
+            acc = [t - x * y for t, x, y in zip(acc, out[i], out[k - i])]
+        out.append([t / (2.0 * r) for t, r in zip(acc, root)])
     return out
 
 
 def s_shift_index(a, shift):
     """Multiply by r^shift (shift >= 0) within the same depth window."""
-    depth = len(a) - 1
-    out = [0.0] * (depth + 1)
-    for i, x in enumerate(a):
-        if i + shift <= depth:
-            out[i + shift] = x
-    return out
+    zero = [0.0] * len(a[0])
+    return [a[k - shift] if k >= shift else zero for k in range(len(a))]
+
+
+class TrigPowers(dict):
+    """Columns cos(theta)^e and sin(theta)^e over a theta list, keyed (0, e)
+    and (1, e), each made on first use: the pullbacks of one grid share them."""
+
+    def __init__(self, thetas):
+        self.thetas = list(thetas)
+        super().__init__({(0, 1): [math.cos(t) for t in self.thetas],
+                          (1, 1): [math.sin(t) for t in self.thetas]})
+
+    def __missing__(self, key):
+        col = self[key] = [x ** key[1] for x in self[key[0], 1]]
+        return col
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +167,29 @@ class BlowupContext:
         f_jet = sum((a * b for a, b in zip(gu, gv)), Jet2.zero(jet_order, FLOAT))
         g_jet = sum((a * b for a, b in zip(gv, gv)), Jet2.zero(jet_order, FLOAT))
         self._efg = (e_jet, f_jet, g_jet)
-
-    @property
-    def epsilon(self):
-        return 1 if self.n == 1 else 0
-
-    @property
-    def a_lead(self):
-        """The class-defining coefficient a_{n+1,1}."""
-        return self.nf.a_(self.n + 1, 1)
-
-    @property
-    def fact(self):
-        return float(math.factorial(self.n + 1))
+        # theta-independent pieces of the closed forms below, each product
+        # in the operand order of its formula
+        a = self.a_lead = nf.a_(self.n + 1, 1)  # the class-defining a_{n+1,1}
+        m = self.fact = float(math.factorial(self.n + 1))
+        self.epsilon = 1 if self.n == 1 else 0
+        a20, b2, a21 = nf.a_(2, 0), nf.b_(2), nf.a_(2, 1)
+        ab2, ma20, q = a * b2, m * a20, 3.0 * (a20**2 + b2**2)
+        self._ma_sq = (a**2, m**2)
+        d1 = self._delta1 = (a * nf.b_(3), m * nf.a_(3, 0))
+        d2 = self._delta2 = (a * nf.b_(4), m * nf.a_(4, 0), q, ab2, ma20, 12.0 * a21)
+        d3 = self._delta3 = (a20 * a, m * b2)
+        self._ridge_scales = (
+            max(abs(d1[0]), abs(d1[1])),
+            max(abs(d2[0]), abs(d2[1]), q * max(abs(ab2), abs(ma20)), 12.0 * abs(a21)),
+            max(abs(d3[0]), abs(d3[1])))
+        self._k10 = (-a * b2, ma20)
+        self._k10_scale = max(abs(ab2), abs(ma20))
+        self._k20 = -(m**2) * a
 
     def ma(self, theta):
         c, s = math.cos(theta), math.sin(theta)
-        return math.sqrt(self.a_lead**2 * c * c + self.fact**2 * s * s)
+        a2, m2 = self._ma_sq
+        return math.sqrt(a2 * c * c + m2 * s * s)
 
 
 def build_context(nf, mond):
@@ -200,15 +208,15 @@ def build_context(nf, mond):
 # ---------------------------------------------------------------------------
 
 
-def pullback_series(ctx, jet, theta, depth=DEPTH, r_shift=0, cos_shift=0):
-    """r-series of jet(u, v) composed with the resolving map at fixed theta.
+def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
+    """r-series columns of jet(u, v) composed with the resolving map over the
+    theta grid of trig (a TrigPowers).
 
     With r_shift/cos_shift the common factor r^r_shift cos^cos_shift is
     divided out; the caller is responsible for its existence (guarded here).
     """
     n = ctx.n
-    c, s = math.cos(theta), math.sin(theta)
-    out = [0.0] * (depth + 1)
+    out = [[0.0] * len(trig.thetas) for _ in range(depth + 1)]
     for (i, j), coef in jet.coeffs.items():
         k = i + j * (n + 1) - r_shift
         if k > depth:
@@ -221,19 +229,68 @@ def pullback_series(ctx, jet, theta, depth=DEPTH, r_shift=0, cos_shift=0):
                     % (r_shift, cos_shift, i, j)
                 )
             continue
-        out[k] += coef * c**ce * s**j
+        out[k] = [acc + coef * c * s for acc, c, s in zip(out[k], trig[0, ce], trig[1, j])]
     return out
 
 
-def _vector_pullback(ctx, jets, theta, r_shift=0, cos_shift=0):
-    return [pullback_series(ctx, j, theta, DEPTH, r_shift, cos_shift) for j in jets]
+def _vector_pullback(ctx, jets, trig, r_shift=0, cos_shift=0):
+    return [pullback_series(ctx, j, trig, DEPTH, r_shift, cos_shift) for j in jets]
 
 
 def _dot(a_vec, b_vec):
-    acc = s_zero(len(a_vec[0]) - 1)
+    acc = [[0.0] * len(a_vec[0][0])] * len(a_vec[0])
     for a, b in zip(a_vec, b_vec):
         acc = s_add(acc, s_mul(a, b))
     return acc
+
+
+def _form_columns(ctx, trig):
+    """E..N and the normal n1..n3 they were taken against, as columns."""
+    n, (e_jet, f_jet, g_jet) = ctx.n, ctx._efg
+    cols = {
+        "E": pullback_series(ctx, e_jet, trig),
+        "F": pullback_series(ctx, f_jet, trig, DEPTH, n + 2, 0),
+        "G": pullback_series(ctx, g_jet, trig, DEPTH, 2 * n + 2, 0),
+    }
+    w = _vector_pullback(ctx, ctx._cross, trig, n + 1, n)
+    inv = s_recip(s_sqrt(_dot(w, w)))
+    nvec = [s_mul(comp, inv) for comp in w]
+    cols.update(n1=nvec[0], n2=nvec[1], n3=nvec[2])
+    cols["L"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], trig))
+    cols["M"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], trig, n, 0))
+    cols["N"] = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], trig))
+    return cols
+
+
+def _curvature_columns(ctx, thetas, fs):
+    """K, k1 and k2 columns from the form columns fs (keys E..N)."""
+    for theta in thetas:
+        if abs(math.cos(theta)) <= COS_TOL:
+            raise PrincipalNormalDirectionError(
+                "theta = %g is on the principal normal direction" % theta
+            )
+    # numerator LN - M^2 (the M^2 block re-enters at r^(2n))
+    cnum = s_sub(s_mul(fs["L"], fs["N"]), s_shift_index(s_mul(fs["M"], fs["M"]), 2 * ctx.n))
+    # denominator (EG - F^2) / r^(2n+2); the F^2 block re-enters at r^2
+    den = s_sub(s_mul(fs["E"], fs["G"]), s_shift_index(s_mul(fs["F"], fs["F"]), 2))
+    # mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
+    bser = s_mul(fs["E"], fs["N"])
+    inv_den = s_recip(den)
+    return {"K": s_mul(cnum, inv_den), "k1": s_mul(cnum, s_recip(bser)),
+            "k2": s_mul(bser, inv_den)}
+
+
+def series_columns(ctx, thetas):
+    """The whole pipeline run once over a theta list: a dict of the series
+    columns n1..n3, E..N, K, k1 and k2.  Needs |cos theta| > COS_TOL."""
+    cols = _form_columns(ctx, TrigPowers(thetas))
+    cols.update(_curvature_columns(ctx, thetas, cols))
+    return cols
+
+
+def _at(cols, *keys):
+    """The one-theta series of single-element columns, for each key."""
+    return [[col[0] for col in cols[key]] for key in keys]
 
 
 @dataclass
@@ -248,11 +305,7 @@ class NormalSeries:
 
 def extended_normal(ctx, theta):
     """Unit normal continued across the exceptional set, as r-series."""
-    w = _vector_pullback(ctx, ctx._cross, theta, ctx.n + 1, ctx.n)
-    norm = s_sqrt(_dot(w, w))
-    inv = s_recip(norm)
-    n1, n2, n3 = (s_mul(comp, inv) for comp in w)
-    return NormalSeries(theta, n1, n2, n3)
+    return fundamental_forms(ctx, theta).normal
 
 
 @dataclass
@@ -275,16 +328,9 @@ class FormSeries:
 
 def fundamental_forms(ctx, theta):
     """Pulled-back first/second fundamental form coefficient series."""
-    e_jet, f_jet, g_jet = ctx._efg
-    e = pullback_series(ctx, e_jet, theta)
-    f = pullback_series(ctx, f_jet, theta, DEPTH, ctx.n + 2, 0)
-    g = pullback_series(ctx, g_jet, theta, DEPTH, 2 * ctx.n + 2, 0)
-    normal = extended_normal(ctx, theta)
-    nvec = [normal.n1, normal.n2, normal.n3]
-    l = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], theta))
-    m = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], theta, ctx.n, 0))
-    nn = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], theta))
-    return FormSeries(theta, e, f, g, l, m, nn, normal)
+    cols = _form_columns(ctx, TrigPowers([theta]))
+    normal = NormalSeries(theta, *_at(cols, "n1", "n2", "n3"))
+    return FormSeries(theta, *_at(cols, *"EFGLMN"), normal)
 
 
 @dataclass
@@ -299,25 +345,9 @@ class CurvatureSeries:
 
 def curvature_series(ctx, theta, forms=None):
     """Curvature series at theta; needs |cos theta| > COS_TOL."""
-    if abs(math.cos(theta)) <= COS_TOL:
-        raise PrincipalNormalDirectionError(
-            "theta = %g is on the principal normal direction" % theta
-        )
     fs = forms or fundamental_forms(ctx, theta)
-    n = ctx.n
-    # numerator LN - M^2 (the M^2 block re-enters at r^(2n))
-    cnum = s_mul(fs.L, fs.N)
-    msq = s_shift_index(s_mul(fs.M, fs.M), 2 * n)
-    cnum = s_sub(cnum, msq)
-    # denominator (EG - F^2) / r^(2n+2); the F^2 block re-enters at r^2
-    den = s_mul(fs.E, fs.G)
-    fsq = s_shift_index(s_mul(fs.F, fs.F), 2)
-    den = s_sub(den, fsq)
-    # mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
-    bser = s_mul(fs.E, fs.N)
-    return CurvatureSeries(
-        theta, s_div(cnum, den), s_div(cnum, bser), s_div(bser, den)
-    )
+    cols = {key: [[x] for x in getattr(fs, key)] for key in "EFGLMN"}
+    return CurvatureSeries(theta, *_at(_curvature_columns(ctx, [theta], cols), "K", "k1", "k2"))
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +357,20 @@ def curvature_series(ctx, theta, forms=None):
 
 def k10_closed(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    nf = ctx.nf
-    return (-ctx.a_lead * nf.b_(2) * c + ctx.fact * nf.a_(2, 0) * s) / ctx.ma(theta)
+    cos_part, sin_part = ctx._k10
+    return (cos_part * c + sin_part * s) / ctx.ma(theta)
 
 
 def k10_scale(ctx, theta):
     """Magnitude of the two terms of k10_closed, for zero tests on k10."""
-    nf = ctx.nf
-    return max(abs(ctx.a_lead * nf.b_(2)), abs(ctx.fact * nf.a_(2, 0))) / ctx.ma(theta)
+    return ctx._k10_scale / ctx.ma(theta)
 
 
 def k20_closed(ctx, theta):
     c = math.cos(theta)
     if abs(c) <= COS_TOL:
         raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
-    return -(ctx.fact**2) * ctx.a_lead / (ctx.ma(theta) ** 3 * c ** (2 * ctx.n - 1))
+    return ctx._k20 / (ctx.ma(theta) ** 3 * c ** (2 * ctx.n - 1))
 
 
 def K0_closed(ctx, theta):
@@ -388,47 +417,29 @@ class RidgeReport:
 
 def delta1(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    nf = ctx.nf
-    return ctx.a_lead * nf.b_(3) * c - ctx.fact * nf.a_(3, 0) * s
+    ab3, ma30 = ctx._delta1
+    return ab3 * c - ma30 * s
 
 
 def delta2(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    nf = ctx.nf
-    a, m = ctx.a_lead, ctx.fact
-    term1 = -(a * nf.b_(4) * c - m * nf.a_(4, 0) * s) * c
-    term2 = (
-        3.0
-        * (nf.a_(2, 0) ** 2 + nf.b_(2) ** 2)
-        * (a * nf.b_(2) * c - m * nf.a_(2, 0) * s)
-        * c
-    )
+    ab4, ma40, q, ab2, ma20, a21_12 = ctx._delta2
+    term1 = -(ab4 * c - ma40 * s) * c
+    term2 = q * (ab2 * c - ma20 * s) * c
     # nonzero only in the n = 1 branch, where a_21 is the leading coefficient
-    term3 = 12.0 * nf.a_(2, 1) * s * s
+    term3 = a21_12 * s * s
     return term1 + term2 + term3
 
 
 def delta3(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    nf = ctx.nf
-    return nf.a_(2, 0) * ctx.a_lead * c + ctx.fact * nf.b_(2) * s
+    a20a, mb2 = ctx._delta3
+    return a20a * c + mb2 * s
 
 
 def ridge_report(ctx, theta):
-    nf = ctx.nf
-    a, m = ctx.a_lead, ctx.fact
-    d1 = delta1(ctx, theta)
-    d2 = delta2(ctx, theta)
-    d3 = delta3(ctx, theta)
-    s1 = max(abs(a * nf.b_(3)), abs(m * nf.a_(3, 0)))
-    s2 = max(
-        abs(a * nf.b_(4)),
-        abs(m * nf.a_(4, 0)),
-        3.0 * (nf.a_(2, 0) ** 2 + nf.b_(2) ** 2)
-        * max(abs(a * nf.b_(2)), abs(m * nf.a_(2, 0))),
-        12.0 * abs(nf.a_(2, 1)),
-    )
-    s3 = max(abs(nf.a_(2, 0) * a), abs(m * nf.b_(2)))
+    d1, d2, d3 = delta1(ctx, theta), delta2(ctx, theta), delta3(ctx, theta)
+    s1, s2, s3 = ctx._ridge_scales
     is_ridge = is_zero(d1, max(1.0, s1))
     first_order = is_ridge and not is_zero(d2, max(1.0, s2))
     subpar = is_zero(d3, max(1.0, s3))
@@ -453,24 +464,18 @@ def theta_grid(samples=64):
 
 
 def geometry_samples(ctx, thetas):
-    """Per-theta geometry records for the report (cos-divided values off pi/2)."""
+    """Per-theta geometry records for the report (cos-divided values off pi/2);
+    the series pipeline runs once for all thetas off the principal normal."""
     records = []
     for theta in thetas:
         rr = ridge_report(ctx, theta)
-        rec = {
-            "theta": theta,
-            "delta1": rr.delta1,
-            "delta2": rr.delta2,
-            "delta3": rr.delta3,
-            "point_type": rr.point_type.value if rr.point_type else None,
-            "flags": rr.flags,
-            "K0": None,
-            "k10": k10_closed(ctx, theta),
-            "k20": None,
-        }
-        if rr.point_type is not None:
-            cs = curvature_series(ctx, theta)
-            rec["K0"] = cs.K[0]
-            rec["k20"] = cs.k2[0]
-        records.append(rec)
+        records.append({
+            "theta": theta, "delta1": rr.delta1, "delta2": rr.delta2, "delta3": rr.delta3,
+            "point_type": rr.point_type.value if rr.point_type else None, "flags": rr.flags,
+            "K0": None, "k10": k10_closed(ctx, theta), "k20": None,
+        })
+    off = [rec for rec in records if rec["point_type"] is not None]
+    cols = series_columns(ctx, [rec["theta"] for rec in off])
+    for rec, k0, k20 in zip(off, cols["K"][0], cols["k2"][0]):
+        rec["K0"], rec["k20"] = k0, k20
     return records

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# extended_normal is not called here (fundamental_forms returns the normal it
-# used) but stays importable: perfbench/tracing.py wraps it under this module.
+# the one-theta calls are not made here but stay importable: perfbench/tracing.py
+# wraps them under this module
 from .blowup import curvature_series, extended_normal, fundamental_forms  # noqa: F401
+from .blowup import series_columns
 
 
 def _shorthands(ctx, theta):
@@ -181,20 +182,12 @@ class CrosscheckEntry:
     suspected_typo: bool = False
 
 
-def pipeline_values(ctx, theta):
-    """Series-pipeline values of every cross-checked coefficient."""
-    forms = fundamental_forms(ctx, theta)
-    normal = forms.normal
-    curv = curvature_series(ctx, theta, forms=forms)
-    return {
-        "n21": normal.n2[1],
-        "n31": normal.n3[1],
-        "L1": forms.L[1],
-        "M1": forms.M[1],
-        "N1": forms.N[1],
-        "N2": forms.N[2],
-        "k11": curv.k1[1],
-    }
+def pipeline_values(ctx, thetas):
+    """Series-pipeline values of every cross-checked coefficient, each a list
+    over thetas from one pipeline run.  A symbol names its series, then the
+    power of r (n21 is n2[1], N2 is N[2])."""
+    cols = series_columns(ctx, thetas)
+    return {symbol: cols[symbol[:-1]][int(symbol[-1])] for symbol in _REFERENCE}
 
 
 def crosscheck_closed_forms(ctx, theta_samples):
@@ -203,18 +196,11 @@ def crosscheck_closed_forms(ctx, theta_samples):
     Mismatches are reported, never raised; the caller decides what a hard
     failure is.
     """
+    thetas = list(theta_samples)
+    pipe = pipeline_values(ctx, thetas)
     entries = []
-    for theta in theta_samples:
-        pipe = pipeline_values(ctx, theta)
+    for idx, theta in enumerate(thetas):
         for symbol, reference in _REFERENCE.items():
-            ref = reference(ctx, theta)
-            entries.append(
-                CrosscheckEntry(
-                    symbol=symbol,
-                    theta=theta,
-                    pipeline=pipe[symbol],
-                    reference=ref,
-                    delta=pipe[symbol] - ref,
-                )
-            )
+            value, ref = pipe[symbol][idx], reference(ctx, theta)
+            entries.append(CrosscheckEntry(symbol, theta, value, ref, value - ref))
     return entries

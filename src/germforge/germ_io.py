@@ -352,8 +352,13 @@ def _parse_scalar(c, mode, where):
         x = scalar(read_number(c, mode) if isinstance(c, str) else c, mode)
     except (ValueError, ZeroDivisionError, OverflowError, UsageError):
         raise SchemaError(where, "expected a finite number, got %r" % c) from None
-    if mode == EXACT and not isinstance(c, str):
+    if mode == EXACT and isinstance(c, float):
+        # a JSON number is read as the nearest small fraction (0.1 -> 1/10);
+        # one that fraction does not give back is refused, not moved
         x = x.limit_denominator(10**12)
+        if float(x) != c:
+            raise SchemaError(where, "%r is not a fraction with denominator <= 10^12; "
+                              "quote it as a string to keep its exact value" % c)
     return x
 
 

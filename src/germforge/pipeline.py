@@ -19,7 +19,7 @@ from .distance import (
     geometric_verdict,
     singular_point_type,
 )
-from .errors import UnsupportedGermError
+from .errors import SchemaError, UnsupportedGermError, UsageError
 from .germ_io import expand_germ, format_number
 from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
 from .normal_form import TwoJetClass, corank_at_origin, reduce_to_normal_form, two_jet_class
@@ -175,9 +175,13 @@ def distance_section(outcome, spec):
             % outcome.mond.label
         )
     records = []
-    for p in spec.probes:
+    for idx, p in enumerate(spec.probes):
         probe = ProbePoint(*p)
-        records.append(_verdict_record(probe, classify_distance(outcome.nf, probe)))
+        try:  # the reduced mode may differ from the file's
+            in_mode = probe.as_mode(outcome.nf.mode)
+        except UsageError as exc:
+            raise SchemaError("germ.probes[%d]" % idx, str(exc)) from None
+        records.append(_verdict_record(probe, classify_distance(outcome.nf, in_mode)))
     pair_records = []
     if spec.theta_lambda:
         ctx = blowup_context(outcome)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from germforge.blowup import s_add, s_mul
+from germforge import germ_io, pipeline
 from germforge.jets import EXACT, GermJets, Jet2
 from germforge.normal_form import NormalFormCoeffs
 
@@ -41,6 +41,24 @@ def make_nf(order=6, mode=EXACT, a=None, b=None):
     return NormalFormCoeffs(order, mode, a, b)
 
 
+def classified_ctx(components):
+    """The class label and blow-up context of an exact order-9 germ."""
+    doc = {"variables": ["u", "v"], "components": components, "order": 9,
+           "mode": "exact"}
+    outcome = pipeline.classify_spec(germ_io.germ_spec_from_dict(doc))
+    return outcome.mond.label, pipeline.blowup_context(outcome)
+
+
+GEOMETRY_GERMS = {
+    "S1+": ["u", "1/2*v^2 + 7/10*u^2 + 4/5*u^3",
+            "v^3 + 7/5*u^2*v - 2/5*u^3 + 1/2*u^4 + 3/10*u*v^2"],
+    "B2+": ["u", "1/2*v^2 + 3/5*u^2 - 1/2*u^3",
+            "6/5*u^2*v + v^5 + 1/3*u^3 - 1/4*u*v^2"],
+    "C3+": ["u", "1/2*v^2 + 1/2*u^2 + 1/3*u^3",
+            "u*v^3 + u^3*v + 2/5*u^3 - 1/5*u^4"],
+}
+
+
 def jets_close(a, b, tol=1e-9):
     """Jets of one order whose coefficients agree within tol times the
     largest coefficient magnitude (at least 1)."""
@@ -56,8 +74,10 @@ def jets_close(a, b, tol=1e-9):
 def unit_defect(normal):
     """Series of n1^2 + n2^2 + n3^2 - 1 for a NormalSeries (vanishes through
     its depth when the normal has unit length)."""
-    total = s_add(s_add(s_mul(normal.n1, normal.n1), s_mul(normal.n2, normal.n2)),
-                  s_mul(normal.n3, normal.n3))
+    def square(a):
+        return [a[0] * a[0], 2 * a[0] * a[1], 2 * a[0] * a[2] + a[1] * a[1]]
+
+    total = [sum(terms) for terms in zip(*map(square, (normal.n1, normal.n2, normal.n3)))]
     total[0] -= 1.0
     return total
 

@@ -8,6 +8,7 @@ from germforge.blowup import (
     BlowupContext,
     K0_closed,
     PointType,
+    TrigPowers,
     build_context,
     curvature_series,
     delta1,
@@ -18,6 +19,9 @@ from germforge.blowup import (
     normal_r0_closed,
     pullback_series,
     ridge_report,
+    s_recip,
+    s_sqrt,
+    series_columns,
     theta_grid,
 )
 from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
@@ -25,7 +29,7 @@ from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionE
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
-from conftest import make_nf, raw_geometry, unit_defect
+from conftest import GEOMETRY_GERMS, classified_ctx, make_nf, raw_geometry, unit_defect
 
 
 def nf_s1(**extra):
@@ -121,12 +125,17 @@ class TestContext:
             build_context(nf, MondClass(MondTag.CROSS_CAP))
 
 
+def pullback_at(ctx, jet, theta, *args, **kwargs):
+    """pullback_series on the one-theta grid, as a plain list of coefficients."""
+    return [col[0] for col in pullback_series(ctx, jet, TrigPowers([theta]), *args, **kwargs)]
+
+
 class TestPullback:
     def test_uv_with_n_1(self):
         ctx = BlowupContext(nf_s1(), 1)
         theta = 0.6
         jet = Jet2(6, {(1, 1): 1.0}, FLOAT)
-        series = pullback_series(ctx, jet, theta, depth=3)
+        series = pullback_at(ctx, jet, theta, depth=3)
         c, s = math.cos(theta), math.sin(theta)
         assert series[3] == pytest.approx(c * c * s)
         assert series[:3] == [0.0, 0.0, 0.0]
@@ -134,13 +143,13 @@ class TestPullback:
     def test_constant(self):
         ctx = BlowupContext(nf_s1(), 1)
         jet = Jet2(6, {(0, 0): 2.5}, FLOAT)
-        assert pullback_series(ctx, jet, 0.3)[0] == 2.5
+        assert pullback_at(ctx, jet, 0.3)[0] == 2.5
 
     def test_v_squared_with_n_2(self):
         ctx = BlowupContext(nf_n2(), 2)
         theta = -0.4
         jet = Jet2(7, {(0, 2): 1.0}, FLOAT)
-        series = pullback_series(ctx, jet, theta, depth=6)
+        series = pullback_at(ctx, jet, theta, depth=6)
         c, s = math.cos(theta), math.sin(theta)
         assert series[6] == pytest.approx(c**4 * s**2)
         assert all(x == 0 for x in series[:6])
@@ -148,11 +157,55 @@ class TestPullback:
     def test_shift_must_divide_every_term(self):
         ctx = BlowupContext(nf_s1(), 1)
         # u^2 / r^2 = cos^2 theta; u / r^2 has no series
-        assert pullback_series(ctx, Jet2(6, {(2, 0): 1.0}, FLOAT), 0.3, 2, 2)[0] == (
+        assert pullback_at(ctx, Jet2(6, {(2, 0): 1.0}, FLOAT), 0.3, 2, 2)[0] == (
             math.cos(0.3) ** 2
         )
         with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
-            pullback_series(ctx, Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT), 0.3, 2, 2)
+            pullback_at(ctx, Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT), 0.3, 2, 2)
+
+
+class TestColumnPipeline:
+    """One pipeline run over a theta grid against one run per theta."""
+
+    @staticmethod
+    def contexts(rng):
+        ctxs = [classified_ctx(GEOMETRY_GERMS[label])[1] for label in sorted(GEOMETRY_GERMS)]
+        return ctxs + [BlowupContext(random_geometry_nf(rng, 3), 3)]
+
+    def test_grid_equals_one_theta_bit_for_bit(self, rng):
+        thetas = theta_grid(128)[:-1]  # every node but pi/2
+        ctxs = self.contexts(rng)
+        assert sorted({ctx.n for ctx in ctxs}) == [1, 2, 3]
+        for ctx in ctxs:
+            cols = series_columns(ctx, thetas)
+            for idx, theta in enumerate(thetas):
+                fs = fundamental_forms(ctx, theta)
+                cs = curvature_series(ctx, theta)
+                normal = extended_normal(ctx, theta)
+                assert fs.normal == normal
+                one = {**vars(normal), **vars(fs), **vars(cs)}
+                for key in ("n1", "n2", "n3", "E", "F", "G", "L", "M", "N", "K", "k1", "k2"):
+                    grid = [col[idx].hex() for col in cols[key]]
+                    assert grid == [x.hex() for x in one[key]], (ctx.n, theta, key)
+
+    def test_grid_with_principal_normal_direction_raises(self):
+        ctx = BlowupContext(nf_s1(), 1)
+        with pytest.raises(PrincipalNormalDirectionError, match="principal normal direction"):
+            series_columns(ctx, [0.3, math.pi / 2, -0.4])
+
+    @pytest.mark.parametrize("helper, lead", [(s_recip, 0.0), (s_sqrt, 0.0), (s_sqrt, -1.0)])
+    def test_leading_term_guards_match_on_a_grid(self, helper, lead):
+        with pytest.raises(InternalConsistencyError) as one:
+            helper([[lead], [1.0], [2.0]])
+        with pytest.raises(InternalConsistencyError) as grid:
+            helper([[2.0, lead, 3.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        assert str(grid.value) == str(one.value)
+
+    def test_divisibility_guard_on_a_grid(self):
+        ctx = BlowupContext(nf_s1(), 1)
+        jet = Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT)
+        with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
+            pullback_series(ctx, jet, TrigPowers([-0.5, 0.3, 1.2]), 2, 2)
 
 
 class TestExtendedNormal:

@@ -328,6 +328,22 @@ class TestSpecialDirectionsPinned:
         assert [f["parabolic"] for f in flags[2:]] == [False] * 4 + [True]
 
 
+class TestGeometrySweepPinned:
+    """128-theta geometry reports of an n = 1 germ (the S1+ germ above) and an
+    n = 2 germ (C3+), pinned byte for byte.  Every sample but the principal
+    normal direction carries the series pipeline's K0 and k20."""
+
+    @pytest.mark.parametrize("germ, name", [
+        ("s1_special_directions_germ.json", "s1_special_directions_geometry128.json"),
+        ("c3_geometry_germ.json", "c3_geometry128.json"),
+    ])
+    def test_report_pinned(self, capsys, germ, name):
+        code, out, err = run(capsys, "geometry", "--theta-samples", "128",
+                             "--input", str(DATA / germ))
+        assert code == 0, err
+        assert out == (DATA / name).read_text()
+
+
 class TestModeOverride:
     def test_mode_flag_forces_float(self, tmp_path, capsys, monkeypatch):
         # --mode is the only override of the file's mode; the environment is not read
@@ -370,9 +386,12 @@ class TestNonFiniteInput:
          "germ.probes[0]: expected a finite number, got '1e400'"),
         (dict(FLOAT_S1, probes=[[0, "nan", 1]]),
          "germ.probes[0]: expected a finite number, got 'nan'"),
-        # an exact file whose reduction falls back to float
+        # an exact file whose reduction falls back to float: the probe is
+        # converted to the reduced mode under its index
         (dict(S1_GERM, probes=[[0, "1e400", 1]]),
-         "float-mode numbers must lie within float range"),
+         "germ.probes[0]: float-mode numbers must lie within float range"),
+        (dict(S1_GERM, probes=[[0, "1/3", 1], [0, 2, "-1e400"]]),
+         "germ.probes[1]: float-mode numbers must lie within float range"),
         (dict(FLOAT_S1, theta_lambda=[["x", 1]]),
          "germ.theta_lambda[0]: expected a finite number, got 'x'"),
         (dict(FLOAT_S1, theta_lambda=[[None, 1]]),

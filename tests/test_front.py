@@ -29,7 +29,7 @@ from germforge.front import (
 )
 from germforge.jets import FLOAT, FLOAT_ZERO_REL
 
-from conftest import germ_from_strings, make_nf, raw_geometry
+from conftest import GEOMETRY_GERMS, classified_ctx, germ_from_strings, make_nf, raw_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +124,6 @@ def ref_direct_mesh(germ, grid, extent, t0=0.0, sign=1):
         offset = pts + sign * t0 * (cross / norms[..., None])
     verts = offset.reshape(-1, 3)[keep]
     return verts, ref_grid_faces(nu, nv, keep), int((~keep).sum())
-
-
-def classified_ctx(components):
-    doc = {"variables": ["u", "v"], "components": components, "order": 9,
-           "mode": "exact"}
-    outcome = pipeline.classify_spec(germ_io.germ_spec_from_dict(doc))
-    return outcome.mond.label, pipeline.blowup_context(outcome)
-
-
-GEOMETRY_GERMS = {
-    "S1+": ["u", "1/2*v^2 + 7/10*u^2 + 4/5*u^3",
-            "v^3 + 7/5*u^2*v - 2/5*u^3 + 1/2*u^4 + 3/10*u*v^2"],
-    "B2+": ["u", "1/2*v^2 + 3/5*u^2 - 1/2*u^3",
-            "6/5*u^2*v + v^5 + 1/3*u^3 - 1/4*u*v^2"],
-    "C3+": ["u", "1/2*v^2 + 1/2*u^2 + 1/3*u^3",
-            "u*v^3 + u^3*v + 2/5*u^3 - 1/5*u^4"],
-}
 
 
 def assert_vertices_close(got, want, rel=1e-12):

@@ -136,6 +136,27 @@ class TestGermFiles:
         spec = germ_spec_from_dict(data)
         assert spec.probes == ((Fraction(0), Fraction(1, 2), Fraction(3)),)
 
+    def test_exact_probe_numbers_keep_their_float_value(self):
+        # a JSON number reads as the nearest small fraction when that fraction
+        # gives the number back; integers stay integers of any size
+        data = dict(self.GERM, probes=[[0, 1 / 3, 0.1], [10**400, -2.5, 1e-3]])
+        spec = germ_spec_from_dict(data)
+        assert spec.probes == (
+            (Fraction(0), Fraction(1, 3), Fraction(1, 10)),
+            (Fraction(10**400), Fraction(-5, 2), Fraction(1, 1000)),
+        )
+
+    @pytest.mark.parametrize("entry", [1e-13, 3e-13, 1.5e-12, -7e-14])
+    def test_exact_probe_number_without_small_fraction_is_refused(self, entry):
+        data = dict(self.GERM, probes=[[0, 1, 0], [0, entry, 1]])
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(data)
+        assert exc.value.field == "germ.probes[1]"
+        assert "quote it as a string" in str(exc.value)
+        # the same number as a string keeps its exact value
+        quoted = dict(self.GERM, probes=[[0, repr(entry), 1]])
+        assert float(germ_spec_from_dict(quoted).probes[0][1]) == entry
+
     def test_theta_lambda_parsed(self):
         data = dict(self.GERM, theta_lambda=[[1, "0.25"], ["1/2", -2.5]])
         spec = germ_spec_from_dict(data)
