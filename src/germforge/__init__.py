@@ -11,16 +11,11 @@ import importlib
 
 from .blowup import (
     BlowupContext,
-    CurvatureSeries,
-    FormSeries,
-    NormalSeries,
     PointType,
     RidgeReport,
     build_context,
-    curvature_series,
-    extended_normal,
-    fundamental_forms,
     ridge_report,
+    series_columns,
     theta_grid,
 )
 from .distance import (
@@ -104,19 +99,18 @@ def __dir__():
 
 __all__ = [
     "BkRecursionTrace", "BlowupContext", "Branch", "ClassificationOutcome",
-    "CurvatureSeries", "DistSing", "DistanceVerdict", "EXACT", "FLOAT",
-    "FocalKind", "FocalLocus", "FormSeries", "FrontType", "FrontVerdict",
-    "GermJets", "GermSpec", "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag",
-    "NormalFormCoeffs", "NormalSeries", "PointType", "ProbePoint", "R_PLUS",
-    "RidgeReport", "SingularPointType", "SingularityType", "TransformLog",
-    "TwoJetClass", "WavefrontSpec", "bk_recursion", "build_context", "classify",
-    "classify_distance", "classify_germ", "classify_spec", "corank_at_origin",
-    "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
-    "emit_report", "expand_germ", "extended_normal", "focal_locus",
-    "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
-    "load_germ", "parse_polynomial", "print_polynomial",
-    "reduce_to_normal_form", "ridge_report", "singular_point_type",
-    "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
-    "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",
-    "wavefront_mesh",
+    "DistSing", "DistanceVerdict", "EXACT", "FLOAT", "FocalKind",
+    "FocalLocus", "FrontType", "FrontVerdict", "GermJets", "GermSpec",
+    "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag", "NormalFormCoeffs",
+    "PointType", "ProbePoint", "R_PLUS", "RidgeReport", "SingularPointType",
+    "SingularityType", "TransformLog", "TwoJetClass", "WavefrontSpec",
+    "bk_recursion", "build_context", "classify", "classify_distance",
+    "classify_germ", "classify_spec", "corank_at_origin",
+    "crosscheck_closed_forms", "distance_jet", "emit_mesh", "emit_report",
+    "expand_germ", "focal_locus", "focal_sheet_mesh", "front_verdict",
+    "geometric_verdict", "load_germ", "parse_polynomial",
+    "print_polynomial", "reduce_to_normal_form", "ridge_report",
+    "series_columns", "singular_point_type", "split_and_type",
+    "surface_mesh", "theta_grid", "two_jet_class", "verify_by_substitution",
+    "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]

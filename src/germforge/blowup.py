@@ -9,12 +9,11 @@ n chosen per class (S_k -> k, B_k -> 1, C_k -> k-1, F_4 -> 2).  Along the
 exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
-module computes those series numerically through a generic pullback/series
-pipeline, column-wise over a whole theta grid at once (one theta is the
-one-element grid), and classifies ridge and sub-parabolic directions via the
-trigonometric invariants delta_1/2/3.  closed_forms.py checks the
-pipeline against independently stated closed-form expressions for the
-depth-1/2 coefficients it covers.
+module computes those series numerically, once per theta list, through
+series_columns(ctx, thetas) (one theta is [theta]), and classifies ridge and
+sub-parabolic directions via the trigonometric invariants delta_1/2/3.
+closed_forms.py checks the pipeline against independently stated closed-form
+expressions for the depth-1/2 coefficients it covers.
 """
 
 from __future__ import annotations
@@ -112,7 +111,8 @@ class TrigPowers(dict):
 # context
 # ---------------------------------------------------------------------------
 
-_BLOWUP_EXPONENT = {
+# the classes with blow-up geometry, each with its exponent n as a function of k
+BLOWUP_EXPONENT = {
     MondTag.S: lambda k: k,
     MondTag.B: lambda k: 1,
     MondTag.C: lambda k: k - 1,
@@ -194,7 +194,7 @@ class BlowupContext:
 
 def build_context(nf, mond):
     """Blow-up context with the exponent induced by the class."""
-    rule = _BLOWUP_EXPONENT.get(mond.tag)
+    rule = BLOWUP_EXPONENT.get(mond.tag)
     if rule is None:
         raise UsageError(
             "blow-up geometry is defined for S_k, B_k, C_k, F_4 only (got %s)"
@@ -262,13 +262,8 @@ def _form_columns(ctx, trig):
     return cols
 
 
-def _curvature_columns(ctx, thetas, fs):
+def _curvature_columns(ctx, fs):
     """K, k1 and k2 columns from the form columns fs (keys E..N)."""
-    for theta in thetas:
-        if abs(math.cos(theta)) <= COS_TOL:
-            raise PrincipalNormalDirectionError(
-                "theta = %g is on the principal normal direction" % theta
-            )
     # numerator LN - M^2 (the M^2 block re-enters at r^(2n))
     cnum = s_sub(s_mul(fs["L"], fs["N"]), s_shift_index(s_mul(fs["M"], fs["M"]), 2 * ctx.n))
     # denominator (EG - F^2) / r^(2n+2); the F^2 block re-enters at r^2
@@ -281,73 +276,25 @@ def _curvature_columns(ctx, thetas, fs):
 
 
 def series_columns(ctx, thetas):
-    """The whole pipeline run once over a theta list: a dict of the series
-    columns n1..n3, E..N, K, k1 and k2.  Needs |cos theta| > COS_TOL."""
+    """The pipeline run once over a theta list: a dict of DEPTH + 1 columns
+    each for the unit normal n1..n3, the forms E..N after factoring their
+    r-powers (F by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the bounded
+    principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta must be
+    finite with |cos theta| > COS_TOL."""
+    thetas = list(thetas)
+    for theta in thetas:
+        _require_finite(theta)
+        if abs(math.cos(theta)) <= COS_TOL:
+            raise PrincipalNormalDirectionError(
+                "theta = %g is on the principal normal direction" % theta)
     cols = _form_columns(ctx, TrigPowers(thetas))
-    cols.update(_curvature_columns(ctx, thetas, cols))
+    cols.update(_curvature_columns(ctx, cols))
     return cols
 
 
-def _at(cols, *keys):
-    """The one-theta series of single-element columns, for each key."""
-    return [[col[0] for col in cols[key]] for key in keys]
-
-
-@dataclass
-class NormalSeries:
-    """Extended unit normal: components as r-series [r^0, r^1, r^2]."""
-
-    theta: float
-    n1: list
-    n2: list
-    n3: list
-
-
-def extended_normal(ctx, theta):
-    """Unit normal continued across the exceptional set, as r-series."""
-    return fundamental_forms(ctx, theta).normal
-
-
-@dataclass
-class FormSeries:
-    """Fundamental-form coefficient series after factoring the r-powers.
-
-    E ~ 1 + E2 r^2;  F ~ r^(n+2)(F0 + F1 r);  G ~ r^(2n+2)(G0 + G1 r + G2 r^2)
-    L ~ L0 + L1 r + L2 r^2;  M ~ r^n (M0 + ...);  N ~ N0 + N1 r + N2 r^2.
-    """
-
-    theta: float
-    E: list
-    F: list
-    G: list
-    L: list
-    M: list
-    N: list
-    normal: NormalSeries  # the extended normal L, M, N were taken against
-
-
-def fundamental_forms(ctx, theta):
-    """Pulled-back first/second fundamental form coefficient series."""
-    cols = _form_columns(ctx, TrigPowers([theta]))
-    normal = NormalSeries(theta, *_at(cols, "n1", "n2", "n3"))
-    return FormSeries(theta, *_at(cols, *"EFGLMN"), normal)
-
-
-@dataclass
-class CurvatureSeries:
-    """Series data of r^(2n+2) K, the bounded and the unbounded curvature."""
-
-    theta: float
-    K: list       # [K0, K1, K2]
-    k1: list      # [k10, k11, k12], the bounded principal curvature
-    k2: list      # [k20, k21, k22], coefficient series of r^(2n+2) kappa_2
-
-
-def curvature_series(ctx, theta, forms=None):
-    """Curvature series at theta; needs |cos theta| > COS_TOL."""
-    fs = forms or fundamental_forms(ctx, theta)
-    cols = {key: [[x] for x in getattr(fs, key)] for key in "EFGLMN"}
-    return CurvatureSeries(theta, *_at(_curvature_columns(ctx, [theta], cols), "K", "k1", "k2"))
+def _require_finite(theta):
+    if not math.isfinite(theta):
+        raise UsageError("theta = %g is not a finite number" % theta)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +385,7 @@ def delta3(ctx, theta):
 
 
 def ridge_report(ctx, theta):
+    _require_finite(theta)
     d1, d2, d3 = delta1(ctx, theta), delta2(ctx, theta), delta3(ctx, theta)
     s1, s2, s3 = ctx._ridge_scales
     is_ridge = is_zero(d1, max(1.0, s1))

@@ -15,9 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# the one-theta calls are not made here but stay importable: perfbench/tracing.py
-# wraps them under this module
-from .blowup import curvature_series, extended_normal, fundamental_forms  # noqa: F401
 from .blowup import series_columns
 
 

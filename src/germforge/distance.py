@@ -298,11 +298,11 @@ def geometric_verdict(ctx, theta0, lam):
     disagreement between the two routes."""
     if lam == 0:
         raise UsageError("lambda must be nonzero")
+    rr = ridge_report(ctx, theta0)
     nf = ctx.nf
     _, n20, n30 = normal_r0_closed(ctx, theta0)
     p = ProbePoint(0.0, lam * n20, lam * n30)
     verdict = classify_distance(nf, p)
-    rr = ridge_report(ctx, theta0)
 
     if rr.point_type is None:
         at_intersection = _zero_test(nf, p)(nf.a_(2, 0) * p.z0 - 1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import germ_io
-from .blowup import build_context, geometry_samples, theta_grid
+from .blowup import BLOWUP_EXPONENT, build_context, geometry_samples, theta_grid
 from .distance import (
     ProbePoint,
     classify_distance,
@@ -25,7 +25,6 @@ from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
 from .normal_form import TwoJetClass, corank_at_origin, reduce_to_normal_form, two_jet_class
 
 MAX_ORDER = 20
-GEOMETRY_CLASSES = (MondTag.S, MondTag.B, MondTag.C, MondTag.F4)
 
 
 @dataclass
@@ -40,7 +39,7 @@ class ClassificationOutcome:
 
     @property
     def has_geometry(self):
-        return self.mond.tag in GEOMETRY_CLASSES
+        return self.mond.tag in BLOWUP_EXPONENT
 
 
 def classify_germ(germ, k_max=DEFAULT_K_MAX):

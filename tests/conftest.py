@@ -71,13 +71,19 @@ def jets_close(a, b, tol=1e-9):
     )
 
 
-def unit_defect(normal):
-    """Series of n1^2 + n2^2 + n3^2 - 1 for a NormalSeries (vanishes through
-    its depth when the normal has unit length)."""
+def series_at(cols, idx):
+    """The series of every column at index idx, as plain coefficient lists."""
+    return {key: [col[idx] for col in series] for key, series in cols.items()}
+
+
+def unit_defect(cols, idx):
+    """Series of n1^2 + n2^2 + n3^2 - 1 at index idx of the normal columns
+    n1..n3 (vanishes through its depth when the normal has unit length)."""
     def square(a):
         return [a[0] * a[0], 2 * a[0] * a[1], 2 * a[0] * a[2] + a[1] * a[1]]
 
-    total = [sum(terms) for terms in zip(*map(square, (normal.n1, normal.n2, normal.n3)))]
+    normal = ([col[idx] for col in cols[key]] for key in ("n1", "n2", "n3"))
+    total = [sum(terms) for terms in zip(*map(square, normal))]
     total[0] -= 1.0
     return total
 

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from germforge import blowup
 from germforge.blowup import (
     K0_closed,
+    TrigPowers,
     build_context,
-    curvature_series,
-    extended_normal,
-    fundamental_forms,
     k10_closed,
+    series_columns,
     theta_grid,
 )
 from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
@@ -35,7 +35,14 @@ from germforge.normal_form import reduce_to_normal_form
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 from germforge.distance import versality_rank_test
 
-from conftest import germ_from_strings, make_nf, rand_fraction, raw_geometry, unit_defect
+from conftest import (
+    germ_from_strings,
+    make_nf,
+    rand_fraction,
+    raw_geometry,
+    series_at,
+    unit_defect,
+)
 
 
 def _line(num, name, ok):
@@ -361,7 +368,8 @@ def test_criterion_5_curvature_limit():
                 ctx = build_context(nf, mond)
                 germ = nf.reconstruct()
                 power = 2 * ctx.n + 2
-                for theta in thetas:
+                cols = series_columns(ctx, thetas)
+                for idx, theta in enumerate(thetas):
                     k0 = K0_closed(ctx, theta)
                     vals = [
                         r**power * raw_geometry(ctx, r, theta, germ)["K"] for r in radii
@@ -378,9 +386,9 @@ def test_criterion_5_curvature_limit():
                     # near the crossover radius |K1/K2| the plain estimator
                     # dips below the true order, so that band is excluded
                     # (the fitted-K0 check above still binds there).
-                    cs = curvature_series(ctx, theta)
-                    if abs(cs.K[2]) > 1e-12:
-                        crossover = abs(cs.K[1] / cs.K[2])
+                    K = [col[idx] for col in cols["K"]]
+                    if abs(K[2]) > 1e-12:
+                        crossover = abs(K[1] / K[2])
                         if 5e-4 < crossover < 6e-2:
                             continue
                     assert errs[0] > errs[1] > errs[2], (name, trial, theta, errs)
@@ -403,20 +411,21 @@ def test_criterion_6_identity_suite():
         germs = [builders[i % len(builders)](rng) for i in range(20)]
         for nf, mond in germs:
             ctx = build_context(nf, mond)
-            for theta in theta_grid(32):
-                defect = unit_defect(extended_normal(ctx, theta))
+            grid = theta_grid(32)
+            # the normal exists on the whole grid, pi/2 included
+            forms = blowup._form_columns(ctx, TrigPowers(grid))
+            for idx in range(len(grid)):
+                defect = unit_defect(forms, idx)
                 assert max(abs(x) for x in defect) <= 1e-10
-                if abs(math.cos(theta)) <= 1e-7:
-                    continue
-                fs = fundamental_forms(ctx, theta)
-                cs = curvature_series(ctx, theta, forms=fs)
-                scale = max(1.0, abs(cs.K[0]), abs(cs.K[1]))
-                assert abs(cs.k1[0] - fs.L[0]) <= 1e-10 * max(1.0, abs(fs.L[0]))
-                assert abs(cs.K[0] - cs.k1[0] * cs.k2[0]) <= 1e-10 * scale
-                assert (
-                    abs(cs.K[1] - (cs.k1[0] * cs.k2[1] + cs.k1[1] * cs.k2[0]))
-                    <= 1e-10 * scale
-                )
+            off = [theta for theta in grid if abs(math.cos(theta)) > 1e-7]
+            cols = series_columns(ctx, off)
+            for idx in range(len(off)):
+                q = series_at(cols, idx)
+                K, k1, k2, L = q["K"], q["k1"], q["k2"], q["L"]
+                scale = max(1.0, abs(K[0]), abs(K[1]))
+                assert abs(k1[0] - L[0]) <= 1e-10 * max(1.0, abs(L[0]))
+                assert abs(K[0] - k1[0] * k2[0]) <= 1e-10 * scale
+                assert abs(K[1] - (k1[0] * k2[1] + k1[1] * k2[0])) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from germforge import blowup
 from germforge.blowup import (
     BlowupContext,
     K0_closed,
     PointType,
     TrigPowers,
     build_context,
-    curvature_series,
     delta1,
     delta3,
-    extended_normal,
-    fundamental_forms,
+    geometry_samples,
     k10_closed,
     normal_r0_closed,
     pullback_series,
@@ -25,11 +24,20 @@ from germforge.blowup import (
     theta_grid,
 )
 from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
+from germforge.distance import geometric_verdict
 from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionError, UsageError
+from germforge.front import front_verdict
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
-from conftest import GEOMETRY_GERMS, classified_ctx, make_nf, raw_geometry, unit_defect
+from conftest import (
+    GEOMETRY_GERMS,
+    classified_ctx,
+    make_nf,
+    raw_geometry,
+    series_at,
+    unit_defect,
+)
 
 
 def nf_s1(**extra):
@@ -73,28 +81,32 @@ def random_geometry_nf(rng, n):
     return make_nf(order=n + 4, mode=FLOAT, a=a, b=b)
 
 
-def lifted_series(ctx, theta):
-    """curvature_series at theta plus the principal-direction lift coefficients.
+def lifted_series(ctx, thetas):
+    """Per theta, the curvature series K, k1, k2 plus the principal-direction
+    lift coefficients, from one series_columns run over thetas.
 
     xi1*, eta1* lift the bounded principal direction and eta2* the unbounded
     one into the (r, theta) frame, as series in r; they are built from the
     pipeline's form and curvature series.
     """
     n = ctx.n
-    c, s = math.cos(theta), math.sin(theta)
-    fs = fundamental_forms(ctx, theta)
-    cs = curvature_series(ctx, theta, forms=fs)
-    cn = c**n
-    tanpart = c - n * s * s / c
-    return SimpleNamespace(
-        **vars(cs),
-        xi10=fs.N[0] * tanpart - fs.M[0] * s / cn,
-        xi11=fs.N[1] * tanpart - fs.M[1] * s / cn,
-        eta10=-(n + 1) * fs.N[1] * s - fs.M[1] * c / cn,
-        eta11=-(n + 1) * fs.N[2] * s - (fs.M[2] - cs.k1[0] * fs.F[0]) * c / cn,
-        eta20=cs.k2[0] * fs.F[0] * c / cn,
-        eta21=(cs.k2[0] * fs.F[1] + cs.k2[1] * fs.F[0]) * c / cn,
-    )
+    cols = series_columns(ctx, thetas)
+    out = []
+    for idx, theta in enumerate(thetas):
+        q = series_at(cols, idx)
+        c, s = math.cos(theta), math.sin(theta)
+        cn = c**n
+        tanpart = c - n * s * s / c
+        out.append(SimpleNamespace(
+            K=q["K"], k1=q["k1"], k2=q["k2"],
+            xi10=q["N"][0] * tanpart - q["M"][0] * s / cn,
+            xi11=q["N"][1] * tanpart - q["M"][1] * s / cn,
+            eta10=-(n + 1) * q["N"][1] * s - q["M"][1] * c / cn,
+            eta11=-(n + 1) * q["N"][2] * s - (q["M"][2] - q["k1"][0] * q["F"][0]) * c / cn,
+            eta20=q["k2"][0] * q["F"][0] * c / cn,
+            eta21=(q["k2"][0] * q["F"][1] + q["k2"][1] * q["F"][0]) * c / cn,
+        ))
+    return out
 
 
 class TestContext:
@@ -121,7 +133,8 @@ class TestContext:
 
     def test_out_of_scope_class(self):
         nf = nf_s1()
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=(
+                r"^blow-up geometry is defined for S_k, B_k, C_k, F_4 only \(got S0\)$")):
             build_context(nf, MondClass(MondTag.CROSS_CAP))
 
 
@@ -179,14 +192,10 @@ class TestColumnPipeline:
         for ctx in ctxs:
             cols = series_columns(ctx, thetas)
             for idx, theta in enumerate(thetas):
-                fs = fundamental_forms(ctx, theta)
-                cs = curvature_series(ctx, theta)
-                normal = extended_normal(ctx, theta)
-                assert fs.normal == normal
-                one = {**vars(normal), **vars(fs), **vars(cs)}
+                one = series_columns(ctx, [theta])
                 for key in ("n1", "n2", "n3", "E", "F", "G", "L", "M", "N", "K", "k1", "k2"):
                     grid = [col[idx].hex() for col in cols[key]]
-                    assert grid == [x.hex() for x in one[key]], (ctx.n, theta, key)
+                    assert grid == [col[0].hex() for col in one[key]], (ctx.n, theta, key)
 
     def test_grid_with_principal_normal_direction_raises(self):
         ctx = BlowupContext(nf_s1(), 1)
@@ -206,6 +215,25 @@ class TestColumnPipeline:
         jet = Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT)
         with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
             pullback_series(ctx, jet, TrigPowers([-0.5, 0.3, 1.2]), 2, 2)
+
+
+class TestNonFiniteTheta:
+    """Every entry point that takes a theta rejects NaN and +-inf by name."""
+
+    ENTRY_POINTS = {
+        "ridge_report": ridge_report,
+        "front_verdict": front_verdict,
+        "geometric_verdict": lambda ctx, theta: geometric_verdict(ctx, theta, 0.5),
+        "geometry_samples": lambda ctx, theta: geometry_samples(ctx, [0.3, theta]),
+        "series_columns": lambda ctx, theta: series_columns(ctx, [0.3, theta]),
+    }
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_usage_error_names_theta(self, entry, theta):
+        ctx = BlowupContext(nf_s1(), 1)
+        with pytest.raises(UsageError, match="^theta = %s is not a finite number$" % theta):
+            self.ENTRY_POINTS[entry](ctx, theta)
 
 
 class TestExtendedNormal:
@@ -231,50 +259,45 @@ class TestExtendedNormal:
         _, n2, n3 = normal_r0_closed(ctx, math.pi / 4)
         assert n2 == pytest.approx(-1 / math.sqrt(3))
         assert n3 == pytest.approx(math.sqrt(2) / math.sqrt(3))
-        series = extended_normal(ctx, math.pi / 4)
-        assert series.n2[0] == pytest.approx(n2)
-        assert series.n3[0] == pytest.approx(n3)
+        cols = series_columns(ctx, [math.pi / 4])
+        assert cols["n2"][0][0] == pytest.approx(n2)
+        assert cols["n3"][0][0] == pytest.approx(n3)
 
     def test_unit_length_through_depth_two(self, rng):
         for n in (1, 2):
             for _ in range(10):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
-                for theta in theta_grid(64):
-                    defect = unit_defect(extended_normal(ctx, theta))
+                # the forms, and the normal, exist at pi/2 too
+                cols = blowup._form_columns(ctx, TrigPowers(theta_grid(64)))
+                for idx in range(64):
+                    defect = unit_defect(cols, idx)
                     assert max(abs(x) for x in defect) < 1e-10
-
-    def test_forms_carry_the_normal_they_used(self, rng):
-        for n in (1, 2, 3):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
-            for theta in theta_grid(16):
-                normal = fundamental_forms(ctx, theta).normal
-                assert normal == extended_normal(ctx, theta)
 
 
 class TestFormsAndCurvature:
     def test_e2_vanishes_at_pi_over_2(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = fundamental_forms(ctx, math.pi / 2)
-        assert abs(fs.E[2]) < 1e-12
+        fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+        assert abs(fs["E"][2][0]) < 1e-12
 
     def test_g0_vanishes_at_pi_over_2(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            fs = fundamental_forms(ctx, math.pi / 2)
-            assert abs(fs.G[0]) < 1e-12
+            fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+            assert abs(fs["G"][0][0]) < 1e-12
 
     def test_l0_at_pi_over_2_is_a20(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = fundamental_forms(ctx, math.pi / 2)
-        assert fs.L[0] == pytest.approx(ctx.nf.a_(2, 0))
+        fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+        assert fs["L"][0][0] == pytest.approx(ctx.nf.a_(2, 0))
 
     def test_k0_at_theta_zero(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
             expected = ctx.fact**2 * ctx.nf.b_(2) / ctx.a_lead**2
             assert K0_closed(ctx, 0.0) == pytest.approx(expected)
-            cs = curvature_series(ctx, 0.0)
-            assert cs.K[0] == pytest.approx(expected)
+            cs = series_columns(ctx, [0.0])
+            assert cs["K"][0][0] == pytest.approx(expected)
 
     def test_k10_limit_at_pi_over_2(self):
         # the closed form of the bounded curvature stays finite at pi/2
@@ -284,13 +307,13 @@ class TestFormsAndCurvature:
     def test_principal_normal_direction_error(self):
         ctx = BlowupContext(nf_s1(), 1)
         with pytest.raises(PrincipalNormalDirectionError):
-            curvature_series(ctx, math.pi / 2)
+            series_columns(ctx, [math.pi / 2])
 
     def test_xi10_closed_form(self, rng):
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
-            for theta in (-1.1, -0.3, 0.2, 0.9):
-                cs = lifted_series(ctx, theta)
+            thetas = (-1.1, -0.3, 0.2, 0.9)
+            for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
                 assert cs.xi10 == pytest.approx(-ctx.a_lead / ctx.ma(theta))
 
     def test_eta10_closed_form(self, rng):
@@ -298,20 +321,20 @@ class TestFormsAndCurvature:
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             nf = ctx.nf
-            for theta in (-0.7, 0.4):
+            thetas = (-0.7, 0.4)
+            for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
                 c, s = math.cos(theta), math.sin(theta)
                 expected = (
                     -(math.factorial(n + 2) * nf.a_(1, 2) * s
                       + nf.a_(n + 2, 1) * c) * c * s
                     / ((n + 2) * ctx.ma(theta))
                 )
-                cs = lifted_series(ctx, theta)
                 assert cs.eta10 == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_eta20_at_zero(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            cs = lifted_series(ctx, 0.0)
+            cs = lifted_series(ctx, [0.0])[0]
             expected = (
                 -ctx.fact * ctx.nf.a_(2, 0) * ctx.a_lead**2 / ctx.ma(0.0) ** 3
             )
@@ -322,28 +345,26 @@ class TestFormsAndCurvature:
         for n in (1, 2):
             for _ in range(5):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
-                for theta in theta_grid(16):
-                    if abs(math.cos(theta)) < 0.05:
-                        continue
-                    fs = fundamental_forms(ctx, theta)
-                    cs = curvature_series(ctx, theta, forms=fs)
-                    scale = max(1.0, abs(cs.K[0]), abs(cs.K[1]))
-                    assert abs(cs.k1[0] - fs.L[0]) <= 1e-10 * max(1.0, abs(fs.L[0]))
-                    assert abs(cs.K[0] - cs.k1[0] * cs.k2[0]) <= 1e-10 * scale
-                    assert (
-                        abs(cs.K[1] - (cs.k1[0] * cs.k2[1] + cs.k1[1] * cs.k2[0]))
-                        <= 1e-10 * scale
-                    )
+                thetas = [t for t in theta_grid(16) if abs(math.cos(t)) >= 0.05]
+                cols = series_columns(ctx, thetas)
+                for idx in range(len(thetas)):
+                    q = series_at(cols, idx)
+                    K, k1, k2, L = q["K"], q["k1"], q["k2"], q["L"]
+                    scale = max(1.0, abs(K[0]), abs(K[1]))
+                    assert abs(k1[0] - L[0]) <= 1e-10 * max(1.0, abs(L[0]))
+                    assert abs(K[0] - k1[0] * k2[0]) <= 1e-10 * scale
+                    assert abs(K[1] - (k1[0] * k2[1] + k1[1] * k2[0])) <= 1e-10 * scale
 
     def test_k12_identity(self, rng):
         # k12 = -E2 L0 + L2 - eps M0^2 / N0
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
-            for theta in (0.5, -0.8):
-                fs = fundamental_forms(ctx, theta)
-                cs = curvature_series(ctx, theta, forms=fs)
-                expected = -fs.E[2] * fs.L[0] + fs.L[2] - ctx.epsilon * fs.M[0]**2 / fs.N[0]
-                assert cs.k1[2] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            cols = series_columns(ctx, [0.5, -0.8])
+            for idx in range(2):
+                q = series_at(cols, idx)
+                E, L, M, N = q["E"], q["L"], q["M"], q["N"]
+                expected = -E[2] * L[0] + L[2] - ctx.epsilon * M[0]**2 / N[0]
+                assert q["k1"][2] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 class TestRawSeriesOracle:
@@ -353,16 +374,17 @@ class TestRawSeriesOracle:
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
-            for theta in (0.5, -0.9):
-                ns = extended_normal(ctx, theta)
-                fs = fundamental_forms(ctx, theta)
+            thetas = (0.5, -0.9)
+            cols = series_columns(ctx, thetas)
+            for idx, theta in enumerate(thetas):
+                one = series_at(cols, idx)
                 vander = np.vander(rs, 4, increasing=True)
                 raws = [raw_geometry(ctx, r, theta) for r in rs]
                 for key, vals, series in (
-                    ("n2", [q["normal"][1] for q in raws], ns.n2),
-                    ("n3", [q["normal"][2] for q in raws], ns.n3),
-                    ("L", [q["L"] for q in raws], fs.L),
-                    ("N", [q["N"] for q in raws], fs.N),
+                    ("n2", [q["normal"][1] for q in raws], one["n2"]),
+                    ("n3", [q["normal"][2] for q in raws], one["n3"]),
+                    ("L", [q["L"] for q in raws], one["L"]),
+                    ("N", [q["N"] for q in raws], one["N"]),
                 ):
                     fit, *_ = np.linalg.lstsq(vander, np.array(vals), rcond=None)
                     for k in range(3):
@@ -460,29 +482,36 @@ class TestDirectionalDerivativeIdentities:
     H = 1e-3
 
     @classmethod
-    def _d1(cls, f, t):
+    def _stencil(cls, ctx, t):
+        """lifted_series at t - 2h, t - h, t, t + h, t + 2h, in one run."""
         h = cls.H
-        return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
+        return lifted_series(ctx, [t - 2 * h, t - h, t, t + h, t + 2 * h])
 
     @classmethod
-    def _d2(cls, f, t):
+    def _d1(cls, f, stencil):
+        fm2, fm1, _, fp1, fp2 = map(f, stencil)
+        return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * cls.H)
+
+    @classmethod
+    def _d2(cls, f, stencil):
         h = cls.H
-        return (
-            -f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h) - f(t - 2 * h)
-        ) / (12 * h * h)
+        fm2, fm1, f0, fp1, fp2 = map(f, stencil)
+        return (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
 
     def _v1_k1(self, ctx, theta):
-        cs = lifted_series(ctx, theta)
-        k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
+        stencil = self._stencil(ctx, theta)
+        cs = stencil[2]
+        k10p = self._d1(lambda q: q.k1[0], stencil)
         return cs.xi10 * cs.k1[1] + cs.eta10 * k10p
 
     def _v1sq_k1(self, ctx, theta):
-        c0 = lifted_series(ctx, theta)
-        k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
-        k10pp = self._d2(lambda t: curvature_series(ctx, t).k1[0], theta)
-        k11p = self._d1(lambda t: curvature_series(ctx, t).k1[1], theta)
-        xi10p = self._d1(lambda t: lifted_series(ctx, t).xi10, theta)
-        eta10p = self._d1(lambda t: lifted_series(ctx, t).eta10, theta)
+        stencil = self._stencil(ctx, theta)
+        c0 = stencil[2]
+        k10p = self._d1(lambda q: q.k1[0], stencil)
+        k10pp = self._d2(lambda q: q.k1[0], stencil)
+        k11p = self._d1(lambda q: q.k1[1], stencil)
+        xi10p = self._d1(lambda q: q.xi10, stencil)
+        eta10p = self._d1(lambda q: q.eta10, stencil)
         return c0.xi10 * (
             c0.xi11 * c0.k1[1] + 2 * c0.xi10 * c0.k1[2] + c0.eta11 * k10p
             + c0.eta10 * k11p
@@ -525,8 +554,9 @@ class TestDirectionalDerivativeIdentities:
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             a, m = ctx.a_lead, ctx.fact
             for theta in (-0.7, 0.2, 0.9):
-                cs = lifted_series(ctx, theta)
-                k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], theta)
+                stencil = self._stencil(ctx, theta)
+                cs = stencil[2]
+                k10p = self._d1(lambda q: q.k1[0], stencil)
                 got = cs.eta20 * k10p
                 c = math.cos(theta)
                 want = (
@@ -536,8 +566,9 @@ class TestDirectionalDerivativeIdentities:
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
             # the zero set is exactly the sub-parabolic direction
             th_sp = math.atan(-ctx.nf.a_(2, 0) * a / (m * ctx.nf.b_(2)))
-            cs = lifted_series(ctx, th_sp)
-            k10p = self._d1(lambda t: curvature_series(ctx, t).k1[0], th_sp)
+            stencil = self._stencil(ctx, th_sp)
+            cs = stencil[2]
+            k10p = self._d1(lambda q: q.k1[0], stencil)
             assert abs(cs.eta20 * k10p) < 1e-10
 
 
@@ -555,7 +586,7 @@ class TestLiftedDirectionRawFits:
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             theta = 0.6
             c, s = math.cos(theta), math.sin(theta)
-            cs = lifted_series(ctx, theta)
+            cs = lifted_series(ctx, [theta])[0]
             vander = np.vander(rs, 4, increasing=True)
 
             def fit(fn):

@@ -398,6 +398,12 @@ class TestNonFiniteInput:
          "germ.theta_lambda[0]: expected a number or numeric string"),
         (dict(FLOAT_S1, theta_lambda=[[math.inf, 1]]),
          "germ.theta_lambda[0]: expected a finite number, got inf"),
+        (dict(FLOAT_S1, theta_lambda=[[-math.inf, 1]]),
+         "germ.theta_lambda[0]: expected a finite number, got -inf"),
+        (dict(FLOAT_S1, theta_lambda=[[0.4, 0.7], [math.nan, 1]]),
+         "germ.theta_lambda[1]: expected a finite number, got nan"),
+        (dict(FLOAT_S1, theta_lambda=[["-inf", 1]]),
+         "germ.theta_lambda[0]: expected a finite number, got '-inf'"),
         (dict(FLOAT_S1, components=["u", "1/2*v^2", "v^3 + 1%s*u^2*v" % ("0" * 400)]),
          "number literal of 401 characters lies outside float range"
          " (line 1, column 7)"),
@@ -438,21 +444,20 @@ class TestVerifyHardMismatch:
 # the public names of the package; front's and closed_forms' load on access
 PUBLIC_NAMES = [
     "BkRecursionTrace", "BlowupContext", "Branch", "ClassificationOutcome",
-    "CurvatureSeries", "DistSing", "DistanceVerdict", "EXACT", "FLOAT",
-    "FocalKind", "FocalLocus", "FormSeries", "FrontType", "FrontVerdict",
-    "GermJets", "GermSpec", "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag",
-    "NormalFormCoeffs", "NormalSeries", "PointType", "ProbePoint", "R_PLUS",
-    "RidgeReport", "SingularPointType", "SingularityType", "TransformLog",
-    "TwoJetClass", "WavefrontSpec", "bk_recursion", "build_context", "classify",
-    "classify_distance", "classify_germ", "classify_spec", "corank_at_origin",
-    "crosscheck_closed_forms", "curvature_series", "distance_jet", "emit_mesh",
-    "emit_report", "expand_germ", "extended_normal", "focal_locus",
-    "focal_sheet_mesh", "front_verdict", "fundamental_forms", "geometric_verdict",
-    "load_germ", "parse_polynomial", "print_polynomial",
-    "reduce_to_normal_form", "ridge_report", "singular_point_type",
-    "split_and_type", "surface_mesh", "theta_grid", "two_jet_class",
-    "verify_by_substitution", "versality_rank_oracle", "versality_rank_test",
-    "wavefront_mesh",
+    "DistSing", "DistanceVerdict", "EXACT", "FLOAT", "FocalKind",
+    "FocalLocus", "FrontType", "FrontVerdict", "GermJets", "GermSpec",
+    "Jet2", "K_EQUIV", "Mesh", "MondClass", "MondTag", "NormalFormCoeffs",
+    "PointType", "ProbePoint", "R_PLUS", "RidgeReport", "SingularPointType",
+    "SingularityType", "TransformLog", "TwoJetClass", "WavefrontSpec",
+    "bk_recursion", "build_context", "classify", "classify_distance",
+    "classify_germ", "classify_spec", "corank_at_origin",
+    "crosscheck_closed_forms", "distance_jet", "emit_mesh", "emit_report",
+    "expand_germ", "focal_locus", "focal_sheet_mesh", "front_verdict",
+    "geometric_verdict", "load_germ", "parse_polynomial",
+    "print_polynomial", "reduce_to_normal_form", "ridge_report",
+    "series_columns", "singular_point_type", "split_and_type",
+    "surface_mesh", "theta_grid", "two_jet_class", "verify_by_substitution",
+    "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]
 HEAVY = ("numpy", "germforge.front", "germforge.closed_forms")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from germforge.blowup import BLOWUP_EXPONENT
 from germforge.errors import UnsupportedGermError
 from germforge.germ_io import GermSpec
 from germforge.mond import MondTag
@@ -48,8 +49,13 @@ class TestClassifyGerm:
 
     def test_geometry_context_requires_class(self):
         out = classify_germ(germ_from_strings(["u", "v", "0"], 3))
-        with pytest.raises(UnsupportedGermError):
+        assert not out.has_geometry
+        with pytest.raises(UnsupportedGermError, match=(
+                r"^blow-up geometry needs an S_k/B_k/C_k/F_4 class \(got Immersion\)$")):
             blowup_context(out)
+
+    def test_geometry_classes_are_the_blowup_exponent_table(self):
+        assert set(BLOWUP_EXPONENT) == {MondTag.S, MondTag.B, MondTag.C, MondTag.F4}
 
 
 class TestClassifySpec:
