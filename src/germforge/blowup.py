@@ -187,7 +187,9 @@ class BlowupContext:
         self._k20 = -(m**2) * a
 
     def ma(self, theta):
-        c, s = math.cos(theta), math.sin(theta)
+        return self._ma(math.cos(theta), math.sin(theta))
+
+    def _ma(self, c, s):
         a2, m2 = self._ma_sq
         return math.sqrt(a2 * c * c + m2 * s * s)
 
@@ -302,10 +304,30 @@ def _require_finite(theta):
 # ---------------------------------------------------------------------------
 
 
+# The private forms take cos, sin and ma of theta from their caller, so that
+# a caller needing several of them evaluates ma once.
+
+
+def _k10(ctx, c, s, ma):
+    cos_part, sin_part = ctx._k10
+    return (cos_part * c + sin_part * s) / ma
+
+
+def _k20(ctx, c, ma):
+    if abs(c) <= COS_TOL:
+        raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
+    return ctx._k20 / (ma ** 3 * c ** (2 * ctx.n - 1))
+
+
+def _k0_terms(ctx, c, s, ma):
+    """K0 = k10 k20 and its uncancelled size |k20| k10_scale."""
+    k20 = _k20(ctx, c, ma)
+    return _k10(ctx, c, s, ma) * k20, abs(k20) * (ctx._k10_scale / ma)
+
+
 def k10_closed(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    cos_part, sin_part = ctx._k10
-    return (cos_part * c + sin_part * s) / ctx.ma(theta)
+    return _k10(ctx, c, s, ctx._ma(c, s))
 
 
 def k10_scale(ctx, theta):
@@ -314,14 +336,13 @@ def k10_scale(ctx, theta):
 
 
 def k20_closed(ctx, theta):
-    c = math.cos(theta)
-    if abs(c) <= COS_TOL:
-        raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
-    return ctx._k20 / (ctx.ma(theta) ** 3 * c ** (2 * ctx.n - 1))
+    c, s = math.cos(theta), math.sin(theta)
+    return _k20(ctx, c, ctx._ma(c, s))
 
 
 def K0_closed(ctx, theta):
-    return k10_closed(ctx, theta) * k20_closed(ctx, theta)
+    c, s = math.cos(theta), math.sin(theta)
+    return _k0_terms(ctx, c, s, ctx._ma(c, s))[0]
 
 
 def normal_r0_closed(ctx, theta):
@@ -351,6 +372,7 @@ class RidgeReport:
     is_first_order_ridge: bool
     is_subparabolic: bool
     point_type: Optional[PointType]  # None on the principal normal direction
+    k10: float
 
     @property
     def flags(self):
@@ -391,16 +413,19 @@ def ridge_report(ctx, theta):
     is_ridge = is_zero(d1, max(1.0, s1))
     first_order = is_ridge and not is_zero(d2, max(1.0, s2))
     subpar = is_zero(d3, max(1.0, s3))
-    if abs(math.cos(theta)) <= COS_TOL:
+    c, s = math.cos(theta), math.sin(theta)
+    ma = ctx._ma(c, s)
+    if abs(c) <= COS_TOL:
         ptype = None
     else:
-        k0 = K0_closed(ctx, theta)
-        k0_scale = abs(k20_closed(ctx, theta)) * k10_scale(ctx, theta)
+        k0, k0_scale = _k0_terms(ctx, c, s, ma)
         if is_zero(k0, max(1.0, k0_scale)):
             ptype = PointType.PARABOLIC
         else:
             ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC
-    return RidgeReport(theta, d1, d2, d3, is_ridge, first_order, subpar, ptype)
+    return RidgeReport(
+        theta, d1, d2, d3, is_ridge, first_order, subpar, ptype, _k10(ctx, c, s, ma)
+    )
 
 
 def theta_grid(samples=64):
@@ -420,7 +445,7 @@ def geometry_samples(ctx, thetas):
         records.append({
             "theta": theta, "delta1": rr.delta1, "delta2": rr.delta2, "delta3": rr.delta3,
             "point_type": rr.point_type.value if rr.point_type else None, "flags": rr.flags,
-            "K0": None, "k10": k10_closed(ctx, theta), "k20": None,
+            "K0": None, "k10": rr.k10, "k20": None,
         })
     off = [rec for rec in records if rec["point_type"] is not None]
     cols = series_columns(ctx, [rec["theta"] for rec in off])

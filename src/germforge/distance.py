@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Optional
 
 from . import oracle
-from .blowup import PointType, k10_closed, k10_scale, normal_r0_closed, ridge_report
+from .blowup import PointType, k10_scale, normal_r0_closed, ridge_report
 from .errors import InternalConsistencyError, UsageError
 from .jets import Jet2, is_zero, scalar
 from .oracle import K_EQUIV, R_PLUS
@@ -117,36 +117,28 @@ class SingularPointType(Enum):
 
 
 def _zero_test(nf, p):
-    """Threshold zero test scaled by the low-degree data actually used.
-
-    The distance decision tree touches coefficients of degree <= 4 only;
-    scaling by the full normal form would let high-order factorial-scaled
-    coefficients mask the relevant quantities.
-    """
-    low = [1.0]
-    for (i, j), c in nf.a.items():
-        if i + j <= 4:
-            low.append(abs(float(c)))
-    for i, c in nf.b.items():
-        if i <= 4:
-            low.append(abs(float(c)))
-    if p is not None:
-        low.append(p.scale())
-    scale = max(low)
+    """Threshold zero test scaled by the low-degree data actually used
+    (``nf.distance_scale``) and by the probe."""
+    scale = nf.distance_scale if p is None else max(nf.distance_scale, p.scale())
     return lambda x: is_zero(x, scale, nf.mode)
 
 
 def distance_jet(nf, p, order=None):
-    """Jet of |g - p|^2 / 2 at the origin; constant term retained."""
+    """Jet of |g - p|^2 / 2 at the origin; constant term retained.
+
+    Taken as |g|^2 / 2 - <g, p> + |p|^2 / 2 over the normal form's cached
+    distance base, so a probe costs scalar multiples and sums only.
+    """
     order = nf.order if order is None else order
     p = p.as_mode(nf.mode)
-    u = Jet2.variable("u", order, nf.mode)
-    y = nf.second_component(order)
-    z = nf.third_component(order)
-    du = u - Jet2.const(p.x0, order, nf.mode)
-    dy = y - Jet2.const(p.y0, order, nf.mode)
-    dz = z - Jet2.const(p.z0, order, nf.mode)
-    return (du * du + dy * dy + dz * dz) * scalar(0.5, nf.mode)
+    u, y, z, half_sq = nf.distance_base(order)
+    half_p_sq = (p.x0 * p.x0 + p.y0 * p.y0 + p.z0 * p.z0) * scalar(0.5, nf.mode)
+    # half_sq - x0 u - y0 y - z0 z + |p|^2/2, with the signs on the scalars:
+    # a jet subtraction would copy each term once more to negate it
+    return (
+        half_sq + u * -p.x0 + y * -p.y0 + z * -p.z0
+        + Jet2.const(half_p_sq, order, nf.mode)
+    )
 
 
 def _split_residual_u(nf, p, order=6):
@@ -240,9 +232,7 @@ def versality_rank_test(nf, p, flavor):
         order = 3
     else:
         return False  # more degenerate than the 3-parameter family can cover
-    u = Jet2.variable("u", probe_order, nf.mode)
-    y = nf.second_component(probe_order)
-    zc = nf.third_component(probe_order)
+    u, y, zc, _ = nf.distance_base(probe_order)
     family = [
         Jet2.const(p.x0, probe_order, nf.mode) - u,
         Jet2.const(p.y0, probe_order, nf.mode) - y,
@@ -296,6 +286,8 @@ def geometric_verdict(ctx, theta0, lam):
     """Classify d at p = lam * n(0, theta0) and check the verdict against the
     ridge/sub-parabolic prediction; raises InternalConsistencyError on
     disagreement between the two routes."""
+    if not math.isfinite(lam):
+        raise UsageError("lambda must be a finite number, got %r" % lam)
     if lam == 0:
         raise UsageError("lambda must be nonzero")
     rr = ridge_report(ctx, theta0)
@@ -321,8 +313,7 @@ def geometric_verdict(ctx, theta0, lam):
             )
         return GeometricVerdict(verdict, expected, flags, p)
 
-    k10 = k10_closed(ctx, theta0)
-    focal = is_zero(lam * k10 - 1.0, max(1.0, abs(lam) * k10_scale(ctx, theta0)))
+    focal = is_zero(lam * rr.k10 - 1.0, max(1.0, abs(lam) * k10_scale(ctx, theta0)))
     flags = dict(
         rr.flags, on_focal_locus=focal, parabolic=rr.point_type is PointType.PARABOLIC
     )

@@ -75,6 +75,42 @@ class NormalFormCoeffs:
             vals.append(abs(float(c)) / math.factorial(i))
         return max(vals)
 
+    @functools.cached_property
+    def distance_scale(self):
+        """Largest |a_ij|, |b_i| of degree <= 4, floored at 1.
+
+        The distance decision tree touches coefficients of degree <= 4 only;
+        scaling its zero tests by the full normal form would let high-order
+        factorial-scaled coefficients mask the relevant quantities.
+        """
+        low = [1.0]
+        for (i, j), c in self.a.items():
+            if i + j <= 4:
+                low.append(abs(float(c)))
+        for i, c in self.b.items():
+            if i <= 4:
+                low.append(abs(float(c)))
+        return max(low)
+
+    @functools.cached_property
+    def _distance_bases(self):
+        return {}
+
+    def distance_base(self, order):
+        """(u, y, z, (u^2 + y^2 + z^2) / 2) at ``order``, in the form's mode.
+
+        The probe-free part of every distance-squared jet
+        |g - p|^2 / 2 = |g|^2 / 2 - <g, p> + |p|^2 / 2, built on the first
+        call for an order and kept on the instance for later ones.
+        """
+        base = self._distance_bases.get(order)
+        if base is None:
+            u = Jet2.variable("u", order, self.mode)
+            y, z = self.second_component(order), self.third_component(order)
+            half_sq = (u * u + y * y + z * z) * scalar(0.5, self.mode)
+            base = self._distance_bases[order] = (u, y, z, half_sq)
+        return base
+
     def is_zero_a(self, i, j):
         norm = math.factorial(i) * math.factorial(j)
         return is_zero(self.a_(i, j) / norm, self.germ_scale, self.mode)

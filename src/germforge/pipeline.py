@@ -7,6 +7,7 @@ report convention).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +41,10 @@ class ClassificationOutcome:
     @property
     def has_geometry(self):
         return self.mond.tag in BLOWUP_EXPONENT
+
+    @functools.cached_property
+    def _blowup_context(self):
+        return build_context(self.nf, self.mond)
 
 
 def classify_germ(germ, k_max=DEFAULT_K_MAX):
@@ -84,12 +89,14 @@ def classify_spec(spec, k_max=DEFAULT_K_MAX, mode=None):
 
 
 def blowup_context(outcome):
+    """The outcome's blow-up context: built on the first call, the same
+    object on every later one."""
     if not outcome.has_geometry:
         raise UnsupportedGermError(
             "blow-up geometry needs an S_k/B_k/C_k/F_4 class (got %s)"
             % outcome.mond.label
         )
-    return build_context(outcome.nf, outcome.mond)
+    return outcome._blowup_context
 
 
 # ---------------------------------------------------------------------------

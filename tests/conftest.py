@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from germforge import germ_io, pipeline
-from germforge.jets import EXACT, GermJets, Jet2
+from germforge.jets import EXACT, GermJets, Jet2, scalar
 from germforge.normal_form import NormalFormCoeffs
 
 
@@ -69,6 +69,20 @@ def jets_close(a, b, tol=1e-9):
     return all(
         abs(float(a.coeff(*k)) - float(b.coeff(*k))) <= tol * scale for k in keys
     )
+
+
+def ref_distance_jet(nf, p, order):
+    """The distance jet (du du + dy dy + dz dz) / 2 with d* = g_* - p_*, with
+    every product made anew for each probe: the reference for
+    distance.distance_jet."""
+    p = p.as_mode(nf.mode)
+    u = Jet2.variable("u", order, nf.mode)
+    y = nf.second_component(order)
+    z = nf.third_component(order)
+    du = u - Jet2.const(p.x0, order, nf.mode)
+    dy = y - Jet2.const(p.y0, order, nf.mode)
+    dz = z - Jet2.const(p.z0, order, nf.mode)
+    return (du * du + dy * dy + dz * dz) * scalar(0.5, nf.mode)
 
 
 def series_at(cols, idx):

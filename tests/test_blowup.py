@@ -440,6 +440,18 @@ class TestRidge:
                     zeros += 1
             assert zeros <= 1
 
+    def test_one_ma_per_theta(self, monkeypatch):
+        _, ctx = classified_ctx(GEOMETRY_GERMS["S1+"])
+        thetas = theta_grid(32)  # its last theta is the principal normal
+        want = [(ridge_report(ctx, t), k10_closed(ctx, t)) for t in thetas]
+        calls = []
+        ma = BlowupContext._ma
+        monkeypatch.setattr(BlowupContext, "_ma", lambda *a: calls.append(a) or ma(*a))
+        records = geometry_samples(ctx, thetas)
+        assert len(calls) == len(thetas)
+        for rec, (rr, k10) in zip(records, want):
+            assert rec["k10"] == rr.k10 == k10
+
 
 class TestCrosscheck:
     def test_table_complete_and_clean_entries_match(self, rng):

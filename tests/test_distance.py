@@ -1,6 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from germforge import distance
 from germforge.blowup import BlowupContext
@@ -17,10 +20,12 @@ from germforge.distance import (
     singular_point_type,
     versality_rank_test,
 )
-from germforge.jets import FLOAT, Jet2
+from germforge.errors import UsageError
+from germforge.jets import EXACT, FLOAT, Jet2
+from germforge.normal_form import NormalFormCoeffs
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
-from conftest import make_nf, rand_fraction
+from conftest import jets_close, make_nf, rand_fraction, ref_distance_jet
 
 
 def probe(x=0, y=0, z=0):
@@ -50,6 +55,90 @@ class TestDistanceJet:
         assert d.coeff(0, 0) == (y0 * y0 + z0 * z0) / 2
         assert d.coeff(2, 0) == -Fraction(1, 2) * (2 * y0 + 3 * z0 - 1)
         assert d.coeff(0, 2) == -Fraction(1, 2) * y0
+
+
+def _probe_kinds(rng, mode):
+    """An x0 != 0 probe, a singular one off the origin and the origin."""
+    x0, y0, z0 = (rand_fraction(rng, nonzero=True) for _ in range(3))
+    num = Fraction if mode == EXACT else float
+    return [ProbePoint(num(x0), num(y0), num(z0)), ProbePoint(num(0), num(y0), num(z0)),
+            ProbePoint(num(0), num(0), num(0))]
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return "TypeError: %s" % exc
+
+
+def ref_zero_test_scale(nf, p):
+    """The scale the distance zero test computed on every call."""
+    low = [1.0]
+    for (i, j), c in nf.a.items():
+        if i + j <= 4:
+            low.append(abs(float(c)))
+    for i, c in nf.b.items():
+        if i <= 4:
+            low.append(abs(float(c)))
+    if p is not None:
+        low.append(p.scale())
+    return max(low)
+
+
+class TestDistanceBase:
+    """distance_jet over the cached probe-free base against the jet whose
+    products are made anew for every probe."""
+
+    def test_exact_equals_reference(self):
+        rng = random.Random(29)
+        for idx in range(210):
+            nf = _random_full_nf(rng, 8)
+            p = _probe_kinds(rng, EXACT)[idx % 3]
+            for order in (6, 8):
+                got = distance_jet(nf, p, order)
+                assert got == ref_distance_jet(nf, p, order), (idx, order)
+                assert all(type(c) is Fraction for c in got.coeffs.values())
+
+    def test_float_within_1e12_of_reference(self):
+        rng = random.Random(31)
+        for idx in range(120):
+            nf = _random_full_nf(rng, 8, FLOAT)
+            p = _probe_kinds(rng, FLOAT)[idx % 3]
+            for order in (6, 8):
+                got, want = distance_jet(nf, p, order), ref_distance_jet(nf, p, order)
+                assert got.mode == want.mode == FLOAT
+                assert jets_close(got, want, 1e-12), (idx, order)
+
+    def test_cache_keyed_by_order_and_mode(self):
+        nf = _random_full_nf(random.Random(37), 8)
+        base6, base8 = nf.distance_base(6), nf.distance_base(8)
+        assert nf.distance_base(6) is base6 and nf.distance_base(8) is base8
+        assert [j.order for j in base6] == [6] * 4 and [j.order for j in base8] == [8] * 4
+        fnf = nf.to_float()
+        fbase6 = fnf.distance_base(6)
+        assert fnf.distance_base(6) is fbase6 and nf.distance_base(6) is base6
+        assert {j.mode for j in base6} == {EXACT} and {j.mode for j in fbase6} == {FLOAT}
+        assert jets_close(fbase6[3], base6[3], 1e-12)
+
+    def test_equality_and_hash_unchanged_by_the_caches(self):
+        nf = _random_full_nf(random.Random(41), 8)
+        twin = NormalFormCoeffs(nf.order, nf.mode, dict(nf.a), dict(nf.b))
+        before = (_hash_or_error(nf), repr(nf))
+        nf.distance_base(6)
+        nf.distance_base(8)
+        assert nf.distance_scale >= 1.0 and nf.germ_scale >= 1.0
+        assert nf == twin and twin == nf
+        assert (_hash_or_error(nf), repr(nf)) == before == (_hash_or_error(twin), repr(twin))
+
+    def test_zero_test_scale_is_the_per_call_scale(self):
+        rng = random.Random(43)
+        for idx in range(60):
+            mode = (EXACT, FLOAT)[idx % 2]
+            nf = _random_full_nf(rng, 6, mode)
+            for p in _probe_kinds(rng, mode) + [None]:
+                scale = nf.distance_scale if p is None else max(nf.distance_scale, p.scale())
+                assert scale == ref_zero_test_scale(nf, p)
 
 
 class TestClassifyDistance:
@@ -273,6 +362,12 @@ class TestGeometricRoute:
         assert gv.verdict.sing_type is DistSing.A3
         assert gv.verdict.r_plus_versal
         assert gv.verdict.k_versal == (not rr.is_subparabolic)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        message = "^lambda must be a finite number, got %s$" % re.escape(repr(lam))
+        with pytest.raises(UsageError, match=message):
+            geometric_verdict(self._ctx(), 0.4, lam)
 
     def test_principal_normal_branch(self):
         ctx = self._ctx()

@@ -451,6 +451,7 @@ class TestIsZeroMatchesTheReplacedTests:
         # k10 and K0 are injected so that front_verdict and ridge_report
         # decide on values placed at their thresholds
         rng = random.Random(11)
+        k0_terms = blowup._k0_terms  # (K0, its scale); only K0 is injected
         for _ in range(200):
             ctx = draw_ctx(rng)
             theta = rng.uniform(-1.5, 1.5)
@@ -473,7 +474,7 @@ class TestIsZeroMatchesTheReplacedTests:
                 assert raised == ref_front_k10_zero(ctx, theta, k10), k10
             k0_scale = max(1.0, abs(k20_closed(ctx, theta)) * scale)
             for k0 in around(FLOAT_ZERO_REL * k0_scale, rng):
-                monkeypatch.setattr(blowup, "K0_closed", lambda *_: k0)
+                monkeypatch.setattr(blowup, "_k0_terms", lambda *a: (k0, k0_terms(*a)[1]))
                 parabolic = blowup.ridge_report(ctx, theta).point_type is PointType.PARABOLIC
                 assert parabolic == ref_blowup_parabolic(ctx, theta, k0), k0
 

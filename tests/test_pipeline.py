@@ -1,18 +1,22 @@
 import pytest
 
+from germforge import distance, pipeline
 from germforge.blowup import BLOWUP_EXPONENT
 from germforge.errors import UnsupportedGermError
-from germforge.germ_io import GermSpec
+from germforge.germ_io import GermSpec, germ_spec_from_dict
+from germforge.jets import Jet2
 from germforge.mond import MondTag
 from germforge.normal_form import TwoJetClass
 from germforge.pipeline import (
     blowup_context,
     classify_germ,
     classify_spec,
+    distance_section,
+    geometry_section,
     working_order,
 )
 
-from conftest import germ_from_strings
+from conftest import GEOMETRY_GERMS, germ_from_strings, ref_distance_jet
 
 
 class TestClassifyGerm:
@@ -56,6 +60,62 @@ class TestClassifyGerm:
 
     def test_geometry_classes_are_the_blowup_exponent_table(self):
         assert set(BLOWUP_EXPONENT) == {MondTag.S, MondTag.B, MondTag.C, MondTag.F4}
+
+
+class TestBlowupContextMemo:
+    def test_one_context_per_outcome(self, monkeypatch):
+        built = []
+        build = pipeline.build_context
+        monkeypatch.setattr(pipeline, "build_context", lambda *a: built.append(a) or build(*a))
+        spec = germ_spec_from_dict({
+            "variables": ["u", "v"], "components": GEOMETRY_GERMS["S1+"], "order": 9,
+            "mode": "exact", "probes": [[0, 1, 1]], "theta_lambda": [[0.3, 2.0]]})
+        outcome = classify_spec(spec)
+        ctx = blowup_context(outcome)
+        assert blowup_context(outcome) is ctx
+        geometry_section(outcome, 16)
+        distance_section(outcome, spec)
+        assert len(built) == 1
+        assert blowup_context(classify_spec(spec)) is not ctx
+        assert len(built) == 2
+
+
+class TestNoJetProductPerProbe:
+    """distance_section's jet products do not grow with the number of probes:
+    the probe-free distance base is built once per normal form and order."""
+
+    # a20 = a30 = a21 = a40 = b3 = 0, b2 = 1, b4 = 3: every probe (0, 1, z0)
+    # is case 4a, the case whose verdict needs the distance jet
+    COMPONENTS = ["u", "1/2*v^2 + 1/2*u^2 + 1/8*u^4", "v^3 + u*v^2 + u^5"]
+    PROBES = [[0, 1, z0] for z0 in range(12)]
+
+    def _jet_products(self, monkeypatch, probes):
+        spec = germ_spec_from_dict({"variables": ["u", "v"], "components": self.COMPONENTS,
+                                    "order": 8, "mode": "exact", "probes": probes})
+        outcome = classify_spec(spec)
+        count = [0]
+        mul = Jet2.__mul__
+
+        def counting_mul(a, b):
+            count[0] += isinstance(b, Jet2)
+            return mul(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(Jet2, "__mul__", counting_mul)
+            section = distance_section(outcome, spec)
+        assert outcome.nf.mode == "exact"
+        assert [rec["case"] for rec in section["probes"]] == ["4a"] * len(probes)
+        return count[0]
+
+    def test_products_independent_of_probe_count(self, monkeypatch):
+        few = self._jet_products(monkeypatch, self.PROBES[:2])
+        assert few > 0
+        assert self._jet_products(monkeypatch, self.PROBES) == few
+
+    def test_guard_sees_a_per_probe_product(self, monkeypatch):
+        monkeypatch.setattr(distance, "distance_jet", ref_distance_jet)
+        few = self._jet_products(monkeypatch, self.PROBES[:2])
+        assert self._jet_products(monkeypatch, self.PROBES) > few
 
 
 class TestClassifySpec:
