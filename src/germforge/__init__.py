@@ -3,7 +3,7 @@
 singularity, distance-squared function singularities and versality, focal
 loci, and wave-front/caustic type predictions.
 
-The names from ``front`` (which needs numpy) and ``closed_forms`` are
+The mesh names from ``front`` (which needs numpy) and ``closed_forms`` are
 resolved on first access, so importing the package loads neither module.
 """
 
@@ -11,9 +11,12 @@ import importlib
 
 from .blowup import (
     BlowupContext,
+    FrontType,
+    FrontVerdict,
     PointType,
     RidgeReport,
     build_context,
+    front_verdict,
     ridge_report,
     series_columns,
     theta_grid,
@@ -73,12 +76,9 @@ __version__ = "0.1.0"
 # public name -> submodule, imported on first access (PEP 562)
 _LAZY = {
     "crosscheck_closed_forms": "closed_forms",
-    "FrontType": "front",
-    "FrontVerdict": "front",
     "Mesh": "front",
     "WavefrontSpec": "front",
     "focal_sheet_mesh": "front",
-    "front_verdict": "front",
     "surface_mesh": "front",
     "wavefront_mesh": "front",
 }

@@ -10,8 +10,19 @@ exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
 module computes those series numerically, once per theta list, through
-series_columns(ctx, thetas) (one theta is [theta]), and classifies ridge and
-sub-parabolic directions via the trigonometric invariants delta_1/2/3.
+series_columns(ctx, thetas) (one theta is [theta]).
+
+ridge_report(ctx, theta) is the one place a normal direction is evaluated:
+from one cos, sin and ma of theta it takes the ridge and sub-parabolic
+invariants delta_1/2/3, the point type, the r = 0 unit normal and the bounded
+curvature k10.  The wave-front/caustic prediction front_verdict is a table
+over its flags:
+
+    not a ridge                        -> wave-front: cuspidal edge
+    first-order ridge, not subparabolic -> wave-front: swallowtail,
+                                           caustic:    cuspidal edge
+    anything else                      -> undetermined
+
 closed_forms.py checks the pipeline against independently stated closed-form
 expressions for the depth-1/2 coefficients it covers.
 """
@@ -24,6 +35,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import (
+    HypothesisError,
     InternalConsistencyError,
     PrincipalNormalDirectionError,
     UsageError,
@@ -319,20 +331,10 @@ def _k20(ctx, c, ma):
     return ctx._k20 / (ma ** 3 * c ** (2 * ctx.n - 1))
 
 
-def _k0_terms(ctx, c, s, ma):
+def _k0_terms(ctx, c, ma, k10, k10_scale):
     """K0 = k10 k20 and its uncancelled size |k20| k10_scale."""
     k20 = _k20(ctx, c, ma)
-    return _k10(ctx, c, s, ma) * k20, abs(k20) * (ctx._k10_scale / ma)
-
-
-def k10_closed(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return _k10(ctx, c, s, ctx._ma(c, s))
-
-
-def k10_scale(ctx, theta):
-    """Magnitude of the two terms of k10_closed, for zero tests on k10."""
-    return ctx._k10_scale / ctx.ma(theta)
+    return k10 * k20, abs(k20) * k10_scale
 
 
 def k20_closed(ctx, theta):
@@ -342,17 +344,13 @@ def k20_closed(ctx, theta):
 
 def K0_closed(ctx, theta):
     c, s = math.cos(theta), math.sin(theta)
-    return _k0_terms(ctx, c, s, ctx._ma(c, s))[0]
-
-
-def normal_r0_closed(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    ma = ctx.ma(theta)
-    return (0.0, -ctx.a_lead * c / ma, ctx.fact * s / ma)
+    ma = ctx._ma(c, s)
+    return _k10(ctx, c, s, ma) * _k20(ctx, c, ma)
 
 
 # ---------------------------------------------------------------------------
-# ridge / sub-parabolic invariants
+# everything read off one normal direction: ridge / sub-parabolic invariants,
+# point type, r = 0 normal and bounded curvature, front prediction
 # ---------------------------------------------------------------------------
 
 
@@ -373,6 +371,9 @@ class RidgeReport:
     is_subparabolic: bool
     point_type: Optional[PointType]  # None on the principal normal direction
     k10: float
+    k10_scale: float    # magnitude of k10's two terms, for zero tests on k10
+    normal_r0: tuple    # the unit normal on the exceptional set r = 0
+    ma: float
 
     @property
     def flags(self):
@@ -384,48 +385,79 @@ class RidgeReport:
         }
 
 
-def delta1(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    ab3, ma30 = ctx._delta1
-    return ab3 * c - ma30 * s
-
-
-def delta2(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    ab4, ma40, q, ab2, ma20, a21_12 = ctx._delta2
-    term1 = -(ab4 * c - ma40 * s) * c
-    term2 = q * (ab2 * c - ma20 * s) * c
-    # nonzero only in the n = 1 branch, where a_21 is the leading coefficient
-    term3 = a21_12 * s * s
-    return term1 + term2 + term3
-
-
-def delta3(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    a20a, mb2 = ctx._delta3
-    return a20a * c + mb2 * s
-
-
 def ridge_report(ctx, theta):
+    """Every closed form at theta, from one cos, sin and ma of theta."""
     _require_finite(theta)
-    d1, d2, d3 = delta1(ctx, theta), delta2(ctx, theta), delta3(ctx, theta)
+    c, s = math.cos(theta), math.sin(theta)
+    ma = ctx._ma(c, s)
+    ab3, ma30 = ctx._delta1
+    ab4, ma40, q, ab2, ma20, a21_12 = ctx._delta2
+    a20a, mb2 = ctx._delta3
+    d1 = ab3 * c - ma30 * s
+    # the a21 term is nonzero only in the n = 1 branch, where a_21 is the
+    # leading coefficient
+    d2 = -(ab4 * c - ma40 * s) * c + q * (ab2 * c - ma20 * s) * c + a21_12 * s * s
+    d3 = a20a * c + mb2 * s
     s1, s2, s3 = ctx._ridge_scales
     is_ridge = is_zero(d1, max(1.0, s1))
     first_order = is_ridge and not is_zero(d2, max(1.0, s2))
     subpar = is_zero(d3, max(1.0, s3))
-    c, s = math.cos(theta), math.sin(theta)
-    ma = ctx._ma(c, s)
+    k10, k10_scale = _k10(ctx, c, s, ma), ctx._k10_scale / ma
     if abs(c) <= COS_TOL:
         ptype = None
     else:
-        k0, k0_scale = _k0_terms(ctx, c, s, ma)
+        k0, k0_scale = _k0_terms(ctx, c, ma, k10, k10_scale)
         if is_zero(k0, max(1.0, k0_scale)):
             ptype = PointType.PARABOLIC
         else:
             ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC
-    return RidgeReport(
-        theta, d1, d2, d3, is_ridge, first_order, subpar, ptype, _k10(ctx, c, s, ma)
-    )
+    normal_r0 = (0.0, -ctx.a_lead * c / ma, ctx.fact * s / ma)
+    return RidgeReport(theta, d1, d2, d3, is_ridge, first_order, subpar, ptype,
+                       k10, k10_scale, normal_r0, ma)
+
+
+class FrontType(Enum):
+    CUSPIDAL_EDGE = "CuspidalEdge"
+    SWALLOWTAIL = "Swallowtail"
+    UNDETERMINED = "Undetermined"
+
+
+@dataclass
+class FrontVerdict:
+    theta0: float
+    wavefront_type: FrontType
+    caustic_type: FrontType
+    basis: dict
+
+
+def verdict_from_flags(is_ridge, is_first_order_ridge, is_subparabolic):
+    """The (wavefront, caustic) type pair as a pure function of the flags."""
+    if not is_ridge:
+        return (FrontType.CUSPIDAL_EDGE, FrontType.UNDETERMINED)
+    if is_first_order_ridge and not is_subparabolic:
+        return (FrontType.SWALLOWTAIL, FrontType.CUSPIDAL_EDGE)
+    return (FrontType.UNDETERMINED, FrontType.UNDETERMINED)
+
+
+def front_verdict(ctx, theta0):
+    """Predicted wave-front/caustic type at the focal point along theta0.
+
+    Along the principal normal direction itself the unfolding is never
+    versal and no type is claimed: both predictions are Undetermined.
+    """
+    rr = ridge_report(ctx, theta0)
+    basis = rr.flags
+    if rr.point_type is None:
+        basis["on_principal_normal"] = True
+        return FrontVerdict(
+            theta0, FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis
+        )
+    if is_zero(rr.k10, max(1.0 / rr.ma, rr.k10_scale)):
+        raise HypothesisError(
+            "the bounded principal curvature vanishes at theta0 = %g" % theta0
+        )
+    wavefront, caustic = verdict_from_flags(**basis)
+    return FrontVerdict(theta0, wavefront, caustic, basis)
 
 
 def theta_grid(samples=64):

@@ -19,6 +19,7 @@ from .blowup import series_columns
 
 
 def _shorthands(ctx, theta):
+    """The symbols the reference forms read at theta, each evaluated once."""
     nf = ctx.nf
     n = ctx.n
     return {
@@ -42,8 +43,7 @@ def _shorthands(ctx, theta):
     }
 
 
-def ref_n21(ctx, theta):
-    h = _shorthands(ctx, theta)
+def ref_n21(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     return (
         -h["m"] ** 2
@@ -54,8 +54,7 @@ def ref_n21(ctx, theta):
     )
 
 
-def ref_n31(ctx, theta):
-    h = _shorthands(ctx, theta)
+def ref_n31(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     return (
         -h["m"]
@@ -67,10 +66,9 @@ def ref_n31(ctx, theta):
     )
 
 
-def ref_L1(ctx, theta):
+def ref_L1(h):
     # The table prints the correction term with a plus sign; L1 equals k11
     # identically, whose display carries the minus sign used here.
-    h = _shorthands(ctx, theta)
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     a, m = h["a"], h["m"]
     lead = (-a * h["b3"] * c + m * h["a30"] * s) * c / ma
@@ -82,10 +80,9 @@ def ref_L1(ctx, theta):
     return lead - m * inner * c * s / ((n + 2) * ma**3)
 
 
-def ref_M1(ctx, theta):
+def ref_M1(h):
     # The table drops the cos^n sin factor of the leading term and prints
     # cos^(n+1) in the correction term.
-    h = _shorthands(ctx, theta)
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     return (h["an2"] * c + h["m"] * h["a12"] * s) * c**n * s / ma - (
         (n + 1)
@@ -97,8 +94,7 @@ def ref_M1(ctx, theta):
     )
 
 
-def ref_N1(ctx, theta):
-    h = _shorthands(ctx, theta)
+def ref_N1(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     return h["m"] * h["a12"] * c * s / ma - (
         h["m"] ** 2
@@ -109,8 +105,7 @@ def ref_N1(ctx, theta):
     )
 
 
-def ref_N2(ctx, theta):
-    h = _shorthands(ctx, theta)
+def ref_N2(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     a, m = h["a"], h["m"]
     an2, an3 = h["an2"], h["an3"]
@@ -142,8 +137,7 @@ def ref_N2(ctx, theta):
     return first - second + bracket * c**2 / ma**5 + eps_part
 
 
-def ref_k11(ctx, theta):
-    h = _shorthands(ctx, theta)
+def ref_k11(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     a, m = h["a"], h["m"]
     lead = (-a * h["b3"] * c + m * h["a30"] * s) * c / ma
@@ -197,7 +191,8 @@ def crosscheck_closed_forms(ctx, theta_samples):
     pipe = pipeline_values(ctx, thetas)
     entries = []
     for idx, theta in enumerate(thetas):
+        h = _shorthands(ctx, theta)
         for symbol, reference in _REFERENCE.items():
-            value, ref = pipe[symbol][idx], reference(ctx, theta)
+            value, ref = pipe[symbol][idx], reference(h)
             entries.append(CrosscheckEntry(symbol, theta, value, ref, value - ref))
     return entries

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Optional
 
 from . import oracle
-from .blowup import PointType, k10_scale, normal_r0_closed, ridge_report
+from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
 from .jets import Jet2, is_zero, scalar
 from .oracle import K_EQUIV, R_PLUS
@@ -72,7 +72,6 @@ class DistanceVerdict:
     r_plus_versal: bool
     k_versal: bool
     witness: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
 
 class FocalKind(Enum):
@@ -141,6 +140,11 @@ def distance_jet(nf, p, order=None):
     )
 
 
+def _probe_order(nf):
+    """Jet order of the probe-level splittings: at least 6, at most 8."""
+    return max(6, min(nf.order, 8))
+
+
 def _split_residual_u(nf, p, order=6):
     """Pure-u residual after formally splitting off the v^2 block (y0 != 0):
     the distance jet restricted to its critical curve d_v = 0."""
@@ -179,7 +183,7 @@ def classify_distance(nf, p):
             kv = a20 * y0 - b2 * z0
             witness["k_versal_witness"] = kv
             return DistanceVerdict(DistSing.A3, branch, "3a", True, not z(kv), witness)
-        residual = _split_residual_u(nf, p, max(6, min(nf.order, 8)))
+        residual = _split_residual_u(nf, p, _probe_order(nf))
         exactly_a4 = not z(residual.get(5, 0))
         witness["quintic"] = residual.get(5, 0)
         r_plus = exactly_a4 and not (z(nf.a_(3, 0)) and z(nf.b_(3)))
@@ -217,7 +221,7 @@ def versality_rank_test(nf, p, flavor):
     z = _zero_test(nf, p)
     if not z(p.x0):
         return True  # regular germs deform versally
-    probe_order = max(6, min(nf.order, 8))
+    probe_order = _probe_order(nf)
     d = distance_jet(nf, p, probe_order)
     typ = oracle.split_and_type(d, order=probe_order)
     if typ.tag == "A":
@@ -292,7 +296,7 @@ def geometric_verdict(ctx, theta0, lam):
         raise UsageError("lambda must be nonzero")
     rr = ridge_report(ctx, theta0)
     nf = ctx.nf
-    _, n20, n30 = normal_r0_closed(ctx, theta0)
+    _, n20, n30 = rr.normal_r0
     p = ProbePoint(0.0, lam * n20, lam * n30)
     verdict = classify_distance(nf, p)
 
@@ -313,7 +317,7 @@ def geometric_verdict(ctx, theta0, lam):
             )
         return GeometricVerdict(verdict, expected, flags, p)
 
-    focal = is_zero(lam * rr.k10 - 1.0, max(1.0, abs(lam) * k10_scale(ctx, theta0)))
+    focal = is_zero(lam * rr.k10 - 1.0, max(1.0, abs(lam) * rr.k10_scale))
     flags = dict(
         rr.flags, on_focal_locus=focal, parabolic=rr.point_type is PointType.PARABOLIC
     )

@@ -1,13 +1,5 @@
-"""Wave-front and caustic type predictions at focal points, plus mesh
-generation for the surface, its offset (wave-front) sheets and the bounded
+"""Meshes of the surface, its offset (wave-front) sheets and the bounded
 focal sheet.
-
-Predictions are table-driven from the ridge/sub-parabolic flags:
-
-    not a ridge                        -> wave-front: cuspidal edge
-    first-order ridge, not subparabolic -> wave-front: swallowtail,
-                                           caustic:    cuspidal edge
-    anything else                      -> undetermined
 
 Meshes are for inspection, not recognition.  Every mesh comes from one
 vectorized kernel, ``_point_geometry``, evaluated over the whole parameter
@@ -22,68 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .blowup import COS_TOL, k10_closed, k10_scale, normal_r0_closed, ridge_report
-from .errors import HypothesisError, UsageError
-from .jets import is_zero
+from .blowup import COS_TOL, ridge_report
+from .blowup import front_verdict  # noqa: F401  perfbench calls and traces front.front_verdict
+from .errors import UsageError
 
 # Focal-sheet nodes whose bounded curvature is at most this are skipped:
 # their centers lie beyond distance 1 / KAPPA_MIN = 100.
 KAPPA_MIN = 0.01
-
-
-class FrontType(Enum):
-    CUSPIDAL_EDGE = "CuspidalEdge"
-    SWALLOWTAIL = "Swallowtail"
-    UNDETERMINED = "Undetermined"
-
-
-@dataclass
-class FrontVerdict:
-    theta0: float
-    wavefront_type: FrontType
-    caustic_type: FrontType
-    basis: dict
-
-
-def verdict_from_flags(is_ridge, is_first_order_ridge, is_subparabolic):
-    """The (wavefront, caustic) type pair as a pure function of the flags."""
-    if not is_ridge:
-        return (FrontType.CUSPIDAL_EDGE, FrontType.UNDETERMINED)
-    if is_first_order_ridge and not is_subparabolic:
-        return (FrontType.SWALLOWTAIL, FrontType.CUSPIDAL_EDGE)
-    return (FrontType.UNDETERMINED, FrontType.UNDETERMINED)
-
-
-def front_verdict(ctx, theta0):
-    """Predicted wave-front/caustic type at the focal point along theta0.
-
-    Along the principal normal direction itself the unfolding is never
-    versal and no type is claimed: both predictions are Undetermined.
-    """
-    rr = ridge_report(ctx, theta0)
-    basis = rr.flags
-    if rr.point_type is None:
-        basis["on_principal_normal"] = True
-        return FrontVerdict(
-            theta0, FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis
-        )
-    scale = max(1.0 / ctx.ma(theta0), k10_scale(ctx, theta0))
-    if is_zero(k10_closed(ctx, theta0), scale):
-        raise HypothesisError(
-            "the bounded principal curvature vanishes at theta0 = %g" % theta0
-        )
-    wavefront, caustic = verdict_from_flags(**basis)
-    return FrontVerdict(theta0, wavefront, caustic, basis)
-
-
-# ---------------------------------------------------------------------------
-# meshes
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -262,7 +203,7 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
     bounded curvature with respect to them (None without ``curvature``) and
     the mask of usable nodes.  Nodes with |cos theta| <= COS_TOL or a
     vanishing normal are not usable; the r = 0 row takes the closed-form
-    limits.
+    limits from ridge_report.
     """
     n = ctx.n
     nr, ntheta = grid
@@ -286,9 +227,10 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
     for i in np.flatnonzero(rs == 0.0):
         keep[i] = cos_ok
         for j in np.flatnonzero(cos_ok):
-            normals[i, j] = normal_r0_closed(ctx, thetas[j])
+            rr = ridge_report(ctx, thetas[j])
+            normals[i, j] = rr.normal_r0
             if curvature:
-                kappa[i, j] = k10_closed(ctx, thetas[j])
+                kappa[i, j] = rr.k10
     if curvature:
         kappa = kappa.reshape(-1)
     return pts.reshape(-1, 3), normals.reshape(-1, 3), kappa, keep.reshape(-1)

@@ -12,7 +12,7 @@ from germforge.blowup import (
     K0_closed,
     TrigPowers,
     build_context,
-    k10_closed,
+    ridge_report,
     series_columns,
     theta_grid,
 )
@@ -444,16 +444,15 @@ def test_criterion_7_route_agreement():
                 ctx = build_context(nf, mond)
                 # A1: off the focal locus
                 theta0 = rng.uniform(-1.1, 1.1)
-                lam = 1.0 / k10_closed(ctx, theta0) + rng.uniform(0.3, 1.0)
+                lam = 1.0 / ridge_report(ctx, theta0).k10 + rng.uniform(0.3, 1.0)
                 gv = geometric_verdict(ctx, theta0, lam)
                 seen[name].add(gv.verdict.sing_type)
                 count += 1
                 # A2: focal, generic theta (non-ridge)
-                from germforge.blowup import ridge_report
-
                 theta0 = rng.uniform(-1.1, 1.1)
-                if not ridge_report(ctx, theta0).is_ridge:
-                    gv = geometric_verdict(ctx, theta0, 1.0 / k10_closed(ctx, theta0))
+                rr = ridge_report(ctx, theta0)
+                if not rr.is_ridge:
+                    gv = geometric_verdict(ctx, theta0, 1.0 / rr.k10)
                     seen[name].add(gv.verdict.sing_type)
                     count += 1
                 # A3: focal at the ridge direction
@@ -462,10 +461,8 @@ def test_criterion_7_route_agreement():
                 if abs(math.cos(theta_star)) < 0.2:
                     theta_star -= math.copysign(math.pi, theta_star)
                 rr = ridge_report(ctx, theta_star)
-                if rr.is_first_order_ridge and abs(k10_closed(ctx, theta_star)) > 1e-3:
-                    gv = geometric_verdict(
-                        ctx, theta_star, 1.0 / k10_closed(ctx, theta_star)
-                    )
+                if rr.is_first_order_ridge and abs(rr.k10) > 1e-3:
+                    gv = geometric_verdict(ctx, theta_star, 1.0 / rr.k10)
                     seen[name].add(gv.verdict.sing_type)
                     count += 1
                 # random lambdas (usually A1)

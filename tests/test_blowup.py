@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,8 @@ from germforge.blowup import (
     PointType,
     TrigPowers,
     build_context,
-    delta1,
-    delta3,
+    front_verdict,
     geometry_samples,
-    k10_closed,
-    normal_r0_closed,
     pullback_series,
     ridge_report,
     s_recip,
@@ -26,7 +24,6 @@ from germforge.blowup import (
 from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
 from germforge.distance import geometric_verdict
 from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionError, UsageError
-from germforge.front import front_verdict
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
@@ -239,13 +236,13 @@ class TestNonFiniteTheta:
 class TestExtendedNormal:
     def test_at_pi_over_2(self):
         ctx = BlowupContext(nf_s1(), 1)
-        n1, n2, n3 = normal_r0_closed(ctx, math.pi / 2)
+        n1, n2, n3 = ridge_report(ctx, math.pi / 2).normal_r0
         assert (n1, n2) == (0.0, pytest.approx(0.0))
         assert n3 == pytest.approx(1.0)
 
     def test_at_zero(self):
         ctx = BlowupContext(nf_s1(), 1)
-        _, n2, n3 = normal_r0_closed(ctx, 0.0)
+        _, n2, n3 = ridge_report(ctx, 0.0).normal_r0
         assert n2 == pytest.approx(-math.copysign(1.0, ctx.a_lead))
         assert n3 == 0.0
 
@@ -256,7 +253,7 @@ class TestExtendedNormal:
             a={(2, 1): math.sqrt(2), (0, 3): 3 / math.sqrt(2)},
         )
         ctx = BlowupContext(nf, 1)
-        _, n2, n3 = normal_r0_closed(ctx, math.pi / 4)
+        _, n2, n3 = ridge_report(ctx, math.pi / 4).normal_r0
         assert n2 == pytest.approx(-1 / math.sqrt(3))
         assert n3 == pytest.approx(math.sqrt(2) / math.sqrt(3))
         cols = series_columns(ctx, [math.pi / 4])
@@ -302,7 +299,7 @@ class TestFormsAndCurvature:
     def test_k10_limit_at_pi_over_2(self):
         # the closed form of the bounded curvature stays finite at pi/2
         ctx = BlowupContext(nf_s1(), 1)
-        assert k10_closed(ctx, math.pi / 2) == pytest.approx(ctx.nf.a_(2, 0))
+        assert ridge_report(ctx, math.pi / 2).k10 == pytest.approx(ctx.nf.a_(2, 0))
 
     def test_principal_normal_direction_error(self):
         ctx = BlowupContext(nf_s1(), 1)
@@ -398,9 +395,9 @@ class TestRidge:
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             nf = ctx.nf
-            assert delta1(ctx, 0.0) == pytest.approx(ctx.a_lead * nf.b_(3))
-            assert delta3(ctx, 0.0) == pytest.approx(nf.a_(2, 0) * ctx.a_lead)
-            assert delta1(ctx, math.pi / 2) == pytest.approx(
+            assert ridge_report(ctx, 0.0).delta1 == pytest.approx(ctx.a_lead * nf.b_(3))
+            assert ridge_report(ctx, 0.0).delta3 == pytest.approx(nf.a_(2, 0) * ctx.a_lead)
+            assert ridge_report(ctx, math.pi / 2).delta1 == pytest.approx(
                 -ctx.fact * nf.a_(3, 0)
             )
 
@@ -434,7 +431,7 @@ class TestRidge:
             ctx = BlowupContext(random_geometry_nf(rng, 1), 1)
             zeros = 0
             grid = theta_grid(512)
-            vals = [delta1(ctx, t) for t in grid]
+            vals = [ridge_report(ctx, t).delta1 for t in grid]
             for a, b in zip(vals, vals[1:]):
                 if a == 0 or (a < 0) != (b < 0):
                     zeros += 1
@@ -443,7 +440,10 @@ class TestRidge:
     def test_one_ma_per_theta(self, monkeypatch):
         _, ctx = classified_ctx(GEOMETRY_GERMS["S1+"])
         thetas = theta_grid(32)  # its last theta is the principal normal
-        want = [(ridge_report(ctx, t), k10_closed(ctx, t)) for t in thetas]
+        nf, lead, fact = ctx.nf, ctx.a_lead, ctx.fact
+        want = [(ridge_report(ctx, t),
+                 (-lead * nf.b_(2) * math.cos(t) + fact * nf.a_(2, 0) * math.sin(t)) / ctx.ma(t))
+                for t in thetas]
         calls = []
         ma = BlowupContext._ma
         monkeypatch.setattr(BlowupContext, "_ma", lambda *a: calls.append(a) or ma(*a))
@@ -451,6 +451,16 @@ class TestRidge:
         assert len(calls) == len(thetas)
         for rec, (rr, k10) in zip(records, want):
             assert rec["k10"] == rr.k10 == k10
+        # every closed form at one direction comes from one cos and one ma
+        counts = Counter()
+        cos = math.cos
+        monkeypatch.setattr(BlowupContext, "_ma", lambda *a: counts.update(["_ma"]) or ma(*a))
+        monkeypatch.setattr(math, "cos", lambda x: counts.update(["cos"]) or cos(x))
+        for entry in (lambda: ridge_report(ctx, 0.3), lambda: front_verdict(ctx, 0.3),
+                      lambda: geometric_verdict(ctx, 0.3, 0.5)):
+            counts.clear()
+            entry()
+            assert counts == {"_ma": 1, "cos": 1}
 
 
 class TestCrosscheck:
@@ -532,36 +542,31 @@ class TestDirectionalDerivativeIdentities:
         )
 
     def test_first_derivative_is_delta1(self, rng):
-        from germforge.blowup import delta1
-
         for n in (1, 2):
             for _ in range(3):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 a, ma = ctx.a_lead, ctx.ma
                 for theta in (-0.9, -0.2, 0.5, 1.1):
                     got = self._v1_k1(ctx, theta)
-                    want = a * delta1(ctx, theta) * math.cos(theta) / ma(theta) ** 2
+                    want = a * ridge_report(ctx, theta).delta1 * math.cos(theta) / ma(theta) ** 2
                     assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     def test_second_derivative_is_delta2_at_ridges(self, rng):
-        from germforge.blowup import delta1, delta2
-
         for n in (1, 2):
             for _ in range(3):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 nf, a, m = ctx.nf, ctx.a_lead, ctx.fact
                 theta = math.atan(a * nf.b_(3) / (m * nf.a_(3, 0)))
-                assert abs(delta1(ctx, theta)) < 1e-12
+                rr = ridge_report(ctx, theta)
+                assert abs(rr.delta1) < 1e-12
                 got = self._v1sq_k1(ctx, theta)
                 want = (
-                    a * a * delta2(ctx, theta) * math.cos(theta)
+                    a * a * rr.delta2 * math.cos(theta)
                     / ctx.ma(theta) ** 3
                 )
                 assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
 
     def test_unbounded_direction_derivative_is_minus_delta3_squared(self, rng):
-        from germforge.blowup import delta3
-
         for n in (1, 2):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             a, m = ctx.a_lead, ctx.fact
@@ -572,7 +577,7 @@ class TestDirectionalDerivativeIdentities:
                 got = cs.eta20 * k10p
                 c = math.cos(theta)
                 want = (
-                    -(m**2) * a**2 * delta3(ctx, theta) ** 2
+                    -(m**2) * a**2 * ridge_report(ctx, theta).delta3 ** 2
                     * c ** (3 - 2 * n) / ctx.ma(theta) ** 6
                 )
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-10)

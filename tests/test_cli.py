@@ -429,7 +429,7 @@ class TestVerifyHardMismatch:
         import germforge.closed_forms as cf
 
         broken = dict(cf._REFERENCE)
-        broken["n21"] = lambda ctx, theta: 123.456
+        broken["n21"] = lambda h: 123.456
         monkeypatch.setattr(cf, "_REFERENCE", broken)
         path = write_germ(tmp_path, S1_GERM)
         code, out, err = run(capsys, "verify", "--input", path, "--samples", "5")
@@ -441,7 +441,7 @@ class TestVerifyHardMismatch:
         )
 
 
-# the public names of the package; front's and closed_forms' load on access
+# the public names of the package; front's meshes and closed_forms' load on access
 PUBLIC_NAMES = [
     "BkRecursionTrace", "BlowupContext", "Branch", "ClassificationOutcome",
     "DistSing", "DistanceVerdict", "EXACT", "FLOAT", "FocalKind",
@@ -499,6 +499,23 @@ class TestColdStart:
             "classify", "geometry", "distance", "focal",
         ]
         assert all(mods == [] for mods in loaded.values()), loaded
+
+    def test_front_prediction_loads_no_heavy_module(self):
+        path = DATA / "s1_special_directions_germ.json"
+        script = textwrap.dedent("""
+            import sys
+            from germforge import FrontType, FrontVerdict, front_verdict
+            from germforge.germ_io import read_germ_spec
+            from germforge.pipeline import blowup_context, classify_spec
+            ctx = blowup_context(classify_spec(read_germ_spec(sys.argv[1])))
+            verdict = front_verdict(ctx, 0.4)
+            assert isinstance(verdict, FrontVerdict)
+            assert isinstance(verdict.wavefront_type, FrontType)
+            print([m for m in %r if m in sys.modules])
+        """) % (HEAVY,)
+        proc = python("-c", script, str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_mesh_and_verify_still_run(self, tmp_path):
         path = write_germ(tmp_path, S1_GERM)

@@ -327,28 +327,29 @@ class TestGeometricRoute:
 
     def test_off_focal_gives_a1(self):
         ctx = self._ctx()
-        from germforge.blowup import k10_closed
+        from germforge.blowup import ridge_report
 
         theta0 = 0.4
-        lam = 1.0 / k10_closed(ctx, theta0) + 0.5
+        lam = 1.0 / ridge_report(ctx, theta0).k10 + 0.5
         gv = geometric_verdict(ctx, theta0, lam)
         assert gv.verdict.sing_type is DistSing.A1
         assert gv.verdict.r_plus_versal and gv.verdict.k_versal
 
     def test_focal_non_ridge_gives_a2(self):
         ctx = self._ctx()
-        from germforge.blowup import k10_closed, ridge_report
+        from germforge.blowup import ridge_report
 
         theta0 = 0.4
-        assert not ridge_report(ctx, theta0).is_ridge
-        lam = 1.0 / k10_closed(ctx, theta0)
+        rr = ridge_report(ctx, theta0)
+        assert not rr.is_ridge
+        lam = 1.0 / rr.k10
         gv = geometric_verdict(ctx, theta0, lam)
         assert gv.verdict.sing_type is DistSing.A2
         assert gv.flags["on_focal_locus"]
 
     def test_focal_first_order_ridge_gives_a3(self):
         ctx = self._ctx()
-        from germforge.blowup import delta1, k10_closed, ridge_report
+        from germforge.blowup import ridge_report
 
         # solve delta1(theta) = 0: tan(theta) = a b3 / (m a30)
         a, m = ctx.a_lead, ctx.fact
@@ -357,7 +358,7 @@ class TestGeometricRoute:
             theta0 -= math.pi
         rr = ridge_report(ctx, theta0)
         assert rr.is_ridge and rr.is_first_order_ridge
-        lam = 1.0 / k10_closed(ctx, theta0)
+        lam = 1.0 / rr.k10
         gv = geometric_verdict(ctx, theta0, lam)
         assert gv.verdict.sing_type is DistSing.A3
         assert gv.verdict.r_plus_versal

@@ -8,22 +8,21 @@ from germforge import germ_io, pipeline
 from germforge.blowup import (
     COS_TOL,
     BlowupContext,
+    FrontType,
     PointType,
+    front_verdict,
     geometry_samples,
-    k10_closed,
-    normal_r0_closed,
     ridge_report,
     theta_grid,
+    verdict_from_flags,
 )
 from germforge.distance import geometric_verdict
 from germforge.errors import HypothesisError, UsageError
 from germforge.front import (
-    FrontType,
     WavefrontSpec,
     _grid_faces,
     _point_geometry,
     focal_sheet_mesh,
-    front_verdict,
     surface_mesh,
     wavefront_mesh,
 )
@@ -42,8 +41,8 @@ def ref_node(ctx, germ, r, theta):
     unit normal and the bounded curvature take their closed-form limits."""
     geo = raw_geometry(ctx, r, theta, germ)
     if r == 0.0:
-        geo.update(normal=np.array(normal_r0_closed(ctx, theta)),
-                   kappa=k10_closed(ctx, theta))
+        rr = ridge_report(ctx, theta)
+        geo.update(normal=np.array(rr.normal_r0), kappa=rr.k10)
     return geo
 
 
@@ -180,8 +179,6 @@ class TestFrontVerdict:
             assert fv.wavefront_type is FrontType.UNDETERMINED
 
     def test_flag_table_exhaustive(self):
-        from germforge.front import verdict_from_flags
-
         cases = {
             (False, False, False): (FrontType.CUSPIDAL_EDGE, FrontType.UNDETERMINED),
             (False, False, True): (FrontType.CUSPIDAL_EDGE, FrontType.UNDETERMINED),
@@ -346,12 +343,13 @@ class TestMeshes:
         ctx = ctx_s1()
         germ = ctx.nf.reconstruct()
         theta_star = 0.4
-        assert not ridge_report(ctx, theta_star).is_ridge
-        t0 = abs(1.0 / k10_closed(ctx, theta_star))
+        rr = ridge_report(ctx, theta_star)
+        assert not rr.is_ridge
+        t0 = abs(1.0 / rr.k10)
         spec = WavefrontSpec(
             t0=t0, grid=(41, 64), chart="blowup", r_max=0.45, context=ctx
         )
-        sign = 1 if k10_closed(ctx, theta_star) > 0 else -1
+        sign = 1 if rr.k10 > 0 else -1
         wf = wavefront_mesh(germ, spec, sign)
         tri = wf.vertices[wf.faces]
         areas = 0.5 * np.linalg.norm(

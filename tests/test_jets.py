@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from germforge import blowup, front
-from germforge.blowup import BlowupContext, PointType, k10_closed, k10_scale, k20_closed
+from germforge.blowup import BlowupContext, PointType, k20_closed
 from germforge.errors import HypothesisError, ModeMismatchError, UsageError
 from germforge.jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar
 
@@ -311,7 +312,7 @@ class TestIsZero:
         assert not is_zero(2e-9)
 
 
-# The local zero tests and k10 scales that is_zero and blowup.k10_scale
+# The local zero tests and k10 scales that is_zero and RidgeReport.k10_scale
 # replaced, verbatim but for their names.  Each must decide exactly as the
 # helper does.
 
@@ -452,11 +453,12 @@ class TestIsZeroMatchesTheReplacedTests:
         # decide on values placed at their thresholds
         rng = random.Random(11)
         k0_terms = blowup._k0_terms  # (K0, its scale); only K0 is injected
+        report = blowup.ridge_report  # only its k10 is injected
         for _ in range(200):
             ctx = draw_ctx(rng)
             theta = rng.uniform(-1.5, 1.5)
-            scale = k10_scale(ctx, theta)
-            k10 = k10_closed(ctx, theta)
+            rr = report(ctx, theta)
+            scale, k10 = rr.k10_scale, rr.k10
             if k10 != 0:
                 lam0 = 1.0 / k10
                 for d in around(FLOAT_ZERO_REL * max(1.0, abs(lam0) * scale), rng):
@@ -465,12 +467,14 @@ class TestIsZeroMatchesTheReplacedTests:
                     assert got == ref_distance_focal(ctx, theta, lam, k10), (lam, k10)
             front_scale = max(1.0 / ctx.ma(theta), scale)
             for k10 in around(FLOAT_ZERO_REL * front_scale, rng):
-                monkeypatch.setattr(front, "k10_closed", lambda *_: k10)
-                try:
-                    front.front_verdict(ctx, theta)
-                    raised = False
-                except HypothesisError:
-                    raised = True
+                with monkeypatch.context() as m:
+                    m.setattr(blowup, "ridge_report",
+                              lambda *a: dataclasses.replace(report(*a), k10=k10))
+                    try:
+                        front.front_verdict(ctx, theta)
+                        raised = False
+                    except HypothesisError:
+                        raised = True
                 assert raised == ref_front_k10_zero(ctx, theta, k10), k10
             k0_scale = max(1.0, abs(k20_closed(ctx, theta)) * scale)
             for k0 in around(FLOAT_ZERO_REL * k0_scale, rng):
