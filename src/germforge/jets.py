@@ -83,6 +83,103 @@ def _accumulate(out, terms):
                 del out[k]
 
 
+def _shifted(coeffs, di, dj, order):
+    """``coeffs`` times the monomial u^di v^dj, truncated at ``order``."""
+    return {
+        (i + di, j + dj): c
+        for (i, j), c in coeffs.items()
+        if i + j + di + dj <= order
+    }
+
+
+def _power(pows, n):
+    """Entry n of the powers [1, x, x^2, ...], extended by repeated products."""
+    while len(pows) <= n:
+        pows.append(pows[-1] * pows[1])
+    return pows[n]
+
+
+def _add_scaled(acc, term, c):
+    """acc + term * c in float mode, in place, as ``Jet2`` arithmetic does it.
+
+    The scaled term is floored on its own, as ``Jet2(order, term * c)``
+    would be; then the sum is, as ``+`` would, so a term dropped or a key
+    re-added lands where the chain of operations puts it.  A scaled term or
+    sum that is not finite raises the constructor's UsageError.
+    """
+    scaled = {k: x * c for k, x in term.items()}
+    if not scaled:
+        return
+    vals = scaled.values()
+    if not all(map(math.isfinite, vals)):  # _as_float raises the UsageError
+        _as_float(next(x for x in vals if not math.isfinite(x)))
+    floor = FLOAT_ZERO_REL * max(1.0, max(map(abs, vals)))
+    for k, x in scaled.items():
+        if abs(x) <= floor:
+            continue
+        s = acc.get(k)
+        if s is None:
+            acc[k] = x
+        else:
+            s += x
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    if not acc:
+        return
+    vals = acc.values()
+    if not all(map(math.isfinite, vals)):
+        _as_float(next(x for x in vals if not math.isfinite(x)))
+    floor = FLOAT_ZERO_REL * max(1.0, max(map(abs, vals)))
+    if min(map(abs, vals)) <= floor:
+        for k in [k for k, x in acc.items() if abs(x) <= floor]:
+            del acc[k]
+
+
+class _Powers:
+    """The powers of one substitution (u, v) -> (u_new, v_new).
+
+    Built on demand, in the order repeated products give them, and shared
+    by every jet composed in the step.  An unchanged coordinate (u_new is u,
+    v_new is v) never extends its list: its powers are monomials with
+    coefficient 1, applied as exponent shifts.
+    """
+
+    __slots__ = ("order", "u_fixed", "v_fixed", "u", "v", "_terms")
+
+    def __init__(self, u_new, v_new):
+        if u_new.constant_term() or v_new.constant_term():
+            raise UsageError("substitution expressions must have zero constant term")
+        self.order = u_new.order
+        self.u_fixed = u_new.coeffs == {(1, 0): 1}
+        self.v_fixed = v_new.coeffs == {(0, 1): 1}
+        one = Jet2.const(1, u_new.order, u_new.mode)
+        self.u = [one, u_new]
+        self.v = [one, v_new]
+        self._terms = {}
+
+    def term(self, i, j):
+        """Float coefficients of u_new^i v_new^j, kept for the step's other jets.
+
+        A factor that is a monomial with coefficient 1 (an unchanged
+        coordinate, or a zeroth power) is an exponent shift of the other.
+        """
+        t = self._terms.get((i, j))
+        if t is None:
+            if self.v_fixed or j == 0:
+                if self.u_fixed or i == 0:
+                    t = {(i, j): 1.0}
+                else:
+                    t = _shifted(_power(self.u, i).coeffs, 0, j, self.order)
+            elif self.u_fixed or i == 0:
+                t = _shifted(_power(self.v, j).coeffs, i, 0, self.order)
+            else:
+                t = (_power(self.u, i) * _power(self.v, j)).coeffs
+            self._terms[(i, j)] = t
+        return t
+
+
 class Jet2:
     """Sparse polynomial in (u, v) truncated at total degree ``order``."""
 
@@ -118,15 +215,17 @@ class Jet2:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def _trusted(cls, order, coeffs):
-        """Exact-mode jet over ``coeffs`` as given, without validation.
+    def _trusted(cls, order, coeffs, mode=EXACT):
+        """Jet over ``coeffs`` as given, without validation.
 
-        Only for results of exact arithmetic on validated jets: every key
-        is within ``order`` and every value is a nonzero Fraction.
+        Only for results of arithmetic on validated jets that already hold
+        what the constructor would: every key is within ``order``, every
+        value is a nonzero Fraction (exact) or a finite float that survived
+        the relative floor (float).
         """
         jet = object.__new__(cls)
         object.__setattr__(jet, "order", order)
-        object.__setattr__(jet, "mode", EXACT)
+        object.__setattr__(jet, "mode", mode)
         object.__setattr__(jet, "coeffs", coeffs)
         return jet
 
@@ -282,37 +381,47 @@ class Jet2:
         return Jet2(new_order, out, self.mode)
 
     def substitute(self, u_new, v_new):
-        """Compose with (u, v) -> (u_new, v_new); both must vanish at 0."""
+        """Compose with (u, v) -> (u_new, v_new); both must vanish at 0.
+
+        The powers of u_new and v_new come from one ``_Powers`` per step,
+        which ``GermJets.substitute`` shares among its three components.  A
+        coordinate left unchanged (u_new is u, or v_new is v) builds no
+        powers: u^i and v^j are exponent shifts.  Exact mode groups the terms
+        by the power of u, so it makes one jet product per power of u (none
+        when u is unchanged).  Float mode adds c_ij u_new^i v_new^j term by
+        term, in the order of ``self.coeffs``, flooring the scaled term and
+        then the running sum exactly as ``Jet2(...)`` and ``+`` would, so every
+        float coefficient is the one that chain of operations gives.
+        """
         self._check_compatible(u_new)
         self._check_compatible(v_new)
-        if u_new.constant_term() or v_new.constant_term():
-            raise UsageError("substitution expressions must have zero constant term")
-        order, mode = self.order, self.mode
-        one = Jet2.const(1, order, mode)
-        max_i = max((i for i, _ in self.coeffs), default=0)
-        max_j = max((j for _, j in self.coeffs), default=0)
-        u_pow = [one]
-        for _ in range(max_i):
-            u_pow.append(u_pow[-1] * u_new)
-        v_pow = [one]
-        for _ in range(max_j):
-            v_pow.append(v_pow[-1] * v_new)
-        if mode == EXACT:
-            # sum_i u_new^i * (sum_j c_ij v_new^j): one jet product per power of u
+        return self._compose(_Powers(u_new, v_new))
+
+    def _compose(self, powers):
+        order = self.order
+        if self.mode == EXACT:
+            # sum_i u_new^i * (sum_j c_ij v_new^j): one row per power of u
             rows = {}
             for (i, j), c in self.coeffs.items():
-                _accumulate(
-                    rows.setdefault(i, {}),
-                    {k: c * x for k, x in v_pow[j].coeffs.items()},
-                )
+                row = rows.setdefault(i, {})
+                if powers.v_fixed or j == 0:
+                    row[(0, j)] = c  # v^j: no other term of the row has this key
+                else:
+                    _accumulate(row, {k: c * x for k, x in _power(powers.v, j).items()})
             acc = {}
             for i, row in rows.items():
-                _accumulate(acc, (u_pow[i] * Jet2._trusted(order, row)).coeffs)
+                if powers.u_fixed or i == 0:
+                    _accumulate(acc, _shifted(row, i, 0, order))
+                else:
+                    u_pow = _power(powers.u, i)
+                    _accumulate(acc, (u_pow * Jet2._trusted(order, row)).coeffs)
             return Jet2._trusted(order, acc)
-        acc = Jet2.zero(order, mode)
+        if powers.u_fixed and powers.v_fixed:
+            return self  # every coefficient already clears the floor of each sum
+        acc = {}
         for (i, j), c in self.coeffs.items():
-            acc = acc + u_pow[i] * v_pow[j] * c
-        return acc
+            _add_scaled(acc, powers.term(i, j), c)
+        return Jet2._trusted(order, acc, FLOAT)
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -402,11 +511,12 @@ class GermJets:
         return (self.x, self.y, self.z)
 
     def substitute(self, u_new, v_new):
-        return GermJets(
-            self.x.substitute(u_new, v_new),
-            self.y.substitute(u_new, v_new),
-            self.z.substitute(u_new, v_new),
-        )
+        """Compose every component with (u, v) -> (u_new, v_new); the powers
+        are built once for the three."""
+        self.x._check_compatible(u_new)
+        self.x._check_compatible(v_new)
+        powers = _Powers(u_new, v_new)
+        return GermJets(*(comp._compose(powers) for comp in self.components()))
 
     def rotate(self, matrix):
         """Apply a 3x3 matrix (rows of scalars) to the component triple."""

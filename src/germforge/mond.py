@@ -116,13 +116,25 @@ def _shift_jet(c, order, mode):
     return Jet2(order, terms, mode)
 
 
-def bk_recursion(nf, k):
-    """Solve for c_2..c_k and evaluate xi_2..xi_k; needs a_21 != 0, a_03 = 0."""
+def bk_recursion(nf, k, prev=None):
+    """Solve for c_2..c_k and evaluate xi_2..xi_k; needs a_21 != 0, a_03 = 0.
+
+    Given ``prev``, the trace for k - 1, its c_2..c_{k-1} are kept and only
+    c_k is solved, so stepping k up makes one shift per k.  The exact
+    constants do not depend on the truncation order, so an exact trace is
+    the one solved from scratch; in float mode each c_n keeps the bits of
+    the order 2n + 1 it was solved at.
+    """
     a21 = nf.a_(2, 1)
     if nf.is_zero_a(2, 1):
         raise UsageError("bk_recursion requires a_21 != 0")
     if not nf.is_zero_a(0, 3):
         raise UsageError("bk_recursion requires a_03 = 0")
+    if prev is not None and prev.k != k - 1:
+        raise UsageError(
+            "bk_recursion for k = %d continues the trace for k = %d, got %d"
+            % (k, k - 1, prev.k)
+        )
     order = b_order(k)
     if nf.order < order:
         raise UsageError(
@@ -131,17 +143,19 @@ def bk_recursion(nf, k):
         )
     p = _odd_part_jet(nf, order)
     v = Jet2.variable("v", order, nf.mode)
-    c = {}
-    for n in range(2, k + 1):
+    c = {} if prev is None else dict(prev.c)
+    shifted = None
+    for n in range(len(c) + 2, k + 1):
         shifted = p.substitute(_shift_jet(c, order, nf.mode), v)
         alpha = shifted.coeff(1, 2 * n - 1)
         c[n] = -alpha / a21
-    final = p.substitute(_shift_jet(c, order, nf.mode), v)
+    if shifted is None or c[k]:  # c_k = 0 leaves the shift as it was
+        shifted = p.substitute(_shift_jet(c, order, nf.mode), v)
     trace = BkRecursionTrace(k=k, c=c)
-    trace.scale = max(1.0, float(final.max_abs()))
+    trace.scale = max(1.0, float(shifted.max_abs()))
     for n in range(2, k + 1):
-        trace.xi[n] = final.coeff(0, 2 * n + 1)
-        trace.a1hat[n] = final.coeff(1, 2 * n - 1)
+        trace.xi[n] = shifted.coeff(0, 2 * n + 1)
+        trace.a1hat[n] = shifted.coeff(1, 2 * n - 1)
     return trace
 
 
@@ -200,13 +214,14 @@ def classify(nf, k_max=DEFAULT_K_MAX):
 
     a21 = nf.a_(2, 1)
     if not nf.is_zero_a(2, 1):
+        trace = None
         for k in range(2, k_max + 1):
             if nf.order < b_order(k):
                 return indeterminate(
                     "order %d too small to probe B_%d (needs %d)"
                     % (nf.order, k, b_order(k))
                 )
-            trace = bk_recursion(nf, k)
+            trace = bk_recursion(nf, k, trace)
             if not is_zero(trace.xi[k], trace.scale, nf.mode):
                 sign = _sign_of(trace.xi[k] * a21)
                 return ClassifyResult(MondClass(MondTag.B, k, sign), trace, warnings)

@@ -324,30 +324,55 @@ def _classify_two_jet(data, mode):
     return TwoJetClass.DEGENERATE
 
 
+class ReductionStart:
+    """A corank-1 germ with its linear part normalized, and its two-jet.
+
+    The first step of both ``two_jet_class`` and ``reduce_to_normal_form``;
+    ``classify_germ`` makes it once and hands it to both readers.  (A plain
+    class: a dataclass would add a millisecond to every CLI start.)
+    """
+
+    __slots__ = ("g", "mode", "log", "data", "two_jet")
+
+    def __init__(self, g):
+        """Normalize the linear part of ``g``, a germ of corank 1 (the caller
+        has checked ``corank_at_origin(g) == 1``), and read its two-jet."""
+        self.log = TransformLog()
+        self.g, self.mode = _normalize_linear_part(g, self.log)
+        self.data = _two_jet_data(self.g)
+        self.two_jet = _classify_two_jet(self.data, self.mode)
+
+
 def two_jet_class(g):
     """Two-jet type of a corank-1 germ (cf. TwoJetClass)."""
     if corank_at_origin(g) != 1:
         raise UsageError("two_jet_class requires a corank-1 germ")
-    log = TransformLog()
-    g, _ = _normalize_linear_part(g, log)
-    return _classify_two_jet(_two_jet_data(g), g.mode)
+    return ReductionStart(g).two_jet
 
 
 def reduce_to_normal_form(g, order=None):
-    """Reduce a corank-1, (u, v^2, 0)-type germ; returns (coeffs, log)."""
-    if corank_at_origin(g) != 1:
-        raise UsageError("reduce_to_normal_form requires a corank-1 germ")
-    if order is not None:
-        if order > g.order:
-            raise UsageError(
-                "requested order %d exceeds the germ's jet order %d" % (order, g.order)
-            )
-        g = GermJets(*(c.truncate(order) for c in g.components()))
-    log = TransformLog()
-    g, mode = _normalize_linear_part(g, log)
+    """Reduce a corank-1, (u, v^2, 0)-type germ; returns (coeffs, log).
 
-    data = _two_jet_data(g)
-    cls = _classify_two_jet(data, mode)
+    ``g`` is the germ, or the ReductionStart made of it (then ``order``
+    must be None).
+    """
+    if isinstance(g, ReductionStart):
+        if order is not None:
+            raise UsageError("order applies to a germ, not to a started reduction")
+        start = g
+    else:
+        if corank_at_origin(g) != 1:
+            raise UsageError("reduce_to_normal_form requires a corank-1 germ")
+        if order is not None:
+            if order > g.order:
+                raise UsageError(
+                    "requested order %d exceeds the germ's jet order %d"
+                    % (order, g.order)
+                )
+            g = GermJets(*(c.truncate(order) for c in g.components()))
+        start = ReductionStart(g)
+    g, mode, data, cls = start.g, start.mode, start.data, start.two_jet
+    log = TransformLog(list(start.log.steps), start.log.mode_used)
     if cls is TwoJetClass.UUV:
         raise OutOfScopeHkError(
             "two-jet of type (u, uv, 0): detected only, reduction not supported"

@@ -23,7 +23,7 @@ from .distance import (
 from .errors import SchemaError, UnsupportedGermError, UsageError
 from .germ_io import expand_germ, format_number
 from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
-from .normal_form import TwoJetClass, corank_at_origin, reduce_to_normal_form, two_jet_class
+from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
 
 MAX_ORDER = 20
 
@@ -56,7 +56,8 @@ def classify_germ(germ, k_max=DEFAULT_K_MAX):
         return ClassificationOutcome(
             MondClass(MondTag.INDETERMINATE, reason="corank 2 at the origin"), corank
         )
-    tj = two_jet_class(germ)
+    start = ReductionStart(germ)  # one linear normalization for both readers
+    tj = start.two_jet
     if tj is TwoJetClass.CROSS_CAP:
         return ClassificationOutcome(MondClass(MondTag.CROSS_CAP), corank, tj)
     if tj is TwoJetClass.UUV:
@@ -71,7 +72,7 @@ def classify_germ(germ, k_max=DEFAULT_K_MAX):
             corank,
             tj,
         )
-    nf, log = reduce_to_normal_form(germ)
+    nf, log = reduce_to_normal_form(start)
     result = classify(nf, k_max)
     return ClassificationOutcome(
         result.mond, corank, tj, nf, log, result.trace, result.warnings

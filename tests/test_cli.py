@@ -328,6 +328,22 @@ class TestSpecialDirectionsPinned:
         assert [f["parabolic"] for f in flags[2:]] == [False] * 4 + [True]
 
 
+class TestFloatReductionPinned:
+    """classify reports whose reduction runs in float, pinned byte for byte:
+    the README germ (v^2 scaled by an irrational root), an S1+ germ whose
+    reduction also rotates the image line and the (y, z)-plane and changes
+    both source coordinates, and a B2- germ with a first-component term to
+    flatten and second-component terms to clean up at every degree."""
+
+    @pytest.mark.parametrize("name", ["readme", "s1", "b2"])
+    def test_report_pinned(self, capsys, name):
+        germ = DATA / ("classify_float_%s_germ.json" % name)
+        code, out, err = run(capsys, "classify", "--input", str(germ))
+        assert code == 0, err
+        assert out == (DATA / ("classify_float_%s.json" % name)).read_text()
+        assert json.loads(out)["normal_form"]["mode"] == "float"
+
+
 class TestGeometrySweepPinned:
     """128-theta geometry reports of an n = 1 germ (the S1+ germ above) and an
     n = 2 germ (C3+), pinned byte for byte.  Every sample but the principal

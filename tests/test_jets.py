@@ -145,6 +145,22 @@ class TestRingProperties:
 
 
 class TestGermJets:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_substitute_equals_componentwise(self, mode):
+        rng = random.Random(59)
+        for _ in range(20):
+            order = rng.randint(1, 6)
+            comps = [rand_jet(rng, order, mode) for _ in range(3)]
+            comps = [c - Jet2.const(c.constant_term(), order, mode) for c in comps]
+            un, vn = comps[0], comps[1]
+            u, v = Jet2.variable("u", order, mode), Jet2.variable("v", order, mode)
+            germ = GermJets(*comps)
+            for u_new, v_new in ((un, vn), (u, vn), (un, v), (u, v)):
+                got = germ.substitute(u_new, v_new)
+                want = [c.substitute(u_new, v_new) for c in comps]
+                for g, w in zip(got.components(), want):
+                    assert list(g.coeffs.items()) == list(w.coeffs.items())
+
     def test_constant_term_rejected(self):
         with pytest.raises(UsageError):
             GermJets(Jet2.const(1, 3), Jet2.zero(3), Jet2.zero(3))
@@ -221,17 +237,22 @@ class TestExactFastPath:
             un, vn = rand_jet(rng, order), rand_jet(rng, order)
             un = _raw_add(un, Jet2.const(-un.constant_term(), order))
             vn = _raw_add(vn, Jet2.const(-vn.constant_term(), order))
-            want = Jet2.zero(order)
-            for (i, j), c in p.coeffs.items():
-                term = Jet2.const(c, order)
-                for _ in range(i):
-                    term = _raw_mul(term, un)
-                for _ in range(j):
-                    term = _raw_mul(term, vn)
-                want = _raw_add(want, term)
-            got = p.substitute(un, vn)
-            _assert_clean(got)
-            assert got == want
+            u, v = Jet2.variable("u", order), Jet2.variable("v", order)
+            # a general step, and the unchanged coordinates whose powers are
+            # exponent shifts (reduction steps keep u, a B_k shift by zero
+            # keeps both)
+            for u_new, v_new in ((un, vn), (u, vn), (un, v), (u, v)):
+                want = Jet2.zero(order)
+                for (i, j), c in p.coeffs.items():
+                    term = Jet2.const(c, order)
+                    for _ in range(i):
+                        term = _raw_mul(term, u_new)
+                    for _ in range(j):
+                        term = _raw_mul(term, v_new)
+                    want = _raw_add(want, term)
+                got = p.substitute(u_new, v_new)
+                _assert_clean(got)
+                assert got == want
 
     def test_cancellation_stores_no_zero(self):
         p = jet(3, {(1, 1): Fraction(2, 3), (0, 2): 1})
@@ -257,11 +278,15 @@ class TestExactFastPath:
 
 
 # Float mode keeps its validating path, relative floor included.  The values
-# below were produced before the exact-mode fast path existed.
+# below were produced before the exact-mode fast path existed; the two
+# substitutions with an unchanged coordinate were produced before its powers
+# became exponent shifts.
 FA = jet(3, {(1, 0): 1e6, (0, 1): 0.01, (1, 1): 3.0, (0, 2): -7.5, (2, 1): 1e-3}, FLOAT)
 FB = jet(3, {(0, 1): 2.0, (2, 0): 1e-9, (1, 1): -0.25, (0, 3): 4.0}, FLOAT)
 FUN = jet(3, {(1, 0): 1.0, (0, 2): 1e-7, (1, 1): 2.5}, FLOAT)
 FVN = jet(3, {(0, 1): 3.0, (2, 0): -1e5}, FLOAT)
+FU = Jet2.variable("u", 3, FLOAT)
+FV = Jet2.variable("v", 3, FLOAT)
 PINNED_FLOAT = {
     "add": {(0, 1): 2.01, (0, 2): -7.5, (0, 3): 4.0, (1, 0): 1000000.0, (1, 1): 2.75},
     "sub": {(0, 1): -1.99, (0, 2): -7.5, (0, 3): -4.0, (1, 0): 1000000.0, (1, 1): 3.25},
@@ -273,7 +298,18 @@ PINNED_FLOAT = {
     "pow": {(0, 3): 8.0},
     "substitute": {(0, 1): 0.03, (0, 2): -67.4, (1, 0): 1000000.0, (1, 1): 2500009.0,
                    (1, 2): 22.5, (2, 0): -1000.0, (2, 1): 4500000.0, (3, 0): -300000.0},
+    "substitute_u_fixed": {(0, 1): 0.03, (0, 2): -67.5, (1, 0): 1000000.0, (1, 1): 9.0,
+                           (2, 0): -1000.0, (2, 1): 4500000.0, (3, 0): -300000.0},
+    "substitute_v_fixed": {(0, 1): 0.01, (0, 2): -7.4, (1, 0): 1000000.0,
+                           (1, 1): 2500003.0, (1, 2): 7.5},
 }
+
+
+def _spread_float_jet(rng, order):
+    """A float jet whose magnitudes span many decades, so the relative floor
+    drops terms along the way."""
+    jet = rand_jet(rng, order, FLOAT)
+    return Jet2(order, {k: c * 10.0 ** rng.randint(-10, 6) for k, c in jet.items()}, FLOAT)
 
 
 class TestFloatPathPinned:
@@ -282,10 +318,36 @@ class TestFloatPathPinned:
             "add": FA + FB, "sub": FA - FB, "neg": -FA, "mul": FA * FB,
             "scalar": FA * 2.5, "rscalar": 3 * FA, "pow": FB ** 3,
             "substitute": FA.substitute(FUN, FVN),
+            "substitute_u_fixed": FA.substitute(FU, FVN),
+            "substitute_v_fixed": FA.substitute(FUN, FV),
         }
         for name, result in got.items():
             assert result.mode == FLOAT
             assert result.coeffs == PINNED_FLOAT[name], name
+
+    def test_substitute_matches_chain_of_jet_operations(self):
+        # acc + u_new^i * v_new^j * c term by term, each step through the
+        # public float arithmetic and its relative floor: the same bits and
+        # the same key order, so later sums see the same sequence
+        rng = random.Random(53)
+        for _ in range(60):
+            order = rng.randint(1, 7)
+            p, un, vn = (_spread_float_jet(rng, order) for _ in range(3))
+            un = un - Jet2.const(un.constant_term(), order, FLOAT)
+            vn = vn - Jet2.const(vn.constant_term(), order, FLOAT)
+            u, v = Jet2.variable("u", order, FLOAT), Jet2.variable("v", order, FLOAT)
+            for u_new, v_new in ((un, vn), (u, vn), (un, v), (u, v)):
+                one = Jet2.const(1, order, FLOAT)
+                want = Jet2.zero(order, FLOAT)
+                for (i, j), c in p.coeffs.items():
+                    u_pow, v_pow = one, one
+                    for _ in range(i):
+                        u_pow = u_pow * u_new
+                    for _ in range(j):
+                        v_pow = v_pow * v_new
+                    want = want + u_pow * v_pow * c
+                got = p.substitute(u_new, v_new)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
 
     def test_floor_drops_small_terms(self):
         # 1e6 * 1e-9 = 1e-3 is under the product's floor 1e-9 * 2e6

@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from germforge.errors import UsageError
-from germforge.jets import FLOAT, Jet2
+from germforge.jets import EXACT, FLOAT, Jet2, is_zero
 from germforge.mond import (
     MondClass,
     MondTag,
+    b_order,
     bk_recursion,
     classify,
     verify_by_substitution,
@@ -155,6 +157,65 @@ class TestBkRecursion:
         )
         trace = bk_recursion(nf, 3)
         assert all(v == 0 for v in trace.a1hat.values())
+
+
+def _shifted_bk_nf(k, a21, tau, d, mode):
+    """Order-17 B_k form z(u + sum_n d_n v^(2(n-1)), v) with
+    z = a21 u^2 v / 2 + tau v^(2k+1): its shift constants are c_n = -d_n,
+    every a_{1,2n-1} with d_n != 0 is nonzero, and xi_k = tau."""
+    order = b_order(8)
+    z = Jet2(order, {(2, 1): Fraction(a21, 2), (0, 2 * k + 1): tau})
+    shift = Jet2(order, {(1, 0): 1, **{(0, 2 * (n - 1)): dn for n, dn in d.items()}})
+    p = z.substitute(shift, Jet2.variable("v", order))
+    a = {(i, j): c * math.factorial(i) * math.factorial(j) for (i, j), c in p.items()}
+    return make_nf(order=order, mode=mode, a=a)
+
+
+def _per_k_label(nf, k_max=8):
+    """(k, sign) from the recursion solved from scratch for every k."""
+    for k in range(2, k_max + 1):
+        trace = bk_recursion(nf, k)
+        if not is_zero(trace.xi[k], trace.scale, nf.mode):
+            return k, "+" if trace.xi[k] * nf.a_(2, 1) > 0 else "-"
+    return None
+
+
+class TestIncrementalShiftConstants:
+    """classify carries c_2..c_{k-1} from B_{k-1} to B_k.  On forms whose
+    shift constants are all nonzero (the benchmark corpus has none), labels
+    and signs equal the recursion solved from scratch for each k, and exact
+    traces are equal."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_labels_match_per_k_solution(self, mode):
+        rng = random.Random(61)
+        for k in range(2, 9):
+            for _ in range(3):
+                a21 = rand_fraction(rng, nonzero=True)
+                tau = rng.choice([-1, 1]) * Fraction(1, rng.randint(1, 4))
+                d = {n: rand_fraction(rng, 3, 3, nonzero=True) for n in range(2, k + 1)}
+                nf = _shifted_bk_nf(k, a21, tau, d, mode)
+                assert all(not nf.is_zero_a(1, 2 * n - 1) for n in d)
+                res = classify(nf)
+                sign = "+" if tau * a21 > 0 else "-"
+                assert res.mond == MondClass(MondTag.B, k, sign)
+                assert (res.mond.k, res.mond.sign) == _per_k_label(nf)
+                assert all(res.trace.c[n] for n in d)
+                if mode == EXACT:
+                    assert res.trace == bk_recursion(nf, k)
+                    assert res.trace.c == {n: -dn for n, dn in d.items()}
+
+    def test_continuation_chains_equal_exact_traces(self):
+        nf = _shifted_bk_nf(6, 2, Fraction(1, 3), {n: Fraction(n, 5) for n in range(2, 7)}, EXACT)
+        trace = None
+        for k in range(2, 7):
+            trace = bk_recursion(nf, k, trace)
+            assert trace == bk_recursion(nf, k)
+
+    def test_continuation_needs_the_previous_k(self):
+        nf = _shifted_bk_nf(3, 1, 1, {2: 1, 3: 1}, EXACT)
+        with pytest.raises(UsageError):
+            bk_recursion(nf, 4, bk_recursion(nf, 2))
 
 
 class TestConjugationStability:

@@ -6,6 +6,8 @@ import pytest
 from germforge.errors import OutOfScopeHkError, UnsupportedGermError, UsageError
 from germforge.jets import EXACT, FLOAT, Jet2
 from germforge.normal_form import (
+    ReductionStart,
+    SubstitutionStep,
     TwoJetClass,
     corank_at_origin,
     reduce_to_normal_form,
@@ -227,3 +229,45 @@ class TestExactRotatedConjugation:
         from germforge.mond import classify
 
         assert classify(out).mond == classify(nf).mond
+
+
+class TestReductionProducts:
+    """Every reduction step keeps u, so its powers of u are exponent shifts and
+    the powers of v_new, built once for the three components, are its only
+    full jet products: at most order - 1 per step."""
+
+    COMPONENTS = ["u", "1/2*v^2 + 1/5*u*v^2 + u^3 + 1/7*v^3", "u^2*v + v^3 + 1/3*u*v^3"]
+    ORDER = 17
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_products_bounded_per_step(self, monkeypatch, mode):
+        g = germ_from_strings(self.COMPONENTS, self.ORDER, mode)
+        count = [0]
+        mul = Jet2.__mul__
+
+        def counting_mul(a, b):
+            count[0] += isinstance(b, Jet2)
+            return mul(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(Jet2, "__mul__", counting_mul)
+            nf, log = reduce_to_normal_form(g)
+        steps = [step for step in log.steps if isinstance(step, SubstitutionStep)]
+        u = Jet2.variable("u", self.ORDER, nf.mode)
+        assert nf.mode == mode and len(steps) == 15
+        assert all(step.u_new == u for step in steps)
+        assert 0 < count[0] <= len(steps) * (self.ORDER - 1)
+
+
+class TestReductionStart:
+    def test_start_feeds_both_readers(self):
+        g = germ_from_strings(["u + 1/3*v", "1/2*v^2 + u^2", "u^2*v + v^3 + u*v^2"], 6)
+        start = ReductionStart(g)
+        assert start.two_jet is two_jet_class(g)
+        nf, log = reduce_to_normal_form(start)
+        nf_direct, log_direct = reduce_to_normal_form(g)
+        assert nf == nf_direct and log.steps == log_direct.steps
+        # the start stays as it was: a second reduction from it agrees
+        assert reduce_to_normal_form(start)[0] == nf
+        with pytest.raises(UsageError):
+            reduce_to_normal_form(start, order=4)

@@ -1,6 +1,6 @@
 import pytest
 
-from germforge import distance, pipeline
+from germforge import distance, normal_form, pipeline
 from germforge.blowup import BLOWUP_EXPONENT
 from germforge.errors import UnsupportedGermError
 from germforge.germ_io import GermSpec, germ_spec_from_dict
@@ -78,6 +78,31 @@ class TestBlowupContextMemo:
         assert len(built) == 1
         assert blowup_context(classify_spec(spec)) is not ctx
         assert len(built) == 2
+
+
+class TestOneLinearNormalizationPerGerm:
+    """classify_germ tests the corank and normalizes the linear part once,
+    and reads the two-jet class and the normal form from that one result."""
+
+    def test_counts(self, monkeypatch):
+        germ = germ_from_strings(["u + 1/3*v", "1/2*v^2 + u^2", "u^2*v + v^3 + u*v^2"], 8)
+        calls = {"corank": 0, "normalize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        corank = counted("corank", normal_form.corank_at_origin)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "corank_at_origin", corank)
+            m.setattr(normal_form, "corank_at_origin", corank)
+            m.setattr(normal_form, "_normalize_linear_part",
+                      counted("normalize", normal_form._normalize_linear_part))
+            out = classify_germ(germ)
+        assert out.mond.label == "S1+" and out.two_jet is TwoJetClass.UV_SQUARED
+        assert calls == {"corank": 1, "normalize": 1}
 
 
 class TestNoJetProductPerProbe:
