@@ -109,10 +109,12 @@ class TrigPowers(dict):
     """Columns cos(theta)^e and sin(theta)^e over a theta list, keyed (0, e)
     and (1, e), each made on first use: the pullbacks of one grid share them."""
 
-    def __init__(self, thetas):
+    def __init__(self, thetas, cos=None):
+        """``cos``, when given, is the column cos(theta) the caller already took."""
         self.thetas = list(thetas)
-        super().__init__({(0, 1): [math.cos(t) for t in self.thetas],
-                          (1, 1): [math.sin(t) for t in self.thetas]})
+        if cos is None:
+            cos = [math.cos(t) for t in self.thetas]
+        super().__init__({(0, 1): cos, (1, 1): [math.sin(t) for t in self.thetas]})
 
     def __missing__(self, key):
         col = self[key] = [x ** key[1] for x in self[key[0], 1]]
@@ -296,12 +298,15 @@ def series_columns(ctx, thetas):
     principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta must be
     finite with |cos theta| > COS_TOL."""
     thetas = list(thetas)
+    cos = []
     for theta in thetas:
         _require_finite(theta)
-        if abs(math.cos(theta)) <= COS_TOL:
+        c = math.cos(theta)
+        if abs(c) <= COS_TOL:
             raise PrincipalNormalDirectionError(
                 "theta = %g is on the principal normal direction" % theta)
-    cols = _form_columns(ctx, TrigPowers(thetas))
+        cos.append(c)
+    cols = _form_columns(ctx, TrigPowers(thetas, cos))
     cols.update(_curvature_columns(ctx, cols))
     return cols
 

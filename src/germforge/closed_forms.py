@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from .blowup import series_columns
 
 
-def _shorthands(ctx, theta):
-    """The symbols the reference forms read at theta, each evaluated once."""
+def _shorthands(ctx, thetas):
+    """The symbols the reference forms read, one dict per theta: the
+    theta-independent ones are evaluated once, cos, sin and ma once per theta."""
     nf = ctx.nf
     n = ctx.n
-    return {
+    fixed = {
         "n": n,
-        "c": math.cos(theta),
-        "s": math.sin(theta),
-        "ma": ctx.ma(theta),
         "eps": ctx.epsilon,
         "a": ctx.a_lead,            # a_{n+1,1}
         "m": ctx.fact,              # (n+1)!
@@ -41,6 +39,9 @@ def _shorthands(ctx, theta):
         "b2": nf.b_(2),
         "b3": nf.b_(3),
     }
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        yield dict(fixed, c=c, s=s, ma=ctx._ma(c, s))
 
 
 def ref_n21(h):
@@ -190,8 +191,7 @@ def crosscheck_closed_forms(ctx, theta_samples):
     thetas = list(theta_samples)
     pipe = pipeline_values(ctx, thetas)
     entries = []
-    for idx, theta in enumerate(thetas):
-        h = _shorthands(ctx, theta)
+    for idx, (theta, h) in enumerate(zip(thetas, _shorthands(ctx, thetas))):
         for symbol, reference in _REFERENCE.items():
             value, ref = pipe[symbol][idx], reference(h)
             entries.append(CrosscheckEntry(symbol, theta, value, ref, value - ref))

@@ -25,6 +25,15 @@ Expression grammar (no implicit multiplication, '^' for powers)::
     term   := factor ('*' factor)*
     factor := base ('^' nat)?
     base   := number | var | '(' expr ')' | '-' base
+    number := nat | nat '/' nat | nat ['.' nat] [('e'|'E') ['+'|'-'] nat]
+
+The last number form, a decimal, needs float mode.  A term made only of
+numbers and variable powers is one monomial c u^i v^j while it is parsed:
+'*' multiplies coefficients and adds exponents, '^' raises the coefficient
+and multiplies the exponents, with the truncation and float floor of a
+one-term jet at each step.  Only a parenthesized sub-expression is a Jet2
+and goes through Jet2 arithmetic.  The terms of a sum are added into one
+coefficient dict.
 """
 
 from __future__ import annotations
@@ -34,7 +43,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError, UsageError
-from .jets import EXACT, FLOAT, GermJets, Jet2, scalar
+from .jets import (
+    EXACT,
+    FLOAT,
+    GermJets,
+    Jet2,
+    _accumulate,
+    _add_scaled,
+    is_zero,
+    scalar,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +72,15 @@ class GermSpec:
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()")
+_DIGITS = frozenset("0123456789")
+
+
+def _skip_digits(text, i):
+    """The index after the run of ASCII digits starting at ``i``."""
+    n = len(text)
+    while i < n and text[i] in _DIGITS:
+        i += 1
+    return i
 
 
 class _Token:
@@ -86,33 +113,31 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
+            # int, p/q rational, or decimal digits[.digits][e|E[+|-]digits]
             start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
+            i = _skip_digits(text, i)
             kind = "int"
-            if i < n and text[i] == ".":
-                i += 1
-                col += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("digits expected after decimal point", line, col)
-                while i < n and text[i].isdigit():
-                    i += 1
-                    col += 1
-                kind = "decimal"
-            elif i < n and text[i] == "/":
-                # rational literal p/q, no spaces inside
-                j = i + 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    col += 1
-                    while i < n and text[i].isdigit():
-                        i += 1
-                        col += 1
-                    kind = "rational"
-            tokens.append(_Token(kind, text[start:i], line, start_col))
+            if text[i:i + 1] == ".":
+                j = _skip_digits(text, i + 1)
+                if j == i + 1:
+                    raise ParseError(
+                        "digits expected after decimal point", line, col + j - start
+                    )
+                i, kind = j, "decimal"
+            if text[i:i + 1] in ("e", "E"):
+                # an 'e' without digits after it is left to the identifiers
+                j = i + 1 + (text[i + 1:i + 2] in ("+", "-"))
+                k = _skip_digits(text, j)
+                if k > j:
+                    i, kind = k, "decimal"
+            if kind == "int" and text[i:i + 1] == "/":
+                # no spaces inside p/q
+                j = _skip_digits(text, i + 1)
+                if j > i + 1:
+                    i, kind = j, "rational"
+            tokens.append(_Token(kind, text[start:i], line, col))
+            col += i - start
             continue
         if ch.isalpha():
             start = i
@@ -128,12 +153,26 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the tokens of one expression.
+
+    A term of numbers and variable powers stays one monomial (c, i, j), or
+    None when it is zero: ``*`` multiplies coefficients and adds exponents,
+    ``^`` is ``Jet2.__pow__``'s square-and-multiply on the coefficient, and
+    each product is truncated, checked and floored as a one-term ``Jet2``
+    would be.  Only a parenthesized sub-expression becomes a ``Jet2``; ``+``
+    and ``-`` add each term straight into one coefficient dict.
+    """
+
     def __init__(self, tokens, variables, order, mode):
+        Jet2.zero(order, mode)  # the jets' own check of order and mode
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
         self.order = order
         self.mode = mode
+        self.one = scalar(1, mode)
+        self.u = self._monomial(self.one, 1, 0)
+        self.v = self._monomial(self.one, 0, 1)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -148,6 +187,64 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             raise ParseError("expected %r" % op, tok.line, tok.col)
         return tok
+
+    # -- monomials -------------------------------------------------------
+
+    def _monomial(self, c, i, j):
+        """c u^i v^j as the one-term jet holds it: None above the order or
+        at zero; in float mode a non-finite c raises the jets' UsageError and
+        one under the relative floor is zero."""
+        if i + j > self.order:
+            return None
+        if self.mode == FLOAT:
+            c = scalar(c, FLOAT)
+            if is_zero(c, max(1.0, abs(c))):  # a one-term jet's own floor
+                return None
+        elif not c:
+            return None
+        return (c, i, j)
+
+    def _mul(self, a, b):
+        if a is None or b is None:
+            return None
+        # the variables' coefficient 1 multiplies nothing: 1 * c is c
+        ca, cb = a[0], b[0]
+        c = cb if ca is self.one else ca if cb is self.one else ca * cb
+        return self._monomial(c, a[1] + b[1], a[2] + b[2])
+
+    def _pow(self, a, n):
+        """a^n by the products ``Jet2.__pow__`` makes, in its order."""
+        if not n:
+            return (self.one, 0, 0)
+        while not n & 1:
+            a = self._mul(a, a)
+            n >>= 1
+        result = a
+        n >>= 1
+        while n:
+            a = self._mul(a, a)
+            if n & 1:
+                result = self._mul(result, a)
+            n >>= 1
+        return result
+
+    def _jet(self, value):
+        if isinstance(value, Jet2):
+            return value
+        coeffs = {} if value is None else {value[1:]: value[0]}
+        return Jet2._trusted(self.order, coeffs, self.mode)
+
+    def _add(self, acc, value, sign):
+        """acc += sign * value, as ``Jet2`` ``+`` and ``-`` would leave it."""
+        if value is None:
+            return
+        terms = value.coeffs if isinstance(value, Jet2) else {value[1:]: value[0]}
+        if self.mode == EXACT:
+            _accumulate(acc, terms if sign > 0 else {k: -c for k, c in terms.items()})
+        else:
+            _add_scaled(acc, terms, float(sign))
+
+    # -- grammar ---------------------------------------------------------
 
     def _number(self, tok):
         if tok.kind == "int":
@@ -167,7 +264,7 @@ class _Parser:
         else:
             value = float(tok.value)
         try:
-            return Jet2.const(value, self.order, self.mode)
+            return self._monomial(value, 0, 0)
         except UsageError:
             raise ParseError(
                 "number literal of %d characters lies outside float range"
@@ -184,28 +281,33 @@ class _Parser:
         return jet
 
     def expr(self):
-        jet = self.term()
+        acc = {}
+        sign = 1
         while True:
+            self._add(acc, self.term(), sign)
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
-                rhs = self.term()
-                jet = jet + rhs if tok.value == "+" else jet - rhs
+                sign = 1 if tok.value == "+" else -1
             else:
-                return jet
+                return Jet2._trusted(self.order, acc, self.mode)
 
     def term(self):
-        jet = self.factor()
+        value = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value == "*":
                 self.advance()
-                jet = jet * self.factor()
+                rhs = self.factor()
+                if isinstance(value, Jet2) or isinstance(rhs, Jet2):
+                    value = self._jet(value) * self._jet(rhs)
+                else:
+                    value = self._mul(value, rhs)
             else:
-                return jet
+                return value
 
     def factor(self):
-        jet = self.base()
+        value = self.base()
         tok = self.peek()
         if tok.kind == "op" and tok.value == "^":
             self.advance()
@@ -214,8 +316,9 @@ class _Parser:
                 raise ParseError(
                     "exponent must be a nonnegative integer", etok.line, etok.col
                 )
-            jet = jet ** int(etok.value)
-        return jet
+            n = int(etok.value)
+            value = value ** n if isinstance(value, Jet2) else self._pow(value, n)
+        return value
 
     def base(self):
         tok = self.advance()
@@ -223,16 +326,19 @@ class _Parser:
             return self._number(tok)
         if tok.kind == "ident":
             if tok.value == self.variables[0]:
-                return Jet2.variable("u", self.order, self.mode)
+                return self.u
             if tok.value == self.variables[1]:
-                return Jet2.variable("v", self.order, self.mode)
+                return self.v
             raise ParseError("unknown identifier %r" % tok.value, tok.line, tok.col)
         if tok.kind == "op" and tok.value == "(":
             jet = self.expr()
             self.expect_op(")")
             return jet
         if tok.kind == "op" and tok.value == "-":
-            return -self.base()
+            value = self.base()
+            if isinstance(value, Jet2):
+                return -value
+            return None if value is None else (-value[0], value[1], value[2])
         raise ParseError("unexpected token %r" % (tok.value or "<end>"), tok.line, tok.col)
 
 

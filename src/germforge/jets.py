@@ -354,14 +354,22 @@ class Jet2:
         return self * other
 
     def __pow__(self, n):
+        """Square-and-multiply from the lowest bit: popcount(n) - 1 products
+        into the result and one square per bit above the lowest."""
         if not isinstance(n, int) or n < 0:
             raise UsageError("jet exponent must be a nonnegative integer")
-        result = Jet2.const(1, self.order, self.mode)
+        if not n:
+            return Jet2.const(1, self.order, self.mode)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

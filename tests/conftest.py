@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from germforge import germ_io, pipeline
+from germforge.errors import ParseError, UsageError
 from germforge.jets import EXACT, GermJets, Jet2, scalar
 from germforge.normal_form import NormalFormCoeffs
 
@@ -83,6 +84,124 @@ def ref_distance_jet(nf, p, order):
     dy = y - Jet2.const(p.y0, order, nf.mode)
     dz = z - Jet2.const(p.z0, order, nf.mode)
     return (du * du + dy * dy + dz * dz) * scalar(0.5, nf.mode)
+
+
+class _RefParser:
+    """The expression grammar evaluated as a chain of Jet2 operations: every
+    number and variable is a jet, every '*' a jet product and every '^' a
+    Jet2 power.  The reference for germ_io's monomial parser."""
+
+    def __init__(self, tokens, variables, order, mode):
+        self.tokens = tokens
+        self.pos = 0
+        self.variables = variables
+        self.order = order
+        self.mode = mode
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.advance()
+        if tok.kind != "op" or tok.value != op:
+            raise ParseError("expected %r" % op, tok.line, tok.col)
+        return tok
+
+    def _number(self, tok):
+        if tok.kind == "int":
+            value = Fraction(int(tok.value))
+        elif tok.kind == "rational":
+            num, den = tok.value.split("/")
+            if int(den) == 0:
+                raise ParseError("zero denominator", tok.line, tok.col)
+            value = Fraction(int(num), int(den))
+        elif self.mode == EXACT:
+            raise ParseError(
+                "decimal literal %r requires float mode; use a p/q rational"
+                % tok.value,
+                tok.line,
+                tok.col,
+            )
+        else:
+            value = float(tok.value)
+        try:
+            return Jet2.const(value, self.order, self.mode)
+        except UsageError:
+            raise ParseError(
+                "number literal of %d characters lies outside float range"
+                % len(tok.value),
+                tok.line,
+                tok.col,
+            ) from None
+
+    def parse(self):
+        jet = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError("unexpected trailing input", tok.line, tok.col)
+        return jet
+
+    def expr(self):
+        jet = self.term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value in "+-":
+                self.advance()
+                rhs = self.term()
+                jet = jet + rhs if tok.value == "+" else jet - rhs
+            else:
+                return jet
+
+    def term(self):
+        jet = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value == "*":
+                self.advance()
+                jet = jet * self.factor()
+            else:
+                return jet
+
+    def factor(self):
+        jet = self.base()
+        tok = self.peek()
+        if tok.kind == "op" and tok.value == "^":
+            self.advance()
+            etok = self.advance()
+            if etok.kind != "int":
+                raise ParseError(
+                    "exponent must be a nonnegative integer", etok.line, etok.col
+                )
+            jet = jet ** int(etok.value)
+        return jet
+
+    def base(self):
+        tok = self.advance()
+        if tok.kind in ("int", "rational", "decimal"):
+            return self._number(tok)
+        if tok.kind == "ident":
+            if tok.value == self.variables[0]:
+                return Jet2.variable("u", self.order, self.mode)
+            if tok.value == self.variables[1]:
+                return Jet2.variable("v", self.order, self.mode)
+            raise ParseError("unknown identifier %r" % tok.value, tok.line, tok.col)
+        if tok.kind == "op" and tok.value == "(":
+            jet = self.expr()
+            self.expect_op(")")
+            return jet
+        if tok.kind == "op" and tok.value == "-":
+            return -self.base()
+        raise ParseError("unexpected token %r" % (tok.value or "<end>"), tok.line, tok.col)
+
+
+def ref_parse_polynomial(text, variables=("u", "v"), order=6, mode=EXACT):
+    """germ_io.parse_polynomial as a chain of Jet2 operations (same tokens)."""
+    return _RefParser(germ_io._tokenize(text), tuple(variables), order, mode).parse()
 
 
 def series_at(cols, idx):

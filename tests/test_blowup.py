@@ -462,6 +462,33 @@ class TestRidge:
             entry()
             assert counts == {"_ma": 1, "cos": 1}
 
+    def test_one_cos_per_theta_in_series_columns(self, monkeypatch):
+        _, ctx = classified_ctx(GEOMETRY_GERMS["S1+"])
+        thetas = theta_grid(32)[:-1]  # without the principal normal
+        want = series_columns(ctx, thetas)
+        want_entries = crosscheck_closed_forms(ctx, thetas)
+        counts = Counter()
+        cos, a_ = math.cos, type(ctx.nf).a_
+        monkeypatch.setattr(math, "cos", lambda x: counts.update(["cos"]) or cos(x))
+        monkeypatch.setattr(type(ctx.nf), "a_", lambda *a: counts.update(["a_"]) or a_(*a))
+        cols = series_columns(ctx, thetas)
+        assert counts == {"cos": len(thetas)}
+        assert {key: [[x.hex() for x in col] for col in series] for key, series in cols.items()} \
+            == {key: [[x.hex() for x in col] for col in series] for key, series in want.items()}
+        # a cross-check adds cos (and ma) once per theta for its reference
+        # forms, and reads each theta-independent coefficient once
+        counts.clear()
+        entries = crosscheck_closed_forms(ctx, thetas)
+        assert counts["cos"] == 2 * len(thetas)
+        assert counts["a_"] == 7
+        assert [(e.symbol, e.pipeline.hex(), e.reference.hex()) for e in entries] == [
+            (e.symbol, e.pipeline.hex(), e.reference.hex()) for e in want_entries]
+        # the first bad theta in list order names itself, as before
+        with pytest.raises(UsageError, match="^theta = nan is not a finite number$"):
+            series_columns(ctx, [0.3, math.nan, math.pi / 2])
+        with pytest.raises(PrincipalNormalDirectionError, match="theta = 1.5708"):
+            series_columns(ctx, [0.3, math.pi / 2, math.inf])
+
 
 class TestCrosscheck:
     def test_table_complete_and_clean_entries_match(self, rng):

@@ -22,7 +22,7 @@ from germforge.jets import EXACT, FLOAT, Jet2
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
-from conftest import germ_from_strings, rand_jet
+from conftest import germ_from_strings, rand_jet, ref_parse_polynomial
 
 
 def reference_mesh_text(mesh, fmt):
@@ -95,6 +95,179 @@ class TestParse:
             jet = rand_jet(rng, 5)
             text = print_polynomial(jet)
             assert parse_polynomial(text, order=5) == jet
+
+    def test_float_print_round_trip(self):
+        # print_polynomial writes floats with 17 significant digits, in
+        # exponent notation where '.17g' picks it
+        for c, exponent in ((1e-5, "e-05"), (1e20, "e+20"), (-2.5e-7, "e-07")):
+            jet = Jet2(4, {(2, 0): c, (0, 1): 3.5 * c, (1, 2): c / 3}, FLOAT)
+            text = print_polynomial(jet)
+            assert exponent in text and text.count("e") == 3
+            back = parse_polynomial(text, order=4, mode=FLOAT)
+            assert back.coeffs == jet.coeffs
+        jet = parse_polynomial("0.00001*u^2 + 3.5*v", order=4, mode=FLOAT)
+        assert parse_polynomial(print_polynomial(jet), order=4, mode=FLOAT) == jet
+
+    def test_exponent_literals(self):
+        jet = parse_polynomial("1e5*u + 2.5E-3*v^2 - 3e+2*u*v", order=3, mode=FLOAT)
+        assert jet.coeffs == {(1, 0): 1e5, (0, 2): 0.0025, (1, 1): -300.0}
+        with pytest.raises(ParseError, match="'1e5' requires float mode") as exc:
+            parse_polynomial("u + 1e5*v", order=3)
+        assert exc.value.column == 5
+        # an 'e' without digits is not an exponent
+        with pytest.raises(ParseError, match="unexpected trailing input"):
+            parse_polynomial("2e*u", order=3, mode=FLOAT)
+        with pytest.raises(ParseError, match="outside float range"):
+            parse_polynomial("1e400*u", order=3, mode=FLOAT)
+        assert parse_polynomial("1e-400*u + v", order=3, mode=FLOAT).coeffs == {(0, 1): 1.0}
+
+    def test_non_ascii_digit_is_a_parse_error(self):
+        for text, column in (("\u00b2*u", 1), ("u^\u00b2", 3)):
+            with pytest.raises(ParseError, match="unexpected character") as exc:
+                parse_polynomial(text, order=3)
+            assert exc.value.column == column
+
+
+def _rand_number(rng, mode):
+    r = rng.random()
+    if r < 0.15:
+        return "0"
+    if r < 0.45:
+        return str(rng.randint(1, 12))
+    if r < 0.7 or mode == EXACT and r < 0.97:
+        return "%d/%d" % (rng.randint(1, 9), rng.randint(1, 7))
+    if r < 0.8:
+        return "0.5"
+    # float literals from 1e-10 to 1e300, most of them small enough to multiply
+    exponent = rng.randint(-10, 300) if rng.random() < 0.2 else rng.randint(-10, 3)
+    return "%.3g" % (rng.uniform(1, 10) * 10.0 ** exponent)
+
+
+def _rand_base(rng, mode, depth):
+    r = rng.random()
+    if r < 0.4:
+        return rng.choice("uv")
+    if r < 0.65:
+        return _rand_number(rng, mode)
+    if r < 0.85 and depth < 2:
+        return "(%s)" % _rand_expr(rng, mode, depth + 1)
+    return "-" + _rand_base(rng, mode, depth)
+
+
+def _rand_term(rng, mode, depth):
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        base = _rand_base(rng, mode, depth)
+        if rng.random() < 0.35:
+            base += "^%d" % rng.choice((0, 1, 2, 3, 4, 5, 7, 9, 17, 33))
+        factors.append(base)
+    return "*".join(factors)
+
+
+def _rand_expr(rng, mode, depth=0):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if terms and rng.random() < 0.2:
+            term = rng.choice(terms)  # the same term again: cancels or doubles
+        else:
+            term = _rand_term(rng, mode, depth)
+        terms.append(term)
+    return terms[0] + "".join(rng.choice((" + ", " - ")) + t for t in terms[1:])
+
+
+def _outcome(parse, text, order, mode):
+    """Coefficients in key order (floats as hex), or the exception raised."""
+    try:
+        jet = parse(text, order=order, mode=mode)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    assert jet.order == order and jet.mode == mode
+    items = list(jet.coeffs.items())
+    if mode == FLOAT:
+        assert all(type(c) is float for _, c in items)
+        return [(k, c.hex()) for k, c in items]
+    assert all(type(c) is Fraction for _, c in items)
+    return items
+
+
+class TestMonomialParser:
+    """parse_polynomial keeps a term of numbers and variable powers as one
+    monomial; every result, and every error, equals the chain of Jet2
+    operations the grammar spells out."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_matches_jet_chain_reference(self, mode):
+        rng = random.Random(1414 if mode == EXACT else 1415)
+        errors = 0
+        for _ in range(600):
+            text = _rand_expr(rng, mode)
+            order = rng.randint(1, 17)
+            want = _outcome(ref_parse_polynomial, text, order, mode)
+            assert _outcome(parse_polynomial, text, order, mode) == want, (text, order)
+            errors += isinstance(want, tuple)
+        assert 0 < errors < 300
+
+    @pytest.mark.parametrize("text, order, want", [
+        # 0.5^32 is floored away inside the power, before * 100000
+        ("0.5^33*100000*u", 6, {}),
+        ("0.5^29*100000*u", 6, {(1, 0): 0.5 ** 29 * 100000}),
+        # above the order a term is zero, and so is every product with it
+        ("u^4*1e300*1e300 + v", 3, {(0, 1): 1.0}),
+        ("(u + v)^2 - u*v*2 - u^2", 2, {(0, 2): 1.0}),
+        ("1e-10*u + 1", 2, {(0, 0): 1.0}),
+        # a key that cancels and comes back goes to the end
+        ("u + v - u + 3*u", 2, {(0, 1): 1.0, (1, 0): 3.0}),
+    ])
+    def test_float_terms_floor_like_one_term_jets(self, text, order, want):
+        jet = parse_polynomial(text, order=order, mode=FLOAT)
+        assert list(jet.coeffs.items()) == list(want.items())
+        assert _outcome(ref_parse_polynomial, text, order, FLOAT) == _outcome(
+            parse_polynomial, text, order, FLOAT)
+
+    def test_overflow_raises_the_jet_error(self):
+        for text in ("1e300*1e300*u", "u + 1e200^2", "1e300*u + 1e308*u*10"):
+            with pytest.raises(UsageError, match="must be finite") as exc:
+                parse_polynomial(text, order=3, mode=FLOAT)
+            with pytest.raises(UsageError) as ref:
+                ref_parse_polynomial(text, order=3, mode=FLOAT)
+            assert str(exc.value) == str(ref.value)
+
+    def test_bad_order_or_mode_is_refused_before_parsing(self):
+        with pytest.raises(UsageError, match="jet order must be a nonnegative integer"):
+            parse_polynomial("1", order=-1)
+        with pytest.raises(UsageError, match="mode must be 'exact' or 'float'"):
+            parse_polynomial("u", order=3, mode="double")
+
+    # every term a product of numbers and variable powers, as germ files are
+    MONOMIAL_SUM = "1/2*v^2 - 3*u^2*v^3 + 2/5*u^7*v + u^3*v^2*u^2 - 7/3*v^17 + u^18"
+
+    @staticmethod
+    def _jet_products(monkeypatch, parse, mode):
+        counts = {"mul": 0, "pow": 0}
+        mul, pow_ = Jet2.__mul__, Jet2.__pow__
+
+        def counting_mul(a, b):
+            counts["mul"] += isinstance(b, Jet2)
+            return mul(a, b)
+
+        def counting_pow(a, n):
+            counts["pow"] += 1
+            return pow_(a, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(Jet2, "__mul__", counting_mul)
+            m.setattr(Jet2, "__pow__", counting_pow)
+            jet = parse(TestMonomialParser.MONOMIAL_SUM, order=17, mode=mode)
+        assert len(jet.coeffs) == 5
+        return counts
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_monomial_sum_makes_no_jet_product(self, monkeypatch, mode):
+        assert self._jet_products(monkeypatch, parse_polynomial, mode) == {"mul": 0, "pow": 0}
+
+    def test_guard_sees_the_jet_chain(self, monkeypatch):
+        counts = self._jet_products(monkeypatch, ref_parse_polynomial, EXACT)
+        assert counts["mul"] > 0 and counts["pow"] > 0
 
 
 class TestGermFiles:

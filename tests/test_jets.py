@@ -65,6 +65,51 @@ class TestMul:
         assert one_plus_u * series == Jet2.const(1, 2)
 
 
+class TestPow:
+    def test_products_stop_at_the_last_bit(self, monkeypatch):
+        # popcount(n) - 1 products into the result, one square per bit above
+        # the lowest, and none for n = 0
+        base = jet(17, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+        for n in range(40):
+            count = [0]
+            mul = Jet2.__mul__
+
+            def counting_mul(a, b):
+                count[0] += 1
+                return mul(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(Jet2, "__mul__", counting_mul)
+                got = base ** n
+            want = bin(n).count("1") - 1 + n.bit_length() - 1 if n else 0
+            assert count[0] == want, n
+            expected = Jet2.const(1, 17)
+            for _ in range(n):
+                expected = expected * base
+            assert got == expected
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_same_bits_as_the_square_after_the_top_bit(self, mode):
+        # the earlier loop: 1 * first factor, and one square past the top bit
+        def ref_pow(base, n):
+            result = Jet2.const(1, base.order, base.mode)
+            while n:
+                if n & 1:
+                    result = result * base
+                base = base * base
+                n >>= 1
+            return result
+
+        rng = random.Random(5)
+        for n in (1, 2, 3, 6, 7, 13):
+            base = rand_jet(rng, 9, mode)
+            got, want = base ** n, ref_pow(base, n)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+            if mode == FLOAT:
+                assert [c.hex() for c in got.coeffs.values()] == [
+                    c.hex() for c in want.coeffs.values()]
+
+
 class TestSubstitute:
     def test_shift_into_half_v_squared(self):
         p = jet(3, {(0, 2): Fraction(1, 2)})
