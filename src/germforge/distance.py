@@ -236,11 +236,12 @@ def versality_rank_test(nf, p, flavor):
         order = 3
     else:
         return False  # more degenerate than the 3-parameter family can cover
-    u, y, zc, _ = nf.distance_base(probe_order)
+    # the family at the rank order: no row reads a term above it
+    u, y, zc = (jet.truncate(order) for jet in nf.distance_base(probe_order)[:3])
     family = [
-        Jet2.const(p.x0, probe_order, nf.mode) - u,
-        Jet2.const(p.y0, probe_order, nf.mode) - y,
-        Jet2.const(p.z0, probe_order, nf.mode) - zc,
+        Jet2.const(p.x0, order, nf.mode) - u,
+        Jet2.const(p.y0, order, nf.mode) - y,
+        Jet2.const(p.z0, order, nf.mode) - zc,
     ]
     return oracle.versality_rank_oracle(family, d, flavor, order)
 

@@ -12,19 +12,34 @@ as a rank condition over the monomial basis of a jet space.  A module
 element's row is its generator's coefficients shifted by the monomial's
 exponent, and ``rank_of_rows`` eliminates on sparse rows.
 
-Everything here runs in exact rational arithmetic; float inputs are
-rationalized (denominators up to 10**6) with a warning recorded.  Only
-``critical_curve_restriction`` also accepts float jets.
+Both answers are exact, and both kernels compute on Python integers:
+
+* ``critical_curve_restriction`` multiplies an exact f by the lcm D of its
+  denominators (the critical curve depends on f only up to scale), keeps
+  the curve as integer numerators psi over one denominator q, and composes
+  by the scaled Horner rule acc <- acc * psi + r_i * q^(top - i).  Only the
+  returned coefficients are divided, by D * q^top.  A float f runs the same
+  steps with D = q = 1.
+* ``rank_of_rows`` scales each row by the lcm of its denominators and
+  eliminates fraction-free: a pivot row is divided by the gcd of its
+  entries, and a row is reduced as b * row - a * pivot.  Scaling a row
+  changes no rank.  ``versality_rank_oracle`` clears f and each family jet
+  to integers once, so the shifted copies of a generator share them.
+
+Float inputs to ``split_and_type`` and ``versality_rank_oracle`` are
+rationalized (denominators up to 10**6) with a warning recorded; a float
+entry of a ``rank_of_rows`` row enters exactly, as ``Fraction(x)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import SingularSeriesError, UsageError
-from .jets import EXACT, Jet2, scalar
+from .jets import EXACT, Jet2
 
 RATIONALIZE_DENOMINATOR = 10**6
 
@@ -64,13 +79,19 @@ def split_and_type(f, order=6):
     critical curve: with c20 != 0 (else with u and v swapped), u = phi(v)
     solves f_u(phi(v), v) = 0, and the residual g(v) = f(phi(v), v) from
     degree 3 on is stored as a jet in v.  Its lowest degree m gives A_{m-1};
-    a zero residual up to ``order`` is MoreDegenerate.
+    a zero residual up to ``order`` is MoreDegenerate.  ``order`` (and the
+    jet's own order) must be at least 2, or the Hessian would be cut off.
     """
+    if isinstance(order, bool) or not isinstance(order, int) or order < 2:
+        raise UsageError("split order must be an integer of at least 2, got %r" % (order,))
+    if f.order < 2:
+        raise UsageError("split_and_type needs a jet of order at least 2, got %d" % f.order)
     warnings = []
     f = _exactify(f, warnings)
     if f.order < order:
         order = f.order
-    f = f.truncate(order)
+    elif f.order > order:
+        f = f.truncate(order)
     if f.coeff(1, 0) != 0 or f.coeff(0, 1) != 0:
         raise UsageError("split_and_type requires a critical point at the origin")
 
@@ -106,6 +127,15 @@ def split_and_type(f, order=6):
     return SingularityType("A", m - 1, corank=1, residual=residual, warnings=warnings)
 
 
+def _cleared(items):
+    """({key: int}, D) for nonzero (key, value) pairs: each value times D,
+    the lcm of their denominators.  Ints, Fractions and floats (taken
+    exactly) give ints in the same ratios; zeros are dropped."""
+    ratios = {k: c.as_integer_ratio() for k, c in items if c}
+    den = lcm(*[d for _, d in ratios.values()])
+    return {k: n * (den // d) for k, (n, d) in ratios.items()}, den
+
+
 def _mul_series(a, b, n):
     """Product of dense one-variable series, truncated after degree n."""
     out = [0] * (n + 1)
@@ -117,21 +147,26 @@ def _mul_series(a, b, n):
     return out
 
 
-def _horner(polys, x, n):
-    """sum_i polys[i](t) * x(t)^i as a dense series truncated after degree n.
+def _horner(polys, x, q, n):
+    """(q^top * sum_i polys[i](t) * (x(t)/q)^i, top) as a dense series
+    truncated after degree n.
 
-    ``x`` must vanish at 0: with x = O(t^m), polys[i] only reaches
-    degrees >= i*m, so the sum stops at i = n // m.
+    The scaled Horner rule acc <- acc * x + polys[i] * q^(top - i) keeps
+    integer series integral.  ``x`` must vanish at 0: with x = O(t^m),
+    polys[i] only reaches degrees >= i*m, so the sum stops at
+    i = top = n // m.
     """
     m = next((d for d, c in enumerate(x) if c), None)
     top = min(len(polys) - 1, n // m) if m else 0
     acc = polys[top][: n + 1]
+    scale = 1
     for i in range(top - 1, -1, -1):
         acc = _mul_series(acc, x, n)
+        scale *= q
         for d, c in enumerate(polys[i][: n + 1]):
             if c:
-                acc[d] += c
-    return acc
+                acc[d] += c if scale == 1 else c * scale
+    return acc, top
 
 
 def critical_curve_restriction(f, solve_for="u"):
@@ -146,29 +181,50 @@ def critical_curve_restriction(f, solve_for="u"):
     This is the splitting lemma: in the coordinates (u - phi(v), v), f is
     c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at
     the origin and a nonzero coefficient on the square of the solved
-    variable.  Works over Fractions or floats.
+    variable.  Works over Fractions or floats; an exact f is solved on
+    integers (D f, phi = psi / q) and divided by D q^top at the end.
     """
     if solve_for not in ("u", "v"):
         raise UsageError("solve_for must be 'u' or 'v'")
-    lead = 2 * f.coeff(*((2, 0) if solve_for == "u" else (0, 2)))
-    if not lead:
+    if not f.coeff(*((2, 0) if solve_for == "u" else (0, 2))):
         raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
     order = f.order
+    exact = f.mode == EXACT
+    # D f has the critical curve of f; floats keep D = 1
+    coeffs, den = _cleared(f.coeffs.items()) if exact else (f.coeffs, 1)
     # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
     rows = [[0] * (order + 1) for _ in range(order + 1)]
-    for (i, j), c in f.coeffs.items():
+    for (i, j), c in coeffs.items():
         if solve_for == "v":
             i, j = j, i
         rows[i][j] = c
+    lead = 2 * rows[2][0]
     f_s = [[(i + 1) * c for c in row] for i, row in enumerate(rows[1:])]
     # phi mod t^(K+1) with 2K + 2 > order is enough: g is stationary in phi
     # (f_s vanishes on the root), so an O(t^(K+1)) error in the root moves
-    # g only at O(t^(2K+2)).
-    phi = [0] * (order // 2 + 1)
-    for k in range(1, len(phi)):
-        phi[k] = -_horner(f_s, phi, k)[k] / lead
-    zero = scalar(0, f.mode)
-    return [c or zero for c in _horner(rows, phi, order)]
+    # g only at O(t^(2K+2)).  phi = psi / q, q the lcm of its denominators.
+    psi, q = [0] * (order // 2 + 1), 1
+    for k in range(1, len(psi)):
+        acc, top = _horner(f_s, psi, q, k)
+        if not exact:
+            psi[k] = -acc[k] / lead
+            continue
+        # p_k = num / d in lowest terms, d > 0
+        num, d = -acc[k], lead * q**top
+        if d < 0:
+            num, d = -num, -d
+        g = gcd(num, d)
+        num, d = num // g, d // g
+        step = d // gcd(q, d)
+        if step != 1:
+            psi = [c * step for c in psi]
+            q *= step
+        psi[k] = num * (q // d)
+    acc, top = _horner(rows, psi, q, order)
+    if exact:
+        den *= q**top
+        return [Fraction(c, den) for c in acc]
+    return [c or 0.0 for c in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +234,12 @@ def critical_curve_restriction(f, solve_for="u"):
 
 def _monomials_upto(order):
     return [(i, j) for d in range(order + 1) for i in range(d, -1, -1) for j in [d - i]]
+
+
+def _cleared_terms(jet, top, warnings):
+    """The jet's terms of degree <= ``top``, exact and cleared to ints."""
+    coeffs = _exactify(jet, warnings).coeffs
+    return _cleared((k, c) for k, c in coeffs.items() if k[0] + k[1] <= top)[0]
 
 
 def _row(coeffs, basis_index, order, shift=(0, 0)):
@@ -191,26 +253,36 @@ def _row(coeffs, basis_index, order, shift=(0, 0)):
 
 
 def rank_of_rows(rows):
-    """Rank of a list of Fraction row vectors by exact elimination.
+    """Rank of a list of row vectors by fraction-free elimination.
 
-    Rows may be dense sequences or sparse {column: value} dicts.  Each row
-    is reduced against the pivot rows found so far, always at its lowest
-    nonzero column; a row that does not reduce to zero becomes the pivot
-    row of that column, scaled so that its leading entry is 1.
+    Rows may be dense sequences or sparse {column: value} dicts of ints,
+    Fractions or floats (a float enters exactly, as ``Fraction(x)``).  Each
+    row is scaled to integers by the lcm of its denominators and reduced
+    against the pivot rows found so far, always at its lowest nonzero
+    column, as b * row - a * pivot with a / b the lowest-terms ratio of the
+    two leading entries.  A row that does not reduce to zero becomes the
+    pivot row of that column, divided by the gcd of its entries.
     """
     pivots = {}
     for r in rows:
-        row = dict(r) if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
+        row, _ = _cleared(r.items() if isinstance(r, dict) else enumerate(r))
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                lead = row.pop(col)
-                pivots[col] = {c: x / lead for c, x in row.items()}
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: x // g for c, x in row.items()}
+                pivots[col] = (row.pop(col), row)
                 break
-            factor = row.pop(col)
-            for c, x in pivot.items():
-                y = row.get(c, 0) - factor * x
+            lead, rest = pivot
+            a = row.pop(col)
+            g = gcd(a, lead)
+            a, b = a // g, lead // g
+            if b != 1:
+                row = {c: b * x for c, x in row.items()}
+            for c, x in rest.items():
+                y = row.get(c, 0) - a * x
                 if y:
                     row[c] = y
                 else:
@@ -226,27 +298,41 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
     Flavor "r-plus" adjoins constants and the Jacobian module of the
     function; flavor "k" adjoins the function (value-normalized) to the
     module and drops the constants.  The row of a module element
-    t^m * gen is gen's coefficients shifted by the exponent m.
+    t^m * gen is gen's coefficients shifted by the exponent m.  Only the
+    terms of f up to degree order + 1 reach a row, and f and each family
+    jet are cleared to integers once; the module is unchanged by scaling
+    its generators.
     """
     if flavor not in (R_PLUS, K_EQUIV):
         raise UsageError("flavor must be %r or %r" % (R_PLUS, K_EQUIV))
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise UsageError("rank order must be a nonnegative integer, got %r" % (order,))
     if function_jet.order < order:
         raise UsageError(
             "function jet order %d below the requested rank order %d"
             % (function_jet.order, order)
         )
+    for jet in family_jets:
+        if jet.order < order:
+            raise UsageError(
+                "family jet order %d below the requested rank order %d" % (jet.order, order)
+            )
     warnings = []
-    f = _exactify(function_jet, warnings)
-    fam = [_exactify(j, warnings) for j in family_jets]
+    f = _cleared_terms(function_jet, order + 1, warnings)
+    fam = [_cleared_terms(jet, order, warnings) for jet in family_jets]
     basis = _monomials_upto(order)
     basis_index = {m: idx for idx, m in enumerate(basis)}
 
-    module_gens = [f.partial("u").coeffs, f.partial("v").coeffs]
+    module_gens = [
+        {(i - 1, j): i * c for (i, j), c in f.items() if i},
+        {(i, j - 1): j * c for (i, j), c in f.items() if j},
+    ]
     if flavor == K_EQUIV:
-        module_gens.append({k: c for k, c in f.coeffs.items() if k != (0, 0)})
+        module_gens.append({k: c for k, c in f.items() if k != (0, 0)})
 
-    rows = [_row(gen, basis_index, order, m) for gen in module_gens for m in basis]
-    rows.extend(_row(jet.coeffs, basis_index, order) for jet in fam)
+    # a shift that pushes every term of a generator above the order is a zero row
+    rows = [row for gen in module_gens for m in basis if (row := _row(gen, basis_index, order, m))]
+    rows.extend(_row(jet, basis_index, order) for jet in fam)
     if flavor == R_PLUS:
-        rows.append({basis_index[(0, 0)]: Fraction(1)})
+        rows.append({basis_index[(0, 0)]: 1})
     return rank_of_rows(rows) == len(basis)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from germforge import germ_io, pipeline
-from germforge.errors import ParseError, UsageError
+from germforge.errors import ParseError, SingularSeriesError, UsageError
 from germforge.jets import EXACT, GermJets, Jet2, scalar
 from germforge.normal_form import NormalFormCoeffs
 
@@ -202,6 +202,74 @@ class _RefParser:
 def ref_parse_polynomial(text, variables=("u", "v"), order=6, mode=EXACT):
     """germ_io.parse_polynomial as a chain of Jet2 operations (same tokens)."""
     return _RefParser(germ_io._tokenize(text), tuple(variables), order, mode).parse()
+
+
+def _ref_mul_series(a, b, n):
+    """Product of dense one-variable series, truncated after degree n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _ref_horner(polys, x, n):
+    """sum_i polys[i](t) * x(t)^i as a dense series truncated after degree n.
+
+    ``x`` must vanish at 0: with x = O(t^m), polys[i] only reaches
+    degrees >= i*m, so the sum stops at i = n // m.
+    """
+    m = next((d for d, c in enumerate(x) if c), None)
+    top = min(len(polys) - 1, n // m) if m else 0
+    acc = polys[top][: n + 1]
+    for i in range(top - 1, -1, -1):
+        acc = _ref_mul_series(acc, x, n)
+        for d, c in enumerate(polys[i][: n + 1]):
+            if c:
+                acc[d] += c
+    return acc
+
+
+def ref_critical_curve_restriction(f, solve_for="u"):
+    """Dense coefficients g[0..order] of f restricted to its critical curve.
+
+    For ``solve_for="u"``, phi(v) = p_1 v + p_2 v^2 + ... solves
+    f_u(phi(v), v) = 0 one coefficient at a time,
+
+        p_k = -[v^k] f_u(phi_{<k}(v), v) / (2 c_20),
+
+    and g(v) = f(phi(v), v).  ``solve_for="v"`` swaps the roles of u and v.
+    This is the splitting lemma: in the coordinates (u - phi(v), v), f is
+    c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at
+    the origin and a nonzero coefficient on the square of the solved
+    variable.  Works over Fractions or floats.
+
+    The Fraction/float arithmetic that ``oracle.critical_curve_restriction``
+    replaced with its integer kernel: the test-only reference for it.
+    """
+    if solve_for not in ("u", "v"):
+        raise UsageError("solve_for must be 'u' or 'v'")
+    lead = 2 * f.coeff(*((2, 0) if solve_for == "u" else (0, 2)))
+    if not lead:
+        raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
+    order = f.order
+    # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
+    rows = [[0] * (order + 1) for _ in range(order + 1)]
+    for (i, j), c in f.coeffs.items():
+        if solve_for == "v":
+            i, j = j, i
+        rows[i][j] = c
+    f_s = [[(i + 1) * c for c in row] for i, row in enumerate(rows[1:])]
+    # phi mod t^(K+1) with 2K + 2 > order is enough: g is stationary in phi
+    # (f_s vanishes on the root), so an O(t^(K+1)) error in the root moves
+    # g only at O(t^(2K+2)).
+    phi = [0] * (order // 2 + 1)
+    for k in range(1, len(phi)):
+        phi[k] = -_ref_horner(f_s, phi, k)[k] / lead
+    zero = scalar(0, f.mode)
+    return [c or zero for c in _ref_horner(rows, phi, order)]
 
 
 def series_at(cols, idx):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from germforge.errors import SingularSeriesError, UsageError
 from germforge.jets import EXACT, FLOAT, Jet2
+from germforge import distance, oracle
 from germforge.oracle import (
     K_EQUIV,
     R_PLUS,
+    RATIONALIZE_DENOMINATOR,
     SingularityType,
     critical_curve_restriction,
     rank_of_rows,
@@ -18,7 +20,7 @@ from germforge.oracle import (
     versality_rank_oracle,
 )
 
-from conftest import rand_fraction
+from conftest import make_nf, rand_fraction, ref_critical_curve_restriction
 
 
 def jet(order, terms):
@@ -47,6 +49,17 @@ class TestSplitAndType:
     def test_nonzero_gradient_rejected(self):
         with pytest.raises(UsageError):
             split_and_type(jet(6, {(1, 0): 1}))
+
+    def test_order_below_the_hessian_rejected(self):
+        # truncating below degree 2 would drop u^2 and report a corank of 2
+        f = jet(6, {(2, 0): 1, (0, 3): 1})
+        for order in (0, 1, -1, 2.5, None):
+            with pytest.raises(UsageError):
+                split_and_type(f, order)
+        with pytest.raises(UsageError):
+            split_and_type(jet(1, {}), 6)
+        assert split_and_type(f, 2).label == "MoreDegenerate"  # v^3 is above order 2
+        assert split_and_type(f, 3).label == "A2"
 
     def test_model_functions_a_k(self):
         # +-u^2 +- v^(k+1) must come back as A_k exactly
@@ -144,6 +157,23 @@ class TestRank:
             small = versality_rank_oracle(base_fam, f, flavor, 3)
             big = versality_rank_oracle(base_fam + extra, f, flavor, 3)
             assert big or not small
+
+    def test_rank_order_validated(self):
+        f = jet(6, {(2, 0): 1, (0, 3): 1})
+        fam = [jet(6, {(1, 0): -1}), jet(6, {(0, 1): -1}), jet(6, {(0, 2): -1})]
+        for order in (-1, 2.5, True, None):
+            for flavor in (R_PLUS, K_EQUIV):
+                with pytest.raises(UsageError, match="rank order"):
+                    versality_rank_oracle(fam, f, flavor, order)
+
+    def test_family_jet_below_rank_order_rejected(self):
+        # its missing terms would count as zeros
+        f = jet(6, {(2, 0): 1, (0, 3): 1})
+        fam = [jet(6, {(1, 0): -1}), jet(2, {(0, 1): -1}), jet(6, {(0, 2): -1})]
+        with pytest.raises(UsageError, match="family jet order 2 below"):
+            versality_rank_oracle(fam, f, R_PLUS, 3)
+        assert versality_rank_oracle(fam, f, R_PLUS, 2) == versality_rank_oracle(
+            [j.truncate(2) for j in fam], f, R_PLUS, 2)
 
     def test_float_inputs_rationalized(self):
         f = Jet2(6, {(2, 0): 0.5, (0, 2): 0.5}, "float")
@@ -303,25 +333,62 @@ class TestSplittingKernelMatchesReference:
             assert (got.tag, got.k, got.residual) == (want.tag, want.k, want.residual)
 
 
+def _random_value(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "large":
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+    return rand_fraction(rng)
+
+
 class TestSparseRankMatchesDense:
     def test_planted_dependencies_and_zero_rows(self):
+        # Fraction, int, large-denominator and mixed entries; dense rows and
+        # sparse rows with and without stored zeros
         rng = random.Random(99)
-        for _ in range(300):
+        seen = Counter()
+        for n in range(600):
+            kind = ("small", "int", "large", "mixed")[n % 4]
             ncols = rng.randint(1, 12)
-            base = [[rand_fraction(rng) if rng.random() < 0.5 else Fraction(0)
-                     for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
+
+            def value():
+                k = rng.choice(("int", "large", "small")) if kind == "mixed" else kind
+                return _random_value(rng, k) if rng.random() < 0.5 else 0
+
+            base = [[value() for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
             rows = list(base)
             for _ in range(rng.randint(0, 4)):
-                if base:
-                    coeffs = [rand_fraction(rng) for _ in base]
-                    rows.append([sum((c * r[i] for c, r in zip(coeffs, base)), Fraction(0))
-                                 for i in range(ncols)])
-                rows.append([Fraction(0)] * ncols)
+                if base:  # a planted dependency: a combination of earlier rows
+                    coeffs = [_random_value(rng, "small" if kind == "mixed" else kind)
+                              for _ in base]
+                    rows.append([sum(c * r[i] for c, r in zip(coeffs, base)) for i in range(ncols)])
+                rows.append([0] * ncols)
             rng.shuffle(rows)
-            want = ref_rank_of_rows(rows)
+            want = ref_rank_of_rows([[Fraction(x) for x in r] for r in rows])
             assert rank_of_rows(rows) == want
             assert rank_of_rows([{i: x for i, x in enumerate(r) if x} for r in rows]) == want
+            assert rank_of_rows([dict(enumerate(r)) for r in rows]) == want
             assert want <= len(base)
+            seen["deficient" if want < len(rows) else "full"] += 1
+        assert seen["deficient"] >= 100 and seen["full"] >= 50, seen
+
+    def test_float_entries_enter_exactly(self):
+        rng = random.Random(4152)
+        for _ in range(200):
+            ncols = rng.randint(1, 6)
+            rows = [[rng.choice((0.0, 1.0, -0.5, 0.1, 1e-12, 3.0e15, rng.uniform(-2, 2)))
+                     for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
+            want = ref_rank_of_rows([[Fraction(x) for x in r] for r in rows])
+            assert rank_of_rows(rows) == want
+        # 0.1 + 0.2 != 0.3 in binary, so these rows are independent
+        assert rank_of_rows([[0.1, 0.2], [0.3, 0.6000000000000001]]) == 2
+        assert rank_of_rows([[0.1, 0.2], [0.2, 0.4]]) == 1
+
+    def test_input_rows_left_unchanged(self):
+        rows = [{0: Fraction(1, 2), 2: Fraction(3)}, {0: Fraction(1, 3), 1: 2}]
+        copies = [dict(r) for r in rows]
+        assert rank_of_rows(rows) == 2
+        assert rows == copies
 
     def test_empty(self):
         assert rank_of_rows([]) == 0
@@ -378,3 +445,189 @@ class TestNonlinearInvariance:
         g = f.substitute(*diffeo) + Jet2.const(shift, ORDER)
         t = split_and_type(g, ORDER)
         assert (t.tag, t.k) == expected
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against their Fraction references
+# ---------------------------------------------------------------------------
+
+
+def ref_versality_rank_oracle(family_jets, function_jet, flavor, order):
+    """Every shifted row of the whole function jet's partials, in Fractions,
+    eliminated densely."""
+    def exact(jet):
+        return jet.to_exact(RATIONALIZE_DENOMINATOR)
+
+    f = exact(function_jet)
+    basis = [(i, d - i) for d in range(order + 1) for i in range(d, -1, -1)]
+    index = {m: n for n, m in enumerate(basis)}
+
+    def row(coeffs, si=0, sj=0):
+        out = [Fraction(0)] * len(basis)
+        for (i, j), c in coeffs.items():
+            if i + j + si + sj <= order:
+                out[index[(i + si, j + sj)]] = c
+        return out
+
+    gens = [f.partial("u").coeffs, f.partial("v").coeffs]
+    if flavor == K_EQUIV:
+        gens.append({k: c for k, c in f.coeffs.items() if k != (0, 0)})
+    rows = [row(gen, *m) for gen in gens for m in basis]
+    rows += [row(exact(jet).coeffs) for jet in family_jets]
+    if flavor == R_PLUS:
+        rows.append(row({(0, 0): Fraction(1)}))
+    return ref_rank_of_rows(rows) == len(basis)
+
+
+class TestCriticalCurveMatchesReference:
+    @staticmethod
+    def _jet(rng, order, solve_for, mode, zero_curve=False):
+        """A random jet with a critical point at 0 and a nonzero square of the
+        solved variable; with zero_curve, no s*t^j term (phi = 0)."""
+        if mode == FLOAT:
+            def value():
+                return rng.uniform(-3, 3) * 10.0 ** rng.randint(-4, 4)
+        else:
+            def value():
+                return _random_value(rng, rng.choice(("small", "small", "large", "int")))
+        terms = {}
+        for d in range(2, order + 1):
+            for i in range(d + 1):
+                if zero_curve and (i if solve_for == "u" else d - i) == 1:
+                    continue
+                if rng.random() < 0.5:
+                    terms[(i, d - i)] = value()
+        square = (2, 0) if solve_for == "u" else (0, 2)
+        terms[square] = rng.choice((-1, 1)) * (rng.uniform(0.5, 3) if mode == FLOAT
+                                               else rand_fraction(rng, nonzero=True))
+        if rng.random() < 0.5:
+            terms[(0, 0)] = value()
+        return Jet2(order, terms, mode)
+
+    def test_exact_orders_3_to_10(self):
+        rng = random.Random(4153)
+        for n in range(400):
+            order, solve_for = 3 + n % 8, ("u", "v")[n // 8 % 2]
+            f = self._jet(rng, order, solve_for, EXACT, zero_curve=n % 5 == 0)
+            got = critical_curve_restriction(f, solve_for)
+            assert got == ref_critical_curve_restriction(f, solve_for), f
+            assert len(got) == order + 1 and all(type(c) is Fraction for c in got)
+            if n % 5 == 0:  # phi = 0: g is f on the other axis
+                axis = [f.coeff(0, j) if solve_for == "u" else f.coeff(j, 0)
+                        for j in range(order + 1)]
+                assert got == axis
+
+    def test_float_bits_unchanged(self):
+        rng = random.Random(4154)
+        for n in range(400):
+            order, solve_for = 3 + n % 8, ("u", "v")[n // 8 % 2]
+            f = self._jet(rng, order, solve_for, FLOAT, zero_curve=n % 5 == 0)
+            got = critical_curve_restriction(f, solve_for)
+            want = ref_critical_curve_restriction(f, solve_for)
+            assert all(type(c) is float for c in got)
+            assert [c.hex() for c in got] == [c.hex() for c in want], f
+
+    def test_distance_jets(self):
+        rng = random.Random(4155)
+        for n in range(60):
+            a = {(i, j): rand_fraction(rng) for i in range(6) for j in range(6)
+                 if 2 <= i + j <= 5 and (i, j) not in ((1, 1), (0, 2))}
+            nf = make_nf(8, EXACT if n % 2 else FLOAT, a, {2: rand_fraction(rng),
+                                                           3: rand_fraction(rng)})
+            p = distance.ProbePoint(0, rand_fraction(rng, nonzero=True), rand_fraction(rng))
+            for order in (6, 8):
+                f = distance.distance_jet(nf, p, order)
+                got = critical_curve_restriction(f, "v")
+                want = ref_critical_curve_restriction(f, "v")
+                assert [repr(c) for c in got] == [repr(c) for c in want]
+
+
+class TestVersalityMatchesReference:
+    def test_random_families_both_flavors(self):
+        rng = random.Random(4156)
+        seen = Counter()
+        for n in range(240):
+            f = random_critical_jet(rng, 8, KINDS[n % len(KINDS)])
+            order = rng.randint(1, 5)
+            fam = []
+            for _ in range(rng.randint(0, 4)):
+                terms = {(i, d - i): rand_fraction(rng) for d in range(order + 1)
+                         for i in range(d + 1) if rng.random() < 0.4}
+                fam.append(Jet2(rng.randint(order, 8), terms))
+            for flavor in (R_PLUS, K_EQUIV):
+                got = versality_rank_oracle(fam, f, flavor, order)
+                assert got == ref_versality_rank_oracle(fam, f, flavor, order), (f, fam, order)
+                seen[(flavor, got)] += 1
+        for case in ((R_PLUS, True), (R_PLUS, False), (K_EQUIV, True), (K_EQUIV, False)):
+            assert seen[case] >= 20, seen
+
+    def test_distance_families(self):
+        # the rank test's own families at the rank order, exact and float
+        rng = random.Random(4157)
+        calls = []
+        real = oracle.versality_rank_oracle
+
+        def recording(family, f, flavor, order):
+            calls.append((family, f, flavor, order))
+            return real(family, f, flavor, order)
+
+        seen = Counter()
+        for n in range(80):
+            a = {(i, j): rand_fraction(rng) for i in range(6) for j in range(6)
+                 if 2 <= i + j <= 5 and (i, j) not in ((1, 1), (0, 2))}
+            b = {2: rand_fraction(rng), 3: rand_fraction(rng)}
+            if n % 2:
+                a[(0, 3)] = 0  # on the principal normal: A3 and beyond
+            nf = make_nf(8, FLOAT if n % 4 == 3 else EXACT, a, b)
+            a20 = Fraction(a.get((2, 0), 0))
+            y0 = Fraction(0) if n % 2 else rand_fraction(rng, nonzero=True)
+            z0 = (1 - Fraction(b[2]) * y0) / a20 if a20 and n % 3 else rand_fraction(rng)
+            p = distance.ProbePoint(0, y0, z0)
+            for flavor in (R_PLUS, K_EQUIV):
+                calls.clear()
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(oracle, "versality_rank_oracle", recording)
+                    got = distance.versality_rank_test(nf, p, flavor)
+                for family, f, fl, order in calls:
+                    assert [j.order for j in family] == [order] * 3
+                    assert ref_versality_rank_oracle(family, f, fl, order) == got
+                    seen[(fl, got)] += 1
+        assert len(seen) == 4, seen
+
+
+def _fraction_constructions(monkeypatch, fn, *args):
+    """(fn(*args), the number of Fractions built while it ran)."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *a, **kw):
+        count[0] += 1
+        return new(cls, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counting_new))
+        result = fn(*args)
+    return result, count[0]
+
+
+class TestIntegerKernels:
+    ROWS = [[Fraction(1, 2), Fraction(2, 3), 0, Fraction(5, 7)],
+            [Fraction(3, 4), Fraction(1), Fraction(-1, 9), 0],
+            [Fraction(5, 4), Fraction(5, 3), Fraction(-1, 9), Fraction(5, 7)],
+            [0, Fraction(7, 11), Fraction(2, 13), Fraction(1, 17)]]
+
+    def test_rank_elimination_builds_no_fraction(self, monkeypatch):
+        rank, built = _fraction_constructions(monkeypatch, rank_of_rows, self.ROWS)
+        assert (rank, built) == (3, 0)
+
+    def test_guard_sees_fraction_elimination(self, monkeypatch):
+        rank, built = _fraction_constructions(monkeypatch, ref_rank_of_rows, self.ROWS)
+        assert rank == 3 and built > 0
+
+    def test_curve_builds_only_its_result(self, monkeypatch):
+        f = TestCriticalCurveMatchesReference._jet(random.Random(5), 8, "u", EXACT)
+        got, built = _fraction_constructions(monkeypatch, critical_curve_restriction, f)
+        assert got == ref_critical_curve_restriction(f) and built == f.order + 1
+        _, ref_built = _fraction_constructions(monkeypatch, ref_critical_curve_restriction, f)
+        assert ref_built > built
+
