@@ -282,7 +282,6 @@ def singular_point_type(nf):
 @dataclass
 class GeometricVerdict:
     verdict: DistanceVerdict
-    expected_type: object            # DistSing or tuple of admissible DistSing
     flags: dict
     probe: ProbePoint
 
@@ -305,18 +304,16 @@ def geometric_verdict(ctx, theta0, lam):
         at_intersection = _zero_test(nf, p)(nf.a_(2, 0) * p.z0 - 1)
         flags = {"on_principal_normal": True, "focal_intersection": at_intersection}
         if at_intersection:
-            expected = DistSing.D4PLUS
             ok = verdict.sing_type is DistSing.D4PLUS
         else:
-            expected = (DistSing.A2, DistSing.A3, DistSing.A4PLUS)
-            ok = verdict.sing_type in expected
+            ok = verdict.sing_type in (DistSing.A2, DistSing.A3, DistSing.A4PLUS)
         ok = ok and not verdict.r_plus_versal and not verdict.k_versal
         if not ok:
             raise InternalConsistencyError(
                 "principal-normal routes disagree: coefficients say %s"
                 % verdict.sing_type.value
             )
-        return GeometricVerdict(verdict, expected, flags, p)
+        return GeometricVerdict(verdict, flags, p)
 
     focal = is_zero(lam * rr.k10 - 1.0, max(1.0, abs(lam) * rr.k10_scale))
     flags = dict(
@@ -355,4 +352,4 @@ def geometric_verdict(ctx, theta0, lam):
                 expected_versal[1],
             )
         )
-    return GeometricVerdict(verdict, expected, flags, p)
+    return GeometricVerdict(verdict, flags, p)

@@ -65,7 +65,7 @@ def scalar(x, mode):
     UsageError for NaN, an infinity or a value outside float range.
     """
     if mode == EXACT:
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
     return _as_float(x)
 
 
@@ -256,9 +256,6 @@ class Jet2:
         c = self.coeffs.get((i, j))
         return scalar(0, self.mode) if c is None else c
 
-    def items(self):
-        return self.coeffs.items()
-
     def is_zero(self):
         return not self.coeffs
 
@@ -266,12 +263,6 @@ class Jet2:
         if not self.coeffs:
             return 0
         return max(abs(c) for c in self.coeffs.values())
-
-    def degree(self):
-        """Total degree of the lowest-order nonzero term, or None if zero."""
-        if not self.coeffs:
-            return None
-        return min(i + j for i, j in self.coeffs)
 
     def constant_term(self):
         return self.coeff(0, 0)
@@ -415,7 +406,7 @@ class Jet2:
                 if powers.v_fixed or j == 0:
                     row[(0, j)] = c  # v^j: no other term of the row has this key
                 else:
-                    _accumulate(row, {k: c * x for k, x in _power(powers.v, j).items()})
+                    _accumulate(row, {k: c * x for k, x in _power(powers.v, j).coeffs.items()})
             acc = {}
             for i, row in rows.items():
                 if powers.u_fixed or i == 0:
@@ -432,34 +423,37 @@ class Jet2:
         return Jet2._trusted(order, acc, FLOAT)
 
     def truncate(self, new_order):
+        """The terms of degree <= ``new_order``.  They need no validation: a
+        float term cleared the floor of the whole jet, which is no lower than
+        the floor of the terms kept."""
         if new_order > self.order:
             raise UsageError("truncate cannot raise the order; use with_order")
-        return Jet2(
+        return Jet2._trusted(
             new_order,
             {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= new_order},
             self.mode,
         )
 
     def with_order(self, new_order):
-        """Reinterpret at a higher order (valid when the data is a polynomial)."""
+        """Reinterpret at another order (valid when the data is a polynomial);
+        the jet itself at its own order."""
+        if new_order == self.order:
+            return self
         if new_order < self.order:
             return self.truncate(new_order)
-        return Jet2(new_order, dict(self.coeffs), self.mode)
+        return Jet2._trusted(new_order, dict(self.coeffs), self.mode)
 
     def to_float(self):
         if self.mode == FLOAT:
             return self
         return Jet2(self.order, {k: float(c) for k, c in self.coeffs.items()}, FLOAT)
 
-    def to_exact(self, max_denominator=None):
+    def to_exact(self, max_denominator):
+        """The jet in exact mode, each float rationalized with denominator at
+        most ``max_denominator``."""
         if self.mode == EXACT:
             return self
-        out = {}
-        for k, c in self.coeffs.items():
-            f = Fraction(c)
-            if max_denominator is not None:
-                f = f.limit_denominator(max_denominator)
-            out[k] = f
+        out = {k: Fraction(c).limit_denominator(max_denominator) for k, c in self.coeffs.items()}
         return Jet2(self.order, out, EXACT)
 
     def evaluate(self, u_val, v_val):
@@ -546,9 +540,6 @@ class GermJets:
         return [
             [comp.coeff(1, 0), comp.coeff(0, 1)] for comp in self.components()
         ]
-
-    def evaluate(self, u_val, v_val):
-        return tuple(comp.evaluate(u_val, v_val) for comp in self.components())
 
     def __eq__(self, other):
         if not isinstance(other, GermJets):

@@ -150,10 +150,20 @@ class NormalFormCoeffs:
         )
 
 
+def _in_mode(g, mode):
+    """The germ ``g``, promoted to float if ``mode`` is float: the one promotion."""
+    if mode == FLOAT and g.mode == EXACT:
+        g = g.to_float()
+    return g
+
+
 @dataclass(frozen=True)
 class RotationStep:
     matrix: tuple  # 3x3, rows of scalars
     mode: str
+
+    def apply(self, g):
+        return _in_mode(g, self.mode).rotate(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -162,34 +172,53 @@ class SubstitutionStep:
     v_new: Jet2
     mode: str
 
+    def apply(self, g):
+        g = _in_mode(g, self.mode)
+        return g.substitute(self.u_new.with_order(g.order), self.v_new.with_order(g.order))
+
 
 @dataclass
 class TransformLog:
-    """Ordered record of the source/target changes applied by the reducer."""
+    """Ordered record of the source/target changes applied by the reducer.
+
+    The log is the only way the reducer changes a germ: ``apply_rotation``
+    and ``apply_substitution`` record a step in the log's scalar mode and
+    apply it, and ``replay`` applies the same steps to another germ.  The
+    log owns that mode: ``sqrt`` switches it to float at the first
+    irrational root, and a float step promotes an exact germ.
+    """
 
     steps: list = field(default_factory=list)
     mode_used: str = EXACT
 
-    def add_rotation(self, matrix, mode):
-        self.steps.append(RotationStep(tuple(tuple(r) for r in matrix), mode))
+    def sqrt(self, x):
+        """Square root of ``x``: exact while the log is exact and ``x`` is a
+        perfect square; otherwise a float, and the log is float from then on."""
+        if self.mode_used == EXACT:
+            fx = Fraction(x)
+            if fx < 0:
+                raise UsageError("negative radicand")
+            rn, rd = math.isqrt(fx.numerator), math.isqrt(fx.denominator)
+            if rn * rn == fx.numerator and rd * rd == fx.denominator:
+                return Fraction(rn, rd)
+            self.mode_used = FLOAT
+        return math.sqrt(float(x))
 
-    def add_substitution(self, u_new, v_new, mode):
-        self.steps.append(SubstitutionStep(u_new, v_new, mode))
+    def apply_rotation(self, g, matrix):
+        return self._apply(g, RotationStep(tuple(tuple(r) for r in matrix), self.mode_used))
+
+    def apply_substitution(self, g, u_new, v_new):
+        return self._apply(g, SubstitutionStep(u_new, v_new, self.mode_used))
+
+    def _apply(self, g, step):
+        self.steps.append(step)
+        return step.apply(g)
 
     def replay(self, g):
         """Apply the recorded changes to a germ; reproduces the normal form."""
         for step in self.steps:
-            if step.mode == FLOAT and g.mode == EXACT:
-                g = g.to_float()
-            if isinstance(step, RotationStep):
-                g = g.rotate(step.matrix)
-            else:
-                u_new = step.u_new.with_order(g.order)
-                v_new = step.v_new.with_order(g.order)
-                g = g.substitute(u_new, v_new)
-        if self.mode_used == FLOAT and g.mode == EXACT:
-            g = g.to_float()
-        return g
+            g = step.apply(g)
+        return _in_mode(g, self.mode_used)
 
 
 # ---------------------------------------------------------------------------
@@ -219,83 +248,61 @@ def corank_at_origin(g):
     return 2 - _matrix_rank_3x2(g.linear_part(), g.mode)
 
 
-def _sqrt_scalar(x, mode):
-    """Square root with mode tracking: exact iff the radicand is a perfect square."""
-    if mode == EXACT:
-        fx = Fraction(x)
-        if fx < 0:
-            raise UsageError("negative radicand")
-        rn, rd = math.isqrt(fx.numerator), math.isqrt(fx.denominator)
-        if rn * rn == fx.numerator and rd * rd == fx.denominator:
-            return Fraction(rn, rd), EXACT
-        return math.sqrt(float(fx)), FLOAT
-    return math.sqrt(float(x)), FLOAT
-
-
 def _identity3(mode):
     return [[scalar(int(r == c), mode) for c in range(3)] for r in range(3)]
+
+
+def _flattening(q, u_var, v_var):
+    """psi with psi + q(psi, v) = u: the change u -> psi turns u + q into u."""
+    psi = u_var
+    for _ in range(q.order):
+        psi = u_var - q.substitute(psi, v_var)
+    return psi
 
 
 def _normalize_linear_part(g, log):
     """Rotate the image line onto the x-axis and flatten the first component to u."""
     rows = g.linear_part()
-    mode = g.mode
     col_u = [rows[i][0] for i in range(3)]
     col_v = [rows[i][1] for i in range(3)]
     w = col_u if max(abs(float(c)) for c in col_u) >= max(
         abs(float(c)) for c in col_v
     ) else col_v
     scale = _scale_of(rows)
-    if not (is_zero(w[1], scale, mode) and is_zero(w[2], scale, mode)):
-        norm2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-        norm, mode = _sqrt_scalar(norm2, mode)
-        if mode == FLOAT and g.mode == EXACT:
-            g = g.to_float()
-            w = [float(c) for c in w]
-        wh = [c / norm for c in w]
+    if not (is_zero(w[1], scale, g.mode) and is_zero(w[2], scale, g.mode)):
+        norm = log.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+        wh = [scalar(c, log.mode_used) / norm for c in w]
         q = [wh[0] + 1, wh[1], wh[2]]
         qq = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
         rot = [
             [2 * q[r] * q[c] / qq - (1 if r == c else 0) for c in range(3)]
             for r in range(3)
         ]
-        g = g.rotate(rot)
-        log.add_rotation(rot, mode)
+        g = log.apply_rotation(g, rot)
     elif w[0] < 0:
-        rot = _identity3(mode)
+        rot = _identity3(g.mode)
         rot[0][0] = -rot[0][0]
         rot[1][1] = -rot[1][1]
-        g = g.rotate(rot)
-        log.add_rotation(rot, mode)
+        g = log.apply_rotation(g, rot)
 
     # source linear change making the first component u + O(2)
+    mode, order = g.mode, g.order
     l1, l2 = g.x.coeff(1, 0), g.x.coeff(0, 1)
     n2 = l1 * l1 + l2 * l2
     if is_zero(n2, scale, mode):
         raise UsageError("vanishing differential of the first component")
+    u_var = Jet2.variable("u", order, mode)
+    v_var = Jet2.variable("v", order, mode)
     if l1 != 1 or l2 != 0:
         m11, m21 = l1 / n2, l2 / n2
         m12, m22 = -l2, l1
-        order = g.order
-        u_var = Jet2.variable("u", order, mode)
-        v_var = Jet2.variable("v", order, mode)
-        u_new = u_var * m11 + v_var * m12
-        v_new = u_var * m21 + v_var * m22
-        g = g.substitute(u_new, v_new)
-        log.add_substitution(u_new, v_new, mode)
+        g = log.apply_substitution(g, u_var * m11 + v_var * m12, u_var * m21 + v_var * m22)
 
     # flatten higher-order terms of the first component
-    order = g.order
-    u_var = Jet2.variable("u", order, mode)
-    v_var = Jet2.variable("v", order, mode)
     q = g.x - u_var
     if not q.is_zero():
-        psi = u_var
-        for _ in range(order):
-            psi = u_var - q.substitute(psi, v_var)
-        g = g.substitute(psi, v_var)
-        log.add_substitution(psi, v_var, mode)
-    return g, mode
+        g = log.apply_substitution(g, _flattening(q, u_var, v_var), v_var)
+    return g
 
 
 def _two_jet_data(g):
@@ -332,15 +339,15 @@ class ReductionStart:
     class: a dataclass would add a millisecond to every CLI start.)
     """
 
-    __slots__ = ("g", "mode", "log", "data", "two_jet")
+    __slots__ = ("g", "log", "data", "two_jet")
 
     def __init__(self, g):
         """Normalize the linear part of ``g``, a germ of corank 1 (the caller
         has checked ``corank_at_origin(g) == 1``), and read its two-jet."""
-        self.log = TransformLog()
-        self.g, self.mode = _normalize_linear_part(g, self.log)
+        self.log = TransformLog(mode_used=g.mode)
+        self.g = _normalize_linear_part(g, self.log)
         self.data = _two_jet_data(self.g)
-        self.two_jet = _classify_two_jet(self.data, self.mode)
+        self.two_jet = _classify_two_jet(self.data, self.log.mode_used)
 
 
 def two_jet_class(g):
@@ -350,28 +357,18 @@ def two_jet_class(g):
     return ReductionStart(g).two_jet
 
 
-def reduce_to_normal_form(g, order=None):
+def reduce_to_normal_form(g):
     """Reduce a corank-1, (u, v^2, 0)-type germ; returns (coeffs, log).
 
-    ``g`` is the germ, or the ReductionStart made of it (then ``order``
-    must be None).
+    ``g`` is the germ, or the ReductionStart made of it.
     """
     if isinstance(g, ReductionStart):
-        if order is not None:
-            raise UsageError("order applies to a germ, not to a started reduction")
         start = g
     else:
         if corank_at_origin(g) != 1:
             raise UsageError("reduce_to_normal_form requires a corank-1 germ")
-        if order is not None:
-            if order > g.order:
-                raise UsageError(
-                    "requested order %d exceeds the germ's jet order %d"
-                    % (order, g.order)
-                )
-            g = GermJets(*(c.truncate(order) for c in g.components()))
         start = ReductionStart(g)
-    g, mode, data, cls = start.g, start.mode, start.data, start.two_jet
+    g, data, cls = start.g, start.data, start.two_jet
     log = TransformLog(list(start.log.steps), start.log.mode_used)
     if cls is TwoJetClass.UUV:
         raise OutOfScopeHkError(
@@ -384,54 +381,38 @@ def reduce_to_normal_form(g, order=None):
     if cls is TwoJetClass.DEGENERATE:
         raise UnsupportedGermError("degenerate two-jet (u, 0, 0); unsupported")
 
-    # rotation in the (y, z)-plane killing the quadratic v-terms of z
+    # rotation in the (y, z)-plane killing the quadratic v-terms of z; a step
+    # that only promotes the germ to float is recorded too
     a02, b02 = data["a02"], data["b02"]
-    s2 = a02 * a02 + b02 * b02
-    s, mode = _sqrt_scalar(s2, mode)
-    if mode == FLOAT and g.mode == EXACT:
-        g = g.to_float()
-        a02, b02 = float(a02), float(b02)
+    s = log.sqrt(a02 * a02 + b02 * b02)
+    mode = log.mode_used
+    a02, b02 = scalar(a02, mode), scalar(b02, mode)
     rot = _identity3(mode)
     rot[1][1], rot[1][2] = b02 / s, a02 / s
     rot[2][1], rot[2][2] = -a02 / s, b02 / s
-    if rot != _identity3(mode):
-        g = g.rotate(rot)
-        log.add_rotation(rot, mode)
+    if rot != _identity3(mode) or g.mode != mode:
+        g = log.apply_rotation(g, rot)
 
     # kill the uv term of y and scale v^2 to 1/2
     s_now = 2 * g.y.coeff(0, 2)
     b11n = g.y.coeff(1, 1)
-    root, mode = _sqrt_scalar(s_now, mode)
-    if mode == FLOAT and g.mode == EXACT:
-        g = g.to_float()
-        s_now, b11n = float(s_now), float(b11n)
-        root = math.sqrt(s_now)
-    c10 = -b11n / s_now
+    root = log.sqrt(s_now)
+    mode = log.mode_used
+    c10 = -scalar(b11n, mode) / scalar(s_now, mode)
     c01 = scalar(1, mode) / root
-    if c10 != 0 or c01 != 1:
-        order_now = g.order
-        u_var = Jet2.variable("u", order_now, mode)
-        v_var = Jet2.variable("v", order_now, mode)
-        v_new = u_var * c10 + v_var * c01
-        g = g.substitute(u_var, v_new)
-        log.add_substitution(u_var, v_new, mode)
+    u_var = Jet2.variable("u", g.order, mode)
+    v_var = Jet2.variable("v", g.order, mode)
+    if c10 != 0 or c01 != 1 or g.mode != mode:
+        g = log.apply_substitution(g, u_var, u_var * c10 + v_var * c01)
 
     # degree-by-degree cleanup of the second component
     for m in range(3, g.order + 1):
-        delta_terms = {}
-        for (i, j), c in g.y.coeffs.items():
-            if i + j == m and j >= 1:
-                delta_terms[(i, j - 1)] = delta_terms.get((i, j - 1), 0) - c
-        if not delta_terms:
-            continue
-        order_now = g.order
-        u_var = Jet2.variable("u", order_now, mode)
-        v_var = Jet2.variable("v", order_now, mode)
-        v_new = v_var + Jet2(order_now, delta_terms, mode)
-        g = g.substitute(u_var, v_new)
-        log.add_substitution(u_var, v_new, mode)
+        delta = {
+            (i, j - 1): -c for (i, j), c in g.y.coeffs.items() if i + j == m and j >= 1
+        }
+        if delta:
+            g = log.apply_substitution(g, u_var, v_var + Jet2(g.order, delta, mode))
 
-    log.mode_used = mode
     nf = _extract_coeffs(g)
     _check_form(g, nf)
     return nf, log

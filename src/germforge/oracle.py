@@ -27,8 +27,10 @@ Both answers are exact, and both kernels compute on Python integers:
   to integers once, so the shifted copies of a generator share them.
 
 Float inputs to ``split_and_type`` and ``versality_rank_oracle`` are
-rationalized (denominators up to 10**6) with a warning recorded; a float
-entry of a ``rank_of_rows`` row enters exactly, as ``Fraction(x)``.
+rationalized (denominators up to 10**6).  ``split_and_type`` records a
+warning in its result when it does; ``versality_rank_oracle`` answers a
+bare bool and records none.  A float entry of a ``rank_of_rows`` row enters
+exactly, as ``Fraction(x)``.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ class SingularityType:
         return self.tag
 
 
-def _exactify(jet, warnings):
-    if jet.mode == EXACT:
-        return jet
-    warnings.append(
-        "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR
-    )
-    return jet.to_exact(RATIONALIZE_DENOMINATOR)
-
-
 def split_and_type(f, order=6):
     """Type a function jet with a critical point at the origin.
 
@@ -87,7 +80,11 @@ def split_and_type(f, order=6):
     if f.order < 2:
         raise UsageError("split_and_type needs a jet of order at least 2, got %d" % f.order)
     warnings = []
-    f = _exactify(f, warnings)
+    if f.mode != EXACT:
+        warnings.append(
+            "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR
+        )
+        f = f.to_exact(RATIONALIZE_DENOMINATOR)
     if f.order < order:
         order = f.order
     elif f.order > order:
@@ -236,9 +233,9 @@ def _monomials_upto(order):
     return [(i, j) for d in range(order + 1) for i in range(d, -1, -1) for j in [d - i]]
 
 
-def _cleared_terms(jet, top, warnings):
+def _cleared_terms(jet, top):
     """The jet's terms of degree <= ``top``, exact and cleared to ints."""
-    coeffs = _exactify(jet, warnings).coeffs
+    coeffs = jet.to_exact(RATIONALIZE_DENOMINATOR).coeffs
     return _cleared((k, c) for k, c in coeffs.items() if k[0] + k[1] <= top)[0]
 
 
@@ -317,9 +314,8 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
             raise UsageError(
                 "family jet order %d below the requested rank order %d" % (jet.order, order)
             )
-    warnings = []
-    f = _cleared_terms(function_jet, order + 1, warnings)
-    fam = [_cleared_terms(jet, order, warnings) for jet in family_jets]
+    f = _cleared_terms(function_jet, order + 1)
+    fam = [_cleared_terms(jet, order) for jet in family_jets]
     basis = _monomials_upto(order)
     basis_index = {m: idx for idx, m in enumerate(basis)}
 

@@ -354,7 +354,7 @@ def _spread_float_jet(rng, order):
     """A float jet whose magnitudes span many decades, so the relative floor
     drops terms along the way."""
     jet = rand_jet(rng, order, FLOAT)
-    return Jet2(order, {k: c * 10.0 ** rng.randint(-10, 6) for k, c in jet.items()}, FLOAT)
+    return Jet2(order, {k: c * 10.0 ** rng.randint(-10, 6) for k, c in jet.coeffs.items()}, FLOAT)
 
 
 class TestFloatPathPinned:
@@ -398,6 +398,62 @@ class TestFloatPathPinned:
         # 1e6 * 1e-9 = 1e-3 is under the product's floor 1e-9 * 2e6
         assert (3, 0) not in (FA * FB).coeffs
         assert (2, 1) not in FA.coeffs
+
+
+def _near_floor_jet(rng, order):
+    """A float jet whose small terms sit one ulp to a few ulps above the floor
+    of its largest term, which sits at the top degree."""
+    top = 10.0 ** rng.randint(1, 8) * rng.choice([1, -1])
+    floor = FLOAT_ZERO_REL * abs(top)
+    terms = {(rng.randint(0, order), 0): rng.uniform(-2, 2)}
+    for d in range(1, order):
+        i = rng.randint(0, d)
+        x = floor
+        for _ in range(rng.randint(1, 4)):
+            x = math.nextafter(x, math.inf)
+        terms[(i, d - i)] = x * rng.choice([1, -1])
+    terms[(0, order)] = top
+    jet = Jet2(order, terms, FLOAT)
+    assert len(jet.coeffs) >= order  # the near-floor terms survived
+    return jet
+
+
+def _kept(jet, order):
+    """The jet cut at ``order`` through the public, validating constructor."""
+    return Jet2(order, {k: c for k, c in jet.coeffs.items() if sum(k) <= order}, jet.mode)
+
+
+def _hex_items(jet):
+    return [(k, c.hex() if isinstance(c, float) else c) for k, c in jet.coeffs.items()]
+
+
+class TestTruncateKeepsWhatTheConstructorKeeps:
+    """truncate skips validation: a term of a valid jet cleared the floor of
+    the whole jet, which is no lower than the floor of the terms kept."""
+
+    def test_seeded_jets(self):
+        rng = random.Random(1618)
+        jets = []
+        for _ in range(60):
+            order = rng.randint(1, 7)
+            jets += [rand_jet(rng, order), rand_jet(rng, order, FLOAT),
+                     _spread_float_jet(rng, order), _near_floor_jet(rng, order)]
+        for jet in jets:
+            for order in range(jet.order + 1):
+                got, want = jet.truncate(order), _kept(jet, order)
+                assert (got.order, got.mode) == (want.order, want.mode)
+                assert got.coeffs == want.coeffs
+                assert _hex_items(got) == _hex_items(want)
+                assert jet.with_order(order) == got
+
+    def test_with_order(self):
+        rng = random.Random(1619)
+        for mode in (EXACT, FLOAT):
+            jet = rand_jet(rng, 4, mode)
+            assert jet.with_order(4) is jet
+            raised = jet.with_order(6)
+            assert raised == Jet2(6, dict(jet.coeffs), mode)
+            assert _hex_items(raised) == _hex_items(jet)
 
 
 class TestIsZero:

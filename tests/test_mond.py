@@ -167,7 +167,7 @@ def _shifted_bk_nf(k, a21, tau, d, mode):
     z = Jet2(order, {(2, 1): Fraction(a21, 2), (0, 2 * k + 1): tau})
     shift = Jet2(order, {(1, 0): 1, **{(0, 2 * (n - 1)): dn for n, dn in d.items()}})
     p = z.substitute(shift, Jet2.variable("v", order))
-    a = {(i, j): c * math.factorial(i) * math.factorial(j) for (i, j), c in p.items()}
+    a = {(i, j): c * math.factorial(i) * math.factorial(j) for (i, j), c in p.coeffs.items()}
     return make_nf(order=order, mode=mode, a=a)
 
 

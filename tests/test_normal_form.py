@@ -1,20 +1,30 @@
+import ast
 import math
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from germforge import normal_form
 from germforge.errors import OutOfScopeHkError, UnsupportedGermError, UsageError
-from germforge.jets import EXACT, FLOAT, Jet2
+from germforge.germ_io import expand_germ, read_germ_spec
+from germforge.jets import EXACT, FLOAT, GermJets, Jet2
 from germforge.normal_form import (
     ReductionStart,
+    RotationStep,
     SubstitutionStep,
     TwoJetClass,
+    _extract_coeffs,
     corank_at_origin,
     reduce_to_normal_form,
     two_jet_class,
 )
+from germforge.pipeline import working_order
 
 from conftest import germ_from_strings, jets_close, make_nf
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestCorank:
@@ -190,21 +200,6 @@ class TestTransformLog:
                 assert abs(float(det)) > 1e-9
 
 
-class TestReduceOrderParameter:
-    def test_truncates_before_reducing(self):
-        g = germ_from_strings(["u", "1/2*v^2", "u^2*v + v^3 + u^5*v"], 7)
-        nf_full, _ = reduce_to_normal_form(g)
-        nf_cut, _ = reduce_to_normal_form(g, order=4)
-        assert nf_cut.order == 4
-        assert nf_cut.a_(2, 1) == nf_full.a_(2, 1)
-        assert (5, 1) not in nf_cut.a and (5, 1) in nf_full.a
-
-    def test_order_above_jet_rejected(self):
-        g = germ_from_strings(["u", "1/2*v^2", "u^2*v"], 4)
-        with pytest.raises(UsageError):
-            reduce_to_normal_form(g, order=9)
-
-
 class TestExactRotatedConjugation:
     def test_pythagorean_rotation_stays_exact(self):
         # a 3-4-5 rotation in the (y, z)-plane keeps every radicand a
@@ -269,5 +264,162 @@ class TestReductionStart:
         assert nf == nf_direct and log.steps == log_direct.steps
         # the start stays as it was: a second reduction from it agrees
         assert reduce_to_normal_form(start)[0] == nf
-        with pytest.raises(UsageError):
-            reduce_to_normal_form(start, order=4)
+
+
+def _bits(nf):
+    """A normal form's mode, order and coefficients, floats as .hex(), in key order."""
+    def show(c):
+        return c.hex() if isinstance(c, float) else c
+    return (nf.mode, nf.order, [(k, show(c)) for k, c in nf.a.items()],
+            [(k, show(c)) for k, c in nf.b.items()])
+
+
+def _tilted_float_germ(rng, order):
+    """A float (u, v^2)-type germ in a random target frame: its image line is
+    off every axis, so its reduction starts with a Householder rotation."""
+    a21, a03 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    nf = make_nf(order=order, mode=FLOAT,
+                 a={(2, 0): rng.uniform(-1, 1), (2, 1): a21, (0, 3): a03,
+                    (1, 2): rng.uniform(-1, 1), (3, 1): rng.uniform(-1, 1)},
+                 b={2: rng.uniform(-1, 1), 3: rng.uniform(-1, 1)})
+    w, x, y, z = (rng.gauss(0, 1) for _ in range(4))
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    rot = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+    u, v = Jet2.variable("u", order, FLOAT), Jet2.variable("v", order, FLOAT)
+    shear = Jet2(order, {(1, 0): rng.uniform(-1, 1), (0, 2): rng.uniform(-1, 1)}, FLOAT)
+    return nf.reconstruct().rotate(rot).substitute(u * rng.uniform(0.5, 2.0) + v * 0.25,
+                                                   v + shear)
+
+
+def _pythagorean_germ():
+    nf = make_nf(
+        order=5,
+        a={(2, 0): 2, (2, 1): 3, (0, 3): Fraction(1, 2), (3, 0): -1},
+        b={2: 1, 3: Fraction(2, 3)},
+    )
+    rot = ((1, 0, 0), (0, Fraction(3, 5), Fraction(4, 5)), (0, Fraction(-4, 5), Fraction(3, 5)))
+    return nf.reconstruct().rotate(rot)
+
+
+def _data_germs():
+    germs = []
+    for path in sorted(DATA.glob("classify_float_*_germ.json")):
+        spec = read_germ_spec(path)
+        for mode in (None, FLOAT):
+            germs.append(expand_germ(spec, order=working_order(spec), mode=mode))
+    return germs
+
+
+class TestReplayIsTheReduction:
+    """log.replay runs the steps the reducer ran, so it gives the normal form
+    bit for bit: same mode, same coefficients, same key order."""
+
+    def _check(self, g):
+        nf, log = reduce_to_normal_form(g)
+        replayed = log.replay(g)
+        assert replayed.mode == log.mode_used == nf.mode
+        assert _extract_coeffs(replayed) == nf
+        assert _bits(_extract_coeffs(replayed)) == _bits(nf)
+        return nf, log
+
+    def test_float_data_germs(self):
+        germs = _data_germs()
+        assert len(germs) == 6
+        for g in germs:
+            nf, _ = self._check(g)
+            assert nf.mode == FLOAT
+
+    def test_rotated_exact_germ(self):
+        nf, log = self._check(_pythagorean_germ())
+        assert nf.mode == EXACT and any(isinstance(s, RotationStep) for s in log.steps)
+
+    def test_seeded_float_germs_with_a_householder_rotation(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            g = _tilted_float_germ(rng, 6)
+            nf, log = self._check(g)
+            first = log.steps[0]
+            assert isinstance(first, RotationStep) and first.mode == FLOAT
+            assert any(abs(first.matrix[r][c]) > 1e-3 for r in range(3) for c in range(3) if r != c)
+
+    def test_replay_ends_in_the_log_mode(self):
+        # a float germ already in pre-normal form: a float log with no step
+        germ = make_nf(order=5, a={(2, 0): 1, (2, 1): 2, (0, 3): 3}, b={2: 1}).reconstruct()
+        _, log = reduce_to_normal_form(germ.to_float())
+        assert log.steps == [] and log.mode_used == FLOAT
+        assert log.replay(germ) == germ.to_float()
+
+
+class TestPromotionIsAStep:
+    """An exact germ whose v^2 coefficient has an irrational root that rounds
+    to 1 is promoted to float by a recorded step, not behind the log's back."""
+
+    def test_rescale_that_rounds_to_the_identity(self):
+        half = Fraction(1, 2) + Fraction(1, 10**20)
+        g = GermJets(Jet2(4, {(1, 0): 1}), Jet2(4, {(0, 2): half, (2, 0): 1}),
+                     Jet2(4, {(2, 1): 1, (0, 3): 1}))
+        nf, log = reduce_to_normal_form(g)
+        assert nf.mode == log.mode_used == FLOAT
+        assert nf.a == {(2, 1): 2.0, (0, 3): 6.0} and nf.b == {2: 2.0}
+        [step] = log.steps
+        u, v = Jet2.variable("u", 4, FLOAT), Jet2.variable("v", 4, FLOAT)
+        assert step == SubstitutionStep(u, v, FLOAT)
+        assert _bits(_extract_coeffs(log.replay(g))) == _bits(nf)
+
+
+# ---------------------------------------------------------------------------
+# one way to change the germ
+# ---------------------------------------------------------------------------
+
+GERM_CHANGES = ("rotate", "substitute", "to_float")
+# the step types, the one promotion helper, and _flattening, whose only
+# composition is of the jet q, never of a germ
+CHANGE_SCOPES = ("RotationStep", "SubstitutionStep", "_in_mode", "_flattening")
+
+
+def _changes(source):
+    """{top-level name: [(line, method)]} of rotate/substitute/to_float calls."""
+    found = {}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in GERM_CHANGES):
+                found.setdefault(getattr(top, "name", None), []).append(
+                    (node.lineno, node.func.attr))
+    return found
+
+
+def _bypasses(source):
+    """Lines that change a germ outside the step types and the promotion helper."""
+    return sorted(line for name, calls in _changes(source).items()
+                  if name not in CHANGE_SCOPES for line, _ in calls)
+
+
+class TestOneWayToChangeTheGerm:
+    def test_reducer_changes_germs_only_through_steps(self):
+        source = pathlib.Path(normal_form.__file__).read_text()
+        assert _bypasses(source) == []
+        calls = {name: [attr for _, attr in found] for name, found in _changes(source).items()}
+        assert calls == {"RotationStep": ["rotate"], "SubstitutionStep": ["substitute"],
+                         "_in_mode": ["to_float"], "_flattening": ["substitute"]}
+
+    def test_guard_sees_a_bypass(self):
+        source = (
+            "def _reduce(g, log, rot, u, v):\n"
+            "    g = g.to_float()\n"
+            "    g = g.rotate(rot)\n"
+            "    log.steps.append(RotationStep(rot, FLOAT))\n"
+            "    return g.substitute(u, v)\n"
+            "class RotationStep:\n"
+            "    def apply(self, g):\n"
+            "        return g.rotate(self.matrix)\n"
+            "class TransformLog:\n"
+            "    def replay(self, g):\n"
+            "        return g.to_float()\n"
+        )
+        assert _bypasses(source) == [2, 3, 5, 11]

@@ -184,6 +184,12 @@ class TestRank:
         ]
         assert versality_rank_oracle(fam, f, R_PLUS, 2)
 
+    def test_only_the_split_records_the_rationalization(self):
+        f = Jet2(6, {(2, 0): 0.5, (0, 2): 0.1}, "float")
+        assert split_and_type(f).warnings == [
+            "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR]
+        assert split_and_type(f.to_exact(RATIONALIZE_DENOMINATOR)).warnings == []
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the shift-loop splitting and the dense
