@@ -22,18 +22,20 @@ File formats:
 Expression grammar (no implicit multiplication, '^' for powers)::
 
     expr   := term (('+'|'-') term)*
-    term   := factor ('*' factor)*
+    term   := factor (('*' factor) | ('/' number))*
     factor := base ('^' nat)?
     base   := number | var | '(' expr ')' | '-' base
     number := nat | nat '/' nat | nat ['.' nat] [('e'|'E') ['+'|'-'] nat]
 
-The last number form, a decimal, needs float mode.  A term made only of
-numbers and variable powers is one monomial c u^i v^j while it is parsed:
-'*' multiplies coefficients and adds exponents, '^' raises the coefficient
-and multiplies the exponents, with the truncation and float floor of a
-one-term jet at each step.  Only a parenthesized sub-expression is a Jet2
-and goes through Jet2 arithmetic.  The terms of a sum are added into one
-coefficient dict.
+The last number form, a decimal, needs float mode.  A literal p/q is one
+number, so 2/3^2 is (2/3)^2, except after '^' or '/', where only the
+integer is read: v^2/2 is v^2 divided by 2, and u/2/3 is u/6.  A term made
+only of numbers and variable powers is one monomial c u^i v^j while it is
+parsed: '*' multiplies coefficients and adds exponents, '^' raises the
+coefficient and multiplies the exponents, '/' divides the coefficient, with
+the truncation of a one-term jet at each step.  Only a parenthesized
+sub-expression is a Jet2 and goes through Jet2 arithmetic.  The terms of a
+sum are added into one coefficient dict.
 """
 
 from __future__ import annotations
@@ -43,16 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError, UsageError
-from .jets import (
-    EXACT,
-    FLOAT,
-    GermJets,
-    Jet2,
-    _accumulate,
-    _add_scaled,
-    is_zero,
-    scalar,
-)
+from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, scalar
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class GermSpec:
 # tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()")
+_OPS = set("+-*/^()")
 _DIGITS = frozenset("0123456789")
 
 
@@ -131,8 +124,9 @@ def _tokenize(text):
                 k = _skip_digits(text, j)
                 if k > j:
                     i, kind = k, "decimal"
-            if kind == "int" and text[i:i + 1] == "/":
-                # no spaces inside p/q
+            if (kind == "int" and text[i:i + 1] == "/"
+                    and not (tokens and tokens[-1].value in ("^", "/"))):
+                # no spaces inside p/q; after '^' or '/' the integer stands alone
                 j = _skip_digits(text, i + 1)
                 if j > i + 1:
                     i, kind = j, "rational"
@@ -157,10 +151,11 @@ class _Parser:
 
     A term of numbers and variable powers stays one monomial (c, i, j), or
     None when it is zero: ``*`` multiplies coefficients and adds exponents,
-    ``^`` is ``Jet2.__pow__``'s square-and-multiply on the coefficient, and
-    each product is truncated, checked and floored as a one-term ``Jet2``
-    would be.  Only a parenthesized sub-expression becomes a ``Jet2``; ``+``
-    and ``-`` add each term straight into one coefficient dict.
+    ``^`` is ``Jet2.__pow__``'s square-and-multiply on the coefficient, ``/``
+    divides the coefficient, and each result is truncated and checked as a
+    one-term ``Jet2`` would be.  Only a parenthesized sub-expression becomes
+    a ``Jet2``; ``+`` and ``-`` add each term straight into one coefficient
+    dict.
     """
 
     def __init__(self, tokens, variables, order, mode):
@@ -192,17 +187,12 @@ class _Parser:
 
     def _monomial(self, c, i, j):
         """c u^i v^j as the one-term jet holds it: None above the order or
-        at zero; in float mode a non-finite c raises the jets' UsageError and
-        one under the relative floor is zero."""
+        at zero; in float mode a non-finite c raises the jets' UsageError."""
         if i + j > self.order:
             return None
-        if self.mode == FLOAT:
+        if self.mode == FLOAT:  # exact numbers here are Fractions already
             c = scalar(c, FLOAT)
-            if is_zero(c, max(1.0, abs(c))):  # a one-term jet's own floor
-                return None
-        elif not c:
-            return None
-        return (c, i, j)
+        return (c, i, j) if c else None
 
     def _mul(self, a, b):
         if a is None or b is None:
@@ -239,10 +229,20 @@ class _Parser:
         if value is None:
             return
         terms = value.coeffs if isinstance(value, Jet2) else {value[1:]: value[0]}
-        if self.mode == EXACT:
-            _accumulate(acc, terms if sign > 0 else {k: -c for k, c in terms.items()})
-        else:
-            _add_scaled(acc, terms, float(sign))
+        _accumulate(acc, terms if sign > 0 else {k: -c for k, c in terms.items()})
+
+    def _div(self, value, tok):
+        """value / the number literal ``tok``, as ``Jet2`` would divide each
+        coefficient."""
+        if tok.kind not in ("int", "rational", "decimal"):
+            raise ParseError("a number literal must follow '/'", tok.line, tok.col)
+        divisor = self._number(tok)
+        if divisor is None:
+            raise ParseError("division by zero", tok.line, tok.col)
+        d = divisor[0]
+        if isinstance(value, Jet2):
+            return Jet2(self.order, {k: c / d for k, c in value.coeffs.items()}, self.mode)
+        return None if value is None else self._monomial(value[0] / d, value[1], value[2])
 
     # -- grammar ---------------------------------------------------------
 
@@ -290,7 +290,7 @@ class _Parser:
                 self.advance()
                 sign = 1 if tok.value == "+" else -1
             else:
-                return Jet2._trusted(self.order, acc, self.mode)
+                return Jet2._result(self.order, acc, self.mode)
 
     def term(self):
         value = self.factor()
@@ -303,6 +303,9 @@ class _Parser:
                     value = self._jet(value) * self._jet(rhs)
                 else:
                     value = self._mul(value, rhs)
+            elif tok.kind == "op" and tok.value == "/":
+                self.advance()
+                value = self._div(value, self.advance())
             else:
                 return value
 

@@ -69,8 +69,12 @@ def scalar(x, mode):
     return _as_float(x)
 
 
+# the constructor's conversion of a coefficient in each mode
+_CONVERT = {EXACT: _as_exact, FLOAT: _as_float}
+
+
 def _accumulate(out, terms):
-    """Add exact ``terms`` into the coefficient dict ``out``, dropping zeros."""
+    """Add ``terms`` into the coefficient dict ``out``, dropping zeros."""
     for k, c in terms.items():
         s = out.get(k)
         if s is None:
@@ -99,44 +103,6 @@ def _power(pows, n):
     return pows[n]
 
 
-def _add_scaled(acc, term, c):
-    """acc + term * c in float mode, in place, as ``Jet2`` arithmetic does it.
-
-    The scaled term is floored on its own, as ``Jet2(order, term * c)``
-    would be; then the sum is, as ``+`` would, so a term dropped or a key
-    re-added lands where the chain of operations puts it.  A scaled term or
-    sum that is not finite raises the constructor's UsageError.
-    """
-    scaled = {k: x * c for k, x in term.items()}
-    if not scaled:
-        return
-    vals = scaled.values()
-    if not all(map(math.isfinite, vals)):  # _as_float raises the UsageError
-        _as_float(next(x for x in vals if not math.isfinite(x)))
-    floor = FLOAT_ZERO_REL * max(1.0, max(map(abs, vals)))
-    for k, x in scaled.items():
-        if abs(x) <= floor:
-            continue
-        s = acc.get(k)
-        if s is None:
-            acc[k] = x
-        else:
-            s += x
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    if not acc:
-        return
-    vals = acc.values()
-    if not all(map(math.isfinite, vals)):
-        _as_float(next(x for x in vals if not math.isfinite(x)))
-    floor = FLOAT_ZERO_REL * max(1.0, max(map(abs, vals)))
-    if min(map(abs, vals)) <= floor:
-        for k in [k for k, x in acc.items() if abs(x) <= floor]:
-            del acc[k]
-
-
 class _Powers:
     """The powers of one substitution (u, v) -> (u_new, v_new).
 
@@ -146,38 +112,16 @@ class _Powers:
     coefficient 1, applied as exponent shifts.
     """
 
-    __slots__ = ("order", "u_fixed", "v_fixed", "u", "v", "_terms")
+    __slots__ = ("u_fixed", "v_fixed", "u", "v")
 
     def __init__(self, u_new, v_new):
         if u_new.constant_term() or v_new.constant_term():
             raise UsageError("substitution expressions must have zero constant term")
-        self.order = u_new.order
         self.u_fixed = u_new.coeffs == {(1, 0): 1}
         self.v_fixed = v_new.coeffs == {(0, 1): 1}
         one = Jet2.const(1, u_new.order, u_new.mode)
         self.u = [one, u_new]
         self.v = [one, v_new]
-        self._terms = {}
-
-    def term(self, i, j):
-        """Float coefficients of u_new^i v_new^j, kept for the step's other jets.
-
-        A factor that is a monomial with coefficient 1 (an unchanged
-        coordinate, or a zeroth power) is an exponent shift of the other.
-        """
-        t = self._terms.get((i, j))
-        if t is None:
-            if self.v_fixed or j == 0:
-                if self.u_fixed or i == 0:
-                    t = {(i, j): 1.0}
-                else:
-                    t = _shifted(_power(self.u, i).coeffs, 0, j, self.order)
-            elif self.u_fixed or i == 0:
-                t = _shifted(_power(self.v, j).coeffs, i, 0, self.order)
-            else:
-                t = (_power(self.u, i) * _power(self.v, j)).coeffs
-            self._terms[(i, j)] = t
-        return t
 
 
 class Jet2:
@@ -194,40 +138,46 @@ class Jet2:
         object.__setattr__(self, "mode", mode)
         clean = {}
         if coeffs:
-            conv = _as_exact if mode == EXACT else _as_float
+            conv = _CONVERT[mode]
             for (i, j), c in coeffs.items():
                 if i < 0 or j < 0:
                     raise UsageError("negative exponent (%d, %d)" % (i, j))
-                if i + j > order:
-                    continue
-                c = conv(c)
-                if c:
-                    key = (i, j)
-                    if key in clean:
-                        clean[key] += c
-                        if not clean[key]:
-                            del clean[key]
-                    else:
-                        clean[key] = c
-            if mode == FLOAT and clean:
-                floor = FLOAT_ZERO_REL * max(1.0, max(abs(c) for c in clean.values()))
-                clean = {k: c for k, c in clean.items() if abs(c) > floor}
+                if i + j <= order:
+                    c = conv(c)
+                    if c:
+                        clean[(i, j)] = c
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def _trusted(cls, order, coeffs, mode=EXACT):
         """Jet over ``coeffs`` as given, without validation.
 
-        Only for results of arithmetic on validated jets that already hold
-        what the constructor would: every key is within ``order``, every
-        value is a nonzero Fraction (exact) or a finite float that survived
-        the relative floor (float).
+        Only for data that already holds what the constructor would: every
+        key is within ``order``, every value is a nonzero Fraction (exact) or
+        a nonzero finite float (float).
         """
         jet = object.__new__(cls)
         object.__setattr__(jet, "order", order)
         object.__setattr__(jet, "mode", mode)
         object.__setattr__(jet, "coeffs", coeffs)
         return jet
+
+    @classmethod
+    def _result(cls, order, coeffs, mode):
+        """Jet over ``coeffs``, the result of arithmetic on valid jets.
+
+        Both modes run the same arithmetic, which drops every sum that
+        cancels to zero.  A float result has one check left: a coefficient
+        that overflowed raises the constructor's UsageError, and one that
+        underflowed to zero is dropped.
+        """
+        if mode == FLOAT:
+            vals = coeffs.values()
+            if not all(map(math.isfinite, vals)):
+                _as_float(next(c for c in vals if not math.isfinite(c)))
+            if not all(vals):
+                coeffs = {k: c for k, c in coeffs.items() if c}
+        return cls._trusted(order, coeffs, mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet2 is immutable")
@@ -262,7 +212,7 @@ class Jet2:
     def max_abs(self):
         if not self.coeffs:
             return 0
-        return max(abs(c) for c in self.coeffs.values())
+        return max(map(abs, self.coeffs.values()))
 
     def constant_term(self):
         return self.coeff(0, 0)
@@ -298,27 +248,20 @@ class Jet2:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.coeffs)
-        if self.mode == EXACT:
-            _accumulate(out, other.coeffs)
-            return Jet2._trusted(self.order, out)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return Jet2(self.order, out, self.mode)
+        _accumulate(out, other.coeffs)
+        return Jet2._result(self.order, out, self.mode)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = {k: -c for k, c in self.coeffs.items()}
-        if self.mode == EXACT:
-            return Jet2._trusted(self.order, out)
-        return Jet2(self.order, out, self.mode)
+        return Jet2._trusted(self.order, {k: -c for k, c in self.coeffs.items()}, self.mode)
 
     def __mul__(self, other):
+        order, mode = self.order, self.mode
         if isinstance(other, Jet2):
             self._check_compatible(other)
             out = {}
-            order = self.order
             for (i1, j1), c1 in self.coeffs.items():
                 for (i2, j2), c2 in other.coeffs.items():
                     i, j = i1 + i2, j1 + j2
@@ -327,19 +270,11 @@ class Jet2:
                     key = (i, j)
                     prev = out.get(key)
                     out[key] = c1 * c2 if prev is None else prev + c1 * c2
-            if self.mode == EXACT:
-                return Jet2._trusted(order, {k: c for k, c in out.items() if c})
-            return Jet2(order, out, self.mode)
+            return Jet2._result(order, {k: c for k, c in out.items() if c}, mode)
         # scalar
-        if self.mode == EXACT and isinstance(other, (int, Fraction)):
-            if not other:
-                return Jet2._trusted(self.order, {})
-            return Jet2._trusted(
-                self.order, {k: c * other for k, c in self.coeffs.items()}
-            )
-        return Jet2(
-            self.order, {k: c * other for k, c in self.coeffs.items()}, self.mode
-        )
+        other = _CONVERT[mode](other)
+        out = {k: c * other for k, c in self.coeffs.items()} if other else {}
+        return Jet2._result(order, out, mode)
 
     def __rmul__(self, other):
         return self * other
@@ -385,47 +320,35 @@ class Jet2:
         The powers of u_new and v_new come from one ``_Powers`` per step,
         which ``GermJets.substitute`` shares among its three components.  A
         coordinate left unchanged (u_new is u, or v_new is v) builds no
-        powers: u^i and v^j are exponent shifts.  Exact mode groups the terms
-        by the power of u, so it makes one jet product per power of u (none
-        when u is unchanged).  Float mode adds c_ij u_new^i v_new^j term by
-        term, in the order of ``self.coeffs``, flooring the scaled term and
-        then the running sum exactly as ``Jet2(...)`` and ``+`` would, so every
-        float coefficient is the one that chain of operations gives.
+        powers: u^i and v^j are exponent shifts.  The terms are grouped by
+        the power of u, so there is one jet product per power of u (none
+        when u is unchanged).
         """
         self._check_compatible(u_new)
         self._check_compatible(v_new)
         return self._compose(_Powers(u_new, v_new))
 
     def _compose(self, powers):
-        order = self.order
-        if self.mode == EXACT:
-            # sum_i u_new^i * (sum_j c_ij v_new^j): one row per power of u
-            rows = {}
-            for (i, j), c in self.coeffs.items():
-                row = rows.setdefault(i, {})
-                if powers.v_fixed or j == 0:
-                    row[(0, j)] = c  # v^j: no other term of the row has this key
-                else:
-                    _accumulate(row, {k: c * x for k, x in _power(powers.v, j).coeffs.items()})
-            acc = {}
-            for i, row in rows.items():
-                if powers.u_fixed or i == 0:
-                    _accumulate(acc, _shifted(row, i, 0, order))
-                else:
-                    u_pow = _power(powers.u, i)
-                    _accumulate(acc, (u_pow * Jet2._trusted(order, row)).coeffs)
-            return Jet2._trusted(order, acc)
-        if powers.u_fixed and powers.v_fixed:
-            return self  # every coefficient already clears the floor of each sum
-        acc = {}
+        order, mode = self.order, self.mode
+        # sum_i u_new^i * (sum_j c_ij v_new^j): one row per power of u
+        rows = {}
         for (i, j), c in self.coeffs.items():
-            _add_scaled(acc, powers.term(i, j), c)
-        return Jet2._trusted(order, acc, FLOAT)
+            row = rows.setdefault(i, {})
+            if powers.v_fixed or j == 0:
+                row[(0, j)] = c  # v^j: no other term of the row has this key
+            else:
+                _accumulate(row, {k: c * x for k, x in _power(powers.v, j).coeffs.items()})
+        acc = {}
+        for i, row in rows.items():
+            if powers.u_fixed or i == 0:
+                _accumulate(acc, _shifted(row, i, 0, order))
+            else:
+                u_pow = _power(powers.u, i)
+                _accumulate(acc, (u_pow * Jet2._trusted(order, row, mode)).coeffs)
+        return Jet2._result(order, acc, mode)
 
     def truncate(self, new_order):
-        """The terms of degree <= ``new_order``.  They need no validation: a
-        float term cleared the floor of the whole jet, which is no lower than
-        the floor of the terms kept."""
+        """The terms of degree <= ``new_order``."""
         if new_order > self.order:
             raise UsageError("truncate cannot raise the order; use with_order")
         return Jet2._trusted(

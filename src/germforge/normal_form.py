@@ -13,12 +13,14 @@ falls back to float64 otherwise, recording which mode was used.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .errors import (
+    InternalConsistencyError,
     OutOfScopeHkError,
     UnsupportedGermError,
     UsageError,
@@ -61,19 +63,24 @@ class NormalFormCoeffs:
         return scalar(0, self.mode) if c is None else c
 
     @functools.cached_property
-    def germ_scale(self):
-        """Largest germ-normalized coefficient |a_ij| / (i! j!), |b_i| / i!.
-
-        Zero tests on the a_ij must be degree-homogeneous: the stored values
-        carry factorial factors, so a raw maximum would let a high-order
-        coefficient mask mid-sized low-order ones.
-        """
-        vals = [1.0]
+    def _degree_scales(self):
+        top = [1.0] * (self.order + 1)
         for (i, j), c in self.a.items():
-            vals.append(abs(float(c)) / (math.factorial(i) * math.factorial(j)))
+            top[i + j] = max(top[i + j], abs(float(c)) / (math.factorial(i) * math.factorial(j)))
         for i, c in self.b.items():
-            vals.append(abs(float(c)) / math.factorial(i))
-        return max(vals)
+            top[i] = max(top[i], abs(float(c)) / math.factorial(i))
+        return list(itertools.accumulate(top, max))
+
+    def degree_scale(self, d):
+        """Largest germ-normalized coefficient |a_ij| / (i! j!), |b_i| / i! of
+        degree <= d, floored at 1.
+
+        Zero tests on the a_ij are degree-homogeneous: the stored values
+        carry factorial factors, so a raw maximum would let a high-order
+        coefficient mask mid-sized low-order ones, and the coefficients of
+        higher degree than the one tested do not set its scale.
+        """
+        return self._degree_scales[min(d, self.order)]
 
     @functools.cached_property
     def distance_scale(self):
@@ -113,7 +120,7 @@ class NormalFormCoeffs:
 
     def is_zero_a(self, i, j):
         norm = math.factorial(i) * math.factorial(j)
-        return is_zero(self.a_(i, j) / norm, self.germ_scale, self.mode)
+        return is_zero(self.a_(i, j) / norm, self.degree_scale(i + j), self.mode)
 
     def second_component(self, order=None):
         order = self.order if order is None else order
@@ -157,13 +164,57 @@ def _in_mode(g, mode):
     return g
 
 
+# a killed coefficient of x, y or z is set to its value in the germ (u, 0, 0)
+_BASE = ({(1, 0): 1}, {}, {})
+
+
+def _kill(g, out, kills):
+    """``out``, made from ``g`` by one step, with the coefficients the step
+    kills by construction set to their values in (u, 0, 0).
+
+    ``kills`` holds (component, keys) pairs: component 0, 1 or 2 for x, y
+    or z, and keys a tuple of (i, j), or None for every coefficient.  What
+    the step leaves there is rounding only: exactly nothing in exact mode,
+    zero at the scale of the step's input ``g`` in float mode.  Anything
+    else means the step does not kill what it claims to, and raises
+    InternalConsistencyError.
+    """
+    comps = list(out.components())
+    changed = False
+    scale = None
+    for c, keys in kills:
+        coeffs, base = comps[c].coeffs, _BASE[c]
+        residues = {}
+        for key in (coeffs.keys() | base.keys()) if keys is None else keys:
+            value, want = coeffs.get(key, 0), base.get(key, 0)
+            if value != want:
+                residues[key] = value - want
+        if not residues:
+            continue
+        if scale is None:
+            scale = max(1.0, *(float(comp.max_abs()) for comp in g.components()))
+        for (i, j), r in residues.items():
+            if not is_zero(r, scale, out.mode):
+                raise InternalConsistencyError(
+                    "reduction step left %r at u^%d v^%d of %s, not zero at scale %.3g"
+                    % (r, i, j, "xyz"[c], scale)
+                )
+        kept = {k: v for k, v in coeffs.items() if k not in residues}
+        kept.update((k, scalar(base[k], out.mode)) for k in residues if k in base)
+        comps[c] = Jet2._trusted(out.order, kept, out.mode)
+        changed = True
+    return GermJets(*comps) if changed else out
+
+
 @dataclass(frozen=True)
 class RotationStep:
     matrix: tuple  # 3x3, rows of scalars
     mode: str
+    kills: tuple  # (component, keys) pairs, as _kill takes them
 
     def apply(self, g):
-        return _in_mode(g, self.mode).rotate(self.matrix)
+        g = _in_mode(g, self.mode)
+        return _kill(g, g.rotate(self.matrix), self.kills)
 
 
 @dataclass(frozen=True)
@@ -171,10 +222,12 @@ class SubstitutionStep:
     u_new: Jet2
     v_new: Jet2
     mode: str
+    kills: tuple  # (component, keys) pairs, as _kill takes them
 
     def apply(self, g):
         g = _in_mode(g, self.mode)
-        return g.substitute(self.u_new.with_order(g.order), self.v_new.with_order(g.order))
+        out = g.substitute(self.u_new.with_order(g.order), self.v_new.with_order(g.order))
+        return _kill(g, out, self.kills)
 
 
 @dataclass
@@ -182,10 +235,11 @@ class TransformLog:
     """Ordered record of the source/target changes applied by the reducer.
 
     The log is the only way the reducer changes a germ: ``apply_rotation``
-    and ``apply_substitution`` record a step in the log's scalar mode and
-    apply it, and ``replay`` applies the same steps to another germ.  The
-    log owns that mode: ``sqrt`` switches it to float at the first
-    irrational root, and a float step promotes an exact germ.
+    and ``apply_substitution`` record a step in the log's scalar mode, with
+    the coefficients it kills, and apply it; ``replay`` applies the same
+    steps to another germ.  The log owns that mode: ``sqrt`` switches it to
+    float at the first irrational root, and a float step promotes an exact
+    germ.
     """
 
     steps: list = field(default_factory=list)
@@ -204,11 +258,12 @@ class TransformLog:
             self.mode_used = FLOAT
         return math.sqrt(float(x))
 
-    def apply_rotation(self, g, matrix):
-        return self._apply(g, RotationStep(tuple(tuple(r) for r in matrix), self.mode_used))
+    def apply_rotation(self, g, matrix, kills):
+        return self._apply(
+            g, RotationStep(tuple(tuple(r) for r in matrix), self.mode_used, kills))
 
-    def apply_substitution(self, g, u_new, v_new):
-        return self._apply(g, SubstitutionStep(u_new, v_new, self.mode_used))
+    def apply_substitution(self, g, u_new, v_new, kills):
+        return self._apply(g, SubstitutionStep(u_new, v_new, self.mode_used, kills))
 
     def _apply(self, g, step):
         self.steps.append(step)
@@ -278,12 +333,19 @@ def _normalize_linear_part(g, log):
             [2 * q[r] * q[c] / qq - (1 if r == c else 0) for c in range(3)]
             for r in range(3)
         ]
-        g = log.apply_rotation(g, rot)
-    elif w[0] < 0:
+    elif w[0] < 0 or any(rows[1] + rows[2]):
+        # the image line is the x-axis already, up to float residue in the
+        # linear terms of y and z: flip its direction if need be, and kill
+        # the residue
         rot = _identity3(g.mode)
-        rot[0][0] = -rot[0][0]
-        rot[1][1] = -rot[1][1]
-        g = log.apply_rotation(g, rot)
+        if w[0] < 0:
+            rot[0][0] = -rot[0][0]
+            rot[1][1] = -rot[1][1]
+    else:
+        rot = None
+    if rot is not None:
+        # either rotation kills the linear terms of y and z
+        g = log.apply_rotation(g, rot, ((1, ((1, 0), (0, 1))), (2, ((1, 0), (0, 1)))))
 
     # source linear change making the first component u + O(2)
     mode, order = g.mode, g.order
@@ -296,12 +358,13 @@ def _normalize_linear_part(g, log):
     if l1 != 1 or l2 != 0:
         m11, m21 = l1 / n2, l2 / n2
         m12, m22 = -l2, l1
-        g = log.apply_substitution(g, u_var * m11 + v_var * m12, u_var * m21 + v_var * m22)
+        g = log.apply_substitution(
+            g, u_var * m11 + v_var * m12, u_var * m21 + v_var * m22, ((0, ((0, 1),)),))
 
-    # flatten higher-order terms of the first component
+    # flatten higher-order terms of the first component: x becomes exactly u
     q = g.x - u_var
     if not q.is_zero():
-        g = log.apply_substitution(g, _flattening(q, u_var, v_var), v_var)
+        g = log.apply_substitution(g, _flattening(q, u_var, v_var), v_var, ((0, None),))
     return g
 
 
@@ -390,8 +453,9 @@ def reduce_to_normal_form(g):
     rot = _identity3(mode)
     rot[1][1], rot[1][2] = b02 / s, a02 / s
     rot[2][1], rot[2][2] = -a02 / s, b02 / s
-    if rot != _identity3(mode) or g.mode != mode:
-        g = log.apply_rotation(g, rot)
+    if rot != _identity3(mode) or g.mode != mode or (1, 1) in g.z.coeffs:
+        # it kills z's v^2 term, and its uv term with the two-jet's det
+        g = log.apply_rotation(g, rot, ((2, ((0, 2), (1, 1))),))
 
     # kill the uv term of y and scale v^2 to 1/2
     s_now = 2 * g.y.coeff(0, 2)
@@ -403,19 +467,20 @@ def reduce_to_normal_form(g):
     u_var = Jet2.variable("u", g.order, mode)
     v_var = Jet2.variable("v", g.order, mode)
     if c10 != 0 or c01 != 1 or g.mode != mode:
-        g = log.apply_substitution(g, u_var, u_var * c10 + v_var * c01)
+        g = log.apply_substitution(g, u_var, u_var * c10 + v_var * c01, ((1, ((1, 1),)),))
 
-    # degree-by-degree cleanup of the second component
+    # degree-by-degree cleanup of the second component: v -> v + delta kills
+    # y's terms of degree m with a power of v
     for m in range(3, g.order + 1):
         delta = {
             (i, j - 1): -c for (i, j), c in g.y.coeffs.items() if i + j == m and j >= 1
         }
         if delta:
-            g = log.apply_substitution(g, u_var, v_var + Jet2(g.order, delta, mode))
+            kills = ((1, tuple((m - j, j) for j in range(1, m + 1))),)
+            g = log.apply_substitution(g, u_var, v_var + Jet2(g.order, delta, mode), kills)
 
-    nf = _extract_coeffs(g)
-    _check_form(g, nf)
-    return nf, log
+    _check_form(g)
+    return _extract_coeffs(g), log
 
 
 def _extract_coeffs(g):
@@ -433,18 +498,9 @@ def _extract_coeffs(g):
     return NormalFormCoeffs(g.order, mode, a, b)
 
 
-def _check_form(g, nf):
+def _check_form(g):
+    """The v^2 coefficient is 1/2.  The residual terms of y and z need no
+    check: the steps that kill them zero them, or raise."""
     scale = max(1.0, float(g.y.max_abs()))
     if not is_zero(g.y.coeff(0, 2) - scalar(0.5, g.mode), scale, g.mode):
         raise UnsupportedGermError("reduction failed: v^2 coefficient is not 1/2")
-    for (i, j) in g.y.coeffs:
-        if (i, j) != (0, 2) and j != 0:
-            raise UnsupportedGermError(
-                "reduction failed: residual term u^%d v^%d in the second component"
-                % (i, j)
-            )
-    for key in ((1, 0), (0, 1), (1, 1), (0, 2)):
-        if key in g.z.coeffs:
-            raise UnsupportedGermError(
-                "reduction failed: residual term u^%d v^%d in the third component" % key
-            )

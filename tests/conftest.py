@@ -88,8 +88,9 @@ def ref_distance_jet(nf, p, order):
 
 class _RefParser:
     """The expression grammar evaluated as a chain of Jet2 operations: every
-    number and variable is a jet, every '*' a jet product and every '^' a
-    Jet2 power.  The reference for germ_io's monomial parser."""
+    number and variable is a jet, every '*' a jet product, every '^' a Jet2
+    power and every '/' a new jet of the quotients.  The reference for
+    germ_io's monomial parser."""
 
     def __init__(self, tokens, variables, order, mode):
         self.tokens = tokens
@@ -164,6 +165,15 @@ class _RefParser:
             if tok.kind == "op" and tok.value == "*":
                 self.advance()
                 jet = jet * self.factor()
+            elif tok.kind == "op" and tok.value == "/":
+                self.advance()
+                dtok = self.advance()
+                if dtok.kind not in ("int", "rational", "decimal"):
+                    raise ParseError("a number literal must follow '/'", dtok.line, dtok.col)
+                d = self._number(dtok).constant_term()
+                if not d:
+                    raise ParseError("division by zero", dtok.line, dtok.col)
+                jet = Jet2(self.order, {k: c / d for k, c in jet.coeffs.items()}, self.mode)
             else:
                 return jet
 

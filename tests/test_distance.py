@@ -127,7 +127,7 @@ class TestDistanceBase:
         before = (_hash_or_error(nf), repr(nf))
         nf.distance_base(6)
         nf.distance_base(8)
-        assert nf.distance_scale >= 1.0 and nf.germ_scale >= 1.0
+        assert nf.distance_scale >= 1.0 and nf.degree_scale(nf.order) >= 1.0
         assert nf == twin and twin == nf
         assert (_hash_or_error(nf), repr(nf)) == before == (_hash_or_error(twin), repr(twin))
 

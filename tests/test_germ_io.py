@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from germforge.germ_io import (
     print_polynomial,
     write_json,
 )
-from germforge.jets import EXACT, FLOAT, Jet2
+from germforge.jets import EXACT, FLOAT, Jet2, scalar
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
@@ -161,7 +162,10 @@ def _rand_term(rng, mode, depth):
         if rng.random() < 0.35:
             base += "^%d" % rng.choice((0, 1, 2, 3, 4, 5, 7, 9, 17, 33))
         factors.append(base)
-    return "*".join(factors)
+    term = "*".join(factors)
+    if rng.random() < 0.25:
+        term += "/" + _rand_number(rng, mode)  # "/0" is an error
+    return term
 
 
 def _rand_expr(rng, mode, depth=0):
@@ -208,21 +212,61 @@ class TestMonomialParser:
         assert 0 < errors < 300
 
     @pytest.mark.parametrize("text, order, want", [
-        # 0.5^32 is floored away inside the power, before * 100000
-        ("0.5^33*100000*u", 6, {}),
+        # no floor: 0.5^32 inside the power is a number like any other
+        ("0.5^33*100000*u", 6, {(1, 0): 0.5 ** 33 * 100000}),
         ("0.5^29*100000*u", 6, {(1, 0): 0.5 ** 29 * 100000}),
         # above the order a term is zero, and so is every product with it
         ("u^4*1e300*1e300 + v", 3, {(0, 1): 1.0}),
         ("(u + v)^2 - u*v*2 - u^2", 2, {(0, 2): 1.0}),
-        ("1e-10*u + 1", 2, {(0, 0): 1.0}),
+        ("1e-10*u + 1", 2, {(1, 0): 1e-10, (0, 0): 1.0}),
         # a key that cancels and comes back goes to the end
         ("u + v - u + 3*u", 2, {(0, 1): 1.0, (1, 0): 3.0}),
     ])
-    def test_float_terms_floor_like_one_term_jets(self, text, order, want):
+    def test_float_terms_like_one_term_jets(self, text, order, want):
         jet = parse_polynomial(text, order=order, mode=FLOAT)
         assert list(jet.coeffs.items()) == list(want.items())
         assert _outcome(ref_parse_polynomial, text, order, FLOAT) == _outcome(
             parse_polynomial, text, order, FLOAT)
+
+    @pytest.mark.parametrize("text, want", [
+        ("v^2/2", {(0, 2): Fraction(1, 2)}),
+        ("u^3/6", {(3, 0): Fraction(1, 6)}),
+        ("u/2", {(1, 0): Fraction(1, 2)}),
+        ("(u+v)/2", {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}),
+        # p/q is one literal, except after '^' or '/'
+        ("u*v^2/2/3 - 1/2*u^2 / 4", {(1, 2): Fraction(1, 6), (2, 0): Fraction(-1, 8)}),
+        ("2/3^2 + 2^3/4", {(0, 0): Fraction(4, 9) + 2}),
+    ])
+    def test_division_by_a_number_literal(self, text, want):
+        for mode in (EXACT, FLOAT):
+            jet = parse_polynomial(text, order=4, mode=mode)
+            assert jet.coeffs == {k: scalar(c, mode) for k, c in want.items()}, mode
+            assert _outcome(ref_parse_polynomial, text, 4, mode) == _outcome(
+                parse_polynomial, text, 4, mode)
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("u/v", "a number literal must follow '/'", 3),
+        ("u/(2)", "a number literal must follow '/'", 3),
+        ("u/-2", "a number literal must follow '/'", 3),
+        ("u/", "a number literal must follow '/'", 3),
+        ("u/0", "division by zero", 3),
+        ("u/1/0", "division by zero", 5),
+        ("u + 1/0", "zero denominator", 5),
+        ("u^x", "exponent must be a nonnegative integer", 3),
+        ("u^-1", "exponent must be a nonnegative integer", 3),
+        ("u^2.5", "exponent must be a nonnegative integer", 3),
+        ("u%2", "unexpected character '%'", 2),
+        ("u*/2", "unexpected token '/'", 3),
+    ])
+    def test_division_and_exponent_errors(self, text, message, column):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(ParseError, match="^" + re.escape(message)) as exc:
+                parse_polynomial(text, order=4, mode=mode)
+            assert exc.value.column == column
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_polynomial("u/1e-400", order=4, mode=FLOAT)  # the literal underflows
+        with pytest.raises(UsageError, match="must be finite"):
+            parse_polynomial("1e300*u/1e-300", order=4, mode=FLOAT)
 
     def test_overflow_raises_the_jet_error(self):
         for text in ("1e300*1e300*u", "u + 1e200^2", "1e300*u + 1e308*u*10"):

@@ -322,100 +322,47 @@ class TestExactFastPath:
                 result.order = 7
 
 
-# Float mode keeps its validating path, relative floor included.  The values
-# below were produced before the exact-mode fast path existed; the two
-# substitutions with an unchanged coordinate were produced before its powers
-# became exponent shifts.
-FA = jet(3, {(1, 0): 1e6, (0, 1): 0.01, (1, 1): 3.0, (0, 2): -7.5, (2, 1): 1e-3}, FLOAT)
-FB = jet(3, {(0, 1): 2.0, (2, 0): 1e-9, (1, 1): -0.25, (0, 3): 4.0}, FLOAT)
-FUN = jet(3, {(1, 0): 1.0, (0, 2): 1e-7, (1, 1): 2.5}, FLOAT)
-FVN = jet(3, {(0, 1): 3.0, (2, 0): -1e5}, FLOAT)
-FU = Jet2.variable("u", 3, FLOAT)
-FV = Jet2.variable("v", 3, FLOAT)
-PINNED_FLOAT = {
-    "add": {(0, 1): 2.01, (0, 2): -7.5, (0, 3): 4.0, (1, 0): 1000000.0, (1, 1): 2.75},
-    "sub": {(0, 1): -1.99, (0, 2): -7.5, (0, 3): -4.0, (1, 0): 1000000.0, (1, 1): 3.25},
-    "neg": {(0, 1): -0.01, (0, 2): 7.5, (1, 0): -1000000.0, (1, 1): -3.0},
-    "mul": {(0, 2): 0.02, (0, 3): -15.0, (1, 1): 2000000.0, (1, 2): 5.9975,
-            (2, 1): -250000.0},
-    "scalar": {(0, 1): 0.025, (0, 2): -18.75, (1, 0): 2500000.0, (1, 1): 7.5},
-    "rscalar": {(0, 1): 0.03, (0, 2): -22.5, (1, 0): 3000000.0, (1, 1): 9.0},
-    "pow": {(0, 3): 8.0},
-    "substitute": {(0, 1): 0.03, (0, 2): -67.4, (1, 0): 1000000.0, (1, 1): 2500009.0,
-                   (1, 2): 22.5, (2, 0): -1000.0, (2, 1): 4500000.0, (3, 0): -300000.0},
-    "substitute_u_fixed": {(0, 1): 0.03, (0, 2): -67.5, (1, 0): 1000000.0, (1, 1): 9.0,
-                           (2, 0): -1000.0, (2, 1): 4500000.0, (3, 0): -300000.0},
-    "substitute_v_fixed": {(0, 1): 0.01, (0, 2): -7.4, (1, 0): 1000000.0,
-                           (1, 1): 2500003.0, (1, 2): 7.5},
-}
-
-
 def _spread_float_jet(rng, order):
-    """A float jet whose magnitudes span many decades, so the relative floor
-    drops terms along the way."""
+    """A float jet whose magnitudes span many decades."""
     jet = rand_jet(rng, order, FLOAT)
     return Jet2(order, {k: c * 10.0 ** rng.randint(-10, 6) for k, c in jet.coeffs.items()}, FLOAT)
 
 
-class TestFloatPathPinned:
-    def test_results_equal_pinned_values(self):
-        got = {
-            "add": FA + FB, "sub": FA - FB, "neg": -FA, "mul": FA * FB,
-            "scalar": FA * 2.5, "rscalar": 3 * FA, "pow": FB ** 3,
-            "substitute": FA.substitute(FUN, FVN),
-            "substitute_u_fixed": FA.substitute(FU, FVN),
-            "substitute_v_fixed": FA.substitute(FUN, FV),
-        }
-        for name, result in got.items():
-            assert result.mode == FLOAT
-            assert result.coeffs == PINNED_FLOAT[name], name
+class TestFloatRunsTheExactArithmetic:
+    """Float jets run the exact path's arithmetic, with no floor: a float
+    result is the exact result on the same data, rounded, term for term."""
 
-    def test_substitute_matches_chain_of_jet_operations(self):
-        # acc + u_new^i * v_new^j * c term by term, each step through the
-        # public float arithmetic and its relative floor: the same bits and
-        # the same key order, so later sums see the same sequence
-        rng = random.Random(53)
-        for _ in range(60):
-            order = rng.randint(1, 7)
-            p, un, vn = (_spread_float_jet(rng, order) for _ in range(3))
-            un = un - Jet2.const(un.constant_term(), order, FLOAT)
-            vn = vn - Jet2.const(vn.constant_term(), order, FLOAT)
-            u, v = Jet2.variable("u", order, FLOAT), Jet2.variable("v", order, FLOAT)
-            for u_new, v_new in ((un, vn), (u, vn), (un, v), (u, v)):
-                one = Jet2.const(1, order, FLOAT)
-                want = Jet2.zero(order, FLOAT)
-                for (i, j), c in p.coeffs.items():
-                    u_pow, v_pow = one, one
-                    for _ in range(i):
-                        u_pow = u_pow * u_new
-                    for _ in range(j):
-                        v_pow = v_pow * v_new
-                    want = want + u_pow * v_pow * c
-                got = p.substitute(u_new, v_new)
-                assert list(got.coeffs.items()) == list(want.coeffs.items())
+    @staticmethod
+    def _results(a, b, un, vn):
+        return {"add": a + b, "sub": a - b, "neg": -a, "mul": a * b, "scalar": a * 3,
+                "pow": (a + b) ** 3, "substitute": a.substitute(un, vn),
+                "substitute_u_fixed": a.substitute(Jet2.variable("u", a.order, a.mode), vn),
+                "substitute_v_fixed": a.substitute(un, Jet2.variable("v", a.order, a.mode))}
 
-    def test_floor_drops_small_terms(self):
-        # 1e6 * 1e-9 = 1e-3 is under the product's floor 1e-9 * 2e6
-        assert (3, 0) not in (FA * FB).coeffs
-        assert (2, 1) not in FA.coeffs
-
-
-def _near_floor_jet(rng, order):
-    """A float jet whose small terms sit one ulp to a few ulps above the floor
-    of its largest term, which sits at the top degree."""
-    top = 10.0 ** rng.randint(1, 8) * rng.choice([1, -1])
-    floor = FLOAT_ZERO_REL * abs(top)
-    terms = {(rng.randint(0, order), 0): rng.uniform(-2, 2)}
-    for d in range(1, order):
-        i = rng.randint(0, d)
-        x = floor
-        for _ in range(rng.randint(1, 4)):
-            x = math.nextafter(x, math.inf)
-        terms[(i, d - i)] = x * rng.choice([1, -1])
-    terms[(0, order)] = top
-    jet = Jet2(order, terms, FLOAT)
-    assert len(jet.coeffs) >= order  # the near-floor terms survived
-    return jet
+    def test_float_results_are_the_exact_results_rounded(self):
+        rng = random.Random(1729)
+        tiny = Fraction(1, 10**11)
+        for _ in range(40):
+            order = rng.randint(2, 6)
+            a, b, un, vn = (rand_jet(rng, order, max_den=50) for _ in range(4))
+            un, vn = (w - Jet2.const(w.constant_term(), order) + Jet2.variable(x, order)
+                      for w, x in ((un, "u"), (vn, "v")))
+            # a's largest term is 10 v, and its u^order term sits at 1e-12 of it
+            a = a + Jet2(
+                order, {(0, 1): 10 - a.coeff(0, 1), (order, 0): tiny - a.coeff(order, 0)})
+            b = Jet2(order, {k: c for k, c in b.coeffs.items() if k != (order, 0)})
+            exact = self._results(a, b, un, vn)
+            fl = self._results(*(w.to_float() for w in (a, b, un, vn)))
+            for name, want in exact.items():
+                got = fl[name]
+                assert got.mode == FLOAT, name
+                top = float(want.max_abs())
+                for key in set(got.coeffs) | set(want.coeffs):
+                    assert abs(got.coeff(*key) - float(want.coeff(*key))) <= 1e-12 * top, (
+                        name, key)
+            for name, want in (("add", tiny), ("sub", tiny), ("neg", -tiny), ("scalar", 3 * tiny)):
+                got = fl[name].coeffs[(order, 0)]
+                assert abs(got - float(want)) <= 1e-15 * abs(float(want)), name
 
 
 def _kept(jet, order):
@@ -428,8 +375,8 @@ def _hex_items(jet):
 
 
 class TestTruncateKeepsWhatTheConstructorKeeps:
-    """truncate skips validation: a term of a valid jet cleared the floor of
-    the whole jet, which is no lower than the floor of the terms kept."""
+    """truncate skips validation: a term of a valid jet is a valid term of
+    the truncated jet."""
 
     def test_seeded_jets(self):
         rng = random.Random(1618)
@@ -437,7 +384,7 @@ class TestTruncateKeepsWhatTheConstructorKeeps:
         for _ in range(60):
             order = rng.randint(1, 7)
             jets += [rand_jet(rng, order), rand_jet(rng, order, FLOAT),
-                     _spread_float_jet(rng, order), _near_floor_jet(rng, order)]
+                     _spread_float_jet(rng, order)]
         for jet in jets:
             for order in range(jet.order + 1):
                 got, want = jet.truncate(order), _kept(jet, order)
@@ -512,9 +459,11 @@ def ref_is_zero_a(nf, i, j):
     normalized = abs(float(nf.a_(i, j))) / (math.factorial(i) * math.factorial(j))
     vals = [1.0]
     for (p, q), c in nf.a.items():
-        vals.append(abs(float(c)) / (math.factorial(p) * math.factorial(q)))
+        if p + q <= i + j:
+            vals.append(abs(float(c)) / (math.factorial(p) * math.factorial(q)))
     for p, c in nf.b.items():
-        vals.append(abs(float(c)) / math.factorial(p))
+        if p <= i + j:
+            vals.append(abs(float(c)) / math.factorial(p))
     return normalized <= FLOAT_ZERO_REL * max(vals)
 
 
@@ -604,9 +553,11 @@ class TestIsZeroMatchesTheReplacedTests:
             i, j = rng.choice([(2, 1), (3, 1), (1, 3), (0, 5)])
             norm = math.factorial(i) * math.factorial(j)
             for x in around(FLOAT_ZERO_REL * max(1.0, big), rng):
-                a = {(0, 3): 6 * big, (i, j): x * norm}
+                # a degree-6 term far larger than the rest sets no lower scale
+                a = {(0, 3): 6 * big, (i, j): x * norm, (6, 0): 720e9 * big}
                 nf = make_nf(order=6, mode=FLOAT, a=a, b={2: rng.uniform(-1, 1)})
                 assert nf.is_zero_a(i, j) == ref_is_zero_a(nf, i, j), (x, big)
+                assert nf.is_zero_a(6, 0) is False
             for x in draw_exact(rng):
                 nf = make_nf(order=6, mode=EXACT, a={(i, j): x})
                 assert nf.is_zero_a(i, j) == ref_is_zero_a(nf, i, j)
@@ -665,6 +616,24 @@ def _zero_test_leaks(source):
     return [text for _, text in sorted(leaks)]
 
 
+def _threshold_readers(source):
+    """Functions (as Class.method) that read FLOAT_ZERO_REL."""
+    readers = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(n, ast.Name) and n.id == "FLOAT_ZERO_REL"
+                        and isinstance(n.ctx, ast.Load) for n in ast.walk(child)):
+                    readers.add(name)
+                visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return sorted(readers)
+
+
 class TestOneZeroTest:
     ALLOWED = {
         "mond.py": [
@@ -680,6 +649,21 @@ class TestOneZeroTest:
             if path.name != "jets.py":
                 leaks = _zero_test_leaks(path.read_text())
                 assert leaks == self.ALLOWED.get(path.name, []), path.name
+
+    def test_in_jets_only_is_zero_reads_the_threshold(self):
+        assert _threshold_readers((SRC / "jets.py").read_text()) == ["is_zero"]
+
+    def test_guard_sees_another_reader_in_jets(self):
+        source = (
+            "FLOAT_ZERO_REL = 1e-9\n"
+            "def is_zero(x, scale=1.0):\n"
+            "    return abs(x) <= FLOAT_ZERO_REL * scale\n"
+            "class Jet2:\n"
+            "    def __init__(self, coeffs):\n"
+            "        top = max(map(abs, coeffs.values()))\n"
+            "        self.coeffs = {k: c for k, c in coeffs.items() if abs(c) > FLOAT_ZERO_REL * top}\n"
+        )
+        assert _threshold_readers(source) == ["Jet2.__init__", "is_zero"]
 
     def test_guard_sees_a_local_zero_test(self):
         source = (
@@ -751,3 +735,62 @@ class TestOneScalarMode:
             "mode = spec.mode if mode is None else mode\n"
         )
         assert _mode_forks(source) == [1, 2]
+
+
+ARITHMETIC = ("__add__", "__neg__", "__mul__", "_compose")
+
+
+def _arithmetic_forks(source):
+    """(method, line) of every branch on the scalar mode in Jet2's arithmetic:
+    an if, conditional expression or boolean test naming a mode or EXACT/FLOAT."""
+    forks = []
+    jet2 = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == "Jet2")
+    for method in jet2.body:
+        if not (isinstance(method, ast.FunctionDef) and method.name in ARITHMETIC):
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+                tests = [node.test]
+            elif isinstance(node, ast.comprehension):
+                tests = node.ifs
+            else:
+                continue
+            for test in tests:
+                if any((isinstance(x, ast.Name) and x.id in ("mode", "EXACT", "FLOAT"))
+                       or (isinstance(x, ast.Attribute) and x.attr == "mode")
+                       for x in ast.walk(test)):
+                    forks.append((method.name, test.lineno))
+    return forks
+
+
+class TestOneArithmetic:
+    """Both scalar modes run the same Jet2 arithmetic: the methods hold no
+    branch on the mode (the finiteness check of a float result lives in
+    Jet2._result)."""
+
+    def test_arithmetic_has_no_mode_branch(self):
+        source = (SRC / "jets.py").read_text()
+        jet2 = next(node for node in ast.parse(source).body
+                    if isinstance(node, ast.ClassDef) and node.name == "Jet2")
+        assert set(ARITHMETIC) <= {node.name for node in jet2.body
+                                   if isinstance(node, ast.FunctionDef)}
+        assert _arithmetic_forks(source) == []
+
+    def test_guard_sees_a_synthetic_fork(self):
+        source = (
+            "class Jet2:\n"
+            "    def __add__(self, other):\n"
+            "        if self.mode == EXACT:\n"
+            "            return self._exact_add(other)\n"
+            "        return self._float_add(other)\n"
+            "    def __neg__(self):\n"
+            "        return Jet2(self.order, {k: -c for k, c in self.coeffs.items()}, self.mode)\n"
+            "    def __mul__(self, other):\n"
+            "        keep = (lambda c: c) if mode is FLOAT else bool\n"
+            "        return {k: c for k, c in self.coeffs.items() if keep(c) or FLOAT}\n"
+            "    def partial(self, var):\n"
+            "        if self.mode == EXACT:\n"
+            "            pass\n"
+        )
+        assert _arithmetic_forks(source) == [("__add__", 3), ("__mul__", 9), ("__mul__", 10)]

@@ -7,13 +7,19 @@ from fractions import Fraction
 import pytest
 
 from germforge import normal_form
-from germforge.errors import OutOfScopeHkError, UnsupportedGermError, UsageError
+from germforge.errors import (
+    InternalConsistencyError,
+    OutOfScopeHkError,
+    UnsupportedGermError,
+    UsageError,
+)
 from germforge.germ_io import expand_germ, read_germ_spec
-from germforge.jets import EXACT, FLOAT, GermJets, Jet2
+from germforge.jets import EXACT, FLOAT, GermJets, Jet2, is_zero
 from germforge.normal_form import (
     ReductionStart,
     RotationStep,
     SubstitutionStep,
+    TransformLog,
     TwoJetClass,
     _extract_coeffs,
     corank_at_origin,
@@ -355,6 +361,124 @@ class TestReplayIsTheReduction:
         assert log.replay(germ) == germ.to_float()
 
 
+def _shadow_normal_form(g, monkeypatch):
+    """The reduction of ``g`` run in Fractions: the germ's numbers converted
+    exactly, every square root taken as Fraction(math.sqrt(x)), and every
+    zero decision (and kill) made by the float rule, so the shadow takes the
+    float reduction's steps.  The 1/2 check is skipped: with rounded roots the
+    v^2 coefficient is 1/2 only up to rounding."""
+    exact = GermJets(*(Jet2(c.order, {k: Fraction(x) for k, x in c.coeffs.items()})
+                       for c in g.components()))
+    with monkeypatch.context() as m:
+        m.setattr(TransformLog, "sqrt", lambda self, x: Fraction(math.sqrt(float(x))))
+        m.setattr(normal_form, "is_zero", lambda x, scale=1.0, mode=FLOAT: is_zero(x, scale))
+        m.setattr(normal_form, "_check_form", lambda g: None)
+        nf, _ = reduce_to_normal_form(exact)
+    assert nf.mode == EXACT
+    return nf
+
+
+def _shadow_error(nf, ref):
+    """Largest |a_ij - ref_ij| / (i! j!) and |b_i - ref_i| / i!, each over
+    the shadow's scale of its degree."""
+    errs = [0.0]
+    for (i, j) in set(nf.a) | set(ref.a):
+        d = abs(float(nf.a_(i, j)) - float(ref.a_(i, j))) / (math.factorial(i) * math.factorial(j))
+        errs.append(d / ref.degree_scale(i + j))
+    for i in set(nf.b) | set(ref.b):
+        errs.append(abs(float(nf.b_(i)) - float(ref.b_(i))) / math.factorial(i) / ref.degree_scale(i))
+    return max(errs)
+
+
+def _plain_float_germ(rng, order):
+    """A float (u, v^2)-type germ with the image line on the x-axis, its
+    (y, z)-plane turned by 45 degrees and its source coordinates changed."""
+    nf = make_nf(order=order, mode=FLOAT,
+                 a={(2, 0): rng.uniform(-1, 1), (2, 1): rng.uniform(0.5, 2.0),
+                    (0, 3): rng.uniform(-2, 2), (1, 3): rng.uniform(-1, 1),
+                    (0, 5): rng.uniform(-1, 1)},
+                 b={2: rng.uniform(-1, 1), 4: rng.uniform(-1, 1)})
+    g = nf.reconstruct()
+    u, v = Jet2.variable("u", order, FLOAT), Jet2.variable("v", order, FLOAT)
+    g = g.rotate(((1, 0, 0), (0, math.sqrt(2) / 2, math.sqrt(2) / 2),
+                  (0, -math.sqrt(2) / 2, math.sqrt(2) / 2)))
+    return g.substitute(u + v * v * rng.uniform(-1, 1), v * rng.uniform(0.5, 2.0) + u * u)
+
+
+class TestFloatReductionMatchesTheExactShadow:
+    """Each float reduction against the same reduction in Fractions, with
+    only the square roots rounded: every a_ij and b_i agrees within 1e-9 of
+    the scale of its degree."""
+
+    def test_data_germs(self, monkeypatch):
+        # at order 13 rather than the working order 17 the shadow's Fractions
+        # stay small enough for a quick test (about 2 s rather than 10 s)
+        paths = sorted(DATA.glob("classify_float_*_germ.json"))
+        assert len(paths) == 3
+        for path in paths:
+            g = expand_germ(read_germ_spec(path), order=13)
+            nf, _ = reduce_to_normal_form(g)
+            assert nf.mode == FLOAT
+            assert _shadow_error(nf, _shadow_normal_form(g, monkeypatch)) <= 1e-9
+
+    def test_seeded_float_germs(self, monkeypatch):
+        rng = random.Random(20261019)
+        germs = [_tilted_float_germ(rng, 5) for _ in range(15)]
+        germs += [_plain_float_germ(rng, 7) for _ in range(35)]
+        worst = 0.0
+        for g in germs:
+            nf, log = reduce_to_normal_form(g)
+            assert nf.mode == FLOAT and len(log.steps) >= 3
+            worst = max(worst, _shadow_error(nf, _shadow_normal_form(g, monkeypatch)))
+        assert worst <= 1e-9
+
+
+class TestKills:
+    """Each step zeroes the coefficients it kills by construction, after
+    checking that what is left there is a zero: exactly in exact mode, at the
+    scale of the step's input in float mode."""
+
+    def test_float_residue_below_the_zero_tests_is_killed(self):
+        # y's v term and z's uv term pass the rank and two-jet zero tests;
+        # an identity rotation kills the first, the (y, z) rotation the second
+        g = germ_from_strings(["u", "1/2*v^2 + 1e-12*v", "1e-12*u*v + v^3 + u^2*v"], 6,
+                              mode=FLOAT)
+        nf, log = reduce_to_normal_form(g)
+        first, second = log.steps[:2]
+        assert first == RotationStep(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                                     FLOAT, ((1, ((1, 0), (0, 1))), (2, ((1, 0), (0, 1)))))
+        assert isinstance(second, RotationStep) and second.kills == ((2, ((0, 2), (1, 1))),)
+        assert nf.a == {(0, 3): 6.0, (2, 1): 2.0} and nf.b == {}
+        replayed = log.replay(g)
+        assert (0, 1) not in replayed.y.coeffs and (1, 1) not in replayed.z.coeffs
+
+    def test_a_kill_that_is_no_zero_raises(self):
+        u, v = Jet2.variable("u", 4), Jet2.variable("v", 4)
+        g = GermJets(u, Jet2(4, {(0, 2): Fraction(1, 2)}), Jet2(4, {(0, 3): Fraction(1, 10**30)}))
+        with pytest.raises(InternalConsistencyError, match="u\\^0 v\\^3 of z"):
+            SubstitutionStep(u, v, EXACT, ((2, ((0, 3),)),)).apply(g)
+        assert SubstitutionStep(u, v, EXACT, ((2, ((1, 3),)),)).apply(g) == g
+
+    def test_float_kills_read_the_scale_of_the_input(self):
+        ident = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        kill = ((2, ((0, 3),)),)
+        for big, raises in ((1.0, True), (1e13, False)):
+            g = GermJets(Jet2(4, {(1, 0): 1.0}, FLOAT), Jet2(4, {(0, 2): 0.5, (4, 0): big}, FLOAT),
+                         Jet2(4, {(0, 3): 2.0 ** -10, (2, 1): 1.0}, FLOAT))
+            if raises:
+                with pytest.raises(InternalConsistencyError, match="not zero at scale 1"):
+                    RotationStep(ident, FLOAT, kill).apply(g)
+            else:
+                assert RotationStep(ident, FLOAT, kill).apply(g).z.coeffs == {(2, 1): 1.0}
+
+    def test_flattening_makes_x_exactly_u(self):
+        g = germ_from_strings(["u + 1/3*u^2 + v^3", "1/2*v^2", "u^2*v + v^3"], 6, mode=FLOAT)
+        _, log = reduce_to_normal_form(g)
+        flat = next(s for s in log.steps if s.kills == ((0, None),))
+        assert log.replay(g).x.coeffs == {(1, 0): 1.0}
+        assert flat.apply(g).x.coeffs == {(1, 0): 1.0}
+
+
 class TestPromotionIsAStep:
     """An exact germ whose v^2 coefficient has an irrational root that rounds
     to 1 is promoted to float by a recorded step, not behind the log's back."""
@@ -368,7 +492,7 @@ class TestPromotionIsAStep:
         assert nf.a == {(2, 1): 2.0, (0, 3): 6.0} and nf.b == {2: 2.0}
         [step] = log.steps
         u, v = Jet2.variable("u", 4, FLOAT), Jet2.variable("v", 4, FLOAT)
-        assert step == SubstitutionStep(u, v, FLOAT)
+        assert step == SubstitutionStep(u, v, FLOAT, ((1, ((1, 1),)),))
         assert _bits(_extract_coeffs(log.replay(g))) == _bits(nf)
 
 

@@ -189,13 +189,44 @@ class TestTargetShearedFloatReduction:
         spec = GermSpec(("u", "v"), ("u", "1/2*v^2", "5*v^3 - 5/2*u^9*v"), 10, "exact")
         assert classify_spec(spec).mond.label == "S8"
 
-    # Open defect: rotating the shear away takes sqrt(2), so the reduction
-    # runs in float; at the working order 17 the high-order coefficients blow
-    # up and Jet2's relative float floor deletes the v^2 term.
-    @pytest.mark.xfail(raises=UnsupportedGermError, strict=True,
-                       reason="float reduction of target-sheared germs loses v^2")
+    # rotating the shear away takes sqrt(2), so the reduction runs in float;
+    # at the working order 17 the third component's coefficients reach 1e13
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_sheared_germ_classifies_as_s8(self, mode):
         spec = GermSpec(("u", "v"), self.SHEARED, 10, mode)
         out = classify_spec(spec)
         assert (out.mond.label, out.mond.sign) == ("S8", None)
+
+
+def _sheared_family():
+    """(components, label, sign): one base third component per S/B/C/F4 class
+    and sign, sheared as z = base + y with y = v^2/2.  Rotating the shear
+    away takes sqrt(2), so every reduction runs in float."""
+    cases = [("u^3*v + v^5", "F4", None)]
+    for k in range(1, 9):  # S_k: sign of a_{k+1,1} a_03 for odd k
+        for sign in ("+", "-") if k % 2 else (None,):
+            cases.append(("2*v^3 %s 3/2*u^%d*v" % (sign or "+", k + 1), "S%d" % k, sign))
+    for k in range(2, 9):  # B_k: sign of xi_k a_21
+        for sign in ("+", "-"):
+            cases.append(("u^2*v %s 4/3*v^%d" % (sign, 2 * k + 1), "B%d" % k, sign))
+    for m in range(3, 9):  # C_m: sign of a_m1 a_13 for odd m
+        for sign in ("+", "-") if m % 2 else (None,):
+            cases.append(("u*v^3 %s 5/2*u^%d*v" % (sign or "+", m), "C%d" % m, sign))
+    return [(("u", "1/2*v^2", "u^2 + 1/2*v^2 + " + base), cls + (sign or ""), sign)
+            for base, cls, sign in cases]
+
+
+class TestTargetShearedFamily:
+    """The target shear lam = 1 with y = v^2/2, which the benchmark's
+    generator leaves out: every class and sign survives the float reduction."""
+
+    def test_family_covers_every_class_and_sign(self):
+        labels = [label for _, label, _ in _sheared_family()]
+        assert len(labels) == len(set(labels)) == 36
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_every_class_and_sign(self, mode):
+        for comps, label, sign in _sheared_family():
+            out = classify_spec(GermSpec(("u", "v"), comps, 6, mode))
+            assert out.nf.mode == "float", comps
+            assert (out.mond.label, out.mond.sign) == (label, sign), comps
