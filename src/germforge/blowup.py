@@ -10,7 +10,10 @@ exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
 module computes those series numerically, once per theta list, through
-series_columns(ctx, thetas) (one theta is [theta]).
+series_columns(ctx, thetas, depth) (one theta is [theta]).  Column k of a
+series reads columns 0..k of its inputs only, so each caller asks for the
+depth it reads: geometry_samples takes K0 and k20 from one depth-0 run, and
+the closed-form cross-check reads depths 1 and 2 of a full DEPTH run.
 
 ridge_report(ctx, theta) is the one place a normal direction is evaluated:
 from one cos, sin and ma of theta it takes the ridge and sub-parabolic
@@ -249,8 +252,8 @@ def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
     return out
 
 
-def _vector_pullback(ctx, jets, trig, r_shift=0, cos_shift=0):
-    return [pullback_series(ctx, j, trig, DEPTH, r_shift, cos_shift) for j in jets]
+def _vector_pullback(ctx, jets, trig, depth, r_shift=0, cos_shift=0):
+    return [pullback_series(ctx, j, trig, depth, r_shift, cos_shift) for j in jets]
 
 
 def _dot(a_vec, b_vec):
@@ -260,21 +263,21 @@ def _dot(a_vec, b_vec):
     return acc
 
 
-def _form_columns(ctx, trig):
+def _form_columns(ctx, trig, depth=DEPTH):
     """E..N and the normal n1..n3 they were taken against, as columns."""
     n, (e_jet, f_jet, g_jet) = ctx.n, ctx._efg
     cols = {
-        "E": pullback_series(ctx, e_jet, trig),
-        "F": pullback_series(ctx, f_jet, trig, DEPTH, n + 2, 0),
-        "G": pullback_series(ctx, g_jet, trig, DEPTH, 2 * n + 2, 0),
+        "E": pullback_series(ctx, e_jet, trig, depth),
+        "F": pullback_series(ctx, f_jet, trig, depth, n + 2, 0),
+        "G": pullback_series(ctx, g_jet, trig, depth, 2 * n + 2, 0),
     }
-    w = _vector_pullback(ctx, ctx._cross, trig, n + 1, n)
+    w = _vector_pullback(ctx, ctx._cross, trig, depth, n + 1, n)
     inv = s_recip(s_sqrt(_dot(w, w)))
     nvec = [s_mul(comp, inv) for comp in w]
     cols.update(n1=nvec[0], n2=nvec[1], n3=nvec[2])
-    cols["L"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], trig))
-    cols["M"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], trig, n, 0))
-    cols["N"] = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], trig))
+    cols["L"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], trig, depth))
+    cols["M"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], trig, depth, n, 0))
+    cols["N"] = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], trig, depth))
     return cols
 
 
@@ -291,12 +294,18 @@ def _curvature_columns(ctx, fs):
             "k2": s_mul(bser, inv_den)}
 
 
-def series_columns(ctx, thetas):
-    """The pipeline run once over a theta list: a dict of DEPTH + 1 columns
+def series_columns(ctx, thetas, depth=DEPTH):
+    """The pipeline run once over a theta list: a dict of depth + 1 columns
     each for the unit normal n1..n3, the forms E..N after factoring their
     r-powers (F by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the bounded
     principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta must be
-    finite with |cos theta| > COS_TOL."""
+    finite with |cos theta| > COS_TOL.
+
+    Column k of every series operation reads columns 0..k of its inputs
+    only, so a run at a smaller ``depth`` gives the same bits in the columns
+    it keeps."""
+    if not 0 <= depth <= DEPTH:
+        raise UsageError("series depth must lie in 0..%d, got %r" % (DEPTH, depth))
     thetas = list(thetas)
     cos = []
     for theta in thetas:
@@ -306,7 +315,7 @@ def series_columns(ctx, thetas):
             raise PrincipalNormalDirectionError(
                 "theta = %g is on the principal normal direction" % theta)
         cos.append(c)
-    cols = _form_columns(ctx, TrigPowers(thetas, cos))
+    cols = _form_columns(ctx, TrigPowers(thetas, cos), depth)
     cols.update(_curvature_columns(ctx, cols))
     return cols
 
@@ -475,7 +484,8 @@ def theta_grid(samples=64):
 
 def geometry_samples(ctx, thetas):
     """Per-theta geometry records for the report (cos-divided values off pi/2);
-    the series pipeline runs once for all thetas off the principal normal."""
+    the series pipeline runs once for all thetas off the principal normal, at
+    depth 0: K0 and k20 are the r^0 columns of K and k2."""
     records = []
     for theta in thetas:
         rr = ridge_report(ctx, theta)
@@ -485,7 +495,7 @@ def geometry_samples(ctx, thetas):
             "K0": None, "k10": rr.k10, "k20": None,
         })
     off = [rec for rec in records if rec["point_type"] is not None]
-    cols = series_columns(ctx, [rec["theta"] for rec in off])
+    cols = series_columns(ctx, [rec["theta"] for rec in off], depth=0)
     for rec, k0, k20 in zip(off, cols["K"][0], cols["k2"][0]):
         rec["K0"], rec["k20"] = k0, k20
     return records

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
 
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import Jet2, is_zero, scalar
+from .jets import EXACT, Jet2, is_zero, scalar
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -122,22 +123,57 @@ def _zero_test(nf, p):
     return lambda x: is_zero(x, scale, nf.mode)
 
 
+def _probe_numerators(p, mode):
+    """(X, Y, Z, dp): the probe p (in ``mode``) as numerators over one
+    denominator dp; a float probe is its own numerators over dp = 1."""
+    if mode != EXACT:
+        return p.x0, p.y0, p.z0, 1
+    ratios = [c.as_integer_ratio() for c in (p.x0, p.y0, p.z0)]
+    dp = math.lcm(*[d for _, d in ratios])
+    return (*(n * (dp // d) for n, d in ratios), dp)
+
+
 def distance_jet(nf, p, order=None):
     """Jet of |g - p|^2 / 2 at the origin; constant term retained.
 
     Taken as |g|^2 / 2 - <g, p> + |p|^2 / 2 over the normal form's cached
-    distance base, so a probe costs scalar multiples and sums only.
+    distance base, so a probe costs scalar multiples and sums only.  An exact
+    probe goes over one denominator dp, and each coefficient is one quotient
+    (H dp - X U - Y Y' - Z Z') / (D dp) of integers; a float form runs the
+    same sums with D = dp = 1.
     """
     order = nf.order if order is None else order
-    p = p.as_mode(nf.mode)
-    u, y, z, half_sq = nf.distance_base(order)
-    half_p_sq = (p.x0 * p.x0 + p.y0 * p.y0 + p.z0 * p.z0) * scalar(0.5, nf.mode)
-    # half_sq - x0 u - y0 y - z0 z + |p|^2/2, with the signs on the scalars:
-    # a jet subtraction would copy each term once more to negate it
-    return (
-        half_sq + u * -p.x0 + y * -p.y0 + z * -p.z0
-        + Jet2.const(half_p_sq, order, nf.mode)
-    )
+    mode = nf.mode
+    rows, den = nf.distance_base(order)
+    x, y, z, dp = _probe_numerators(p.as_mode(mode), mode)
+    exact = mode == EXACT
+    den *= dp
+    out = {}
+    for key, (h, cu, cy, cz) in rows.items():
+        c = h * dp - x * cu - y * cy - z * cz
+        if c:
+            out[key] = Fraction(c, den) if exact else c
+    # |p|^2 / 2: g vanishes at the origin, so the base has no constant term
+    c = x * x + y * y + z * z
+    if c:
+        out[(0, 0)] = Fraction(c, 2 * dp * dp) if exact else c * 0.5
+    return Jet2._result(order, out, mode)
+
+
+def _family(nf, p, order, probe_order):
+    """The parameter partials p_i - g_i of the distance family, truncated at
+    ``order``, read off the distance base at ``probe_order``."""
+    rows, den = nf.distance_base(probe_order)
+    exact = nf.mode == EXACT
+    family = []
+    for col, value in enumerate((p.x0, p.y0, p.z0), 1):
+        coeffs = {(0, 0): value} if value else {}
+        for key, row in rows.items():
+            c = row[col]
+            if c and key[0] + key[1] <= order:
+                coeffs[key] = Fraction(-c, den) if exact else -c
+        family.append(Jet2._trusted(order, coeffs, nf.mode))
+    return family
 
 
 def _probe_order(nf):
@@ -237,12 +273,7 @@ def versality_rank_test(nf, p, flavor):
     else:
         return False  # more degenerate than the 3-parameter family can cover
     # the family at the rank order: no row reads a term above it
-    u, y, zc = (jet.truncate(order) for jet in nf.distance_base(probe_order)[:3])
-    family = [
-        Jet2.const(p.x0, order, nf.mode) - u,
-        Jet2.const(p.y0, order, nf.mode) - y,
-        Jet2.const(p.z0, order, nf.mode) - zc,
-    ]
+    family = _family(nf, p, order, probe_order)
     return oracle.versality_rank_oracle(family, d, flavor, order)
 
 

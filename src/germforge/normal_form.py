@@ -104,18 +104,31 @@ class NormalFormCoeffs:
         return {}
 
     def distance_base(self, order):
-        """(u, y, z, (u^2 + y^2 + z^2) / 2) at ``order``, in the form's mode.
+        """The probe-free part of every distance-squared jet at ``order``:
+        ({(i, j): (H, U, Y, Z)}, D), one row per monomial of
+        (u^2 + y^2 + z^2) / 2 = H / D, u = U / D, y = Y / D and z = Z / D.
 
-        The probe-free part of every distance-squared jet
-        |g - p|^2 / 2 = |g|^2 / 2 - <g, p> + |p|^2 / 2, built on the first
-        call for an order and kept on the instance for later ones.
+        |g - p|^2 / 2 = |g|^2 / 2 - <g, p> + |p|^2 / 2 reads the four
+        columns.  In exact mode the rows are ints over the lcm D of the
+        denominators; in float mode they are the coefficients themselves and
+        D = 1.  Built on the first call for an order and kept on the instance
+        for later ones.
         """
         base = self._distance_bases.get(order)
         if base is None:
             u = Jet2.variable("u", order, self.mode)
             y, z = self.second_component(order), self.third_component(order)
             half_sq = (u * u + y * y + z * z) * scalar(0.5, self.mode)
-            base = self._distance_bases[order] = (u, y, z, half_sq)
+            cols = [jet.coeffs for jet in (half_sq, u, y, z)]
+            keys = dict.fromkeys(k for col in cols for k in col)
+            if self.mode == EXACT:
+                den = math.lcm(*(c.denominator for col in cols for c in col.values()))
+                cols = [{k: c.numerator * (den // c.denominator) for k, c in col.items()}
+                        for col in cols]
+            else:
+                den = 1
+            rows = {k: tuple(col.get(k, 0) for col in cols) for k in keys}
+            base = self._distance_bases[order] = (rows, den)
         return base
 
     def is_zero_a(self, i, j):

@@ -20,17 +20,18 @@ Both answers are exact, and both kernels compute on Python integers:
   by the scaled Horner rule acc <- acc * psi + r_i * q^(top - i).  Only the
   returned coefficients are divided, by D * q^top.  A float f runs the same
   steps with D = q = 1.
-* ``rank_of_rows`` scales each row by the lcm of its denominators and
-  eliminates fraction-free: a pivot row is divided by the gcd of its
-  entries, and a row is reduced as b * row - a * pivot.  Scaling a row
-  changes no rank.  ``versality_rank_oracle`` clears f and each family jet
-  to integers once, so the shifted copies of a generator share them.
+* ``rank_of_rows`` eliminates fraction-free: a pivot row is divided by the
+  gcd of its entries, and a row is reduced as b * row - a * pivot.  A row
+  of ints enters as it is; any other row is first scaled by the lcm of its
+  denominators, which changes no rank.  ``versality_rank_oracle`` clears f
+  and each family jet to integers once, so the shifted copies of a
+  generator share them and no row is cleared again.
 
 Float inputs to ``split_and_type`` and ``versality_rank_oracle`` are
 rationalized (denominators up to 10**6).  ``split_and_type`` records a
 warning in its result when it does; ``versality_rank_oracle`` answers a
 bare bool and records none.  A float entry of a ``rank_of_rows`` row enters
-exactly, as ``Fraction(x)``.
+exactly, as ``Fraction(x)`` would.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def split_and_type(f, order=6):
     # corank 1: solve for the variable whose square survives in the Hessian
     # (c20 == 0 forces c11 == 0 and c02 != 0 here)
     g = critical_curve_restriction(f, "u" if c20 != 0 else "v")
-    residual = Jet2(order, {(0, j): g[j] for j in range(3, order + 1) if g[j]}, EXACT)
+    # nonzero Fractions of degree <= order: nothing for the constructor to check
+    residual = Jet2._trusted(order, {(0, j): g[j] for j in range(3, order + 1) if g[j]})
     if residual.is_zero():
         return SingularityType(
             "MoreDegenerate", corank=1, residual=residual, warnings=warnings
@@ -253,16 +255,20 @@ def rank_of_rows(rows):
     """Rank of a list of row vectors by fraction-free elimination.
 
     Rows may be dense sequences or sparse {column: value} dicts of ints,
-    Fractions or floats (a float enters exactly, as ``Fraction(x)``).  Each
-    row is scaled to integers by the lcm of its denominators and reduced
-    against the pivot rows found so far, always at its lowest nonzero
-    column, as b * row - a * pivot with a / b the lowest-terms ratio of the
-    two leading entries.  A row that does not reduce to zero becomes the
-    pivot row of that column, divided by the gcd of its entries.
+    Fractions or floats (a float enters exactly, as ``Fraction(x)`` would).
+    A row of ints enters as it is; any other row is scaled to integers by
+    the lcm of its denominators.  Each row is reduced against the pivot rows
+    found so far, always at its lowest nonzero column, as b * row - a * pivot
+    with a / b the lowest-terms ratio of the two leading entries.  A row
+    that does not reduce to zero becomes the pivot row of that column,
+    divided by the gcd of its entries.
     """
     pivots = {}
     for r in rows:
-        row, _ = _cleared(r.items() if isinstance(r, dict) else enumerate(r))
+        row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+        # a row of ints is already cleared
+        if not all(type(x) is int for x in row.values()):
+            row, _ = _cleared(row.items())
         while row:
             col = min(row)
             pivot = pivots.get(col)

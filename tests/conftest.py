@@ -1,6 +1,9 @@
+import functools
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +87,39 @@ def ref_distance_jet(nf, p, order):
     dy = y - Jet2.const(p.y0, order, nf.mode)
     dz = z - Jet2.const(p.z0, order, nf.mode)
     return (du * du + dy * dy + dz * dz) * scalar(0.5, nf.mode)
+
+
+def sum_distance_jet(nf, p, order):
+    """|g|^2 / 2 - x0 u - y0 y - z0 z + |p|^2 / 2 as a chain of jet sums over
+    freshly built jets: the reference for the bits of a float distance jet."""
+    p = p.as_mode(nf.mode)
+    u = Jet2.variable("u", order, nf.mode)
+    y, z = nf.second_component(order), nf.third_component(order)
+    half_sq = (u * u + y * y + z * z) * scalar(0.5, nf.mode)
+    half_p_sq = (p.x0 * p.x0 + p.y0 * p.y0 + p.z0 * p.z0) * scalar(0.5, nf.mode)
+    return (half_sq + u * -p.x0 + y * -p.y0 + z * -p.z0
+            + Jet2.const(half_p_sq, order, nf.mode))
+
+
+def _load_perfbench_corpus():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def analysis_forms(seeds=tuple(range(1, 11))):
+    """(normal form, probes) of every germ of the benchmark's analysis
+    corpus at the given seeds."""
+    corpus = _load_perfbench_corpus()
+    forms = []
+    for seed in seeds:
+        for entry in corpus.analysis_corpus(seed):
+            spec = germ_io.germ_spec_from_dict(entry["doc"])
+            forms.append((pipeline.classify_spec(spec).nf, tuple(spec.probes)))
+    return forms
 
 
 class _RefParser:

@@ -194,6 +194,27 @@ class TestColumnPipeline:
                     grid = [col[idx].hex() for col in cols[key]]
                     assert grid == [col[0].hex() for col in one[key]], (ctx.n, theta, key)
 
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    def test_depth0_sweep_keeps_column0_bits(self, label):
+        _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+        for samples in (16, 64, 128, 129):
+            records = geometry_samples(ctx, theta_grid(samples))
+            off = [rec for rec in records if rec["point_type"] is not None]
+            thetas = [rec["theta"] for rec in off]
+            full, low = series_columns(ctx, thetas), series_columns(ctx, thetas, depth=0)
+            assert [rec["K0"].hex() for rec in off] == [x.hex() for x in full["K"][0]]
+            assert [rec["k20"].hex() for rec in off] == [x.hex() for x in full["k2"][0]]
+            assert low.keys() == full.keys()
+            for key, cols in low.items():
+                assert len(cols) == 1, key
+                assert [x.hex() for x in cols[0]] == [x.hex() for x in full[key][0]], key
+
+    def test_depth_outside_the_series_window_raises(self):
+        ctx = BlowupContext(nf_s1(), 1)
+        for depth in (-1, blowup.DEPTH + 1):
+            with pytest.raises(UsageError, match="series depth"):
+                series_columns(ctx, [0.3], depth=depth)
+
     def test_grid_with_principal_normal_direction_raises(self):
         ctx = BlowupContext(nf_s1(), 1)
         with pytest.raises(PrincipalNormalDirectionError, match="principal normal direction"):

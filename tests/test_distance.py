@@ -25,7 +25,14 @@ from germforge.jets import EXACT, FLOAT, Jet2
 from germforge.normal_form import NormalFormCoeffs
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
-from conftest import jets_close, make_nf, rand_fraction, ref_distance_jet
+from conftest import (
+    analysis_forms,
+    jets_close,
+    make_nf,
+    rand_fraction,
+    ref_distance_jet,
+    sum_distance_jet,
+)
 
 
 def probe(x=0, y=0, z=0):
@@ -86,19 +93,47 @@ def ref_zero_test_scale(nf, p):
     return max(low)
 
 
+def _exact_distance_jet(nf, p, order):
+    got = distance_jet(nf, p, order)
+    assert got == ref_distance_jet(nf, p, order), (p, order)
+    assert all(type(c) is Fraction and c for c in got.coeffs.values())
+    return got
+
+
 class TestDistanceBase:
     """distance_jet over the cached probe-free base against the jet whose
     products are made anew for every probe."""
 
     def test_exact_equals_reference(self):
         rng = random.Random(29)
-        for idx in range(210):
+        seen = {"origin": 0, "singular": 0, "regular": 0}
+        for idx in range(1000):
             nf = _random_full_nf(rng, 8)
-            p = _probe_kinds(rng, EXACT)[idx % 3]
-            for order in (6, 8):
-                got = distance_jet(nf, p, order)
-                assert got == ref_distance_jet(nf, p, order), (idx, order)
-                assert all(type(c) is Fraction for c in got.coeffs.values())
+            kind = ("origin", "singular", "regular", "regular")[idx % 4]
+            x0, y0, z0 = (rand_fraction(rng, 40, 60) for _ in range(3))
+            if kind == "origin":
+                x0 = y0 = z0 = Fraction(0)
+            elif kind == "singular":
+                x0 = Fraction(0)
+            elif not x0:
+                x0 = Fraction(1, 7)
+            p = ProbePoint(x0, y0, z0)
+            for order in (3, 6, 8):
+                got = _exact_distance_jet(nf, p, order)
+                # at x0 = 0 the u term cancels and is not stored
+                assert ((1, 0) in got.coeffs) == bool(x0)
+            seen[kind] += 1
+        assert min(seen.values()) >= 250, seen
+
+    def test_exact_on_the_analysis_corpus(self):
+        probes = 0
+        for nf, points in analysis_forms():
+            assert nf.mode == EXACT
+            for point in points:
+                for order in (3, 6, 8):
+                    _exact_distance_jet(nf, ProbePoint(*point), order)
+                probes += 1
+        assert probes >= 1000
 
     def test_float_within_1e12_of_reference(self):
         rng = random.Random(31)
@@ -110,16 +145,50 @@ class TestDistanceBase:
                 assert got.mode == want.mode == FLOAT
                 assert jets_close(got, want, 1e-12), (idx, order)
 
+    def test_float_bits_equal_the_jet_sums(self):
+        rng = random.Random(53)
+        forms = [nf.to_float() for nf, _ in analysis_forms()[::8]]
+        forms += [_random_full_nf(rng, 8, FLOAT) for _ in range(120)]
+        for idx, nf in enumerate(forms):
+            for p in _probe_kinds(rng, FLOAT):
+                for order in (3, 6, 8):
+                    got, want = distance_jet(nf, p, order), sum_distance_jet(nf, p, order)
+                    assert got.mode == want.mode == FLOAT
+                    assert got.coeffs.keys() == want.coeffs.keys(), (idx, order)
+                    assert all(got.coeffs[k].hex() == c.hex()
+                               for k, c in want.coeffs.items()), (idx, order)
+
+    def test_float_overflow_is_a_usage_error(self):
+        nf = make_nf(order=4, mode=FLOAT, a={(2, 0): 1.0, (0, 3): 1.0})
+        with pytest.raises(UsageError, match="float range|finite"):
+            distance_jet(nf, ProbePoint(0.0, 1e200, 1e200), 4)
+
     def test_cache_keyed_by_order_and_mode(self):
         nf = _random_full_nf(random.Random(37), 8)
         base6, base8 = nf.distance_base(6), nf.distance_base(8)
         assert nf.distance_base(6) is base6 and nf.distance_base(8) is base8
-        assert [j.order for j in base6] == [6] * 4 and [j.order for j in base8] == [8] * 4
+        for order, (rows, _) in ((6, base6), (8, base8)):
+            assert rows and all(i + j <= order for i, j in rows)
         fnf = nf.to_float()
         fbase6 = fnf.distance_base(6)
         assert fnf.distance_base(6) is fbase6 and nf.distance_base(6) is base6
-        assert {j.mode for j in base6} == {EXACT} and {j.mode for j in fbase6} == {FLOAT}
-        assert jets_close(fbase6[3], base6[3], 1e-12)
+        (rows, den), (frows, fden) = base6, fbase6
+        assert rows.keys() == frows.keys() and fden == 1
+        assert {type(c) for row in rows.values() for c in row} == {int}
+        assert {type(c) for row in frows.values() for c in row if c} == {float}
+        for key, row in rows.items():
+            for c, fc in zip(row, frows[key]):
+                assert abs(float(Fraction(c, den)) - fc) <= 1e-12 * max(1.0, abs(fc)), key
+
+    def test_base_columns_are_the_components(self):
+        nf = _random_full_nf(random.Random(38), 8)
+        rows, den = nf.distance_base(8)
+        u = Jet2.variable("u", 8)
+        y, z = nf.second_component(8), nf.third_component(8)
+        half_sq = (u * u + y * y + z * z) * Fraction(1, 2)
+        for col, jet in enumerate((half_sq, u, y, z)):
+            got = {k: Fraction(row[col], den) for k, row in rows.items() if row[col]}
+            assert got == jet.coeffs, col
 
     def test_equality_and_hash_unchanged_by_the_caches(self):
         nf = _random_full_nf(random.Random(41), 8)

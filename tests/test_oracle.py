@@ -20,7 +20,14 @@ from germforge.oracle import (
     versality_rank_oracle,
 )
 
-from conftest import make_nf, rand_fraction, ref_critical_curve_restriction
+from conftest import (
+    analysis_forms,
+    make_nf,
+    rand_fraction,
+    ref_critical_curve_restriction,
+    ref_distance_jet,
+    sum_distance_jet,
+)
 
 
 def jet(order, terms):
@@ -630,6 +637,32 @@ class TestIntegerKernels:
         rank, built = _fraction_constructions(monkeypatch, ref_rank_of_rows, self.ROWS)
         assert rank == 3 and built > 0
 
+    def test_int_rows_skip_clearing(self, monkeypatch):
+        rows = [[2, 4, 0, 6], {0: 3, 1: 6, 3: 9}, {1: 1, 2: -5}]
+        cleared = []
+        real = oracle._cleared
+        monkeypatch.setattr(oracle, "_cleared", lambda items: cleared.append(1) or real(items))
+        assert rank_of_rows(rows) == 2 and not cleared
+        assert rank_of_rows(rows + [{0: Fraction(1, 2), 2: 3}]) == 3 and len(cleared) == 1
+
+    def test_distance_jet_builds_one_fraction_per_coefficient(self, monkeypatch):
+        rng = random.Random(59)
+        for idx in range(40):
+            a = {(i, d - i): rand_fraction(rng) for d in range(3, 9) for i in range(d + 1)}
+            a[(2, 0)] = rand_fraction(rng)
+            nf = make_nf(8, EXACT, a, {i: rand_fraction(rng) for i in range(2, 9)})
+            x0 = rand_fraction(rng) if idx % 2 else Fraction(0)
+            p = distance.ProbePoint(x0, rand_fraction(rng, 9, 7), rand_fraction(rng, 9, 11))
+            for order in (3, 6, 8):
+                nf.distance_base(order)
+                got, built = _fraction_constructions(monkeypatch, distance.distance_jet,
+                                                     nf, p, order)
+                assert built <= len(got.coeffs), (idx, order, built)
+                assert got == ref_distance_jet(nf, p, order)
+        # the guard sees the Fractions of a chain of jet sums
+        _, ref_built = _fraction_constructions(monkeypatch, sum_distance_jet, nf, p, 8)
+        assert ref_built > len(got.coeffs)
+
     def test_curve_builds_only_its_result(self, monkeypatch):
         f = TestCriticalCurveMatchesReference._jet(random.Random(5), 8, "u", EXACT)
         got, built = _fraction_constructions(monkeypatch, critical_curve_restriction, f)
@@ -637,3 +670,146 @@ class TestIntegerKernels:
         _, ref_built = _fraction_constructions(monkeypatch, ref_critical_curve_restriction, f)
         assert ref_built > built
 
+
+# ---------------------------------------------------------------------------
+# The rank test on integer rows against the answers of clearing every row
+# ---------------------------------------------------------------------------
+
+
+def _as_fractions(row):
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(x) for c, x in items}
+
+
+def cleared_rank_answers(nf, p):
+    """(split type, {flavor: answer}) of the rank test with the family built
+    as jet differences over a chain of jet sums, and every row cleared by the
+    elimination: the answers of the rank test before it read integer rows."""
+    p = p.as_mode(nf.mode)
+    if not distance._zero_test(nf, p)(p.x0):
+        return "Regular", {R_PLUS: True, K_EQUIV: True}
+    probe_order = distance._probe_order(nf)
+    d = sum_distance_jet(nf, p, probe_order)
+    typ = split_and_type(d, order=probe_order)
+    if typ.tag == "A":
+        orders = {R_PLUS: None if typ.k >= 5 else typ.k + 1,
+                  K_EQUIV: None if typ.k >= 4 else typ.k + 1}
+    elif typ.tag == "D4":
+        orders = {R_PLUS: 3, K_EQUIV: None}
+    else:
+        orders = {R_PLUS: None, K_EQUIV: None}
+    answers = {}
+    real = oracle.rank_of_rows
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "rank_of_rows", lambda rows: real([_as_fractions(r) for r in rows]))
+        for flavor, order in orders.items():
+            if order is None:
+                answers[flavor] = False
+                continue
+            comps = (Jet2.variable("u", order, nf.mode), nf.second_component(order),
+                     nf.third_component(order))
+            family = [Jet2.const(x, order, nf.mode) - comp
+                      for x, comp in zip((p.x0, p.y0, p.z0), comps)]
+            answers[flavor] = oracle.versality_rank_oracle(family, d, flavor, order)
+    return typ.label, answers
+
+
+FOCAL_KINDS = ("focal", "principal", "umbilic", "cubic", "quartic")
+
+
+def focal_probes(rng):
+    """(kind, normal form, probe) for a probe on each focal kind: the second
+    focal line, the principal normal line, their intersection (umbilic), the
+    intersection of the second line with the cubic line, and that point on a
+    form whose b_4 makes the quartic witness vanish too."""
+    while True:
+        a = {(i, d - i): rand_fraction(rng) for d in range(3, 7) for i in range(d + 1)
+             if rng.random() < 0.6}
+        a[(2, 0)] = rand_fraction(rng, nonzero=True)
+        a[(3, 0)] = rand_fraction(rng, nonzero=True)
+        a.setdefault((2, 1), rand_fraction(rng))
+        b = {i: rand_fraction(rng) for i in range(2, 7) if rng.random() < 0.6}
+        a20, a30, b2, b3 = a[(2, 0)], a[(3, 0)], b.get(2, 0), b.get(3, 0)
+        det = a20 * b3 - b2 * a30
+        if det:
+            break
+    nf = make_nf(6, EXACT, a, b)
+    y0 = rand_fraction(rng, nonzero=True)
+    points = {"focal": (y0, (1 - b2 * y0) / a20), "principal": (0, rand_fraction(rng)),
+              "umbilic": (0, 1 / a20), "cubic": (-a30 / det, b3 / det)}
+    y0, z0 = points["cubic"]
+    c4 = a.get((4, 0), 0) * y0 * z0 - 3 * a[(2, 1)] ** 2 * z0 * z0 - 3 * (a20 ** 2 + b2 ** 2) * y0
+    quartic = make_nf(6, EXACT, a, {**b, 4: -c4 / (y0 * y0)})
+    out = [(kind, nf, distance.ProbePoint(0, *points[kind])) for kind in FOCAL_KINDS[:4]]
+    return out + [("quartic", quartic, distance.ProbePoint(0, y0, z0))]
+
+
+class TestRankOnIntegerRows:
+    def test_mixed_rows_match_the_reference(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            ncols = rng.randint(2, 8)
+
+            def entry():
+                return rng.choice((0, 0, rng.randint(-9, 9)))
+
+            ints = [entry() for _ in range(ncols)]
+            rows = [
+                {c: x for c, x in enumerate(ints) if x},
+                {c: rand_fraction(rng, 9, 7) if c == 0 else entry() for c in range(ncols)},
+                [float(entry()) / 4 for _ in range(ncols)],
+                [entry() for _ in range(ncols)],
+                [2 * x for x in ints],
+            ]
+            rng.shuffle(rows)
+            dense = [[Fraction(r.get(c, 0) if isinstance(r, dict) else r[c])
+                      for c in range(ncols)] for r in rows]
+            assert rank_of_rows(rows) == ref_rank_of_rows(dense), rows
+
+    def test_every_oracle_call_is_counted(self, monkeypatch):
+        # the traced benchmark times the elimination through this attribute
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("rank_of_rows", "versality_rank_oracle"):
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        for nf, points in analysis_forms((1,)):
+            for point in points:
+                for flavor in (R_PLUS, K_EQUIV):
+                    distance.versality_rank_test(nf, distance.ProbePoint(*point), flavor)
+        assert calls["versality_rank_oracle"] > 0
+        assert calls["rank_of_rows"] == calls["versality_rank_oracle"]
+
+    def test_answers_on_the_analysis_corpus(self):
+        answers = Counter()
+        for nf, points in analysis_forms():
+            for point in points:
+                p = distance.ProbePoint(*point)
+                _, want = cleared_rank_answers(nf, p)
+                for flavor in (R_PLUS, K_EQUIV):
+                    got = distance.versality_rank_test(nf, p, flavor)
+                    assert got == want[flavor], (point, flavor)
+                    answers[(flavor, got)] += 1
+        assert len(answers) == 4 and min(answers.values()) > 0, answers
+
+    def test_answers_on_focal_probes(self):
+        rng = random.Random(67)
+        types, answers = Counter(), Counter()
+        for _ in range(400):
+            for kind, nf, p in focal_probes(rng):
+                label, want = cleared_rank_answers(nf, p)
+                types[(kind, label)] += 1
+                for flavor in (R_PLUS, K_EQUIV):
+                    got = distance.versality_rank_test(nf, p, flavor)
+                    assert got == want[flavor], (kind, p, flavor)
+                    answers[(flavor, got)] += 1
+        assert sum(types.values()) == 2000
+        for kind, typ in (("focal", "A2"), ("principal", "A2"), ("umbilic", "D4"),
+                          ("cubic", "A3"), ("quartic", "A4")):
+            assert types[(kind, typ)] > 0, types
+        assert len(answers) == 4 and min(answers.values()) > 0, answers
