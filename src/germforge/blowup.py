@@ -474,12 +474,18 @@ def front_verdict(ctx, theta0):
     return FrontVerdict(theta0, wavefront, caustic, basis)
 
 
+def uniform_thetas(samples):
+    """The nodes -pi/2 + (pi/samples) i, i = 1..samples, of (-pi/2, pi/2];
+    the last is the principal normal direction pi/2."""
+    step = math.pi / samples
+    return [-math.pi / 2 + step * i for i in range(1, samples + 1)]
+
+
 def theta_grid(samples=64):
     """Uniform samples of (-pi/2, pi/2]; the right endpoint is included."""
     if samples < 8:
         raise UsageError("theta grid needs at least 8 samples")
-    step = math.pi / samples
-    return [-math.pi / 2 + step * i for i in range(1, samples + 1)]
+    return uniform_thetas(samples)
 
 
 def geometry_samples(ctx, thetas):

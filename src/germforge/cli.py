@@ -15,7 +15,14 @@ import sys
 from fractions import Fraction
 
 from . import germ_io, pipeline
-from .distance import ProbePoint, classify_distance, distance_jet, versality_rank_test
+from .blowup import uniform_thetas
+from .distance import (
+    ProbePoint,
+    agrees_with_oracle,
+    classify_distance,
+    distance_jet,
+    versality_rank_test,
+)
 from .errors import GermforgeError, InternalConsistencyError, UsageError
 from .germ_io import emit_mesh, emit_report, format_number, read_germ_spec, write_json
 from .jets import EXACT
@@ -210,7 +217,7 @@ def _verify_oracle_samples(rng, samples):
         )
         verdict = classify_distance(nf, p)
         typ = split_and_type(distance_jet(nf, p, 6), 6)
-        ok = _verdicts_match(verdict.sing_type.value, typ)
+        ok = agrees_with_oracle(verdict.sing_type, typ)
         if ok:
             agree += 1
         else:
@@ -218,18 +225,6 @@ def _verify_oracle_samples(rng, samples):
                 {"closed_form": verdict.sing_type.value, "oracle": typ.label}
             )
     return agree, mismatches
-
-
-def _verdicts_match(closed, typ):
-    if closed == "A4plus":
-        return (typ.tag == "A" and typ.k >= 4) or (
-            typ.tag == "MoreDegenerate" and typ.corank == 1
-        )
-    if closed == "D4plus":
-        return typ.tag == "D4" or (typ.tag == "MoreDegenerate" and typ.corank == 2)
-    if closed.startswith("A"):
-        return typ.tag == "A" and typ.k == int(closed[1:])
-    return False
 
 
 def _verify_versality_samples(rng, samples):
@@ -264,8 +259,7 @@ def _verify_thetas(samples):
         raise UsageError("--theta-samples must not be negative")
     if samples <= 3:
         return [math.pi / 6, math.pi / 4, math.pi / 3][:samples]
-    step = math.pi / samples
-    return [-math.pi / 2 + step * i for i in range(1, samples)]
+    return uniform_thetas(samples)[:-1]
 
 
 def _cmd_verify(args):

@@ -245,6 +245,19 @@ def classify_distance(nf, p):
     return DistanceVerdict(DistSing.A4PLUS, branch, "4b", False, False, witness)
 
 
+def agrees_with_oracle(sing, typ):
+    """Whether the closed-form verdict ``sing`` (a DistSing) names the
+    splitting oracle's type ``typ``: A4plus covers A_k for k >= 4 and a
+    corank-1 MoreDegenerate, D4plus covers D4 and a corank-2 one."""
+    if sing is DistSing.A4PLUS:
+        return (typ.tag == "A" and typ.k >= 4) or (
+            typ.tag == "MoreDegenerate" and typ.corank == 1
+        )
+    if sing is DistSing.D4PLUS:
+        return typ.tag == "D4" or (typ.tag == "MoreDegenerate" and typ.corank == 2)
+    return typ.label == sing.value
+
+
 def versality_rank_test(nf, p, flavor):
     """Versality as a rank condition over the jet space (dual implementation).
 

@@ -29,13 +29,11 @@ Expression grammar (no implicit multiplication, '^' for powers)::
 
 The last number form, a decimal, needs float mode.  A literal p/q is one
 number, so 2/3^2 is (2/3)^2, except after '^' or '/', where only the
-integer is read: v^2/2 is v^2 divided by 2, and u/2/3 is u/6.  A term made
-only of numbers and variable powers is one monomial c u^i v^j while it is
-parsed: '*' multiplies coefficients and adds exponents, '^' raises the
-coefficient and multiplies the exponents, '/' divides the coefficient, with
-the truncation of a one-term jet at each step.  Only a parenthesized
-sub-expression is a Jet2 and goes through Jet2 arithmetic.  The terms of a
-sum are added into one coefficient dict.
+integer is read: v^2/2 is v^2 divided by 2, and u/2/3 is u/6.  Every
+sub-expression is one value type, the coefficient dict {(i, j): c} of a
+jet, truncated at the order: '*' and '^' are the jets' own product and
+power, '/' divides each coefficient, and the terms of a sum are added into
+one dict, which becomes a Jet2 once the whole expression is read.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError, UsageError
-from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, scalar
+from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, scalar
 
 
 @dataclass(frozen=True)
@@ -149,25 +147,23 @@ def _tokenize(text):
 class _Parser:
     """Recursive descent over the tokens of one expression.
 
-    A term of numbers and variable powers stays one monomial (c, i, j), or
-    None when it is zero: ``*`` multiplies coefficients and adds exponents,
-    ``^`` is ``Jet2.__pow__``'s square-and-multiply on the coefficient, ``/``
-    divides the coefficient, and each result is truncated and checked as a
-    one-term ``Jet2`` would be.  Only a parenthesized sub-expression becomes
-    a ``Jet2``; ``+`` and ``-`` add each term straight into one coefficient
-    dict.
+    Every value is a coefficient dict {(i, j): c} of one mode, truncated at
+    the order, with {} for zero: ``*`` and ``^`` are the jets' own product
+    and power, ``/`` divides each coefficient, and ``+`` and ``-`` add each
+    term into one dict.  ``parse`` wraps the result in a ``Jet2``.
     """
 
     def __init__(self, tokens, variables, order, mode):
         Jet2.zero(order, mode)  # the jets' own check of order and mode
         self.tokens = tokens
         self.pos = 0
-        self.variables = variables
         self.order = order
         self.mode = mode
-        self.one = scalar(1, mode)
-        self.u = self._monomial(self.one, 1, 0)
-        self.v = self._monomial(self.one, 0, 1)
+        one = scalar(1, mode)
+        self.variables = {
+            variables[0]: {(1, 0): one} if order else {},
+            variables[1]: {(0, 1): one} if order else {},
+        }
 
     def peek(self):
         return self.tokens[self.pos]
@@ -182,69 +178,6 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             raise ParseError("expected %r" % op, tok.line, tok.col)
         return tok
-
-    # -- monomials -------------------------------------------------------
-
-    def _monomial(self, c, i, j):
-        """c u^i v^j as the one-term jet holds it: None above the order or
-        at zero; in float mode a non-finite c raises the jets' UsageError."""
-        if i + j > self.order:
-            return None
-        if self.mode == FLOAT:  # exact numbers here are Fractions already
-            c = scalar(c, FLOAT)
-        return (c, i, j) if c else None
-
-    def _mul(self, a, b):
-        if a is None or b is None:
-            return None
-        # the variables' coefficient 1 multiplies nothing: 1 * c is c
-        ca, cb = a[0], b[0]
-        c = cb if ca is self.one else ca if cb is self.one else ca * cb
-        return self._monomial(c, a[1] + b[1], a[2] + b[2])
-
-    def _pow(self, a, n):
-        """a^n by the products ``Jet2.__pow__`` makes, in its order."""
-        if not n:
-            return (self.one, 0, 0)
-        while not n & 1:
-            a = self._mul(a, a)
-            n >>= 1
-        result = a
-        n >>= 1
-        while n:
-            a = self._mul(a, a)
-            if n & 1:
-                result = self._mul(result, a)
-            n >>= 1
-        return result
-
-    def _jet(self, value):
-        if isinstance(value, Jet2):
-            return value
-        coeffs = {} if value is None else {value[1:]: value[0]}
-        return Jet2._trusted(self.order, coeffs, self.mode)
-
-    def _add(self, acc, value, sign):
-        """acc += sign * value, as ``Jet2`` ``+`` and ``-`` would leave it."""
-        if value is None:
-            return
-        terms = value.coeffs if isinstance(value, Jet2) else {value[1:]: value[0]}
-        _accumulate(acc, terms if sign > 0 else {k: -c for k, c in terms.items()})
-
-    def _div(self, value, tok):
-        """value / the number literal ``tok``, as ``Jet2`` would divide each
-        coefficient."""
-        if tok.kind not in ("int", "rational", "decimal"):
-            raise ParseError("a number literal must follow '/'", tok.line, tok.col)
-        divisor = self._number(tok)
-        if divisor is None:
-            raise ParseError("division by zero", tok.line, tok.col)
-        d = divisor[0]
-        if isinstance(value, Jet2):
-            return Jet2(self.order, {k: c / d for k, c in value.coeffs.items()}, self.mode)
-        return None if value is None else self._monomial(value[0] / d, value[1], value[2])
-
-    # -- grammar ---------------------------------------------------------
 
     def _number(self, tok):
         if tok.kind == "int":
@@ -263,34 +196,37 @@ class _Parser:
             )
         else:
             value = float(tok.value)
-        try:
-            return self._monomial(value, 0, 0)
-        except UsageError:
-            raise ParseError(
-                "number literal of %d characters lies outside float range"
-                % len(tok.value),
-                tok.line,
-                tok.col,
-            ) from None
+        if self.mode == FLOAT:  # an exact number here is a Fraction already
+            try:
+                value = scalar(value, FLOAT)
+            except UsageError:
+                raise ParseError(
+                    "number literal of %d characters lies outside float range"
+                    % len(tok.value),
+                    tok.line,
+                    tok.col,
+                ) from None
+        return {(0, 0): value} if value else {}
 
     def parse(self):
-        jet = self.expr()
+        coeffs = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError("unexpected trailing input", tok.line, tok.col)
-        return jet
+        return Jet2._trusted(self.order, coeffs, self.mode)
 
     def expr(self):
         acc = {}
         sign = 1
         while True:
-            self._add(acc, self.term(), sign)
+            value = self.term()
+            _accumulate(acc, value if sign > 0 else {k: -c for k, c in value.items()})
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
                 sign = 1 if tok.value == "+" else -1
             else:
-                return Jet2._result(self.order, acc, self.mode)
+                return _finite(acc, self.mode)
 
     def term(self):
         value = self.factor()
@@ -298,14 +234,17 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.value == "*":
                 self.advance()
-                rhs = self.factor()
-                if isinstance(value, Jet2) or isinstance(rhs, Jet2):
-                    value = self._jet(value) * self._jet(rhs)
-                else:
-                    value = self._mul(value, rhs)
+                value = _product(value, self.factor(), self.order, self.mode)
             elif tok.kind == "op" and tok.value == "/":
                 self.advance()
-                value = self._div(value, self.advance())
+                dtok = self.advance()
+                if dtok.kind not in ("int", "rational", "decimal"):
+                    raise ParseError("a number literal must follow '/'", dtok.line, dtok.col)
+                divisor = self._number(dtok)
+                if not divisor:
+                    raise ParseError("division by zero", dtok.line, dtok.col)
+                d = divisor[(0, 0)]
+                value = _finite({k: c / d for k, c in value.items()}, self.mode)
             else:
                 return value
 
@@ -319,8 +258,7 @@ class _Parser:
                 raise ParseError(
                     "exponent must be a nonnegative integer", etok.line, etok.col
                 )
-            n = int(etok.value)
-            value = value ** n if isinstance(value, Jet2) else self._pow(value, n)
+            value = _power(value, int(etok.value), self.order, self.mode)
         return value
 
     def base(self):
@@ -328,20 +266,16 @@ class _Parser:
         if tok.kind in ("int", "rational", "decimal"):
             return self._number(tok)
         if tok.kind == "ident":
-            if tok.value == self.variables[0]:
-                return self.u
-            if tok.value == self.variables[1]:
-                return self.v
+            value = self.variables.get(tok.value)
+            if value is not None:
+                return value
             raise ParseError("unknown identifier %r" % tok.value, tok.line, tok.col)
         if tok.kind == "op" and tok.value == "(":
-            jet = self.expr()
+            value = self.expr()
             self.expect_op(")")
-            return jet
+            return value
         if tok.kind == "op" and tok.value == "-":
-            value = self.base()
-            if isinstance(value, Jet2):
-                return -value
-            return None if value is None else (-value[0], value[1], value[2])
+            return {k: -c for k, c in self.base().items()}
         raise ParseError("unexpected token %r" % (tok.value or "<end>"), tok.line, tok.col)
 
 
@@ -411,7 +345,8 @@ def _require(obj, key, typ, where):
     if key not in obj:
         raise SchemaError(f"{where}.{key}", "missing required field")
     val = obj[key]
-    if typ is not None and not isinstance(val, typ):
+    # a JSON true or false is a Python bool, which is also an int
+    if not isinstance(val, typ) or isinstance(val, bool):
         raise SchemaError(f"{where}.{key}", "expected %s" % typ.__name__)
     return val
 
@@ -455,7 +390,7 @@ def germ_spec_from_dict(data, where="germ"):
 
 def _parse_scalar(c, mode, where):
     """A JSON number or numeric string as a finite scalar of ``mode``."""
-    if not isinstance(c, (int, float, str)):
+    if not isinstance(c, (int, float, str)) or isinstance(c, bool):
         raise SchemaError(where, "expected a number or numeric string")
     try:
         x = scalar(read_number(c, mode) if isinstance(c, str) else c, mode)

@@ -96,7 +96,82 @@ def _shifted(coeffs, di, dj, order):
     }
 
 
-def _power(pows, n):
+def _finite(coeffs, mode):
+    """``coeffs``, the result of arithmetic on valid coefficients, as a jet
+    holds them.
+
+    Both modes run the same arithmetic, which drops every sum that cancels
+    to zero.  A float result has one check left: a coefficient that
+    overflowed raises the constructor's UsageError, and one that underflowed
+    to zero is dropped.
+    """
+    if mode == FLOAT:
+        vals = coeffs.values()
+        if not all(map(math.isfinite, vals)):
+            _as_float(next(c for c in vals if not math.isfinite(c)))
+        if not all(vals):
+            coeffs = {k: c for k, c in coeffs.items() if c}
+    return coeffs
+
+
+def _product(a, b, order, mode):
+    """The coefficients of a * b truncated at ``order``: the one jet product,
+    run by ``Jet2`` ``*`` and by the expression parser.
+
+    A factor that is one term with coefficient 1, such as a variable power,
+    shifts the exponents of the other: 1 * c is c in both modes, so the
+    coefficients and their key order are the loop's.  One term times one
+    term, the parser's common case, is built directly.
+    """
+    if len(a) == 1 and len(b) == 1:
+        ((i, j), c), = a.items()
+        ((di, dj), d), = b.items()
+        if i + j + di + dj > order:
+            return {}
+        key = (i + di, j + dj)
+        return {key: c} if d == 1 else {key: d} if c == 1 else _finite({key: c * d}, mode)
+    if len(a) == 1 or len(b) == 1:
+        unit, other = (a, b) if len(a) == 1 else (b, a)
+        ((i, j), c), = unit.items()
+        if c == 1:
+            return _shifted(other, i, j, order)
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > order:
+                continue
+            key = (i, j)
+            prev = out.get(key)
+            out[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return _finite({k: c for k, c in out.items() if c}, mode)
+
+
+def _power(a, n, order, mode):
+    """The coefficients of a^n truncated at ``order``, by square-and-multiply
+    from the lowest bit: popcount(n) - 1 products into the result and one
+    square per bit above the lowest.  A single term with coefficient 1 needs
+    no product: its power is the exponent shift n times."""
+    if not n:
+        return {(0, 0): scalar(1, mode)}
+    if len(a) == 1:
+        ((i, j), c), = a.items()
+        if c == 1:
+            return {(n * i, n * j): c} if n * (i + j) <= order else {}
+    while not n & 1:
+        a = _product(a, a, order, mode)
+        n >>= 1
+    result = a
+    n >>= 1
+    while n:
+        a = _product(a, a, order, mode)
+        if n & 1:
+            result = _product(result, a, order, mode)
+        n >>= 1
+    return result
+
+
+def _nth(pows, n):
     """Entry n of the powers [1, x, x^2, ...], extended by repeated products."""
     while len(pows) <= n:
         pows.append(pows[-1] * pows[1])
@@ -164,20 +239,9 @@ class Jet2:
 
     @classmethod
     def _result(cls, order, coeffs, mode):
-        """Jet over ``coeffs``, the result of arithmetic on valid jets.
-
-        Both modes run the same arithmetic, which drops every sum that
-        cancels to zero.  A float result has one check left: a coefficient
-        that overflowed raises the constructor's UsageError, and one that
-        underflowed to zero is dropped.
-        """
-        if mode == FLOAT:
-            vals = coeffs.values()
-            if not all(map(math.isfinite, vals)):
-                _as_float(next(c for c in vals if not math.isfinite(c)))
-            if not all(vals):
-                coeffs = {k: c for k, c in coeffs.items() if c}
-        return cls._trusted(order, coeffs, mode)
+        """Jet over ``coeffs``, the result of arithmetic on valid jets
+        (checked by ``_finite``)."""
+        return cls._trusted(order, _finite(coeffs, mode), mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet2 is immutable")
@@ -261,16 +325,7 @@ class Jet2:
         order, mode = self.order, self.mode
         if isinstance(other, Jet2):
             self._check_compatible(other)
-            out = {}
-            for (i1, j1), c1 in self.coeffs.items():
-                for (i2, j2), c2 in other.coeffs.items():
-                    i, j = i1 + i2, j1 + j2
-                    if i + j > order:
-                        continue
-                    key = (i, j)
-                    prev = out.get(key)
-                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
-            return Jet2._result(order, {k: c for k, c in out.items() if c}, mode)
+            return Jet2._trusted(order, _product(self.coeffs, other.coeffs, order, mode), mode)
         # scalar
         other = _CONVERT[mode](other)
         out = {k: c * other for k, c in self.coeffs.items()} if other else {}
@@ -280,24 +335,9 @@ class Jet2:
         return self * other
 
     def __pow__(self, n):
-        """Square-and-multiply from the lowest bit: popcount(n) - 1 products
-        into the result and one square per bit above the lowest."""
         if not isinstance(n, int) or n < 0:
             raise UsageError("jet exponent must be a nonnegative integer")
-        if not n:
-            return Jet2.const(1, self.order, self.mode)
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
+        return Jet2._trusted(self.order, _power(self.coeffs, n, self.order, self.mode), self.mode)
 
     # -- calculus / composition --------------------------------------
 
@@ -337,13 +377,13 @@ class Jet2:
             if powers.v_fixed or j == 0:
                 row[(0, j)] = c  # v^j: no other term of the row has this key
             else:
-                _accumulate(row, {k: c * x for k, x in _power(powers.v, j).coeffs.items()})
+                _accumulate(row, {k: c * x for k, x in _nth(powers.v, j).coeffs.items()})
         acc = {}
         for i, row in rows.items():
             if powers.u_fixed or i == 0:
                 _accumulate(acc, _shifted(row, i, 0, order))
             else:
-                u_pow = _power(powers.u, i)
+                u_pow = _nth(powers.u, i)
                 _accumulate(acc, (u_pow * Jet2._trusted(order, row, mode)).coeffs)
         return Jet2._result(order, acc, mode)
 

@@ -20,6 +20,7 @@ from germforge.closed_forms import CROSSCHECK_SYMBOLS, crosscheck_closed_forms
 from germforge.distance import (
     DistSing,
     ProbePoint,
+    agrees_with_oracle,
     classify_distance,
     distance_jet,
     focal_locus,
@@ -157,16 +158,6 @@ def _random_exact_nf(rng, order=6):
                    b={k: v for k, v in b.items() if v})
 
 
-def _sing_matches(sing, typ):
-    if sing is DistSing.A4PLUS:
-        return (typ.tag == "A" and typ.k >= 4) or (
-            typ.tag == "MoreDegenerate" and typ.corank == 1
-        )
-    if sing is DistSing.D4PLUS:
-        return typ.tag == "D4" or (typ.tag == "MoreDegenerate" and typ.corank == 2)
-    return typ.label == sing.value
-
-
 def _stratified_probes(rng, nf):
     """Singular probes on and off the focal lines."""
     probes = [ProbePoint(Fraction(0), rand_fraction(rng), rand_fraction(rng))]
@@ -192,7 +183,7 @@ def test_criterion_3_oracle_equivalence():
                 verdict = classify_distance(nf, p)
                 typ = split_and_type(distance_jet(nf, p, 6), 6)
                 total += 1
-                if not _sing_matches(verdict.sing_type, typ):
+                if not agrees_with_oracle(verdict.sing_type, typ):
                     disagreements.append((nf, p, verdict.sing_type, typ.label))
         assert total >= 200
         assert not disagreements, disagreements[:3]

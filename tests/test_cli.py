@@ -423,6 +423,12 @@ class TestNonFiniteInput:
         (dict(FLOAT_S1, components=["u", "1/2*v^2", "v^3 + 1%s*u^2*v" % ("0" * 400)]),
          "number literal of 401 characters lies outside float range"
          " (line 1, column 7)"),
+        # a JSON true or false is not a number, though Python's bool is an int
+        (dict(S1_GERM, order=True), "germ.order: expected int"),
+        (dict(S1_GERM, probes=[[False, True, 0]]),
+         "germ.probes[0]: expected a number or numeric string"),
+        (dict(FLOAT_S1, theta_lambda=[[0.4, 0.7], [True, 1]]),
+         "germ.theta_lambda[1]: expected a number or numeric string"),
     ])
     def test_exits_one_with_one_error_line(self, tmp_path, capsys, germ, error):
         path = write_germ(tmp_path, germ)

@@ -13,6 +13,7 @@ from germforge.distance import (
     FocalKind,
     ProbePoint,
     SingularPointType,
+    agrees_with_oracle,
     classify_distance,
     distance_jet,
     focal_locus,
@@ -277,17 +278,7 @@ class TestClassifyDistance:
             p = probe(0, rand_fraction(rng), rand_fraction(rng))
             v = classify_distance(nf, p)
             t = split_and_type(distance_jet(nf, p, 6), 6)
-            assert _match(v.sing_type, t), (v.sing_type, t.label)
-
-
-def _match(sing, typ):
-    if sing is DistSing.A4PLUS:
-        return (typ.tag == "A" and typ.k >= 4) or (
-            typ.tag == "MoreDegenerate" and typ.corank == 1
-        )
-    if sing is DistSing.D4PLUS:
-        return typ.tag == "D4" or (typ.tag == "MoreDegenerate" and typ.corank == 2)
-    return typ.label == sing.value
+            assert agrees_with_oracle(v.sing_type, t), (v.sing_type, t.label)
 
 
 class TestVersalityDual:

@@ -343,6 +343,11 @@ class TestGermFiles:
             germ_spec_from_dict(bad)
         assert "mode" in str(exc.value)
 
+    def test_boolean_order_rejected(self):
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(dict(self.GERM, order=True))
+        assert str(exc.value) == "germ.order: expected int"
+
     def test_nonvanishing_component_rejected(self):
         bad = dict(self.GERM, components=["u + 1", "v^2", "v^3"])
         with pytest.raises(SchemaError):
@@ -393,6 +398,11 @@ class TestGermFiles:
         ("theta_lambda", "exact", [float("inf"), 1]),
         ("theta_lambda", "float", [0.5, "-inf"]),
         ("theta_lambda", "float", [10**400, 1]),
+        # a JSON true or false is a Python bool, which is also an int
+        ("probes", "exact", [False, True, 0]),
+        ("probes", "float", [0, 1, True]),
+        ("theta_lambda", "exact", [True, 1]),
+        ("theta_lambda", "float", [0.5, False]),
     ])
     def test_non_finite_or_non_numeric_entry_names_its_field(self, field, mode, entry):
         good = [0, 1, 0] if field == "probes" else [0.1, 1]

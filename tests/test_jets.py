@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from germforge import blowup, front
+from germforge import blowup, front, jets
 from germforge.blowup import BlowupContext, PointType, k20_closed
 from germforge.errors import HypothesisError, ModeMismatchError, UsageError
 from germforge.jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar
@@ -72,14 +72,14 @@ class TestPow:
         base = jet(17, {(1, 0): 1, (0, 1): Fraction(1, 2)})
         for n in range(40):
             count = [0]
-            mul = Jet2.__mul__
+            product = jets._product
 
-            def counting_mul(a, b):
+            def counting_product(*args):
                 count[0] += 1
-                return mul(a, b)
+                return product(*args)
 
             with monkeypatch.context() as m:
-                m.setattr(Jet2, "__mul__", counting_mul)
+                m.setattr(jets, "_product", counting_product)
                 got = base ** n
             want = bin(n).count("1") - 1 + n.bit_length() - 1 if n else 0
             assert count[0] == want, n
@@ -108,6 +108,89 @@ class TestPow:
             if mode == FLOAT:
                 assert [c.hex() for c in got.coeffs.values()] == [
                     c.hex() for c in want.coeffs.values()]
+
+
+def ref_product(a, b, order, mode):
+    """The jet product's generic double loop, with no exponent shift."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + i2 + j1 + j2 <= order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return Jet2._result(order, {k: c for k, c in out.items() if c}, mode).coeffs
+
+
+def _bits(coeffs):
+    """Keys in order with each coefficient's type and exact value."""
+    return [(k, type(c).__name__, c.hex() if isinstance(c, float) else c)
+            for k, c in coeffs.items()]
+
+
+class TestSharedProduct:
+    """jets._product, behind Jet2 * and the parser, shifts exponents when a
+    factor is one term with coefficient 1, and gives the loop's bits and key
+    order."""
+
+    UNITS = [(1, 0), (0, 2), (0, 0), (2, 1)]
+
+    @pytest.mark.parametrize("mode, one", [(EXACT, Fraction(1)), (FLOAT, 1.0)])
+    @pytest.mark.parametrize("order", [3, 9])
+    def test_unit_factor_is_a_shift(self, mode, one, order):
+        rng = random.Random(order)
+        for _ in range(20):
+            other = rand_jet(rng, order, mode).coeffs
+            for key in self.UNITS:
+                unit = {key: one}
+                for a, b in ((unit, other), (other, unit)):
+                    got = jets._product(a, b, order, mode)
+                    assert _bits(got) == _bits(ref_product(a, b, order, mode))
+                    # no coefficient was multiplied: they are the other factor's own
+                    assert all(got[(i + key[0], j + key[1])] is c
+                               for (i, j), c in other.items() if i + j + sum(key) <= order)
+                for key2 in self.UNITS:
+                    both = jets._product(unit, {key2: one}, order, mode)
+                    assert _bits(both) == _bits(ref_product(unit, {key2: one}, order, mode))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_truncation_at_the_order(self, mode):
+        one = scalar(1, mode)
+        other = jet(4, {(0, 0): 2, (1, 1): 3, (4, 0): 5, (0, 3): 7}, mode).coeffs
+        for a, b in (({(0, 2): one}, other), (other, {(0, 2): one})):
+            got = jets._product(a, b, 4, mode)
+            assert list(got) == [(0, 2), (1, 3)]
+            assert _bits(got) == _bits(ref_product(a, b, 4, mode))
+        assert jets._product({(3, 0): one}, {(0, 2): one}, 4, mode) == {}
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_one_term_times_one_term(self, mode):
+        for c, d in ((2, 3), (Fraction(1, 3), Fraction(3)), (-1, 1), (1, Fraction(-5, 7))):
+            a, b = {(1, 0): scalar(c, mode)}, {(0, 1): scalar(d, mode)}
+            for x, y in ((a, b), (b, a)):
+                got = jets._product(x, y, 3, mode)
+                assert _bits(got) == _bits(ref_product(x, y, 3, mode))
+
+    def test_float_overflow_and_underflow_are_the_loops(self):
+        for big in ({(1, 0): 1e200}, {(1, 0): 1e200, (0, 1): 1.0}):
+            with pytest.raises(UsageError) as got:
+                jets._product(big, {(0, 0): 1e200}, 3, FLOAT)
+            with pytest.raises(UsageError) as want:
+                ref_product(big, {(0, 0): 1e200}, 3, FLOAT)
+            assert str(got.value) == str(want.value)
+        tiny = {(1, 0): 1e-200}
+        assert jets._product(tiny, tiny, 3, FLOAT) == ref_product(tiny, tiny, 3, FLOAT) == {}
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_jet_product_and_power_run_it(self, mode):
+        rng = random.Random(17)
+        for _ in range(10):
+            a, b = rand_jet(rng, 6, mode), rand_jet(rng, 6, mode)
+            assert _bits((a * b).coeffs) == _bits(ref_product(a.coeffs, b.coeffs, 6, mode))
+            square = ref_product(a.coeffs, a.coeffs, 6, mode)
+            assert _bits((a ** 2).coeffs) == _bits(square)
+        u = Jet2.variable("u", 6, mode)
+        assert (u ** 6).coeffs == {(6, 0): 1} and (u ** 7).coeffs == {}
+        assert _bits((u ** 0).coeffs) == _bits(Jet2.const(1, 6, mode).coeffs)
 
 
 class TestSubstitute:
@@ -677,6 +760,67 @@ class TestOneZeroTest:
         ]
 
 
+def _jet2_dispatches(source):
+    """Lines of every isinstance(..., Jet2) test in a module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(x, ast.Name) and x.id == "Jet2"
+                        for x in ast.walk(node.args[1]))):
+            lines.append(node.lineno)
+    return lines
+
+
+def _halving_loops(source):
+    """Functions (as Class.method) holding a loop that shifts a counter
+    right with ``>>=``: the shape of a square-and-multiply."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(loop, (ast.While, ast.For)) and any(
+                            isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                            for n in ast.walk(loop))
+                        for loop in ast.walk(child)):
+                    found.add(name)
+                visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+class TestOneProductAndPower:
+    """The parser builds coefficient dicts and multiplies them with the jets'
+    own product and power: it holds no Jet2 dispatch and no power loop."""
+
+    def test_parser_makes_no_jet2_dispatch(self):
+        assert _jet2_dispatches((SRC / "germ_io.py").read_text()) == []
+
+    def test_one_square_and_multiply_in_src(self):
+        loops = {path.name: _halving_loops(path.read_text()) for path in SRC.glob("*.py")}
+        assert {name: found for name, found in loops.items() if found} == {
+            "jets.py": ["_power"]}
+
+    def test_guard_sees_a_dispatch_and_a_second_loop(self):
+        source = (
+            "class _Parser:\n"
+            "    def _jet(self, value):\n"
+            "        return value if isinstance(value, (tuple, Jet2)) else None\n"
+            "    def _pow(self, a, n):\n"
+            "        result = a\n"
+            "        while n:\n"
+            "            a = self._mul(a, a)\n"
+            "            n >>= 1\n"
+            "        return result\n"
+        )
+        assert _jet2_dispatches(source) == [3]
+        assert _halving_loops(source) == ["_Parser._pow"]
+
+
 class TestScalar:
     def test_exact_mode_is_a_fraction(self):
         assert scalar(0.5, EXACT) == Fraction(1, 2)
@@ -738,16 +882,20 @@ class TestOneScalarMode:
 
 
 ARITHMETIC = ("__add__", "__neg__", "__mul__", "_compose")
+# the module-level product and power that Jet2 and the parser share
+SHARED = ("_product", "_power")
 
 
 def _arithmetic_forks(source):
-    """(method, line) of every branch on the scalar mode in Jet2's arithmetic:
-    an if, conditional expression or boolean test naming a mode or EXACT/FLOAT."""
+    """(method, line) of every branch on the scalar mode in Jet2's arithmetic
+    and the shared product and power: an if, conditional expression or
+    boolean test naming a mode or EXACT/FLOAT."""
     forks = []
-    jet2 = next(node for node in ast.parse(source).body
+    body = ast.parse(source).body
+    jet2 = next(node for node in body
                 if isinstance(node, ast.ClassDef) and node.name == "Jet2")
-    for method in jet2.body:
-        if not (isinstance(method, ast.FunctionDef) and method.name in ARITHMETIC):
+    for method in jet2.body + body:
+        if not (isinstance(method, ast.FunctionDef) and method.name in ARITHMETIC + SHARED):
             continue
         for node in ast.walk(method):
             if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
@@ -765,16 +913,19 @@ def _arithmetic_forks(source):
 
 
 class TestOneArithmetic:
-    """Both scalar modes run the same Jet2 arithmetic: the methods hold no
-    branch on the mode (the finiteness check of a float result lives in
-    Jet2._result)."""
+    """Both scalar modes run the same Jet2 arithmetic: the methods and the
+    shared product and power hold no branch on the mode (the finiteness
+    check of a float result lives in jets._finite)."""
 
     def test_arithmetic_has_no_mode_branch(self):
         source = (SRC / "jets.py").read_text()
-        jet2 = next(node for node in ast.parse(source).body
+        tree = ast.parse(source)
+        jet2 = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "Jet2")
         assert set(ARITHMETIC) <= {node.name for node in jet2.body
                                    if isinstance(node, ast.FunctionDef)}
+        assert set(SHARED) <= {node.name for node in tree.body
+                               if isinstance(node, ast.FunctionDef)}
         assert _arithmetic_forks(source) == []
 
     def test_guard_sees_a_synthetic_fork(self):
