@@ -52,7 +52,6 @@ from .mond import (
     MondTag,
     bk_recursion,
     classify,
-    verify_by_substitution,
 )
 from .normal_form import (
     NormalFormCoeffs,
@@ -111,6 +110,6 @@ __all__ = [
     "geometric_verdict", "load_germ", "parse_polynomial",
     "print_polynomial", "reduce_to_normal_form", "ridge_report",
     "series_columns", "singular_point_type", "split_and_type",
-    "surface_mesh", "theta_grid", "two_jet_class", "verify_by_substitution",
+    "surface_mesh", "theta_grid", "two_jet_class",
     "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]

@@ -100,6 +100,8 @@ def _emit(report, args):
 def _load(args):
     if args.order is not None and args.order < 1:
         raise UsageError("--order must be >= 1")
+    if args.order is not None and args.order > germ_io.MAX_ORDER:
+        raise UsageError("--order must be <= %d" % germ_io.MAX_ORDER)
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
     spec = read_germ_spec(args.input)

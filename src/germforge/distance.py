@@ -32,7 +32,7 @@ from typing import Optional
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, Jet2, is_zero, scalar
+from .jets import EXACT, Jet2, cleared, is_zero, scalar
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -128,9 +128,8 @@ def _probe_numerators(p, mode):
     denominator dp; a float probe is its own numerators over dp = 1."""
     if mode != EXACT:
         return p.x0, p.y0, p.z0, 1
-    ratios = [c.as_integer_ratio() for c in (p.x0, p.y0, p.z0)]
-    dp = math.lcm(*[d for _, d in ratios])
-    return (*(n * (dp // d) for n, d in ratios), dp)
+    nums, dp = cleared(dict(enumerate((p.x0, p.y0, p.z0))))
+    return (*(nums.get(i, 0) for i in range(3)), dp)
 
 
 def distance_jet(nf, p, order=None):

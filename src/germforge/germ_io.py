@@ -62,6 +62,11 @@ class GermSpec:
 # tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
+# Largest jet order a germ file or --order may ask for, and the cap of the
+# working order: classification at the default k_max needs 2 * 8 + 1 = 17,
+# and the cost of a reduction grows steeply with the order.
+MAX_ORDER = 20
+
 _OPS = set("+-*/^()")
 _DIGITS = frozenset("0123456789")
 
@@ -370,6 +375,8 @@ def germ_spec_from_dict(data, where="germ"):
     order = _require(data, "order", int, where)
     if order < 1:
         raise SchemaError(f"{where}.order", "order must be >= 1")
+    if order > MAX_ORDER:
+        raise SchemaError(f"{where}.order", "order must be <= %d" % MAX_ORDER)
     mode = _require(data, "mode", str, where)
     if mode not in (EXACT, FLOAT):
         raise SchemaError(f"{where}.mode", "mode must be 'exact' or 'float'")

@@ -73,6 +73,19 @@ def scalar(x, mode):
 _CONVERT = {EXACT: _as_exact, FLOAT: _as_float}
 
 
+def cleared(coeffs):
+    """({key: int}, D) for the dict ``coeffs`` of rationals: each nonzero
+    value times D, the lcm of their denominators, so value = int / D.  Ints,
+    Fractions and floats (taken exactly) are accepted; zeros are dropped.
+
+    The one place that puts rationals over one denominator, for the integer
+    kernels of the distance jets and the oracles.
+    """
+    ratios = {k: c.as_integer_ratio() for k, c in coeffs.items() if c}
+    den = math.lcm(*[d for _, d in ratios.values()])
+    return {k: n * (den // d) for k, (n, d) in ratios.items()}, den
+
+
 def _accumulate(out, terms):
     """Add ``terms`` into the coefficient dict ``out``, dropping zeros."""
     for k, c in terms.items():

@@ -12,33 +12,29 @@ Mutually exclusive criteria on the a_ij:
 
 The xi_n are computed by actually performing the shift
 u -> u + sum_i c_i v^(2(i-1)) in jet arithmetic and reading coefficients,
-rather than by evaluating the combinatorial sum formulas; the two agree
-and the substitution route is immune to transcription slips.
+rather than by evaluating the combinatorial sum formulas.  ``bk_recursion``
+is the one place that builds the shift, and it checks what the shift
+kills: each a_{1,2n-1} of the shifted jet must vanish, or it raises
+InternalConsistencyError.  In float mode a coefficient of the shifted jet
+is tested against the size of the terms summed into it (|p| shifted by the
+|c_i|), floored at 1, never against the size of the whole jet.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import UsageError
-from .jets import FLOAT, Jet2, is_zero, scalar
+from .errors import InternalConsistencyError, UsageError
+from .jets import FLOAT, Jet2, is_zero
 
 DEFAULT_K_MAX = 8
 
-# Jet order needed to decide each class (its determinacy degree).
-def s_order(k):
-    return k + 2
-
-
+# Jet order needed to decide B_k and F_4 (their determinacy degrees); S_k
+# and C_k read a_i1 at order i + 1.
 def b_order(k):
     return 2 * k + 1
-
-
-def c_order(k):
-    return k + 1
 
 
 F4_ORDER = 5
@@ -88,7 +84,9 @@ class BkRecursionTrace:
     c: dict = field(default_factory=dict)        # i -> c_i, 2 <= i <= k
     xi: dict = field(default_factory=dict)       # n -> xi_n, 2 <= n <= k
     a1hat: dict = field(default_factory=dict)    # n -> coefficient of u v^(2n-1)
-    scale: float = 1.0                           # magnitude of the shifted jet
+    # xi_k is zero below this: in float mode the sum of the magnitudes of the
+    # terms the shift sums into xi_k, floored at 1; 1 in exact mode
+    scale: float = 1.0
 
 
 def _sign_of(x):
@@ -99,21 +97,24 @@ def _sign_of(x):
 
 def _odd_part_jet(nf, order):
     """Jet of the third component keeping only odd powers of v."""
-    terms = {}
-    for (i, j), aij in nf.a.items():
-        if j % 2 == 1 and i + j <= order:
-            terms[(i, j)] = scalar(aij, nf.mode) / (
-                math.factorial(i) * math.factorial(j)
-            )
-    return Jet2(order, terms, nf.mode)
+    z = nf.third_component(order)
+    return Jet2._trusted(order, {k: c for k, c in z.coeffs.items() if k[1] % 2}, nf.mode)
 
 
 def _shift_jet(c, order, mode):
     """u + sum_i c_i v^(2(i-1)) as a jet."""
-    terms = {(1, 0): 1}
-    for i, ci in c.items():
-        terms[(0, 2 * (i - 1))] = ci
-    return Jet2(order, terms, mode)
+    return Jet2(order, {(1, 0): 1, **{(0, 2 * (i - 1)): ci for i, ci in c.items()}}, mode)
+
+
+def _term_sizes(p, c, order):
+    """|p|(u + sum_i |c_i| v^(2(i-1)), v) as a float jet: each coefficient is
+    the sum of the magnitudes of the terms that the shift by the c_i sums
+    into that coefficient of the shifted p.  With every c_i zero it is |p|."""
+    size = Jet2._trusted(order, {key: abs(x) for key, x in p.coeffs.items()}, FLOAT)
+    if not any(c.values()):
+        return size
+    shift = _shift_jet({i: abs(ci) for i, ci in c.items()}, order, FLOAT)
+    return size.substitute(shift, Jet2.variable("v", order, FLOAT))
 
 
 def bk_recursion(nf, k, prev=None):
@@ -124,6 +125,10 @@ def bk_recursion(nf, k, prev=None):
     constants do not depend on the truncation order, so an exact trace is
     the one solved from scratch; in float mode each c_n keeps the bits of
     the order 2n + 1 it was solved at.
+
+    The shift must kill a_{1,2n-1} for 2 <= n <= k: exactly in exact mode,
+    and at the size of the terms summed into it in float mode.  A nonzero
+    one raises InternalConsistencyError.
     """
     a21 = nf.a_(2, 1)
     if nf.is_zero_a(2, 1):
@@ -147,35 +152,22 @@ def bk_recursion(nf, k, prev=None):
     shifted = None
     for n in range(len(c) + 2, k + 1):
         shifted = p.substitute(_shift_jet(c, order, nf.mode), v)
-        alpha = shifted.coeff(1, 2 * n - 1)
-        c[n] = -alpha / a21
+        c[n] = -shifted.coeff(1, 2 * n - 1) / a21
     if shifted is None or c[k]:  # c_k = 0 leaves the shift as it was
         shifted = p.substitute(_shift_jet(c, order, nf.mode), v)
-    trace = BkRecursionTrace(k=k, c=c)
-    trace.scale = max(1.0, float(shifted.max_abs()))
+    sizes = {}  # an exact zero test ignores the scale
+    if nf.mode == FLOAT:
+        sizes = _term_sizes(p, c, order).coeffs
+    trace = BkRecursionTrace(k=k, c=c, scale=max(1.0, sizes.get((0, 2 * k + 1), 0.0)))
     for n in range(2, k + 1):
         trace.xi[n] = shifted.coeff(0, 2 * n + 1)
-        trace.a1hat[n] = shifted.coeff(1, 2 * n - 1)
+        trace.a1hat[n] = a1 = shifted.coeff(1, 2 * n - 1)
+        size = max(1.0, sizes.get((1, 2 * n - 1), 0.0))
+        if not is_zero(a1, size, nf.mode):
+            raise InternalConsistencyError(
+                "B_%d shift left %r at u v^%d, not zero at size %.3g" % (k, a1, 2 * n - 1, size)
+            )
     return trace
-
-
-def verify_by_substitution(nf, trace, k):
-    """Re-expand the shifted jet and confirm the defining properties of the trace."""
-    order = b_order(k)
-    if nf.order < order:
-        return False
-    p = _odd_part_jet(nf, order)
-    v = Jet2.variable("v", order, nf.mode)
-    final = p.substitute(_shift_jet(trace.c, order, nf.mode), v)
-    scale = max(1.0, float(final.max_abs()))
-    for j in range(2, k + 1):
-        if not is_zero(final.coeff(1, 2 * j - 1), scale, nf.mode):
-            return False
-    for n in range(2, k + 1):
-        lhs, rhs = final.coeff(0, 2 * n + 1), trace.xi.get(n)
-        if rhs is None or not is_zero(lhs - rhs, scale, nf.mode):
-            return False
-    return True
 
 
 @dataclass
@@ -198,19 +190,26 @@ def classify(nf, k_max=DEFAULT_K_MAX):
             MondClass(MondTag.INDETERMINATE, reason=reason), None, warnings
         )
 
-    a03 = nf.a_(0, 3)
-    if not nf.is_zero_a(0, 3):
-        for k in range(1, k_max + 1):
-            if nf.order < s_order(k):
+    def first_a_i1(tag, first_k, di, lead):
+        """S_k (i = k + 1, lead a_03) or C_k (i = k, lead a_13): the class of
+        the first nonzero a_i1, i = k + di, decided at order i + 1; odd k
+        take the sign of a_i1 times the lead coefficient."""
+        for k in range(first_k, k_max + 1):
+            i = k + di
+            if nf.order < i + 1:
                 return indeterminate(
-                    "order %d too small to probe S_%d (needs %d)"
-                    % (nf.order, k, s_order(k))
+                    "order %d too small to probe %s_%d (needs %d)"
+                    % (nf.order, tag.name, k, i + 1)
                 )
-            if not nf.is_zero_a(k + 1, 1):
-                ak1 = nf.a_(k + 1, 1)
-                sign = None if k % 2 == 0 else _sign_of(ak1 * a03)
-                return ClassifyResult(MondClass(MondTag.S, k, sign), None, warnings)
-        return indeterminate("a_03 != 0 but a_i1 = 0 for all i <= %d" % (k_max + 1))
+            if not nf.is_zero_a(i, 1):
+                sign = None if k % 2 == 0 else _sign_of(nf.a_(i, 1) * nf.a_(*lead))
+                return ClassifyResult(MondClass(tag, k, sign), None, warnings)
+        return indeterminate(
+            "a_%d%d != 0 but a_i1 = 0 for all i <= %d" % (*lead, k_max + di)
+        )
+
+    if not nf.is_zero_a(0, 3):
+        return first_a_i1(MondTag.S, 1, 1, (0, 3))
 
     a21 = nf.a_(2, 1)
     if not nf.is_zero_a(2, 1):
@@ -227,19 +226,8 @@ def classify(nf, k_max=DEFAULT_K_MAX):
                 return ClassifyResult(MondClass(MondTag.B, k, sign), trace, warnings)
         return indeterminate("xi_n = 0 for all n <= %d" % k_max)
 
-    a13 = nf.a_(1, 3)
     if not nf.is_zero_a(1, 3):
-        for m in range(3, k_max + 1):
-            if nf.order < c_order(m):
-                return indeterminate(
-                    "order %d too small to probe C_%d (needs %d)"
-                    % (nf.order, m, c_order(m))
-                )
-            if not nf.is_zero_a(m, 1):
-                am1 = nf.a_(m, 1)
-                sign = None if m % 2 == 0 else _sign_of(am1 * a13)
-                return ClassifyResult(MondClass(MondTag.C, m, sign), None, warnings)
-        return indeterminate("a_13 != 0 but a_i1 = 0 for all i <= %d" % k_max)
+        return first_a_i1(MondTag.C, 3, 0, (1, 3))
     if nf.order < F4_ORDER:
         return indeterminate("order %d too small to probe F_4" % nf.order)
     if not nf.is_zero_a(3, 1):

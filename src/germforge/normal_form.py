@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, GermJets, Jet2, is_zero, scalar
+from .jets import EXACT, FLOAT, GermJets, Jet2, cleared, is_zero, scalar
 
 
 class TwoJetClass(Enum):
@@ -119,15 +119,14 @@ class NormalFormCoeffs:
             u = Jet2.variable("u", order, self.mode)
             y, z = self.second_component(order), self.third_component(order)
             half_sq = (u * u + y * y + z * z) * scalar(0.5, self.mode)
-            cols = [jet.coeffs for jet in (half_sq, u, y, z)]
-            keys = dict.fromkeys(k for col in cols for k in col)
+            # (column, key) -> coefficient, columns in the order of the rows
+            flat = {(n, k): c for n, jet in enumerate((half_sq, u, y, z))
+                    for k, c in jet.coeffs.items()}
+            keys = dict.fromkeys(k for _, k in flat)
+            den = 1
             if self.mode == EXACT:
-                den = math.lcm(*(c.denominator for col in cols for c in col.values()))
-                cols = [{k: c.numerator * (den // c.denominator) for k, c in col.items()}
-                        for col in cols]
-            else:
-                den = 1
-            rows = {k: tuple(col.get(k, 0) for col in cols) for k in keys}
+                flat, den = cleared(flat)
+            rows = {k: tuple(flat.get((n, k), 0) for n in range(4)) for k in keys}
             base = self._distance_bases[order] = (rows, den)
         return base
 
@@ -143,15 +142,17 @@ class NormalFormCoeffs:
                 terms[(i, 0)] = scalar(bi, self.mode) / math.factorial(i)
         return Jet2(order, terms, self.mode)
 
-    def third_component(self, order=None):
-        order = self.order if order is None else order
+    @functools.cached_property
+    def _third_component(self):
         terms = {}
         for (i, j), aij in self.a.items():
-            if i + j <= order:
-                terms[(i, j)] = scalar(aij, self.mode) / (
-                    math.factorial(i) * math.factorial(j)
-                )
-        return Jet2(order, terms, self.mode)
+            terms[(i, j)] = scalar(aij, self.mode) / (math.factorial(i) * math.factorial(j))
+        return Jet2(self.order, terms, self.mode)
+
+    def third_component(self, order=None):
+        """sum_ij a_ij u^i v^j / (i! j!) at ``order``: each a_ij is converted
+        once, at the form's own order, and the jet is cut to ``order``."""
+        return self._third_component.with_order(self.order if order is None else order)
 
     def reconstruct(self, order=None):
         """Germ jets of the normal form itself."""

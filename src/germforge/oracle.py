@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .errors import SingularSeriesError, UsageError
-from .jets import EXACT, Jet2
+from .jets import EXACT, Jet2, cleared
 
 RATIONALIZE_DENOMINATOR = 10**6
 
@@ -126,15 +126,6 @@ def split_and_type(f, order=6):
     return SingularityType("A", m - 1, corank=1, residual=residual, warnings=warnings)
 
 
-def _cleared(items):
-    """({key: int}, D) for nonzero (key, value) pairs: each value times D,
-    the lcm of their denominators.  Ints, Fractions and floats (taken
-    exactly) give ints in the same ratios; zeros are dropped."""
-    ratios = {k: c.as_integer_ratio() for k, c in items if c}
-    den = lcm(*[d for _, d in ratios.values()])
-    return {k: n * (den // d) for k, (n, d) in ratios.items()}, den
-
-
 def _mul_series(a, b, n):
     """Product of dense one-variable series, truncated after degree n."""
     out = [0] * (n + 1)
@@ -190,7 +181,7 @@ def critical_curve_restriction(f, solve_for="u"):
     order = f.order
     exact = f.mode == EXACT
     # D f has the critical curve of f; floats keep D = 1
-    coeffs, den = _cleared(f.coeffs.items()) if exact else (f.coeffs, 1)
+    coeffs, den = cleared(f.coeffs) if exact else (f.coeffs, 1)
     # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
     rows = [[0] * (order + 1) for _ in range(order + 1)]
     for (i, j), c in coeffs.items():
@@ -238,7 +229,7 @@ def _monomials_upto(order):
 def _cleared_terms(jet, top):
     """The jet's terms of degree <= ``top``, exact and cleared to ints."""
     coeffs = jet.to_exact(RATIONALIZE_DENOMINATOR).coeffs
-    return _cleared((k, c) for k, c in coeffs.items() if k[0] + k[1] <= top)[0]
+    return cleared({k: c for k, c in coeffs.items() if k[0] + k[1] <= top})[0]
 
 
 def _row(coeffs, basis_index, order, shift=(0, 0)):
@@ -268,7 +259,7 @@ def rank_of_rows(rows):
         row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
         # a row of ints is already cleared
         if not all(type(x) is int for x in row.values()):
-            row, _ = _cleared(row.items())
+            row, _ = cleared(row)
         while row:
             col = min(row)
             pivot = pivots.get(col)

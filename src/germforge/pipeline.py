@@ -21,11 +21,9 @@ from .distance import (
     singular_point_type,
 )
 from .errors import SchemaError, UnsupportedGermError, UsageError
-from .germ_io import expand_germ, format_number
+from .germ_io import MAX_ORDER, expand_germ, format_number
 from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
 from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
-
-MAX_ORDER = 20
 
 
 @dataclass

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 import types
 
 import pytest
@@ -86,6 +87,21 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--input", path, flag, value)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "%s must be >= 1" % flag}
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_order_above_the_cap_exits_1_at_once(self, tmp_path, capsys, where):
+        # order 80 would take minutes to reduce; 21 is refused before parsing
+        germ = dict(S1_GERM, components=["u + v^2 + u^3", "v^2 + u*v^2", "u^2*v + v^3"])
+        if where == "file":
+            germ["order"] = 21
+        path = write_germ(tmp_path, germ)
+        argv = ["classify", "--input", path] + (["--order", "21"] if where == "flag" else [])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"file": "germ.order: order must be <= 20",
+                                             "flag": "--order must be <= 20"}[where]}
 
     def test_order_override_reaches_the_report(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
@@ -478,7 +494,7 @@ PUBLIC_NAMES = [
     "geometric_verdict", "load_germ", "parse_polynomial",
     "print_polynomial", "reduce_to_normal_form", "ridge_report",
     "series_columns", "singular_point_type", "split_and_type",
-    "surface_mesh", "theta_grid", "two_jet_class", "verify_by_substitution",
+    "surface_mesh", "theta_grid", "two_jet_class",
     "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]
 HEAVY = ("numpy", "germforge.front", "germforge.closed_forms")

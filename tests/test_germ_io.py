@@ -9,6 +9,7 @@ import pytest
 
 from germforge.errors import ParseError, SchemaError, UsageError
 from germforge.germ_io import (
+    MAX_ORDER,
     emit_mesh,
     emit_report,
     expand_germ,
@@ -347,6 +348,12 @@ class TestGermFiles:
         with pytest.raises(SchemaError) as exc:
             germ_spec_from_dict(dict(self.GERM, order=True))
         assert str(exc.value) == "germ.order: expected int"
+
+    def test_order_above_the_cap_rejected(self):
+        assert germ_spec_from_dict(dict(self.GERM, order=MAX_ORDER)).order == 20
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(dict(self.GERM, order=MAX_ORDER + 1))
+        assert str(exc.value) == "germ.order: order must be <= 20"
 
     def test_nonvanishing_component_rejected(self):
         bad = dict(self.GERM, components=["u + 1", "v^2", "v^3"])

@@ -821,6 +821,61 @@ class TestOneProductAndPower:
         assert _halving_loops(source) == ["_Parser._pow"]
 
 
+def _lcm_callers(source):
+    """Functions (as Class.method) that call lcm or as_integer_ratio."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(n, ast.Call) and (getattr(n.func, "attr", None)
+                                                     or getattr(n.func, "id", None))
+                        in ("lcm", "as_integer_ratio") for n in ast.walk(child)):
+                    found.add(name)
+                visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+class TestCleared:
+    def test_values_over_the_lcm(self):
+        nums, den = jets.cleared({"a": Fraction(1, 6), "b": Fraction(-3, 4), "c": 2, "d": 0.5})
+        assert (nums, den) == ({"a": 2, "b": -9, "c": 24, "d": 6}, 12)
+        assert all(type(n) is int for n in nums.values())
+
+    def test_zeros_are_dropped_and_order_kept(self):
+        nums, den = jets.cleared({(0, 2): Fraction(1, 3), (1, 1): 0, (2, 0): Fraction(0), (1, 0): 1})
+        assert list(nums.items()) == [((0, 2), 1), ((1, 0), 3)] and den == 3
+
+    def test_empty_is_over_one(self):
+        assert jets.cleared({}) == ({}, 1)
+        assert jets.cleared({0: 0}) == ({}, 1)
+
+    def test_a_float_is_taken_exactly(self):
+        nums, den = jets.cleared({0: 0.1})
+        assert Fraction(nums[0], den) == Fraction(0.1)
+
+    def test_one_clearing_in_src(self):
+        callers = {path.name: _lcm_callers(path.read_text()) for path in SRC.glob("*.py")}
+        assert {name: found for name, found in callers.items() if found} == {
+            "jets.py": ["cleared"]}
+
+    def test_guard_sees_a_second_clearing(self):
+        source = (
+            "import math\n"
+            "def _probe(p):\n"
+            "    ratios = [c.as_integer_ratio() for c in p]\n"
+            "    return math.lcm(*[d for _, d in ratios])\n"
+            "class NF:\n"
+            "    def base(self, cols):\n"
+            "        return lcm(*(c.denominator for c in cols))\n"
+        )
+        assert _lcm_callers(source) == ["NF.base", "_probe"]
+
+
 class TestScalar:
     def test_exact_mode_is_a_fraction(self):
         assert scalar(0.5, EXACT) == Fraction(1, 2)

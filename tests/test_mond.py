@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from germforge.errors import UsageError
+from germforge import germ_io, mond, pipeline
+from germforge.errors import InternalConsistencyError, UsageError
 from germforge.jets import EXACT, FLOAT, Jet2, is_zero
 from germforge.mond import (
     MondClass,
@@ -12,7 +15,6 @@ from germforge.mond import (
     b_order,
     bk_recursion,
     classify,
-    verify_by_substitution,
 )
 from germforge.normal_form import reduce_to_normal_form
 
@@ -73,6 +75,37 @@ class TestClassifyDirect:
         assert res.mond.tag is MondTag.S
         assert any("numerically" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_odd_s_and_c_take_the_sign_against_their_lead(self, mode):
+        # S_k reads a_{k+1,1} against a_03, C_k reads a_k1 against a_13
+        s3 = make_nf(order=5, mode=mode, a={(4, 1): -2, (0, 3): 3})
+        c5 = make_nf(order=6, mode=mode, a={(5, 1): 1, (1, 3): -1})
+        assert classify(s3).mond == MondClass(MondTag.S, 3, "-")
+        assert classify(c5).mond == MondClass(MondTag.C, 5, "-")
+
+
+class TestIndeterminateReasons:
+    """The reason strings of the a_i1 scans (S_k and C_k) and of the B_k
+    recursion, word for word."""
+
+    @pytest.mark.parametrize("order, a, k_max, reason", [
+        (3, {(0, 3): 1}, 8, "order 3 too small to probe S_2 (needs 4)"),
+        (10, {(0, 3): 1}, 4, "a_03 != 0 but a_i1 = 0 for all i <= 5"),
+        (10, {(0, 3): 1}, 0, "a_03 != 0 but a_i1 = 0 for all i <= 1"),
+        (4, {(1, 3): 1}, 8, "order 4 too small to probe C_4 (needs 5)"),
+        (10, {(1, 3): 1}, 5, "a_13 != 0 but a_i1 = 0 for all i <= 5"),
+        (10, {(1, 3): 1}, 2, "a_13 != 0 but a_i1 = 0 for all i <= 2"),
+        (6, {(2, 1): 1}, 8, "order 6 too small to probe B_3 (needs 7)"),
+        (9, {(2, 1): 1}, 4, "xi_n = 0 for all n <= 4"),
+        (4, {}, 8, "order 4 too small to probe F_4"),
+        (5, {(3, 1): 1}, 8, "a_31 != 0, a_13 = a_05 = 0: outside the simple classes"),
+        (5, {}, 8, "a_03 = a_21 = a_13 = a_31 = 0: outside the simple classes"),
+    ])
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_reason(self, order, a, k_max, reason, mode):
+        res = classify(make_nf(order=order, mode=mode, a=a), k_max=k_max)
+        assert res.mond == MondClass(MondTag.INDETERMINATE, reason=reason)
+
 
 class TestClassifyFromGerms:
     def test_s1_from_germ(self):
@@ -129,7 +162,7 @@ class TestBkRecursion:
         with pytest.raises(UsageError):
             bk_recursion(nf, 2)
 
-    def test_verify_accepts_valid_trace(self, rng):
+    def test_shift_kills_every_a1(self, rng):
         for k in (2, 3, 4):
             order = 2 * k + 1
             terms = {
@@ -142,13 +175,25 @@ class TestBkRecursion:
                 terms[(1, 5)] = rand_fraction(rng)
             nf = make_nf(order=order, a=terms)
             trace = bk_recursion(nf, k)
-            assert verify_by_substitution(nf, trace, k)
+            assert trace.a1hat == {n: 0 for n in range(2, k + 1)}
 
-    def test_verify_rejects_perturbed_c2(self, rng):
-        nf = make_nf(order=5, a={(2, 1): 2, (1, 3): 3, (0, 5): 1})
-        trace = bk_recursion(nf, 2)
-        trace.c[2] += 1
-        assert not verify_by_substitution(nf, trace, 2)
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_wrong_shift_constant_raises(self, mode, monkeypatch):
+        # the shift is built with c_2 + 1, so a_13 of the shifted jet is a_21 = 2
+        nf = make_nf(order=5, mode=mode, a={(2, 1): 2, (1, 3): 3, (0, 5): 1})
+        shift_jet = mond._shift_jet
+        monkeypatch.setattr(mond, "_shift_jet", lambda c, order, mode: shift_jet(
+            {i: ci + 1 if i == 2 else ci for i, ci in c.items()}, order, mode))
+        with pytest.raises(InternalConsistencyError, match=r"B_2 shift left .* at u v\^3"):
+            bk_recursion(nf, 2)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_continuing_a_wrong_trace_raises(self, mode):
+        nf = make_nf(order=7, mode=mode, a={(2, 1): 2, (1, 3): 3, (0, 7): 1})
+        prev = bk_recursion(nf, 2)
+        prev.c[2] += 1
+        with pytest.raises(InternalConsistencyError, match=r"B_3 shift left .* at u v\^3"):
+            bk_recursion(nf, 3, prev)
 
     def test_a1hat_entries_vanish(self, rng):
         nf = make_nf(
@@ -277,3 +322,73 @@ def _random_rotation(rng):
 
     m = matmul(rx(rng.uniform(0, 6.28)), rz(rng.uniform(0, 6.28)))
     return matmul(m, rx(rng.uniform(0, 6.28)))
+
+
+def _family_spec(k, a, s, t, mode):
+    """(u, v^2/2, u^2 + v^2/2 + a u^2 v + s u v^2 + t v^(2k+1)): the target
+    shear u^2 + v^2/2 leaves a float normal form whose a_i1 grow with i."""
+    z = "u^2 + 1/2*v^2 + %d*u^2*v + %d*u*v^2 + %s*v^%d" % (a, s, t, 2 * k + 1)
+    return germ_io.germ_spec_from_dict({
+        "variables": ["u", "v"], "components": ["u", "1/2*v^2", z],
+        "order": 2 * k + 1, "mode": mode,
+    })
+
+
+class TestXiScale:
+    """xi_k is tested against the size of the terms summed into it, not
+    against the largest coefficient of the whole shifted jet: on the sheared
+    family the shifted jet's u^i v coefficients reach 1e9 while xi_k stays
+    of order 1."""
+
+    def test_sheared_b7_germ_with_large_a_i1(self):
+        spec = germ_io.germ_spec_from_dict({
+            "variables": ["u", "v"], "mode": "exact", "order": 6,
+            "components": ["u", "1/2*v^2", "u^2 + 1/2*v^2 + 3*u^2*v - 5*u*v^2 + 4/3*v^15"],
+        })
+        outcome = pipeline.classify_spec(spec)
+        assert outcome.nf.mode == FLOAT
+        assert outcome.mond.label == "B7+"
+        assert outcome.trace.scale < 1e3 < max(map(abs, outcome.nf.a.values()))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sheared_family_is_planted_b_k(self, k, mode):
+        for a in (1, 2, 3):
+            for s in range(-5, 6):
+                for t in ("4/3", "-1/2", "2", "1/7"):
+                    outcome = pipeline.classify_spec(_family_spec(k, a, s, t, mode))
+                    assert outcome.nf.mode == FLOAT
+                    assert (outcome.mond.tag, outcome.mond.k) == (MondTag.B, k), (a, s, t)
+
+
+def _scale_leaks(source):
+    """(line, name) of every call of factorial or max_abs in a module."""
+    leaks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in ("factorial", "max_abs"):
+                leaks.append((node.lineno, name))
+    return sorted(leaks)
+
+
+class TestOneFactorialConvention:
+    """mond reads the third component through the normal form, which owns
+    the factorial convention, and tests no coefficient against the size of
+    a whole jet."""
+
+    def test_mond_calls_neither_factorial_nor_max_abs(self):
+        path = pathlib.Path(mond.__file__)
+        assert _scale_leaks(path.read_text()) == []
+
+    def test_guard_sees_both_calls(self):
+        source = (
+            "import math\n"
+            "from math import factorial\n"
+            "def odd_part(nf):\n"
+            "    return {k: c / (math.factorial(k[0]) * factorial(k[1])) for k, c in nf.a.items()}\n"
+            "def scale(jet):\n"
+            "    return max(1.0, float(jet.max_abs()))\n"
+        )
+        assert _scale_leaks(source) == [(4, "factorial"), (4, "factorial"), (6, "max_abs")]

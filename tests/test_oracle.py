@@ -640,8 +640,8 @@ class TestIntegerKernels:
     def test_int_rows_skip_clearing(self, monkeypatch):
         rows = [[2, 4, 0, 6], {0: 3, 1: 6, 3: 9}, {1: 1, 2: -5}]
         cleared = []
-        real = oracle._cleared
-        monkeypatch.setattr(oracle, "_cleared", lambda items: cleared.append(1) or real(items))
+        real = oracle.cleared
+        monkeypatch.setattr(oracle, "cleared", lambda coeffs: cleared.append(1) or real(coeffs))
         assert rank_of_rows(rows) == 2 and not cleared
         assert rank_of_rows(rows + [{0: Fraction(1, 2), 2: 3}]) == 3 and len(cleared) == 1
 
