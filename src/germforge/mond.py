@@ -16,12 +16,13 @@ rather than by evaluating the combinatorial sum formulas.  ``bk_recursion``
 is the one place that builds the shift, and it checks what the shift
 kills: each a_{1,2n-1} of the shifted jet must vanish, or it raises
 InternalConsistencyError.  In float mode a coefficient of the shifted jet
-is tested against the size of the terms summed into it (|p| shifted by the
-|c_i|), floored at 1, never against the size of the whole jet.
+is tested against the sizes the shift sums into it (``_term_sizes``),
+floored at 1, never against the size of the whole jet.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -84,8 +85,8 @@ class BkRecursionTrace:
     c: dict = field(default_factory=dict)        # i -> c_i, 2 <= i <= k
     xi: dict = field(default_factory=dict)       # n -> xi_n, 2 <= n <= k
     a1hat: dict = field(default_factory=dict)    # n -> coefficient of u v^(2n-1)
-    # xi_k is zero below this: in float mode the sum of the magnitudes of the
-    # terms the shift sums into xi_k, floored at 1; 1 in exact mode
+    # xi_k is zero below this: in float mode the sizes the shift sums into
+    # xi_k (see _term_sizes), floored at 1; 1 in exact mode
     scale: float = 1.0
 
 
@@ -107,12 +108,19 @@ def _shift_jet(c, order, mode):
 
 
 def _term_sizes(p, c, order):
-    """|p|(u + sum_i |c_i| v^(2(i-1)), v) as a float jet: each coefficient is
-    the sum of the magnitudes of the terms that the shift by the c_i sums
-    into that coefficient of the shifted p.  With every c_i zero it is |p|."""
-    size = Jet2._trusted(order, {key: abs(x) for key, x in p.coeffs.items()}, FLOAT)
-    if not any(c.values()):
-        return size
+    """Float jet of the sizes of the shifted p's coefficients.
+
+    With u weighing 2 and v weighing 1 the shift raises no term's weight, so
+    the terms it sums into a coefficient come from terms of p of no greater
+    weight.  Each coefficient of p is sized by the largest |coefficient| of p
+    of weight at most its own, the rounding a float normal form may leave
+    there, and the sizes are summed through u -> u + sum_i |c_i| v^(2(i-1)).
+    """
+    top = [0.0] * (2 * order + 1)
+    for (i, j), x in p.coeffs.items():
+        top[2 * i + j] = max(top[2 * i + j], abs(x))
+    top = list(itertools.accumulate(top, max))
+    size = Jet2._trusted(order, {(i, j): top[2 * i + j] for i, j in p.coeffs}, FLOAT)
     shift = _shift_jet({i: abs(ci) for i, ci in c.items()}, order, FLOAT)
     return size.substitute(shift, Jet2.variable("v", order, FLOAT))
 
@@ -127,7 +135,7 @@ def bk_recursion(nf, k, prev=None):
     the order 2n + 1 it was solved at.
 
     The shift must kill a_{1,2n-1} for 2 <= n <= k: exactly in exact mode,
-    and at the size of the terms summed into it in float mode.  A nonzero
+    and at the sizes the shift sums into it in float mode.  A nonzero
     one raises InternalConsistencyError.
     """
     a21 = nf.a_(2, 1)

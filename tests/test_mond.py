@@ -334,11 +334,25 @@ def _family_spec(k, a, s, t, mode):
     })
 
 
+def _zero_xi_spec(a, s, e, c, d, sheared):
+    """(u, w^2/2, u^2 + a (u + c w^2 + d w^4)^2 w + s u w^2), w = v + e u, and
+    with ``sheared`` w^2/2 added to z: each is A-equivalent to
+    (u, v^2/2, a u^2 v), whose xi_n all vanish.  The unsheared germ reduces
+    in exact arithmetic, the sheared one in float."""
+    w = "(v + %s*u)" % e
+    z = "u^2 + %d*(u + %s*%s^2 + %s*%s^4)^2*%s + %d*u*%s^2" % (a, c, w, d, w, w, s, w)
+    return germ_io.germ_spec_from_dict({
+        "variables": ["u", "v"], "order": 17, "mode": "exact",
+        "components": ["u", "1/2*%s^2" % w, z + (" + 1/2*%s^2" % w if sheared else "")],
+    })
+
+
 class TestXiScale:
-    """xi_k is tested against the size of the terms summed into it, not
-    against the largest coefficient of the whole shifted jet: on the sheared
-    family the shifted jet's u^i v coefficients reach 1e9 while xi_k stays
-    of order 1."""
+    """xi_k is tested against the sizes the shift sums into it, each term
+    sized by the largest term of no greater weight, not against the largest
+    coefficient of the whole shifted jet: on the sheared family the shifted
+    jet's u^i v coefficients reach 1e9 while xi_k stays of order 1, and on
+    germs whose xi_n all vanish the float xi_n stay below that scale."""
 
     def test_sheared_b7_germ_with_large_a_i1(self):
         spec = germ_io.germ_spec_from_dict({
@@ -348,7 +362,7 @@ class TestXiScale:
         outcome = pipeline.classify_spec(spec)
         assert outcome.nf.mode == FLOAT
         assert outcome.mond.label == "B7+"
-        assert outcome.trace.scale < 1e3 < max(map(abs, outcome.nf.a.values()))
+        assert outcome.trace.scale < 1e5 < outcome.nf.degree_scale(15)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     @pytest.mark.parametrize("k", range(2, 9))
@@ -359,6 +373,21 @@ class TestXiScale:
                     outcome = pipeline.classify_spec(_family_spec(k, a, s, t, mode))
                     assert outcome.nf.mode == FLOAT
                     assert (outcome.mond.tag, outcome.mond.k) == (MondTag.B, k), (a, s, t)
+
+    @pytest.mark.parametrize("s", [-5, 0, 5])
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_germs_whose_xi_vanish_stay_indeterminate(self, a, s):
+        for e in ("0", "2", "3", "-3"):
+            for c in ("0", "1", "3", "-5"):
+                for d in ("0", "1"):
+                    exact = pipeline.classify_spec(_zero_xi_spec(a, s, e, c, d, False))
+                    assert exact.nf.mode == EXACT
+                    trace = None
+                    for k in range(2, 9):
+                        trace = bk_recursion(exact.nf, k, trace)
+                    assert not any(trace.xi.values())
+                    for outcome in (exact, pipeline.classify_spec(_zero_xi_spec(a, s, e, c, d, True))):
+                        assert outcome.mond.reason == "xi_n = 0 for all n <= 8", (outcome.nf.mode, e, c, d)
 
 
 def _scale_leaks(source):
