@@ -132,6 +132,20 @@ def _probe_numerators(p, mode):
     return (*(nums.get(i, 0) for i in range(3)), dp)
 
 
+def _distance_numerators(nf, p, order):
+    """({key: N}, S, D, dp): the distance jet at ``order`` as integers, its
+    coefficient at ``key`` N / (D dp) and its constant S / (2 dp^2).  A
+    float form gives the float sums, with D = dp = 1."""
+    rows, den = nf.distance_base(order)
+    x, y, z, dp = _probe_numerators(p, nf.mode)
+    out = {}
+    for key, (h, cu, cy, cz) in rows.items():
+        c = h * dp - x * cu - y * cy - z * cz
+        if c:
+            out[key] = c
+    return out, x * x + y * y + z * z, den, dp
+
+
 def distance_jet(nf, p, order=None):
     """Jet of |g - p|^2 / 2 at the origin; constant term retained.
 
@@ -139,39 +153,52 @@ def distance_jet(nf, p, order=None):
     distance base, so a probe costs scalar multiples and sums only.  An exact
     probe goes over one denominator dp, and each coefficient is one quotient
     (H dp - X U - Y Y' - Z Z') / (D dp) of integers; a float form runs the
-    same sums with D = dp = 1.
+    same sums with D = dp = 1.  ``versality_rank_test`` reads the same
+    integer sums without dividing them.
     """
     order = nf.order if order is None else order
     mode = nf.mode
-    rows, den = nf.distance_base(order)
-    x, y, z, dp = _probe_numerators(p.as_mode(mode), mode)
-    exact = mode == EXACT
-    den *= dp
-    out = {}
-    for key, (h, cu, cy, cz) in rows.items():
-        c = h * dp - x * cu - y * cy - z * cz
-        if c:
-            out[key] = Fraction(c, den) if exact else c
+    out, sq, den, dp = _distance_numerators(nf, p.as_mode(mode), order)
     # |p|^2 / 2: g vanishes at the origin, so the base has no constant term
-    c = x * x + y * y + z * z
-    if c:
-        out[(0, 0)] = Fraction(c, 2 * dp * dp) if exact else c * 0.5
+    if mode == EXACT:
+        den *= dp
+        out = {key: Fraction(n, den) for key, n in out.items()}
+        if sq:
+            out[(0, 0)] = Fraction(sq, 2 * dp * dp)
+    elif sq:
+        out[(0, 0)] = sq * 0.5
     return Jet2._result(order, out, mode)
 
 
-def _family(nf, p, order, probe_order):
-    """The parameter partials p_i - g_i of the distance family, truncated at
-    ``order``, read off the distance base at ``probe_order``."""
+def _integer_jet(nf, p, order):
+    """The distance jet at ``order`` as {key: int}: 2 D dp^2 times it for an
+    exact form, its rationalized coefficients over their lcm for a float one."""
+    if nf.mode != EXACT:
+        return oracle.rationalized(distance_jet(nf, p, order).coeffs)
+    out, sq, den, dp = _distance_numerators(nf, p, order)
+    out = {key: 2 * dp * n for key, n in out.items()}
+    if sq:
+        out[(0, 0)] = den * sq
+    return out
+
+
+def _integer_family(nf, p, order, probe_order):
+    """The parameter partials p_i - g_i of the distance family, their terms
+    up to ``order`` read off the distance base at ``probe_order``, as
+    {key: int}: D dp times each for an exact form, rationalized over their
+    lcm for a float one."""
     rows, den = nf.distance_base(probe_order)
-    exact = nf.mode == EXACT
+    x, y, z, dp = _probe_numerators(p, nf.mode)
     family = []
-    for col, value in enumerate((p.x0, p.y0, p.z0), 1):
-        coeffs = {(0, 0): value} if value else {}
+    for col, value in enumerate((x, y, z), 1):
+        coeffs = {(0, 0): value * den} if value else {}
         for key, row in rows.items():
             c = row[col]
             if c and key[0] + key[1] <= order:
-                coeffs[key] = Fraction(-c, den) if exact else -c
-        family.append(Jet2._trusted(order, coeffs, nf.mode))
+                coeffs[key] = -c * dp
+        family.append(coeffs)
+    if nf.mode != EXACT:
+        return [oracle.rationalized(coeffs) for coeffs in family]
     return family
 
 
@@ -261,7 +288,13 @@ def versality_rank_test(nf, p, flavor):
     """Versality as a rank condition over the jet space (dual implementation).
 
     The required jet order is the determinacy degree of the actual
-    singularity type, decided here by the splitting oracle.
+    singularity type, decided here by the splitting oracle.  One integer
+    pass: the distance jet at the probe order is built once as integers
+    (2 D dp^2 times it, off the distance base), typed by
+    ``oracle.integer_split`` and handed with the family, read off the same
+    base rows, to ``oracle.integer_versality``; no ``Fraction`` is built.
+    A float form rationalizes each coefficient first, as
+    ``split_and_type`` and ``versality_rank_oracle`` do.
     """
     if flavor not in (R_PLUS, K_EQUIV):
         raise UsageError("flavor must be %r or %r" % (R_PLUS, K_EQUIV))
@@ -270,8 +303,8 @@ def versality_rank_test(nf, p, flavor):
     if not z(p.x0):
         return True  # regular germs deform versally
     probe_order = _probe_order(nf)
-    d = distance_jet(nf, p, probe_order)
-    typ = oracle.split_and_type(d, order=probe_order)
+    f = _integer_jet(nf, p, probe_order)
+    typ, _ = oracle.integer_split(f, probe_order)
     if typ.tag == "A":
         if typ.k >= 5 and flavor == R_PLUS:
             return False  # 3 parameters cannot versally unfold beyond A4
@@ -285,8 +318,8 @@ def versality_rank_test(nf, p, flavor):
     else:
         return False  # more degenerate than the 3-parameter family can cover
     # the family at the rank order: no row reads a term above it
-    family = _family(nf, p, order, probe_order)
-    return oracle.versality_rank_oracle(family, d, flavor, order)
+    family = _integer_family(nf, p, order, probe_order)
+    return oracle.integer_versality(f, family, flavor, order)
 
 
 def focal_locus(nf):

@@ -328,6 +328,10 @@ def print_polynomial(jet, variables=("u", "v")):
 
 
 def format_number(x):
+    # floats first: most numbers written are floats, and the isinstance
+    # check against Fraction (an ABC-registered type) is the slow one
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, int):
@@ -414,8 +418,11 @@ def _parse_scalar(c, mode, where):
 
 
 def expand_germ(spec, order=None, mode=None):
-    """Expand a GermSpec's component strings into GermJets."""
+    """Expand a GermSpec's component strings into GermJets.  The order (the
+    spec's own unless given) must be an integer in 1..``MAX_ORDER``."""
     order = spec.order if order is None else order
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+        raise UsageError("germ order must be an integer in 1..%d, got %r" % (MAX_ORDER, order))
     mode = spec.mode if mode is None else mode
     jets = [
         parse_polynomial(c, spec.variables, order, mode) for c in spec.components

@@ -4,34 +4,42 @@
 On a corank-1 Hessian it solves the critical-curve equation f_u = 0 (or
 f_v = 0) for one variable as a power series in the other, one coefficient
 at a time, and reads the residual: f restricted to that curve.  The same
-kernel, ``critical_curve_restriction``, gives ``distance`` its pure-u
-residual.  The tests use ``split_and_type`` as an oracle against the
-closed-form classifier.
+curve kernel gives ``critical_curve_restriction``, and through it
+``distance`` its pure-u residual.  The tests use ``split_and_type`` as an
+oracle against the closed-form classifier.
 ``versality_rank_oracle`` decides R+/K-versality of a 3-parameter family
-as a rank condition over the monomial basis of a jet space.  A module
+as a rank condition over the monomials of a jet space.  A module
 element's row is its generator's coefficients shifted by the monomial's
-exponent, and ``rank_of_rows`` eliminates on sparse rows.
+exponent, and the rows are eliminated on sparse integer rows.
 
-Both answers are exact, and both kernels compute on Python integers:
+Both answers are exact, and each has one kernel on Python integers that
+the jet-level entry points and ``distance.versality_rank_test`` share:
 
-* ``critical_curve_restriction`` multiplies an exact f by the lcm D of its
-  denominators (the critical curve depends on f only up to scale), keeps
-  the curve as integer numerators psi over one denominator q, and composes
-  by the scaled Horner rule acc <- acc * psi + r_i * q^(top - i).  Only the
-  returned coefficients are divided, by D * q^top.  A float f runs the same
-  steps with D = q = 1.
-* ``rank_of_rows`` eliminates fraction-free: a pivot row is divided by the
-  gcd of its entries, and a row is reduced as b * row - a * pivot.  A row
-  of ints enters as it is; any other row is first scaled by the lcm of its
-  denominators, which changes no rank.  ``versality_rank_oracle`` clears f
-  and each family jet to integers once, so the shifted copies of a
-  generator share them and no row is cleared again.
+* ``integer_split`` types a jet given as integer coefficients, any
+  nonzero multiple of it (no test depends on the scale).  On corank 1 it
+  keeps the critical curve as integer numerators psi over one denominator
+  q and composes by the scaled Horner rule acc <- acc * psi + r_i *
+  q^(top - i).  ``split_and_type`` clears an exact f to integers over the
+  lcm D of its denominators, and divides only its residual, by D * q^top.
+  ``critical_curve_restriction`` runs the same curve kernel; on a float f
+  it takes D = q = 1.
+* ``integer_versality`` builds the rows of integer jets one at a time,
+  the column of u^i v^j being d (d + 1) / 2 + j with d = i + j, and
+  eliminates them fraction-free: a pivot row is divided by the gcd of its
+  entries, a row is reduced as b * row - a * pivot, and the elimination
+  stops once every column has a pivot.  ``versality_rank_oracle`` clears f
+  and each family jet to integers once and calls it.  ``rank_of_rows``
+  runs the same elimination on rows of any numbers: a row of ints enters
+  as it is, any other row is first scaled by the lcm of its denominators,
+  which changes no rank.
 
-Float inputs to ``split_and_type`` and ``versality_rank_oracle`` are
-rationalized (denominators up to 10**6).  ``split_and_type`` records a
-warning in its result when it does; ``versality_rank_oracle`` answers a
-bare bool and records none.  A float entry of a ``rank_of_rows`` row enters
-exactly, as ``Fraction(x)`` would.
+``versality_rank_test`` builds the probe's distance jet and its family as
+integers off the distance base and calls both kernels, so it builds no
+``Fraction``.  Float inputs to ``split_and_type``,
+``versality_rank_oracle`` and the rank test are rationalized (denominators
+up to 10**6).  ``split_and_type`` records a warning in its result when it
+does; the others answer a bare bool and record none.  A float entry of a
+``rank_of_rows`` row enters exactly, as ``Fraction(x)`` would.
 """
 
 from __future__ import annotations
@@ -75,6 +83,8 @@ def split_and_type(f, order=6):
     degree 3 on is stored as a jet in v.  Its lowest degree m gives A_{m-1};
     a zero residual up to ``order`` is MoreDegenerate.  ``order`` (and the
     jet's own order) must be at least 2, or the Hessian would be cut off.
+    The jet's terms up to ``order`` are cleared to integers and typed by
+    ``integer_split``; only the residual is divided back.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 2:
         raise UsageError("split order must be an integer of at least 2, got %r" % (order,))
@@ -86,22 +96,37 @@ def split_and_type(f, order=6):
             "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR
         )
         f = f.to_exact(RATIONALIZE_DENOMINATOR)
-    if f.order < order:
-        order = f.order
-    elif f.order > order:
-        f = f.truncate(order)
-    if f.coeff(1, 0) != 0 or f.coeff(0, 1) != 0:
-        raise UsageError("split_and_type requires a critical point at the origin")
+    order = min(order, f.order)
+    coeffs, den = cleared({k: c for k, c in f.coeffs.items() if k[0] + k[1] <= order})
+    typ, curve = integer_split(coeffs, order)
+    typ.warnings = warnings
+    if curve is not None:
+        g, scale = curve
+        den *= scale
+        typ.residual = Jet2._trusted(
+            order, {(0, j): Fraction(g[j], den) for j in range(3, order + 1) if g[j]}
+        )
+    return typ
 
-    c20, c11, c02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
-    det = 4 * c20 * c02 - c11 * c11
-    if det != 0:
-        return SingularityType("A", 1, corank=0, warnings=warnings)
+
+def integer_split(f, order):
+    """(type, curve) of the critical jet whose terms of degree <= ``order``
+    are the integers ``f`` ({(i, j): int}, any nonzero multiple of the jet).
+
+    The kernel of ``split_and_type``, without its residual: for corank 1,
+    ``curve`` is (g, scale), the residual's coefficient of v^j being
+    g[j] / scale times the jet's own scale; otherwise it is None.  No
+    decision depends on the scale of f.
+    """
+    if f.get((1, 0)) or f.get((0, 1)):
+        raise UsageError("split_and_type requires a critical point at the origin")
+    c20, c11, c02 = f.get((2, 0), 0), f.get((1, 1), 0), f.get((0, 2), 0)
+    if 4 * c20 * c02 - c11 * c11 != 0:
+        return SingularityType("A", 1, corank=0), None
 
     if c20 == 0 and c02 == 0 and c11 == 0:
         # corank 2: type by the binary cubic discriminant
-        a, b = f.coeff(3, 0), f.coeff(2, 1)
-        c, d = f.coeff(1, 2), f.coeff(0, 3)
+        a, b, c, d = (f.get((3 - i, i), 0) for i in range(4))
         disc = (
             18 * a * b * c * d
             - 4 * b**3 * d
@@ -109,21 +134,15 @@ def split_and_type(f, order=6):
             - 4 * a * c**3
             - 27 * a**2 * d**2
         )
-        if disc != 0:
-            return SingularityType("D4", corank=2, warnings=warnings)
-        return SingularityType("MoreDegenerate", corank=2, warnings=warnings)
+        return SingularityType("D4" if disc != 0 else "MoreDegenerate", corank=2), None
 
     # corank 1: solve for the variable whose square survives in the Hessian
     # (c20 == 0 forces c11 == 0 and c02 != 0 here)
-    g = critical_curve_restriction(f, "u" if c20 != 0 else "v")
-    # nonzero Fractions of degree <= order: nothing for the constructor to check
-    residual = Jet2._trusted(order, {(0, j): g[j] for j in range(3, order + 1) if g[j]})
-    if residual.is_zero():
-        return SingularityType(
-            "MoreDegenerate", corank=1, residual=residual, warnings=warnings
-        )
-    m = min(j for (_, j) in residual.coeffs)
-    return SingularityType("A", m - 1, corank=1, residual=residual, warnings=warnings)
+    g, scale = _restriction(f, order, "u" if c20 != 0 else "v", True)
+    m = next((j for j in range(3, order + 1) if g[j]), None)
+    if m is None:
+        return SingularityType("MoreDegenerate", corank=1), (g, scale)
+    return SingularityType("A", m - 1, corank=1), (g, scale)
 
 
 def _mul_series(a, b, n):
@@ -178,10 +197,23 @@ def critical_curve_restriction(f, solve_for="u"):
         raise UsageError("solve_for must be 'u' or 'v'")
     if not f.coeff(*((2, 0) if solve_for == "u" else (0, 2))):
         raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
-    order = f.order
-    exact = f.mode == EXACT
-    # D f has the critical curve of f; floats keep D = 1
-    coeffs, den = cleared(f.coeffs) if exact else (f.coeffs, 1)
+    if f.mode != EXACT:
+        return [c or 0.0 for c in _restriction(f.coeffs, f.order, solve_for, False)[0]]
+    # D f has the critical curve of f
+    coeffs, den = cleared(f.coeffs)
+    g, scale = _restriction(coeffs, f.order, solve_for, True)
+    den *= scale
+    return [Fraction(c, den) for c in g]
+
+
+def _restriction(coeffs, order, solve_for, exact):
+    """(g, scale): the critical-curve restriction of the jet with
+    coefficients ``coeffs`` (degree <= ``order``) is g / scale.
+
+    Exact coefficients must be ints: the curve is kept as integer numerators
+    psi over one denominator q, and scale = q^top.  Float coefficients run
+    the same steps with q = scale = 1.
+    """
     # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
     rows = [[0] * (order + 1) for _ in range(order + 1)]
     for (i, j), c in coeffs.items():
@@ -211,10 +243,7 @@ def critical_curve_restriction(f, solve_for="u"):
             q *= step
         psi[k] = num * (q // d)
     acc, top = _horner(rows, psi, q, order)
-    if exact:
-        den *= q**top
-        return [Fraction(c, den) for c in acc]
-    return [c or 0.0 for c in acc]
+    return acc, q**top
 
 
 # ---------------------------------------------------------------------------
@@ -222,44 +251,35 @@ def critical_curve_restriction(f, solve_for="u"):
 # ---------------------------------------------------------------------------
 
 
-def _monomials_upto(order):
-    return [(i, j) for d in range(order + 1) for i in range(d, -1, -1) for j in [d - i]]
+def rationalized(coeffs):
+    """{key: int} over one denominator for a dict of floats, each first
+    rationalized with denominator at most ``RATIONALIZE_DENOMINATOR``."""
+    return cleared(
+        {k: Fraction(c).limit_denominator(RATIONALIZE_DENOMINATOR) for k, c in coeffs.items()}
+    )[0]
 
 
 def _cleared_terms(jet, top):
     """The jet's terms of degree <= ``top``, exact and cleared to ints."""
-    coeffs = jet.to_exact(RATIONALIZE_DENOMINATOR).coeffs
-    return cleared({k: c for k, c in coeffs.items() if k[0] + k[1] <= top})[0]
+    coeffs = {k: c for k, c in jet.coeffs.items() if k[0] + k[1] <= top}
+    if jet.mode != EXACT:
+        return rationalized(coeffs)
+    return cleared(coeffs)[0]
 
 
-def _row(coeffs, basis_index, order, shift=(0, 0)):
-    """Sparse row {basis column: coefficient} of t^shift * sum(coeffs)."""
-    si, sj = shift
-    return {
-        basis_index[(i + si, j + sj)]: c
-        for (i, j), c in coeffs.items()
-        if i + j + si + sj <= order
-    }
+def _eliminate(rows, columns=None):
+    """Rank of sparse integer rows {column: nonzero int}, consumed in order.
 
-
-def rank_of_rows(rows):
-    """Rank of a list of row vectors by fraction-free elimination.
-
-    Rows may be dense sequences or sparse {column: value} dicts of ints,
-    Fractions or floats (a float enters exactly, as ``Fraction(x)`` would).
-    A row of ints enters as it is; any other row is scaled to integers by
-    the lcm of its denominators.  Each row is reduced against the pivot rows
-    found so far, always at its lowest nonzero column, as b * row - a * pivot
-    with a / b the lowest-terms ratio of the two leading entries.  A row
-    that does not reduce to zero becomes the pivot row of that column,
-    divided by the gcd of its entries.
+    Each row is reduced against the pivot rows found so far, always at its
+    lowest nonzero column, as b * row - a * pivot with a / b the lowest-terms
+    ratio of the two leading entries.  A row that does not reduce to zero
+    becomes the pivot row of that column, divided by the gcd of its entries.
+    With ``columns`` given, the rows span at most that many columns, and
+    the elimination stops once each of them has a pivot.  The rows are
+    reduced in place.
     """
     pivots = {}
-    for r in rows:
-        row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
-        # a row of ints is already cleared
-        if not all(type(x) is int for x in row.values()):
-            row, _ = cleared(row)
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -268,6 +288,8 @@ def rank_of_rows(rows):
                 if g != 1:
                     row = {c: x // g for c, x in row.items()}
                 pivots[col] = (row.pop(col), row)
+                if len(pivots) == columns:
+                    return columns
                 break
             lead, rest = pivot
             a = row.pop(col)
@@ -284,6 +306,68 @@ def rank_of_rows(rows):
     return len(pivots)
 
 
+def rank_of_rows(rows):
+    """Rank of a list of row vectors by fraction-free elimination.
+
+    Rows may be dense sequences or sparse {column: value} dicts of ints,
+    Fractions or floats (a float enters exactly, as ``Fraction(x)`` would).
+    A row of ints enters as it is; any other row is scaled to integers by
+    the lcm of its denominators.  The rows are then eliminated as the
+    versality kernel eliminates its own (``_eliminate``); the input rows
+    are left unchanged.
+    """
+    def integer_rows():
+        for r in rows:
+            row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+            # a row of ints is already cleared
+            if not all(type(x) is int for x in row.values()):
+                row, _ = cleared(row)
+            yield row
+
+    return _eliminate(integer_rows())
+
+
+def integer_versality(f, family, flavor, order):
+    """True iff the rows of the unfolding span the jet space at ``order``.
+
+    The kernel of ``versality_rank_oracle``: ``f`` and each jet of
+    ``family`` are {(i, j): int} coefficient dicts, each any nonzero
+    multiple of the jet it stands for (scaling a generator changes no
+    rank), and terms above the order a row reads are ignored.  The column
+    of the monomial u^i v^j is idx(i, j) = d (d + 1) / 2 + j with d = i + j,
+    so the shift of a generator by u^a v^b adds a + b to the degree and b
+    to j.  The rows are built one at a time, in the order module rows
+    (generator by generator, shifts by degree), family rows, then the R+
+    constant row, and elimination stops at full rank.
+    """
+    tri = [d * (d + 1) // 2 for d in range(order + 2)]
+    columns = tri[order + 1]
+    # generators as (degree, j, coefficient) terms
+    gens = [
+        [(i + j - 1, j, i * c) for (i, j), c in f.items() if i and i + j <= order + 1],
+        [(i + j - 1, j - 1, j * c) for (i, j), c in f.items() if j and i + j <= order + 1],
+    ]
+    if flavor == K_EQUIV:
+        gens.append([(i + j, j, c) for (i, j), c in f.items() if 0 < i + j <= order])
+
+    def rows():
+        for gen in gens:
+            for shift in range(order + 1):
+                # the terms a shift of this degree keeps within the order
+                terms = [(tri[e + shift] + j, c) for e, j, c in gen if e + shift <= order]
+                if terms:
+                    for b in range(shift + 1):
+                        yield {col + b: c for col, c in terms}
+        for jet in family:
+            row = {tri[i + j] + j: c for (i, j), c in jet.items() if i + j <= order}
+            if row:
+                yield row
+        if flavor == R_PLUS:
+            yield {0: 1}
+
+    return _eliminate(rows(), columns) == columns
+
+
 def versality_rank_oracle(family_jets, function_jet, flavor, order):
     """True iff the family spans the jet space at the given order.
 
@@ -293,9 +377,9 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
     function; flavor "k" adjoins the function (value-normalized) to the
     module and drops the constants.  The row of a module element
     t^m * gen is gen's coefficients shifted by the exponent m.  Only the
-    terms of f up to degree order + 1 reach a row, and f and each family
-    jet are cleared to integers once; the module is unchanged by scaling
-    its generators.
+    terms of f up to degree order + 1 reach a row; they and each family
+    jet's terms up to the order are cleared to integers once (a float jet
+    is rationalized first) and handed to ``integer_versality``.
     """
     if flavor not in (R_PLUS, K_EQUIV):
         raise UsageError("flavor must be %r or %r" % (R_PLUS, K_EQUIV))
@@ -311,21 +395,9 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
             raise UsageError(
                 "family jet order %d below the requested rank order %d" % (jet.order, order)
             )
-    f = _cleared_terms(function_jet, order + 1)
-    fam = [_cleared_terms(jet, order) for jet in family_jets]
-    basis = _monomials_upto(order)
-    basis_index = {m: idx for idx, m in enumerate(basis)}
-
-    module_gens = [
-        {(i - 1, j): i * c for (i, j), c in f.items() if i},
-        {(i, j - 1): j * c for (i, j), c in f.items() if j},
-    ]
-    if flavor == K_EQUIV:
-        module_gens.append({k: c for k, c in f.items() if k != (0, 0)})
-
-    # a shift that pushes every term of a generator above the order is a zero row
-    rows = [row for gen in module_gens for m in basis if (row := _row(gen, basis_index, order, m))]
-    rows.extend(_row(jet, basis_index, order) for jet in fam)
-    if flavor == R_PLUS:
-        rows.append({basis_index[(0, 0)]: 1})
-    return rank_of_rows(rows) == len(basis)
+    return integer_versality(
+        _cleared_terms(function_jet, order + 1),
+        [_cleared_terms(jet, order) for jet in family_jets],
+        flavor,
+        order,
+    )

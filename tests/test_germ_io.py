@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -10,9 +11,11 @@ import pytest
 from germforge.errors import ParseError, SchemaError, UsageError
 from germforge.germ_io import (
     MAX_ORDER,
+    GermSpec,
     emit_mesh,
     emit_report,
     expand_germ,
+    format_number,
     germ_spec_from_dict,
     load_germ,
     load_report,
@@ -21,6 +24,7 @@ from germforge.germ_io import (
     write_json,
 )
 from germforge.jets import EXACT, FLOAT, Jet2, scalar
+from germforge.pipeline import classify_spec
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
@@ -355,6 +359,21 @@ class TestGermFiles:
             germ_spec_from_dict(dict(self.GERM, order=MAX_ORDER + 1))
         assert str(exc.value) == "germ.order: order must be <= 20"
 
+    def test_expand_germ_checks_the_order_cap(self):
+        # a GermSpec built in code skips the file schema; order 30 would
+        # otherwise reduce for about a second in classify_spec
+        spec = GermSpec(("u", "v"), ("u + v^2 + u^3", "v^2 + u*v^2", "u^2*v + v^3"),
+                        30, EXACT, (), ())
+        for call in (lambda: expand_germ(spec), lambda: classify_spec(spec)):
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert str(exc.value) == "germ order must be an integer in 1..20, got 30"
+        for order in (0, MAX_ORDER + 1, True, 2.0):
+            with pytest.raises(UsageError, match="germ order must be an integer in 1..20"):
+                expand_germ(spec, order=order)
+        assert expand_germ(spec, order=MAX_ORDER).x.order == MAX_ORDER
+        assert classify_spec(dataclasses.replace(spec, order=3)).mond.label == "S1+"
+
     def test_nonvanishing_component_rejected(self):
         bad = dict(self.GERM, components=["u + 1", "v^2", "v^3"])
         with pytest.raises(SchemaError):
@@ -431,6 +450,22 @@ class TestGermFiles:
 
 
 class TestReports:
+    def test_format_number_strings(self):
+        # a float takes the first branch; every value keeps its old string
+        def old_format(x):
+            if isinstance(x, Fraction):
+                return str(x)
+            if isinstance(x, int):
+                return str(x)
+            return format(float(x), ".17g")
+
+        values = [0.1, -0.0, 1e300, -2.5e-310, 1 / 3, float("inf"), np.float64(0.1),
+                  np.float32(0.1), Fraction(1, 3), Fraction(-4), 7, 2**70, True]
+        for x in values:
+            assert format_number(x) == old_format(x), x
+        assert [format_number(x) for x in (0.1, np.float64(0.1), Fraction(1, 3), True)] == [
+            "0.10000000000000001", "0.10000000000000001", "1/3", "True"]
+
     def test_round_trip(self, tmp_path):
         report = {
             "class": {"label": "S1+", "k": "1"},

@@ -575,14 +575,15 @@ class TestVersalityMatchesReference:
             assert seen[case] >= 20, seen
 
     def test_distance_families(self):
-        # the rank test's own families at the rank order, exact and float
+        # the rank test's own integer jets and families at the rank order,
+        # exact and float, against the dense rows built from them as jets
         rng = random.Random(4157)
         calls = []
-        real = oracle.versality_rank_oracle
+        real = oracle.integer_versality
 
-        def recording(family, f, flavor, order):
-            calls.append((family, f, flavor, order))
-            return real(family, f, flavor, order)
+        def recording(f, family, flavor, order):
+            calls.append((f, family, flavor, order))
+            return real(f, family, flavor, order)
 
         seen = Counter()
         for n in range(80):
@@ -599,11 +600,16 @@ class TestVersalityMatchesReference:
             for flavor in (R_PLUS, K_EQUIV):
                 calls.clear()
                 with pytest.MonkeyPatch.context() as m:
-                    m.setattr(oracle, "versality_rank_oracle", recording)
+                    m.setattr(oracle, "integer_versality", recording)
                     got = distance.versality_rank_test(nf, p, flavor)
-                for family, f, fl, order in calls:
-                    assert [j.order for j in family] == [order] * 3
-                    assert ref_versality_rank_oracle(family, f, fl, order) == got
+                for f, family, fl, order in calls:
+                    assert len(family) == 3
+                    assert all(type(c) is int for jet in [f, *family] for c in jet.values())
+                    assert all(i + j <= order for jet in family for i, j in jet)
+                    jets = [Jet2(order, {k: Fraction(c) for k, c in jet.items()})
+                            for jet in family]
+                    f_jet = Jet2(distance._probe_order(nf), {k: Fraction(c) for k, c in f.items()})
+                    assert ref_versality_rank_oracle(jets, f_jet, fl, order) == got
                     seen[(fl, got)] += 1
         assert len(seen) == 4, seen
 
@@ -672,25 +678,24 @@ class TestIntegerKernels:
 
 
 # ---------------------------------------------------------------------------
-# The rank test on integer rows against the answers of clearing every row
+# The rank test on the distance base's integers against the jet route
 # ---------------------------------------------------------------------------
 
 
-def _as_fractions(row):
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: Fraction(x) for c, x in items}
-
-
-def cleared_rank_answers(nf, p):
-    """(split type, {flavor: answer}) of the rank test with the family built
-    as jet differences over a chain of jet sums, and every row cleared by the
-    elimination: the answers of the rank test before it read integer rows."""
+def jet_route_answers(nf, p, split=None, versality=None):
+    """(split type, {flavor: answer}) of the rank test with the distance jet
+    and the family built as chains of jet sums, typed by ``split``
+    (split_and_type) and handed to ``versality`` (versality_rank_oracle) as
+    jets: the answers of the rank test before it read the distance base's
+    integers."""
+    split = split or split_and_type
+    versality = versality or oracle.versality_rank_oracle
     p = p.as_mode(nf.mode)
     if not distance._zero_test(nf, p)(p.x0):
         return "Regular", {R_PLUS: True, K_EQUIV: True}
     probe_order = distance._probe_order(nf)
     d = sum_distance_jet(nf, p, probe_order)
-    typ = split_and_type(d, order=probe_order)
+    typ = split(d, probe_order)
     if typ.tag == "A":
         orders = {R_PLUS: None if typ.k >= 5 else typ.k + 1,
                   K_EQUIV: None if typ.k >= 4 else typ.k + 1}
@@ -699,19 +704,25 @@ def cleared_rank_answers(nf, p):
     else:
         orders = {R_PLUS: None, K_EQUIV: None}
     answers = {}
-    real = oracle.rank_of_rows
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "rank_of_rows", lambda rows: real([_as_fractions(r) for r in rows]))
-        for flavor, order in orders.items():
-            if order is None:
-                answers[flavor] = False
-                continue
-            comps = (Jet2.variable("u", order, nf.mode), nf.second_component(order),
-                     nf.third_component(order))
-            family = [Jet2.const(x, order, nf.mode) - comp
-                      for x, comp in zip((p.x0, p.y0, p.z0), comps)]
-            answers[flavor] = oracle.versality_rank_oracle(family, d, flavor, order)
+    for flavor, order in orders.items():
+        if order is None:
+            answers[flavor] = False
+            continue
+        comps = (Jet2.variable("u", order, nf.mode), nf.second_component(order),
+                 nf.third_component(order))
+        family = [Jet2.const(x, order, nf.mode) - comp
+                  for x, comp in zip((p.x0, p.y0, p.z0), comps)]
+        answers[flavor] = versality(family, d, flavor, order)
     return typ.label, answers
+
+
+def dense_route_answers(nf, p):
+    """The jet route on the test-local references: the shift-loop splitting
+    of the rationalized jet and the dense Fraction elimination."""
+    def split(d, order):
+        return ref_split_and_type(d.to_exact(RATIONALIZE_DENOMINATOR), order)
+
+    return jet_route_answers(nf, p, split, ref_versality_rank_oracle)
 
 
 FOCAL_KINDS = ("focal", "principal", "umbilic", "cubic", "quartic")
@@ -766,8 +777,10 @@ class TestRankOnIntegerRows:
                       for c in range(ncols)] for r in rows]
             assert rank_of_rows(rows) == ref_rank_of_rows(dense), rows
 
-    def test_every_oracle_call_is_counted(self, monkeypatch):
-        # the traced benchmark times the elimination through this attribute
+    def test_one_integer_pass_per_rank_test(self, monkeypatch):
+        # a rank test splits once and eliminates at most once, on the
+        # integer kernels, and reaches neither the jet-level entry points
+        # nor the distance jet
         calls = Counter()
 
         def counting(name, fn):
@@ -776,21 +789,30 @@ class TestRankOnIntegerRows:
                 return fn(*args)
             return wrapper
 
-        for name in ("rank_of_rows", "versality_rank_oracle"):
+        for name in ("integer_split", "integer_versality", "_eliminate", "rank_of_rows",
+                     "versality_rank_oracle", "split_and_type"):
             monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        monkeypatch.setattr(distance, "distance_jet",
+                            counting("distance_jet", distance.distance_jet))
+        singular = 0
         for nf, points in analysis_forms((1,)):
+            assert nf.mode == EXACT
             for point in points:
+                p = distance.ProbePoint(*point)
+                singular += 2 * (p.x0 == 0)
                 for flavor in (R_PLUS, K_EQUIV):
-                    distance.versality_rank_test(nf, distance.ProbePoint(*point), flavor)
-        assert calls["versality_rank_oracle"] > 0
-        assert calls["rank_of_rows"] == calls["versality_rank_oracle"]
+                    distance.versality_rank_test(nf, p, flavor)
+        assert calls["integer_split"] == singular > 0
+        assert calls["_eliminate"] == calls["integer_versality"] > 0
+        for name in ("rank_of_rows", "versality_rank_oracle", "split_and_type", "distance_jet"):
+            assert calls[name] == 0, name
 
     def test_answers_on_the_analysis_corpus(self):
         answers = Counter()
         for nf, points in analysis_forms():
             for point in points:
                 p = distance.ProbePoint(*point)
-                _, want = cleared_rank_answers(nf, p)
+                _, want = jet_route_answers(nf, p)
                 for flavor in (R_PLUS, K_EQUIV):
                     got = distance.versality_rank_test(nf, p, flavor)
                     assert got == want[flavor], (point, flavor)
@@ -802,7 +824,7 @@ class TestRankOnIntegerRows:
         types, answers = Counter(), Counter()
         for _ in range(400):
             for kind, nf, p in focal_probes(rng):
-                label, want = cleared_rank_answers(nf, p)
+                label, want = jet_route_answers(nf, p)
                 types[(kind, label)] += 1
                 for flavor in (R_PLUS, K_EQUIV):
                     got = distance.versality_rank_test(nf, p, flavor)
@@ -813,3 +835,139 @@ class TestRankOnIntegerRows:
                           ("cubic", "A3"), ("quartic", "A4")):
             assert types[(kind, typ)] > 0, types
         assert len(answers) == 4 and min(answers.values()) > 0, answers
+
+
+# ---------------------------------------------------------------------------
+# One integer pass per rank test: the rows it eliminates, on exact and float
+# forms, against dense Fraction elimination, the jet route and closed forms
+# ---------------------------------------------------------------------------
+
+
+def dense_rank(rows, columns):
+    """Rank of sparse integer rows by the dense Fraction elimination."""
+    return ref_rank_of_rows([[Fraction(r.get(c, 0)) for c in range(columns)] for r in rows])
+
+
+def with_rows(fn, *args):
+    """(fn(*args), [(rows, columns)]): copies of every row set fn handed to
+    the elimination, read to the end."""
+    seen = []
+    real = oracle._eliminate
+
+    def capturing(rows, columns=None):
+        rows = list(rows)
+        seen.append(([dict(r) for r in rows], columns))
+        return real(iter(rows), columns)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_eliminate", capturing)
+        return fn(*args), seen
+
+
+class TestIntegerPass:
+    # (kind, split label, R+, K) on the float forms of the first ten
+    # focal_probes(random.Random(79)), as the route that rationalized the
+    # float distance jet and family jets answered them
+    FLOAT_PINS = [
+        ("focal", "A2", True, True), ("principal", "A2", False, False),
+        ("umbilic", "D4", False, False), ("cubic", "A3", True, True),
+        ("quartic", "A4", True, False), ("focal", "A2", True, True),
+        ("principal", "A3", False, False), ("umbilic", "MoreDegenerate", False, False),
+        ("cubic", "A3", True, True), ("quartic", "A4", True, False),
+    ]
+
+    def test_focal_probes_against_dense_rows_and_closed_forms(self):
+        rng = random.Random(73)
+        seen, checked = Counter(), Counter()
+        for n in range(40):
+            for kind, nf, p in focal_probes(rng):
+                form = nf.to_float() if n % 2 else nf
+                verdict = distance.classify_distance(form, p)
+                closed = {R_PLUS: verdict.r_plus_versal, K_EQUIV: verdict.k_versal}
+                label, want = dense_route_answers(form, p)
+                for flavor in (R_PLUS, K_EQUIV):
+                    got, calls = with_rows(distance.versality_rank_test, form, p, flavor)
+                    for rows, columns in calls:
+                        assert (dense_rank(rows, columns) == columns) == got, (kind, p, flavor)
+                        checked[(kind, flavor)] += 1
+                    assert got == want[flavor] == closed[flavor], (kind, form.mode, p, flavor)
+                    seen[(form.mode, flavor, got)] += 1
+                seen[(kind, form.mode)] += 1
+        for kind in FOCAL_KINDS:
+            assert seen[(kind, EXACT)] and seen[(kind, FLOAT)], seen
+        assert all(seen[(mode, flavor, answer)] for mode in (EXACT, FLOAT)
+                   for flavor in (R_PLUS, K_EQUIV) for answer in (True, False)), seen
+        # the umbilic's K test and the principal normal's tests stop before a rank
+        assert all(checked[(kind, R_PLUS)] for kind in ("focal", "umbilic", "cubic")), checked
+
+    def test_float_answers_pinned(self):
+        rng = random.Random(79)
+        got = []
+        for _ in range(2):
+            for kind, nf, p in focal_probes(rng):
+                form = nf.to_float()
+                order = distance._probe_order(form)
+                label = split_and_type(distance.distance_jet(form, p, order), order).label
+                got.append((kind, label, distance.versality_rank_test(form, p, R_PLUS),
+                            distance.versality_rank_test(form, p, K_EQUIV)))
+                assert got[-1][1:] == (label, *jet_route_answers(form, p)[1].values())
+        assert got == self.FLOAT_PINS
+
+    def test_exact_rank_test_builds_no_fraction(self, monkeypatch):
+        rng = random.Random(83)
+        for _ in range(10):
+            for kind, nf, p in focal_probes(rng):
+                p = p.as_mode(EXACT)
+                nf.distance_base(distance._probe_order(nf))  # cached per form
+                for flavor in (R_PLUS, K_EQUIV):
+                    got, built = _fraction_constructions(
+                        monkeypatch, distance.versality_rank_test, nf, p, flavor)
+                    assert built == 0, (kind, flavor)
+        # the guard sees the Fractions of the jet route
+        _, built = _fraction_constructions(monkeypatch, jet_route_answers, nf, p)
+        assert built > 0
+
+
+class TestFullRankStop:
+    def test_deficient_rows_are_all_read(self):
+        # rank 3 over 4 columns: no stop, every row is reduced
+        rows = [{0: 2, 1: 1}, {1: 3, 3: 1}, {0: 2, 1: 4, 3: 1}, {2: 5}, {2: -10},
+                {0: 4, 1: 2}, {1: 6, 3: 2}]
+        read = []
+
+        def reading():
+            for r in rows:
+                read.append(r)
+                yield dict(r)
+
+        assert oracle._eliminate(reading(), 4) == 3 == dense_rank(rows, 4)
+        assert len(read) == len(rows)
+
+    def test_full_rank_stops_reading(self):
+        rows = [{2: 3}, {0: 1, 2: 7}, {1: 2, 2: 1}, {0: 5}, {1: 1}]
+        read = []
+
+        def reading():
+            for r in rows:
+                read.append(r)
+                yield dict(r)
+
+        assert oracle._eliminate(reading(), 3) == 3
+        assert len(read) == 3
+        assert oracle._eliminate((dict(r) for r in rows), None) == 3
+
+    def test_deficient_unfolding_is_not_versal(self):
+        # u^2 (1 + v) + v^5 (A4) is R+-versally unfolded by v, v^2, v^3 at
+        # order 5; without v^3 the rows outnumber the 21 columns but span 20
+        f = {(2, 0): 1, (2, 1): 1, (0, 5): 1}
+        family = [{(0, 1): 1}, {(0, 2): 1}, {(0, 3): 1}]
+        jets = [Jet2(5, {k: Fraction(c) for k, c in fam.items()}) for fam in family]
+        f_jet = Jet2(6, {k: Fraction(c) for k, c in f.items()})
+        assert oracle.integer_versality(f, family, R_PLUS, 5)
+        assert ref_versality_rank_oracle(jets, f_jet, R_PLUS, 5)
+        _, calls = with_rows(oracle.integer_versality, f, family[:2], R_PLUS, 5)
+        ((rows, columns),) = calls
+        assert len(rows) > columns == 21 and dense_rank(rows, columns) == 20
+        assert not oracle.integer_versality(f, family[:2], R_PLUS, 5)
+        assert not ref_versality_rank_oracle(jets[:2], f_jet, R_PLUS, 5)
+
