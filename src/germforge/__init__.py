@@ -59,7 +59,6 @@ from .normal_form import (
     TwoJetClass,
     corank_at_origin,
     reduce_to_normal_form,
-    two_jet_class,
 )
 from .oracle import (
     K_EQUIV,
@@ -110,6 +109,6 @@ __all__ = [
     "geometric_verdict", "load_germ", "parse_polynomial",
     "print_polynomial", "reduce_to_normal_form", "ridge_report",
     "series_columns", "singular_point_type", "split_and_type",
-    "surface_mesh", "theta_grid", "two_jet_class",
+    "surface_mesh", "theta_grid",
     "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]

@@ -43,7 +43,7 @@ from .errors import (
     PrincipalNormalDirectionError,
     UsageError,
 )
-from .jets import FLOAT, Jet2, is_zero
+from .jets import FLOAT, Jet2, is_zero, zero_scale
 from .mond import MondTag
 from .normal_form import NormalFormCoeffs
 
@@ -242,7 +242,7 @@ def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
             continue
         ce = i + j * n - cos_shift
         if k < 0 or ce < 0:
-            if not is_zero(coef, max(1.0, float(jet.max_abs()))):
+            if not is_zero(coef, zero_scale(jet.coeffs.values(), jet.mode), jet.mode):
                 raise InternalConsistencyError(
                     "pullback factor r^%d cos^%d does not divide the u^%d v^%d term"
                     % (r_shift, cos_shift, i, j)

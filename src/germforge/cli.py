@@ -44,7 +44,12 @@ def _build_parser():
     def common(p):
         p.add_argument("--input", required=True, help="germ JSON file")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--order", type=int, help="override the working jet order")
+        p.add_argument(
+            "--order", type=int,
+            help="replace the germ file's order; classification expands the germ "
+            "at max(ORDER, min(2*KMAX + 1, 20)), so a smaller ORDER changes only "
+            "the report's germ order and the mesh of a germ with no normal form",
+        )
         p.add_argument("--kmax", type=int, default=8, help="largest class index probed")
         p.add_argument(
             "--mode",
@@ -290,7 +295,6 @@ def _cmd_verify(args):
                     "pipeline": format_number(entry.pipeline),
                     "reference": format_number(entry.reference),
                     "delta": format_number(entry.delta),
-                    "suspected_typo": entry.suspected_typo,
                     "hard_mismatch": bad,
                 }
             )

@@ -170,7 +170,8 @@ class CrosscheckEntry:
     pipeline: float
     reference: float
     delta: float
-    # every entry is expected to match; kept for callers that filter on it
+    # always False: every entry is expected to match.  Only the benchmark's
+    # analysis check (perfbench/workloads.py, Analysis.check) reads it
     suspected_typo: bool = False
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, Jet2, cleared, is_zero, scalar
+from .jets import EXACT, FLOAT, Jet2, cleared, is_zero, scalar, zero_scale
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -62,7 +62,9 @@ class ProbePoint:
         )
 
     def scale(self):
-        return max(1.0, abs(float(self.x0)), abs(float(self.y0)), abs(float(self.z0)))
+        """The probe's size for a float zero test: its largest |coordinate|,
+        floored at 1 (``jets.zero_scale``)."""
+        return zero_scale((self.x0, self.y0, self.z0), FLOAT)
 
 
 @dataclass
@@ -90,12 +92,12 @@ class FocalLine:
     gamma: object
 
     def direction(self):
-        d = (float(self.beta), -float(self.alpha))
+        d = (scalar(self.beta, FLOAT), -scalar(self.alpha, FLOAT))
         norm = math.hypot(*d)
         return (d[0] / norm, d[1] / norm)
 
     def point(self):
-        if float(self.alpha) != 0.0:
+        if self.alpha != 0:
             return (self.gamma / self.alpha, 0 * self.beta)
         return (0 * self.alpha, self.gamma / self.beta)
 
@@ -116,10 +118,18 @@ class SingularPointType(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _sizes(nf, p):
+    """The sizes a distance zero test reads, made only when read: the
+    low-degree data actually used (``nf.distance_scale``) and the probe."""
+    yield nf.distance_scale
+    if p is not None:
+        yield p.scale()
+
+
 def _zero_test(nf, p):
-    """Threshold zero test scaled by the low-degree data actually used
-    (``nf.distance_scale``) and by the probe."""
-    scale = nf.distance_scale if p is None else max(nf.distance_scale, p.scale())
+    """Threshold zero test at the ``_sizes`` of ``nf`` and ``p``; an exact
+    form's test reads no scale, so it makes neither."""
+    scale = zero_scale(_sizes(nf, p), nf.mode)
     return lambda x: is_zero(x, scale, nf.mode)
 
 
@@ -174,7 +184,7 @@ def _integer_jet(nf, p, order):
     """The distance jet at ``order`` as {key: int}: 2 D dp^2 times it for an
     exact form, its rationalized coefficients over their lcm for a float one."""
     if nf.mode != EXACT:
-        return oracle.rationalized(distance_jet(nf, p, order).coeffs)
+        return oracle.rationalized(distance_jet(nf, p, order).coeffs)[0]
     out, sq, den, dp = _distance_numerators(nf, p, order)
     out = {key: 2 * dp * n for key, n in out.items()}
     if sq:
@@ -198,7 +208,7 @@ def _integer_family(nf, p, order, probe_order):
                 coeffs[key] = -c * dp
         family.append(coeffs)
     if nf.mode != EXACT:
-        return [oracle.rationalized(coeffs) for coeffs in family]
+        return [oracle.rationalized(coeffs)[0] for coeffs in family]
     return family
 
 

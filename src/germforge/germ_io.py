@@ -475,20 +475,6 @@ def emit_report(report, path_or_file):
     write_json(report, path_or_file)
 
 
-def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("report", "invalid JSON: %s" % exc)
-    if not isinstance(data, dict):
-        raise SchemaError("report", "expected a JSON object")
-    for key in REPORT_KEYS:
-        if key not in data:
-            raise SchemaError("report.%s" % key, "missing required field")
-    return data
-
-
 # Lines formatted per write: one % operation per block instead of per line,
 # with memory bounded by the block, not the mesh.
 _LINES_PER_WRITE = 1024

@@ -34,6 +34,20 @@ def is_zero(x, scale=1.0, mode=FLOAT):
     return abs(float(x)) <= FLOAT_ZERO_REL * scale
 
 
+def zero_scale(values, mode):
+    """The scale ``is_zero`` takes for a test in ``mode`` on data ``values``:
+    the one size rule of the zero tests that size by their input.
+
+    Float mode gives the largest |value|, floored at 1.  Exact mode gives 1
+    without iterating ``values``: an exact zero test never reads its scale,
+    so exact data pays for no size, and a caller whose sizes cost arithmetic
+    passes them lazily (a generator or a map).
+    """
+    if mode == EXACT:
+        return 1
+    return max(1.0, max(map(abs, values), default=1.0))
+
+
 def _as_exact(c):
     if isinstance(c, Fraction):
         return c
@@ -286,11 +300,6 @@ class Jet2:
     def is_zero(self):
         return not self.coeffs
 
-    def max_abs(self):
-        if not self.coeffs:
-            return 0
-        return max(map(abs, self.coeffs.values()))
-
     def constant_term(self):
         return self.coeff(0, 0)
 
@@ -420,17 +429,11 @@ class Jet2:
         return Jet2._trusted(new_order, dict(self.coeffs), self.mode)
 
     def to_float(self):
+        """The jet in float mode; the constructor converts each coefficient
+        as ``scalar`` does."""
         if self.mode == FLOAT:
             return self
-        return Jet2(self.order, {k: float(c) for k, c in self.coeffs.items()}, FLOAT)
-
-    def to_exact(self, max_denominator):
-        """The jet in exact mode, each float rationalized with denominator at
-        most ``max_denominator``."""
-        if self.mode == EXACT:
-            return self
-        out = {k: Fraction(c).limit_denominator(max_denominator) for k, c in self.coeffs.items()}
-        return Jet2(self.order, out, EXACT)
+        return Jet2(self.order, self.coeffs, FLOAT)
 
     def evaluate(self, u_val, v_val):
         """Evaluate as a polynomial; supports scalars and numpy arrays."""
@@ -445,18 +448,10 @@ class Jet2:
     # -- display -------------------------------------------------------
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], -k[0])):
-                c = self.coeffs[(i, j)]
-                mono = "*".join(
-                    ([f"u^{i}"] if i else []) + ([f"v^{j}"] if j else [])
-                ) or "1"
-                parts.append(f"{c}*{mono}")
-            body = " + ".join(parts)
-        return f"Jet2[{self.mode}, order={self.order}]({body})"
+        # germ_io imports this module, so its printer is imported here
+        from .germ_io import print_polynomial
+
+        return f"Jet2[{self.mode}, order={self.order}]({print_polynomial(self)})"
 
 
 class GermJets:

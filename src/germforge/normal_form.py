@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, GermJets, Jet2, cleared, is_zero, scalar
+from .jets import EXACT, FLOAT, GermJets, Jet2, cleared, is_zero, scalar, zero_scale
 
 
 class TwoJetClass(Enum):
@@ -66,9 +66,9 @@ class NormalFormCoeffs:
     def _degree_scales(self):
         top = [1.0] * (self.order + 1)
         for (i, j), c in self.a.items():
-            top[i + j] = max(top[i + j], abs(float(c)) / (math.factorial(i) * math.factorial(j)))
+            top[i + j] = max(top[i + j], abs(c) / (math.factorial(i) * math.factorial(j)))
         for i, c in self.b.items():
-            top[i] = max(top[i], abs(float(c)) / math.factorial(i))
+            top[i] = max(top[i], abs(c) / math.factorial(i))
         return list(itertools.accumulate(top, max))
 
     def degree_scale(self, d):
@@ -91,12 +91,8 @@ class NormalFormCoeffs:
         factorial-scaled coefficients mask the relevant quantities.
         """
         low = [1.0]
-        for (i, j), c in self.a.items():
-            if i + j <= 4:
-                low.append(abs(float(c)))
-        for i, c in self.b.items():
-            if i <= 4:
-                low.append(abs(float(c)))
+        low += [abs(c) for (i, j), c in self.a.items() if i + j <= 4]
+        low += [abs(c) for i, c in self.b.items() if i <= 4]
         return max(low)
 
     @functools.cached_property
@@ -131,8 +127,11 @@ class NormalFormCoeffs:
         return base
 
     def is_zero_a(self, i, j):
+        """Whether a_ij / (i! j!) is zero at ``degree_scale(i + j)``."""
         norm = math.factorial(i) * math.factorial(j)
-        return is_zero(self.a_(i, j) / norm, self.degree_scale(i + j), self.mode)
+        # lazy, so that an exact form, whose test reads no scale, builds none
+        scale = zero_scale(map(self.degree_scale, (i + j,)), self.mode)
+        return is_zero(self.a_(i, j) / norm, scale, self.mode)
 
     def second_component(self, order=None):
         order = self.order if order is None else order
@@ -166,8 +165,8 @@ class NormalFormCoeffs:
         return NormalFormCoeffs(
             self.order,
             FLOAT,
-            {k: float(c) for k, c in self.a.items()},
-            {k: float(c) for k, c in self.b.items()},
+            {k: scalar(c, FLOAT) for k, c in self.a.items()},
+            {k: scalar(c, FLOAT) for k, c in self.b.items()},
         )
 
 
@@ -206,7 +205,8 @@ def _kill(g, out, kills):
         if not residues:
             continue
         if scale is None:
-            scale = max(1.0, *(float(comp.max_abs()) for comp in g.components()))
+            scale = zero_scale((x for comp in g.components() for x in comp.coeffs.values()),
+                               out.mode)
         for (i, j), r in residues.items():
             if not is_zero(r, scale, out.mode):
                 raise InternalConsistencyError(
@@ -270,7 +270,7 @@ class TransformLog:
             if rn * rn == fx.numerator and rd * rd == fx.denominator:
                 return Fraction(rn, rd)
             self.mode_used = FLOAT
-        return math.sqrt(float(x))
+        return math.sqrt(scalar(x, FLOAT))
 
     def apply_rotation(self, g, matrix, kills):
         return self._apply(
@@ -295,12 +295,8 @@ class TransformLog:
 # ---------------------------------------------------------------------------
 
 
-def _scale_of(rows):
-    return max([1.0] + [abs(float(x)) for row in rows for x in row])
-
-
 def _matrix_rank_3x2(rows, mode):
-    scale = _scale_of(rows)
+    scale = zero_scale((x for row in rows for x in row), mode)
     minors = []
     for r1 in range(3):
         for r2 in range(r1 + 1, 3):
@@ -334,10 +330,9 @@ def _normalize_linear_part(g, log):
     rows = g.linear_part()
     col_u = [rows[i][0] for i in range(3)]
     col_v = [rows[i][1] for i in range(3)]
-    w = col_u if max(abs(float(c)) for c in col_u) >= max(
-        abs(float(c)) for c in col_v
-    ) else col_v
-    scale = _scale_of(rows)
+    w = col_u if max(map(abs, col_u)) >= max(map(abs, col_v)) else col_v
+    sizes = col_u + col_v  # the zero tests below are sized by the linear part
+    scale = zero_scale(sizes, g.mode)
     if not (is_zero(w[1], scale, g.mode) and is_zero(w[2], scale, g.mode)):
         norm = log.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
         wh = [scalar(c, log.mode_used) / norm for c in w]
@@ -365,7 +360,7 @@ def _normalize_linear_part(g, log):
     mode, order = g.mode, g.order
     l1, l2 = g.x.coeff(1, 0), g.x.coeff(0, 1)
     n2 = l1 * l1 + l2 * l2
-    if is_zero(n2, scale, mode):
+    if is_zero(n2, zero_scale(sizes, mode), mode):
         raise UsageError("vanishing differential of the first component")
     u_var = Jet2.variable("u", order, mode)
     v_var = Jet2.variable("v", order, mode)
@@ -395,7 +390,7 @@ def _two_jet_data(g):
 
 
 def _classify_two_jet(data, mode):
-    scale = max([1.0] + [abs(float(v)) for v in data.values()])
+    scale = zero_scale(data.values(), mode)
     det = data["b11"] * data["a02"] - data["b02"] * data["a11"]
     has_v2 = not all(is_zero(data[key], scale, mode) for key in ("a02", "b02"))
     has_uv = not all(is_zero(data[key], scale, mode) for key in ("a11", "b11"))
@@ -411,8 +406,8 @@ def _classify_two_jet(data, mode):
 class ReductionStart:
     """A corank-1 germ with its linear part normalized, and its two-jet.
 
-    The first step of both ``two_jet_class`` and ``reduce_to_normal_form``;
-    ``classify_germ`` makes it once and hands it to both readers.  (A plain
+    The first step of ``reduce_to_normal_form``; ``classify_germ`` makes it
+    once, reads its two-jet and hands it on.  (A plain
     class: a dataclass would add a millisecond to every CLI start.)
     """
 
@@ -425,13 +420,6 @@ class ReductionStart:
         self.g = _normalize_linear_part(g, self.log)
         self.data = _two_jet_data(self.g)
         self.two_jet = _classify_two_jet(self.data, self.log.mode_used)
-
-
-def two_jet_class(g):
-    """Two-jet type of a corank-1 germ (cf. TwoJetClass)."""
-    if corank_at_origin(g) != 1:
-        raise UsageError("two_jet_class requires a corank-1 germ")
-    return ReductionStart(g).two_jet
 
 
 def reduce_to_normal_form(g):
@@ -515,6 +503,6 @@ def _extract_coeffs(g):
 def _check_form(g):
     """The v^2 coefficient is 1/2.  The residual terms of y and z need no
     check: the steps that kill them zero them, or raise."""
-    scale = max(1.0, float(g.y.max_abs()))
+    scale = zero_scale(g.y.coeffs.values(), g.mode)
     if not is_zero(g.y.coeff(0, 2) - scalar(0.5, g.mode), scale, g.mode):
         raise UnsupportedGermError("reduction failed: v^2 coefficient is not 1/2")

@@ -36,9 +36,10 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
 ``versality_rank_test`` builds the probe's distance jet and its family as
 integers off the distance base and calls both kernels, so it builds no
 ``Fraction``.  Float inputs to ``split_and_type``,
-``versality_rank_oracle`` and the rank test are rationalized (denominators
-up to 10**6).  ``split_and_type`` records a warning in its result when it
-does; the others answer a bare bool and record none.  A float entry of a
+``versality_rank_oracle`` and the rank test are rationalized by
+``rationalized``, the one rationalizer (denominators up to 10**6).
+``split_and_type`` records a warning in its result when it does; the
+others answer a bare bool and record none.  A float entry of a
 ``rank_of_rows`` row enters exactly, as ``Fraction(x)`` would.
 """
 
@@ -83,7 +84,8 @@ def split_and_type(f, order=6):
     degree 3 on is stored as a jet in v.  Its lowest degree m gives A_{m-1};
     a zero residual up to ``order`` is MoreDegenerate.  ``order`` (and the
     jet's own order) must be at least 2, or the Hessian would be cut off.
-    The jet's terms up to ``order`` are cleared to integers and typed by
+    The jet's terms up to ``order`` are cleared to integers (``_cleared_terms``,
+    as ``versality_rank_oracle`` clears its jets) and typed by
     ``integer_split``; only the residual is divided back.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 2:
@@ -95,9 +97,8 @@ def split_and_type(f, order=6):
         warnings.append(
             "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR
         )
-        f = f.to_exact(RATIONALIZE_DENOMINATOR)
     order = min(order, f.order)
-    coeffs, den = cleared({k: c for k, c in f.coeffs.items() if k[0] + k[1] <= order})
+    coeffs, den = _cleared_terms(f, order)
     typ, curve = integer_split(coeffs, order)
     typ.warnings = warnings
     if curve is not None:
@@ -252,19 +253,21 @@ def _restriction(coeffs, order, solve_for, exact):
 
 
 def rationalized(coeffs):
-    """{key: int} over one denominator for a dict of floats, each first
-    rationalized with denominator at most ``RATIONALIZE_DENOMINATOR``."""
+    """({key: int}, D) for a dict of floats: each rationalized with
+    denominator at most ``RATIONALIZE_DENOMINATOR``, then put over their lcm
+    D.  The one way a float enters the exact oracles."""
     return cleared(
         {k: Fraction(c).limit_denominator(RATIONALIZE_DENOMINATOR) for k, c in coeffs.items()}
-    )[0]
+    )
 
 
 def _cleared_terms(jet, top):
-    """The jet's terms of degree <= ``top``, exact and cleared to ints."""
+    """({key: int}, D): the jet's terms of degree <= ``top`` as ints over
+    one denominator, a float jet rationalized first."""
     coeffs = {k: c for k, c in jet.coeffs.items() if k[0] + k[1] <= top}
     if jet.mode != EXACT:
         return rationalized(coeffs)
-    return cleared(coeffs)[0]
+    return cleared(coeffs)
 
 
 def _eliminate(rows, columns=None):
@@ -396,8 +399,8 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
                 "family jet order %d below the requested rank order %d" % (jet.order, order)
             )
     return integer_versality(
-        _cleared_terms(function_jet, order + 1),
-        [_cleared_terms(jet, order) for jet in family_jets],
+        _cleared_terms(function_jet, order + 1)[0],
+        [_cleared_terms(jet, order)[0] for jet in family_jets],
         flavor,
         order,
     )

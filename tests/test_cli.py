@@ -109,6 +109,14 @@ class TestClassify:
         assert code == 0, err
         assert json.loads(out)["germ"]["order"] == 1
 
+    def test_order_below_the_working_order_changes_only_the_germ_order(self, tmp_path, capsys):
+        path = write_germ(tmp_path, S1_GERM)
+        _, plain, _ = run(capsys, "classify", "--input", path)
+        _, low, _ = run(capsys, "classify", "--input", path, "--order", "5")
+        plain, low = json.loads(plain), json.loads(low)
+        assert (plain["germ"].pop("order"), low["germ"].pop("order")) == (6, 5)
+        assert low == plain and plain["normal_form"]["order"] == 17
+
 
 class TestGeometry:
     def test_sweep_has_samples(self, tmp_path, capsys):
@@ -411,6 +419,16 @@ class TestModeOverride:
 
 FLOAT_S1 = dict(S1_GERM, components=["u", "1/2*v^2", "u^2*v + v^3"], mode="float")
 
+# exact germs with a number beyond float range: the exact answers need no
+# float, and each float conversion ends in the typed float-range error
+EXACT_S1 = dict(S1_GERM, components=["u", "v^2/2", "u^2/2 + u^2*v + v^3"])
+G400 = dict(S1_GERM, components=["u", "v^2/2", "10^400*u^2/2 + u^2*v + v^3"],
+            probes=[[0, 1, 0], [1, 0, 0]])
+P400 = dict(EXACT_S1, probes=[[0, "1e400", 0], [0, 1, 1]])
+# the rotation stays exact, but scaling v^2 to 1/2 takes sqrt(2 * 10^401)
+G401 = dict(S1_GERM, components=["u", "10^401*v^2", "u^2*v + v^3"])
+FLOAT_RANGE = {"error": "float-mode numbers must lie within float range"}
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("germ, error", [
@@ -424,6 +442,7 @@ class TestNonFiniteInput:
          "germ.probes[0]: float-mode numbers must lie within float range"),
         (dict(S1_GERM, probes=[[0, "1/3", 1], [0, 2, "-1e400"]]),
          "germ.probes[1]: float-mode numbers must lie within float range"),
+        (G401, FLOAT_RANGE["error"]),
         (dict(FLOAT_S1, theta_lambda=[["x", 1]]),
          "germ.theta_lambda[0]: expected a finite number, got 'x'"),
         (dict(FLOAT_S1, theta_lambda=[[None, 1]]),
@@ -452,6 +471,38 @@ class TestNonFiniteInput:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": error}
+
+
+class TestBeyondFloatRange:
+    @pytest.mark.parametrize("germ, command, code", [
+        (G400, "classify", 0), (G400, "distance", 0), (G400, "focal", 1),
+        (G400, "geometry", 1), (G400, "mesh", 1),
+        (P400, "classify", 0), (P400, "distance", 0), (P400, "focal", 0),
+        (P400, "geometry", 0),
+    ])
+    def test_exits_with_an_answer_or_one_error_line(self, tmp_path, capsys, germ, command, code):
+        path = write_germ(tmp_path, germ)
+        argv = [command, "--input", path]
+        if command == "mesh":
+            argv += ["--output", str(tmp_path / "mesh.obj")]
+        got, out, err = run(capsys, *argv)
+        assert got == code and "Traceback" not in err
+        if code:
+            assert out == "" and err.count("\n") == 1 and json.loads(err) == FLOAT_RANGE
+        else:
+            report = json.loads(out)
+            assert err == "" and report["normal_form"]["mode"] == "exact"
+            assert report["class"]["label"] == "S1+"
+
+    def test_exact_distance_answers_beyond_float_range(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "distance", "--input", write_germ(tmp_path, P400))
+        probes = json.loads(out)["distance"]["probes"]
+        assert probes[0]["p0"] == ["0", str(10**400), "0"]
+        assert [p["sing_type"] for p in probes] == ["A1", "A3"]
+        _, out, _ = run(capsys, "distance", "--input", write_germ(tmp_path, G400))
+        report = json.loads(out)
+        assert report["normal_form"]["a"]["2,0"] == str(10**400)
+        assert [p["sing_type"] for p in report["distance"]["probes"]] == ["A1", "Regular"]
 
 
 @pytest.mark.parametrize("command", ["classify", "geometry", "distance", "focal", "mesh"])
@@ -494,7 +545,7 @@ PUBLIC_NAMES = [
     "geometric_verdict", "load_germ", "parse_polynomial",
     "print_polynomial", "reduce_to_normal_form", "ridge_report",
     "series_columns", "singular_point_type", "split_and_type",
-    "surface_mesh", "theta_grid", "two_jet_class",
+    "surface_mesh", "theta_grid",
     "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]
 HEAVY = ("numpy", "germforge.front", "germforge.closed_forms")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from germforge import distance
+from germforge import distance, mond
 from germforge.blowup import BlowupContext
 from germforge.distance import (
     Branch,
@@ -209,6 +209,18 @@ class TestDistanceBase:
             for p in _probe_kinds(rng, mode) + [None]:
                 scale = nf.distance_scale if p is None else max(nf.distance_scale, p.scale())
                 assert scale == ref_zero_test_scale(nf, p)
+
+    def test_only_float_forms_build_their_sizes(self):
+        rng = random.Random(47)
+        for idx in range(40):
+            mode = (EXACT, FLOAT)[idx % 2]
+            nf = _random_full_nf(rng, 6, mode)
+            for p in _probe_kinds(rng, mode):
+                classify_distance(nf, p)
+            focal_locus(nf)
+            mond.classify(nf)
+            built = {"distance_scale", "_degree_scales"} & set(vars(nf))
+            assert built == (set() if mode == EXACT else {"distance_scale", "_degree_scales"})
 
 
 class TestClassifyDistance:

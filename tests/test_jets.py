@@ -9,8 +9,13 @@ import pytest
 
 from germforge import blowup, front, jets
 from germforge.blowup import BlowupContext, PointType, k20_closed
+from germforge.distance import FocalLine
 from germforge.errors import HypothesisError, ModeMismatchError, UsageError
-from germforge.jets import EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar
+from germforge.germ_io import print_polynomial
+from germforge.jets import (
+    EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar, zero_scale,
+)
+from germforge.normal_form import TransformLog
 
 from conftest import make_nf, rand_jet
 
@@ -439,7 +444,7 @@ class TestFloatRunsTheExactArithmetic:
             for name, want in exact.items():
                 got = fl[name]
                 assert got.mode == FLOAT, name
-                top = float(want.max_abs())
+                top = max((abs(float(c)) for c in want.coeffs.values()), default=0)
                 for key in set(got.coeffs) | set(want.coeffs):
                     assert abs(got.coeff(*key) - float(want.coeff(*key))) <= 1e-12 * top, (
                         name, key)
@@ -503,6 +508,18 @@ class TestIsZero:
         assert is_zero(Fraction(1, 10**30))
         assert is_zero(5e-10)
         assert not is_zero(2e-9)
+
+    def test_zero_scale_is_the_largest_float_floored_at_one(self):
+        assert zero_scale([0.5, -3.0, 2.0], FLOAT) == 3.0
+        assert zero_scale([0.5, -0.25], FLOAT) == zero_scale([], FLOAT) == 1.0
+
+    def test_zero_scale_reads_no_exact_value(self):
+        def sizes():
+            raise AssertionError("an exact zero test computed a size")
+            yield
+
+        assert zero_scale(sizes(), EXACT) == 1
+        assert zero_scale([Fraction(10**400)], EXACT) == 1
 
 
 # The local zero tests and k10 scales that is_zero and RidgeReport.k10_scale
@@ -915,6 +932,73 @@ def _mode_forks(source):
                 forks.append(node.lineno)
                 break
     return forks
+
+
+def _float_calls(source):
+    """(enclosing function, argument) of every float() call in a module."""
+    calls = []
+
+    def walk(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"):
+            calls.append((func, ast.unparse(node.args[0]) if node.args else ""))
+        for child in ast.iter_child_nodes(node):
+            walk(child, func)
+
+    walk(ast.parse(source), None)
+    return calls
+
+
+class TestOneFloatConversion:
+    """A mode value becomes a float through jets.scalar (or the float Jet2
+    constructor, which runs the same check); germ_io reads and formats
+    numbers, and a factorial is an int."""
+
+    OWNERS = {"jets": {"is_zero", "_as_float"},
+              "germ_io": {"_number", "format_number", "read_number", "_parse_scalar"}}
+
+    def test_float_is_called_by_its_owners_and_on_factorials_only(self):
+        stray = []
+        for path in sorted(SRC.glob("*.py")):
+            for func, arg in _float_calls(path.read_text()):
+                owned = func in self.OWNERS.get(path.stem, ())
+                if not owned and not arg.startswith("math.factorial("):
+                    stray.append((path.stem, func, arg))
+        assert stray == []
+
+    def test_guard_sees_a_stray_call(self):
+        source = ("def to_float(nf):\n    return {k: float(c) for k, c in nf.a.items()}\n"
+                  "def fact(n):\n    return float(math.factorial(n))\n")
+        assert _float_calls(source) == [("to_float", "c"), ("fact", "math.factorial(n)")]
+
+    def test_conversions_beyond_float_range_are_usage_errors(self):
+        big = 10**400
+        conversions = [
+            lambda: Jet2(2, {(1, 0): 1, (2, 0): big}).to_float(),
+            lambda: make_nf(4, EXACT, {(2, 0): big}).to_float(),
+            lambda: TransformLog().sqrt(2 * big),
+            lambda: FocalLine(big, 1, 1).direction(),
+        ]
+        for convert in conversions:
+            with pytest.raises(UsageError, match="float range"):
+                convert()
+
+    def test_focal_point_compares_alpha_as_it_is(self):
+        tiny = Fraction(1, 10**400)  # 0.0 as a float
+        assert FocalLine(tiny, 1, 1).point() == (10**400, 0)
+
+
+class TestRepr:
+    def test_repr_prints_the_body_with_print_polynomial(self):
+        rng = random.Random(7)
+        for mode in (EXACT, FLOAT):
+            for j in (rand_jet(rng, 4, mode), Jet2.zero(3, mode), Jet2.const(-2, 2, mode)):
+                text = repr(j)
+                assert text == "Jet2[%s, order=%d](%s)" % (mode, j.order, print_polynomial(j))
+        assert repr(Jet2(3, {(0, 0): 1, (2, 1): Fraction(-3, 2), (0, 1): 1})) == (
+            "Jet2[exact, order=3](1 + v - 3/2*u^2*v)")
 
 
 class TestOneScalarMode:

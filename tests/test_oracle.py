@@ -191,11 +191,19 @@ class TestRank:
         ]
         assert versality_rank_oracle(fam, f, R_PLUS, 2)
 
+    def test_one_rationalizer_gives_ints_and_their_denominator(self):
+        coeffs = {(2, 0): 0.5, (0, 2): 1 / 3, (1, 2): -2.0, (3, 0): 1e-9}
+        ints, den = oracle.rationalized(coeffs)
+        assert all(type(n) is int for n in ints.values())
+        want = exact_jet(Jet2(3, coeffs, FLOAT)).coeffs
+        assert {k: Fraction(n, den) for k, n in ints.items()} == want
+        assert den == 6 and (3, 0) not in ints
+
     def test_only_the_split_records_the_rationalization(self):
         f = Jet2(6, {(2, 0): 0.5, (0, 2): 0.1}, "float")
         assert split_and_type(f).warnings == [
             "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR]
-        assert split_and_type(f.to_exact(RATIONALIZE_DENOMINATOR)).warnings == []
+        assert split_and_type(exact_jet(f)).warnings == []
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,13 @@ class TestSplittingKernelMatchesReference:
             assert (got.tag, got.k, got.corank, got.residual) == (
                 want.tag, want.k, want.corank, want.residual
             ), f
+            if n % 4 == 0:
+                # a float jet is typed as its rationalization
+                g = f.to_float()
+                got, want = split_and_type(g, order), ref_split_and_type(exact_jet(g), order)
+                assert (got.tag, got.k, got.corank, got.residual) == (
+                    want.tag, want.k, want.corank, want.residual
+                ), g
             c20, c11, c02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
             if want.corank == 1:
                 seen["swap" if c20 == 0 else "rank1-with-cross-term" if c11 else "diagonal"] += 1
@@ -460,6 +475,16 @@ class TestNonlinearInvariance:
         assert (t.tag, t.k) == expected
 
 
+def exact_jet(jet):
+    """The jet in exact mode, each float coefficient rationalized with
+    denominator at most RATIONALIZE_DENOMINATOR (the test-local reference
+    of the oracles' rationalization)."""
+    if jet.mode == EXACT:
+        return jet
+    return Jet2(jet.order, {k: Fraction(c).limit_denominator(RATIONALIZE_DENOMINATOR)
+                            for k, c in jet.coeffs.items()})
+
+
 # ---------------------------------------------------------------------------
 # The integer kernels against their Fraction references
 # ---------------------------------------------------------------------------
@@ -468,10 +493,7 @@ class TestNonlinearInvariance:
 def ref_versality_rank_oracle(family_jets, function_jet, flavor, order):
     """Every shifted row of the whole function jet's partials, in Fractions,
     eliminated densely."""
-    def exact(jet):
-        return jet.to_exact(RATIONALIZE_DENOMINATOR)
-
-    f = exact(function_jet)
+    f = exact_jet(function_jet)
     basis = [(i, d - i) for d in range(order + 1) for i in range(d, -1, -1)]
     index = {m: n for n, m in enumerate(basis)}
 
@@ -486,7 +508,7 @@ def ref_versality_rank_oracle(family_jets, function_jet, flavor, order):
     if flavor == K_EQUIV:
         gens.append({k: c for k, c in f.coeffs.items() if k != (0, 0)})
     rows = [row(gen, *m) for gen in gens for m in basis]
-    rows += [row(exact(jet).coeffs) for jet in family_jets]
+    rows += [row(exact_jet(jet).coeffs) for jet in family_jets]
     if flavor == R_PLUS:
         rows.append(row({(0, 0): Fraction(1)}))
     return ref_rank_of_rows(rows) == len(basis)
@@ -720,7 +742,7 @@ def dense_route_answers(nf, p):
     """The jet route on the test-local references: the shift-loop splitting
     of the rationalized jet and the dense Fraction elimination."""
     def split(d, order):
-        return ref_split_and_type(d.to_exact(RATIONALIZE_DENOMINATOR), order)
+        return ref_split_and_type(exact_jet(d), order)
 
     return jet_route_answers(nf, p, split, ref_versality_rank_oracle)
 
