@@ -24,6 +24,7 @@ NR = (a04 a20 - 3 a12^2) z0^2 - (a04 + 3 a20) z0 + 3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -92,7 +93,15 @@ class FocalLine:
     gamma: object
 
     def direction(self):
-        d = (scalar(self.beta, FLOAT), -scalar(self.alpha, FLOAT))
+        """(beta, -alpha) as a unit vector.  A pair that float conversion
+        would take out of range is first scaled by a power of two, exactly."""
+        alpha, beta = self.alpha, self.beta
+        top = max(abs(alpha), abs(beta))
+        if top and not sys.float_info.min <= top <= sys.float_info.max:
+            top = scalar(top, EXACT)
+            s = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+            alpha, beta = scalar(alpha, EXACT) * s, scalar(beta, EXACT) * s
+        d = (scalar(beta, FLOAT), -scalar(alpha, FLOAT))
         norm = math.hypot(*d)
         return (d[0] / norm, d[1] / norm)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
 from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, scalar
@@ -458,9 +459,50 @@ def load_germ(path):
 REPORT_KEYS = ("class", "normal_form", "geometry", "distance", "focal_locus", "warnings")
 
 
+def _encode(value, out, pad):
+    """Append to the list ``out`` the text of ``value`` that
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes at indent ``pad``.
+
+    Strings, None, booleans and ints are written here, dicts and lists
+    (tuples too) term by term; any other value goes through ``json.dumps``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            key = key if isinstance(key, str) else json.dumps(key)
+            out.extend((sep, encode_basestring_ascii(key), ": "))
+            _encode(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]" if value else "[]")
+    else:
+        out.append(json.dumps(value))
+
+
 def write_json(doc, path_or_file):
     """Write ``doc`` as deterministic JSON (sorted keys, indent 2, final newline)."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = []
+    _encode(doc, out, "")
+    out.append("\n")
+    text = "".join(out)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

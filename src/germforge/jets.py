@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ModeMismatchError, UsageError
 
@@ -198,32 +199,70 @@ def _power(a, n, order, mode):
     return result
 
 
-def _nth(pows, n):
-    """Entry n of the powers [1, x, x^2, ...], extended by repeated products."""
-    while len(pows) <= n:
-        pows.append(pows[-1] * pows[1])
-    return pows[n]
+def _geometric(x, n):
+    """[1, x, x^2, ..., x^n], each the one before times x, as the power
+    chain of a one-term substitution forms them."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _by_u(coeffs):
+    """``coeffs`` with its keys grouped by the power of u, in the order of
+    each group's first key, as the rows of a substitution group them."""
+    rows = {}
+    for key, c in coeffs.items():
+        rows.setdefault(key[0], {})[key] = c
+    return {k: c for row in rows.values() for k, c in row.items()}
+
+
+# a coefficient dict as (numerators, common denominator), and a numerator
+# and denominator as a coefficient: exact jets compose on integers, float
+# jets on their own values over denominator 1
+_SPLIT = {EXACT: cleared, FLOAT: lambda coeffs: (coeffs, 1)}
+_JOIN = {EXACT: Fraction, FLOAT: float.__truediv__}
 
 
 class _Powers:
-    """The powers of one substitution (u, v) -> (u_new, v_new).
+    """The powers of one substitution (u, v) -> (u_new, v_new), on the
+    numerators U = Du * u_new and V = Dv * v_new (``_SPLIT``), and the powers
+    of Du and Dv.
 
     Built on demand, in the order repeated products give them, and shared
     by every jet composed in the step.  An unchanged coordinate (u_new is u,
     v_new is v) never extends its list: its powers are monomials with
-    coefficient 1, applied as exponent shifts.
+    coefficient 1, applied as exponent shifts.  A diagonal step (u_new = a u,
+    v_new = b v) builds no jet power: ``u`` and ``v`` hold the powers of the
+    numbers a and b.
     """
 
-    __slots__ = ("u_fixed", "v_fixed", "u", "v")
+    __slots__ = ("order", "mode", "u_fixed", "v_fixed", "diagonal", "u", "v", "du", "dv")
 
     def __init__(self, u_new, v_new):
-        if u_new.constant_term() or v_new.constant_term():
+        if (0, 0) in u_new.coeffs or (0, 0) in v_new.coeffs:
             raise UsageError("substitution expressions must have zero constant term")
+        order = self.order = u_new.order
+        self.mode = u_new.mode
         self.u_fixed = u_new.coeffs == {(1, 0): 1}
         self.v_fixed = v_new.coeffs == {(0, 1): 1}
-        one = Jet2.const(1, u_new.order, u_new.mode)
-        self.u = [one, u_new]
-        self.v = [one, v_new]
+        self.diagonal = u_new.coeffs.keys() == {(1, 0)} and v_new.coeffs.keys() == {(0, 1)}
+        if self.diagonal:  # the powers of a and b; an unchanged coordinate's go unread
+            self.u = None if self.u_fixed else _geometric(u_new.coeffs[(1, 0)], order)
+            self.v = None if self.v_fixed else _geometric(v_new.coeffs[(0, 1)], order)
+            return
+        split = _SPLIT[self.mode]
+        u, du = split(u_new.coeffs)
+        v, dv = split(v_new.coeffs)
+        self.u, self.v = [{(0, 0): 1}, u], [{(0, 0): 1}, v]
+        self.du, self.dv = _geometric(du, order), _geometric(dv, order)
+
+    def upto(self, pows, n):
+        """``pows`` (``self.u`` or ``self.v``) through entry n, extended by
+        the products pows[k - 1] * pows[1]."""
+        while len(pows) <= n:
+            pows.append(_product(pows[-1], pows[1], self.order, self.mode))
+        return pows
 
 
 class Jet2:
@@ -277,7 +316,7 @@ class Jet2:
 
     @classmethod
     def zero(cls, order, mode=EXACT):
-        return cls(order, {}, mode)
+        return cls.const(0, order, mode)
 
     @classmethod
     def const(cls, value, order, mode=EXACT):
@@ -377,37 +416,73 @@ class Jet2:
         return Jet2(new_order, out, self.mode)
 
     def substitute(self, u_new, v_new):
-        """Compose with (u, v) -> (u_new, v_new); both must vanish at 0.
-
-        The powers of u_new and v_new come from one ``_Powers`` per step,
-        which ``GermJets.substitute`` shares among its three components.  A
-        coordinate left unchanged (u_new is u, or v_new is v) builds no
-        powers: u^i and v^j are exponent shifts.  The terms are grouped by
-        the power of u, so there is one jet product per power of u (none
-        when u is unchanged).
-        """
+        """Compose with (u, v) -> (u_new, v_new); both must vanish at 0."""
         self._check_compatible(u_new)
         self._check_compatible(v_new)
         return self._compose(_Powers(u_new, v_new))
 
     def _compose(self, powers):
+        """The jet at (u_new, v_new), with the powers of one ``_Powers``.
+
+        With c_ij = n_ij / D, u_new = U / Du and v_new = V / Dv, the jet is
+        sum_ij n_ij Du^(I-i) Dv^(J-j) U^i V^j over D Du^I Dv^J (I and J the
+        jet's top powers of u and v): one pass on numerators, and one
+        division per output coefficient.  The terms are summed in rows, one
+        per power of u (sum_j c_ij v_new^j, then times u_new^i), in the
+        order of the jet's keys.  Every partial sum is the rational one
+        times the positive denominator, so it cancels, and drops its key,
+        where the rational sum does.  A row term that u^i would push past
+        the order is never formed.  A diagonal step scales c_ij by a^i b^j,
+        keys grouped by the power of u as the rows group them, and the
+        identity only groups them.  Float jets run the same loop over
+        denominator 1.
+        """
         order, mode = self.order, self.mode
+        if powers.diagonal:
+            acc = _by_u(self.coeffs)
+            if not powers.v_fixed:
+                acc = {(i, j): c * powers.v[j] for (i, j), c in acc.items()}
+            if not powers.u_fixed:
+                acc = {(i, j): c * powers.u[i] for (i, j), c in acc.items()}
+            return Jet2._result(order, acc, mode)
+        nums, den = _SPLIT[mode](self.coeffs)
+        top_i = max(nums, default=(0, 0))[0]
+        top_j = max(map(itemgetter(1), nums), default=0)
+        u_scale = powers.du[top_i::-1]  # Du^(I - i)
+        v_scale = powers.dv[top_j::-1]
+        den *= u_scale[0] * v_scale[0]
+        u_fixed, v_fixed = powers.u_fixed, powers.v_fixed
+        v_pows = None if v_fixed else powers.upto(powers.v, top_j)
         # sum_i u_new^i * (sum_j c_ij v_new^j): one row per power of u
         rows = {}
-        for (i, j), c in self.coeffs.items():
+        for (i, j), n in nums.items():
             row = rows.setdefault(i, {})
-            if powers.v_fixed or j == 0:
-                row[(0, j)] = c  # v^j: no other term of the row has this key
-            else:
-                _accumulate(row, {k: c * x for k, x in _nth(powers.v, j).coeffs.items()})
+            t = n * u_scale[i] * v_scale[j]
+            if v_fixed or j == 0:
+                row[(0, j)] = t  # v^j: no other term of the row has this key
+                continue
+            room = order - i
+            for key, x in v_pows[j].items():
+                if key[0] + key[1] <= room:
+                    s = row.get(key)
+                    if s is None:
+                        row[key] = t * x
+                    else:
+                        s += t * x
+                        if s:
+                            row[key] = s
+                        else:
+                            del row[key]
+        u_pows = None if u_fixed else powers.upto(powers.u, top_i)
         acc = {}
         for i, row in rows.items():
-            if powers.u_fixed or i == 0:
-                _accumulate(acc, _shifted(row, i, 0, order))
-            else:
-                u_pow = _nth(powers.u, i)
-                _accumulate(acc, (u_pow * Jet2._trusted(order, row, mode)).coeffs)
-        return Jet2._result(order, acc, mode)
+            if i and not u_fixed:
+                row = _product(u_pows[i], row, order, mode)
+            elif i:
+                row = {(p + i, q): t for (p, q), t in row.items()}
+            _accumulate(acc, row)
+        join = _JOIN[mode]
+        return Jet2._result(order, {k: join(n, den) for k, n in acc.items()}, mode)
 
     def truncate(self, new_order):
         """The terms of degree <= ``new_order``."""

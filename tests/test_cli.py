@@ -475,7 +475,7 @@ class TestNonFiniteInput:
 
 class TestBeyondFloatRange:
     @pytest.mark.parametrize("germ, command, code", [
-        (G400, "classify", 0), (G400, "distance", 0), (G400, "focal", 1),
+        (G400, "classify", 0), (G400, "distance", 0), (G400, "focal", 0),
         (G400, "geometry", 1), (G400, "mesh", 1),
         (P400, "classify", 0), (P400, "distance", 0), (P400, "focal", 0),
         (P400, "geometry", 0),
@@ -503,6 +503,14 @@ class TestBeyondFloatRange:
         report = json.loads(out)
         assert report["normal_form"]["a"]["2,0"] == str(10**400)
         assert [p["sing_type"] for p in report["distance"]["probes"]] == ["A1", "Regular"]
+
+    def test_focal_direction_beyond_float_range(self, tmp_path, capsys):
+        # the second focal line is 10^400 z = 1: its direction is (1, 0)
+        code, out, err = run(capsys, "focal", "--input", write_germ(tmp_path, G400))
+        assert (code, err) == (0, "")
+        second = json.loads(out)["focal_locus"]["lines"][1]
+        assert second["equation"]["z"] == str(10**400)
+        assert [float(x) for x in second["direction"]] == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("command", ["classify", "geometry", "distance", "focal", "mesh"])

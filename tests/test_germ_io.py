@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -486,6 +487,18 @@ class TestReports:
         write_json(doc, buf)
         text = '{\n  "a": {\n    "y": true,\n    "z": null\n  },\n  "b": [\n    1,\n    "2/3"\n  ]\n}\n'
         assert path.read_text() == buf.getvalue() == text
+
+    def test_write_json_writes_the_bytes_of_json_dumps(self):
+        docs = [
+            {}, [], "", None, 7, 0.1, {"k": []}, {"k": {}}, [[], {}, ()],
+            {"b": (1, 2.5, -0.0), "a": {"é": "☃\n\"\\", "t": [True, False, None]}, "": 10**30},
+            {1: "int key", 2.5: "float key"}, {"nan": math.nan, "inf": [math.inf, -math.inf]},
+            [{"z": [{"y": [1, [2, [3]]]}]}, "\x00\t\ud83d"],
+        ]
+        for doc in docs:
+            buf = io.StringIO()
+            write_json(doc, buf)
+            assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
 
 
 class TestMeshIO:

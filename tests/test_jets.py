@@ -334,6 +334,47 @@ def _raw_add(a, b):
     return Jet2(a.order, out, EXACT)
 
 
+def _chain(p, u_new, v_new):
+    """p at (u_new, v_new): each term c u_new^i v_new^j a chain of validated
+    products."""
+    order = p.order
+    u_pows, v_pows = [Jet2.const(1, order)], [Jet2.const(1, order)]
+    for pows, x in ((u_pows, u_new), (v_pows, v_new)):
+        while len(pows) <= order:
+            pows.append(_raw_mul(pows[-1], x))
+    want = Jet2.zero(order)
+    for (i, j), c in p.coeffs.items():
+        want = _raw_add(want, _raw_mul(_raw_mul(Jet2.const(c, order), u_pows[i]), v_pows[j]))
+    return want
+
+
+def _rows(p, u_new, v_new):
+    """p at (u_new, v_new) summed as the substitution sums it, on the mode's
+    own numbers with jet products: sum_j c_ij v_new^j per power of u, in the
+    order of p's keys, then times u_new^i.  Its key order, and in float mode
+    its bits, are the substitution's."""
+    order, mode = p.order, p.mode
+    u_fixed, v_fixed = u_new.coeffs == {(1, 0): 1}, v_new.coeffs == {(0, 1): 1}
+    u_pows, v_pows = [None, u_new], [None, v_new]
+    for pows in (u_pows, v_pows):
+        while len(pows) <= order:
+            pows.append(pows[-1] * pows[1])
+    rows = {}
+    for (i, j), c in p.coeffs.items():
+        row = rows.setdefault(i, {})
+        if v_fixed or j == 0:
+            row[(0, j)] = c
+        else:
+            jets._accumulate(row, {k: c * x for k, x in v_pows[j].coeffs.items()})
+    acc = {}
+    for i, row in rows.items():
+        if u_fixed or i == 0:
+            jets._accumulate(acc, jets._shifted(row, i, 0, order))
+        else:
+            jets._accumulate(acc, (u_pows[i] * Jet2._trusted(order, row, mode)).coeffs)
+    return Jet2._result(order, acc, mode)
+
+
 def _assert_clean(jet):
     assert jet == _validated(jet)
     for (i, j), c in jet.coeffs.items():
@@ -375,17 +416,32 @@ class TestExactFastPath:
             # exponent shifts (reduction steps keep u, a B_k shift by zero
             # keeps both)
             for u_new, v_new in ((un, vn), (u, vn), (un, v), (u, v)):
-                want = Jet2.zero(order)
-                for (i, j), c in p.coeffs.items():
-                    term = Jet2.const(c, order)
-                    for _ in range(i):
-                        term = _raw_mul(term, u_new)
-                    for _ in range(j):
-                        term = _raw_mul(term, v_new)
-                    want = _raw_add(want, term)
                 got = p.substitute(u_new, v_new)
                 _assert_clean(got)
-                assert got == want
+                assert got == _chain(p, u_new, v_new)
+                assert list(got.coeffs.items()) == list(_rows(p, u_new, v_new).coeffs.items())
+        # the reducer's steps at its working order: v-cleanup shifts with
+        # multi-term deltas, diagonal scalings and u-changing steps, with
+        # 20-bit denominators
+        order = 17
+        u, v = Jet2.variable("u", order), Jet2.variable("v", order)
+        big = lambda: Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 2**20))
+        a, b = big(), big()
+        flat = Jet2(order, {(i, d - i): big() for d in range(2, 6) for i in range(d + 1)})
+        steps = [(u, v + Jet2(order, {(m - j, j - 1): big() for j in range(1, m + 1)}))
+                 for m in (3, 4, 7)]
+        steps += [(u * a, v * b), (u, v * b), (u * a, v), (u + flat, v),
+                  (u * a + v * b, u * b - v * a)]
+        p = rand_jet(rng, order, density=0.3)
+        for u_new, v_new in steps:
+            got = p.substitute(u_new, v_new)
+            _assert_clean(got)
+            assert got == _chain(p, u_new, v_new)
+            assert list(got.coeffs.items()) == list(_rows(p, u_new, v_new).coeffs.items())
+            # float jets run the same sums: the same bits in the same key order
+            fl = [w.to_float() for w in (p, u_new, v_new)]
+            assert list(fl[0].substitute(*fl[1:]).coeffs.items()) == list(
+                _rows(*fl).coeffs.items())
 
     def test_cancellation_stores_no_zero(self):
         p = jet(3, {(1, 1): Fraction(2, 3), (0, 2): 1})
@@ -979,11 +1035,17 @@ class TestOneFloatConversion:
             lambda: Jet2(2, {(1, 0): 1, (2, 0): big}).to_float(),
             lambda: make_nf(4, EXACT, {(2, 0): big}).to_float(),
             lambda: TransformLog().sqrt(2 * big),
-            lambda: FocalLine(big, 1, 1).direction(),
         ]
         for convert in conversions:
             with pytest.raises(UsageError, match="float range"):
                 convert()
+
+    def test_focal_direction_scales_beyond_float_range(self):
+        big, tiny = 10**400, Fraction(1, 10**400)
+        assert FocalLine(big, 1, 1).direction() == (0.0, -1.0)
+        assert FocalLine(1, -big, 1).direction() == (-1.0, -0.0)
+        assert FocalLine(tiny, tiny, 1).direction() == FocalLine(1, 1, 1).direction()
+        assert FocalLine(3 * big, 4 * big, 1).direction() == FocalLine(3, 4, 1).direction()
 
     def test_focal_point_compares_alpha_as_it_is(self):
         tiny = Fraction(1, 10**400)  # 0.0 as a float
