@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import germ_io, pipeline
 from .blowup import uniform_thetas
@@ -95,13 +96,6 @@ def _build_parser():
     return parser
 
 
-def _emit(report, args):
-    if args.output:
-        emit_report(report, args.output)
-    else:
-        emit_report(report, sys.stdout)
-
-
 def _load(args):
     if args.order is not None and args.order < 1:
         raise UsageError("--order must be >= 1")
@@ -119,33 +113,17 @@ def _load(args):
     return spec, outcome
 
 
-def _cmd_classify(args):
-    spec, outcome = _load(args)
-    _emit(pipeline.base_report(spec, outcome), args)
-    return 0
-
-
-def _cmd_geometry(args):
+def _cmd_report(args):
+    """classify, and geometry, distance and focal with their report section."""
     spec, outcome = _load(args)
     report = pipeline.base_report(spec, outcome)
-    report["geometry"] = pipeline.geometry_section(outcome, args.theta_samples)
-    _emit(report, args)
-    return 0
-
-
-def _cmd_distance(args):
-    spec, outcome = _load(args)
-    report = pipeline.base_report(spec, outcome)
-    report["distance"] = pipeline.distance_section(outcome, spec)
-    _emit(report, args)
-    return 0
-
-
-def _cmd_focal(args):
-    spec, outcome = _load(args)
-    report = pipeline.base_report(spec, outcome)
-    report["focal_locus"] = pipeline.focal_section(outcome)
-    _emit(report, args)
+    if args.command == "geometry":
+        report["geometry"] = pipeline.geometry_section(outcome, args.theta_samples)
+    elif args.command == "distance":
+        report["distance"] = pipeline.distance_section(outcome, spec)
+    elif args.command == "focal":
+        report["focal_locus"] = pipeline.focal_section(outcome)
+    emit_report(report, args.output or sys.stdout)
     return 0
 
 
@@ -196,64 +174,79 @@ def _cmd_mesh(args):
     return 0
 
 
+FOCAL_KINDS = ("focal", "principal", "umbilic", "cubic", "quartic")
+
+
 def _random_rational(rng, nonzero=False):
     while True:
-        f = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         if f or not nonzero:
             return f
 
 
-def _random_nf(rng, order=6):
-    a = {}
-    for (i, j) in [(2, 0), (2, 1), (0, 3), (3, 0), (1, 2), (4, 0), (2, 2), (1, 3), (0, 4)]:
-        a[(i, j)] = _random_rational(rng)
-    b = {i: _random_rational(rng) for i in (2, 3, 4)}
-    a = {k: v for k, v in a.items() if v}
-    b = {k: v for k, v in b.items() if v}
-    return NormalFormCoeffs(order, EXACT, a, b)
+def focal_probes(rng):
+    """(kind, normal form, probe) for a probe on each focal kind: the second
+    focal line, the principal normal line, their intersection (umbilic), the
+    intersection of the second line with the cubic line, and that point on a
+    form whose b_4 makes the quartic witness vanish too."""
+    while True:
+        a = {(i, d - i): _random_rational(rng) for d in range(3, 7) for i in range(d + 1)
+             if rng.random() < 0.6}
+        a[(2, 0)] = _random_rational(rng, nonzero=True)
+        a[(3, 0)] = _random_rational(rng, nonzero=True)
+        a.setdefault((2, 1), _random_rational(rng))
+        b = {i: _random_rational(rng) for i in range(2, 7) if rng.random() < 0.6}
+        a20, a30, b2, b3 = a[(2, 0)], a[(3, 0)], b.get(2, 0), b.get(3, 0)
+        det = a20 * b3 - b2 * a30
+        if det:
+            break
+    nf = NormalFormCoeffs(6, EXACT, a, b)
+    y0 = _random_rational(rng, nonzero=True)
+    points = {"focal": (y0, (1 - b2 * y0) / a20), "principal": (0, _random_rational(rng)),
+              "umbilic": (0, 1 / a20), "cubic": (-a30 / det, b3 / det)}
+    y0, z0 = points["cubic"]
+    c4 = a.get((4, 0), 0) * y0 * z0 - 3 * a[(2, 1)] ** 2 * z0 * z0 - 3 * (a20 ** 2 + b2 ** 2) * y0
+    quartic = NormalFormCoeffs(6, EXACT, a, {**b, 4: -c4 / (y0 * y0)})
+    out = [(kind, nf, ProbePoint(0, *points[kind])) for kind in FOCAL_KINDS[:4]]
+    return out + [("quartic", quartic, ProbePoint(0, y0, z0))]
 
 
-def _verify_oracle_samples(rng, samples):
-    """classify_distance vs the splitting oracle on random singular probes."""
-    agree = 0
-    mismatches = []
-    for _ in range(samples):
-        nf = _random_nf(rng)
-        p = ProbePoint(
-            Fraction(0), _random_rational(rng), _random_rational(rng)
-        )
+def verify_probes(rng):
+    """verify's probe stream of (normal form, probe) pairs.  Each round
+    draws ``focal_probes`` and adds two probes on its form: first a generic
+    one (random y0 and z0, case 1 of the distance tree), and last, with no
+    draw, a case-4b one at z0 = 2/a20 on the principal normal of the form
+    with a03 = 0 and the a04 that makes NR vanish."""
+    while True:
+        probes = focal_probes(rng)
+        nf = probes[0][1]
+        yield nf, ProbePoint(0, _random_rational(rng), _random_rational(rng))
+        for _, form, p in probes:
+            yield form, p
+        # a20 z0 = 2 turns NR = 0 into a04 z0 = 3 (a12^2 z0^2 + 1)
+        z0, a12 = 2 / nf.a_(2, 0), nf.a_(1, 2)
+        a04 = 3 * (a12 * a12 * z0 * z0 + 1) / z0
+        form = NormalFormCoeffs(6, EXACT, {**nf.a, (0, 3): Fraction(0), (0, 4): a04}, nf.b)
+        yield form, ProbePoint(0, 0, z0)
+
+
+def _dual_checks(probes):
+    """The one sampling loop: each probe is typed by the decision tree once,
+    then by the splitting oracle and by both rank tests.  Returns the
+    verify sections of the splitting route and of the rank route."""
+    n, split, rank = 0, [], []
+    for n, (nf, p) in enumerate(probes, 1):
         verdict = classify_distance(nf, p)
         typ = split_and_type(distance_jet(nf, p, 6), 6)
-        ok = agrees_with_oracle(verdict.sing_type, typ)
-        if ok:
-            agree += 1
-        else:
-            mismatches.append(
-                {"closed_form": verdict.sing_type.value, "oracle": typ.label}
-            )
-    return agree, mismatches
-
-
-def _verify_versality_samples(rng, samples):
-    agree = 0
-    mismatches = []
-    for _ in range(samples):
-        nf = _random_nf(rng)
-        p = ProbePoint(Fraction(0), _random_rational(rng), _random_rational(rng))
-        verdict = classify_distance(nf, p)
-        for flavor, closed in (
-            (R_PLUS, verdict.r_plus_versal),
-            (K_EQUIV, verdict.k_versal),
-        ):
-            rank = versality_rank_test(nf, p, flavor)
-            if rank == closed:
-                agree += 1
-            else:
-                mismatches.append(
-                    {"flavor": flavor, "closed_form": closed, "rank": rank,
-                     "sing_type": verdict.sing_type.value}
-                )
-    return agree, mismatches
+        if not agrees_with_oracle(verdict.sing_type, typ):
+            split.append({"closed_form": verdict.sing_type.value, "oracle": typ.label})
+        for flavor, closed in ((R_PLUS, verdict.r_plus_versal), (K_EQUIV, verdict.k_versal)):
+            answer = versality_rank_test(nf, p, flavor)
+            if answer != closed:
+                rank.append({"flavor": flavor, "closed_form": closed, "rank": answer,
+                             "sing_type": verdict.sing_type.value})
+    return ({"agreements": n - len(split), "mismatches": split},
+            {"agreements": 2 * n - len(rank), "mismatches": rank})
 
 
 def _verify_thetas(samples):
@@ -302,29 +295,19 @@ def _cmd_verify(args):
     else:
         result["crosscheck"] = None
 
-    agree, mismatches = _verify_oracle_samples(rng, args.samples)
-    result["oracle_equivalence"] = {
-        "agreements": agree,
-        "mismatches": mismatches,
-    }
-    hard_failure = hard_failure or bool(mismatches)
-
-    agree_v, mismatches_v = _verify_versality_samples(rng, max(args.samples // 2, 10))
-    result["versality_dual"] = {
-        "agreements": agree_v,
-        "mismatches": mismatches_v,
-    }
-    hard_failure = hard_failure or bool(mismatches_v)
+    split, rank = _dual_checks(islice(verify_probes(rng), args.samples))
+    result["oracle_equivalence"], result["versality_dual"] = split, rank
+    hard_failure = hard_failure or bool(split["mismatches"] or rank["mismatches"])
 
     write_json(result, args.output or sys.stdout)
     return 2 if hard_failure else 0
 
 
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "geometry": _cmd_geometry,
-    "distance": _cmd_distance,
-    "focal": _cmd_focal,
+    "classify": _cmd_report,
+    "geometry": _cmd_report,
+    "distance": _cmd_report,
+    "focal": _cmd_report,
     "mesh": _cmd_mesh,
     "verify": _cmd_verify,
 }

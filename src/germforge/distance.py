@@ -33,7 +33,7 @@ from typing import Optional
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, FLOAT, Jet2, cleared, is_zero, scalar, zero_scale
+from .jets import EXACT, FLOAT, ZERO, Jet2, cleared, is_zero, scalar, zero_scale
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -345,7 +345,7 @@ def focal_locus(nf):
     """The degenerate-probe locus in the (y, z) normal plane."""
     z = _zero_test(nf, None)
     a20, b2 = nf.a_(2, 0), nf.b_(2)
-    one, zero = scalar(1, nf.mode), scalar(0, nf.mode)
+    one, zero = scalar(1, nf.mode), ZERO[nf.mode]
     principal = FocalLine(one, zero, zero)  # y = 0
     if not z(a20):
         second = FocalLine(b2, a20, one)

@@ -39,7 +39,8 @@ one dict, which becomes a Jet2 once the whole expression is read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -186,13 +187,16 @@ class _Parser:
         return tok
 
     def _number(self, tok):
-        if tok.kind == "int":
-            value = Fraction(int(tok.value))
-        elif tok.kind == "rational":
-            num, den = tok.value.split("/")
-            if int(den) == 0:
+        if tok.kind in ("int", "rational"):
+            num, _, den = tok.value.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("number literal of %d characters exceeds %s"
+                                 % (len(tok.value), _digit_limit()), tok.line, tok.col) from None
+            if den == 0:
                 raise ParseError("zero denominator", tok.line, tok.col)
-            value = Fraction(int(num), int(den))
+            value = Fraction(num, den)
         elif self.mode == EXACT:
             raise ParseError(
                 "decimal literal %r requires float mode; use a p/q rational"
@@ -328,15 +332,20 @@ def print_polynomial(jet, variables=("u", "v")):
 # ---------------------------------------------------------------------------
 
 
+def _digit_limit():
+    return "the limit of %d digits on int/str conversion" % sys.get_int_max_str_digits()
+
+
 def format_number(x):
     # floats first: most numbers written are floats, and the isinstance
     # check against Fraction (an ABC-registered type) is the slow one
     if type(x) is float:
         return format(x, ".17g")
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
+    if isinstance(x, (Fraction, int)):
+        try:
+            return str(x)
+        except ValueError:  # more digits than str() converts
+            raise UsageError("a number to write exceeds %s" % _digit_limit()) from None
     return format(float(x), ".17g")
 
 
@@ -441,8 +450,8 @@ def read_germ_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("germ", "invalid JSON: %s" % exc)
+        except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
+            raise SchemaError("germ", "invalid JSON: %s" % exc) from None
     return germ_spec_from_dict(data)
 
 

@@ -86,6 +86,8 @@ def scalar(x, mode):
 
 # the constructor's conversion of a coefficient in each mode
 _CONVERT = {EXACT: _as_exact, FLOAT: _as_float}
+# the zero of each mode, one shared object each: both are immutable
+ZERO = {EXACT: Fraction(0), FLOAT: 0.0}
 
 
 def cleared(coeffs):
@@ -333,8 +335,7 @@ class Jet2:
     # -- basic queries -----------------------------------------------
 
     def coeff(self, i, j):
-        c = self.coeffs.get((i, j))
-        return scalar(0, self.mode) if c is None else c
+        return self.coeffs.get((i, j), ZERO[self.mode])
 
     def is_zero(self):
         return not self.coeffs

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, GermJets, Jet2, cleared, is_zero, scalar, zero_scale
+from .jets import EXACT, FLOAT, ZERO, GermJets, Jet2, cleared, is_zero, scalar, zero_scale
 
 
 class TwoJetClass(Enum):
@@ -55,12 +55,10 @@ class NormalFormCoeffs:
                 raise UsageError("b[%d] outside the valid index range" % i)
 
     def a_(self, i, j):
-        c = self.a.get((i, j))
-        return scalar(0, self.mode) if c is None else c
+        return self.a.get((i, j), ZERO[self.mode])
 
     def b_(self, i):
-        c = self.b.get(i)
-        return scalar(0, self.mode) if c is None else c
+        return self.b.get(i, ZERO[self.mode])
 
     @functools.cached_property
     def _degree_scales(self):

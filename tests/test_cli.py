@@ -2,17 +2,25 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
 import time
 import types
+from itertools import islice
 
 import pytest
 
 import germforge
-from germforge.cli import main
+from germforge import cli
+from germforge.cli import main, verify_probes
 from germforge.closed_forms import CROSSCHECK_SYMBOLS
+from germforge.distance import (
+    agrees_with_oracle, classify_distance, distance_jet, versality_rank_test,
+)
+from germforge.errors import InternalConsistencyError
+from germforge.oracle import K_EQUIV, R_PLUS, SingularityType, split_and_type
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -262,18 +270,17 @@ class TestMesh:
 
 
 class TestVerify:
-    def test_verify_exits_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("samples", [0, 25])
+    def test_samples_is_the_one_probe_count(self, tmp_path, capsys, samples):
         path = write_germ(tmp_path, S1_GERM)
-        code, out, _ = run(
-            capsys, "verify", "--input", path, "--samples", "25", "--seed", "3"
-        )
-        assert code == 0, out
+        code, out, err = run(capsys, "verify", "--input", path, "--samples", str(samples),
+                             "--seed", "3")
+        assert code == 0, err
         result = json.loads(out)
-        assert result["oracle_equivalence"]["mismatches"] == []
-        assert result["versality_dual"]["mismatches"] == []
+        assert result["oracle_equivalence"] == {"agreements": samples, "mismatches": []}
+        assert result["versality_dual"] == {"agreements": 2 * samples, "mismatches": []}
         table = result["crosscheck"]["entries"]
-        assert table
-        assert not any(e["hard_mismatch"] for e in table)
+        assert table and not any(e["hard_mismatch"] for e in table)
 
     @pytest.mark.parametrize("samples", [5, 8])
     def test_theta_grid_leaves_out_the_principal_normal(self, tmp_path, capsys, samples):
@@ -289,17 +296,12 @@ class TestVerify:
         assert len(entries) == len(CROSSCHECK_SYMBOLS) * (samples - 1)
         assert not any(e["hard_mismatch"] for e in entries)
 
-    def test_negative_theta_samples_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--samples", "--theta-samples"])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, flag):
         path = write_germ(tmp_path, S1_GERM)
-        code, _, err = run(capsys, "verify", "--input", path, "--theta-samples", "-1")
-        assert code == 1
-        assert json.loads(err) == {"error": "--theta-samples must not be negative"}
-
-    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
-        path = write_germ(tmp_path, S1_GERM)
-        code, out, err = run(capsys, "verify", "--input", path, "--samples", "-3")
+        code, out, err = run(capsys, "verify", "--input", path, flag, "-3")
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "--samples must not be negative"}
+        assert json.loads(err) == {"error": "%s must not be negative" % flag}
 
     def test_verify_stdout_pinned(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
@@ -313,11 +315,20 @@ class TestVerify:
             "--output", str(report))
         assert report.read_text() == out
 
-    def test_verify_deterministic(self, tmp_path, capsys):
-        path = write_germ(tmp_path, S1_GERM)
-        _, out1, _ = run(capsys, "verify", "--input", path, "--samples", "10")
-        _, out2, _ = run(capsys, "verify", "--input", path, "--samples", "10")
-        assert out1 == out2
+    def test_probe_stream_reaches_every_case(self):
+        # the first 50 probes of each seed reach every case of the decision
+        # tree, and the splitting oracle and both rank tests agree with it
+        for seed in range(10):
+            cases = set()
+            for nf, p in islice(verify_probes(random.Random(seed)), 50):
+                verdict = classify_distance(nf, p)
+                typ = split_and_type(distance_jet(nf, p, 6), 6)
+                assert agrees_with_oracle(verdict.sing_type, typ), (seed, p, typ.label)
+                for flavor, closed in ((R_PLUS, verdict.r_plus_versal),
+                                       (K_EQUIV, verdict.k_versal)):
+                    assert versality_rank_test(nf, p, flavor) == closed, (seed, p)
+                cases.add(verdict.case)
+            assert sorted(cases) == ["1", "2a", "2b", "3a", "3b", "4a", "4b", "5"], (seed, cases)
 
 
 class TestSpecialDirectionsPinned:
@@ -513,6 +524,29 @@ class TestBeyondFloatRange:
         assert [float(x) for x in second["direction"]] == [1.0, 0.0]
 
 
+# a literal, a written number and a JSON number past Python's int/str digit limit
+DIGITS = "1" + "0" * 5000
+LIMIT = "the limit of %d digits on int/str conversion" % sys.get_int_max_str_digits()
+
+
+class TestPastTheDigitLimit:
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps(dict(S1_GERM, components=["u", "v^2", DIGITS + "*u^3 + u^2*v + v^3"])),
+         "number literal of 5001 characters exceeds %s (line 1, column 1)" % LIMIT),
+        (json.dumps(dict(S1_GERM, components=["u", "v^2/2", "10^5000*u^3 + u^2*v + v^3"])),
+         "a number to write exceeds %s" % LIMIT),
+        (json.dumps(dict(S1_GERM, probes=[[0, 1, 1]])).replace("[0, 1, 1]", "[0, %s, 1]" % DIGITS),
+         "germ: invalid JSON: "),
+    ])
+    def test_exits_one_with_one_error_line(self, tmp_path, text, error):
+        path = tmp_path / "germ.json"
+        path.write_text(text)
+        proc = python("-m", "germforge.cli", "distance", "--input", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"].startswith(error)
+
+
 @pytest.mark.parametrize("command", ["classify", "geometry", "distance", "focal", "mesh"])
 def test_seed_is_a_verify_option_only(tmp_path, capsys, command):
     path = write_germ(tmp_path, S1_GERM)
@@ -536,6 +570,44 @@ class TestVerifyHardMismatch:
             e["hard_mismatch"] and e["symbol"] == "n21"
             for e in result["crosscheck"]["entries"]
         )
+
+
+class TestDualCheckMismatch:
+    def verify(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", "--input", write_germ(tmp_path, S1_GERM),
+                             "--samples", "9", "--seed", "2")
+        assert (code, err) == (2, "")
+        probes = islice(verify_probes(random.Random(2)), 9)
+        return json.loads(out), [classify_distance(nf, p) for nf, p in probes]
+
+    def test_inverted_rank_answers_exit_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.versality_rank_test
+        monkeypatch.setattr(cli, "versality_rank_test", lambda *args: not real(*args))
+        result, verdicts = self.verify(tmp_path, capsys)
+        assert result["oracle_equivalence"] == {"agreements": 9, "mismatches": []}
+        assert result["versality_dual"] == {"agreements": 0, "mismatches": [
+            {"flavor": flavor, "closed_form": closed, "rank": not closed,
+             "sing_type": v.sing_type.value}
+            for v in verdicts
+            for flavor, closed in ((R_PLUS, v.r_plus_versal), (K_EQUIV, v.k_versal))]}
+
+    def test_wrong_split_type_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A1 for every probe: only the two generic probes agree
+        monkeypatch.setattr(cli, "split_and_type", lambda f, order: SingularityType("A", k=1))
+        result, verdicts = self.verify(tmp_path, capsys)
+        assert result["versality_dual"] == {"agreements": 18, "mismatches": []}
+        assert result["oracle_equivalence"] == {"agreements": 2, "mismatches": [
+            {"closed_form": v.sing_type.value, "oracle": "A1"}
+            for v in verdicts if v.case != "1"]}
+
+
+def test_internal_consistency_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise InternalConsistencyError("routes disagree")
+
+    monkeypatch.setattr(cli.pipeline, "classify_spec", disagree)
+    code, out, err = run(capsys, "classify", "--input", write_germ(tmp_path, S1_GERM))
+    assert (code, out, err) == (2, "", '{"error": "routes disagree"}\n')
 
 
 # the public names of the package; front's meshes and closed_forms' load on access

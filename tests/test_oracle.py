@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germforge.cli import FOCAL_KINDS, focal_probes
 from germforge.errors import SingularSeriesError, UsageError
 from germforge.jets import EXACT, FLOAT, Jet2
 from germforge import distance, oracle
@@ -745,36 +746,6 @@ def dense_route_answers(nf, p):
         return ref_split_and_type(exact_jet(d), order)
 
     return jet_route_answers(nf, p, split, ref_versality_rank_oracle)
-
-
-FOCAL_KINDS = ("focal", "principal", "umbilic", "cubic", "quartic")
-
-
-def focal_probes(rng):
-    """(kind, normal form, probe) for a probe on each focal kind: the second
-    focal line, the principal normal line, their intersection (umbilic), the
-    intersection of the second line with the cubic line, and that point on a
-    form whose b_4 makes the quartic witness vanish too."""
-    while True:
-        a = {(i, d - i): rand_fraction(rng) for d in range(3, 7) for i in range(d + 1)
-             if rng.random() < 0.6}
-        a[(2, 0)] = rand_fraction(rng, nonzero=True)
-        a[(3, 0)] = rand_fraction(rng, nonzero=True)
-        a.setdefault((2, 1), rand_fraction(rng))
-        b = {i: rand_fraction(rng) for i in range(2, 7) if rng.random() < 0.6}
-        a20, a30, b2, b3 = a[(2, 0)], a[(3, 0)], b.get(2, 0), b.get(3, 0)
-        det = a20 * b3 - b2 * a30
-        if det:
-            break
-    nf = make_nf(6, EXACT, a, b)
-    y0 = rand_fraction(rng, nonzero=True)
-    points = {"focal": (y0, (1 - b2 * y0) / a20), "principal": (0, rand_fraction(rng)),
-              "umbilic": (0, 1 / a20), "cubic": (-a30 / det, b3 / det)}
-    y0, z0 = points["cubic"]
-    c4 = a.get((4, 0), 0) * y0 * z0 - 3 * a[(2, 1)] ** 2 * z0 * z0 - 3 * (a20 ** 2 + b2 ** 2) * y0
-    quartic = make_nf(6, EXACT, a, {**b, 4: -c4 / (y0 * y0)})
-    out = [(kind, nf, distance.ProbePoint(0, *points[kind])) for kind in FOCAL_KINDS[:4]]
-    return out + [("quartic", quartic, distance.ProbePoint(0, y0, z0))]
 
 
 class TestRankOnIntegerRows:
