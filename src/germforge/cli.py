@@ -113,16 +113,32 @@ def _load(args):
     return spec, outcome
 
 
-def _cmd_report(args):
-    """classify, and geometry, distance and focal with their report section."""
+def _cmd_classify(args):
+    spec, outcome = _load(args)
+    emit_report(pipeline.base_report(spec, outcome), args.output or sys.stdout)
+    return 0
+
+
+def _cmd_geometry(args):
     spec, outcome = _load(args)
     report = pipeline.base_report(spec, outcome)
-    if args.command == "geometry":
-        report["geometry"] = pipeline.geometry_section(outcome, args.theta_samples)
-    elif args.command == "distance":
-        report["distance"] = pipeline.distance_section(outcome, spec)
-    elif args.command == "focal":
-        report["focal_locus"] = pipeline.focal_section(outcome)
+    report["geometry"] = pipeline.geometry_section(outcome, args.theta_samples)
+    emit_report(report, args.output or sys.stdout)
+    return 0
+
+
+def _cmd_distance(args):
+    spec, outcome = _load(args)
+    report = pipeline.base_report(spec, outcome)
+    report["distance"] = pipeline.distance_section(outcome, spec)
+    emit_report(report, args.output or sys.stdout)
+    return 0
+
+
+def _cmd_focal(args):
+    spec, outcome = _load(args)
+    report = pipeline.base_report(spec, outcome)
+    report["focal_locus"] = pipeline.focal_section(outcome)
     emit_report(report, args.output or sys.stdout)
     return 0
 
@@ -213,10 +229,13 @@ def focal_probes(rng):
 
 def verify_probes(rng):
     """verify's probe stream of (normal form, probe) pairs.  Each round
-    draws ``focal_probes`` and adds two probes on its form: first a generic
-    one (random y0 and z0, case 1 of the distance tree), and last, with no
+    draws ``focal_probes`` and adds four probes on its form: first a generic
+    one (random y0 and z0, case 1 of the distance tree); then, with no
     draw, a case-4b one at z0 = 2/a20 on the principal normal of the form
-    with a03 = 0 and the a04 that makes NR vanish."""
+    with a03 = 0 and the a04 that makes NR vanish; last, at a random z0,
+    one on the line y = 1/b2 of the form made an inflection (a20 = 0,
+    b2 = a20 where b2 was 0) and one on the principal normal of the form
+    made a degenerate inflection (a20 = b2 = 0)."""
     while True:
         probes = focal_probes(rng)
         nf = probes[0][1]
@@ -228,6 +247,11 @@ def verify_probes(rng):
         a04 = 3 * (a12 * a12 * z0 * z0 + 1) / z0
         form = NormalFormCoeffs(6, EXACT, {**nf.a, (0, 3): Fraction(0), (0, 4): a04}, nf.b)
         yield form, ProbePoint(0, 0, z0)
+        a, b2 = {**nf.a, (2, 0): Fraction(0)}, nf.b_(2) or nf.a_(2, 0)
+        yield (NormalFormCoeffs(6, EXACT, a, {**nf.b, 2: b2}),
+               ProbePoint(0, 1 / b2, _random_rational(rng)))
+        yield (NormalFormCoeffs(6, EXACT, a, {**nf.b, 2: Fraction(0)}),
+               ProbePoint(0, 0, _random_rational(rng)))
 
 
 def _dual_checks(probes):
@@ -304,10 +328,10 @@ def _cmd_verify(args):
 
 
 _COMMANDS = {
-    "classify": _cmd_report,
-    "geometry": _cmd_report,
-    "distance": _cmd_report,
-    "focal": _cmd_report,
+    "classify": _cmd_classify,
+    "geometry": _cmd_geometry,
+    "distance": _cmd_distance,
+    "focal": _cmd_focal,
     "mesh": _cmd_mesh,
     "verify": _cmd_verify,
 }

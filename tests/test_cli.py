@@ -17,7 +17,8 @@ from germforge import cli
 from germforge.cli import main, verify_probes
 from germforge.closed_forms import CROSSCHECK_SYMBOLS
 from germforge.distance import (
-    agrees_with_oracle, classify_distance, distance_jet, versality_rank_test,
+    SingularPointType, agrees_with_oracle, classify_distance, distance_jet,
+    singular_point_type, versality_rank_test,
 )
 from germforge.errors import InternalConsistencyError
 from germforge.oracle import K_EQUIV, R_PLUS, SingularityType, split_and_type
@@ -315,11 +316,18 @@ class TestVerify:
             "--output", str(report))
         assert report.read_text() == out
 
+    def test_verify_deterministic(self, tmp_path, capsys):
+        path = write_germ(tmp_path, S1_GERM)
+        _, out1, _ = run(capsys, "verify", "--input", path, "--samples", "10")
+        _, out2, _ = run(capsys, "verify", "--input", path, "--samples", "10")
+        assert out1 == out2
+
     def test_probe_stream_reaches_every_case(self):
         # the first 50 probes of each seed reach every case of the decision
-        # tree, and the splitting oracle and both rank tests agree with it
+        # tree and every singular point type, and the splitting oracle and
+        # both rank tests agree with the tree
         for seed in range(10):
-            cases = set()
+            cases, point_types = set(), set()
             for nf, p in islice(verify_probes(random.Random(seed)), 50):
                 verdict = classify_distance(nf, p)
                 typ = split_and_type(distance_jet(nf, p, 6), 6)
@@ -328,7 +336,9 @@ class TestVerify:
                                        (K_EQUIV, verdict.k_versal)):
                     assert versality_rank_test(nf, p, flavor) == closed, (seed, p)
                 cases.add(verdict.case)
+                point_types.add(singular_point_type(nf))
             assert sorted(cases) == ["1", "2a", "2b", "3a", "3b", "4a", "4b", "5"], (seed, cases)
+            assert point_types == set(SingularPointType), (seed, point_types)
 
 
 class TestSpecialDirectionsPinned:
@@ -526,9 +536,11 @@ class TestBeyondFloatRange:
 
 # a literal, a written number and a JSON number past Python's int/str digit limit
 DIGITS = "1" + "0" * 5000
-LIMIT = "the limit of %d digits on int/str conversion" % sys.get_int_max_str_digits()
+LIMIT = "the limit of %d digits on int/str conversion"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int/str digit limit")
 class TestPastTheDigitLimit:
     @pytest.mark.parametrize("text, error", [
         (json.dumps(dict(S1_GERM, components=["u", "v^2", DIGITS + "*u^3 + u^2*v + v^3"])),
@@ -544,6 +556,7 @@ class TestPastTheDigitLimit:
         proc = python("-m", "germforge.cli", "distance", "--input", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        error = error.replace("%d", str(sys.get_int_max_str_digits()))
         assert json.loads(proc.stderr)["error"].startswith(error)
 
 
@@ -575,16 +588,16 @@ class TestVerifyHardMismatch:
 class TestDualCheckMismatch:
     def verify(self, tmp_path, capsys):
         code, out, err = run(capsys, "verify", "--input", write_germ(tmp_path, S1_GERM),
-                             "--samples", "9", "--seed", "2")
+                             "--samples", "10", "--seed", "2")
         assert (code, err) == (2, "")
-        probes = islice(verify_probes(random.Random(2)), 9)
+        probes = islice(verify_probes(random.Random(2)), 10)
         return json.loads(out), [classify_distance(nf, p) for nf, p in probes]
 
     def test_inverted_rank_answers_exit_two(self, tmp_path, capsys, monkeypatch):
         real = cli.versality_rank_test
         monkeypatch.setattr(cli, "versality_rank_test", lambda *args: not real(*args))
         result, verdicts = self.verify(tmp_path, capsys)
-        assert result["oracle_equivalence"] == {"agreements": 9, "mismatches": []}
+        assert result["oracle_equivalence"] == {"agreements": 10, "mismatches": []}
         assert result["versality_dual"] == {"agreements": 0, "mismatches": [
             {"flavor": flavor, "closed_form": closed, "rank": not closed,
              "sing_type": v.sing_type.value}
@@ -595,7 +608,7 @@ class TestDualCheckMismatch:
         # A1 for every probe: only the two generic probes agree
         monkeypatch.setattr(cli, "split_and_type", lambda f, order: SingularityType("A", k=1))
         result, verdicts = self.verify(tmp_path, capsys)
-        assert result["versality_dual"] == {"agreements": 18, "mismatches": []}
+        assert result["versality_dual"] == {"agreements": 20, "mismatches": []}
         assert result["oracle_equivalence"] == {"agreements": 2, "mismatches": [
             {"closed_form": v.sing_type.value, "oracle": "A1"}
             for v in verdicts if v.case != "1"]}

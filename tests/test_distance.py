@@ -13,6 +13,7 @@ from germforge.distance import (
     FocalKind,
     ProbePoint,
     SingularPointType,
+    agrees_with_oracle,
     classify_distance,
     distance_jet,
     focal_locus,
@@ -23,7 +24,7 @@ from germforge.distance import (
 from germforge.errors import UsageError
 from germforge.jets import EXACT, FLOAT, Jet2
 from germforge.normal_form import NormalFormCoeffs
-from germforge.oracle import K_EQUIV, R_PLUS
+from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
 from conftest import (
     analysis_forms,
@@ -62,6 +63,14 @@ class TestDistanceJet:
         assert d.coeff(0, 0) == (y0 * y0 + z0 * z0) / 2
         assert d.coeff(2, 0) == -Fraction(1, 2) * (2 * y0 + 3 * z0 - 1)
         assert d.coeff(0, 2) == -Fraction(1, 2) * y0
+
+
+def _random_form(rng, keys):
+    """An order-6 form with random a_ij at ``keys`` and random b_2, b_3, and
+    a random probe on its normal plane, drawn in that order."""
+    a = {key: rand_fraction(rng) for key in keys}
+    nf = make_nf(order=6, a=a, b={2: rand_fraction(rng), 3: rand_fraction(rng)})
+    return nf, probe(0, rand_fraction(rng), rand_fraction(rng))
 
 
 def _probe_kinds(rng, mode):
@@ -272,8 +281,22 @@ class TestClassifyDistance:
         assert v.case == "3a"
         assert v.r_plus_versal and not v.k_versal
 
+    def test_oracle_agreement_random(self, rng):
+        for _ in range(60):
+            nf, p = _random_form(rng, [(2, 0), (2, 1), (0, 3), (3, 0), (1, 2), (0, 4)])
+            v = classify_distance(nf, p)
+            t = split_and_type(distance_jet(nf, p, 6), 6)
+            assert agrees_with_oracle(v.sing_type, t), (v.sing_type, t.label)
+
 
 class TestVersalityDual:
+    def test_rank_test_matches_closed_forms(self, rng):
+        for _ in range(40):
+            nf, p = _random_form(rng, [(2, 0), (2, 1), (0, 3), (3, 0), (1, 2)])
+            v = classify_distance(nf, p)
+            assert versality_rank_test(nf, p, R_PLUS) == v.r_plus_versal
+            assert versality_rank_test(nf, p, K_EQUIV) == v.k_versal
+
     def test_rank_test_on_crafted_branches(self):
         # (2a): versal both; (2b)/(5): versal neither
         nf = make_nf(order=6, a={(2, 0): 1, (3, 0): 1, (2, 1): 1, (0, 3): 1}, b={2: 1})
