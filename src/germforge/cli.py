@@ -25,7 +25,7 @@ from .distance import (
     versality_rank_test,
 )
 from .errors import GermforgeError, InternalConsistencyError, UsageError
-from .germ_io import emit_mesh, emit_report, format_number, read_germ_spec, write_json
+from .germ_io import emit_mesh, emit_report, read_germ_spec, write_json
 from .jets import EXACT
 from .normal_form import NormalFormCoeffs
 from .oracle import K_EQUIV, R_PLUS, split_and_type
@@ -308,10 +308,10 @@ def _cmd_verify(args):
             table.append(
                 {
                     "symbol": entry.symbol,
-                    "theta": format_number(entry.theta),
-                    "pipeline": format_number(entry.pipeline),
-                    "reference": format_number(entry.reference),
-                    "delta": format_number(entry.delta),
+                    "theta": entry.theta,
+                    "pipeline": entry.pipeline,
+                    "reference": entry.reference,
+                    "delta": entry.delta,
                     "hard_mismatch": bad,
                 }
             )

@@ -33,7 +33,7 @@ from typing import Optional
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, FLOAT, ZERO, Jet2, cleared, is_zero, scalar, zero_scale
+from .jets import EXACT, FLOAT, ZERO, Jet2, _finite, cleared, is_zero, scalar, zero_scale
 from .oracle import K_EQUIV, R_PLUS
 
 
@@ -228,9 +228,20 @@ def _probe_order(nf):
 
 def _split_residual_u(nf, p, order=6):
     """Pure-u residual after formally splitting off the v^2 block (y0 != 0):
-    the distance jet restricted to its critical curve d_v = 0."""
-    g = oracle.critical_curve_restriction(distance_jet(nf, p, order), "v")
-    return {i: g[i] for i in range(3, order + 1)}
+    the distance jet restricted to its critical curve d_v = 0.
+
+    The curve kernel reads the distance numerators, the jet times D dp, and
+    an exact residual is divided once, by D dp q^top.  The kernel divides by
+    the v^2 coefficient, -y0 / 2 times D dp, nonzero on this branch; the
+    constant term reaches no degree kept here."""
+    out, sq, den, dp = _distance_numerators(nf, p, order)
+    if nf.mode != EXACT:
+        _finite({**out, (0, 0): sq}, FLOAT)  # an overflowed sum raises, as in distance_jet
+        g, _ = oracle.restriction(out, order, "v", False)
+        return {i: g[i] or 0.0 for i in range(3, order + 1)}
+    g, scale = oracle.restriction(out, order, "v", True)
+    den *= dp * scale
+    return {i: Fraction(g[i], den) for i in range(3, order + 1)}
 
 
 def classify_distance(nf, p):

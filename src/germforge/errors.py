@@ -30,10 +30,6 @@ class SchemaError(UsageError):
         self.field = field
 
 
-class SingularSeriesError(GermforgeError):
-    """Series inversion/division hit a vanishing leading coefficient."""
-
-
 class OutOfScopeHkError(GermforgeError):
     """Two-jet of type (u, uv, 0): detected but deliberately not reduced."""
 

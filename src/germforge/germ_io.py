@@ -14,8 +14,9 @@ File formats:
 
 * Report file: JSON with top-level keys
   class / normal_form / geometry / distance / focal_locus / warnings.
-  Every numeric value is emitted as a string: "p/q" in exact mode,
-  17-significant-digit decimal in float mode.
+  ``write_json`` writes every float and Fraction as a string, "p/q" in
+  exact mode and a 17-significant-digit decimal in float mode; ints,
+  booleans and None stay JSON literals.
 
 * Mesh: Wavefront OBJ (v/f records only) or CSV "x,y,z" rows.
 
@@ -409,14 +410,35 @@ def germ_spec_from_dict(data, where="germ"):
     )
 
 
+# characters of a refused entry that its error message repeats
+_ECHO_CHARS = 40
+
+
+def _refusal(c, exc):
+    """Why the entry ``c`` raised ``exc``: the digit limit where that is the
+    cause, else at most ``_ECHO_CHARS`` characters of its repr and its length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if isinstance(exc, ValueError) and isinstance(c, str) and (
+            0 < limit < sum(ch in _DIGITS for ch in c)):
+        return "number of %d characters exceeds %s" % (len(c), _digit_limit())
+    try:
+        text = repr(c)
+    except ValueError:  # an int from code, with more digits than repr converts
+        return "expected a finite number, got an integer past " + _digit_limit()
+    if len(text) > _ECHO_CHARS:
+        size = len(c) if isinstance(c, str) else len(text)
+        text = "%s... (%d characters)" % (text[:_ECHO_CHARS], size)
+    return "expected a finite number, got " + text
+
+
 def _parse_scalar(c, mode, where):
     """A JSON number or numeric string as a finite scalar of ``mode``."""
     if not isinstance(c, (int, float, str)) or isinstance(c, bool):
         raise SchemaError(where, "expected a number or numeric string")
     try:
         x = scalar(read_number(c, mode) if isinstance(c, str) else c, mode)
-    except (ValueError, ZeroDivisionError, OverflowError, UsageError):
-        raise SchemaError(where, "expected a finite number, got %r" % c) from None
+    except (ValueError, ZeroDivisionError, OverflowError, UsageError) as exc:
+        raise SchemaError(where, _refusal(c, exc)) from None
     if mode == EXACT and isinstance(c, float):
         # a JSON number is read as the nearest small fraction (0.1 -> 1/10);
         # one that fraction does not give back is refused, not moved
@@ -470,13 +492,19 @@ REPORT_KEYS = ("class", "normal_form", "geometry", "distance", "focal_locus", "w
 
 def _encode(value, out, pad):
     """Append to the list ``out`` the text of ``value`` that
-    ``json.dumps(value, indent=2, sort_keys=True)`` writes at indent ``pad``.
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes at indent ``pad``,
+    except that a float or Fraction is written as the string
+    ``format_number`` gives: the report convention.
 
-    Strings, None, booleans and ints are written here, dicts and lists
-    (tuples too) term by term; any other value goes through ``json.dumps``.
+    Strings, floats, Fractions, None, booleans and ints are written here,
+    dicts and lists (tuples too) term by term; any other value goes through
+    ``json.dumps``.  The float and Fraction test comes right after the
+    string test, as numbers are most of what a report holds.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
+    elif type(value) is float or type(value) is Fraction:
+        out.append('"%s"' % format_number(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -507,7 +535,8 @@ def _encode(value, out, pad):
 
 
 def write_json(doc, path_or_file):
-    """Write ``doc`` as deterministic JSON (sorted keys, indent 2, final newline)."""
+    """Write ``doc`` as deterministic JSON (sorted keys, indent 2, final
+    newline), each float and Fraction as a ``format_number`` string."""
     out = []
     _encode(doc, out, "")
     out.append("\n")

@@ -4,9 +4,9 @@
 On a corank-1 Hessian it solves the critical-curve equation f_u = 0 (or
 f_v = 0) for one variable as a power series in the other, one coefficient
 at a time, and reads the residual: f restricted to that curve.  The same
-curve kernel gives ``critical_curve_restriction``, and through it
-``distance`` its pure-u residual.  The tests use ``split_and_type`` as an
-oracle against the closed-form classifier.
+curve kernel, ``restriction``, gives ``distance`` its pure-u residual.
+The tests use ``split_and_type`` as an oracle against the closed-form
+classifier.
 ``versality_rank_oracle`` decides R+/K-versality of a 3-parameter family
 as a rank condition over the monomials of a jet space.  A module
 element's row is its generator's coefficients shifted by the monomial's
@@ -21,8 +21,6 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
   q and composes by the scaled Horner rule acc <- acc * psi + r_i *
   q^(top - i).  ``split_and_type`` clears an exact f to integers over the
   lcm D of its denominators, and divides only its residual, by D * q^top.
-  ``critical_curve_restriction`` runs the same curve kernel; on a float f
-  it takes D = q = 1.
 * ``integer_versality`` builds the rows of integer jets one at a time,
   the column of u^i v^j being d (d + 1) / 2 + j with d = i + j, and
   eliminates them fraction-free: a pivot row is divided by the gcd of its
@@ -50,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import SingularSeriesError, UsageError
+from .errors import UsageError
 from .jets import EXACT, Jet2, cleared
 
 RATIONALIZE_DENOMINATOR = 10**6
@@ -139,7 +137,7 @@ def integer_split(f, order):
 
     # corank 1: solve for the variable whose square survives in the Hessian
     # (c20 == 0 forces c11 == 0 and c02 != 0 here)
-    g, scale = _restriction(f, order, "u" if c20 != 0 else "v", True)
+    g, scale = restriction(f, order, "u" if c20 != 0 else "v", True)
     m = next((j for j in range(3, order + 1) if g[j]), None)
     if m is None:
         return SingularityType("MoreDegenerate", corank=1), (g, scale)
@@ -179,38 +177,19 @@ def _horner(polys, x, q, n):
     return acc, top
 
 
-def critical_curve_restriction(f, solve_for="u"):
-    """Dense coefficients g[0..order] of f restricted to its critical curve.
+def restriction(coeffs, order, solve_for, exact):
+    """(g, scale): the critical-curve restriction of the jet f with
+    coefficients ``coeffs`` (degree <= ``order``) is g / scale, g dense.
 
     For ``solve_for="u"``, phi(v) = p_1 v + p_2 v^2 + ... solves
     f_u(phi(v), v) = 0 one coefficient at a time,
 
         p_k = -[v^k] f_u(phi_{<k}(v), v) / (2 c_20),
 
-    and g(v) = f(phi(v), v).  ``solve_for="v"`` swaps the roles of u and v.
-    This is the splitting lemma: in the coordinates (u - phi(v), v), f is
-    c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at
-    the origin and a nonzero coefficient on the square of the solved
-    variable.  Works over Fractions or floats; an exact f is solved on
-    integers (D f, phi = psi / q) and divided by D q^top at the end.
-    """
-    if solve_for not in ("u", "v"):
-        raise UsageError("solve_for must be 'u' or 'v'")
-    if not f.coeff(*((2, 0) if solve_for == "u" else (0, 2))):
-        raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
-    if f.mode != EXACT:
-        return [c or 0.0 for c in _restriction(f.coeffs, f.order, solve_for, False)[0]]
-    # D f has the critical curve of f
-    coeffs, den = cleared(f.coeffs)
-    g, scale = _restriction(coeffs, f.order, solve_for, True)
-    den *= scale
-    return [Fraction(c, den) for c in g]
-
-
-def _restriction(coeffs, order, solve_for, exact):
-    """(g, scale): the critical-curve restriction of the jet with
-    coefficients ``coeffs`` (degree <= ``order``) is g / scale.
-
+    and g(v) = f(phi(v), v); ``"v"`` swaps the roles of u and v.  This is
+    the splitting lemma: in the coordinates (u - phi(v), v), f is
+    c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at the
+    origin and a nonzero coefficient on the square of the solved variable.
     Exact coefficients must be ints: the curve is kept as integer numerators
     psi over one denominator q, and scale = q^top.  Float coefficients run
     the same steps with q = scale = 1.

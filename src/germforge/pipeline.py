@@ -1,8 +1,8 @@
 """End-to-end flows: germ input -> classification -> report sections.
 
 This is the layer the CLI drives; everything here returns plain data
-structures ready for JSON emission (numbers formatted as strings per the
-report convention).
+structures with numbers as computed (ints, Fractions, floats), which
+``germ_io.write_json`` writes by the report convention.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import germ_io
 from .blowup import BLOWUP_EXPONENT, build_context, geometry_samples, theta_grid
 from .distance import (
     ProbePoint,
@@ -21,7 +20,7 @@ from .distance import (
     singular_point_type,
 )
 from .errors import SchemaError, UnsupportedGermError, UsageError
-from .germ_io import MAX_ORDER, expand_germ, format_number
+from .germ_io import MAX_ORDER, expand_germ
 from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
 from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
 
@@ -128,48 +127,30 @@ def normal_form_section(outcome):
     return {
         "order": nf.order,
         "mode": nf.mode,
-        "a": {
-            "%d,%d" % key: format_number(val)
-            for key, val in sorted(nf.a.items())
-        },
-        "b": {str(key): format_number(val) for key, val in sorted(nf.b.items())},
+        "a": {"%d,%d" % key: val for key, val in nf.a.items()},
+        "b": {str(key): val for key, val in nf.b.items()},
     }
 
 
 def geometry_section(outcome, theta_samples=64):
     ctx = blowup_context(outcome)
-    records = []
-    for rec in geometry_samples(ctx, theta_grid(theta_samples)):
-        records.append(
-            {
-                "theta": format_number(rec["theta"]),
-                "K0": None if rec["K0"] is None else format_number(rec["K0"]),
-                "k10": format_number(rec["k10"]),
-                "k20": None if rec["k20"] is None else format_number(rec["k20"]),
-                "delta1": format_number(rec["delta1"]),
-                "delta2": format_number(rec["delta2"]),
-                "delta3": format_number(rec["delta3"]),
-                "point_type": rec["point_type"],
-                "flags": rec["flags"],
-            }
-        )
     return {
         "n": ctx.n,
         "epsilon": ctx.epsilon,
         "theta_samples": theta_samples,
-        "samples": records,
+        "samples": geometry_samples(ctx, theta_grid(theta_samples)),
     }
 
 
 def _verdict_record(p, verdict):
     return {
-        "p0": [format_number(p.x0), format_number(p.y0), format_number(p.z0)],
+        "p0": [p.x0, p.y0, p.z0],
         "sing_type": verdict.sing_type.value,
         "branch": verdict.branch.value if verdict.branch else None,
         "case": verdict.case,
         "r_plus_versal": verdict.r_plus_versal,
         "k_versal": verdict.k_versal,
-        "witness": {k: format_number(v) for k, v in verdict.witness.items()},
+        "witness": verdict.witness,
     }
 
 
@@ -193,8 +174,8 @@ def distance_section(outcome, spec):
         for theta0, lam in spec.theta_lambda:
             gv = geometric_verdict(ctx, theta0, lam)
             rec = _verdict_record(gv.probe, gv.verdict)
-            rec["theta0"] = format_number(theta0)
-            rec["lambda"] = format_number(lam)
+            rec["theta0"] = theta0
+            rec["lambda"] = lam
             rec["flags"] = gv.flags
             pair_records.append(rec)
     return {"probes": records, "normal_directions": pair_records}
@@ -210,33 +191,25 @@ def focal_section(outcome):
         "kind": locus.kind.value,
         "lines": [
             {
-                "equation": {
-                    "y": format_number(line.alpha),
-                    "z": format_number(line.beta),
-                    "rhs": format_number(line.gamma),
-                },
-                "direction": [format_number(x) for x in line.direction()],
-                "point": [format_number(x) for x in line.point()],
+                "equation": {"y": line.alpha, "z": line.beta, "rhs": line.gamma},
+                "direction": line.direction(),
+                "point": line.point(),
             }
             for line in locus.lines
         ],
-        "intersection": (
-            None
-            if locus.intersection is None
-            else [format_number(x) for x in locus.intersection]
-        ),
+        "intersection": locus.intersection,
     }
 
 
 def base_report(spec, outcome):
-    report = {key: None for key in germ_io.REPORT_KEYS}
-    report["class"] = class_section(outcome)
-    report["normal_form"] = normal_form_section(outcome)
-    report["warnings"] = list(outcome.warnings)
-    report["germ"] = {
-        "variables": list(spec.variables),
-        "components": list(spec.components),
-        "order": spec.order,
-        "mode": spec.mode,
+    return {
+        "class": class_section(outcome),
+        "normal_form": normal_form_section(outcome),
+        "warnings": list(outcome.warnings),
+        "germ": {
+            "variables": list(spec.variables),
+            "components": list(spec.components),
+            "order": spec.order,
+            "mode": spec.mode,
+        },
     }
-    return report

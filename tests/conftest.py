@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from germforge import germ_io, pipeline
-from germforge.errors import ParseError, SingularSeriesError, UsageError
+from germforge.errors import ParseError, UsageError
 from germforge.jets import EXACT, GermJets, Jet2, scalar
 from germforge.normal_form import NormalFormCoeffs
 
@@ -292,14 +292,12 @@ def ref_critical_curve_restriction(f, solve_for="u"):
     the origin and a nonzero coefficient on the square of the solved
     variable.  Works over Fractions or floats.
 
-    The Fraction/float arithmetic that ``oracle.critical_curve_restriction``
-    replaced with its integer kernel: the test-only reference for it.
+    The Fraction/float arithmetic that the integer kernel
+    ``oracle.restriction`` replaced: the test-only reference for it.
     """
     if solve_for not in ("u", "v"):
         raise UsageError("solve_for must be 'u' or 'v'")
     lead = 2 * f.coeff(*((2, 0) if solve_for == "u" else (0, 2)))
-    if not lead:
-        raise SingularSeriesError("critical curve: the %s^2 coefficient vanishes" % solve_for)
     order = f.order
     # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
     rows = [[0] * (order + 1) for _ in range(order + 1)]

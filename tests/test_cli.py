@@ -258,6 +258,25 @@ class TestMesh:
             '{"error": "extent must be a finite positive number"}'
         ]
 
+    @pytest.mark.parametrize("argv, summary", [
+        (["--kind", "wavefront", "--t0", "0.1", "--extent", "0.75"],
+         {"kind": "wavefront", "chart": "direct", "sign": 1, "t0": "0.10000000000000001",
+          "extent": "0.75"}),
+        (["--kind", "focal", "--rmax", "0.25"], {"kind": "focal-sheet", "r_max": "0.25"}),
+    ])
+    def test_summary_numbers(self, tmp_path, capsys, argv, summary):
+        # extent, t0 and r_max are written as the report writes any float;
+        # grid, vertices, faces and skipped stay integers
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", str(DATA / "s1_special_directions_germ.json"),
+            "--output", str(out_path), "--grid", "5x4", *argv,
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"mesh": dict(
+            summary, grid=[5, 4], vertices=20, faces=24, skipped=0, format="obj",
+            output=str(out_path))}
+
     def test_focal_mesh(self, tmp_path, capsys):
         germ = dict(S1_GERM, components=["u", "v^2 + u^2", "v^3 + u^2*v"])
         path = write_germ(tmp_path, germ)
@@ -354,6 +373,7 @@ class TestSpecialDirectionsPinned:
     @pytest.mark.parametrize("argv, name", [
         (["geometry", "--theta-samples", "16"], "s1_special_directions_geometry16.json"),
         (["distance"], "s1_special_directions_distance.json"),
+        (["focal"], "s1_special_directions_focal.json"),
     ])
     def test_report_pinned(self, capsys, argv, name):
         code, out, err = run(capsys, *argv, "--input", str(self.GERM))
@@ -387,6 +407,30 @@ class TestFloatReductionPinned:
         assert code == 0, err
         assert out == (DATA / ("classify_float_%s.json" % name)).read_text()
         assert json.loads(out)["normal_form"]["mode"] == "float"
+
+    def test_readme_focal_pinned(self, capsys):
+        germ = DATA / "classify_float_readme_germ.json"
+        code, out, err = run(capsys, "focal", "--input", str(germ))
+        assert code == 0, err
+        assert out == (DATA / "classify_float_readme_focal.json").read_text()
+
+
+class TestCase4aPinned:
+    """distance reports of a germ whose twelve probes all reach case 4a, the
+    case that splits the distance jet at its critical curve, in the file's
+    exact mode and in float mode, pinned byte for byte."""
+
+    GERM = DATA / "case4a_probes_germ.json"
+
+    @pytest.mark.parametrize("mode, name", [
+        ([], "case4a_probes_distance.json"),
+        (["--mode", "float"], "case4a_probes_distance_float.json"),
+    ])
+    def test_report_pinned(self, capsys, mode, name):
+        code, out, err = run(capsys, "distance", "--input", str(self.GERM), *mode)
+        assert code == 0, err
+        assert out == (DATA / name).read_text()
+        assert [p["case"] for p in json.loads(out)["distance"]["probes"]] == ["4a"] * 12
 
 
 class TestGeometrySweepPinned:
@@ -549,6 +593,14 @@ class TestPastTheDigitLimit:
          "a number to write exceeds %s" % LIMIT),
         (json.dumps(dict(S1_GERM, probes=[[0, 1, 1]])).replace("[0, 1, 1]", "[0, %s, 1]" % DIGITS),
          "germ: invalid JSON: "),
+        # a bad probe entry is named, and echoed only in part
+        (json.dumps(dict(S1_GERM, probes=[[0, DIGITS, 1]])),
+         "germ.probes[0]: number of 5001 characters exceeds %s" % LIMIT),
+        (json.dumps(dict(S1_GERM, mode="float", probes=[[0, 1, 1]])).replace(
+            "[0, 1, 1]", "[0, %s, 1]" % DIGITS[:4001]),
+         "germ.probes[0]: expected a finite number, got %s... (4001 characters)" % DIGITS[:40]),
+        (json.dumps(dict(S1_GERM, probes=[[0, "a" * 3000, 1]])),
+         "germ.probes[0]: expected a finite number, got '%s... (3000 characters)" % ("a" * 39)),
     ])
     def test_exits_one_with_one_error_line(self, tmp_path, text, error):
         path = tmp_path / "germ.json"
@@ -556,6 +608,7 @@ class TestPastTheDigitLimit:
         proc = python("-m", "germforge.cli", "distance", "--input", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert len(proc.stderr.encode()) < 200
         error = error.replace("%d", str(sys.get_int_max_str_digits()))
         assert json.loads(proc.stderr)["error"].startswith(error)
 

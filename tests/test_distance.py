@@ -542,6 +542,13 @@ class TestResidualKernelMatchesReference:
             q, ref_q = got.witness["quintic"], want.witness["quintic"]
             assert abs(q - ref_q) <= 1e-12 * abs(ref_q), (q, ref_q)
 
+    def test_float_overflow_is_a_usage_error(self):
+        # a20 = b2 = 0 and a probe of size 1e300: every witness is zero at the
+        # probe's scale, so the tree reaches case 4a, where |p|^2 overflows
+        nf = make_nf(8, FLOAT, {(0, 3): 1, (1, 2): 1})
+        with pytest.raises(UsageError):
+            classify_distance(nf, ProbePoint(0.0, 1e300, 0.0))
+
     def test_float_floor_no_longer_deletes_the_quintic(self):
         # |b4| ~ 4e4 makes the shift loop's intermediate jets large enough
         # for the relative float floor to drop the u^5 term (it read 0.0);

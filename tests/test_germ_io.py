@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import io
 import json
 import math
+import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -437,6 +440,21 @@ class TestGermFiles:
             germ_spec_from_dict(data)
         assert exc.value.field == "germ.%s[1]" % field
 
+    def test_short_bad_entry_is_echoed_whole(self):
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(dict(self.GERM, probes=[[0, "1/0x", 1]]))
+        assert str(exc.value) == "germ.probes[0]: expected a finite number, got '1/0x'"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    def test_integer_past_the_digit_limit_is_a_schema_error(self):
+        # json.load refuses such a number; a dict built in code can hold it
+        with pytest.raises(SchemaError) as exc:
+            germ_spec_from_dict(dict(self.GERM, theta_lambda=[[10**5000, 1]]))
+        assert str(exc.value) == (
+            "germ.theta_lambda[0]: expected a finite number, got an integer past the "
+            "limit of %d digits on int/str conversion" % sys.get_int_max_str_digits())
+
     def test_literal_outside_float_range_is_a_parse_error(self):
         big = "1" + "0" * 400
         with pytest.raises(ParseError) as exc:
@@ -489,16 +507,60 @@ class TestReports:
         assert path.read_text() == buf.getvalue() == text
 
     def test_write_json_writes_the_bytes_of_json_dumps(self):
+        # the bytes of json.dumps once each float and Fraction value is the
+        # string format_number gives, the report convention
+        def as_reported(doc):
+            if type(doc) in (float, Fraction):
+                return format_number(doc)
+            if isinstance(doc, dict):
+                return {key: as_reported(value) for key, value in doc.items()}
+            if isinstance(doc, (list, tuple)):
+                return [as_reported(value) for value in doc]
+            return doc
+
         docs = [
             {}, [], "", None, 7, 0.1, {"k": []}, {"k": {}}, [[], {}, ()],
             {"b": (1, 2.5, -0.0), "a": {"é": "☃\n\"\\", "t": [True, False, None]}, "": 10**30},
             {1: "int key", 2.5: "float key"}, {"nan": math.nan, "inf": [math.inf, -math.inf]},
             [{"z": [{"y": [1, [2, [3]]]}]}, "\x00\t\ud83d"],
+            {"q": [Fraction(1, 3), Fraction(-4), 1 / 3, 1e300]},
         ]
         for doc in docs:
             buf = io.StringIO()
             write_json(doc, buf)
-            assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
+            want = json.dumps(as_reported(doc), indent=2, sort_keys=True) + "\n"
+            assert buf.getvalue() == want, doc
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "germforge"
+
+
+def _format_number_lines(source):
+    """Lines of a module that name format_number: a read, an attribute or an
+    import."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and node.id == "format_number")
+            or (isinstance(node, ast.Attribute) and node.attr == "format_number")
+            or (isinstance(node, ast.alias) and node.name == "format_number")]
+
+
+class TestOneNumberFormatter:
+    """write_json applies the report's number convention; no other module
+    formats a number for a report."""
+
+    def test_only_germ_io_names_format_number(self):
+        modules = sorted(SRC.glob("*.py"))
+        assert len(modules) > 5 and SRC / "germ_io.py" in modules
+        named = {path.name: _format_number_lines(path.read_text()) for path in modules
+                 if path.name != "germ_io.py"}
+        assert {name: lines for name, lines in named.items() if lines} == {}
+
+    def test_guard_sees_a_planted_use(self):
+        source = ("from .germ_io import format_number, write_json\n"
+                  "from . import germ_io\n"
+                  "def section(x):\n"
+                  "    return {'x': format_number(x), 'y': germ_io.format_number(x)}\n")
+        assert sorted(_format_number_lines(source)) == [1, 4, 4]
 
 
 class TestMeshIO:

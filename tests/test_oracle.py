@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge.cli import FOCAL_KINDS, focal_probes
-from germforge.errors import SingularSeriesError, UsageError
-from germforge.jets import EXACT, FLOAT, Jet2
+from germforge.errors import UsageError
+from germforge.jets import EXACT, FLOAT, Jet2, cleared
 from germforge import distance, oracle
 from germforge.oracle import (
     K_EQUIV,
     R_PLUS,
     RATIONALIZE_DENOMINATOR,
     SingularityType,
-    critical_curve_restriction,
     rank_of_rows,
+    restriction,
     split_and_type,
     versality_rank_oracle,
 )
@@ -33,6 +33,17 @@ from conftest import (
 
 def jet(order, terms):
     return Jet2(order, terms, EXACT)
+
+
+def curve_restriction(f, solve_for="u"):
+    """Dense coefficients of f restricted to its critical curve, by the
+    kernel ``oracle.restriction``: an exact f is cleared to integers over D
+    and the kernel's g divided by D q^top, a float f gives floats."""
+    if f.mode != EXACT:
+        return [c or 0.0 for c in restriction(f.coeffs, f.order, solve_for, False)[0]]
+    coeffs, den = cleared(f.coeffs)
+    g, scale = restriction(coeffs, f.order, solve_for, True)
+    return [Fraction(c, den * scale) for c in g]
 
 
 class TestSplitAndType:
@@ -107,24 +118,18 @@ class TestCriticalCurve:
         u, v = Jet2.variable("u", 7), Jet2.variable("v", 7)
         w = u - v * v + v * v * v
         f = w * w * (Jet2.const(3, 7) + u) + jet(7, {(0, 5): 1, (0, 7): -2})
-        assert critical_curve_restriction(f) == [0, 0, 0, 0, 0, 1, 0, -2]
+        assert curve_restriction(f) == [0, 0, 0, 0, 0, 1, 0, -2]
         # the same function with u and v exchanged, solved for v
-        g = critical_curve_restriction(f.substitute(v, u), "v")
+        g = curve_restriction(f.substitute(v, u), "v")
         assert g == [0, 0, 0, 0, 0, 1, 0, -2]
         assert all(isinstance(c, Fraction) for c in g)
 
     def test_float_jet_gives_floats(self):
         f = Jet2(6, {(2, 0): 0.5, (1, 2): 1.0, (0, 4): 2.0}, FLOAT)
         # u = -v^2 on the curve: g = v^4/2 - v^4 + 2 v^4
-        g = critical_curve_restriction(f)
+        g = curve_restriction(f)
         assert g == [0.0, 0.0, 0.0, 0.0, 1.5, 0.0, 0.0]
         assert all(isinstance(c, float) for c in g)
-
-    def test_vanishing_square_is_typed_error(self):
-        with pytest.raises(SingularSeriesError):
-            critical_curve_restriction(jet(6, {(0, 2): 1, (0, 3): 1}), "u")
-        with pytest.raises(UsageError):
-            critical_curve_restriction(jet(6, {(2, 0): 1}), "w")
 
 
 class TestRank:
@@ -545,7 +550,7 @@ class TestCriticalCurveMatchesReference:
         for n in range(400):
             order, solve_for = 3 + n % 8, ("u", "v")[n // 8 % 2]
             f = self._jet(rng, order, solve_for, EXACT, zero_curve=n % 5 == 0)
-            got = critical_curve_restriction(f, solve_for)
+            got = curve_restriction(f, solve_for)
             assert got == ref_critical_curve_restriction(f, solve_for), f
             assert len(got) == order + 1 and all(type(c) is Fraction for c in got)
             if n % 5 == 0:  # phi = 0: g is f on the other axis
@@ -558,12 +563,14 @@ class TestCriticalCurveMatchesReference:
         for n in range(400):
             order, solve_for = 3 + n % 8, ("u", "v")[n // 8 % 2]
             f = self._jet(rng, order, solve_for, FLOAT, zero_curve=n % 5 == 0)
-            got = critical_curve_restriction(f, solve_for)
+            got = curve_restriction(f, solve_for)
             want = ref_critical_curve_restriction(f, solve_for)
             assert all(type(c) is float for c in got)
             assert [c.hex() for c in got] == [c.hex() for c in want], f
 
     def test_distance_jets(self):
+        # case 4a's residual, read off the distance numerators, against the
+        # reference restriction of the distance jet
         rng = random.Random(4155)
         for n in range(60):
             a = {(i, j): rand_fraction(rng) for i in range(6) for j in range(6)
@@ -572,10 +579,10 @@ class TestCriticalCurveMatchesReference:
                                                            3: rand_fraction(rng)})
             p = distance.ProbePoint(0, rand_fraction(rng, nonzero=True), rand_fraction(rng))
             for order in (6, 8):
-                f = distance.distance_jet(nf, p, order)
-                got = critical_curve_restriction(f, "v")
-                want = ref_critical_curve_restriction(f, "v")
-                assert [repr(c) for c in got] == [repr(c) for c in want]
+                got = distance._split_residual_u(nf, p.as_mode(nf.mode), order)
+                want = ref_critical_curve_restriction(distance.distance_jet(nf, p, order), "v")
+                assert sorted(got) == list(range(3, order + 1))
+                assert [repr(got[i]) for i in got] == [repr(c) for c in want[3:]]
 
 
 class TestVersalityMatchesReference:
@@ -693,10 +700,18 @@ class TestIntegerKernels:
         assert ref_built > len(got.coeffs)
 
     def test_curve_builds_only_its_result(self, monkeypatch):
-        f = TestCriticalCurveMatchesReference._jet(random.Random(5), 8, "u", EXACT)
-        got, built = _fraction_constructions(monkeypatch, critical_curve_restriction, f)
-        assert got == ref_critical_curve_restriction(f) and built == f.order + 1
-        _, ref_built = _fraction_constructions(monkeypatch, ref_critical_curve_restriction, f)
+        # case 4a builds one Fraction per residual coefficient
+        rng = random.Random(5)
+        a = {(i, d - i): rand_fraction(rng) for d in range(3, 9) for i in range(d + 1)}
+        nf = make_nf(8, EXACT, a, {i: rand_fraction(rng) for i in range(2, 9)})
+        p = distance.ProbePoint(Fraction(0), rand_fraction(rng, 9, 7), rand_fraction(rng, 9, 11))
+        nf.distance_base(8)
+        got, built = _fraction_constructions(monkeypatch, distance._split_residual_u, nf, p, 8)
+        want = ref_critical_curve_restriction(distance.distance_jet(nf, p, 8), "v")
+        assert list(got.values()) == want[3:] and built == len(got)
+        _, ref_built = _fraction_constructions(
+            monkeypatch, lambda: ref_critical_curve_restriction(
+                ref_distance_jet(nf, p, 8), "v"))
         assert ref_built > built
 
 

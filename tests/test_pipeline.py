@@ -1,10 +1,13 @@
+import json
+import pathlib
+
 import pytest
 
 from germforge import distance, normal_form, pipeline
 from germforge.blowup import BLOWUP_EXPONENT
 from germforge.errors import UnsupportedGermError
 from germforge.germ_io import GermSpec, germ_spec_from_dict
-from germforge.jets import Jet2
+from germforge.jets import Jet2, cleared
 from germforge.mond import MondTag
 from germforge.normal_form import TwoJetClass
 from germforge.pipeline import (
@@ -110,13 +113,13 @@ class TestNoJetProductPerProbe:
     the probe-free distance base is built once per normal form and order."""
 
     # a20 = a30 = a21 = a40 = b3 = 0, b2 = 1, b4 = 3: every probe (0, 1, z0)
-    # is case 4a, the case whose verdict needs the distance jet
-    COMPONENTS = ["u", "1/2*v^2 + 1/2*u^2 + 1/8*u^4", "v^3 + u*v^2 + u^5"]
-    PROBES = [[0, 1, z0] for z0 in range(12)]
+    # is case 4a, the case whose verdict splits the distance jet
+    GERM = json.loads((pathlib.Path(__file__).parent / "data" / "case4a_probes_germ.json")
+                      .read_text())
+    PROBES = GERM["probes"]
 
     def _jet_products(self, monkeypatch, probes):
-        spec = germ_spec_from_dict({"variables": ["u", "v"], "components": self.COMPONENTS,
-                                    "order": 8, "mode": "exact", "probes": probes})
+        spec = germ_spec_from_dict(dict(self.GERM, probes=probes))
         outcome = classify_spec(spec)
         count = [0]
         mul = Jet2.__mul__
@@ -138,7 +141,15 @@ class TestNoJetProductPerProbe:
         assert self._jet_products(monkeypatch, self.PROBES) == few
 
     def test_guard_sees_a_per_probe_product(self, monkeypatch):
-        monkeypatch.setattr(distance, "distance_jet", ref_distance_jet)
+        def per_probe_numerators(nf, p, order):
+            # distance._distance_numerators read off a jet whose products are
+            # made anew for each probe (exact form, dp = 1)
+            coeffs = dict(ref_distance_jet(nf, p, order).coeffs)
+            sq = 2 * coeffs.pop((0, 0), 0)
+            out, den = cleared(coeffs)
+            return out, sq, den, 1
+
+        monkeypatch.setattr(distance, "_distance_numerators", per_probe_numerators)
         few = self._jet_products(monkeypatch, self.PROBES[:2])
         assert self._jet_products(monkeypatch, self.PROBES) > few
 
