@@ -28,6 +28,12 @@ Expression grammar (no implicit multiplication, '^' for powers)::
     base   := number | var | '(' expr ')' | '-' base
     number := nat | nat '/' nat | nat ['.' nat] [('e'|'E') ['+'|'-'] nat]
 
+Tokens, read by one compiled pattern after any whitespace: a number (nat is
+a run of ASCII digits), a var (a letter, then letters or digits), an
+operator of ``+-*/^()``, and the end of the text; any other character is a
+parse error.  A parse error names its line and column: lines split at "\\n"
+only, and columns count characters from 1.
+
 The last number form, a decimal, needs float mode.  A literal p/q is one
 number, so 2/3^2 is (2/3)^2, except after '^' or '/', where only the
 integer is read: v^2/2 is v^2 divided by 2, and u/2/3 is u/6.  Every
@@ -40,6 +46,7 @@ one dict, which becomes a Jet2 once the whole expression is read.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,86 +77,54 @@ class GermSpec:
 # and the cost of a reduction grows steeply with the order.
 MAX_ORDER = 20
 
-_OPS = set("+-*/^()")
-_DIGITS = frozenset("0123456789")
+# One token after optional whitespace: an operator, a number (ASCII digits,
+# an optional fraction and exponent, and a "/q" that _tokenize keeps only
+# where p/q is one literal), a run of letters and digits, or any other
+# character; at the end of the text no group matches.
+_TOKEN = re.compile(r"""\s*(?:
+    ([-+*/^()])
+  | ([0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?(/[0-9]+)?)
+  | ([^\W_]+)
+  | (\S)
+)?""", re.VERBOSE)
 
 
-def _skip_digits(text, i):
-    """The index after the run of ASCII digits starting at ``i``."""
-    n = len(text)
-    while i < n and text[i] in _DIGITS:
-        i += 1
-    return i
-
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+def _error(text, message, offset):
+    """A ParseError at ``offset`` of ``text``: lines split at "\\n" only, and
+    columns count characters from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
 
 def _tokenize(text):
+    """The (kind, text, offset) tuples of ``text``, ending with an "end" token.
+
+    An operator's text is its one character, which no other token's text
+    equals, so the parser tells operators apart by their text alone."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            # int, p/q rational, or decimal digits[.digits][e|E[+|-]digits]
-            start = i
-            i = _skip_digits(text, i)
-            kind = "int"
-            if text[i:i + 1] == ".":
-                j = _skip_digits(text, i + 1)
-                if j == i + 1:
-                    raise ParseError(
-                        "digits expected after decimal point", line, col + j - start
-                    )
-                i, kind = j, "decimal"
-            if text[i:i + 1] in ("e", "E"):
-                # an 'e' without digits after it is left to the identifiers
-                j = i + 1 + (text[i + 1:i + 2] in ("+", "-"))
-                k = _skip_digits(text, j)
-                if k > j:
-                    i, kind = k, "decimal"
-            if (kind == "int" and text[i:i + 1] == "/"
-                    and not (tokens and tokens[-1].value in ("^", "/"))):
-                # no spaces inside p/q; after '^' or '/' the integer stands alone
-                j = _skip_digits(text, i + 1)
-                if j > i + 1:
-                    i, kind = j, "rational"
-            tokens.append(_Token(kind, text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            start_col = col
-            while i < n and text[i].isalnum():
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        group = match.lastindex
+        if group is None:
+            tokens.append(("end", "", len(text)))
+            return tokens
+        start, pos = match.span(group)
+        if group == 1:
+            kind = "op"
+        elif group == 2:
+            fraction, exponent, denominator = match.group(3, 4, 5)
+            if fraction == ".":
+                raise _error(text, "digits expected after decimal point", match.end(3))
+            if denominator and (fraction or exponent or tokens and tokens[-1][1] in ("^", "/")):
+                # a decimal takes no "/q", and after '^' or '/' the integer stands alone
+                pos, denominator = match.start(5), None
+            kind = "decimal" if fraction or exponent else "rational" if denominator else "int"
+        elif group == 6 and text[start].isalpha():
+            kind = "ident"
+        else:
+            raise _error(text, "unexpected character %r" % text[start], start)
+        tokens.append((kind, text[start:pos], start))
 
 
 class _Parser:
@@ -161,9 +136,10 @@ class _Parser:
     term into one dict.  ``parse`` wraps the result in a ``Jet2``.
     """
 
-    def __init__(self, tokens, variables, order, mode):
+    def __init__(self, text, variables, order, mode):
         Jet2.zero(order, mode)  # the jets' own check of order and mode
-        self.tokens = tokens
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.order = order
         self.mode = mode
@@ -181,49 +157,45 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, message, tok):
+        return _error(self.text, message, tok[2])
+
     def expect_op(self, op):
         tok = self.advance()
-        if tok.kind != "op" or tok.value != op:
-            raise ParseError("expected %r" % op, tok.line, tok.col)
-        return tok
+        if tok[1] != op:
+            raise self.error("expected %r" % op, tok)
 
     def _number(self, tok):
-        if tok.kind in ("int", "rational"):
-            num, _, den = tok.value.partition("/")
+        kind, text, _ = tok
+        if kind in ("int", "rational"):
+            num, _, den = text.partition("/")
             try:
                 num, den = int(num), int(den or 1)
             except ValueError:  # more digits than int() converts
-                raise ParseError("number literal of %d characters exceeds %s"
-                                 % (len(tok.value), _digit_limit()), tok.line, tok.col) from None
+                raise self.error("number literal of %d characters exceeds %s"
+                                 % (len(text), _digit_limit()), tok) from None
             if den == 0:
-                raise ParseError("zero denominator", tok.line, tok.col)
+                raise self.error("zero denominator", tok)
             value = Fraction(num, den)
         elif self.mode == EXACT:
-            raise ParseError(
-                "decimal literal %r requires float mode; use a p/q rational"
-                % tok.value,
-                tok.line,
-                tok.col,
-            )
+            raise self.error(
+                "decimal literal %r requires float mode; use a p/q rational" % text, tok)
         else:
-            value = float(tok.value)
+            value = float(text)
         if self.mode == FLOAT:  # an exact number here is a Fraction already
             try:
                 value = scalar(value, FLOAT)
             except UsageError:
-                raise ParseError(
-                    "number literal of %d characters lies outside float range"
-                    % len(tok.value),
-                    tok.line,
-                    tok.col,
-                ) from None
+                raise self.error(
+                    "number literal of %d characters lies outside float range" % len(text),
+                    tok) from None
         return {(0, 0): value} if value else {}
 
     def parse(self):
         coeffs = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.line, tok.col)
+        if tok[0] != "end":
+            raise self.error("unexpected trailing input", tok)
         return Jet2._trusted(self.order, coeffs, self.mode)
 
     def expr(self):
@@ -232,28 +204,28 @@ class _Parser:
         while True:
             value = self.term()
             _accumulate(acc, value if sign > 0 else {k: -c for k, c in value.items()})
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in "+-":
+            text = self.peek()[1]
+            if text in ("+", "-"):
                 self.advance()
-                sign = 1 if tok.value == "+" else -1
+                sign = 1 if text == "+" else -1
             else:
                 return _finite(acc, self.mode)
 
     def term(self):
         value = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value == "*":
+            text = self.peek()[1]
+            if text == "*":
                 self.advance()
                 value = _product(value, self.factor(), self.order, self.mode)
-            elif tok.kind == "op" and tok.value == "/":
+            elif text == "/":
                 self.advance()
                 dtok = self.advance()
-                if dtok.kind not in ("int", "rational", "decimal"):
-                    raise ParseError("a number literal must follow '/'", dtok.line, dtok.col)
+                if dtok[0] not in ("int", "rational", "decimal"):
+                    raise self.error("a number literal must follow '/'", dtok)
                 divisor = self._number(dtok)
                 if not divisor:
-                    raise ParseError("division by zero", dtok.line, dtok.col)
+                    raise self.error("division by zero", dtok)
                 d = divisor[(0, 0)]
                 value = _finite({k: c / d for k, c in value.items()}, self.mode)
             else:
@@ -261,40 +233,38 @@ class _Parser:
 
     def factor(self):
         value = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
+        if self.peek()[1] == "^":
             self.advance()
             etok = self.advance()
-            if etok.kind != "int":
-                raise ParseError(
-                    "exponent must be a nonnegative integer", etok.line, etok.col
-                )
-            value = _power(value, int(etok.value), self.order, self.mode)
+            if etok[0] != "int":
+                raise self.error("exponent must be a nonnegative integer", etok)
+            value = _power(value, int(etok[1]), self.order, self.mode)
         return value
 
     def base(self):
         tok = self.advance()
-        if tok.kind in ("int", "rational", "decimal"):
+        kind, text, _ = tok
+        if kind in ("int", "rational", "decimal"):
             return self._number(tok)
-        if tok.kind == "ident":
-            value = self.variables.get(tok.value)
+        if kind == "ident":
+            value = self.variables.get(text)
             if value is not None:
                 return value
-            raise ParseError("unknown identifier %r" % tok.value, tok.line, tok.col)
-        if tok.kind == "op" and tok.value == "(":
+            raise self.error("unknown identifier %r" % text, tok)
+        if text == "(":
             value = self.expr()
             self.expect_op(")")
             return value
-        if tok.kind == "op" and tok.value == "-":
+        if text == "-":
             return {k: -c for k, c in self.base().items()}
-        raise ParseError("unexpected token %r" % (tok.value or "<end>"), tok.line, tok.col)
+        raise self.error("unexpected token %r" % (text or "<end>"), tok)
 
 
 def parse_polynomial(text, variables=("u", "v"), order=6, mode=EXACT):
     """Parse an expression string into a canonical Jet2 at the given order."""
     if len(variables) != 2:
         raise UsageError("exactly two variables are required")
-    return _Parser(_tokenize(text), tuple(variables), order, mode).parse()
+    return _Parser(text, tuple(variables), order, mode).parse()
 
 
 def print_polynomial(jet, variables=("u", "v")):
@@ -412,6 +382,7 @@ def germ_spec_from_dict(data, where="germ"):
 
 # characters of a refused entry that its error message repeats
 _ECHO_CHARS = 40
+_DIGITS = frozenset("0123456789")
 
 
 def _refusal(c, exc):

@@ -122,6 +122,90 @@ def analysis_forms(seeds=tuple(range(1, 11))):
     return forms
 
 
+_OPS = set("+-*/^()")
+_DIGITS = frozenset("0123456789")
+
+
+def _skip_digits(text, i):
+    """The index after the run of ASCII digits starting at ``i``."""
+    n = len(text)
+    while i < n and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+def ref_tokenize(text):
+    """Tokens read character by character, each with the line and column
+    counted as the loop goes: the reference for germ_io._tokenize."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch in _OPS:
+            tokens.append(_Token("op", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _DIGITS:
+            # int, p/q rational, or decimal digits[.digits][e|E[+|-]digits]
+            start = i
+            i = _skip_digits(text, i)
+            kind = "int"
+            if text[i:i + 1] == ".":
+                j = _skip_digits(text, i + 1)
+                if j == i + 1:
+                    raise ParseError(
+                        "digits expected after decimal point", line, col + j - start
+                    )
+                i, kind = j, "decimal"
+            if text[i:i + 1] in ("e", "E"):
+                # an 'e' without digits after it is left to the identifiers
+                j = i + 1 + (text[i + 1:i + 2] in ("+", "-"))
+                k = _skip_digits(text, j)
+                if k > j:
+                    i, kind = k, "decimal"
+            if (kind == "int" and text[i:i + 1] == "/"
+                    and not (tokens and tokens[-1].value in ("^", "/"))):
+                # no spaces inside p/q; after '^' or '/' the integer stands alone
+                j = _skip_digits(text, i + 1)
+                if j > i + 1:
+                    i, kind = j, "rational"
+            tokens.append(_Token(kind, text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isalpha():
+            start = i
+            start_col = col
+            while i < n and text[i].isalnum():
+                i += 1
+                col += 1
+            tokens.append(_Token("ident", text[start:i], line, start_col))
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    tokens.append(_Token("end", "", line, col))
+    return tokens
+
+
 class _RefParser:
     """The expression grammar evaluated as a chain of Jet2 operations: every
     number and variable is a jet, every '*' a jet product, every '^' a Jet2
@@ -246,8 +330,9 @@ class _RefParser:
 
 
 def ref_parse_polynomial(text, variables=("u", "v"), order=6, mode=EXACT):
-    """germ_io.parse_polynomial as a chain of Jet2 operations (same tokens)."""
-    return _RefParser(germ_io._tokenize(text), tuple(variables), order, mode).parse()
+    """germ_io.parse_polynomial as a chain of Jet2 operations, on the tokens of
+    ref_tokenize."""
+    return _RefParser(ref_tokenize(text), tuple(variables), order, mode).parse()
 
 
 def _ref_mul_series(a, b, n):

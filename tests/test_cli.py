@@ -495,6 +495,45 @@ G401 = dict(S1_GERM, components=["u", "10^401*v^2", "u^2*v + v^3"])
 FLOAT_RANGE = {"error": "float-mode numbers must lie within float range"}
 
 
+class TestParsePositions:
+    """A parse error in a multi-line component names its line and column:
+    lines split at "\\n" only, columns count characters from 1."""
+
+    @pytest.mark.parametrize("mode, text, error", [
+        ("float", "u^2*v +\n 2.*v^3", "digits expected after decimal point (line 2, column 4)"),
+        ("exact", "u^2*v\n + v^3\n + w", "unknown identifier 'w' (line 3, column 4)"),
+        ("exact", "u^2*v\n\n  +  é", "unknown identifier 'é' (line 3, column 6)"),
+        ("exact", "u^2*v +\n * v^3", "unexpected token '*' (line 2, column 2)"),
+        ("exact", "u^2*v +\n", "unexpected token '<end>' (line 2, column 1)"),
+        ("exact", "(u^2*v +\n v^3", "expected ')' (line 2, column 5)"),
+        ("exact", "u^2*v +\n v^(1/2)",
+         "exponent must be a nonnegative integer (line 2, column 4)"),
+        ("exact", "u^2*v +\n 2*v^-3",
+         "exponent must be a nonnegative integer (line 2, column 6)"),
+        ("exact", "u^2*v +\n\t0.5*v^3",
+         "decimal literal '0.5' requires float mode; use a p/q rational (line 2, column 2)"),
+        ("exact", "u^2*v +\n v^3 + 1e5*u^4",
+         "decimal literal '1e5' requires float mode; use a p/q rational (line 2, column 8)"),
+        ("float", "u^2*v +\n 2v^3", "unexpected trailing input (line 2, column 3)"),
+        ("float", "u^2*v +\n v^3 + 1%s*u^4" % ("0" * 400),
+         "number literal of 401 characters lies outside float range (line 2, column 8)"),
+        ("exact", "u^2*v +\n v^²", "unexpected character '²' (line 2, column 4)"),
+        ("exact", "u^2*v\n%2", "unexpected character '%' (line 2, column 1)"),
+        ("exact", "u^2*v +\n v^3/v", "a number literal must follow '/' (line 2, column 6)"),
+        ("float", "u^2*v\n + v^3/0", "division by zero (line 2, column 8)"),
+        ("exact", "u^2*v\n + 1/0*v^3", "zero denominator (line 2, column 4)"),
+        # a carriage return or a Unicode line separator is one column, not a line break
+        ("exact", "u^2*v +\r\n w", "unknown identifier 'w' (line 2, column 2)"),
+        ("exact", "u^2*v\u2028+ w", "unknown identifier 'w' (line 1, column 9)"),
+    ])
+    def test_classify_exits_one_naming_the_position(self, tmp_path, capsys, mode, text, error):
+        germ = dict(S1_GERM, components=["u", "1/2*v^2", text], mode=mode)
+        code, out, err = run(capsys, "classify", "--input", write_germ(tmp_path, germ))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": error}
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("germ, error", [
         (dict(FLOAT_S1, probes=[[0, "1e400", 1]]),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from germforge import distance, mond
-from germforge.blowup import BlowupContext
+from germforge.blowup import BlowupContext, ridge_report
 from germforge.distance import (
     Branch,
     DistSing,
@@ -381,8 +381,6 @@ class TestGeometricRoute:
 
     def test_off_focal_gives_a1(self):
         ctx = self._ctx()
-        from germforge.blowup import ridge_report
-
         theta0 = 0.4
         lam = 1.0 / ridge_report(ctx, theta0).k10 + 0.5
         gv = geometric_verdict(ctx, theta0, lam)
@@ -391,8 +389,6 @@ class TestGeometricRoute:
 
     def test_focal_non_ridge_gives_a2(self):
         ctx = self._ctx()
-        from germforge.blowup import ridge_report
-
         theta0 = 0.4
         rr = ridge_report(ctx, theta0)
         assert not rr.is_ridge
@@ -403,8 +399,6 @@ class TestGeometricRoute:
 
     def test_focal_first_order_ridge_gives_a3(self):
         ctx = self._ctx()
-        from germforge.blowup import ridge_report
-
         # solve delta1(theta) = 0: tan(theta) = a b3 / (m a30)
         a, m = ctx.a_lead, ctx.fact
         theta0 = math.atan2(a * ctx.nf.b_(3), m * ctx.nf.a_(3, 0))
@@ -417,6 +411,25 @@ class TestGeometricRoute:
         assert gv.verdict.sing_type is DistSing.A3
         assert gv.verdict.r_plus_versal
         assert gv.verdict.k_versal == (not rr.is_subparabolic)
+
+    @pytest.mark.parametrize("a20, b2, theta0", [
+        (1, 0, 0.3), (2, 1, -0.7), (Fraction(1, 2), -1, 1.1),
+    ])
+    def test_focal_second_order_ridge_gives_a4plus(self, a20, b2, theta0):
+        # an S_2 form (a_21 = 0) with b_3 = a_30 = 0, b_4 = q b_2 and
+        # a_40 = q a_20, q = 3 (a_20^2 + b_2^2): delta1 and delta2 vanish at
+        # every theta, so every normal direction is a second-order ridge
+        q = 3 * (Fraction(a20) ** 2 + b2 ** 2)
+        nf = make_nf(order=8, a={(2, 0): a20, (3, 1): 1, (0, 3): 1, (4, 0): q * a20},
+                     b={2: b2, 4: q * b2})
+        ctx = BlowupContext(nf, 2)
+        rr = ridge_report(ctx, theta0)
+        assert (rr.delta1, rr.delta2) == (0.0, 0.0)
+        assert rr.is_ridge and not rr.is_first_order_ridge
+        gv = geometric_verdict(ctx, theta0, 1.0 / rr.k10)
+        assert gv.flags["on_focal_locus"]
+        assert (gv.verdict.sing_type, gv.verdict.case) == (DistSing.A4PLUS, "4a")
+        assert not gv.verdict.r_plus_versal and not gv.verdict.k_versal
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lambda_rejected(self, lam):

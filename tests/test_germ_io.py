@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from germforge import germ_io
 from germforge.errors import ParseError, SchemaError, UsageError
 from germforge.germ_io import (
     MAX_ORDER,
@@ -31,7 +32,7 @@ from germforge.pipeline import classify_spec
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
-from conftest import germ_from_strings, rand_jet, ref_parse_polynomial
+from conftest import germ_from_strings, rand_jet, ref_parse_polynomial, ref_tokenize
 
 
 def reference_mesh_text(mesh, fmt):
@@ -320,6 +321,69 @@ class TestMonomialParser:
     def test_guard_sees_the_jet_chain(self, monkeypatch):
         counts = self._jet_products(monkeypatch, ref_parse_polynomial, EXACT)
         assert counts["mul"] > 0 and counts["pow"] > 0
+
+
+def tokens_or_error(text):
+    """germ_io's tokens of ``text`` as (kind, text, line, column), lines split
+    at "\\n" and columns counted from 1, or the ParseError's message."""
+    try:
+        tokens = germ_io._tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(kind, value, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+            for kind, value, offset in tokens]
+
+
+def ref_tokens_or_error(text):
+    try:
+        tokens = ref_tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(tok.kind, tok.value, tok.line, tok.col) for tok in tokens]
+
+
+def code_point_texts(code_points):
+    """Each code point alone and after u, before u, between digits and as an exponent."""
+    for cp in code_points:
+        ch = chr(cp)
+        yield from (ch, "u" + ch, ch + "u", "2%s3" % ch, "u^" + ch)
+
+
+def sampled_code_points(seed=0):
+    """Every code point below U+3000 and one drawn from each 256-point block
+    above it, surrogates left out."""
+    rng = random.Random(seed)
+    above = (rng.randrange(block, block + 256) for block in range(0x3000, 0x110000, 256))
+    return [*range(0x3000), *(cp for cp in above if not 0xD800 <= cp < 0xE000)]
+
+
+class TestTokenizerMatchesReference:
+    """germ_io's one-pattern tokenizer gives the character loop's tokens,
+    lines and columns, or its error message."""
+
+    def _check(self, texts):
+        outcomes = set()
+        for text in texts:
+            want = ref_tokens_or_error(text)
+            assert tokens_or_error(text) == want, repr(text)
+            if isinstance(want, str):
+                outcomes.add(re.match("[a-z ]*[a-z]", want).group())  # the message, no repr
+            else:
+                outcomes.update(kind for kind, *_ in want)
+        return outcomes
+
+    def test_sampled_code_points_in_context(self):
+        outcomes = self._check(code_point_texts(sampled_code_points()))
+        assert outcomes == {"end", "op", "int", "ident", "decimal", "rational",
+                            "unexpected character"}
+
+    def test_random_strings(self):
+        rng = random.Random(2611)
+        # "\r" and U+2028 split lines for str.splitlines, but not here
+        alphabet = "0123456789.eE+-*/^()  \t\n\r\u2028_²٣é"
+        texts = ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(20000)]
+        outcomes = self._check(texts)
+        assert {"decimal", "rational", "digits expected after decimal point"} <= outcomes
 
 
 class TestGermFiles:

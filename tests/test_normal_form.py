@@ -13,8 +13,8 @@ from germforge.errors import (
     UnsupportedGermError,
     UsageError,
 )
-from germforge.germ_io import expand_germ, read_germ_spec
-from germforge.jets import EXACT, FLOAT, GermJets, Jet2, is_zero
+from germforge.germ_io import expand_germ, germ_spec_from_dict, read_germ_spec
+from germforge.jets import EXACT, FLOAT, GermJets, Jet2, is_zero, scalar
 from germforge.normal_form import (
     ReductionStart,
     RotationStep,
@@ -25,7 +25,7 @@ from germforge.normal_form import (
     corank_at_origin,
     reduce_to_normal_form,
 )
-from germforge.pipeline import working_order
+from germforge.pipeline import classify_spec, working_order
 
 from conftest import germ_from_strings, jets_close, make_nf
 
@@ -160,6 +160,26 @@ class TestReduce:
         replayed = log.replay(g)
         for got, want in zip(replayed.components(), germ.components()):
             assert jets_close(got, want, 1e-9)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("z, a21, label", [
+        ("v^3 + u^2*v", -2, "S1+"), ("v^3 - u^2*v", 2, "S1-"),
+    ])
+    def test_image_line_on_the_negative_x_axis_is_reflected(self, mode, z, a21, label):
+        components = ["-u", "v^2/2", z]
+        g = germ_from_strings(components, 6, mode)
+        nf, log = reduce_to_normal_form(g)
+        assert nf.mode == mode
+        assert [type(step) for step in log.steps] == [RotationStep, RotationStep]
+        # the image line is the x-axis already, pointing the wrong way:
+        # x and y change sign, z is kept
+        assert log.steps[0].matrix == tuple(
+            tuple(scalar({0: -1, 1: -1, 2: 1}[r] if r == c else 0, mode) for c in range(3))
+            for r in range(3))
+        assert nf.a == {(0, 3): scalar(-6, mode), (2, 1): scalar(a21, mode)} and not nf.b
+        assert log.replay(g) == nf.reconstruct()
+        doc = {"variables": ["u", "v"], "components": components, "order": 6, "mode": mode}
+        assert classify_spec(germ_spec_from_dict(doc)).mond.label == label
 
     def test_exact_when_radicands_are_square(self):
         # v^2/2 keeps every radicand a perfect square: stays rational
