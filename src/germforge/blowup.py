@@ -30,12 +30,8 @@ closed_forms.py checks the pipeline against independently stated closed-form
 expressions for the depth-1/2 coefficients it covers.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import (
     HypothesisError,
@@ -45,7 +41,7 @@ from .errors import (
 )
 from .jets import FLOAT, Jet2, is_zero, zero_scale
 from .mond import MondTag
-from .normal_form import NormalFormCoeffs
+from .records import Record
 
 DEPTH = 2
 COS_TOL = 1e-7
@@ -137,17 +133,19 @@ BLOWUP_EXPONENT = {
 }
 
 
-@dataclass
-class BlowupContext:
+class BlowupContext(Record):
     """Normal-form data prepared for blow-up computations with exponent n."""
 
-    nf: NormalFormCoeffs
-    n: int
+    _fields = ("nf", "n")
+    __slots__ = _fields + (
+        "_cross", "_second", "_efg", "a_lead", "fact", "epsilon", "_ma_sq",
+        "_delta1", "_delta2", "_delta3", "_ridge_scales", "_k10", "_k10_scale", "_k20")
 
-    def __post_init__(self):
+    def __init__(self, nf, n):
+        self.n = n
         if self.n < 1:
             raise UsageError("blow-up exponent n must be >= 1")
-        nf = self.nf = self.nf.to_float()
+        nf = self.nf = nf.to_float()
         if nf.order < self.n + 4:
             raise UsageError(
                 "normal form order %d too small for blow-up depth-2 series "
@@ -374,20 +372,25 @@ class PointType(Enum):
     PARABOLIC = "parabolic"
 
 
-@dataclass
-class RidgeReport:
-    theta: float
-    delta1: float
-    delta2: float
-    delta3: float
-    is_ridge: bool
-    is_first_order_ridge: bool
-    is_subparabolic: bool
-    point_type: Optional[PointType]  # None on the principal normal direction
-    k10: float
-    k10_scale: float    # magnitude of k10's two terms, for zero tests on k10
-    normal_r0: tuple    # the unit normal on the exceptional set r = 0
-    ma: float
+class RidgeReport(Record):
+    __slots__ = _fields = (
+        "theta", "delta1", "delta2", "delta3", "is_ridge", "is_first_order_ridge",
+        "is_subparabolic", "point_type", "k10", "k10_scale", "normal_r0", "ma")
+
+    def __init__(self, theta, delta1, delta2, delta3, is_ridge, is_first_order_ridge,
+                 is_subparabolic, point_type, k10, k10_scale, normal_r0, ma):
+        self.theta = theta
+        self.delta1 = delta1
+        self.delta2 = delta2
+        self.delta3 = delta3
+        self.is_ridge = is_ridge
+        self.is_first_order_ridge = is_first_order_ridge
+        self.is_subparabolic = is_subparabolic
+        self.point_type = point_type  # a PointType; None on the principal normal direction
+        self.k10 = k10
+        self.k10_scale = k10_scale    # magnitude of k10's two terms, for zero tests on k10
+        self.normal_r0 = normal_r0    # the unit normal on the exceptional set r = 0
+        self.ma = ma
 
     @property
     def flags(self):
@@ -436,12 +439,14 @@ class FrontType(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass
-class FrontVerdict:
-    theta0: float
-    wavefront_type: FrontType
-    caustic_type: FrontType
-    basis: dict
+class FrontVerdict(Record):
+    __slots__ = _fields = ("theta0", "wavefront_type", "caustic_type", "basis")
+
+    def __init__(self, theta0, wavefront_type, caustic_type, basis):
+        self.theta0 = theta0
+        self.wavefront_type = wavefront_type  # FrontType
+        self.caustic_type = caustic_type      # FrontType
+        self.basis = basis
 
 
 def verdict_from_flags(is_ridge, is_first_order_ridge, is_subparabolic):

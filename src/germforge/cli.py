@@ -6,8 +6,6 @@ machine-readable {"error": ...} object.  Exit codes: 0 success, 1 usage
 error, 2 internal consistency failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

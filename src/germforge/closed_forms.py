@@ -10,12 +10,10 @@ table is wrong: L1 and M1 (see their functions) and the n = 1 term of N2,
 re-derived from the series expansion of the unit normal.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from .blowup import series_columns
+from .records import Record
 
 
 def _shorthands(ctx, thetas):
@@ -163,16 +161,18 @@ _REFERENCE = {
 CROSSCHECK_SYMBOLS = tuple(_REFERENCE)
 
 
-@dataclass
-class CrosscheckEntry:
-    symbol: str
-    theta: float
-    pipeline: float
-    reference: float
-    delta: float
-    # always False: every entry is expected to match.  Only the benchmark's
-    # analysis check (perfbench/workloads.py, Analysis.check) reads it
-    suspected_typo: bool = False
+class CrosscheckEntry(Record):
+    __slots__ = _fields = ("symbol", "theta", "pipeline", "reference", "delta", "suspected_typo")
+
+    def __init__(self, symbol, theta, pipeline, reference, delta, suspected_typo=False):
+        self.symbol = symbol
+        self.theta = theta
+        self.pipeline = pipeline
+        self.reference = reference
+        self.delta = delta
+        # always False: every entry is expected to match.  Only the benchmark's
+        # analysis check (perfbench/workloads.py, Analysis.check) reads it
+        self.suspected_typo = suspected_typo
 
 
 def pipeline_values(ctx, thetas):

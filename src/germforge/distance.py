@@ -21,20 +21,17 @@ with C4 = b4 y0^2 + a40 y0 z0 - 3 a21^2 z0^2 - 3 (a20^2 + b2^2) y0 and
 NR = (a04 a20 - 3 a12^2) z0^2 - (a04 + 3 a20) z0 + 3.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
 from .jets import EXACT, FLOAT, ZERO, Jet2, _finite, cleared, is_zero, scalar, zero_scale
 from .oracle import K_EQUIV, R_PLUS
+from .records import Frozen, Record, _set
 
 
 class DistSing(Enum):
@@ -51,11 +48,13 @@ class Branch(Enum):
     OFF_PRINCIPAL = "off-principal"
 
 
-@dataclass(frozen=True)
-class ProbePoint:
-    x0: object
-    y0: object
-    z0: object
+class ProbePoint(Frozen):
+    __slots__ = _fields = ("x0", "y0", "z0")
+
+    def __init__(self, x0, y0, z0):
+        _set(self, "x0", x0)
+        _set(self, "y0", y0)
+        _set(self, "z0", z0)
 
     def as_mode(self, mode):
         return ProbePoint(
@@ -68,14 +67,16 @@ class ProbePoint:
         return zero_scale((self.x0, self.y0, self.z0), FLOAT)
 
 
-@dataclass
-class DistanceVerdict:
-    sing_type: DistSing
-    branch: Optional[Branch]
-    case: Optional[str]               # "1", "2a", "2b", "3a", "3b", "4a", "4b", "5"
-    r_plus_versal: bool
-    k_versal: bool
-    witness: dict = field(default_factory=dict)
+class DistanceVerdict(Record):
+    __slots__ = _fields = ("sing_type", "branch", "case", "r_plus_versal", "k_versal", "witness")
+
+    def __init__(self, sing_type, branch, case, r_plus_versal, k_versal, witness=None):
+        self.sing_type = sing_type    # DistSing
+        self.branch = branch          # Branch, or None
+        self.case = case              # "1", "2a", "2b", "3a", "3b", "4a", "4b", "5", or None
+        self.r_plus_versal = r_plus_versal
+        self.k_versal = k_versal
+        self.witness = {} if witness is None else witness
 
 
 class FocalKind(Enum):
@@ -84,13 +85,15 @@ class FocalKind(Enum):
     SINGLE_LINE = "SingleLine"
 
 
-@dataclass(frozen=True)
-class FocalLine:
+class FocalLine(Frozen):
     """Line alpha*y + beta*z = gamma in the normal plane."""
 
-    alpha: object
-    beta: object
-    gamma: object
+    __slots__ = _fields = ("alpha", "beta", "gamma")
+
+    def __init__(self, alpha, beta, gamma):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
     def direction(self):
         """(beta, -alpha) as a unit vector.  A pair that float conversion
@@ -111,11 +114,13 @@ class FocalLine:
         return (0 * self.alpha, self.gamma / self.beta)
 
 
-@dataclass
-class FocalLocus:
-    kind: FocalKind
-    lines: tuple
-    intersection: Optional[tuple]
+class FocalLocus(Record):
+    __slots__ = _fields = ("kind", "lines", "intersection")
+
+    def __init__(self, kind, lines, intersection):
+        self.kind = kind                  # FocalKind
+        self.lines = lines
+        self.intersection = intersection  # a point, or None
 
 
 class SingularPointType(Enum):
@@ -385,11 +390,13 @@ def singular_point_type(nf):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GeometricVerdict:
-    verdict: DistanceVerdict
-    flags: dict
-    probe: ProbePoint
+class GeometricVerdict(Record):
+    __slots__ = _fields = ("verdict", "flags", "probe")
+
+    def __init__(self, verdict, flags, probe):
+        self.verdict = verdict  # DistanceVerdict
+        self.flags = flags
+        self.probe = probe      # ProbePoint
 
 
 def geometric_verdict(ctx, theta0, lam):

@@ -10,29 +10,32 @@ chart), so the offset-distance invariant holds to rounding.  Triangulation
 is array slicing of the node-index grid.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .blowup import COS_TOL, ridge_report
 from .blowup import front_verdict  # noqa: F401  perfbench calls and traces front.front_verdict
 from .errors import UsageError
+from .records import Record
 
 # Focal-sheet nodes whose bounded curvature is at most this are skipped:
 # their centers lie beyond distance 1 / KAPPA_MIN = 100.
 KAPPA_MIN = 0.01
 
+# Largest number of grid nodes a mesh may sample (1024 x 1024): a larger grid
+# is refused before any array is allocated.
+MAX_GRID_NODES = 2**20
 
-@dataclass
-class Mesh:
-    vertices: np.ndarray              # (V, 3) float64
-    faces: np.ndarray                 # (F, 3) int vertex indices
-    metadata: dict = field(default_factory=dict)
-    skipped: int = 0                  # grid nodes dropped (degenerate data)
+
+class Mesh(Record):
+    __slots__ = _fields = ("vertices", "faces", "metadata", "skipped")
+
+    def __init__(self, vertices, faces, metadata=None, skipped=0):
+        self.vertices = vertices  # (V, 3) float64
+        self.faces = faces        # (F, 3) int vertex indices
+        self.metadata = {} if metadata is None else metadata
+        self.skipped = skipped    # grid nodes dropped (degenerate data)
 
     def validate(self):
         if len(self.vertices) and not np.isfinite(self.vertices).all():
@@ -44,16 +47,17 @@ class Mesh:
         return self
 
 
-@dataclass
-class WavefrontSpec:
-    t0: float = 0.0
-    grid: tuple = (64, 64)
-    chart: str = "direct"             # "direct" | "blowup"
-    extent: float = 1.0               # half-width of the sampled parameter box
-    r_max: float = 0.5                # blow-up chart radial half-width
-    context: Optional[object] = None  # BlowupContext, required for "blowup"
+class WavefrontSpec(Record):
+    __slots__ = _fields = ("t0", "grid", "chart", "extent", "r_max", "context")
 
-    def __post_init__(self):
+    def __init__(self, t0=0.0, grid=(64, 64), chart="direct", extent=1.0, r_max=0.5,
+                 context=None):
+        self.t0 = t0
+        self.grid = grid
+        self.chart = chart            # "direct" | "blowup"
+        self.extent = extent          # half-width of the sampled parameter box
+        self.r_max = r_max            # blow-up chart radial half-width
+        self.context = context        # BlowupContext, required for "blowup"
         if self.t0 < 0 or not math.isfinite(self.t0):
             raise UsageError("t0 must be a finite nonnegative offset")
         _check_grid(self.grid)
@@ -66,9 +70,13 @@ class WavefrontSpec:
 
 
 def _check_grid(grid):
-    """Reject a sampling grid without two sizes of at least 2."""
+    """Reject a sampling grid without two sizes of at least 2, or with more
+    than MAX_GRID_NODES nodes."""
     if len(grid) != 2 or min(grid) < 2:
         raise UsageError("grid sizes must be >= 2")
+    if grid[0] * grid[1] > MAX_GRID_NODES:
+        raise UsageError("grid %dx%d has more than %d nodes"
+                         % (grid[0], grid[1], MAX_GRID_NODES))
 
 
 def _check_width(name, value):

@@ -43,29 +43,29 @@ power, '/' divides each coefficient, and the terms of a sum are added into
 one dict, which becomes a Jet2 once the whole expression is read.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
 from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, scalar
+from .records import Frozen, _set
 
 
-@dataclass(frozen=True)
-class GermSpec:
+class GermSpec(Frozen):
     """Parsed contents of a germ file, before jet expansion."""
 
-    variables: tuple
-    components: tuple
-    order: int
-    mode: str
-    probes: tuple = ()
-    theta_lambda: tuple = ()
+    __slots__ = _fields = ("variables", "components", "order", "mode", "probes", "theta_lambda")
+
+    def __init__(self, variables, components, order, mode, probes=(), theta_lambda=()):
+        _set(self, "variables", variables)
+        _set(self, "components", components)
+        _set(self, "order", order)
+        _set(self, "mode", mode)
+        _set(self, "probes", probes)
+        _set(self, "theta_lambda", theta_lambda)
 
 
 # ---------------------------------------------------------------------------

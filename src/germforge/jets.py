@@ -8,8 +8,6 @@ mathematical equality at the given order.  All operations are pure;
 instances are never mutated after construction.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from operator import itemgetter

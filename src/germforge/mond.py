@@ -20,15 +20,12 @@ is tested against the sizes the shift sums into it (``_term_sizes``),
 floored at 1, never against the size of the whole jet.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .errors import InternalConsistencyError, UsageError
 from .jets import FLOAT, Jet2, is_zero
+from .records import Frozen, Record, _set
 
 DEFAULT_K_MAX = 8
 
@@ -52,23 +49,23 @@ class MondTag(Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class MondClass:
-    tag: MondTag
-    k: Optional[int] = None
-    sign: Optional[str] = None
-    reason: Optional[str] = None
+class MondClass(Frozen):
+    __slots__ = _fields = ("tag", "k", "sign", "reason")
 
-    def __post_init__(self):
-        if self.tag is MondTag.S and (self.k is None or self.k < 1):
+    def __init__(self, tag, k=None, sign=None, reason=None):
+        if tag is MondTag.S and (k is None or k < 1):
             raise UsageError("S requires k >= 1")
-        if self.tag is MondTag.B and (self.k is None or self.k < 2):
+        if tag is MondTag.B and (k is None or k < 2):
             raise UsageError("B requires k >= 2")
-        if self.tag is MondTag.C and (self.k is None or self.k < 3):
+        if tag is MondTag.C and (k is None or k < 3):
             raise UsageError("C requires k >= 3")
-        if self.tag in (MondTag.S, MondTag.C) and self.k is not None:
-            if (self.k % 2 == 0) != (self.sign is None):
+        if tag in (MondTag.S, MondTag.C) and k is not None:
+            if (k % 2 == 0) != (sign is None):
                 raise UsageError("sign must be absent exactly for even k")
+        _set(self, "tag", tag)          # MondTag
+        _set(self, "k", k)              # int, or None
+        _set(self, "sign", sign)        # "+", "-" or None
+        _set(self, "reason", reason)    # str, or None
 
     @property
     def label(self):
@@ -77,17 +74,19 @@ class MondClass:
         return self.tag.value
 
 
-@dataclass
-class BkRecursionTrace:
+class BkRecursionTrace(Record):
     """Shift constants and the resulting odd-coefficient invariants."""
 
-    k: int
-    c: dict = field(default_factory=dict)        # i -> c_i, 2 <= i <= k
-    xi: dict = field(default_factory=dict)       # n -> xi_n, 2 <= n <= k
-    a1hat: dict = field(default_factory=dict)    # n -> coefficient of u v^(2n-1)
-    # xi_k is zero below this: in float mode the sizes the shift sums into
-    # xi_k (see _term_sizes), floored at 1; 1 in exact mode
-    scale: float = 1.0
+    __slots__ = _fields = ("k", "c", "xi", "a1hat", "scale")
+
+    def __init__(self, k, c=None, xi=None, a1hat=None, scale=1.0):
+        self.k = k
+        self.c = {} if c is None else c                  # i -> c_i, 2 <= i <= k
+        self.xi = {} if xi is None else xi               # n -> xi_n, 2 <= n <= k
+        self.a1hat = {} if a1hat is None else a1hat      # n -> coefficient of u v^(2n-1)
+        # xi_k is zero below this: in float mode the sizes the shift sums into
+        # xi_k (see _term_sizes), floored at 1; 1 in exact mode
+        self.scale = scale
 
 
 def _sign_of(x):
@@ -178,11 +177,13 @@ def bk_recursion(nf, k, prev=None):
     return trace
 
 
-@dataclass
-class ClassifyResult:
-    mond: MondClass
-    trace: Optional[BkRecursionTrace] = None
-    warnings: list = field(default_factory=list)
+class ClassifyResult(Record):
+    __slots__ = _fields = ("mond", "trace", "warnings")
+
+    def __init__(self, mond, trace=None, warnings=None):
+        self.mond = mond
+        self.trace = trace  # BkRecursionTrace, or None
+        self.warnings = [] if warnings is None else warnings
 
 
 def classify(nf, k_max=DEFAULT_K_MAX):

@@ -10,12 +10,9 @@ stays in exact rationals when every radicand is a perfect square and
 falls back to float64 otherwise, recording which mode was used.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -26,6 +23,7 @@ from .errors import (
     UsageError,
 )
 from .jets import EXACT, FLOAT, ZERO, GermJets, Jet2, cleared, is_zero, scalar, zero_scale
+from .records import Frozen, Record, _set
 
 
 class TwoJetClass(Enum):
@@ -35,24 +33,25 @@ class TwoJetClass(Enum):
     DEGENERATE = "degenerate"      # ~ (u, 0, 0)
 
 
-@dataclass(frozen=True)
-class NormalFormCoeffs:
+class NormalFormCoeffs(Frozen):
     """Coefficients b_i (i >= 2) and a_ij (i+j >= 3, plus a_20)."""
 
-    order: int
-    mode: str
-    a: dict
-    b: dict
+    _fields = ("order", "mode", "a", "b")
+    __slots__ = _fields + ("__dict__",)  # the cached properties below
 
-    def __post_init__(self):
-        for (i, j) in self.a:
+    def __init__(self, order, mode, a, b):
+        for (i, j) in a:
             if (i, j) == (2, 0):
                 continue
-            if i + j < 3 or i + j > self.order or j < 0 or i < 0:
+            if i + j < 3 or i + j > order or j < 0 or i < 0:
                 raise UsageError("a[%d,%d] outside the valid index range" % (i, j))
-        for i in self.b:
-            if i < 2 or i > self.order:
+        for i in b:
+            if i < 2 or i > order:
                 raise UsageError("b[%d] outside the valid index range" % i)
+        _set(self, "order", order)
+        _set(self, "mode", mode)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def a_(self, i, j):
         return self.a.get((i, j), ZERO[self.mode])
@@ -218,23 +217,27 @@ def _kill(g, out, kills):
     return GermJets(*comps) if changed else out
 
 
-@dataclass(frozen=True)
-class RotationStep:
-    matrix: tuple  # 3x3, rows of scalars
-    mode: str
-    kills: tuple  # (component, keys) pairs, as _kill takes them
+class RotationStep(Frozen):
+    __slots__ = _fields = ("matrix", "mode", "kills")
+
+    def __init__(self, matrix, mode, kills):
+        _set(self, "matrix", matrix)  # 3x3, rows of scalars
+        _set(self, "mode", mode)
+        _set(self, "kills", kills)    # (component, keys) pairs, as _kill takes them
 
     def apply(self, g):
         g = _in_mode(g, self.mode)
         return _kill(g, g.rotate(self.matrix), self.kills)
 
 
-@dataclass(frozen=True)
-class SubstitutionStep:
-    u_new: Jet2
-    v_new: Jet2
-    mode: str
-    kills: tuple  # (component, keys) pairs, as _kill takes them
+class SubstitutionStep(Frozen):
+    __slots__ = _fields = ("u_new", "v_new", "mode", "kills")
+
+    def __init__(self, u_new, v_new, mode, kills):
+        _set(self, "u_new", u_new)  # Jet2
+        _set(self, "v_new", v_new)  # Jet2
+        _set(self, "mode", mode)
+        _set(self, "kills", kills)  # (component, keys) pairs, as _kill takes them
 
     def apply(self, g):
         g = _in_mode(g, self.mode)
@@ -242,8 +245,7 @@ class SubstitutionStep:
         return _kill(g, out, self.kills)
 
 
-@dataclass
-class TransformLog:
+class TransformLog(Record):
     """Ordered record of the source/target changes applied by the reducer.
 
     The log is the only way the reducer changes a germ: ``apply_rotation``
@@ -254,8 +256,11 @@ class TransformLog:
     germ.
     """
 
-    steps: list = field(default_factory=list)
-    mode_used: str = EXACT
+    __slots__ = _fields = ("steps", "mode_used")
+
+    def __init__(self, steps=None, mode_used=EXACT):
+        self.steps = [] if steps is None else steps
+        self.mode_used = mode_used
 
     def sqrt(self, x):
         """Square root of ``x``: exact while the log is exact and ``x`` is a
@@ -405,8 +410,7 @@ class ReductionStart:
     """A corank-1 germ with its linear part normalized, and its two-jet.
 
     The first step of ``reduce_to_normal_form``; ``classify_germ`` makes it
-    once, reads its two-jet and hands it on.  (A plain
-    class: a dataclass would add a millisecond to every CLI start.)
+    once, reads its two-jet and hands it on.
     """
 
     __slots__ = ("g", "log", "data", "two_jet")

@@ -41,15 +41,12 @@ others answer a bare bool and record none.  A float entry of a
 ``rank_of_rows`` row enters exactly, as ``Fraction(x)`` would.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .errors import UsageError
 from .jets import EXACT, Jet2, cleared
+from .records import Record
 
 RATIONALIZE_DENOMINATOR = 10**6
 
@@ -57,13 +54,15 @@ R_PLUS = "r-plus"
 K_EQUIV = "k"
 
 
-@dataclass
-class SingularityType:
-    tag: str                      # "Regular" | "A" | "D4" | "MoreDegenerate"
-    k: Optional[int] = None       # for tag "A": the A_k index
-    corank: int = 0
-    residual: Optional[Jet2] = None
-    warnings: list = field(default_factory=list)
+class SingularityType(Record):
+    __slots__ = _fields = ("tag", "k", "corank", "residual", "warnings")
+
+    def __init__(self, tag, k=None, corank=0, residual=None, warnings=None):
+        self.tag = tag            # "Regular" | "A" | "D4" | "MoreDegenerate"
+        self.k = k                # for tag "A": the A_k index
+        self.corank = corank
+        self.residual = residual  # Jet2, or None
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def label(self):

@@ -5,11 +5,7 @@ structures with numbers as computed (ints, Fractions, floats), which
 ``germ_io.write_json`` writes by the report convention.
 """
 
-from __future__ import annotations
-
 import functools
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .blowup import BLOWUP_EXPONENT, build_context, geometry_samples, theta_grid
 from .distance import (
@@ -23,17 +19,22 @@ from .errors import SchemaError, UnsupportedGermError, UsageError
 from .germ_io import MAX_ORDER, expand_germ
 from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
 from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
+from .records import Record
 
 
-@dataclass
-class ClassificationOutcome:
-    mond: MondClass
-    corank: int
-    two_jet: Optional[TwoJetClass] = None
-    nf: Optional[object] = None
-    log: Optional[object] = None
-    trace: Optional[object] = None
-    warnings: list = field(default_factory=list)
+class ClassificationOutcome(Record):
+    _fields = ("mond", "corank", "two_jet", "nf", "log", "trace", "warnings")
+    __slots__ = _fields + ("__dict__",)  # the cached property below
+
+    def __init__(self, mond, corank, two_jet=None, nf=None, log=None, trace=None,
+                 warnings=None):
+        self.mond = mond        # MondClass
+        self.corank = corank
+        self.two_jet = two_jet  # TwoJetClass, or None
+        self.nf = nf            # NormalFormCoeffs, or None
+        self.log = log          # TransformLog, or None
+        self.trace = trace      # BkRecursionTrace, or None
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def has_geometry(self):

@@ -229,6 +229,19 @@ class TestMesh:
         assert json.loads(err) == {"error": "--grid sizes must be >= 2"}
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("kind", ["surface", "wavefront", "focal"])
+    @pytest.mark.parametrize("grid", ["100000x100000", "99999999999999999999x2"])
+    def test_grid_over_the_node_cap_is_usage_error(self, tmp_path, capsys, kind, grid):
+        path = write_germ(tmp_path, S1_GERM)
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path),
+            "--kind", kind, "--grid", grid,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "grid %s has more than 1048576 nodes" % grid}
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("argv, name", [
         (["--kind", "focal", "--rmax", "0"], "r_max"),
         (["--extent", "0"], "extent"),
@@ -734,6 +747,9 @@ PUBLIC_NAMES = [
     "versality_rank_oracle", "versality_rank_test", "wavefront_mesh",
 ]
 HEAVY = ("numpy", "germforge.front", "germforge.closed_forms")
+# dataclasses, with the inspect it imports, adds to the start-up of every
+# CLI process; numpy imports inspect itself, so mesh may load that
+MACHINERY = ("dataclasses", "inspect")
 
 
 def python(*argv):
@@ -743,6 +759,12 @@ def python(*argv):
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def imported(importtime_stderr):
+    """The modules a ``python -X importtime`` process imported."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 class TestColdStart:
@@ -764,7 +786,7 @@ class TestColdStart:
                 assert code == 0, command
                 note(command)
             print(json.dumps(loaded))
-        """) % (HEAVY,)
+        """) % (HEAVY + MACHINERY,)
         proc = python("-c", script, path, str(tmp_path / "report.json"))
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
@@ -794,14 +816,18 @@ class TestColdStart:
     def test_mesh_and_verify_still_run(self, tmp_path):
         path = write_germ(tmp_path, S1_GERM)
         mesh = tmp_path / "m.obj"
-        proc = python("-m", "germforge.cli", "mesh", "--input", path,
+        proc = python("-X", "importtime", "-m", "germforge.cli", "mesh", "--input", path,
                       "--output", str(mesh), "--grid", "8x8")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["mesh"]["vertices"] == 64
-        proc = python("-m", "germforge.cli", "verify", "--input", path,
+        loaded = imported(proc.stderr)
+        assert "numpy" in loaded and "dataclasses" not in loaded
+        proc = python("-X", "importtime", "-m", "germforge.cli", "verify", "--input", path,
                       "--samples", "4")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["crosscheck"]["entries"]
+        loaded = imported(proc.stderr)
+        assert "germforge.closed_forms" in loaded and "dataclasses" not in loaded
 
     def test_every_exported_name_resolves_in_a_fresh_process(self):
         script = textwrap.dedent("""

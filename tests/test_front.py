@@ -19,7 +19,9 @@ from germforge.blowup import (
 from germforge.distance import geometric_verdict
 from germforge.errors import HypothesisError, UsageError
 from germforge.front import (
+    MAX_GRID_NODES,
     WavefrontSpec,
+    _check_grid,
     _grid_faces,
     _point_geometry,
     focal_sheet_mesh,
@@ -376,6 +378,26 @@ class TestMeshes:
             surface_mesh(germ, grid, 1.0)
         with pytest.raises(UsageError, match="grid sizes must be >= 2"):
             focal_sheet_mesh(ctx, grid, 0.5)
+
+    # numpy would try to allocate these grids (75 GiB for the first) or
+    # refuse their size with a bare ValueError; the cap refuses them first
+    @pytest.mark.parametrize("grid", [(1025, 1024), (2, 2**19 + 1), (100000, 100000),
+                                      (10**20, 2)])
+    def test_grid_over_the_node_cap_rejected_by_every_mesh(self, grid):
+        ctx = ctx_s1()
+        germ = ctx.nf.reconstruct()
+        message = "^grid %dx%d has more than 1048576 nodes$" % grid
+        with pytest.raises(UsageError, match=message):
+            WavefrontSpec(grid=grid)
+        with pytest.raises(UsageError, match=message):
+            surface_mesh(germ, grid, 1.0)
+        with pytest.raises(UsageError, match=message):
+            focal_sheet_mesh(ctx, grid, 0.5)
+
+    def test_node_cap_admits_its_own_size(self):
+        assert MAX_GRID_NODES == 1024 * 1024
+        for grid in ((1024, 1024), (2, 2**19)):
+            _check_grid(grid)
 
 
 class TestBlowupChartOffsets:

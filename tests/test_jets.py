@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import pathlib
 import random
@@ -724,6 +723,12 @@ class TestIsZeroMatchesTheReplacedTests:
         rng = random.Random(11)
         k0_terms = blowup._k0_terms  # (K0, its scale); only K0 is injected
         report = blowup.ridge_report  # only its k10 is injected
+
+        def with_k10(rr, k10):
+            return blowup.RidgeReport(
+                rr.theta, rr.delta1, rr.delta2, rr.delta3, rr.is_ridge,
+                rr.is_first_order_ridge, rr.is_subparabolic, rr.point_type, k10,
+                rr.k10_scale, rr.normal_r0, rr.ma)
         for _ in range(200):
             ctx = draw_ctx(rng)
             theta = rng.uniform(-1.5, 1.5)
@@ -739,7 +744,7 @@ class TestIsZeroMatchesTheReplacedTests:
             for k10 in around(FLOAT_ZERO_REL * front_scale, rng):
                 with monkeypatch.context() as m:
                     m.setattr(blowup, "ridge_report",
-                              lambda *a: dataclasses.replace(report(*a), k10=k10))
+                              lambda *a: with_k10(report(*a), k10))
                     try:
                         front.front_verdict(ctx, theta)
                         raised = False
