@@ -46,6 +46,11 @@ from .records import Record
 DEPTH = 2
 COS_TOL = 1e-7
 
+# Largest number of theta samples a grid may hold (a geometry sweep holds
+# about 5 KB a sample while it runs): a larger grid is refused before any
+# list exists.
+MAX_THETA_SAMPLES = 2**14
+
 
 # ---------------------------------------------------------------------------
 # truncated r-series over a theta grid: DEPTH + 1 columns, each a list of
@@ -481,7 +486,10 @@ def front_verdict(ctx, theta0):
 
 def uniform_thetas(samples):
     """The nodes -pi/2 + (pi/samples) i, i = 1..samples, of (-pi/2, pi/2];
-    the last is the principal normal direction pi/2."""
+    the last is the principal normal direction pi/2.  At most
+    MAX_THETA_SAMPLES."""
+    if samples > MAX_THETA_SAMPLES:
+        raise UsageError("theta grid has more than %d samples" % MAX_THETA_SAMPLES)
     step = math.pi / samples
     return [-math.pi / 2 + step * i for i in range(1, samples + 1)]
 

@@ -194,31 +194,18 @@ def distance_jet(nf, p, order=None):
     return Jet2._result(order, out, mode)
 
 
-def _integer_jet(nf, p, order):
-    """The distance jet at ``order`` as {key: int}: 2 D dp^2 times it for an
-    exact form, its rationalized coefficients over their lcm for a float one."""
-    if nf.mode != EXACT:
-        return oracle.rationalized(distance_jet(nf, p, order).coeffs)[0]
-    out, sq, den, dp = _distance_numerators(nf, p, order)
-    out = {key: 2 * dp * n for key, n in out.items()}
-    if sq:
-        out[(0, 0)] = den * sq
-    return out
-
-
-def _integer_family(nf, p, order, probe_order):
-    """The parameter partials p_i - g_i of the distance family, their terms
-    up to ``order`` read off the distance base at ``probe_order``, as
-    {key: int}: D dp times each for an exact form, rationalized over their
-    lcm for a float one."""
-    rows, den = nf.distance_base(probe_order)
+def _integer_family(nf, p, order):
+    """The parameter partials p_i - g_i of the distance family, read off the
+    distance base at ``order``, as {key: int}: D dp times each for an exact
+    form, rationalized over their lcm for a float one."""
+    rows, den = nf.distance_base(order)
     x, y, z, dp = _probe_numerators(p, nf.mode)
     family = []
     for col, value in enumerate((x, y, z), 1):
         coeffs = {(0, 0): value * den} if value else {}
         for key, row in rows.items():
             c = row[col]
-            if c and key[0] + key[1] <= order:
+            if c:
                 coeffs[key] = -c * dp
         family.append(coeffs)
     if nf.mode != EXACT:
@@ -324,8 +311,8 @@ def versality_rank_test(nf, p, flavor):
 
     The required jet order is the determinacy degree of the actual
     singularity type, decided here by the splitting oracle.  One integer
-    pass: the distance jet at the probe order is built once as integers
-    (2 D dp^2 times it, off the distance base), typed by
+    pass: the distance numerators at the probe order (D dp times the jet,
+    its constant left out: neither kernel reads it) are typed by
     ``oracle.integer_split`` and handed with the family, read off the same
     base rows, to ``oracle.integer_versality``; no ``Fraction`` is built.
     A float form rationalizes each coefficient first, as
@@ -338,8 +325,12 @@ def versality_rank_test(nf, p, flavor):
     if not z(p.x0):
         return True  # regular germs deform versally
     probe_order = _probe_order(nf)
-    f = _integer_jet(nf, p, probe_order)
-    typ, _ = oracle.integer_split(f, probe_order)
+    # the numerators of the jet, D dp times it; the kernels read no constant
+    f, sq, _, _ = _distance_numerators(nf, p, probe_order)
+    if nf.mode != EXACT:
+        _finite({**f, (0, 0): sq}, FLOAT)  # an overflowed sum raises, as in distance_jet
+        f = oracle.rationalized(f)[0]
+    typ = oracle.integer_split(f, probe_order)
     if typ.tag == "A":
         if typ.k >= 5 and flavor == R_PLUS:
             return False  # 3 parameters cannot versally unfold beyond A4
@@ -352,8 +343,7 @@ def versality_rank_test(nf, p, flavor):
         order = 3
     else:
         return False  # more degenerate than the 3-parameter family can cover
-    # the family at the rank order: no row reads a term above it
-    family = _integer_family(nf, p, order, probe_order)
+    family = _integer_family(nf, p, probe_order)
     return oracle.integer_versality(f, family, flavor, order)
 
 

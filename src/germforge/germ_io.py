@@ -50,7 +50,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
-from .jets import EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, scalar
+from .jets import (
+    EXACT, FLOAT, GermJets, Jet2, _accumulate, _check_unit_power, _finite, _power, _product,
+    scalar,
+)
 from .records import Frozen, _set
 
 
@@ -165,15 +168,19 @@ class _Parser:
         if tok[1] != op:
             raise self.error("expected %r" % op, tok)
 
+    def _integer(self, digits, tok):
+        """int(``digits``), a run of digits of the literal ``tok``."""
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number literal of %d characters exceeds %s"
+                             % (len(tok[1]), _digit_limit()), tok) from None
+
     def _number(self, tok):
         kind, text, _ = tok
         if kind in ("int", "rational"):
             num, _, den = text.partition("/")
-            try:
-                num, den = int(num), int(den or 1)
-            except ValueError:  # more digits than int() converts
-                raise self.error("number literal of %d characters exceeds %s"
-                                 % (len(text), _digit_limit()), tok) from None
+            num, den = self._integer(num, tok), self._integer(den or "1", tok)
             if den == 0:
                 raise self.error("zero denominator", tok)
             value = Fraction(num, den)
@@ -238,7 +245,14 @@ class _Parser:
             etok = self.advance()
             if etok[0] != "int":
                 raise self.error("exponent must be a nonnegative integer", etok)
-            value = _power(value, int(etok[1]), self.order, self.mode)
+            n = self._integer(etok[1], etok)
+            try:
+                if self.mode == EXACT and value.get((0, 0)) in (1, -1):
+                    _check_unit_power(value, n, self.order)
+                value = _power(value, n, self.order, self.mode)
+            except ValueError:  # a coefficient past the digit limit
+                raise self.error("power has a coefficient past %s" % _digit_limit(),
+                                 etok) from None
         return value
 
     def base(self):

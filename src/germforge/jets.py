@@ -9,6 +9,7 @@ instances are never mutated after construction.
 """
 
 import math
+import sys
 from fractions import Fraction
 from operator import itemgetter
 
@@ -175,28 +176,79 @@ def _product(a, b, order, mode):
     return _finite({k: c for k, c in out.items() if c}, mode)
 
 
+def _digit_bits():
+    """The bits past which an integer has more digits than int/str
+    conversion admits (``sys.get_int_max_str_digits()``, at 10/3 bits a
+    digit), or 0 where there is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() * 10 // 3
+
+
+def _check_digits(coeffs, bits):
+    """Raise ValueError, as int/str conversion would, if a numerator or
+    denominator in ``coeffs`` has more than ``bits`` bits (0: no limit).  A
+    float has neither: as a ratio of integers its exponent range keeps it
+    far below any limit."""
+    if bits and any(
+            max(abs(getattr(c, "numerator", 0)), getattr(c, "denominator", 1)).bit_length()
+            > bits for c in coeffs.values()):
+        raise ValueError("a power has a coefficient of more than %d bits" % bits)
+
+
 def _power(a, n, order, mode):
     """The coefficients of a^n truncated at ``order``, by square-and-multiply
     from the lowest bit: popcount(n) - 1 products into the result and one
     square per bit above the lowest.  A single term with coefficient 1 needs
-    no product: its power is the exponent shift n times."""
+    no product: its power is the exponent shift n times.  A product with a
+    coefficient past the digit limit (``_digit_bits``) raises ValueError
+    (``_check_digits``) before the next square can double it.
+    """
     if not n:
         return {(0, 0): scalar(1, mode)}
     if len(a) == 1:
         ((i, j), c), = a.items()
         if c == 1:
             return {(n * i, n * j): c} if n * (i + j) <= order else {}
+    bits = _digit_bits()
+
+    def product(x, y):
+        out = _product(x, y, order, mode)
+        _check_digits(out, bits)
+        return out
+
     while not n & 1:
-        a = _product(a, a, order, mode)
+        a = product(a, a)
         n >>= 1
     result = a
     n >>= 1
     while n:
-        a = _product(a, a, order, mode)
+        a = product(a, a)
         if n & 1:
-            result = _product(result, a, order, mode)
+            result = product(result, a)
         n >>= 1
     return result
+
+
+def _check_unit_power(a, n, order):
+    """Raise ValueError if the exact power a^n has a coefficient past the
+    digit limit, for ``a`` = c0 (1 + x) with c0 = 1 or -1.
+
+    Each square of such a jet adds only about ``order`` bits to its largest
+    coefficient, so ``_power`` would stop only after hundreds of squares of
+    numbers near the limit.  The expansion c0^n sum_j C(n, j) x^j needs j up
+    to ``order`` alone, as x has no constant term: ``order`` products on the
+    base's own numbers, and each coefficient times a binomial.
+    """
+    bits = _digit_bits()
+    if not bits:
+        return
+    c0 = a[(0, 0)]
+    x = {k: c * c0 for k, c in a.items() if k != (0, 0)}
+    total, term, binom = {}, {(0, 0): 1}, 1
+    for j in range(1, min(n, order) + 1):
+        term = _product(term, x, order, EXACT)
+        binom = binom * (n - j + 1) // j
+        _accumulate(total, {k: binom * c for k, c in term.items()})
+    _check_digits(total, bits)
 
 
 def _geometric(x, n):

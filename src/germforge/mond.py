@@ -37,6 +37,12 @@ def b_order(k):
 
 F4_ORDER = 5
 
+# the report's warning for a class decided by float zero tests
+FLOAT_WARNING = (
+    "float-mode zero tests (threshold 1e-9 relative): "
+    "classification is numerically certified only"
+)
+
 
 class MondTag(Enum):
     IMMERSION = "Immersion"
@@ -77,13 +83,12 @@ class MondClass(Frozen):
 class BkRecursionTrace(Record):
     """Shift constants and the resulting odd-coefficient invariants."""
 
-    __slots__ = _fields = ("k", "c", "xi", "a1hat", "scale")
+    __slots__ = _fields = ("k", "c", "xi", "scale")
 
-    def __init__(self, k, c=None, xi=None, a1hat=None, scale=1.0):
+    def __init__(self, k, c=None, xi=None, scale=1.0):
         self.k = k
         self.c = {} if c is None else c                  # i -> c_i, 2 <= i <= k
         self.xi = {} if xi is None else xi               # n -> xi_n, 2 <= n <= k
-        self.a1hat = {} if a1hat is None else a1hat      # n -> coefficient of u v^(2n-1)
         # xi_k is zero below this: in float mode the sizes the shift sums into
         # xi_k (see _term_sizes), floored at 1; 1 in exact mode
         self.scale = scale
@@ -168,7 +173,7 @@ def bk_recursion(nf, k, prev=None):
     trace = BkRecursionTrace(k=k, c=c, scale=max(1.0, sizes.get((0, 2 * k + 1), 0.0)))
     for n in range(2, k + 1):
         trace.xi[n] = shifted.coeff(0, 2 * n + 1)
-        trace.a1hat[n] = a1 = shifted.coeff(1, 2 * n - 1)
+        a1 = shifted.coeff(1, 2 * n - 1)
         size = max(1.0, sizes.get((1, 2 * n - 1), 0.0))
         if not is_zero(a1, size, nf.mode):
             raise InternalConsistencyError(
@@ -178,26 +183,18 @@ def bk_recursion(nf, k, prev=None):
 
 
 class ClassifyResult(Record):
-    __slots__ = _fields = ("mond", "trace", "warnings")
+    __slots__ = _fields = ("mond", "trace")
 
-    def __init__(self, mond, trace=None, warnings=None):
+    def __init__(self, mond, trace=None):
         self.mond = mond
         self.trace = trace  # BkRecursionTrace, or None
-        self.warnings = [] if warnings is None else warnings
 
 
 def classify(nf, k_max=DEFAULT_K_MAX):
-    """Decide the class of a normal form; returns ClassifyResult."""
-    warnings = []
-    if nf.mode == FLOAT:
-        warnings.append(
-            "float-mode zero tests (threshold 1e-9 relative): "
-            "classification is numerically certified only"
-        )
+    """Decide the class of a normal form; returns ClassifyResult.  A class
+    read off a float normal form carries ``FLOAT_WARNING`` in its report."""
     def indeterminate(reason):
-        return ClassifyResult(
-            MondClass(MondTag.INDETERMINATE, reason=reason), None, warnings
-        )
+        return ClassifyResult(MondClass(MondTag.INDETERMINATE, reason=reason))
 
     def first_a_i1(tag, first_k, di, lead):
         """S_k (i = k + 1, lead a_03) or C_k (i = k, lead a_13): the class of
@@ -212,7 +209,7 @@ def classify(nf, k_max=DEFAULT_K_MAX):
                 )
             if not nf.is_zero_a(i, 1):
                 sign = None if k % 2 == 0 else _sign_of(nf.a_(i, 1) * nf.a_(*lead))
-                return ClassifyResult(MondClass(tag, k, sign), None, warnings)
+                return ClassifyResult(MondClass(tag, k, sign))
         return indeterminate(
             "a_%d%d != 0 but a_i1 = 0 for all i <= %d" % (*lead, k_max + di)
         )
@@ -232,7 +229,7 @@ def classify(nf, k_max=DEFAULT_K_MAX):
             trace = bk_recursion(nf, k, trace)
             if not is_zero(trace.xi[k], trace.scale, nf.mode):
                 sign = _sign_of(trace.xi[k] * a21)
-                return ClassifyResult(MondClass(MondTag.B, k, sign), trace, warnings)
+                return ClassifyResult(MondClass(MondTag.B, k, sign), trace)
         return indeterminate("xi_n = 0 for all n <= %d" % k_max)
 
     if not nf.is_zero_a(1, 3):
@@ -241,6 +238,6 @@ def classify(nf, k_max=DEFAULT_K_MAX):
         return indeterminate("order %d too small to probe F_4" % nf.order)
     if not nf.is_zero_a(3, 1):
         if not nf.is_zero_a(0, 5):
-            return ClassifyResult(MondClass(MondTag.F4), None, warnings)
+            return ClassifyResult(MondClass(MondTag.F4))
         return indeterminate("a_31 != 0, a_13 = a_05 = 0: outside the simple classes")
     return indeterminate("a_03 = a_21 = a_13 = a_31 = 0: outside the simple classes")

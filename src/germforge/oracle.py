@@ -19,8 +19,9 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
   nonzero multiple of it (no test depends on the scale).  On corank 1 it
   keeps the critical curve as integer numerators psi over one denominator
   q and composes by the scaled Horner rule acc <- acc * psi + r_i *
-  q^(top - i).  ``split_and_type`` clears an exact f to integers over the
-  lcm D of its denominators, and divides only its residual, by D * q^top.
+  q^(top - i).  ``split_and_type`` clears f to integers over the lcm D of
+  its denominators and returns the kernel's type; no residual is divided
+  (``distance``'s case 4a divides the one it reads, by D dp q^top).
 * ``integer_versality`` builds the rows of integer jets one at a time,
   the column of u^i v^j being d (d + 1) / 2 + j with d = i + j, and
   eliminates them fraction-free: a pivot row is divided by the gcd of its
@@ -35,17 +36,16 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
 integers off the distance base and calls both kernels, so it builds no
 ``Fraction``.  Float inputs to ``split_and_type``,
 ``versality_rank_oracle`` and the rank test are rationalized by
-``rationalized``, the one rationalizer (denominators up to 10**6).
-``split_and_type`` records a warning in its result when it does; the
-others answer a bare bool and record none.  A float entry of a
-``rank_of_rows`` row enters exactly, as ``Fraction(x)`` would.
+``rationalized``, the one rationalizer (denominators up to 10**6).  A
+float entry of a ``rank_of_rows`` row enters exactly, as ``Fraction(x)``
+would.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import UsageError
-from .jets import EXACT, Jet2, cleared
+from .jets import EXACT, cleared
 from .records import Record
 
 RATIONALIZE_DENOMINATOR = 10**6
@@ -55,14 +55,12 @@ K_EQUIV = "k"
 
 
 class SingularityType(Record):
-    __slots__ = _fields = ("tag", "k", "corank", "residual", "warnings")
+    __slots__ = _fields = ("tag", "k", "corank")
 
-    def __init__(self, tag, k=None, corank=0, residual=None, warnings=None):
+    def __init__(self, tag, k=None, corank=0):
         self.tag = tag            # "Regular" | "A" | "D4" | "MoreDegenerate"
         self.k = k                # for tag "A": the A_k index
         self.corank = corank
-        self.residual = residual  # Jet2, or None
-        self.warnings = [] if warnings is None else warnings
 
     @property
     def label(self):
@@ -78,49 +76,34 @@ def split_and_type(f, order=6):
     of the cubic part (D4 or more degenerate).  Corank 1 is split at its
     critical curve: with c20 != 0 (else with u and v swapped), u = phi(v)
     solves f_u(phi(v), v) = 0, and the residual g(v) = f(phi(v), v) from
-    degree 3 on is stored as a jet in v.  Its lowest degree m gives A_{m-1};
-    a zero residual up to ``order`` is MoreDegenerate.  ``order`` (and the
-    jet's own order) must be at least 2, or the Hessian would be cut off.
-    The jet's terms up to ``order`` are cleared to integers (``_cleared_terms``,
-    as ``versality_rank_oracle`` clears its jets) and typed by
-    ``integer_split``; only the residual is divided back.
+    degree 3 on has its lowest degree m at A_{m-1}; a zero residual up to
+    ``order`` is MoreDegenerate.  ``order`` (and the jet's own order) must
+    be at least 2, or the Hessian would be cut off.  The jet's terms up to
+    ``order`` are cleared to integers (``_cleared_terms``, as
+    ``versality_rank_oracle`` clears its jets; a float jet is rationalized
+    first) and typed by ``integer_split``.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 2:
         raise UsageError("split order must be an integer of at least 2, got %r" % (order,))
     if f.order < 2:
         raise UsageError("split_and_type needs a jet of order at least 2, got %d" % f.order)
-    warnings = []
-    if f.mode != EXACT:
-        warnings.append(
-            "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR
-        )
     order = min(order, f.order)
-    coeffs, den = _cleared_terms(f, order)
-    typ, curve = integer_split(coeffs, order)
-    typ.warnings = warnings
-    if curve is not None:
-        g, scale = curve
-        den *= scale
-        typ.residual = Jet2._trusted(
-            order, {(0, j): Fraction(g[j], den) for j in range(3, order + 1) if g[j]}
-        )
-    return typ
+    return integer_split(_cleared_terms(f, order)[0], order)
 
 
 def integer_split(f, order):
-    """(type, curve) of the critical jet whose terms of degree <= ``order``
-    are the integers ``f`` ({(i, j): int}, any nonzero multiple of the jet).
+    """The type of the critical jet whose terms of degree <= ``order`` are
+    the integers ``f`` ({(i, j): int}, any nonzero multiple of the jet).
 
-    The kernel of ``split_and_type``, without its residual: for corank 1,
-    ``curve`` is (g, scale), the residual's coefficient of v^j being
-    g[j] / scale times the jet's own scale; otherwise it is None.  No
-    decision depends on the scale of f.
+    The kernel of ``split_and_type``.  No decision depends on the scale of
+    f: on corank 1 the residual's lowest nonzero degree is read off the
+    integer numerators ``restriction`` gives, never divided.
     """
     if f.get((1, 0)) or f.get((0, 1)):
         raise UsageError("split_and_type requires a critical point at the origin")
     c20, c11, c02 = f.get((2, 0), 0), f.get((1, 1), 0), f.get((0, 2), 0)
     if 4 * c20 * c02 - c11 * c11 != 0:
-        return SingularityType("A", 1, corank=0), None
+        return SingularityType("A", 1, corank=0)
 
     if c20 == 0 and c02 == 0 and c11 == 0:
         # corank 2: type by the binary cubic discriminant
@@ -132,15 +115,15 @@ def integer_split(f, order):
             - 4 * a * c**3
             - 27 * a**2 * d**2
         )
-        return SingularityType("D4" if disc != 0 else "MoreDegenerate", corank=2), None
+        return SingularityType("D4" if disc != 0 else "MoreDegenerate", corank=2)
 
     # corank 1: solve for the variable whose square survives in the Hessian
     # (c20 == 0 forces c11 == 0 and c02 != 0 here)
-    g, scale = restriction(f, order, "u" if c20 != 0 else "v", True)
+    g, _ = restriction(f, order, "u" if c20 != 0 else "v", True)
     m = next((j for j in range(3, order + 1) if g[j]), None)
     if m is None:
-        return SingularityType("MoreDegenerate", corank=1), (g, scale)
-    return SingularityType("A", m - 1, corank=1), (g, scale)
+        return SingularityType("MoreDegenerate", corank=1)
+    return SingularityType("A", m - 1, corank=1)
 
 
 def _mul_series(a, b, n):

@@ -17,24 +17,31 @@ from .distance import (
 )
 from .errors import SchemaError, UnsupportedGermError, UsageError
 from .germ_io import MAX_ORDER, expand_germ
-from .mond import DEFAULT_K_MAX, MondClass, MondTag, classify
+from .jets import FLOAT
+from .mond import DEFAULT_K_MAX, FLOAT_WARNING, MondClass, MondTag, classify
 from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
 from .records import Record
 
 
 class ClassificationOutcome(Record):
-    _fields = ("mond", "corank", "two_jet", "nf", "log", "trace", "warnings")
+    _fields = ("mond", "corank", "two_jet", "nf", "log", "trace")
     __slots__ = _fields + ("__dict__",)  # the cached property below
 
-    def __init__(self, mond, corank, two_jet=None, nf=None, log=None, trace=None,
-                 warnings=None):
+    def __init__(self, mond, corank, two_jet=None, nf=None, log=None, trace=None):
         self.mond = mond        # MondClass
         self.corank = corank
         self.two_jet = two_jet  # TwoJetClass, or None
         self.nf = nf            # NormalFormCoeffs, or None
         self.log = log          # TransformLog, or None
         self.trace = trace      # BkRecursionTrace, or None
-        self.warnings = [] if warnings is None else warnings
+
+    @property
+    def warnings(self):
+        """The report's warnings: ``FLOAT_WARNING`` for a class read off a
+        float normal form, none otherwise."""
+        if self.nf is not None and self.nf.mode == FLOAT:
+            return [FLOAT_WARNING]
+        return []
 
     @property
     def has_geometry(self):
@@ -72,9 +79,7 @@ def classify_germ(germ, k_max=DEFAULT_K_MAX):
         )
     nf, log = reduce_to_normal_form(start)
     result = classify(nf, k_max)
-    return ClassificationOutcome(
-        result.mond, corank, tj, nf, log, result.trace, result.warnings
-    )
+    return ClassificationOutcome(result.mond, corank, tj, nf, log, result.trace)
 
 
 def working_order(spec, k_max=DEFAULT_K_MAX):
@@ -206,7 +211,7 @@ def base_report(spec, outcome):
     return {
         "class": class_section(outcome),
         "normal_form": normal_form_section(outcome),
-        "warnings": list(outcome.warnings),
+        "warnings": outcome.warnings,
         "germ": {
             "variables": list(spec.variables),
             "components": list(spec.components),

@@ -63,6 +63,19 @@ GEOMETRY_GERMS = {
 }
 
 
+def shifted_a1(nf, trace):
+    """{n: coefficient of u v^(2n-1)}, 2 <= n <= trace.k, of the odd-in-v
+    part of nf's third component after the shift u -> u + sum_i c_i
+    v^(2(i-1)) with the trace's c_i: what the B_k shift must kill."""
+    order = 2 * trace.k + 1
+    z = nf.third_component(order)
+    odd = Jet2(order, {k: c for k, c in z.coeffs.items() if k[1] % 2}, nf.mode)
+    shift = Jet2(order, {(1, 0): 1, **{(0, 2 * (i - 1)): c for i, c in trace.c.items()}},
+                 nf.mode)
+    shifted = odd.substitute(shift, Jet2.variable("v", order, nf.mode))
+    return {n: shifted.coeff(1, 2 * n - 1) for n in range(2, trace.k + 1)}
+
+
 def jets_close(a, b, tol=1e-9):
     """Jets of one order whose coefficients agree within tol times the
     largest coefficient magnitude (at least 1)."""

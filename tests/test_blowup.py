@@ -209,6 +209,15 @@ class TestColumnPipeline:
                 assert len(cols) == 1, key
                 assert [x.hex() for x in cols[0]] == [x.hex() for x in full[key][0]], key
 
+    def test_theta_grid_is_capped_before_it_is_built(self):
+        cap = blowup.MAX_THETA_SAMPLES
+        assert len(theta_grid(cap)) == cap and theta_grid(cap)[-1] == math.pi / 2
+        for samples in (cap + 1, 10**12):
+            for grid in (theta_grid, blowup.uniform_thetas):
+                with pytest.raises(UsageError, match="^theta grid has more than %d samples$"
+                                   % cap):
+                    grid(samples)
+
     def test_depth_outside_the_series_window_raises(self):
         ctx = BlowupContext(nf_s1(), 1)
         for depth in (-1, blowup.DEPTH + 1):

@@ -13,7 +13,8 @@ from itertools import islice
 import pytest
 
 import germforge
-from germforge import cli
+from germforge import cli, germ_io, pipeline
+from germforge.blowup import MAX_THETA_SAMPLES
 from germforge.cli import main, verify_probes
 from germforge.closed_forms import CROSSCHECK_SYMBOLS
 from germforge.distance import (
@@ -125,6 +126,40 @@ class TestClassify:
         plain, low = json.loads(plain), json.loads(low)
         assert (plain["germ"].pop("order"), low["germ"].pop("order")) == (6, 5)
         assert low == plain and plain["normal_form"]["order"] == 17
+
+
+FLOAT_WARNING = ("float-mode zero tests (threshold 1e-9 relative): "
+                 "classification is numerically certified only")
+
+
+# kind -> (components, file mode, label, whether the float warning stands);
+# the kinds without a normal form are read in float mode, where it would show
+OUTCOME_KINDS = {
+    "immersion": (["u", "v", "u^2"], "float", "Immersion", False),
+    "corank 2": (["u^2", "v^2", "u*v"], "float", "Indeterminate", False),
+    "cross-cap": (["u", "v^2", "u*v"], "float", "S0", False),
+    "(u, uv, 0)": (["u", "u*v + v^5", "v^3"], "float", "TwoJetUV", False),
+    "degenerate two-jet": (["u", "v^3", "v^4"], "float", "Indeterminate", False),
+    "exact labelled": (["u", "v^2/2", "v^3 + u^2*v/2"], "exact", "S1+", False),
+    "exact germ, float form": (["u", "v^2", "v^3 + u^2*v"], "exact", "S1+", True),
+    "float labelled": (["u", "v^2/2", "v^3 + u^2*v/2"], "float", "S1+", True),
+    "float Indeterminate": (["u", "v^2/2", "0"], "float", "Indeterminate", True),
+}
+
+
+@pytest.mark.parametrize("kind", OUTCOME_KINDS)
+def test_warnings_of_every_outcome_kind(tmp_path, capsys, kind):
+    # the float warning stands exactly where the class is read off a float
+    # normal form, in the library and in the classify report
+    components, mode, label, warned = OUTCOME_KINDS[kind]
+    data = {"variables": ["u", "v"], "components": components, "order": 6, "mode": mode}
+    want = [FLOAT_WARNING] if warned else []
+    outcome = pipeline.classify_spec(germ_io.germ_spec_from_dict(data))
+    assert (outcome.mond.label, outcome.warnings) == (label, want)
+    with pytest.raises(AttributeError):
+        outcome.warnings = want
+    code, out, err = run(capsys, "classify", "--input", write_germ(tmp_path, data))
+    assert code == 0 and json.loads(out)["warnings"] == want, err
 
 
 class TestGeometry:
@@ -335,6 +370,16 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--input", path, flag, "-3")
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "%s must not be negative" % flag}
+
+    @pytest.mark.parametrize("command", ["geometry", "verify"])
+    def test_theta_samples_over_the_cap_is_usage_error(self, tmp_path, capsys, command):
+        path = write_germ(tmp_path, S1_GERM)
+        for samples in (MAX_THETA_SAMPLES + 1, 10**12):
+            code, out, err = run(capsys, command, "--input", path,
+                                 "--theta-samples", str(samples))
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "error": "theta grid has more than %d samples" % MAX_THETA_SAMPLES}
 
     def test_verify_stdout_pinned(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
@@ -641,7 +686,14 @@ class TestPastTheDigitLimit:
     @pytest.mark.parametrize("text, error", [
         (json.dumps(dict(S1_GERM, components=["u", "v^2", DIGITS + "*u^3 + u^2*v + v^3"])),
          "number literal of 5001 characters exceeds %s (line 1, column 1)" % LIMIT),
+        (json.dumps(dict(S1_GERM, components=["u", "v^2/2", "u^2*v + v^" + "9" * 5000])),
+         "number literal of 5000 characters exceeds %s (line 1, column 11)" % LIMIT),
         (json.dumps(dict(S1_GERM, components=["u", "v^2/2", "10^5000*u^3 + u^2*v + v^3"])),
+         "power has a coefficient past %s (line 1, column 4)" % LIMIT),
+        (json.dumps(dict(S1_GERM, order=20, components=["u", "v^2", "(1+u)^" + "9" * 1000])),
+         "power has a coefficient past %s (line 1, column 7)" % LIMIT),
+        (json.dumps(dict(S1_GERM, components=[
+            "u", "v^2/2", "%s*%s*u^3 + u^2*v + v^3" % (DIGITS[:4001], DIGITS[:4001])])),
          "a number to write exceeds %s" % LIMIT),
         (json.dumps(dict(S1_GERM, probes=[[0, 1, 1]])).replace("[0, 1, 1]", "[0, %s, 1]" % DIGITS),
          "germ: invalid JSON: "),

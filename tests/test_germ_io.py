@@ -531,6 +531,34 @@ class TestGermFiles:
         # the same literal is an exact rational
         assert parse_polynomial(big + "*u", order=2).coeff(1, 0) == 10**400
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    @pytest.mark.parametrize("text, order, message, column", [
+        ("u^2*v + v^" + "9" * 5000, 6, "number literal of 5000 characters exceeds", 11),
+        # a power stops before its coefficient outgrows the limit, also where
+        # the term is truncated away or squaring grows it slowly (a constant
+        # term of 1)
+        ("u^2/2 + 3^10000000*u^2*v + v^3", 6, "power has a coefficient past", 11),
+        ("2^" + "9" * 40 + "*u^7", 6, "power has a coefficient past", 3),
+        ("(1+u)^" + "9" * 1000, 20, "power has a coefficient past", 7),
+        ("(u - 1)^" + "9" * 4000, 17, "power has a coefficient past", 9),
+        ("10^5000*u^3", 6, "power has a coefficient past", 4),
+    ])
+    def test_past_the_digit_limit_is_a_positioned_parse_error(self, text, order, message,
+                                                               column):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, order=order)
+        assert str(exc.value) == "%s the limit of %d digits on int/str conversion " \
+            "(line 1, column %d)" % (message, sys.get_int_max_str_digits(), column)
+
+    def test_powers_below_the_digit_limit_parse(self):
+        assert parse_polynomial("2^3 + (u+v)^3", order=6).coeffs == {
+            (0, 0): 8, (3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
+        n = 10**10
+        want = {(j, 0): Fraction(math.comb(n, j)) for j in range(7)}
+        assert parse_polynomial("(1+u)^%d" % n, order=6).coeffs == want
+        assert parse_polynomial("10^4000", order=2).coeff(0, 0) == 10**4000
+
 
 class TestReports:
     def test_format_number_strings(self):

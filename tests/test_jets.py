@@ -196,6 +196,19 @@ class TestSharedProduct:
         assert (u ** 6).coeffs == {(6, 0): 1} and (u ** 7).coeffs == {}
         assert _bits((u ** 0).coeffs) == _bits(Jet2.const(1, 6, mode).coeffs)
 
+    def test_power_stops_at_the_digit_limit(self, monkeypatch):
+        # past the limit a power raises ValueError, as int/str conversion
+        # does; 0 is no limit, and a float power ends in its overflow error
+        three = Jet2.const(3, 6, EXACT)
+        monkeypatch.setattr(jets.sys, "get_int_max_str_digits", lambda: 1000, raising=False)
+        assert (three ** 2000).coeffs == {(0, 0): 3**2000}
+        with pytest.raises(ValueError):
+            three ** 3000
+        with pytest.raises(UsageError, match="finite"):
+            three.to_float() ** 3000
+        monkeypatch.setattr(jets.sys, "get_int_max_str_digits", lambda: 0)
+        assert (three ** 3000).coeffs == {(0, 0): 3**3000}
+
 
 class TestSubstitute:
     def test_shift_into_half_v_squared(self):

@@ -18,7 +18,7 @@ from germforge.mond import (
 )
 from germforge.normal_form import reduce_to_normal_form
 
-from conftest import germ_from_strings, make_nf, rand_fraction
+from conftest import germ_from_strings, make_nf, rand_fraction, shifted_a1
 
 
 def classify_strings(components, order):
@@ -69,11 +69,10 @@ class TestClassifyDirect:
         assert res.mond.tag is MondTag.INDETERMINATE
         assert "order" in res.mond.reason
 
-    def test_float_mode_warns(self):
+    def test_float_mode_classifies(self):
         nf = make_nf(order=4, mode=FLOAT, a={(2, 1): 2.0, (0, 3): 3.0})
         res = classify(nf)
         assert res.mond.tag is MondTag.S
-        assert any("numerically" in w for w in res.warnings)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_odd_s_and_c_take_the_sign_against_their_lead(self, mode):
@@ -175,7 +174,7 @@ class TestBkRecursion:
                 terms[(1, 5)] = rand_fraction(rng)
             nf = make_nf(order=order, a=terms)
             trace = bk_recursion(nf, k)
-            assert trace.a1hat == {n: 0 for n in range(2, k + 1)}
+            assert shifted_a1(nf, trace) == {n: 0 for n in range(2, k + 1)}
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_wrong_shift_constant_raises(self, mode, monkeypatch):
@@ -195,13 +194,13 @@ class TestBkRecursion:
         with pytest.raises(InternalConsistencyError, match=r"B_3 shift left .* at u v\^3"):
             bk_recursion(nf, 3, prev)
 
-    def test_a1hat_entries_vanish(self, rng):
+    def test_shifted_a1_entries_vanish(self, rng):
         nf = make_nf(
             order=7,
             a={(2, 1): 5, (1, 3): 2, (1, 5): -3, (3, 1): 1, (0, 7): 4},
         )
         trace = bk_recursion(nf, 3)
-        assert all(v == 0 for v in trace.a1hat.values())
+        assert all(v == 0 for v in shifted_a1(nf, trace).values())
 
 
 def _shifted_bk_nf(k, a21, tau, d, mode):

@@ -205,12 +205,6 @@ class TestRank:
         assert {k: Fraction(n, den) for k, n in ints.items()} == want
         assert den == 6 and (3, 0) not in ints
 
-    def test_only_the_split_records_the_rationalization(self):
-        f = Jet2(6, {(2, 0): 0.5, (0, 2): 0.1}, "float")
-        assert split_and_type(f).warnings == [
-            "float jet rationalized with denominator bound %d" % RATIONALIZE_DENOMINATOR]
-        assert split_and_type(exact_jet(f)).warnings == []
-
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the shift-loop splitting and the dense
@@ -219,13 +213,14 @@ class TestRank:
 
 
 def ref_split_and_type(f, order=6):
-    """Splitting by a u -> u + alpha*v shift and ascending u*v^j shifts."""
+    """(type, residual): splitting by a u -> u + alpha*v shift and ascending
+    u*v^j shifts; the residual jet in v is None off corank 1."""
     if f.order < order:
         order = f.order
     f = f.truncate(order)
     c20, c11, c02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
     if 4 * c20 * c02 - c11 * c11 != 0:
-        return SingularityType("A", 1, corank=0)
+        return SingularityType("A", 1, corank=0), None
     if c20 == 0 and c02 == 0 and c11 == 0:
         a, b = f.coeff(3, 0), f.coeff(2, 1)
         c, d = f.coeff(1, 2), f.coeff(0, 3)
@@ -236,7 +231,7 @@ def ref_split_and_type(f, order=6):
             - 4 * a * c**3
             - 27 * a**2 * d**2
         )
-        return SingularityType("D4" if disc != 0 else "MoreDegenerate", corank=2)
+        return SingularityType("D4" if disc != 0 else "MoreDegenerate", corank=2), None
     u = Jet2.variable("u", order, EXACT)
     v = Jet2.variable("v", order, EXACT)
     if c20 == 0:
@@ -256,9 +251,9 @@ def ref_split_and_type(f, order=6):
         EXACT,
     )
     if residual.is_zero():
-        return SingularityType("MoreDegenerate", corank=1, residual=residual)
+        return SingularityType("MoreDegenerate", corank=1), residual
     m = min(j for (_, j) in residual.coeffs)
-    return SingularityType("A", m - 1, corank=1, residual=residual)
+    return SingularityType("A", m - 1, corank=1), residual
 
 
 def ref_rank_of_rows(rows):
@@ -329,6 +324,20 @@ def random_critical_jet(rng, order, kind):
     return f
 
 
+def split_residual(f, order):
+    """The residual of ``split_and_type``'s corank-1 split of f at ``order``
+    by the curve kernel: f's terms up to the order (a float f rationalized)
+    over D, the kernel's g divided by D q^top from degree 3 on; None off
+    corank 1."""
+    order = min(order, f.order)
+    f = exact_jet(f).truncate(order)
+    c20, c11, c02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
+    if 4 * c20 * c02 != c11 * c11 or not (c20 or c02):
+        return None  # corank 0 or 2: no critical curve
+    g = curve_restriction(f, "u" if c20 else "v")
+    return Jet2(order, {(0, j): g[j] for j in range(3, order + 1) if g[j]})
+
+
 class TestSplittingKernelMatchesReference:
     def test_random_jets_orders_6_to_8(self):
         rng = random.Random(20241017)
@@ -336,17 +345,15 @@ class TestSplittingKernelMatchesReference:
         for n in range(2000):
             order = rng.randint(6, 8)
             f = random_critical_jet(rng, order, KINDS[n % len(KINDS)])
-            got, want = split_and_type(f, order), ref_split_and_type(f, order)
-            assert (got.tag, got.k, got.corank, got.residual) == (
-                want.tag, want.k, want.corank, want.residual
-            ), f
+            got = split_and_type(f, order)
+            want, residual = ref_split_and_type(f, order)
+            assert got == want and split_residual(f, order) == residual, f
             if n % 4 == 0:
                 # a float jet is typed as its rationalization
                 g = f.to_float()
-                got, want = split_and_type(g, order), ref_split_and_type(exact_jet(g), order)
-                assert (got.tag, got.k, got.corank, got.residual) == (
-                    want.tag, want.k, want.corank, want.residual
-                ), g
+                got, (want, residual) = split_and_type(g, order), ref_split_and_type(
+                    exact_jet(g), order)
+                assert got == want and split_residual(g, order) == residual, g
             c20, c11, c02 = f.coeff(2, 0), f.coeff(1, 1), f.coeff(0, 2)
             if want.corank == 1:
                 seen["swap" if c20 == 0 else "rank1-with-cross-term" if c11 else "diagonal"] += 1
@@ -363,8 +370,8 @@ class TestSplittingKernelMatchesReference:
         rng = random.Random(3)
         for n in range(50):
             f = random_critical_jet(rng, 6, "planted")
-            got, want = split_and_type(f, 8), ref_split_and_type(f, 8)
-            assert (got.tag, got.k, got.residual) == (want.tag, want.k, want.residual)
+            got, (want, residual) = split_and_type(f, 8), ref_split_and_type(f, 8)
+            assert got == want and split_residual(f, 8) == residual
 
 
 def _random_value(rng, kind):
@@ -605,7 +612,7 @@ class TestVersalityMatchesReference:
             assert seen[case] >= 20, seen
 
     def test_distance_families(self):
-        # the rank test's own integer jets and families at the rank order,
+        # the rank test's own integer jets and families at the probe order,
         # exact and float, against the dense rows built from them as jets
         rng = random.Random(4157)
         calls = []
@@ -632,13 +639,14 @@ class TestVersalityMatchesReference:
                 with pytest.MonkeyPatch.context() as m:
                     m.setattr(oracle, "integer_versality", recording)
                     got = distance.versality_rank_test(nf, p, flavor)
+                top = distance._probe_order(nf)
                 for f, family, fl, order in calls:
                     assert len(family) == 3
                     assert all(type(c) is int for jet in [f, *family] for c in jet.values())
-                    assert all(i + j <= order for jet in family for i, j in jet)
-                    jets = [Jet2(order, {k: Fraction(c) for k, c in jet.items()})
+                    assert all(i + j <= top for jet in [f, *family] for i, j in jet)
+                    jets = [Jet2(top, {k: Fraction(c) for k, c in jet.items()})
                             for jet in family]
-                    f_jet = Jet2(distance._probe_order(nf), {k: Fraction(c) for k, c in f.items()})
+                    f_jet = Jet2(top, {k: Fraction(c) for k, c in f.items()})
                     assert ref_versality_rank_oracle(jets, f_jet, fl, order) == got
                     seen[(fl, got)] += 1
         assert len(seen) == 4, seen
@@ -758,7 +766,7 @@ def dense_route_answers(nf, p):
     """The jet route on the test-local references: the shift-loop splitting
     of the rationalized jet and the dense Fraction elimination."""
     def split(d, order):
-        return ref_split_and_type(exact_jet(d), order)
+        return ref_split_and_type(exact_jet(d), order)[0]
 
     return jet_route_answers(nf, p, split, ref_versality_rank_oracle)
 

@@ -80,10 +80,10 @@ RECORDS = [
      [("tag", REQUIRED), ("k", None), ("sign", None), ("reason", None)],
      (MondTag.INDETERMINATE, None, None, "corank 2 at the origin")),
     (BkRecursionTrace, False,
-     [("k", REQUIRED), ("c", dict), ("xi", dict), ("a1hat", dict), ("scale", 1.0)],
-     (3, {2: 1}, {2: 0}, {2: 0, 3: 1}, 2.0)),
-    (ClassifyResult, False, [("mond", REQUIRED), ("trace", None), ("warnings", list)],
-     (MondClass(MondTag.F4), None, ["w"])),
+     [("k", REQUIRED), ("c", dict), ("xi", dict), ("scale", 1.0)],
+     (3, {2: 1}, {2: 0}, 2.0)),
+    (ClassifyResult, False, [("mond", REQUIRED), ("trace", None)],
+     (MondClass(MondTag.B, 2, "+"), BkRecursionTrace(2, {2: 1}, {2: 1}))),
     (NormalFormCoeffs, True,
      [("order", REQUIRED), ("mode", REQUIRED), ("a", REQUIRED), ("b", REQUIRED)],
      (4, EXACT, {(2, 0): 1, (2, 1): 1}, {2: 1})),
@@ -94,12 +94,12 @@ RECORDS = [
      (Jet2.variable("u", 3, EXACT), Jet2.variable("v", 3, EXACT), EXACT, ())),
     (TransformLog, False, [("steps", list), ("mode_used", EXACT)], ([ROTATION], FLOAT)),
     (SingularityType, False,
-     [("tag", REQUIRED), ("k", None), ("corank", 0), ("residual", None), ("warnings", list)],
-     ("A", 2, 1, Jet2.variable("v", 3, EXACT), ["w"])),
+     [("tag", REQUIRED), ("k", None), ("corank", 0)],
+     ("A", 2, 1)),
     (ClassificationOutcome, False,
      [("mond", REQUIRED), ("corank", REQUIRED), ("two_jet", None), ("nf", None),
-      ("log", None), ("trace", None), ("warnings", list)],
-     (MondClass(MondTag.IMMERSION), 0, None, NF, TransformLog(), None, ["w"])),
+      ("log", None), ("trace", None)],
+     (MondClass(MondTag.IMMERSION), 0, None, NF, TransformLog(), None)),
     (Mesh, False, [("vertices", REQUIRED), ("faces", REQUIRED), ("metadata", dict),
                    ("skipped", 0)],
      ([[0.0, 0.0, 0.0]], [[0, 0, 0]], {"kind": "surface"}, 1)),
