@@ -111,32 +111,25 @@ def _load(args):
     return spec, outcome
 
 
-def _cmd_classify(args):
-    spec, outcome = _load(args)
-    emit_report(pipeline.base_report(spec, outcome), args.output or sys.stdout)
-    return 0
+# the report subcommands: each adds at most one section to the base report,
+# as (report key, section of args, spec and outcome)
+_SECTIONS = {
+    "classify": None,
+    "geometry": ("geometry", lambda args, spec, outcome:
+                 pipeline.geometry_section(outcome, args.theta_samples)),
+    "distance": ("distance", lambda args, spec, outcome:
+                 pipeline.distance_section(outcome, spec)),
+    "focal": ("focal_locus", lambda args, spec, outcome: pipeline.focal_section(outcome)),
+}
 
 
-def _cmd_geometry(args):
-    spec, outcome = _load(args)
-    report = pipeline.base_report(spec, outcome)
-    report["geometry"] = pipeline.geometry_section(outcome, args.theta_samples)
-    emit_report(report, args.output or sys.stdout)
-    return 0
-
-
-def _cmd_distance(args):
+def _cmd_report(args):
     spec, outcome = _load(args)
     report = pipeline.base_report(spec, outcome)
-    report["distance"] = pipeline.distance_section(outcome, spec)
-    emit_report(report, args.output or sys.stdout)
-    return 0
-
-
-def _cmd_focal(args):
-    spec, outcome = _load(args)
-    report = pipeline.base_report(spec, outcome)
-    report["focal_locus"] = pipeline.focal_section(outcome)
+    section = _SECTIONS[args.command]
+    if section is not None:
+        key, make = section
+        report[key] = make(args, spec, outcome)
     emit_report(report, args.output or sys.stdout)
     return 0
 
@@ -326,10 +319,7 @@ def _cmd_verify(args):
 
 
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "geometry": _cmd_geometry,
-    "distance": _cmd_distance,
-    "focal": _cmd_focal,
+    **dict.fromkeys(_SECTIONS, _cmd_report),
     "mesh": _cmd_mesh,
     "verify": _cmd_verify,
 }

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import oracle
 from .blowup import PointType, ridge_report
 from .errors import InternalConsistencyError, UsageError
-from .jets import EXACT, FLOAT, ZERO, Jet2, _finite, cleared, is_zero, scalar, zero_scale
+from .jets import EXACT, FLOAT, ZERO, _JOIN, _SPLIT, Jet2, _finite, is_zero, scalar, zero_scale
 from .oracle import K_EQUIV, R_PLUS
 from .records import Frozen, Record, _set
 
@@ -149,17 +149,18 @@ def _zero_test(nf, p):
 
 def _probe_numerators(p, mode):
     """(X, Y, Z, dp): the probe p (in ``mode``) as numerators over one
-    denominator dp; a float probe is its own numerators over dp = 1."""
-    if mode != EXACT:
-        return p.x0, p.y0, p.z0, 1
-    nums, dp = cleared(dict(enumerate((p.x0, p.y0, p.z0))))
+    denominator dp, split as the jets split (``jets._SPLIT``): a float probe
+    is its own numerators over dp = 1."""
+    nums, dp = _SPLIT[mode](dict(enumerate((p.x0, p.y0, p.z0))))
     return (*(nums.get(i, 0) for i in range(3)), dp)
 
 
 def _distance_numerators(nf, p, order):
-    """({key: N}, S, D, dp): the distance jet at ``order`` as integers, its
-    coefficient at ``key`` N / (D dp) and its constant S / (2 dp^2).  A
-    float form gives the float sums, with D = dp = 1."""
+    """({key: N}, S, D, dp): the distance jet at ``order`` as numerators, its
+    coefficient at ``key`` N / (D dp) and its constant S / (2 dp^2): ints
+    for an exact form, the float sums with D = dp = 1 for a float one.  A
+    float sum that overflowed raises the jets' UsageError, the sums checked
+    before |p|^2."""
     rows, den = nf.distance_base(order)
     x, y, z, dp = _probe_numerators(p, nf.mode)
     out = {}
@@ -167,7 +168,10 @@ def _distance_numerators(nf, p, order):
         c = h * dp - x * cu - y * cy - z * cz
         if c:
             out[key] = c
-    return out, x * x + y * y + z * z, den, dp
+    sq = x * x + y * y + z * z
+    _finite(out, nf.mode)
+    _finite({(0, 0): sq}, nf.mode)
+    return out, sq, den, dp
 
 
 def distance_jet(nf, p, order=None):
@@ -177,21 +181,29 @@ def distance_jet(nf, p, order=None):
     distance base, so a probe costs scalar multiples and sums only.  An exact
     probe goes over one denominator dp, and each coefficient is one quotient
     (H dp - X U - Y Y' - Z Z') / (D dp) of integers; a float form runs the
-    same sums with D = dp = 1.  ``versality_rank_test`` reads the same
-    integer sums without dividing them.
+    same sums with D = dp = 1, and each joins (``jets._JOIN``) as itself.
+    ``versality_rank_test`` reads the same integer sums without dividing
+    them.
     """
     order = nf.order if order is None else order
     mode = nf.mode
     out, sq, den, dp = _distance_numerators(nf, p.as_mode(mode), order)
+    join = _JOIN[mode]
+    den *= dp
+    out = {key: join(n, den) for key, n in out.items()}
     # |p|^2 / 2: g vanishes at the origin, so the base has no constant term
-    if mode == EXACT:
-        den *= dp
-        out = {key: Fraction(n, den) for key, n in out.items()}
-        if sq:
-            out[(0, 0)] = Fraction(sq, 2 * dp * dp)
-    elif sq:
-        out[(0, 0)] = sq * 0.5
+    if sq:
+        out[(0, 0)] = join(sq, 2 * dp * dp)
     return Jet2._result(order, out, mode)
+
+
+def _integers(coeffs, mode):
+    """``coeffs``, numerators of ``_distance_numerators`` or of the family,
+    as ints: exact ones as they are, float ones rationalized over their lcm
+    (``oracle.rationalized``), as the jet-level oracles read a float jet."""
+    if mode == EXACT:
+        return coeffs
+    return oracle.rationalized(coeffs)[0]
 
 
 def _integer_family(nf, p, order):
@@ -207,9 +219,7 @@ def _integer_family(nf, p, order):
             c = row[col]
             if c:
                 coeffs[key] = -c * dp
-        family.append(coeffs)
-    if nf.mode != EXACT:
-        return [oracle.rationalized(coeffs)[0] for coeffs in family]
+        family.append(_integers(coeffs, nf.mode))
     return family
 
 
@@ -226,14 +236,11 @@ def _split_residual_u(nf, p, order=6):
     an exact residual is divided once, by D dp q^top.  The kernel divides by
     the v^2 coefficient, -y0 / 2 times D dp, nonzero on this branch; the
     constant term reaches no degree kept here."""
-    out, sq, den, dp = _distance_numerators(nf, p, order)
-    if nf.mode != EXACT:
-        _finite({**out, (0, 0): sq}, FLOAT)  # an overflowed sum raises, as in distance_jet
-        g, _ = oracle.restriction(out, order, "v", False)
-        return {i: g[i] or 0.0 for i in range(3, order + 1)}
-    g, scale = oracle.restriction(out, order, "v", True)
+    out, _, den, dp = _distance_numerators(nf, p, order)
+    g, scale = oracle.restriction(out, order, "v")
+    join = _JOIN[nf.mode]
     den *= dp * scale
-    return {i: Fraction(g[i], den) for i in range(3, order + 1)}
+    return {i: join(g[i], den) for i in range(3, order + 1)}
 
 
 def classify_distance(nf, p):
@@ -326,10 +333,7 @@ def versality_rank_test(nf, p, flavor):
         return True  # regular germs deform versally
     probe_order = _probe_order(nf)
     # the numerators of the jet, D dp times it; the kernels read no constant
-    f, sq, _, _ = _distance_numerators(nf, p, probe_order)
-    if nf.mode != EXACT:
-        _finite({**f, (0, 0): sq}, FLOAT)  # an overflowed sum raises, as in distance_jet
-        f = oracle.rationalized(f)[0]
+    f = _integers(_distance_numerators(nf, p, probe_order)[0], nf.mode)
     typ = oracle.integer_split(f, probe_order)
     if typ.tag == "A":
         if typ.k >= 5 and flavor == R_PLUS:

@@ -32,7 +32,8 @@ Tokens, read by one compiled pattern after any whitespace: a number (nat is
 a run of ASCII digits), a var (a letter, then letters or digits), an
 operator of ``+-*/^()``, and the end of the text; any other character is a
 parse error.  A parse error names its line and column: lines split at "\\n"
-only, and columns count characters from 1.
+only, and columns count characters from 1.  Parentheses and unary minus
+signs together nest at most ``MAX_NESTING`` deep.
 
 The last number form, a decimal, needs float mode.  A literal p/q is one
 number, so 2/3^2 is (2/3)^2, except after '^' or '/', where only the
@@ -79,6 +80,11 @@ class GermSpec(Frozen):
 # working order: classification at the default k_max needs 2 * 8 + 1 = 17,
 # and the cost of a reduction grows steeply with the order.
 MAX_ORDER = 20
+
+# Deepest nesting of parentheses and unary minus signs in an expression.
+# The parser recurses about four frames a level of parentheses, so this
+# keeps it far from the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
 
 # One token after optional whitespace: an operator, a number (ASCII digits,
 # an optional fraction and exponent, and a "/q" that _tokenize keeps only
@@ -144,6 +150,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs
         self.order = order
         self.mode = mode
         one = scalar(1, mode)
@@ -265,12 +272,18 @@ class _Parser:
             if value is not None:
                 return value
             raise self.error("unknown identifier %r" % text, tok)
-        if text == "(":
-            value = self.expr()
-            self.expect_op(")")
+        if text in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error("parentheses and unary minus nested deeper than %d levels"
+                                 % MAX_NESTING, tok)
+            if text == "(":
+                value = self.expr()
+                self.expect_op(")")
+            else:
+                value = {k: -c for k, c in self.base().items()}
+            self.depth -= 1
             return value
-        if text == "-":
-            return {k: -c for k, c in self.base().items()}
         raise self.error("unexpected token %r" % (text or "<end>"), tok)
 
 
@@ -379,19 +392,24 @@ def germ_spec_from_dict(data, where="germ"):
     mode = _require(data, "mode", str, where)
     if mode not in (EXACT, FLOAT):
         raise SchemaError(f"{where}.mode", "mode must be 'exact' or 'float'")
-    probes = []
-    for idx, p in enumerate(data.get("probes", [])):
-        if not isinstance(p, list) or len(p) != 3:
-            raise SchemaError(f"{where}.probes[{idx}]", "expected [x, y, z]")
-        probes.append(tuple(_parse_scalar(c, mode, f"{where}.probes[{idx}]") for c in p))
-    pairs = []
-    for idx, p in enumerate(data.get("theta_lambda", [])):
-        if not isinstance(p, list) or len(p) != 2:
-            raise SchemaError(f"{where}.theta_lambda[{idx}]", "expected [theta, lambda]")
-        pairs.append(tuple(_parse_scalar(c, FLOAT, f"{where}.theta_lambda[{idx}]") for c in p))
-    return GermSpec(
-        tuple(variables), tuple(components), order, mode, tuple(probes), tuple(pairs)
-    )
+    probes = _points(data, "probes", ("x", "y", "z"), mode, where)
+    pairs = _points(data, "theta_lambda", ("theta", "lambda"), FLOAT, where)
+    return GermSpec(tuple(variables), tuple(components), order, mode, probes, pairs)
+
+
+def _points(data, key, names, mode, where):
+    """The optional point list ``data[key]`` as a tuple of points, each a
+    list of one finite scalar of ``mode`` per coordinate in ``names``."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}.{key}", "expected a list")
+    points = []
+    for idx, p in enumerate(entries):
+        at = f"{where}.{key}[{idx}]"
+        if not isinstance(p, list) or len(p) != len(names):
+            raise SchemaError(at, "expected [%s]" % ", ".join(names))
+        points.append(tuple(_parse_scalar(c, mode, at) for c in p))
+    return tuple(points)
 
 
 # characters of a refused entry that its error message repeats
@@ -457,7 +475,9 @@ def read_germ_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
+        # bad JSON, a number past int()'s digit limit, or nesting past the
+        # decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("germ", "invalid JSON: %s" % exc) from None
     return germ_spec_from_dict(data)
 

@@ -11,7 +11,7 @@ instances are never mutated after construction.
 import math
 import sys
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, truediv
 
 from .errors import ModeMismatchError, UsageError
 
@@ -270,10 +270,13 @@ def _by_u(coeffs):
 
 
 # a coefficient dict as (numerators, common denominator), and a numerator
-# and denominator as a coefficient: exact jets compose on integers, float
-# jets on their own values over denominator 1
+# and denominator as a coefficient: the one numerator convention of both
+# modes, for jet composition and the distance kernels.  Exact values become
+# ints over the lcm of their denominators; float values stay as they are,
+# over 1, and a float over 1 keeps every bit.  A float numerator may be an
+# int zero, which joins as 0.0.
 _SPLIT = {EXACT: cleared, FLOAT: lambda coeffs: (coeffs, 1)}
-_JOIN = {EXACT: Fraction, FLOAT: float.__truediv__}
+_JOIN = {EXACT: Fraction, FLOAT: truediv}
 
 
 class _Powers:

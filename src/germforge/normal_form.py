@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedGermError,
     UsageError,
 )
-from .jets import EXACT, FLOAT, ZERO, GermJets, Jet2, cleared, is_zero, scalar, zero_scale
+from .jets import EXACT, FLOAT, ZERO, _SPLIT, GermJets, Jet2, is_zero, scalar, zero_scale
 from .records import Frozen, Record, _set
 
 
@@ -102,10 +102,11 @@ class NormalFormCoeffs(Frozen):
         (u^2 + y^2 + z^2) / 2 = H / D, u = U / D, y = Y / D and z = Z / D.
 
         |g - p|^2 / 2 = |g|^2 / 2 - <g, p> + |p|^2 / 2 reads the four
-        columns.  In exact mode the rows are ints over the lcm D of the
-        denominators; in float mode they are the coefficients themselves and
-        D = 1.  Built on the first call for an order and kept on the instance
-        for later ones.
+        columns.  The coefficients are split as the jets split them
+        (``jets._SPLIT``): in exact mode the rows are ints over the lcm D of
+        the denominators; in float mode they are the coefficients themselves
+        and D = 1.  Built on the first call for an order and kept on the
+        instance for later ones.
         """
         base = self._distance_bases.get(order)
         if base is None:
@@ -116,9 +117,7 @@ class NormalFormCoeffs(Frozen):
             flat = {(n, k): c for n, jet in enumerate((half_sq, u, y, z))
                     for k, c in jet.coeffs.items()}
             keys = dict.fromkeys(k for _, k in flat)
-            den = 1
-            if self.mode == EXACT:
-                flat, den = cleared(flat)
+            flat, den = _SPLIT[self.mode](flat)
             rows = {k: tuple(flat.get((n, k), 0) for n in range(4)) for k in keys}
             base = self._distance_bases[order] = (rows, den)
         return base

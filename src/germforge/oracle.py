@@ -4,7 +4,9 @@
 On a corank-1 Hessian it solves the critical-curve equation f_u = 0 (or
 f_v = 0) for one variable as a power series in the other, one coefficient
 at a time, and reads the residual: f restricted to that curve.  The same
-curve kernel, ``restriction``, gives ``distance`` its pure-u residual.
+curve kernel, ``restriction``, gives ``distance`` its pure-u residual; it
+runs on the numerators of either scalar mode (``jets._SPLIT``), ints or
+floats, and its coefficients tell it which.
 The tests use ``split_and_type`` as an oracle against the closed-form
 classifier.
 ``versality_rank_oracle`` decides R+/K-versality of a 3-parameter family
@@ -119,7 +121,7 @@ def integer_split(f, order):
 
     # corank 1: solve for the variable whose square survives in the Hessian
     # (c20 == 0 forces c11 == 0 and c02 != 0 here)
-    g, _ = restriction(f, order, "u" if c20 != 0 else "v", True)
+    g, _ = restriction(f, order, "u" if c20 != 0 else "v")
     m = next((j for j in range(3, order + 1) if g[j]), None)
     if m is None:
         return SingularityType("MoreDegenerate", corank=1)
@@ -159,7 +161,7 @@ def _horner(polys, x, q, n):
     return acc, top
 
 
-def restriction(coeffs, order, solve_for, exact):
+def restriction(coeffs, order, solve_for):
     """(g, scale): the critical-curve restriction of the jet f with
     coefficients ``coeffs`` (degree <= ``order``) is g / scale, g dense.
 
@@ -172,9 +174,10 @@ def restriction(coeffs, order, solve_for, exact):
     the splitting lemma: in the coordinates (u - phi(v), v), f is
     c_20 (u - phi)^2 (1 + ...) + g(v).  f must have a critical point at the
     origin and a nonzero coefficient on the square of the solved variable.
-    Exact coefficients must be ints: the curve is kept as integer numerators
-    psi over one denominator q, and scale = q^top.  Float coefficients run
-    the same steps with q = scale = 1.
+    The coefficients are all ints or all floats, the numerators of
+    ``jets._SPLIT``, and the square's coefficient tells which.  On ints the
+    curve is kept as integer numerators psi over one denominator q, and
+    scale = q^top; floats run the same steps with q = scale = 1.
     """
     # rows[i][j]: coefficient of s^i t^j, s the solved variable, t the other
     rows = [[0] * (order + 1) for _ in range(order + 1)]
@@ -183,6 +186,7 @@ def restriction(coeffs, order, solve_for, exact):
             i, j = j, i
         rows[i][j] = c
     lead = 2 * rows[2][0]
+    exact = type(lead) is int
     f_s = [[(i + 1) * c for c in row] for i, row in enumerate(rows[1:])]
     # phi mod t^(K+1) with 2K + 2 > order is enough: g is stationary in phi
     # (f_s vanishes on the root), so an O(t^(K+1)) error in the root moves

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import types
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import germforge
 from germforge import cli, germ_io, pipeline
@@ -590,6 +594,127 @@ class TestParsePositions:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": error}
+
+
+class TestPointLists:
+    @pytest.mark.parametrize("key", ["probes", "theta_lambda"])
+    @pytest.mark.parametrize("value", [None, 5, True, "1,2,3", {"x": 1}])
+    def test_a_point_field_that_is_not_a_list_exits_one(self, tmp_path, capsys, key, value):
+        germ = dict(S1_GERM, **{key: value})
+        code, out, err = run(capsys, "distance", "--input", write_germ(tmp_path, germ))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "germ.%s: expected a list" % key}
+
+    def test_entries_are_named_under_their_field(self, tmp_path, capsys):
+        for key, entry, shape in (("probes", [0, 1], "[x, y, z]"),
+                                  ("theta_lambda", [0, 1, 2], "[theta, lambda]")):
+            germ = dict(S1_GERM, **{key: [entry]})
+            code, _, err = run(capsys, "distance", "--input", write_germ(tmp_path, germ))
+            assert code == 1
+            assert json.loads(err) == {"error": "germ.%s[0]: expected %s" % (key, shape)}
+
+
+class TestDeepNesting:
+    """Parentheses and unary minus signs nest at most MAX_NESTING deep; deeper
+    input, and JSON nested past the decoder's recursion limit, exit 1 with
+    one JSON line, not a traceback."""
+
+    DEPTH = germ_io.MAX_NESTING
+
+    @pytest.mark.parametrize("text", [
+        "(" * DEPTH + "u^2*v" + ")" * DEPTH,
+        "-" * DEPTH + "u^2*v",
+        "(-" * (DEPTH // 2) + "u^2*v" + ")" * (DEPTH // 2),
+    ], ids=["parentheses", "minus", "both"])
+    def test_nesting_at_the_cap_parses(self, tmp_path, capsys, text):
+        germ = dict(S1_GERM, components=["u", "1/2*v^2", "v^3 + " + text])
+        code, _, err = run(capsys, "classify", "--input", write_germ(tmp_path, germ))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("text, column", [
+        ("(" * (DEPTH + 1) + "u" + ")" * (DEPTH + 1), DEPTH + 1),
+        ("(" * 1000 + "u" + ")" * 1000, DEPTH + 1),
+        ("v^3 + " + "-" * 5000 + "u", DEPTH + 7),
+        ("-(" * DEPTH + "u" + ")" * DEPTH, DEPTH + 1),
+    ], ids=["parentheses", "parentheses-1000", "minus-5000", "both"])
+    def test_nesting_past_the_cap_is_a_parse_error(self, tmp_path, capsys, text, column):
+        germ = dict(S1_GERM, components=["u", "1/2*v^2", text])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--input", write_germ(tmp_path, germ))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "parentheses and unary minus nested deeper than "
+                                            "%d levels (line 1, column %d)" % (self.DEPTH, column)}
+
+    def test_deep_json_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "germ.json"
+        path.write_text('{"variables": %s}' % ("[" * 100000 + "]" * 100000))
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith("germ: invalid JSON: maximum recursion depth")
+
+
+# germ files for the fuzz test: each field valid, up to two of them replaced
+# by any JSON value or by arrays nested up to 1 100 deep, or left out; the
+# components from the expression alphabet, or valid ones nested deep
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_EXPRESSIONS = ["u", "v^2", "1/2*v^2", "u*v + v^3", "u^2*v + v^5", "v^3 - 2*u^3*v", "0.5*v^2"]
+_TOKENS = ["u", "v", "w", "1", "2", "1/2", "0.5", "1e400", "17", "+", "-", "*", "/", "^", "(",
+           ")", " ", "\n", "%"]
+
+
+def _nested(opener, depth, expression):
+    """(``expression``) behind ``depth`` copies of ``opener``, every "(" closed."""
+    return opener * depth + "(" + expression + ")" * (1 + depth * opener.count("("))
+
+
+_COMPONENT = st.one_of(
+    st.sampled_from(_EXPRESSIONS),
+    st.builds(_nested, st.sampled_from(["(", "-", "(-"]), st.integers(0, 1100),
+              st.sampled_from(_EXPRESSIONS)),
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+)
+_NUMBER = st.integers(-3, 3) | st.sampled_from(["1/3", "0.25", "-2"])
+_GERM_FIELDS = {
+    "variables": st.sampled_from([["u", "v"], ["v", "u"]]),
+    "components": st.lists(_COMPONENT, min_size=3, max_size=3),
+    "order": st.integers(1, 20),
+    "mode": st.sampled_from(["exact", "float"]),
+    "probes": st.lists(st.lists(_NUMBER, min_size=3, max_size=3), max_size=2),
+    "theta_lambda": st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=2),
+}
+
+
+@st.composite
+def germ_files(draw):
+    fields = {key: json.dumps(draw(valid)) for key, valid in _GERM_FIELDS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), max_size=2, unique=True)):
+        fields[key] = draw(st.none() | _JSON.map(json.dumps)
+                           | st.integers(0, 1100).map(lambda d: "[" * d + "]" * d))
+    return "{%s}" % ", ".join('"%s": %s' % (key, text)
+                              for key, text in fields.items() if text is not None)
+
+
+class TestGermFileFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(text=germ_files())
+    def test_classify_ends_in_an_exit_code_and_one_json_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_germ.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", "--input", str(path)])
+        assert code in (0, 1, 2)
+        err = err.getvalue()
+        if err:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert list(json.loads(err)) == ["error"]
 
 
 class TestNonFiniteInput:

@@ -989,23 +989,40 @@ class TestScalar:
             Jet2(2, {(1, 0): 10**400}, FLOAT)
 
 
+def _compares_mode(test):
+    """Whether the expression ``test`` compares ``mode``, ``.mode`` or
+    ``.mode_used`` by == or !=."""
+    return any(
+        isinstance(sub, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops)
+        and any((isinstance(x, ast.Name) and x.id == "mode")
+                or (isinstance(x, ast.Attribute) and x.attr in ("mode", "mode_used"))
+                for x in [sub.left, *sub.comparators])
+        for sub in ast.walk(test)
+    )
+
+
 def _mode_forks(source):
     """Lines of conditional expressions that pick a value by ==/!= on a mode."""
-    forks = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.IfExp):
-            continue
-        for sub in ast.walk(node.test):
-            if isinstance(sub, ast.Compare) and any(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops
-            ) and any(
-                (isinstance(x, ast.Name) and x.id == "mode")
-                or (isinstance(x, ast.Attribute) and x.attr == "mode")
-                for x in [sub.left, *sub.comparators]
-            ):
-                forks.append(node.lineno)
-                break
-    return forks
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.IfExp) and _compares_mode(node.test)]
+
+
+def _mode_branches(source):
+    """(function, line) of every if or while statement, elif included, whose
+    test compares a mode by ==/!=; a method is named Class.method."""
+    branches = []
+
+    def walk(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            func = node.name if func is None else "%s.%s" % (func, node.name)
+        if isinstance(node, (ast.If, ast.While)) and _compares_mode(node.test):
+            branches.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, func)
+
+    walk(ast.parse(source), None)
+    return branches
 
 
 def _float_calls(source):
@@ -1098,6 +1115,70 @@ class TestOneScalarMode:
             "mode = spec.mode if mode is None else mode\n"
         )
         assert _mode_forks(source) == [1, 2]
+
+    # (module, function) -> why it branches on the scalar mode outside jets,
+    # where the numerator convention (_SPLIT, _JOIN), the conversion
+    # (scalar) and the zero test (is_zero, zero_scale) fork once for all
+    BRANCHES = {
+        ("distance", "_integers"):
+            "float sums are rationalized for the integer kernels; exact "
+            "numerators are ints already and skip the clearing",
+        ("oracle", "_cleared_terms"):
+            "a float jet is rationalized, an exact one cleared",
+        ("germ_io", "_Parser._number"):
+            "a decimal literal needs float mode, and a float literal is range-checked",
+        ("germ_io", "_Parser.factor"):
+            "only an exact unit power can grow slowly past the digit limit",
+        ("germ_io", "read_number"):
+            "a numeric string reads as a Fraction or as a float",
+        ("germ_io", "_parse_scalar"):
+            "an exact-mode JSON number reads as its nearest small fraction",
+        ("mond", "bk_recursion"):
+            "only a float zero test reads the sizes of the shift",
+        ("normal_form", "NormalFormCoeffs.to_float"):
+            "a float form is its own float copy",
+        ("normal_form", "_in_mode"):
+            "the one promotion of an exact germ to float",
+        ("normal_form", "TransformLog.sqrt"):
+            "the log stays exact while every root is rational",
+        ("normal_form", "reduce_to_normal_form"):
+            "a step that only promotes the germ to float is still applied",
+        ("pipeline", "ClassificationOutcome.warnings"):
+            "a class read off a float normal form carries the float warning",
+    }
+
+    def _branch_sites(self):
+        return {(path.stem, func)
+                for path in sorted(SRC.glob("*.py")) if path.name != "jets.py"
+                for func, _ in _mode_branches(path.read_text())}
+
+    def test_mode_branches_outside_jets_are_listed(self):
+        assert sorted(self._branch_sites() - set(self.BRANCHES)) == []
+
+    def test_every_listed_site_still_branches(self):
+        # a site that lost its branch leaves the list
+        assert sorted(set(self.BRANCHES) - self._branch_sites()) == []
+
+    def test_guard_sees_if_and_while_branches(self):
+        source = (
+            "def f(mode):\n"
+            "    if mode == EXACT:\n"
+            "        pass\n"
+            "    elif x.mode != FLOAT:\n"
+            "        pass\n"
+            "    while log.mode_used == EXACT and n:\n"
+            "        n -= 1\n"
+            "    if mode is None or order == 2:\n"
+            "        pass\n"
+            "class C:\n"
+            "    def g(self):\n"
+            "        if self.nf is not None and self.nf.mode == FLOAT:\n"
+            "            return 0.5 if self.mode == EXACT else 1\n"
+            "if mode == EXACT:\n"
+            "    pass\n"
+        )
+        assert _mode_branches(source) == [("f", 2), ("f", 4), ("f", 6), ("C.g", 12), (None, 14)]
+        assert _mode_forks(source) == [13]
 
 
 ARITHMETIC = ("__add__", "__neg__", "__mul__", "_compose")

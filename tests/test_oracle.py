@@ -40,9 +40,9 @@ def curve_restriction(f, solve_for="u"):
     kernel ``oracle.restriction``: an exact f is cleared to integers over D
     and the kernel's g divided by D q^top, a float f gives floats."""
     if f.mode != EXACT:
-        return [c or 0.0 for c in restriction(f.coeffs, f.order, solve_for, False)[0]]
+        return [c or 0.0 for c in restriction(f.coeffs, f.order, solve_for)[0]]
     coeffs, den = cleared(f.coeffs)
-    g, scale = restriction(coeffs, f.order, solve_for, True)
+    g, scale = restriction(coeffs, f.order, solve_for)
     return [Fraction(c, den * scale) for c in g]
 
 
