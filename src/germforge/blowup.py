@@ -13,13 +13,19 @@ module computes those series numerically, once per theta list, through
 series_columns(ctx, thetas, depth) (one theta is [theta]).  Column k of a
 series reads columns 0..k of its inputs only, so each caller asks for the
 depth it reads: geometry_samples takes K0 and k20 from one depth-0 run, and
-the closed-form cross-check reads depths 1 and 2 of a full DEPTH run.
+the closed-form cross-check reads depths 1 and 2 of a full DEPTH run.  A run
+builds each series when it is first read, from the parts it reads: the
+sweep's K and k2 need no F, M, n1 or k1, the cross-check's coefficients no
+F, G, K or k2, and a product block entering past the run's depth is never
+formed.
 
-ridge_report(ctx, theta) is the one place a normal direction is evaluated:
-from one cos, sin and ma of theta it takes the ridge and sub-parabolic
-invariants delta_1/2/3, the point type, the r = 0 unit normal and the bounded
-curvature k10.  The wave-front/caustic prediction front_verdict is a table
-over its flags:
+ridge_reports(ctx, thetas) is the one place a normal direction is
+evaluated, in one loop over a theta list that reads the context's constants
+once: from one cos, sin and ma of each theta it takes the ridge and
+sub-parabolic invariants delta_1/2/3, the point type, the r = 0 unit normal
+and the bounded curvature k10.  ridge_report(ctx, theta) is its one-theta
+case.  The wave-front/caustic prediction front_verdict is a table over its
+flags:
 
     not a ridge                        -> wave-front: cuspidal edge
     first-order ridge, not subparabolic -> wave-front: swallowtail,
@@ -31,6 +37,7 @@ expressions for the depth-1/2 coefficients it covers.
 """
 
 import math
+from collections.abc import Mapping
 from enum import Enum
 
 from .errors import (
@@ -255,10 +262,6 @@ def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
     return out
 
 
-def _vector_pullback(ctx, jets, trig, depth, r_shift=0, cos_shift=0):
-    return [pullback_series(ctx, j, trig, depth, r_shift, cos_shift) for j in jets]
-
-
 def _dot(a_vec, b_vec):
     acc = [[0.0] * len(a_vec[0][0])] * len(a_vec[0])
     for a, b in zip(a_vec, b_vec):
@@ -266,66 +269,118 @@ def _dot(a_vec, b_vec):
     return acc
 
 
-def _form_columns(ctx, trig, depth=DEPTH):
-    """E..N and the normal n1..n3 they were taken against, as columns."""
-    n, (e_jet, f_jet, g_jet) = ctx.n, ctx._efg
-    cols = {
-        "E": pullback_series(ctx, e_jet, trig, depth),
-        "F": pullback_series(ctx, f_jet, trig, depth, n + 2, 0),
-        "G": pullback_series(ctx, g_jet, trig, depth, 2 * n + 2, 0),
-    }
-    w = _vector_pullback(ctx, ctx._cross, trig, depth, n + 1, n)
-    inv = s_recip(s_sqrt(_dot(w, w)))
-    nvec = [s_mul(comp, inv) for comp in w]
-    cols.update(n1=nvec[0], n2=nvec[1], n3=nvec[2])
-    cols["L"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uu"], trig, depth))
-    cols["M"] = _dot(nvec, _vector_pullback(ctx, ctx._second["uv"], trig, depth, n, 0))
-    cols["N"] = _dot(nvec, _vector_pullback(ctx, ctx._second["vv"], trig, depth))
-    return cols
+def _normal_dot(cols, jets, r_shift=0):
+    """The unit normal n1..n3 dotted with the pullbacks of three jets.  A zero
+    jet's term is left out, and with it the normal component it would read:
+    its product is +0.0, and +0.0 changes no sum here, as none is -0.0."""
+    acc = [[0.0] * len(cols.trig.thetas)] * (cols.depth + 1)
+    for key, jet in zip(("n1", "n2", "n3"), jets):
+        if jet.coeffs:
+            acc = s_add(acc, s_mul(cols.part(key), cols.pull(jet, r_shift)))
+    return acc
 
 
-def _curvature_columns(ctx, fs):
-    """K, k1 and k2 columns from the form columns fs (keys E..N)."""
-    # numerator LN - M^2 (the M^2 block re-enters at r^(2n))
-    cnum = s_sub(s_mul(fs["L"], fs["N"]), s_shift_index(s_mul(fs["M"], fs["M"]), 2 * ctx.n))
-    # denominator (EG - F^2) / r^(2n+2); the F^2 block re-enters at r^2
-    den = s_sub(s_mul(fs["E"], fs["G"]), s_shift_index(s_mul(fs["F"], fs["F"]), 2))
-    # mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
-    bser = s_mul(fs["E"], fs["N"])
-    inv_den = s_recip(den)
-    return {"K": s_mul(cnum, inv_den), "k1": s_mul(cnum, s_recip(bser)),
-            "k2": s_mul(bser, inv_den)}
+def _less_square(cols, lead, key, shift):
+    """lead - r^shift key^2.  A block entering past the run's depth would
+    subtract exact zeros: it is not formed, and lead is returned as it is."""
+    if shift > cols.depth:
+        return lead
+    sq = cols.part(key)
+    return s_sub(lead, s_shift_index(s_mul(sq, sq), shift))
+
+
+# Each series and each intermediate of the pipeline from the parts it reads,
+# in the operations and operand order that fix its bits.
+_BUILD = {
+    # the forms, F divided by r^(n+2), G by r^(2n+2) and M by r^n
+    "E": lambda cols: cols.pull(cols.ctx._efg[0]),
+    "F": lambda cols: cols.pull(cols.ctx._efg[1], cols.ctx.n + 2),
+    "G": lambda cols: cols.pull(cols.ctx._efg[2], 2 * cols.ctx.n + 2),
+    "w": lambda cols: [cols.pull(jet, cols.ctx.n + 1, cols.ctx.n) for jet in cols.ctx._cross],
+    "1/|w|": lambda cols: s_recip(s_sqrt(_dot(cols.part("w"), cols.part("w")))),
+    "n1": lambda cols: s_mul(cols.part("w")[0], cols.part("1/|w|")),
+    "n2": lambda cols: s_mul(cols.part("w")[1], cols.part("1/|w|")),
+    "n3": lambda cols: s_mul(cols.part("w")[2], cols.part("1/|w|")),
+    "L": lambda cols: _normal_dot(cols, cols.ctx._second["uu"]),
+    "M": lambda cols: _normal_dot(cols, cols.ctx._second["uv"], cols.ctx.n),
+    "N": lambda cols: _normal_dot(cols, cols.ctx._second["vv"]),
+    # numerator LN - M^2 of K (the M^2 block re-enters at r^(2n))
+    "LN-M2": lambda cols: _less_square(
+        cols, s_mul(cols.part("L"), cols.part("N")), "M", 2 * cols.ctx.n),
+    # denominator (EG - F^2) / r^(2n+2) (the F^2 block re-enters at r^2)
+    "1/(EG-F2)": lambda cols: s_recip(
+        _less_square(cols, s_mul(cols.part("E"), cols.part("G")), "F", 2)),
+    # the mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
+    "EN": lambda cols: s_mul(cols.part("E"), cols.part("N")),
+    "K": lambda cols: s_mul(cols.part("LN-M2"), cols.part("1/(EG-F2)")),
+    "k1": lambda cols: s_mul(cols.part("LN-M2"), s_recip(cols.part("EN"))),
+    "k2": lambda cols: s_mul(cols.part("EN"), cols.part("1/(EG-F2)")),
+}
+
+SERIES = ("n1", "n2", "n3", "E", "F", "G", "L", "M", "N", "K", "k1", "k2")
+
+
+class SeriesColumns(Mapping):
+    """The series of one pipeline run over a theta list, keyed by SERIES, each
+    built on its first read with the parts it needs (as TrigPowers builds
+    its powers): a caller pays only for what it reads."""
+
+    __slots__ = ("ctx", "trig", "depth", "_parts")
+
+    def __init__(self, ctx, trig, depth):
+        self.ctx, self.trig, self.depth = ctx, trig, depth
+        self._parts = {}
+
+    def part(self, key):
+        """A series or an intermediate of _BUILD, built on first use."""
+        col = self._parts.get(key)
+        if col is None:
+            col = self._parts[key] = _BUILD[key](self)
+        return col
+
+    def pull(self, jet, r_shift=0, cos_shift=0):
+        return pullback_series(self.ctx, jet, self.trig, self.depth, r_shift, cos_shift)
+
+    def __getitem__(self, key):
+        if key not in SERIES:
+            raise KeyError(key)
+        return self.part(key)
+
+    def __iter__(self):
+        return iter(SERIES)
+
+    def __len__(self):
+        return len(SERIES)
 
 
 def series_columns(ctx, thetas, depth=DEPTH):
-    """The pipeline run once over a theta list: a dict of depth + 1 columns
-    each for the unit normal n1..n3, the forms E..N after factoring their
-    r-powers (F by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the bounded
-    principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta must be
-    finite with |cos theta| > COS_TOL.
+    """The pipeline run once over a theta list: a mapping of depth + 1
+    columns each for the unit normal n1..n3, the forms E..N after factoring
+    their r-powers (F by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the
+    bounded principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta
+    must be finite with |cos theta| > COS_TOL.  A series is built when it is
+    first read, from the parts it reads only.
 
     Column k of every series operation reads columns 0..k of its inputs
     only, so a run at a smaller ``depth`` gives the same bits in the columns
-    it keeps."""
+    it keeps, and a series read alone has the bits it has in a full read."""
     if not 0 <= depth <= DEPTH:
         raise UsageError("series depth must lie in 0..%d, got %r" % (DEPTH, depth))
     thetas = list(thetas)
     cos = []
     for theta in thetas:
-        _require_finite(theta)
+        if not math.isfinite(theta):
+            raise _not_finite(theta)
         c = math.cos(theta)
         if abs(c) <= COS_TOL:
             raise PrincipalNormalDirectionError(
                 "theta = %g is on the principal normal direction" % theta)
         cos.append(c)
-    cols = _form_columns(ctx, TrigPowers(thetas, cos), depth)
-    cols.update(_curvature_columns(ctx, cols))
-    return cols
+    return SeriesColumns(ctx, TrigPowers(thetas, cos), depth)
 
 
-def _require_finite(theta):
-    if not math.isfinite(theta):
-        raise UsageError("theta = %g is not a finite number" % theta)
+def _not_finite(theta):
+    return UsageError("theta = %g is not a finite number" % theta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +401,6 @@ def _k20(ctx, c, ma):
     if abs(c) <= COS_TOL:
         raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
     return ctx._k20 / (ma ** 3 * c ** (2 * ctx.n - 1))
-
-
-def _k0_terms(ctx, c, ma, k10, k10_scale):
-    """K0 = k10 k20 and its uncancelled size |k20| k10_scale."""
-    k20 = _k20(ctx, c, ma)
-    return k10 * k20, abs(k20) * k10_scale
 
 
 def k20_closed(ctx, theta):
@@ -407,35 +456,51 @@ class RidgeReport(Record):
         }
 
 
-def ridge_report(ctx, theta):
-    """Every closed form at theta, from one cos, sin and ma of theta."""
-    _require_finite(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    ma = ctx._ma(c, s)
+def ridge_reports(ctx, thetas):
+    """Every closed form at each theta of a list, one RidgeReport per theta:
+    the context's constants are read once, cos, sin and ma once per theta."""
+    isfinite, cos, sin, ma_of = math.isfinite, math.cos, math.sin, ctx._ma
     ab3, ma30 = ctx._delta1
     ab4, ma40, q, ab2, ma20, a21_12 = ctx._delta2
     a20a, mb2 = ctx._delta3
-    d1 = ab3 * c - ma30 * s
-    # the a21 term is nonzero only in the n = 1 branch, where a_21 is the
-    # leading coefficient
-    d2 = -(ab4 * c - ma40 * s) * c + q * (ab2 * c - ma20 * s) * c + a21_12 * s * s
-    d3 = a20a * c + mb2 * s
-    s1, s2, s3 = ctx._ridge_scales
-    is_ridge = is_zero(d1, max(1.0, s1))
-    first_order = is_ridge and not is_zero(d2, max(1.0, s2))
-    subpar = is_zero(d3, max(1.0, s3))
-    k10, k10_scale = _k10(ctx, c, s, ma), ctx._k10_scale / ma
-    if abs(c) <= COS_TOL:
-        ptype = None
-    else:
-        k0, k0_scale = _k0_terms(ctx, c, ma, k10, k10_scale)
-        if is_zero(k0, max(1.0, k0_scale)):
-            ptype = PointType.PARABOLIC
+    s1, s2, s3 = (max(1.0, scale) for scale in ctx._ridge_scales)
+    k10_cos, k10_sin = ctx._k10
+    k10_size, k20_num, k20_power = ctx._k10_scale, ctx._k20, 2 * ctx.n - 1
+    lead, fact = ctx.a_lead, ctx.fact
+    reports = []
+    for theta in thetas:
+        if not isfinite(theta):
+            raise _not_finite(theta)
+        c, s = cos(theta), sin(theta)
+        ma = ma_of(c, s)
+        d1 = ab3 * c - ma30 * s
+        # the a21 term is nonzero only in the n = 1 branch, where a_21 is the
+        # leading coefficient
+        d2 = -(ab4 * c - ma40 * s) * c + q * (ab2 * c - ma20 * s) * c + a21_12 * s * s
+        d3 = a20a * c + mb2 * s
+        is_ridge = is_zero(d1, s1)
+        first_order = is_ridge and not is_zero(d2, s2)
+        subpar = is_zero(d3, s3)
+        k10, k10_scale = (k10_cos * c + k10_sin * s) / ma, k10_size / ma
+        if abs(c) <= COS_TOL:
+            ptype = None
         else:
-            ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC
-    normal_r0 = (0.0, -ctx.a_lead * c / ma, ctx.fact * s / ma)
-    return RidgeReport(theta, d1, d2, d3, is_ridge, first_order, subpar, ptype,
-                       k10, k10_scale, normal_r0, ma)
+            # K0 = k10 k20, tested against its uncancelled size |k20| k10_scale
+            k20 = k20_num / (ma ** 3 * c ** k20_power)
+            k0 = k10 * k20
+            if is_zero(k0, max(1.0, abs(k20) * k10_scale)):
+                ptype = PointType.PARABOLIC
+            else:
+                ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC
+        normal_r0 = (0.0, -lead * c / ma, fact * s / ma)
+        reports.append(RidgeReport(theta, d1, d2, d3, is_ridge, first_order, subpar, ptype,
+                                   k10, k10_scale, normal_r0, ma))
+    return reports
+
+
+def ridge_report(ctx, theta):
+    """Every closed form at theta: the one-theta case of ridge_reports."""
+    return ridge_reports(ctx, [theta])[0]
 
 
 class FrontType(Enum):
@@ -502,14 +567,14 @@ def theta_grid(samples=64):
 
 
 def geometry_samples(ctx, thetas):
-    """Per-theta geometry records for the report (cos-divided values off pi/2);
-    the series pipeline runs once for all thetas off the principal normal, at
-    depth 0: K0 and k20 are the r^0 columns of K and k2."""
+    """Per-theta geometry records for the report (cos-divided values off pi/2)
+    from one ridge_reports loop over thetas; the series pipeline runs once
+    for all thetas off the principal normal, at depth 0, and builds only K
+    and k2: K0 and k20 are their r^0 columns."""
     records = []
-    for theta in thetas:
-        rr = ridge_report(ctx, theta)
+    for rr in ridge_reports(ctx, thetas):
         records.append({
-            "theta": theta, "delta1": rr.delta1, "delta2": rr.delta2, "delta3": rr.delta3,
+            "theta": rr.theta, "delta1": rr.delta1, "delta2": rr.delta2, "delta3": rr.delta3,
             "point_type": rr.point_type.value if rr.point_type else None, "flags": rr.flags,
             "K0": None, "k10": rr.k10, "k20": None,
         })

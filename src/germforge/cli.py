@@ -292,20 +292,19 @@ def _cmd_verify(args):
 
     if outcome.has_geometry:
         ctx = pipeline.blowup_context(outcome)
-        table = []
-        for entry in crosscheck_closed_forms(ctx, _verify_thetas(args.theta_samples)):
+        # each entry's record replaces the entry in place: one is held per entry
+        table = crosscheck_closed_forms(ctx, _verify_thetas(args.theta_samples))
+        for idx, entry in enumerate(table):
             bad = abs(entry.delta) > CROSSCHECK_TOL * max(1.0, abs(entry.pipeline))
             hard_failure = hard_failure or bad
-            table.append(
-                {
-                    "symbol": entry.symbol,
-                    "theta": entry.theta,
-                    "pipeline": entry.pipeline,
-                    "reference": entry.reference,
-                    "delta": entry.delta,
-                    "hard_mismatch": bad,
-                }
-            )
+            table[idx] = {
+                "symbol": entry.symbol,
+                "theta": entry.theta,
+                "pipeline": entry.pipeline,
+                "reference": entry.reference,
+                "delta": entry.delta,
+                "hard_mismatch": bad,
+            }
         result["crosscheck"] = {"entries": table}
     else:
         result["crosscheck"] = None

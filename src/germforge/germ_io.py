@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
 from .jets import (
-    EXACT, FLOAT, GermJets, Jet2, _accumulate, _check_unit_power, _finite, _power, _product,
+    EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, _unit_power,
     scalar,
 )
 from .records import Frozen, _set
@@ -255,8 +255,9 @@ class _Parser:
             n = self._integer(etok[1], etok)
             try:
                 if self.mode == EXACT and value.get((0, 0)) in (1, -1):
-                    _check_unit_power(value, n, self.order)
-                value = _power(value, n, self.order, self.mode)
+                    value = _unit_power(value, n, self.order)
+                else:
+                    value = _power(value, n, self.order, self.mode)
             except ValueError:  # a coefficient past the digit limit
                 raise self.error("power has a coefficient past %s" % _digit_limit(),
                                  etok) from None
@@ -534,23 +535,48 @@ def _encode(value, out, pad):
             out.append(sep)
             _encode(item, out, inner)
             sep = ",\n" + inner
+            if len(out) >= _FOLD_AT:
+                out.fold()
         out.append("\n" + pad + "]" if value else "[]")
     else:
         out.append(json.dumps(value))
 
 
+# Fragments joined into one chunk at a time: a long list is held as the
+# characters of its text, not as millions of small strings.
+_FOLD_AT = 4096
+
+
+class _Fragments(list):
+    """The text ``_encode`` appends, as ``chunks`` of joined fragments
+    followed by the fragments since the last ``fold``."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def fold(self):
+        self.chunks.append("".join(self))
+        self.clear()
+
+
 def write_json(doc, path_or_file):
     """Write ``doc`` as deterministic JSON (sorted keys, indent 2, final
-    newline), each float and Fraction as a ``format_number`` string."""
-    out = []
+    newline), each float and Fraction as a ``format_number`` string.
+
+    The whole text is encoded before anything is written, so an encoding
+    error leaves no partial file."""
+    out = _Fragments()
     _encode(doc, out, "")
     out.append("\n")
-    text = "".join(out)
+    out.fold()
     if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+        for chunk in out.chunks:
+            path_or_file.write(chunk)
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in out.chunks:
+                fh.write(chunk)
 
 
 def emit_report(report, path_or_file):

@@ -16,6 +16,7 @@ from germforge.blowup import (
     geometry_samples,
     pullback_series,
     ridge_report,
+    ridge_reports,
     s_recip,
     s_sqrt,
     series_columns,
@@ -244,11 +245,111 @@ class TestColumnPipeline:
             pullback_series(ctx, jet, TrigPowers([-0.5, 0.3, 1.2]), 2, 2)
 
 
+def report_bits(rr):
+    """A RidgeReport's fields, each float as float.hex."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, tuple):
+            return tuple(bits(y) for y in x)
+        return x
+    return [bits(getattr(rr, name)) for name in rr._fields]
+
+
+class TestRidgeLoop:
+    """ridge_reports sweeps a theta list in one loop; ridge_report is its
+    one-theta case."""
+
+    @staticmethod
+    def thetas():
+        near = math.acos(blowup.COS_TOL)
+        while abs(math.cos(near)) <= blowup.COS_TOL:
+            near = math.nextafter(near, 0.0)
+        assert abs(math.cos(near)) > blowup.COS_TOL
+        return theta_grid(64) + [0.0, math.pi / 2, -math.pi / 2, near, -near]
+
+    def test_loop_equals_one_theta_at_a_time_bit_for_bit(self, rng):
+        thetas = self.thetas()
+        ctxs = TestColumnPipeline.contexts(rng)
+        assert sorted({ctx.n for ctx in ctxs}) == [1, 2, 3]
+        for ctx in ctxs:
+            reports = ridge_reports(ctx, thetas)
+            assert len(reports) == len(thetas)
+            for theta, rr in zip(thetas, reports):
+                assert rr.theta == theta
+                assert report_bits(rr) == report_bits(ridge_report(ctx, theta)), (ctx.n, theta)
+            # the order of the list changes no report
+            backwards = ridge_reports(ctx, thetas[::-1])
+            assert [report_bits(rr) for rr in backwards[::-1]] == [
+                report_bits(rr) for rr in reports]
+            # the direction off pi/2 just past COS_TOL has a point type, pi/2 none
+            types = {theta: rr.point_type for theta, rr in zip(thetas, reports)}
+            assert types[thetas[-2]] is not None and types[thetas[-1]] is not None
+            assert types[math.pi / 2] is None
+
+    def test_loop_matches_the_closed_form_helpers(self, rng):
+        # k10, K0's sign and ma from the one-theta helpers the loop inlines
+        for ctx in TestColumnPipeline.contexts(rng):
+            for theta, rr in zip(theta_grid(64)[:-1], ridge_reports(ctx, theta_grid(64)[:-1])):
+                c, s = math.cos(theta), math.sin(theta)
+                ma = ctx._ma(c, s)
+                assert rr.ma.hex() == ma.hex()
+                assert rr.k10.hex() == blowup._k10(ctx, c, s, ma).hex()
+                k0 = K0_closed(ctx, theta)
+                if rr.point_type is PointType.ELLIPTIC:
+                    assert k0 > 0
+                elif rr.point_type is PointType.HYPERBOLIC:
+                    assert k0 < 0
+
+    def test_empty_list(self):
+        assert ridge_reports(BlowupContext(nf_s1(), 1), []) == []
+
+
+class TestLazySeries:
+    """series_columns builds a series when it is first read, from the parts
+    it reads only, with the bits of a run that reads everything."""
+
+    def test_each_series_read_alone_has_the_full_bits(self, rng):
+        thetas = theta_grid(32)[:-1]
+        for ctx in TestColumnPipeline.contexts(rng):
+            for depth in range(blowup.DEPTH + 1):
+                full = dict(series_columns(ctx, thetas, depth))
+                assert list(full) == list(blowup.SERIES)
+                for key in blowup.SERIES:
+                    alone = series_columns(ctx, thetas, depth)[key]
+                    assert [[x.hex() for x in col] for col in alone] == [
+                        [x.hex() for x in col] for col in full[key]], (ctx.n, depth, key)
+
+    def test_callers_build_only_what_they_read(self):
+        # the sweep reads K and k2 at depth 0, the cross-check seven
+        # coefficients at depth 2; neither builds F, M's square or n1
+        for label in sorted(GEOMETRY_GERMS):
+            _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+            thetas = theta_grid(16)[:-1]
+            cols = series_columns(ctx, thetas, depth=0)
+            cols["K"], cols["k2"]
+            assert "F" not in cols._parts and "M" not in cols._parts
+            assert "n1" not in cols._parts and "k1" not in cols._parts
+            cols = series_columns(ctx, thetas)
+            for key in ("n2", "n3", "L", "M", "N", "k1"):
+                cols[key]
+            assert not {"F", "G", "K", "k2", "n1", "1/(EG-F2)"} & cols._parts.keys()
+
+    def test_mapping_reads(self):
+        ctx = BlowupContext(nf_s1(), 1)
+        cols = series_columns(ctx, [0.3, -0.4])
+        assert len(cols) == len(blowup.SERIES) and "K" in cols and "w" not in cols
+        with pytest.raises(KeyError):
+            cols["w"]
+        assert cols["K"] is cols["K"]
+
+
 class TestNonFiniteTheta:
     """Every entry point that takes a theta rejects NaN and +-inf by name."""
 
     ENTRY_POINTS = {
         "ridge_report": ridge_report,
+        "ridge_reports": lambda ctx, theta: ridge_reports(ctx, [0.3, theta]),
         "front_verdict": front_verdict,
         "geometric_verdict": lambda ctx, theta: geometric_verdict(ctx, theta, 0.5),
         "geometry_samples": lambda ctx, theta: geometry_samples(ctx, [0.3, theta]),
@@ -295,7 +396,7 @@ class TestExtendedNormal:
             for _ in range(10):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 # the forms, and the normal, exist at pi/2 too
-                cols = blowup._form_columns(ctx, TrigPowers(theta_grid(64)))
+                cols = blowup.SeriesColumns(ctx, TrigPowers(theta_grid(64)), blowup.DEPTH)
                 for idx in range(64):
                     defect = unit_defect(cols, idx)
                     assert max(abs(x) for x in defect) < 1e-10
@@ -304,18 +405,18 @@ class TestExtendedNormal:
 class TestFormsAndCurvature:
     def test_e2_vanishes_at_pi_over_2(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+        fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
         assert abs(fs["E"][2][0]) < 1e-12
 
     def test_g0_vanishes_at_pi_over_2(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+            fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
             assert abs(fs["G"][0][0]) < 1e-12
 
     def test_l0_at_pi_over_2_is_a20(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup._form_columns(ctx, TrigPowers([math.pi / 2]))
+        fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
         assert fs["L"][0][0] == pytest.approx(ctx.nf.a_(2, 0))
 
     def test_k0_at_theta_zero(self):

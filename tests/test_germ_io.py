@@ -599,6 +599,35 @@ class TestReports:
         text = '{\n  "a": {\n    "y": true,\n    "z": null\n  },\n  "b": [\n    1,\n    "2/3"\n  ]\n}\n'
         assert path.read_text() == buf.getvalue() == text
 
+    def test_write_json_folds_a_long_list_into_the_same_bytes(self, tmp_path):
+        # a list of many records is joined chunk by chunk as it is encoded
+        rows = [{"theta": i / 7, "name": "n%d" % i, "ok": i % 3 == 0}
+                for i in range(3 * germ_io._FOLD_AT)]
+        doc = {"entries": rows, "nested": [rows[:5], []]}
+        buf = io.StringIO()
+        write_json(doc, buf)
+        reported = {"entries": [dict(r, theta=format_number(r["theta"])) for r in rows]}
+        reported["nested"] = [reported["entries"][:5], []]
+        assert buf.getvalue() == json.dumps(reported, indent=2, sort_keys=True) + "\n"
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        assert path.read_text() == buf.getvalue()
+
+    def test_write_json_encoding_error_leaves_no_partial_file(self, tmp_path):
+        bad = {"entries": [{"x": 0.5}] * (2 * germ_io._FOLD_AT) + [object()]}
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError):
+            write_json(bad, path)
+        assert not path.exists()
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_json(bad, path)
+        assert path.read_text() == "old\n"
+        buf = io.StringIO()
+        with pytest.raises(TypeError):
+            write_json(bad, buf)
+        assert buf.getvalue() == ""
+
     def test_write_json_writes_the_bytes_of_json_dumps(self):
         # the bytes of json.dumps once each float and Fraction value is the
         # string format_number gives, the report convention

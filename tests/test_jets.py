@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from germforge import blowup, front, jets
-from germforge.blowup import BlowupContext, PointType, k20_closed
+from germforge.blowup import BlowupContext, K0_closed, PointType, k20_closed
 from germforge.distance import FocalLine
 from germforge.errors import HypothesisError, ModeMismatchError, UsageError
-from germforge.germ_io import print_polynomial
+from germforge.germ_io import parse_polynomial, print_polynomial
 from germforge.jets import (
     EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar, zero_scale,
 )
@@ -208,6 +208,53 @@ class TestSharedProduct:
             three.to_float() ** 3000
         monkeypatch.setattr(jets.sys, "get_int_max_str_digits", lambda: 0)
         assert (three ** 3000).coeffs == {(0, 0): 3**3000}
+
+
+class TestUnitPower:
+    """An exact base with constant term 1 or -1 is raised by the binomial
+    expansion, with the squaring loop's coefficients and key order."""
+
+    BASES = [
+        # (order, base): the constant term first, last or between, one
+        # variable or two, and u^2's coefficient in the 8th power cancelling
+        (6, {(0, 0): 1, (1, 0): 1}),
+        (6, {(1, 0): 1, (0, 0): 1}),
+        (5, {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(-7, 2)}),
+        (5, {(2, 0): Fraction(-7, 2), (0, 0): -1, (1, 0): 1}),
+        (4, {(0, 1): Fraction(2, 3), (1, 0): -1, (0, 0): -1, (1, 1): Fraction(1, 5)}),
+        (4, {(0, 0): 1, (2, 1): 3, (0, 2): Fraction(-1, 7)}),
+        (3, {(0, 0): -1}),
+        (2, {(1, 1): 5, (0, 0): 1, (0, 3): 1}),
+    ]
+
+    @staticmethod
+    def exact(coeffs):
+        return {k: Fraction(c) for k, c in coeffs.items()}
+
+    def test_equals_the_squaring_loop(self):
+        huge = [10**50 + 1, 3 * 10**50 + 8, 2**170 - 1]
+        for order, base in self.BASES:
+            base = self.exact(base)
+            for n in list(range(65)) + huge:
+                want = jets._power(dict(base), n, order, EXACT)
+                got = jets._unit_power(dict(base), n, order)
+                assert list(got.items()) == list(want.items()), (base, n)
+                assert all(type(c) is Fraction for c in got.values())
+
+    def test_a_cancelled_coefficient_comes_back(self):
+        base = self.exact({(0, 0): 1, (1, 0): 1, (2, 0): Fraction(-7, 2)})
+        assert (2, 0) not in jets._unit_power(dict(base), 8, 5)
+        for n in (7, 9, 15, 17):
+            assert (2, 0) in jets._unit_power(dict(base), n, 5)
+
+    def test_many_digit_exponent_parses(self):
+        n = int("9" * 200)
+        jet = parse_polynomial("(1+u)^" + "9" * 200, ("u", "v"), 20, EXACT)
+        want = {(j, 0): Fraction(math.comb(n, j)) for j in range(21)}
+        assert list(jet.coeffs.items()) == list(want.items())
+        jet = parse_polynomial("(u-1)^" + "9" * 200, ("u", "v"), 20, EXACT)
+        assert jet.coeffs == {(j, 0): Fraction((-1) ** (n - j) * math.comb(n, j))
+                              for j in range(21)}
 
 
 class TestSubstitute:
@@ -731,10 +778,9 @@ class TestIsZeroMatchesTheReplacedTests:
                 assert nf.is_zero_a(i, j) == ref_is_zero_a(nf, i, j)
 
     def test_the_three_k10_scales(self, monkeypatch):
-        # k10 and K0 are injected so that front_verdict and ridge_report
-        # decide on values placed at their thresholds
+        # k10 is injected so that front_verdict decides on values placed at
+        # its threshold, and K0's values go to ridge_report's own zero test
         rng = random.Random(11)
-        k0_terms = blowup._k0_terms  # (K0, its scale); only K0 is injected
         report = blowup.ridge_report  # only its k10 is injected
 
         def with_k10(rr, k10):
@@ -764,10 +810,17 @@ class TestIsZeroMatchesTheReplacedTests:
                     except HypothesisError:
                         raised = True
                 assert raised == ref_front_k10_zero(ctx, theta, k10), k10
+            # ridge_report's last zero test is the parabolic one, on K0 at
+            # its uncancelled size; values at its threshold go to that test
             k0_scale = max(1.0, abs(k20_closed(ctx, theta)) * scale)
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(blowup, "is_zero", lambda x, s: calls.append((x, s)) or is_zero(x, s))
+                parabolic = report(ctx, theta).point_type is PointType.PARABOLIC
+            assert calls[-1] == (K0_closed(ctx, theta), k0_scale)
+            assert parabolic == is_zero(*calls[-1])
             for k0 in around(FLOAT_ZERO_REL * k0_scale, rng):
-                monkeypatch.setattr(blowup, "_k0_terms", lambda *a: (k0, k0_terms(*a)[1]))
-                parabolic = blowup.ridge_report(ctx, theta).point_type is PointType.PARABOLIC
+                parabolic = is_zero(k0, calls[-1][1])
                 assert parabolic == ref_blowup_parabolic(ctx, theta, k0), k0
 
 
@@ -894,7 +947,7 @@ class TestOneProductAndPower:
     def test_one_square_and_multiply_in_src(self):
         loops = {path.name: _halving_loops(path.read_text()) for path in SRC.glob("*.py")}
         assert {name: found for name, found in loops.items() if found} == {
-            "jets.py": ["_power"]}
+            "jets.py": ["_square_and_multiply"]}
 
     def test_guard_sees_a_dispatch_and_a_second_loop(self):
         source = (
@@ -1128,7 +1181,7 @@ class TestOneScalarMode:
         ("germ_io", "_Parser._number"):
             "a decimal literal needs float mode, and a float literal is range-checked",
         ("germ_io", "_Parser.factor"):
-            "only an exact unit power can grow slowly past the digit limit",
+            "an exact base with constant term 1 or -1 is raised by the binomial expansion",
         ("germ_io", "read_number"):
             "a numeric string reads as a Fraction or as a float",
         ("germ_io", "_parse_scalar"):
