@@ -313,17 +313,46 @@ def agrees_with_oracle(sing, typ):
     return typ.label == sing.value
 
 
+def _probe_pass(nf, p):
+    """{flavor: answer} of both rank tests at the singular probe p (in the
+    form's mode): one integer pass.
+
+    The required jet order is the determinacy degree of the actual
+    singularity type, decided by the splitting oracle.  The distance
+    numerators at the probe order (D dp times the jet, its constant left
+    out: neither kernel reads it) are typed by ``oracle.integer_split``
+    once, and the family read off the same base rows is built once, both
+    handed to ``oracle.integer_versality`` for the flavours the type leaves
+    open; it eliminates the rows they share once.  No ``Fraction`` is
+    built.  A float form rationalizes each coefficient first, as
+    ``split_and_type`` and ``versality_rank_oracle`` do.
+    """
+    probe_order = _probe_order(nf)
+    # the numerators of the jet, D dp times it; the kernels read no constant
+    f = _integers(_distance_numerators(nf, p, probe_order)[0], nf.mode)
+    typ = oracle.integer_split(f, probe_order)
+    answers = {R_PLUS: False, K_EQUIV: False}
+    # 3 parameters cannot versally unfold beyond A4 (R+) or A3 (K)
+    if typ.tag == "A" and typ.k <= 3:
+        flavors, order = (R_PLUS, K_EQUIV), typ.k + 1
+    elif typ.tag == "A" and typ.k == 4:
+        flavors, order = (R_PLUS,), 5
+    elif typ.tag == "D4":
+        flavors, order = (R_PLUS,), 3  # K needs 4 parameters
+    else:
+        return answers  # more degenerate than the 3-parameter family can cover
+    family = _integer_family(nf, p, probe_order)
+    answers.update(zip(flavors, oracle.integer_versality(f, family, flavors, order)))
+    return answers
+
+
 def versality_rank_test(nf, p, flavor):
     """Versality as a rank condition over the jet space (dual implementation).
 
-    The required jet order is the determinacy degree of the actual
-    singularity type, decided here by the splitting oracle.  One integer
-    pass: the distance numerators at the probe order (D dp times the jet,
-    its constant left out: neither kernel reads it) are typed by
-    ``oracle.integer_split`` and handed with the family, read off the same
-    base rows, to ``oracle.integer_versality``; no ``Fraction`` is built.
-    A float form rationalizes each coefficient first, as
-    ``split_and_type`` and ``versality_rank_oracle`` do.
+    A singular probe's answer comes from ``_probe_pass``, which answers both
+    flavours at once.  The form keeps the last singular probe's answers
+    (``NormalFormCoeffs._probe_slot``), keyed by the probe in the form's
+    mode, so asking both flavours of a probe in turn makes one pass.
     """
     if flavor not in (R_PLUS, K_EQUIV):
         raise UsageError("flavor must be %r or %r" % (R_PLUS, K_EQUIV))
@@ -331,24 +360,11 @@ def versality_rank_test(nf, p, flavor):
     z = _zero_test(nf, p)
     if not z(p.x0):
         return True  # regular germs deform versally
-    probe_order = _probe_order(nf)
-    # the numerators of the jet, D dp times it; the kernels read no constant
-    f = _integers(_distance_numerators(nf, p, probe_order)[0], nf.mode)
-    typ = oracle.integer_split(f, probe_order)
-    if typ.tag == "A":
-        if typ.k >= 5 and flavor == R_PLUS:
-            return False  # 3 parameters cannot versally unfold beyond A4
-        if typ.k >= 4 and flavor == K_EQUIV:
-            return False
-        order = typ.k + 1
-    elif typ.tag == "D4":
-        if flavor == K_EQUIV:
-            return False  # needs 4 parameters
-        order = 3
-    else:
-        return False  # more degenerate than the 3-parameter family can cover
-    family = _integer_family(nf, p, probe_order)
-    return oracle.integer_versality(f, family, flavor, order)
+    slot = nf._probe_slot
+    last = slot[0]  # (probe, answers), read and replaced as one object
+    if last is None or last[0] != p:
+        last = slot[0] = (p, _probe_pass(nf, p))
+    return last[1][flavor]
 
 
 def focal_locus(nf):

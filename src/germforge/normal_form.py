@@ -96,6 +96,13 @@ class NormalFormCoeffs(Frozen):
     def _distance_bases(self):
         return {}
 
+    @functools.cached_property
+    def _probe_slot(self):
+        """[(probe, answers)]: the last singular probe ``distance``'s rank
+        test read, in this form's mode, with its {flavor: answer}; one
+        entry, replaced by the next probe ([None] before the first)."""
+        return [None]
+
     def distance_base(self, order):
         """The probe-free part of every distance-squared jet at ``order``:
         ({(i, j): (H, U, Y, Z)}, D), one row per monomial of

@@ -28,15 +28,21 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
   the column of u^i v^j being d (d + 1) / 2 + j with d = i + j, and
   eliminates them fraction-free: a pivot row is divided by the gcd of its
   entries, a row is reduced as b * row - a * pivot, and the elimination
-  stops once every column has a pivot.  ``versality_rank_oracle`` clears f
-  and each family jet to integers once and calls it.  ``rank_of_rows``
-  runs the same elimination on rows of any numbers: a row of ints enters
-  as it is, any other row is first scaled by the lcm of its denominators,
-  which changes no rank.
+  stops once every column has a pivot.  Asked both flavours, it
+  eliminates the rows they share (the f_u, f_v module rows and the family
+  rows) once, and continues from a copy of those pivots with the R+
+  constant row and from another with the K module rows of f.
+  ``versality_rank_oracle`` clears f and each family jet to integers once
+  and calls it for one flavour.  ``rank_of_rows`` runs the same
+  elimination on rows of any numbers: a row of ints enters as it is, any
+  other row is first scaled by the lcm of its denominators, which changes
+  no rank.
 
-``versality_rank_test`` builds the probe's distance jet and its family as
-integers off the distance base and calls both kernels, so it builds no
-``Fraction``.  Float inputs to ``split_and_type``,
+``versality_rank_test`` makes one integer pass per probe for both
+flavours: it builds the probe's distance jet and its family as integers
+off the distance base once, calls the split kernel once and the row kernel
+at most once, and builds no ``Fraction``; the normal form keeps the last
+probe's answers for the other flavour.  Float inputs to ``split_and_type``,
 ``versality_rank_oracle`` and the rank test are rationalized by
 ``rationalized``, the one rationalizer (denominators up to 10**6).  A
 float entry of a ``rank_of_rows`` row enters exactly, as ``Fraction(x)``
@@ -44,6 +50,7 @@ would.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import UsageError
@@ -235,7 +242,7 @@ def _cleared_terms(jet, top):
     return cleared(coeffs)
 
 
-def _eliminate(rows, columns=None):
+def _eliminate(rows, columns=None, pivots=None):
     """Rank of sparse integer rows {column: nonzero int}, consumed in order.
 
     Each row is reduced against the pivot rows found so far, always at its
@@ -243,10 +250,15 @@ def _eliminate(rows, columns=None):
     ratio of the two leading entries.  A row that does not reduce to zero
     becomes the pivot row of that column, divided by the gcd of its entries.
     With ``columns`` given, the rows span at most that many columns, and
-    the elimination stops once each of them has a pivot.  The rows are
-    reduced in place.
+    the elimination stops once each of them has a pivot.  With ``pivots``
+    given ({column: (lead, rest)}, those of an earlier elimination), the
+    elimination continues from them and adds its own pivots to that dict;
+    the rank counts both.  The rows are reduced in place; a pivot row is
+    never changed once made, so a shallow copy of ``pivots`` can be
+    continued apart from the original.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             col = min(row)
@@ -296,44 +308,62 @@ def rank_of_rows(rows):
 
 
 def integer_versality(f, family, flavor, order):
-    """True iff the rows of the unfolding span the jet space at ``order``.
+    """True iff the rows of the unfolding span the jet space at ``order``;
+    with ``flavor`` a tuple of flavours, a tuple of those answers.
 
-    The kernel of ``versality_rank_oracle``: ``f`` and each jet of
-    ``family`` are {(i, j): int} coefficient dicts, each any nonzero
-    multiple of the jet it stands for (scaling a generator changes no
-    rank), and terms above the order a row reads are ignored.  The column
-    of the monomial u^i v^j is idx(i, j) = d (d + 1) / 2 + j with d = i + j,
-    so the shift of a generator by u^a v^b adds a + b to the degree and b
-    to j.  The rows are built one at a time, in the order module rows
-    (generator by generator, shifts by degree), family rows, then the R+
-    constant row, and elimination stops at full rank.
+    The one versality kernel, of ``versality_rank_oracle`` and of
+    ``distance``'s probe pass: ``f`` and each jet of ``family`` are
+    {(i, j): int} coefficient dicts, each any nonzero multiple of the jet it
+    stands for (scaling a generator changes no rank), and terms above the
+    order a row reads are ignored.  The column of the monomial u^i v^j is
+    idx(i, j) = d (d + 1) / 2 + j with d = i + j, so the shift of a
+    generator by u^a v^b adds a + b to the degree and b to j.  The rows are
+    built one at a time: the rows both flavours share, the f_u and f_v
+    module rows (generator by generator, shifts by degree) then the family
+    rows, and after them a flavour's own: the constant row for R+, the
+    module rows of f for K.  One flavour eliminates them all in one run,
+    which stops at full rank.  Several eliminate the shared rows once; if
+    those span the jet space every flavour is versal, else each flavour's
+    rows continue from its own copy of the shared pivots.
     """
     tri = [d * (d + 1) // 2 for d in range(order + 2)]
     columns = tri[order + 1]
     # generators as (degree, j, coefficient) terms
-    gens = [
-        [(i + j - 1, j, i * c) for (i, j), c in f.items() if i and i + j <= order + 1],
-        [(i + j - 1, j - 1, j * c) for (i, j), c in f.items() if j and i + j <= order + 1],
-    ]
-    if flavor == K_EQUIV:
-        gens.append([(i + j, j, c) for (i, j), c in f.items() if 0 < i + j <= order])
+    f_u = [(i + j - 1, j, i * c) for (i, j), c in f.items() if i and i + j <= order + 1]
+    f_v = [(i + j - 1, j - 1, j * c) for (i, j), c in f.items() if j and i + j <= order + 1]
 
-    def rows():
-        for gen in gens:
-            for shift in range(order + 1):
-                # the terms a shift of this degree keeps within the order
-                terms = [(tri[e + shift] + j, c) for e, j, c in gen if e + shift <= order]
-                if terms:
-                    for b in range(shift + 1):
-                        yield {col + b: c for col, c in terms}
+    def module(gen):
+        for shift in range(order + 1):
+            # the terms a shift of this degree keeps within the order
+            terms = [(tri[e + shift] + j, c) for e, j, c in gen if e + shift <= order]
+            if terms:
+                for b in range(shift + 1):
+                    yield {col + b: c for col, c in terms}
+
+    def shared():
+        yield from module(f_u)
+        yield from module(f_v)
         for jet in family:
             row = {tri[i + j] + j: c for (i, j), c in jet.items() if i + j <= order}
             if row:
                 yield row
-        if flavor == R_PLUS:
-            yield {0: 1}
 
-    return _eliminate(rows(), columns) == columns
+    def own(flavor):
+        if flavor == R_PLUS:
+            return iter(({0: 1},))
+        return module([(i + j, j, c) for (i, j), c in f.items() if 0 < i + j <= order])
+
+    flavors = flavor if isinstance(flavor, tuple) else (flavor,)
+    if len(flavors) == 1:
+        answers = (_eliminate(chain(shared(), own(flavors[0])), columns) == columns,)
+    else:
+        pivots = {}
+        if _eliminate(shared(), columns, pivots) == columns:
+            answers = (True,) * len(flavors)
+        else:
+            answers = tuple(_eliminate(own(fl), columns, dict(pivots)) == columns
+                            for fl in flavors)
+    return answers if flavors is flavor else answers[0]
 
 
 def versality_rank_oracle(family_jets, function_jet, flavor, order):

@@ -125,7 +125,11 @@ def _load_perfbench_corpus():
 @functools.lru_cache(maxsize=None)
 def analysis_forms(seeds=tuple(range(1, 11))):
     """(normal form, probes) of every germ of the benchmark's analysis
-    corpus at the given seeds."""
+    corpus at the given seeds.
+
+    Cached for the session: a form keeps the last probe its rank test read
+    (``NormalFormCoeffs._probe_slot``), so a test that counts the calls the
+    rank test makes builds fresh forms (``analysis_forms.__wrapped__``)."""
     corpus = _load_perfbench_corpus()
     forms = []
     for seed in seeds:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -613,14 +615,16 @@ class TestVersalityMatchesReference:
 
     def test_distance_families(self):
         # the rank test's own integer jets and families at the probe order,
-        # exact and float, against the dense rows built from them as jets
+        # exact and float, against the dense rows built from them as jets:
+        # both flavours of a probe, asked in turn, make at most one kernel
+        # call, for the flavours its type leaves open
         rng = random.Random(4157)
         calls = []
         real = oracle.integer_versality
 
-        def recording(f, family, flavor, order):
-            calls.append((f, family, flavor, order))
-            return real(f, family, flavor, order)
+        def recording(f, family, flavors, order):
+            calls.append((f, family, flavors, order))
+            return real(f, family, flavors, order)
 
         seen = Counter()
         for n in range(80):
@@ -634,21 +638,27 @@ class TestVersalityMatchesReference:
             y0 = Fraction(0) if n % 2 else rand_fraction(rng, nonzero=True)
             z0 = (1 - Fraction(b[2]) * y0) / a20 if a20 and n % 3 else rand_fraction(rng)
             p = distance.ProbePoint(0, y0, z0)
-            for flavor in (R_PLUS, K_EQUIV):
-                calls.clear()
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(oracle, "integer_versality", recording)
-                    got = distance.versality_rank_test(nf, p, flavor)
-                top = distance._probe_order(nf)
-                for f, family, fl, order in calls:
-                    assert len(family) == 3
-                    assert all(type(c) is int for jet in [f, *family] for c in jet.values())
-                    assert all(i + j <= top for jet in [f, *family] for i, j in jet)
-                    jets = [Jet2(top, {k: Fraction(c) for k, c in jet.items()})
-                            for jet in family]
-                    f_jet = Jet2(top, {k: Fraction(c) for k, c in f.items()})
-                    assert ref_versality_rank_oracle(jets, f_jet, fl, order) == got
-                    seen[(fl, got)] += 1
+            calls.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(oracle, "integer_versality", recording)
+                got = {flavor: distance.versality_rank_test(nf, p, flavor)
+                       for flavor in (R_PLUS, K_EQUIV)}
+            top = distance._probe_order(nf)
+            assert len(calls) <= 1
+            asked = ()
+            for f, family, asked, order in calls:
+                assert asked in ((R_PLUS, K_EQUIV), (R_PLUS,))
+                assert len(family) == 3
+                assert all(type(c) is int for jet in [f, *family] for c in jet.values())
+                assert all(i + j <= top for jet in [f, *family] for i, j in jet)
+                jets = [Jet2(top, {k: Fraction(c) for k, c in jet.items()})
+                        for jet in family]
+                f_jet = Jet2(top, {k: Fraction(c) for k, c in f.items()})
+                for fl in asked:
+                    assert ref_versality_rank_oracle(jets, f_jet, fl, order) == got[fl]
+                    seen[(fl, got[fl])] += 1
+            # a flavour the kernel was not asked is decided by the type: not versal
+            assert not any(got[fl] for fl in (R_PLUS, K_EQUIV) if fl not in asked)
         assert len(seen) == 4, seen
 
 
@@ -794,9 +804,9 @@ class TestRankOnIntegerRows:
             assert rank_of_rows(rows) == ref_rank_of_rows(dense), rows
 
     def test_one_integer_pass_per_rank_test(self, monkeypatch):
-        # a rank test splits once and eliminates at most once, on the
-        # integer kernels, and reaches neither the jet-level entry points
-        # nor the distance jet
+        # both rank tests of a probe, asked in turn, split once and make at
+        # most one shared elimination, on the integer kernels, and reach
+        # neither the jet-level entry points nor the distance jet
         calls = Counter()
 
         def counting(name, fn):
@@ -805,21 +815,32 @@ class TestRankOnIntegerRows:
                 return fn(*args)
             return wrapper
 
-        for name in ("integer_split", "integer_versality", "_eliminate", "rank_of_rows",
+        def counting_eliminations(rows, columns=None, pivots=None):
+            calls["_eliminate", bool(pivots)] += 1
+            return real_eliminate(rows, columns, pivots)
+
+        real_eliminate = oracle._eliminate
+        for name in ("integer_split", "integer_versality", "rank_of_rows",
                      "versality_rank_oracle", "split_and_type"):
             monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        monkeypatch.setattr(oracle, "_eliminate", counting_eliminations)
         monkeypatch.setattr(distance, "distance_jet",
                             counting("distance_jet", distance.distance_jet))
         singular = 0
-        for nf, points in analysis_forms((1,)):
+        # fresh forms: a probe slot left by an earlier test would hide a pass
+        for nf, points in analysis_forms.__wrapped__((1,)):
             assert nf.mode == EXACT
             for point in points:
                 p = distance.ProbePoint(*point)
-                singular += 2 * (p.x0 == 0)
+                singular += p.x0 == 0
                 for flavor in (R_PLUS, K_EQUIV):
                     distance.versality_rank_test(nf, p, flavor)
         assert calls["integer_split"] == singular > 0
-        assert calls["_eliminate"] == calls["integer_versality"] > 0
+        # one kernel call at most per probe, and one elimination from no
+        # pivots per kernel call; each continuation extends its pivots
+        assert 0 < calls["integer_versality"] <= singular
+        assert calls["_eliminate", False] == calls["integer_versality"]
+        assert 0 < calls["_eliminate", True] <= 2 * calls["integer_versality"]
         for name in ("rank_of_rows", "versality_rank_oracle", "split_and_type", "distance_jet"):
             assert calls[name] == 0, name
 
@@ -866,18 +887,33 @@ def dense_rank(rows, columns):
 
 def with_rows(fn, *args):
     """(fn(*args), [(rows, columns)]): copies of every row set fn handed to
-    the elimination, read to the end."""
+    the elimination, read to the end.  An elimination that continues from
+    the pivots of the one before it (the rows both flavours share) is
+    recorded with those shared rows in front of its own."""
     seen = []
+    shared = []
     real = oracle._eliminate
 
-    def capturing(rows, columns=None):
+    def capturing(rows, columns=None, pivots=None):
         rows = list(rows)
-        seen.append(([dict(r) for r in rows], columns))
-        return real(iter(rows), columns)
+        copies = [dict(r) for r in rows]
+        if not pivots:
+            rank = real(iter(rows), columns, pivots)
+            shared[:] = copies, rank
+            seen.append((copies, columns))
+            return rank
+        assert shared and len(pivots) == shared[1] < columns
+        seen.append((shared[0] + copies, columns))
+        return real(iter(rows), columns, pivots)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(oracle, "_eliminate", capturing)
         return fn(*args), seen
+
+
+def both_rank_tests(nf, p):
+    """{flavor: versality_rank_test(nf, p, flavor)}, R+ asked first."""
+    return {flavor: distance.versality_rank_test(nf, p, flavor) for flavor in (R_PLUS, K_EQUIV)}
 
 
 class TestIntegerPass:
@@ -901,13 +937,26 @@ class TestIntegerPass:
                 verdict = distance.classify_distance(form, p)
                 closed = {R_PLUS: verdict.r_plus_versal, K_EQUIV: verdict.k_versal}
                 label, want = dense_route_answers(form, p)
+                got, calls = with_rows(both_rank_tests, form, p)
+                # the flavours the type leaves to a rank: each is decided by
+                # the shared rows alone, at full rank, or by the shared rows
+                # and its own (the R+ constant row, the K module rows of f)
+                asked = {"A1": (R_PLUS, K_EQUIV), "A2": (R_PLUS, K_EQUIV),
+                         "A3": (R_PLUS, K_EQUIV), "A4": (R_PLUS,), "D4": (R_PLUS,)}.get(label, ())
+                if len(calls) > 1:
+                    assert len(calls) == 1 + len(asked) == 3, (kind, label, len(calls))
+                    assert dense_rank(*calls[0]) < calls[0][1]
+                    deciding = dict(zip(asked, calls[1:]))
+                else:
+                    assert len(calls) == bool(asked), (kind, label, len(calls))
+                    deciding = {flavor: calls[0] for flavor in asked}
+                for flavor, (rows, columns) in deciding.items():
+                    assert (dense_rank(rows, columns) == columns) == got[flavor], (kind, p, flavor)
+                    checked[(kind, flavor)] += 1
                 for flavor in (R_PLUS, K_EQUIV):
-                    got, calls = with_rows(distance.versality_rank_test, form, p, flavor)
-                    for rows, columns in calls:
-                        assert (dense_rank(rows, columns) == columns) == got, (kind, p, flavor)
-                        checked[(kind, flavor)] += 1
-                    assert got == want[flavor] == closed[flavor], (kind, form.mode, p, flavor)
-                    seen[(form.mode, flavor, got)] += 1
+                    assert got[flavor] == want[flavor] == closed[flavor], (
+                        kind, form.mode, p, flavor)
+                    seen[(form.mode, flavor, got[flavor])] += 1
                 seen[(kind, form.mode)] += 1
         for kind in FOCAL_KINDS:
             assert seen[(kind, EXACT)] and seen[(kind, FLOAT)], seen
@@ -942,6 +991,103 @@ class TestIntegerPass:
         # the guard sees the Fractions of the jet route
         _, built = _fraction_constructions(monkeypatch, jet_route_answers, nf, p)
         assert built > 0
+
+
+# ---------------------------------------------------------------------------
+# The probe slot: both flavours of a probe asked in turn share one pass
+# ---------------------------------------------------------------------------
+
+
+class TestProbeSlot:
+    @staticmethod
+    def probes(seed):
+        """{kind: (fresh exact form, probe)} of one round of focal_probes."""
+        return {kind: (nf, p) for kind, nf, p in focal_probes(random.Random(seed))}
+
+    @staticmethod
+    def asking(monkeypatch, questions):
+        """([answer per (form, probe, flavor) question], passes made)."""
+        passes = []
+        real = distance._probe_pass
+
+        def counting(nf, p):
+            passes.append((nf, p))
+            return real(nf, p)
+
+        monkeypatch.setattr(distance, "_probe_pass", counting)
+        answers = [distance.versality_rank_test(nf, p, flavor) for nf, p, flavor in questions]
+        return answers, len(passes)
+
+    def test_k_before_r_plus(self, monkeypatch):
+        for kind in FOCAL_KINDS:
+            nf, p = self.probes(11)[kind]
+            got, passes = self.asking(monkeypatch, [(nf, p, K_EQUIV), (nf, p, R_PLUS)])
+            _, want = jet_route_answers(nf, p)
+            assert got == [want[K_EQUIV], want[R_PLUS]] and passes == 1, kind
+
+    def test_same_probe_on_two_forms(self, monkeypatch):
+        # an equal form is another object with a slot of its own
+        nf, p = self.probes(12)["cubic"]
+        twin = copy.copy(nf)
+        assert twin == nf and twin is not nf
+        got, passes = self.asking(monkeypatch, [(nf, p, R_PLUS), (twin, p, R_PLUS),
+                                                (nf, p, K_EQUIV), (twin, p, K_EQUIV)])
+        _, want = jet_route_answers(nf, p)
+        assert got == [want[R_PLUS]] * 2 + [want[K_EQUIV]] * 2 and passes == 2
+
+    def test_third_probe_in_between(self, monkeypatch):
+        # the slot holds the last probe only: the first probe's K test,
+        # asked after another probe, makes a pass of its own
+        nf, p = self.probes(13)["focal"]
+        _, q = self.probes(13)["umbilic"]
+        got, passes = self.asking(monkeypatch, [(nf, p, R_PLUS), (nf, q, R_PLUS),
+                                                (nf, q, K_EQUIV), (nf, p, K_EQUIV)])
+        want_p, want_q = jet_route_answers(nf, p)[1], jet_route_answers(nf, q)[1]
+        assert got == [want_p[R_PLUS], want_q[R_PLUS], want_q[K_EQUIV], want_p[K_EQUIV]]
+        assert passes == 3
+
+    def test_exact_and_float_probe_with_equal_values(self, monkeypatch):
+        # the slot is keyed by the probe in the form's mode: a float probe
+        # and an exact one of the same values are one probe to either form
+        nf, _ = self.probes(14)["focal"]
+        z0 = float((1 - nf.b_(2) / 2) / nf.a_(2, 0))  # near the second focal line
+        floats = distance.ProbePoint(0.0, 0.5, z0)
+        exact = distance.ProbePoint(0, Fraction(1, 2), Fraction(z0))
+        for form in (nf, nf.to_float()):
+            got, passes = self.asking(monkeypatch, [(form, floats, R_PLUS),
+                                                    (form, exact, K_EQUIV)])
+            _, want = jet_route_answers(form, exact)
+            assert got == [want[R_PLUS], want[K_EQUIV]] and passes == 1, form.mode
+
+    def test_regular_probe_leaves_the_slot(self, monkeypatch):
+        nf, p = self.probes(15)["cubic"]
+        regular = distance.ProbePoint(1, p.y0, p.z0)
+        got, passes = self.asking(monkeypatch, [(nf, p, R_PLUS), (nf, regular, R_PLUS),
+                                                (nf, regular, K_EQUIV), (nf, p, K_EQUIV)])
+        _, want = jet_route_answers(nf, p)
+        assert got == [want[R_PLUS], True, True, want[K_EQUIV]] and passes == 1
+        assert nf._probe_slot[0][0] == p
+
+    def test_form_identity_unchanged(self):
+        # the slot is no field: equality, hash, repr, copy and pickle of a
+        # form read the fields only, and a copy starts with an empty slot
+        def identity(form):
+            try:  # a form holds dicts: hashing it raises, with or without a slot
+                hashed = hash(form)
+            except TypeError as exc:
+                hashed = str(exc)
+            return hashed, repr(form), pickle.dumps(form)
+
+        nf, p = self.probes(16)["focal"]
+        fresh = self.probes(16)["focal"][0]
+        before = identity(nf)
+        for flavor in (R_PLUS, K_EQUIV):
+            distance.versality_rank_test(nf, p, flavor)
+        assert nf._probe_slot[0][0] == p
+        assert nf == fresh and identity(nf) == before == identity(fresh)
+        for twin in (copy.copy(nf), pickle.loads(pickle.dumps(nf))):
+            assert twin == nf and identity(twin) == before
+            assert "_probe_slot" not in vars(twin)
 
 
 class TestFullRankStop:
