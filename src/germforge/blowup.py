@@ -510,10 +510,9 @@ class FrontType(Enum):
 
 
 class FrontVerdict(Record):
-    __slots__ = _fields = ("theta0", "wavefront_type", "caustic_type", "basis")
+    __slots__ = _fields = ("wavefront_type", "caustic_type", "basis")
 
-    def __init__(self, theta0, wavefront_type, caustic_type, basis):
-        self.theta0 = theta0
+    def __init__(self, wavefront_type, caustic_type, basis):
         self.wavefront_type = wavefront_type  # FrontType
         self.caustic_type = caustic_type      # FrontType
         self.basis = basis
@@ -538,15 +537,13 @@ def front_verdict(ctx, theta0):
     basis = rr.flags
     if rr.point_type is None:
         basis["on_principal_normal"] = True
-        return FrontVerdict(
-            theta0, FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis
-        )
+        return FrontVerdict(FrontType.UNDETERMINED, FrontType.UNDETERMINED, basis)
     if is_zero(rr.k10, max(1.0 / rr.ma, rr.k10_scale)):
         raise HypothesisError(
             "the bounded principal curvature vanishes at theta0 = %g" % theta0
         )
     wavefront, caustic = verdict_from_flags(**basis)
-    return FrontVerdict(theta0, wavefront, caustic, basis)
+    return FrontVerdict(wavefront, caustic, basis)
 
 
 def uniform_thetas(samples):

@@ -156,13 +156,14 @@ def _probe_numerators(p, mode):
 
 
 def _distance_numerators(nf, p, order):
-    """({key: N}, S, D, dp): the distance jet at ``order`` as numerators, its
-    coefficient at ``key`` N / (D dp) and its constant S / (2 dp^2): ints
-    for an exact form, the float sums with D = dp = 1 for a float one.  A
-    float sum that overflowed raises the jets' UsageError, the sums checked
-    before |p|^2."""
+    """({key: N}, S, D, (X, Y, Z, dp)): the distance jet at ``order`` as
+    numerators, its coefficient at ``key`` N / (D dp) and its constant
+    S / (2 dp^2): ints for an exact form, the float sums with D = dp = 1 for
+    a float one; last the split probe (``_probe_numerators``).  A float sum
+    that overflowed raises the jets' UsageError, the sums checked before
+    |p|^2."""
     rows, den = nf.distance_base(order)
-    x, y, z, dp = _probe_numerators(p, nf.mode)
+    probe = x, y, z, dp = _probe_numerators(p, nf.mode)
     out = {}
     for key, (h, cu, cy, cz) in rows.items():
         c = h * dp - x * cu - y * cy - z * cz
@@ -171,7 +172,7 @@ def _distance_numerators(nf, p, order):
     sq = x * x + y * y + z * z
     _finite(out, nf.mode)
     _finite({(0, 0): sq}, nf.mode)
-    return out, sq, den, dp
+    return out, sq, den, probe
 
 
 def distance_jet(nf, p, order=None):
@@ -187,7 +188,7 @@ def distance_jet(nf, p, order=None):
     """
     order = nf.order if order is None else order
     mode = nf.mode
-    out, sq, den, dp = _distance_numerators(nf, p.as_mode(mode), order)
+    out, sq, den, (*_, dp) = _distance_numerators(nf, p.as_mode(mode), order)
     join = _JOIN[mode]
     den *= dp
     out = {key: join(n, den) for key, n in out.items()}
@@ -206,12 +207,13 @@ def _integers(coeffs, mode):
     return oracle.rationalized(coeffs)[0]
 
 
-def _integer_family(nf, p, order):
+def _integer_family(base, probe, mode):
     """The parameter partials p_i - g_i of the distance family, read off the
-    distance base at ``order``, as {key: int}: D dp times each for an exact
-    form, rationalized over their lcm for a float one."""
-    rows, den = nf.distance_base(order)
-    x, y, z, dp = _probe_numerators(p, nf.mode)
+    distance base rows ``base`` = (rows, D) and the split probe ``probe`` =
+    (X, Y, Z, dp), as {key: int}: D dp times each for an exact form,
+    rationalized over their lcm for a float one."""
+    rows, den = base
+    x, y, z, dp = probe
     family = []
     for col, value in enumerate((x, y, z), 1):
         coeffs = {(0, 0): value * den} if value else {}
@@ -219,7 +221,7 @@ def _integer_family(nf, p, order):
             c = row[col]
             if c:
                 coeffs[key] = -c * dp
-        family.append(_integers(coeffs, nf.mode))
+        family.append(_integers(coeffs, mode))
     return family
 
 
@@ -236,7 +238,7 @@ def _split_residual_u(nf, p, order=6):
     an exact residual is divided once, by D dp q^top.  The kernel divides by
     the v^2 coefficient, -y0 / 2 times D dp, nonzero on this branch; the
     constant term reaches no degree kept here."""
-    out, _, den, dp = _distance_numerators(nf, p, order)
+    out, _, den, (*_, dp) = _distance_numerators(nf, p, order)
     g, scale = oracle.restriction(out, order, "v")
     join = _JOIN[nf.mode]
     den *= dp * scale
@@ -318,18 +320,20 @@ def _probe_pass(nf, p):
     form's mode): one integer pass.
 
     The required jet order is the determinacy degree of the actual
-    singularity type, decided by the splitting oracle.  The distance
-    numerators at the probe order (D dp times the jet, its constant left
-    out: neither kernel reads it) are typed by ``oracle.integer_split``
-    once, and the family read off the same base rows is built once, both
-    handed to ``oracle.integer_versality`` for the flavours the type leaves
-    open; it eliminates the rows they share once.  No ``Fraction`` is
-    built.  A float form rationalizes each coefficient first, as
-    ``split_and_type`` and ``versality_rank_oracle`` do.
+    singularity type, decided by the splitting oracle.  The probe is split
+    into numerators once.  The distance numerators at the probe order (D dp
+    times the jet, its constant left out: neither kernel reads it) are typed
+    by ``oracle.integer_split`` once, and the family read off the same base
+    rows and split probe is built once, both handed to
+    ``oracle.integer_versality`` for the flavours the type leaves open; it
+    eliminates the rows they share once.  No ``Fraction`` is built.  A
+    float form rationalizes each coefficient first, as ``split_and_type``
+    and ``versality_rank_oracle`` do.
     """
     probe_order = _probe_order(nf)
     # the numerators of the jet, D dp times it; the kernels read no constant
-    f = _integers(_distance_numerators(nf, p, probe_order)[0], nf.mode)
+    out, _, _, probe = _distance_numerators(nf, p, probe_order)
+    f = _integers(out, nf.mode)
     typ = oracle.integer_split(f, probe_order)
     answers = {R_PLUS: False, K_EQUIV: False}
     # 3 parameters cannot versally unfold beyond A4 (R+) or A3 (K)
@@ -341,7 +345,7 @@ def _probe_pass(nf, p):
         flavors, order = (R_PLUS,), 3  # K needs 4 parameters
     else:
         return answers  # more degenerate than the 3-parameter family can cover
-    family = _integer_family(nf, p, probe_order)
+    family = _integer_family(nf.distance_base(probe_order), probe, nf.mode)
     answers.update(zip(flavors, oracle.integer_versality(f, family, flavors, order)))
     return answers
 

@@ -4,18 +4,23 @@ focal sheet.
 Meshes are for inspection, not recognition.  Every mesh comes from one
 vectorized kernel, ``_point_geometry``, evaluated over the whole parameter
 grid at once: points, raw normals and, for the focal sheet, the bounded
-principal curvature.  Offsets use the exact unit normal away from the
+principal curvature.  Each mesh kind computes a keep mask over that grid
+and the vertices of the kept nodes only, and one helper, ``_mesh``,
+triangulates the kept nodes by array slicing of the node-index grid and
+counts the skipped ones.  Offsets use the exact unit normal away from the
 singular locus and the extended normal orientation across it (blow-up
-chart), so the offset-distance invariant holds to rounding.  Triangulation
-is array slicing of the node-index grid.
+chart), whose r = 0 row takes its closed-form limits from one
+``ridge_reports`` loop over the theta grid, so the offset-distance
+invariant holds to rounding.
 """
 
 import math
 
 import numpy as np
 
-from .blowup import COS_TOL, ridge_report
-from .blowup import front_verdict  # noqa: F401  perfbench calls and traces front.front_verdict
+from .blowup import ridge_reports
+# perfbench calls and traces front.front_verdict, and traces front.ridge_report
+from .blowup import front_verdict, ridge_report  # noqa: F401
 from .errors import UsageError
 from .records import Record
 
@@ -150,58 +155,45 @@ def _parameter_grid(nu, nv, extent):
     return np.meshgrid(us, vs, indexing="ij")
 
 
+def _mesh(verts, keep, grid, metadata):
+    """Mesh of the kept nodes of a node grid: ``verts`` has one vertex per
+    node of the flat row-major mask ``keep`` (picked by ``compress``, much
+    faster than a boolean index); the others count as skipped."""
+    return Mesh(verts, _grid_faces(*grid, keep), metadata, int((~keep).sum())).validate()
+
+
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
     _check_grid(grid)
     _check_width("extent", extent)
-    nu, nv = grid
-    uu, vv = _parameter_grid(nu, nv, extent)
-    pts = _point_geometry(germ, uu, vv)[0]
-    keep = np.ones(nu * nv, dtype=bool)
-    faces = _grid_faces(nu, nv, keep)
-    return Mesh(
-        pts.reshape(-1, 3),
-        faces,
-        {"kind": "surface", "grid": [nu, nv], "extent": extent},
-    ).validate()
+    pts = _point_geometry(germ, *_parameter_grid(*grid, extent))[0].reshape(-1, 3)
+    keep = np.ones(len(pts), dtype=bool)
+    return _mesh(pts, keep, grid, {"kind": "surface", "grid": list(grid), "extent": extent})
 
 
 def wavefront_mesh(germ, spec, sign=1):
-    """Offset surface g +- t0 * n; see WavefrontSpec for the chart choice."""
+    """Offset surface g +- t0 * n; see WavefrontSpec for the chart choice.
+    The direct chart drops the nodes of a vanishing normal unless t0 = 0."""
     if sign not in (1, -1):
         raise UsageError("sign must be +1 or -1")
+    meta = {"kind": "wavefront", "chart": spec.chart, "t0": spec.t0, "sign": sign,
+            "grid": list(spec.grid)}
     if spec.chart == "blowup":
-        return _blowup_offset_mesh(germ, spec, sign)
-    nu, nv = spec.grid
-    uu, vv = _parameter_grid(nu, nv, spec.extent)
-    pts, cross, norms, _ = _point_geometry(germ, uu, vv)
-    if spec.t0 == 0.0:
-        keep = np.ones(nu * nv, dtype=bool)
-        verts = pts.reshape(-1, 3)
-        skipped = 0
+        pts, normals, _, keep = _blowup_geometry(spec.context, germ, spec.grid, spec.r_max)
+        verts = pts.compress(keep, 0) + sign * spec.t0 * normals.compress(keep, 0)
+        meta["r_max"] = spec.r_max
     else:
-        scale = max(norms.max(), 1e-30)
-        keep2d = norms > 1e-12 * scale
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normals = cross / norms[..., None]
-        offset = pts + sign * spec.t0 * normals
-        keep = keep2d.reshape(-1)
-        verts = offset.reshape(-1, 3)[keep]
-        skipped = int((~keep).sum())
-    faces = _grid_faces(nu, nv, keep)
-    return Mesh(
-        verts,
-        faces,
-        {
-            "kind": "wavefront",
-            "chart": "direct",
-            "t0": spec.t0,
-            "sign": sign,
-            "grid": [nu, nv],
-            "extent": spec.extent,
-        },
-        skipped,
-    ).validate()
+        uu, vv = _parameter_grid(*spec.grid, spec.extent)
+        pts, cross, norms, _ = _point_geometry(germ, uu, vv)
+        pts, cross, norms = pts.reshape(-1, 3), cross.reshape(-1, 3), norms.reshape(-1)
+        if spec.t0 == 0.0:
+            keep, verts = np.ones(len(pts), dtype=bool), pts
+        else:
+            keep = norms > 1e-12 * max(norms.max(), 1e-30)
+            unit = cross.compress(keep, 0) / norms.compress(keep)[:, None]
+            verts = pts.compress(keep, 0) + sign * spec.t0 * unit
+        meta["extent"] = spec.extent
+    return _mesh(verts, keep, spec.grid, meta)
 
 
 def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
@@ -209,9 +201,10 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
 
     Returns the points, the unit normals with the extended orientation, the
     bounded curvature with respect to them (None without ``curvature``) and
-    the mask of usable nodes.  Nodes with |cos theta| <= COS_TOL or a
-    vanishing normal are not usable; the r = 0 row takes the closed-form
-    limits from ridge_report.
+    the mask of usable nodes, those of a nonvanishing normal.  The r = 0 row
+    (nr odd) takes the closed-form limits from one ``ridge_reports`` loop
+    over the theta grid, which stops 0.02 short of the principal normal
+    direction +-pi/2.
     """
     n = ctx.n
     nr, ntheta = grid
@@ -222,45 +215,23 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
     cos = np.array([math.cos(t) for t in thetas])
     sin = np.array([math.sin(t) for t in thetas])
     rpow = (rs ** (n + 1))[:, None] * cos**n
-    uu = rs[:, None] * cos
-    vv = rpow * sin
-    pts, cross, norms, kappa = _point_geometry(germ, uu, vv, curvature)
+    pts, cross, norms, kappa = _point_geometry(germ, rs[:, None] * cos, rpow * sin, curvature)
     orient = np.copysign(1.0, rpow)
     with np.errstate(invalid="ignore", divide="ignore"):
         normals = orient[..., None] * cross / norms[..., None]
     if curvature:
         kappa = orient * kappa  # flipping the normal flips kappa exactly
-    cos_ok = np.abs(cos) > COS_TOL
-    keep = (norms != 0.0) & cos_ok
-    for i in np.flatnonzero(rs == 0.0):
-        keep[i] = cos_ok
-        for j in np.flatnonzero(cos_ok):
-            rr = ridge_report(ctx, thetas[j])
-            normals[i, j] = rr.normal_r0
-            if curvature:
-                kappa[i, j] = rr.k10
+    keep = norms != 0.0
+    r0 = rs == 0.0  # the exceptional set
+    if r0.any():
+        reports = ridge_reports(ctx, thetas)
+        keep[r0] = True
+        normals[r0] = [rr.normal_r0 for rr in reports]
+        if curvature:
+            kappa[r0] = [rr.k10 for rr in reports]
     if curvature:
         kappa = kappa.reshape(-1)
     return pts.reshape(-1, 3), normals.reshape(-1, 3), kappa, keep.reshape(-1)
-
-
-def _blowup_offset_mesh(germ, spec, sign):
-    nr, ntheta = spec.grid
-    pts, normals, _, keep = _blowup_geometry(spec.context, germ, spec.grid, spec.r_max)
-    verts = pts[keep] + sign * spec.t0 * normals[keep]
-    return Mesh(
-        verts,
-        _grid_faces(nr, ntheta, keep),
-        {
-            "kind": "wavefront",
-            "chart": "blowup",
-            "t0": spec.t0,
-            "sign": sign,
-            "grid": [nr, ntheta],
-            "r_max": spec.r_max,
-        },
-        int((~keep).sum()),
-    ).validate()
 
 
 def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
@@ -271,15 +242,9 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     """
     _check_grid(grid)
     _check_width("r_max", r_max)
-    nr, ntheta = grid
     pts, normals, kappa, keep = _blowup_geometry(
         ctx, ctx.nf.reconstruct(), grid, r_max, curvature=True
     )
     keep &= np.abs(kappa) > KAPPA_MIN  # NaN kappa fails this too
-    verts = pts[keep] + normals[keep] / kappa[keep, None]
-    return Mesh(
-        verts,
-        _grid_faces(nr, ntheta, keep),
-        {"kind": "focal-sheet", "grid": [nr, ntheta], "r_max": r_max},
-        int((~keep).sum()),
-    ).validate()
+    verts = pts.compress(keep, 0) + normals.compress(keep, 0) / kappa.compress(keep)[:, None]
+    return _mesh(verts, keep, grid, {"kind": "focal-sheet", "grid": list(grid), "r_max": r_max})

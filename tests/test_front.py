@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from germforge import germ_io, pipeline
+from germforge import front, germ_io, pipeline
 from germforge.blowup import (
     COS_TOL,
     BlowupContext,
@@ -415,6 +415,46 @@ class TestBlowupChartOffsets:
             assert wf.vertices.shape == base.vertices.shape
             dist = np.linalg.norm(wf.vertices - base.vertices, axis=1)
             assert np.max(np.abs(dist - t0)) < 1e-9
+
+
+class TestExceptionalRow:
+    """The blow-up chart's r = 0 row reads one ridge_reports loop over the
+    chart's theta grid, and only when the grid has that row (nr odd)."""
+
+    @staticmethod
+    def recorded_loops(monkeypatch):
+        calls = []
+        loop = front.ridge_reports
+
+        def recording(ctx, thetas):
+            calls.append(list(thetas))
+            return loop(ctx, thetas)
+
+        monkeypatch.setattr(front, "ridge_reports", recording)
+        return calls
+
+    @pytest.mark.parametrize("nr, loops", [(2, 0), (3, 1), (16, 0), (21, 1)])
+    def test_one_loop_for_an_odd_nr(self, monkeypatch, nr, loops):
+        ctx = ctx_s1()
+        calls = self.recorded_loops(monkeypatch)
+        spec = WavefrontSpec(t0=0.1, grid=(nr, 24), chart="blowup", r_max=0.4,
+                             context=ctx)
+        wavefront_mesh(ctx.nf.reconstruct(), spec, 1)
+        assert len(calls) == loops
+        focal_sheet_mesh(ctx, (nr, 24), 0.4)
+        assert len(calls) == 2 * loops
+        assert all(len(thetas) == 24 for thetas in calls)
+
+    @pytest.mark.parametrize("ntheta", [2, 64])
+    def test_theta_grid_ends_off_the_principal_normal(self, monkeypatch, ntheta):
+        # the chart keeps no direction mask: a grid reaching the principal
+        # normal direction (|cos theta| <= COS_TOL) must fail here
+        calls = self.recorded_loops(monkeypatch)
+        focal_sheet_mesh(ctx_s1(), (3, ntheta), 0.4)
+        (thetas,) = calls
+        assert thetas[0] < 0 < thetas[-1]
+        for theta in (thetas[0], thetas[-1]):
+            assert abs(math.cos(theta)) > COS_TOL
 
 
 class TestKernelMatchesScalarReference:

@@ -143,11 +143,13 @@ class TestNoJetProductPerProbe:
     def test_guard_sees_a_per_probe_product(self, monkeypatch):
         def per_probe_numerators(nf, p, order):
             # distance._distance_numerators read off a jet whose products are
-            # made anew for each probe (exact form, dp = 1)
+            # made anew for each probe (exact form, integer probes: dp = 1)
             coeffs = dict(ref_distance_jet(nf, p, order).coeffs)
             sq = 2 * coeffs.pop((0, 0), 0)
             out, den = cleared(coeffs)
-            return out, sq, den, 1
+            probe = distance._probe_numerators(p, nf.mode)
+            assert probe[3] == 1
+            return out, sq, den, probe
 
         monkeypatch.setattr(distance, "_distance_numerators", per_probe_numerators)
         few = self._jet_products(monkeypatch, self.PROBES[:2])

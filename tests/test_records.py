@@ -57,9 +57,8 @@ RECORDS = [
      (0.1, 1.0, 2.0, 3.0, True, False, True, PointType.ELLIPTIC, 0.5, 1.0,
       (0.0, 1.0, 0.0), 2.0)),
     (FrontVerdict, False,
-     [("theta0", REQUIRED), ("wavefront_type", REQUIRED), ("caustic_type", REQUIRED),
-      ("basis", REQUIRED)],
-     (0.1, FrontType.SWALLOWTAIL, FrontType.CUSPIDAL_EDGE, {"is_ridge": True})),
+     [("wavefront_type", REQUIRED), ("caustic_type", REQUIRED), ("basis", REQUIRED)],
+     (FrontType.SWALLOWTAIL, FrontType.CUSPIDAL_EDGE, {"is_ridge": True})),
     (ProbePoint, True, [("x0", REQUIRED), ("y0", REQUIRED), ("z0", REQUIRED)],
      (Fraction(1, 2), 0, 3)),
     (DistanceVerdict, False,
