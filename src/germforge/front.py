@@ -1,17 +1,19 @@
 """Meshes of the surface, its offset (wave-front) sheets and the bounded
 focal sheet.
 
-Meshes are for inspection, not recognition.  Every mesh comes from one
-vectorized kernel, ``_point_geometry``, evaluated over the whole parameter
-grid at once: points, raw normals and, for the focal sheet, the bounded
-principal curvature.  Each mesh kind computes a keep mask over that grid
-and the vertices of the kept nodes only, and one helper, ``_mesh``,
-triangulates the kept nodes by array slicing of the node-index grid and
-counts the skipped ones.  Offsets use the exact unit normal away from the
-singular locus and the extended normal orientation across it (blow-up
-chart), whose r = 0 row takes its closed-form limits from one
-``ridge_reports`` loop over the theta grid, so the offset-distance
-invariant holds to rounding.
+Meshes are for inspection, not recognition.  The offset and focal meshes
+come from one vectorized kernel, ``_point_geometry``, evaluated over the
+whole parameter grid at once: points, raw normals and, for the focal sheet,
+the bounded principal curvature, from the components and partials evaluated
+in one ``jets._evaluate_jets`` call over one table of the powers of u and v.
+The surface mesh evaluates the points only, in the same way.  Each mesh
+kind computes a keep mask over its grid and the vertices of the kept nodes
+only, and one helper, ``_mesh``, triangulates the kept nodes by array
+slicing of the node-index grid and counts the skipped ones.  Offsets use
+the exact unit normal away from the singular locus and the extended normal
+orientation across it (blow-up chart), whose r = 0 row takes its
+closed-form limits from one ``ridge_reports`` loop over the theta grid, so
+the offset-distance invariant holds to rounding.
 """
 
 import math
@@ -22,6 +24,7 @@ from .blowup import ridge_reports
 # perfbench calls and traces front.front_verdict, and traces front.ridge_report
 from .blowup import front_verdict, ridge_report  # noqa: F401
 from .errors import UsageError
+from .jets import _evaluate_jets
 from .records import Record
 
 # Focal-sheet nodes whose bounded curvature is at most this are skipped:
@@ -106,53 +109,74 @@ def _grid_faces(nu, nv, keep):
     return tris[(tris >= 0).all(axis=1)]
 
 
-def _stack(jets, uu, vv):
-    """Jet values at every node, as (..., 3); constant jets fill the grid."""
-    return np.stack([jet.evaluate(uu, vv) + 0 * uu for jet in jets], axis=-1)
-
-
 def _dot(a, b):
     return (a * b).sum(axis=-1)
 
 
 def _point_geometry(germ, uu, vv, curvature=False):
-    """Point-wise geometry of the germ over (u, v) arrays of one shape.
+    """Point-wise geometry of the germ over (u, v) arrays that broadcast to
+    one grid shape (the direct chart passes a sparse meshgrid, the blow-up
+    chart full arrays).
 
     Returns the points, the raw normals g_u x g_v, their lengths and, with
     ``curvature``, the bounded principal curvature with respect to the unit
     raw normal (NaN where E G - F^2 <= 0 or the mean term vanishes; None
-    without ``curvature``).  Every partial jet is built once, whatever the
-    number of nodes.
+    without ``curvature``), all over the full grid.  Every partial jet is
+    built once, whatever the number of nodes, and the components and
+    partials are evaluated in one ``_evaluate_jets`` call, over one table of
+    the powers of u and v: over a sparse meshgrid each power is formed over
+    one row or column of nodes.  Each full-grid array goes as soon as the
+    values built from it exist.
     """
     comps = germ.to_float().components()
-    pts = np.stack([comp.evaluate(uu, vv) for comp in comps], axis=-1)
     du = [comp.partial("u") for comp in comps]
     dv = [comp.partial("v") for comp in comps]
-    gu, gv = _stack(du, uu, vv), _stack(dv, uu, vv)
+    jets = [*comps, *du, *dv]
+    if curvature:
+        jets += [d.partial("u") for d in du] + [d.partial("v") for d in du]
+        jets += [d.partial("v") for d in dv]
+    # popped in jet order, so each value goes once it is stacked
+    values = _grid_values(jets, uu, vv)[::-1]
+    pts = np.stack([values.pop() for _ in range(3)], axis=-1)
+    zero = 0 * uu  # each partial is its value + 0 * uu, which sets the sign of a zero
+    gu, gv, *second = [np.stack([values.pop() + zero for _ in range(3)], axis=-1)
+                       for _ in range(len(values) // 3)]
+    del zero
     cross = np.cross(gu, gv)
     norms = np.linalg.norm(cross, axis=-1)
     if not curvature:
         return pts, cross, norms, None
-    guu = _stack([d.partial("u") for d in du], uu, vv)
-    guv = _stack([d.partial("v") for d in du], uu, vv)
-    gvv = _stack([d.partial("v") for d in dv], uu, vv)
     with np.errstate(invalid="ignore", divide="ignore"):
         nhat = cross / norms[..., None]
         E, F, G = _dot(gu, gu), _dot(gu, gv), _dot(gv, gv)
-        L, M, N = _dot(nhat, guu), _dot(nhat, guv), _dot(nhat, gvv)
+        del gu, gv
+        L, M, N = (_dot(nhat, second.pop(0)) for _ in range(3))
+        del nhat
         A = E * G - F * F
         B = E * N - 2 * F * M + G * L
+        del E, F, G
         C = L * N - M * M
+        del L, M, N
         disc = np.maximum(B * B - 4 * A * C, 0.0)
         kappa = 2 * C / (B + np.copysign(np.sqrt(disc), B))
     kappa[(A <= 0.0) | (B == 0.0)] = np.nan
     return pts, cross, norms, kappa
 
 
+def _grid_values(jets, uu, vv):
+    """The jets' values over the grid that ``uu`` and ``vv`` broadcast to,
+    each at the grid's full shape (a constant or zero jet's value has the
+    shape of ``uu``)."""
+    shape = np.broadcast_shapes(uu.shape, vv.shape)
+    return [np.broadcast_to(x, shape) for x in _evaluate_jets(jets, uu, vv)]
+
+
 def _parameter_grid(nu, nv, extent):
+    """The direct chart's (u, v) grid as a sparse meshgrid: u as a column, v
+    as a row."""
     us = np.linspace(-extent, extent, nu)
     vs = np.linspace(-extent, extent, nv)
-    return np.meshgrid(us, vs, indexing="ij")
+    return np.meshgrid(us, vs, indexing="ij", sparse=True)
 
 
 def _mesh(verts, keep, grid, metadata):
@@ -166,7 +190,8 @@ def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
     _check_grid(grid)
     _check_width("extent", extent)
-    pts = _point_geometry(germ, *_parameter_grid(*grid, extent))[0].reshape(-1, 3)
+    uu, vv = _parameter_grid(*grid, extent)
+    pts = np.stack(_grid_values(germ.to_float().components(), uu, vv), axis=-1).reshape(-1, 3)
     keep = np.ones(len(pts), dtype=bool)
     return _mesh(pts, keep, grid, {"kind": "surface", "grid": list(grid), "extent": extent})
 

@@ -607,14 +607,9 @@ class Jet2:
         return Jet2(self.order, self.coeffs, FLOAT)
 
     def evaluate(self, u_val, v_val):
-        """Evaluate as a polynomial; supports scalars and numpy arrays."""
-        total = None
-        for (i, j), c in self.coeffs.items():
-            term = c * u_val**i * v_val**j if (i or j) else c * (u_val * 0 + 1)
-            total = term if total is None else total + term
-        if total is None:
-            return u_val * 0
-        return total
+        """Evaluate as a polynomial; supports scalars and numpy arrays.  The
+        one-jet case of ``_evaluate_jets``, which gives each term's arithmetic."""
+        return _evaluate_jets((self,), u_val, v_val)[0]
 
     # -- display -------------------------------------------------------
 
@@ -623,6 +618,34 @@ class Jet2:
         from .germ_io import print_polynomial
 
         return f"Jet2[{self.mode}, order={self.order}]({print_polynomial(self)})"
+
+
+def _evaluate_jets(jets, u_val, v_val):
+    """The values of ``jets`` at (u_val, v_val), scalars or numpy arrays.
+
+    Each value is the sum, left to right in key order, of c * u**i * v**j
+    per term, c * (u*0 + 1) for a constant term, or u*0 for a zero jet.  The
+    powers u**i and v**j and u*0 + 1 are formed once, at first use, and
+    shared by every term of every jet; the table goes when the call returns.
+    """
+    upow, vpow, one = {}, {}, None
+    values = []
+    for jet in jets:
+        total = None
+        for (i, j), c in jet.coeffs.items():
+            if i or j:
+                if i not in upow:
+                    upow[i] = u_val**i
+                if j not in vpow:
+                    vpow[j] = v_val**j
+                term = c * upow[i] * vpow[j]
+            else:
+                if one is None:
+                    one = u_val * 0 + 1
+                term = c * one
+            total = term if total is None else total + term
+        values.append(u_val * 0 if total is None else total)
+    return values
 
 
 class GermJets:

@@ -26,6 +26,8 @@ ALLOWED = {
                            "elimination to it",
     "oracle.versality_rank_oracle": "perfbench traces it, and the tests hold the "
                                     "integer kernels to it",
+    "jets.Jet2.evaluate": "perfbench's mesh offset check and the tests' scalar "
+                          "reference (conftest.raw_geometry) evaluate jets with it",
     "normal_form.TransformLog.replay": "the tests check with it that the log "
                                        "reproduces the normal form",
 }

@@ -28,7 +28,7 @@ from germforge.front import (
     surface_mesh,
     wavefront_mesh,
 )
-from germforge.jets import FLOAT, FLOAT_ZERO_REL
+from germforge.jets import FLOAT, FLOAT_ZERO_REL, Jet2
 
 from conftest import GEOMETRY_GERMS, classified_ctx, germ_from_strings, make_nf, raw_geometry
 
@@ -519,6 +519,79 @@ class TestKernelMatchesScalarReference:
             mesh = wavefront_mesh(germ, spec, sign)
             verts, faces, skipped = ref_direct_mesh(germ, grid, extent, t0, sign)
             assert skipped == (1 if t0 else 0)  # the odd grid hits the origin
+            assert np.array_equal(mesh.vertices, verts)
+            assert np.array_equal(mesh.faces, faces)
+            assert mesh.skipped == skipped
+
+
+class _PowerLog(np.ndarray):
+    """A parameter grid that records each power taken of it as (name,
+    exponent) in ``log``; arrays computed from it record nothing."""
+
+    def __array_finalize__(self, obj):
+        self.name, self.log = None, None
+
+    def __pow__(self, exponent):
+        if self.name is not None:
+            self.log.append((self.name, exponent))
+        return super().__pow__(exponent)
+
+
+class TestOnePowerTable:
+    """The kernel evaluates its jets over one table of powers of u and v,
+    and a surface mesh evaluates only the points."""
+
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    @pytest.mark.parametrize("curvature", [False, True])
+    def test_one_power_per_exponent(self, label, curvature):
+        germ = germ_from_strings(GEOMETRY_GERMS[label], 9).to_float()
+        plain = front._parameter_grid(5, 6, 0.8)
+        log = []
+        grids = []
+        for name, grid in zip("uv", plain):
+            grid = grid.view(_PowerLog)
+            grid.name, grid.log = name, log
+            grids.append(grid)
+        got = _point_geometry(germ, *grids, curvature)
+        comps = germ.components()
+        du = [c.partial("u") for c in comps]
+        dv = [c.partial("v") for c in comps]
+        jets = [*comps, *du, *dv]
+        if curvature:
+            jets += [d.partial("u") for d in du] + [d.partial("v") for d in du]
+            jets += [d.partial("v") for d in dv]
+        keys = {key for j in jets for key in j.coeffs if key != (0, 0)}
+        want = {("u", i) for i, _ in keys} | {("v", j) for _, j in keys}
+        assert sorted(log) == sorted(want)
+        for value, ref in zip(got, _point_geometry(germ, *plain, curvature)):
+            if ref is not None:
+                assert np.array_equal(np.asarray(value), ref, equal_nan=True)
+
+    def test_surface_mesh_builds_no_partial(self, monkeypatch):
+        calls = []
+        partial = Jet2.partial
+
+        def counted(jet, var):
+            calls.append(var)
+            return partial(jet, var)
+
+        monkeypatch.setattr(Jet2, "partial", counted)
+        germ = germ_from_strings(GEOMETRY_GERMS["S1+"], 9)
+        mesh = surface_mesh(germ, (9, 7), 0.5)
+        assert len(mesh.vertices) == 63
+        assert calls == []
+
+    @pytest.mark.parametrize("components", [["u", "v", "0"], ["u", "0", "u*v"]])
+    def test_constant_values_fill_the_sparse_grid(self, components):
+        # a zero component and constant partials evaluate to a column of the
+        # direct chart's sparse grid; the meshes still cover every node
+        germ = germ_from_strings(components, 5).to_float()
+        grid, extent = (5, 4), 0.5
+        assert np.array_equal(surface_mesh(germ, grid, extent).vertices,
+                              ref_direct_mesh(germ, grid, extent)[0])
+        for t0, sign in ((0.0, 1), (0.2, -1)):
+            mesh = wavefront_mesh(germ, WavefrontSpec(t0=t0, grid=grid, extent=extent), sign)
+            verts, faces, skipped = ref_direct_mesh(germ, grid, extent, t0, sign)
             assert np.array_equal(mesh.vertices, verts)
             assert np.array_equal(mesh.faces, faces)
             assert mesh.skipped == skipped

@@ -4,6 +4,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from germforge import blowup, front, jets
@@ -297,6 +298,66 @@ class TestPartial:
 
     def test_constant_derivative_is_zero(self):
         assert Jet2.const(5, 3).partial("u").is_zero()
+
+
+def ref_evaluate(jet, u, v):
+    """A jet's value term by term: c * u**i * v**j, or c * (u*0 + 1) for the
+    constant term, summed left to right in key order; u*0 for a zero jet."""
+    total = u * 0
+    for n, ((i, j), c) in enumerate(jet.coeffs.items()):
+        term = c * u**i * v**j if (i, j) != (0, 0) else c * (u * 0 + 1)
+        total = term if n == 0 else total + term
+    return total
+
+
+def _float_jet(rng, order, density=0.7):
+    return Jet2(order, {(i, d - i): rng.uniform(-3.0, 3.0) for d in range(order + 1)
+                        for i in range(d + 1) if rng.random() < density}, FLOAT)
+
+
+class TestEvaluateJets:
+    """``jets._evaluate_jets`` and ``Jet2.evaluate`` give the per-term
+    reference's bits: equal values and equal signs of zero."""
+
+    NODES = np.array([-1.7, -1.0, -0.3, -0.0, 0.0, 0.1, 0.7, 1.3])
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def check(self, jet_list, u, v):
+        values = jets._evaluate_jets(jet_list, u, v)
+        assert len(values) == len(jet_list)
+        for jet_, got in zip(jet_list, values):
+            want = ref_evaluate(jet_, u, v)
+            self.assert_same_bits(got, want)
+            self.assert_same_bits(jet_.evaluate(u, v), want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_float_jets_on_a_grid(self, seed):
+        rng = random.Random(seed)
+        order = rng.randint(1, 9)
+        jet_list = [_float_jet(rng, order) for _ in range(4)]
+        jet_list += [j.partial(var) for j in jet_list for var in "uv"]
+        uu, vv = np.meshgrid(self.NODES, self.NODES[::-1], indexing="ij")
+        self.check(jet_list, uu, vv)
+
+    def test_scalars(self):
+        rng = random.Random(11)
+        jet_list = [_float_jet(rng, 6) for _ in range(3)]
+        for u, v in ((-0.0, 0.5), (0.3, -0.0), (-1.25, -0.7), (0.0, 0.0)):
+            self.check(jet_list, u, v)
+
+    def test_constant_and_zero_jets(self):
+        uu, vv = np.meshgrid(self.NODES, self.NODES, indexing="ij")
+        const = Jet2(4, {(0, 0): -2.5}, FLOAT)
+        zero = Jet2(4, {}, FLOAT)
+        mixed = Jet2(4, {(0, 0): 0.75, (1, 2): -1.5, (3, 0): 0.2}, FLOAT)
+        self.check([const, zero, mixed, zero, const], uu, vv)
+        self.check([const, zero], -0.0, 1.5)
+        assert np.signbit(zero.evaluate(uu, vv)).any()  # u*0 keeps -0.0
 
 
 class TestRingProperties:
