@@ -3,17 +3,18 @@ focal sheet.
 
 Meshes are for inspection, not recognition.  The offset and focal meshes
 come from one vectorized kernel, ``_point_geometry``, evaluated over the
-whole parameter grid at once: points, raw normals and, for the focal sheet,
-the bounded principal curvature, from the components and partials evaluated
-in one ``jets._evaluate_jets`` call over one table of the powers of u and v.
-The surface mesh evaluates the points only, in the same way.  Each mesh
-kind computes a keep mask over its grid and the vertices of the kept nodes
-only, and one helper, ``_mesh``, triangulates the kept nodes by array
-slicing of the node-index grid and counts the skipped ones.  Offsets use
-the exact unit normal away from the singular locus and the extended normal
-orientation across it (blow-up chart), whose r = 0 row takes its
-closed-form limits from one ``ridge_reports`` loop over the theta grid, so
-the offset-distance invariant holds to rounding.
+parameter grid a block of rows at a time: points, raw normals and, for the
+focal sheet, the bounded principal curvature, from the components and
+partials evaluated in one ``jets._evaluate_jets`` call over one table of the
+powers of u and v per block.  The surface mesh evaluates the points only,
+over its sparse product grid.  Each mesh kind computes a keep mask over its
+grid and the vertices of the kept nodes only, and one helper, ``_mesh``,
+triangulates the kept nodes by array slicing of the node-index grid and
+counts the skipped ones.  Offsets use the exact unit normal away from the
+singular locus and the extended normal orientation across it (blow-up
+chart), whose r = 0 row takes its closed-form limits from one
+``ridge_reports`` loop over the theta grid, so the offset-distance
+invariant holds to rounding.
 """
 
 import math
@@ -34,6 +35,11 @@ KAPPA_MIN = 0.01
 # Largest number of grid nodes a mesh may sample (1024 x 1024): a larger grid
 # is refused before any array is allocated.
 MAX_GRID_NODES = 2**20
+
+# The point kernel evaluates a grid at most this many nodes (or one row) at a
+# time, so its table of powers and its intermediates take memory bounded by
+# the block, whatever the germ's order and the grid's size.
+_BLOCK_NODES = 2**16
 
 
 class Mesh(Record):
@@ -122,11 +128,12 @@ def _point_geometry(germ, uu, vv, curvature=False):
     ``curvature``, the bounded principal curvature with respect to the unit
     raw normal (NaN where E G - F^2 <= 0 or the mean term vanishes; None
     without ``curvature``), all over the full grid.  Every partial jet is
-    built once, whatever the number of nodes, and the components and
-    partials are evaluated in one ``_evaluate_jets`` call, over one table of
-    the powers of u and v: over a sparse meshgrid each power is formed over
-    one row or column of nodes.  Each full-grid array goes as soon as the
-    values built from it exist.
+    built once, whatever the number of nodes.  The grid is evaluated one
+    block of rows (at most ``_BLOCK_NODES`` nodes, or one row) at a time:
+    the components and partials in one ``_evaluate_jets`` call over one
+    table of the powers of u and v (over a sparse meshgrid each power covers
+    one row or column of the block), and every other intermediate over the
+    block only.
     """
     comps = germ.to_float().components()
     du = [comp.partial("u") for comp in comps]
@@ -135,32 +142,40 @@ def _point_geometry(germ, uu, vv, curvature=False):
     if curvature:
         jets += [d.partial("u") for d in du] + [d.partial("v") for d in du]
         jets += [d.partial("v") for d in dv]
-    # popped in jet order, so each value goes once it is stacked
-    values = _grid_values(jets, uu, vv)[::-1]
-    pts = np.stack([values.pop() for _ in range(3)], axis=-1)
-    zero = 0 * uu  # each partial is its value + 0 * uu, which sets the sign of a zero
-    gu, gv, *second = [np.stack([values.pop() + zero for _ in range(3)], axis=-1)
-                       for _ in range(len(values) // 3)]
-    del zero
-    cross = np.cross(gu, gv)
-    norms = np.linalg.norm(cross, axis=-1)
-    if not curvature:
-        return pts, cross, norms, None
+    shape = np.broadcast_shapes(uu.shape, vv.shape)
+    pts, cross = np.empty(shape + (3,)), np.empty(shape + (3,))
+    norms = np.empty(shape)
+    kappa = np.empty(shape) if curvature else None
+    step = max(1, _BLOCK_NODES // math.prod(shape[1:]))  # rows per block
+    for rows in (slice(a, a + step) for a in range(0, shape[0], step)):
+        # a grid array of one row is broadcast over every block
+        u, v = (x if len(x) == 1 else x[rows] for x in (uu, vv))
+        values = _grid_values(jets, u, v)
+        zero = 0 * u  # each partial is its value + 0 * u, which sets the sign of a zero
+        np.stack(values[:3], axis=-1, out=pts[rows])
+        gu, gv, *second = [np.stack([x + zero for x in values[k:k + 3]], axis=-1)
+                           for k in range(3, len(values), 3)]
+        cross[rows] = np.cross(gu, gv)
+        norms[rows] = np.linalg.norm(cross[rows], axis=-1)
+        if curvature:
+            kappa[rows] = _bounded_curvature(gu, gv, cross[rows], norms[rows], *second)
+    return pts, cross, norms, kappa
+
+
+def _bounded_curvature(gu, gv, cross, norms, guu, guv, gvv):
+    """The bounded principal curvature from the first and second partials
+    and the raw normal; see ``_point_geometry``."""
     with np.errstate(invalid="ignore", divide="ignore"):
         nhat = cross / norms[..., None]
         E, F, G = _dot(gu, gu), _dot(gu, gv), _dot(gv, gv)
-        del gu, gv
-        L, M, N = (_dot(nhat, second.pop(0)) for _ in range(3))
-        del nhat
+        L, M, N = _dot(nhat, guu), _dot(nhat, guv), _dot(nhat, gvv)
         A = E * G - F * F
         B = E * N - 2 * F * M + G * L
-        del E, F, G
         C = L * N - M * M
-        del L, M, N
         disc = np.maximum(B * B - 4 * A * C, 0.0)
         kappa = 2 * C / (B + np.copysign(np.sqrt(disc), B))
     kappa[(A <= 0.0) | (B == 0.0)] = np.nan
-    return pts, cross, norms, kappa
+    return kappa
 
 
 def _grid_values(jets, uu, vv):

@@ -525,21 +525,52 @@ class TestKernelMatchesScalarReference:
 
 
 class _PowerLog(np.ndarray):
-    """A parameter grid that records each power taken of it as (name,
-    exponent) in ``log``; arrays computed from it record nothing."""
+    """A parameter grid that records each power taken of it or of a view of
+    it (such as a block of rows) as (name, exponent, shape) in ``log``;
+    arrays computed from it record nothing."""
 
     def __array_finalize__(self, obj):
-        self.name, self.log = None, None
+        view = isinstance(obj, _PowerLog) and np.may_share_memory(self, obj)
+        self.name, self.log = (obj.name, obj.log) if view else (None, None)
 
     def __pow__(self, exponent):
         if self.name is not None:
-            self.log.append((self.name, exponent))
+            self.log.append((self.name, exponent, self.shape))
         return super().__pow__(exponent)
 
 
+def _logged(log, uu, vv):
+    grids = []
+    for name, grid in zip("uv", (uu, vv)):
+        grid = grid.view(_PowerLog)
+        grid.name, grid.log = name, log
+        grids.append(grid)
+    return grids
+
+
+def _kernel_jets(germ, curvature):
+    comps = germ.components()
+    du = [c.partial("u") for c in comps]
+    dv = [c.partial("v") for c in comps]
+    jets = [*comps, *du, *dv]
+    if curvature:
+        jets += [d.partial("u") for d in du] + [d.partial("v") for d in du]
+        jets += [d.partial("v") for d in dv]
+    return jets
+
+
+def _assert_same_geometry(got, want):
+    for value, ref in zip(got, want):
+        if ref is None:
+            assert value is None
+        else:
+            assert np.array_equal(np.asarray(value), ref, equal_nan=True)
+
+
 class TestOnePowerTable:
-    """The kernel evaluates its jets over one table of powers of u and v,
-    and a surface mesh evaluates only the points."""
+    """The kernel evaluates its jets a block of rows at a time, over one
+    table of powers of u and v per block, and a surface mesh evaluates only
+    the points."""
 
     @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
     @pytest.mark.parametrize("curvature", [False, True])
@@ -547,25 +578,53 @@ class TestOnePowerTable:
         germ = germ_from_strings(GEOMETRY_GERMS[label], 9).to_float()
         plain = front._parameter_grid(5, 6, 0.8)
         log = []
-        grids = []
-        for name, grid in zip("uv", plain):
-            grid = grid.view(_PowerLog)
-            grid.name, grid.log = name, log
-            grids.append(grid)
-        got = _point_geometry(germ, *grids, curvature)
-        comps = germ.components()
-        du = [c.partial("u") for c in comps]
-        dv = [c.partial("v") for c in comps]
-        jets = [*comps, *du, *dv]
-        if curvature:
-            jets += [d.partial("u") for d in du] + [d.partial("v") for d in du]
-            jets += [d.partial("v") for d in dv]
-        keys = {key for j in jets for key in j.coeffs if key != (0, 0)}
+        got = _point_geometry(germ, *_logged(log, *plain), curvature)
+        keys = {key for j in _kernel_jets(germ, curvature) for key in j.coeffs if key != (0, 0)}
         want = {("u", i) for i, _ in keys} | {("v", j) for _, j in keys}
-        assert sorted(log) == sorted(want)
-        for value, ref in zip(got, _point_geometry(germ, *plain, curvature)):
-            if ref is not None:
-                assert np.array_equal(np.asarray(value), ref, equal_nan=True)
+        assert sorted(entry[:2] for entry in log) == sorted(want)
+        _assert_same_geometry(got, _point_geometry(germ, *plain, curvature))
+
+    @pytest.mark.parametrize("curvature", [False, True])
+    def test_table_covers_one_block(self, monkeypatch, curvature):
+        # a full (blow-up-like) 7 x 5 grid in blocks of at most 12 nodes:
+        # rows 0-1, 2-3, 4-5 and 6, each with its own table
+        germ = germ_from_strings(GEOMETRY_GERMS["S1+"], 9).to_float()
+        rs, thetas = np.linspace(-0.5, 0.5, 7), np.linspace(-1.2, 1.2, 5)
+        plain = (rs[:, None] * np.cos(thetas), rs[:, None] ** 2 * np.sin(thetas))
+        want = _point_geometry(germ, *plain, curvature)
+        monkeypatch.setattr(front, "_BLOCK_NODES", 12)
+        log = []
+        got = _point_geometry(germ, *_logged(log, *plain), curvature)
+        keys = {key for j in _kernel_jets(germ, curvature) for key in j.coeffs if key != (0, 0)}
+        exponents = {("u", i) for i, _ in keys} | {("v", j) for _, j in keys}
+        assert sorted(entry[:2] for entry in log) == sorted(list(exponents) * 4)
+        assert {entry[2] for entry in log} == {(2, 5), (1, 5)}
+        _assert_same_geometry(got, want)
+        # flat arrays: blocks of 12 nodes
+        flat = _point_geometry(germ, *(x.ravel() for x in plain), curvature)
+        _assert_same_geometry(flat, [None if x is None else x.reshape(35, *x.shape[2:])
+                                     for x in want])
+
+    @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
+    def test_meshes_keep_their_bits_in_blocks(self, monkeypatch, label):
+        # one row a block gives every mesh kind the bits of one block a grid
+        _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+        germ = ctx.nf.reconstruct()
+
+        def meshes():
+            specs = [WavefrontSpec(t0=0.1, grid=(9, 12), extent=0.8),
+                     WavefrontSpec(t0=0.1, grid=(9, 12), chart="blowup", r_max=0.5,
+                                   context=ctx)]
+            return ([surface_mesh(germ, (9, 12), 0.8), focal_sheet_mesh(ctx, (9, 12), 0.5)]
+                    + [wavefront_mesh(germ, spec, sign) for spec in specs for sign in (1, -1)])
+
+        want = meshes()
+        monkeypatch.setattr(front, "_BLOCK_NODES", 1)
+        for got, ref in zip(meshes(), want):
+            assert np.array_equal(got.vertices, ref.vertices)
+            assert np.array_equal(np.signbit(got.vertices), np.signbit(ref.vertices))
+            assert np.array_equal(got.faces, ref.faces)
+            assert got.skipped == ref.skipped
 
     def test_surface_mesh_builds_no_partial(self, monkeypatch):
         calls = []
