@@ -22,10 +22,11 @@ formed.
 ridge_reports(ctx, thetas) is the one place a normal direction is
 evaluated, in one loop over a theta list that reads the context's constants
 once: from one cos, sin and ma of each theta it takes the ridge and
-sub-parabolic invariants delta_1/2/3, the point type, the r = 0 unit normal
-and the bounded curvature k10.  ridge_report(ctx, theta) is its one-theta
-case.  The wave-front/caustic prediction front_verdict is a table over its
-flags:
+sub-parabolic invariants delta_1/2/3, the point type, the r = 0 unit normal,
+the bounded curvature k10 and, off the principal normal direction, k20.
+ridge_report(ctx, theta) is its one-theta case, and the closed forms
+k20_closed and K0_closed = k10 k20 are read off its report.  The
+wave-front/caustic prediction front_verdict is a table over its flags:
 
     not a ridge                        -> wave-front: cuspidal edge
     first-order ridge, not subparabolic -> wave-front: swallowtail,
@@ -384,37 +385,6 @@ def _not_finite(theta):
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the leading coefficients (small, typo-safe set)
-# ---------------------------------------------------------------------------
-
-
-# The private forms take cos, sin and ma of theta from their caller, so that
-# a caller needing several of them evaluates ma once.
-
-
-def _k10(ctx, c, s, ma):
-    cos_part, sin_part = ctx._k10
-    return (cos_part * c + sin_part * s) / ma
-
-
-def _k20(ctx, c, ma):
-    if abs(c) <= COS_TOL:
-        raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
-    return ctx._k20 / (ma ** 3 * c ** (2 * ctx.n - 1))
-
-
-def k20_closed(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return _k20(ctx, c, ctx._ma(c, s))
-
-
-def K0_closed(ctx, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    ma = ctx._ma(c, s)
-    return _k10(ctx, c, s, ma) * _k20(ctx, c, ma)
-
-
-# ---------------------------------------------------------------------------
 # everything read off one normal direction: ridge / sub-parabolic invariants,
 # point type, r = 0 normal and bounded curvature, front prediction
 # ---------------------------------------------------------------------------
@@ -429,10 +399,10 @@ class PointType(Enum):
 class RidgeReport(Record):
     __slots__ = _fields = (
         "theta", "delta1", "delta2", "delta3", "is_ridge", "is_first_order_ridge",
-        "is_subparabolic", "point_type", "k10", "k10_scale", "normal_r0", "ma")
+        "is_subparabolic", "point_type", "k10", "k10_scale", "k20", "normal_r0", "ma")
 
     def __init__(self, theta, delta1, delta2, delta3, is_ridge, is_first_order_ridge,
-                 is_subparabolic, point_type, k10, k10_scale, normal_r0, ma):
+                 is_subparabolic, point_type, k10, k10_scale, k20, normal_r0, ma):
         self.theta = theta
         self.delta1 = delta1
         self.delta2 = delta2
@@ -443,6 +413,7 @@ class RidgeReport(Record):
         self.point_type = point_type  # a PointType; None on the principal normal direction
         self.k10 = k10
         self.k10_scale = k10_scale    # magnitude of k10's two terms, for zero tests on k10
+        self.k20 = k20                # None on the principal normal direction (it diverges)
         self.normal_r0 = normal_r0    # the unit normal on the exceptional set r = 0
         self.ma = ma
 
@@ -483,7 +454,7 @@ def ridge_reports(ctx, thetas):
         subpar = is_zero(d3, s3)
         k10, k10_scale = (k10_cos * c + k10_sin * s) / ma, k10_size / ma
         if abs(c) <= COS_TOL:
-            ptype = None
+            ptype = k20 = None
         else:
             # K0 = k10 k20, tested against its uncancelled size |k20| k10_scale
             k20 = k20_num / (ma ** 3 * c ** k20_power)
@@ -494,13 +465,33 @@ def ridge_reports(ctx, thetas):
                 ptype = PointType.ELLIPTIC if k0 > 0 else PointType.HYPERBOLIC
         normal_r0 = (0.0, -lead * c / ma, fact * s / ma)
         reports.append(RidgeReport(theta, d1, d2, d3, is_ridge, first_order, subpar, ptype,
-                                   k10, k10_scale, normal_r0, ma))
+                                   k10, k10_scale, k20, normal_r0, ma))
     return reports
 
 
 def ridge_report(ctx, theta):
     """Every closed form at theta: the one-theta case of ridge_reports."""
     return ridge_reports(ctx, [theta])[0]
+
+
+# K0 and k20 alone, read off ridge_reports rather than ridge_report, so that
+# a trace of ridge_report counts only the directions the pipeline reads
+
+
+def _off_principal_normal(ctx, theta):
+    rr = ridge_reports(ctx, [theta])[0]
+    if rr.k20 is None:
+        raise PrincipalNormalDirectionError("k20 diverges at the principal normal")
+    return rr
+
+
+def k20_closed(ctx, theta):
+    return _off_principal_normal(ctx, theta).k20
+
+
+def K0_closed(ctx, theta):
+    rr = _off_principal_normal(ctx, theta)
+    return rr.k10 * rr.k20
 
 
 class FrontType(Enum):

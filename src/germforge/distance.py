@@ -371,32 +371,41 @@ def versality_rank_test(nf, p, flavor):
     return last[1][flavor]
 
 
+def _focal_kind(nf):
+    """The focal trichotomy, the one decision behind ``focal_locus`` and
+    ``singular_point_type``: two lines meeting where a20 != 0, parallel
+    lines where only b2 != 0, the principal normal line alone otherwise."""
+    z = _zero_test(nf, None)
+    if not z(nf.a_(2, 0)):
+        return FocalKind.INTERSECTING_PAIR
+    if not z(nf.b_(2)):
+        return FocalKind.PARALLEL_PAIR
+    return FocalKind.SINGLE_LINE
+
+
 def focal_locus(nf):
     """The degenerate-probe locus in the (y, z) normal plane."""
-    z = _zero_test(nf, None)
+    kind = _focal_kind(nf)
     a20, b2 = nf.a_(2, 0), nf.b_(2)
     one, zero = scalar(1, nf.mode), ZERO[nf.mode]
     principal = FocalLine(one, zero, zero)  # y = 0
-    if not z(a20):
-        second = FocalLine(b2, a20, one)
-        return FocalLocus(
-            FocalKind.INTERSECTING_PAIR,
-            (principal, second),
-            (zero, one / a20),
-        )
-    if not z(b2):
-        second = FocalLine(b2, zero, one)  # y = 1/b2
-        return FocalLocus(FocalKind.PARALLEL_PAIR, (principal, second), None)
-    return FocalLocus(FocalKind.SINGLE_LINE, (principal,), None)
+    if kind is FocalKind.INTERSECTING_PAIR:
+        return FocalLocus(kind, (principal, FocalLine(b2, a20, one)), (zero, one / a20))
+    if kind is FocalKind.PARALLEL_PAIR:
+        return FocalLocus(kind, (principal, FocalLine(b2, zero, one)), None)  # y = 1/b2
+    return FocalLocus(kind, (principal,), None)
+
+
+# the singular point type of each focal kind
+_POINT_TYPE = {
+    FocalKind.INTERSECTING_PAIR: SingularPointType.HYPERBOLIC,
+    FocalKind.PARALLEL_PAIR: SingularPointType.INFLECTION,
+    FocalKind.SINGLE_LINE: SingularPointType.DEGENERATE_INFLECTION,
+}
 
 
 def singular_point_type(nf):
-    z = _zero_test(nf, None)
-    if not z(nf.a_(2, 0)):
-        return SingularPointType.HYPERBOLIC
-    if not z(nf.b_(2)):
-        return SingularPointType.INFLECTION
-    return SingularPointType.DEGENERATE_INFLECTION
+    return _POINT_TYPE[_focal_kind(nf)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
 from .jets import (
-    EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product, _unit_power,
+    EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product,
     scalar,
 )
 from .records import Frozen, _set
@@ -254,10 +254,7 @@ class _Parser:
                 raise self.error("exponent must be a nonnegative integer", etok)
             n = self._integer(etok[1], etok)
             try:
-                if self.mode == EXACT and value.get((0, 0)) in (1, -1):
-                    value = _unit_power(value, n, self.order)
-                else:
-                    value = _power(value, n, self.order, self.mode)
+                value = _power(value, n, self.order, self.mode)
             except ValueError:  # a coefficient past the digit limit
                 raise self.error("power has a coefficient past %s" % _digit_limit(),
                                  etok) from None

@@ -211,11 +211,19 @@ def _square_and_multiply(a, n, product):
 
 
 def _power(a, n, order, mode):
-    """The coefficients of a^n truncated at ``order``, by square-and-multiply.
+    """The coefficients of a^n truncated at ``order``: the one jet power, run
+    by ``Jet2`` ``**`` and by the expression parser.
+
     A single term with coefficient 1 needs no product: its power is the
-    exponent shift n times.  A product with a coefficient past the digit
-    limit (``_digit_bits``) raises ValueError (``_check_digits``) before the
-    next square can double it.
+    exponent shift n times.  Past the order, a base c0 (1 + x/c0) with
+    constant term c0 = 1 or -1 is the binomial sum c0^n sum_{j <= order}
+    C(n, j) (x/c0)^j: x has no constant term, so x^j vanishes past the
+    order, and ``order`` products on the base's own numbers replace the
+    squares whose coefficients grow with n.  Any other power runs
+    square-and-multiply.  A coefficient past the digit limit
+    (``_digit_bits``) raises ValueError (``_check_digits``), in the sum or in
+    a product before the next square can double it; a float coefficient past
+    float range raises the constructor's UsageError.
     """
     if not n:
         return {(0, 0): scalar(1, mode)}
@@ -224,6 +232,18 @@ def _power(a, n, order, mode):
         if c == 1:
             return {(n * i, n * j): c} if n * (i + j) <= order else {}
     bits = _digit_bits()
+    c0 = a.get((0, 0))
+    if n > order and c0 in (1, -1):
+        sign = c0 ** (n & 1)  # a float c0 ** n would round n to a float
+        x = {k: c * c0 for k, c in a.items() if k != (0, 0)}
+        out, xj, binom = {(0, 0): sign}, {(0, 0): 1}, 1
+        for j in range(1, order + 1):
+            xj = _product(xj, x, order, mode)
+            binom = binom * (n - j + 1) // j
+            b = scalar(binom, mode) * sign
+            _accumulate(out, {k: b * c for k, c in xj.items()})
+        _check_digits(out, bits)
+        return _finite(out, mode)
 
     def product(x, y):
         out = _product(x, y, order, mode)
@@ -231,66 +251,6 @@ def _power(a, n, order, mode):
         return out
 
     return _square_and_multiply(a, n, product)
-
-
-def _unit_power(a, n, order):
-    """``_power(a, n, order, EXACT)`` for ``a`` = c0 (1 + x) with c0 = 1 or
-    -1: the same coefficients in the same key order.
-
-    Each square of such a jet adds only about ``order`` bits to its largest
-    coefficient, so the squaring loop runs hundreds of squares of numbers
-    near the digit limit.  The coefficient of a key k in a^m is c0^m P_k(m),
-    P_k(m) = [k = 0] + sum_j C(m, j) [x^j]_k, and j runs up to ``order``
-    alone, as x has no constant term: ``order`` products on the base's own
-    numbers.  A polynomial sum_{j <= d} c_j C(m, j) with c_d != 0 has no root
-    m > d - 1 + d max(1, sum_{j < d} |c_j| / |c_d|): from the first exponent
-    ``generic`` past every such bound no coefficient cancels, the keys of
-    a^m are those of the expansion, and the squaring loop runs on keys alone
-    (a product's key order is the first appearance of each key among the
-    pairs of its factors' keys).  Below ``generic`` it runs on the numbers,
-    which are small there.  A coefficient past the digit limit raises
-    ValueError, in a product below ``generic`` or in a^n itself.
-    """
-    if not n:
-        return _power(a, n, order, EXACT)
-    c0 = a[(0, 0)]
-    x = {k: c * c0 for k, c in a.items() if k != (0, 0)}
-    xs = [{(0, 0): 1}]
-    for _ in range(min(n, order)):
-        xs.append(_product(xs[-1], x, order, EXACT))
-    support = {(0, 0)}.union(*xs)
-    generic = 0
-    for k in support - {(0, 0)}:
-        cs = [abs(p.get(k, 0)) for p in xs]
-        d = max(j for j, c in enumerate(cs) if c)
-        generic = max(generic, math.floor(d - 1 + d * max(1, Fraction(sum(cs[:d]), cs[d]))) + 1)
-    bits = _digit_bits()
-    orders = {}
-
-    def product(x, y):
-        (mx, x), (my, y) = x, y
-        if mx + my < generic:
-            out = _product(x, y, order, EXACT)
-            _check_digits(out, bits)
-            return mx + my, out
-        pair = (tuple(x), tuple(y))
-        keys = orders.get(pair)
-        if keys is None:
-            keys = orders[pair] = tuple(dict.fromkeys(
-                (i1 + i2, j1 + j2) for i1, j1 in pair[0] for i2, j2 in pair[1]
-                if (i1 + i2, j1 + j2) in support))
-        return mx + my, keys
-
-    m, power = _square_and_multiply((1, a), n, product)
-    if m < generic:
-        return power  # the squaring loop's own coefficients
-    binoms = [1]
-    for j in range(1, len(xs)):
-        binoms.append(binoms[-1] * (n - j + 1) // j)
-    sign = c0 ** n
-    out = {k: sign * sum(b * p.get(k, 0) for b, p in zip(binoms, xs)) for k in power}
-    _check_digits(out, bits)
-    return out
 
 
 def _geometric(x, n):

@@ -28,10 +28,10 @@ the jet-level entry points and ``distance.versality_rank_test`` share:
   the column of u^i v^j being d (d + 1) / 2 + j with d = i + j, and
   eliminates them fraction-free: a pivot row is divided by the gcd of its
   entries, a row is reduced as b * row - a * pivot, and the elimination
-  stops once every column has a pivot.  Asked both flavours, it
-  eliminates the rows they share (the f_u, f_v module rows and the family
-  rows) once, and continues from a copy of those pivots with the R+
-  constant row and from another with the K module rows of f.
+  stops once every column has a pivot.  It eliminates the rows both
+  flavours share (the f_u, f_v module rows and the family rows) once, and
+  continues each flavour asked from its own copy of those pivots: R+ with
+  the constant row, K with the module rows of f.
   ``versality_rank_oracle`` clears f and each family jet to integers once
   and calls it for one flavour.  ``rank_of_rows`` runs the same
   elimination on rows of any numbers: a row of ints enters as it is, any
@@ -50,7 +50,6 @@ would.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 from .errors import UsageError
@@ -321,10 +320,10 @@ def integer_versality(f, family, flavor, order):
     built one at a time: the rows both flavours share, the f_u and f_v
     module rows (generator by generator, shifts by degree) then the family
     rows, and after them a flavour's own: the constant row for R+, the
-    module rows of f for K.  One flavour eliminates them all in one run,
-    which stops at full rank.  Several eliminate the shared rows once; if
-    those span the jet space every flavour is versal, else each flavour's
-    rows continue from its own copy of the shared pivots.
+    module rows of f for K.  The shared rows are eliminated once, and the
+    elimination stops at full rank; if they span the jet space every
+    flavour is versal, else each flavour's rows continue from its own copy
+    of the shared pivots.
     """
     tri = [d * (d + 1) // 2 for d in range(order + 2)]
     columns = tri[order + 1]
@@ -354,15 +353,12 @@ def integer_versality(f, family, flavor, order):
         return module([(i + j, j, c) for (i, j), c in f.items() if 0 < i + j <= order])
 
     flavors = flavor if isinstance(flavor, tuple) else (flavor,)
-    if len(flavors) == 1:
-        answers = (_eliminate(chain(shared(), own(flavors[0])), columns) == columns,)
+    pivots = {}
+    if _eliminate(shared(), columns, pivots) == columns:
+        answers = (True,) * len(flavors)
     else:
-        pivots = {}
-        if _eliminate(shared(), columns, pivots) == columns:
-            answers = (True,) * len(flavors)
-        else:
-            answers = tuple(_eliminate(own(fl), columns, dict(pivots)) == columns
-                            for fl in flavors)
+        answers = tuple(_eliminate(own(fl), columns, dict(pivots)) == columns
+                        for fl in flavors)
     return answers if flavors is flavor else answers[0]
 
 

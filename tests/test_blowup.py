@@ -14,6 +14,7 @@ from germforge.blowup import (
     build_context,
     front_verdict,
     geometry_samples,
+    k20_closed,
     pullback_series,
     ridge_report,
     ridge_reports,
@@ -288,18 +289,28 @@ class TestRidgeLoop:
             assert types[math.pi / 2] is None
 
     def test_loop_matches_the_closed_form_helpers(self, rng):
-        # k10, K0's sign and ma from the one-theta helpers the loop inlines
+        # ma, k10 and k20 as their formulas give them, in the loop's operation
+        # order; K0_closed and k20_closed are read off the loop's report, and
+        # K0's sign is the point type's
         for ctx in TestColumnPipeline.contexts(rng):
+            a, m, b2, a20 = ctx.a_lead, ctx.fact, ctx.nf.b_(2), ctx.nf.a_(2, 0)
             for theta, rr in zip(theta_grid(64)[:-1], ridge_reports(ctx, theta_grid(64)[:-1])):
                 c, s = math.cos(theta), math.sin(theta)
-                ma = ctx._ma(c, s)
+                ma = math.sqrt(a**2 * c * c + m**2 * s * s)
                 assert rr.ma.hex() == ma.hex()
-                assert rr.k10.hex() == blowup._k10(ctx, c, s, ma).hex()
+                assert rr.k10.hex() == ((-a * b2 * c + m * a20 * s) / ma).hex()
+                assert rr.k20.hex() == (-(m**2) * a / (ma**3 * c ** (2 * ctx.n - 1))).hex()
+                assert k20_closed(ctx, theta).hex() == rr.k20.hex()
                 k0 = K0_closed(ctx, theta)
+                assert k0.hex() == (rr.k10 * rr.k20).hex()
                 if rr.point_type is PointType.ELLIPTIC:
                     assert k0 > 0
                 elif rr.point_type is PointType.HYPERBOLIC:
                     assert k0 < 0
+            assert ridge_report(ctx, math.pi / 2).k20 is None
+            for closed in (K0_closed, k20_closed):
+                with pytest.raises(PrincipalNormalDirectionError, match="principal normal"):
+                    closed(ctx, math.pi / 2)
 
     def test_empty_list(self):
         assert ridge_reports(BlowupContext(nf_s1(), 1), []) == []
@@ -351,6 +362,8 @@ class TestNonFiniteTheta:
         "ridge_report": ridge_report,
         "ridge_reports": lambda ctx, theta: ridge_reports(ctx, [0.3, theta]),
         "front_verdict": front_verdict,
+        "K0_closed": K0_closed,
+        "k20_closed": k20_closed,
         "geometric_verdict": lambda ctx, theta: geometric_verdict(ctx, theta, 0.5),
         "geometry_samples": lambda ctx, theta: geometry_samples(ctx, [0.3, theta]),
         "series_columns": lambda ctx, theta: series_columns(ctx, [0.3, theta]),

@@ -211,9 +211,16 @@ class TestSharedProduct:
         assert (three ** 3000).coeffs == {(0, 0): 3**3000}
 
 
+def squaring_loop(base, n, order):
+    """base^n (n >= 1) by the exact square-and-multiply loop alone."""
+    return jets._square_and_multiply(
+        base, n, lambda x, y: jets._product(x, y, order, EXACT))
+
+
 class TestUnitPower:
-    """An exact base with constant term 1 or -1 is raised by the binomial
-    expansion, with the squaring loop's coefficients and key order."""
+    """Past the order, an exact base with constant term 1 or -1 is raised by
+    the binomial sum, with the squaring loop's coefficients; at or below the
+    order the squaring loop runs, in its own key order."""
 
     BASES = [
         # (order, base): the constant term first, last or between, one
@@ -236,17 +243,20 @@ class TestUnitPower:
         huge = [10**50 + 1, 3 * 10**50 + 8, 2**170 - 1]
         for order, base in self.BASES:
             base = self.exact(base)
-            for n in list(range(65)) + huge:
-                want = jets._power(dict(base), n, order, EXACT)
-                got = jets._unit_power(dict(base), n, order)
-                assert list(got.items()) == list(want.items()), (base, n)
+            assert jets._power(dict(base), 0, order, EXACT) == {(0, 0): 1}
+            for n in list(range(1, 65)) + huge:
+                want = squaring_loop(dict(base), n, order)
+                got = jets._power(dict(base), n, order, EXACT)
+                assert got == want, (base, n)
+                if n <= order:
+                    assert list(got) == list(want), (base, n)
                 assert all(type(c) is Fraction for c in got.values())
 
     def test_a_cancelled_coefficient_comes_back(self):
         base = self.exact({(0, 0): 1, (1, 0): 1, (2, 0): Fraction(-7, 2)})
-        assert (2, 0) not in jets._unit_power(dict(base), 8, 5)
+        assert (2, 0) not in jets._power(dict(base), 8, 5, EXACT)
         for n in (7, 9, 15, 17):
-            assert (2, 0) in jets._unit_power(dict(base), n, 5)
+            assert (2, 0) in jets._power(dict(base), n, 5, EXACT)
 
     def test_many_digit_exponent_parses(self):
         n = int("9" * 200)
@@ -256,6 +266,40 @@ class TestUnitPower:
         jet = parse_polynomial("(u-1)^" + "9" * 200, ("u", "v"), 20, EXACT)
         assert jet.coeffs == {(j, 0): Fraction((-1) ** (n - j) * math.comb(n, j))
                               for j in range(21)}
+
+    def test_jet_power_is_the_parsers(self, monkeypatch):
+        # Jet2 ** runs the parser's power: a 200-digit exponent takes
+        # ``order`` products, not the squaring loop's hundreds
+        n = 10**200 - 1
+        for text, base in (("(1+u)", Jet2(20, {(0, 0): 1, (1, 0): 1})),
+                           ("(u-1)", Jet2(20, {(1, 0): 1, (0, 0): -1}))):
+            count = [0]
+            product = jets._product
+
+            def counting_product(*args):
+                count[0] += 1
+                return product(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(jets, "_product", counting_product)
+                got = base ** n
+            assert count[0] <= 20
+            want = parse_polynomial("%s^%d" % (text, n), ("u", "v"), 20, EXACT)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+    def test_float_base_past_float_range(self):
+        # an odd n keeps the sign of a float base -1 + u, which rounding n to
+        # a float would lose
+        n = 10**17 + 1
+        got = (Jet2(3, {(0, 0): -1.0, (1, 0): 1.0}, FLOAT) ** n).coeffs
+        assert got[(0, 0)] == -1.0 and got[(1, 0)] == float(n)
+        # C(n, 2) of a 200-digit n is past float range, in the sum and in the
+        # parser alike
+        base = Jet2(20, {(0, 0): 1.0, (1, 0): 1.0}, FLOAT)
+        with pytest.raises(UsageError, match="float range"):
+            base ** (10**200 - 1)
+        with pytest.raises(UsageError, match="float range"):
+            parse_polynomial("(1.0+u)^" + "9" * 200, ("u", "v"), 20, FLOAT)
 
 
 class TestSubstitute:
@@ -848,7 +892,7 @@ class TestIsZeroMatchesTheReplacedTests:
             return blowup.RidgeReport(
                 rr.theta, rr.delta1, rr.delta2, rr.delta3, rr.is_ridge,
                 rr.is_first_order_ridge, rr.is_subparabolic, rr.point_type, k10,
-                rr.k10_scale, rr.normal_r0, rr.ma)
+                rr.k10_scale, rr.k20, rr.normal_r0, rr.ma)
         for _ in range(200):
             ctx = draw_ctx(rng)
             theta = rng.uniform(-1.5, 1.5)
@@ -1241,8 +1285,6 @@ class TestOneScalarMode:
             "a float jet is rationalized, an exact one cleared",
         ("germ_io", "_Parser._number"):
             "a decimal literal needs float mode, and a float literal is range-checked",
-        ("germ_io", "_Parser.factor"):
-            "an exact base with constant term 1 or -1 is raised by the binomial expansion",
         ("germ_io", "read_number"):
             "a numeric string reads as a Fraction or as a float",
         ("germ_io", "_parse_scalar"):

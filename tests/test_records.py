@@ -53,8 +53,8 @@ RECORDS = [
     (RidgeReport, False,
      [(name, REQUIRED) for name in (
          "theta", "delta1", "delta2", "delta3", "is_ridge", "is_first_order_ridge",
-         "is_subparabolic", "point_type", "k10", "k10_scale", "normal_r0", "ma")],
-     (0.1, 1.0, 2.0, 3.0, True, False, True, PointType.ELLIPTIC, 0.5, 1.0,
+         "is_subparabolic", "point_type", "k10", "k10_scale", "k20", "normal_r0", "ma")],
+     (0.1, 1.0, 2.0, 3.0, True, False, True, PointType.ELLIPTIC, 0.5, 1.0, -4.0,
       (0.0, 1.0, 0.0), 2.0)),
     (FrontVerdict, False,
      [("wavefront_type", REQUIRED), ("caustic_type", REQUIRED), ("basis", REQUIRED)],
