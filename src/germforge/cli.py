@@ -149,10 +149,11 @@ def _cmd_mesh(args):
     # front loads numpy, which no other subcommand needs
     from .front import WavefrontSpec, focal_sheet_mesh, surface_mesh, wavefront_mesh
 
-    spec, outcome = _load(args)
+    # the cheap checks first: a bad call exits before the germ is classified
     if not args.output:
         raise UsageError("mesh output requires --output")
     grid = _parse_grid(args.grid)
+    spec, outcome = _load(args)
     sign = 1 if args.sign == "+" else -1
     germ = (
         outcome.nf.reconstruct()

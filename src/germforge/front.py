@@ -15,8 +15,14 @@ singular locus and the extended normal orientation across it (blow-up
 chart), whose r = 0 row takes its closed-form limits from one
 ``ridge_reports`` loop over the theta grid, so the offset-distance
 invariant holds to rounding.
+
+The mesh writer (``germ_io.emit_mesh``) takes the text of a block of vertex
+lines from ``_vertex_text``, here because only meshes load numpy: each
+coordinate exactly as '%.17g' writes it, built from its correctly rounded
+17-digit significand when '%.17g' writes it in fixed notation.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -104,15 +110,27 @@ def _grid_faces(nu, nv, keep):
 
     Each cell (a, b, c, d) = (i j, i+1 j, i+1 j+1, i j+1) gives the triangles
     (a, b, c) and (a, c, d), in row-major cell order; a triangle touching a
-    dropped node is left out.
+    dropped node is left out.  The faces are counted from the triangles'
+    keep masks and written a block of cell rows (at most ``_BLOCK_NODES``
+    nodes) at a time, so only one block's triangles exist besides them.
     """
     index = np.full(nu * nv, -1)
     index[keep] = np.arange(np.count_nonzero(keep))
     index = index.reshape(nu, nv)
     a, b = index[:-1, :-1], index[1:, :-1]
     c, d = index[1:, 1:], index[:-1, 1:]
-    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-    return tris[(tris >= 0).all(axis=1)]
+    k = keep.reshape(nu, nv)
+    ac = k[:-1, :-1] & k[1:, 1:]
+    kept = np.stack([ac & k[1:, :-1], ac & k[:-1, 1:]], axis=-1)  # (a, b, c), (a, c, d)
+    faces = np.empty((np.count_nonzero(kept), 3), index.dtype)
+    at = 0
+    step = max(1, _BLOCK_NODES // nv)  # cell rows per block
+    for rows in (slice(i, i + step) for i in range(0, nu - 1, step)):
+        tris = np.stack([x[rows] for x in (a, b, c, a, c, d)], axis=-1).reshape(-1, 3)
+        count = np.count_nonzero(kept[rows])
+        np.compress(kept[rows].ravel(), tris, axis=0, out=faces[at:at + count])
+        at += count
+    return faces
 
 
 def _dot(a, b):
@@ -288,3 +306,141 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     keep &= np.abs(kappa) > KAPPA_MIN  # NaN kappa fails this too
     verts = pts.compress(keep, 0) + normals.compress(keep, 0) / kappa.compress(keep)[:, None]
     return _mesh(verts, keep, grid, {"kind": "focal-sheet", "grid": list(grid), "r_max": r_max})
+
+
+# ---------------------------------------------------------------------------
+# vertex text (germ_io writes mesh files through this)
+# ---------------------------------------------------------------------------
+
+
+# The text tables below hold four ASCII bytes per entry, read as one uint32:
+# a group of four digits 0000..9999 in full, without its leading zeros (zero
+# bytes, dropped from the text), without its leading zeros but with at least
+# its last digit, and without its trailing zeros.
+_FULL, _NO_LEAD, _AT_LEAST_ONE, _NO_TRAIL = 0, 10000, 20000, 30000
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_groups():
+    """The four tables of digit groups, one uint32 array of 40000 words."""
+    n = np.arange(10000, dtype=np.int16)
+    full = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=-1)
+    zeros = full == 0
+    full = (full + ord("0")).astype(np.uint8)
+    no_lead = np.where(np.logical_and.accumulate(zeros, axis=1), 0, full)
+    at_least_one = no_lead.copy()
+    at_least_one[0, 3] = ord("0")
+    no_trail = np.where(np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1], 0, full)
+    table = np.concatenate([full, no_lead, at_least_one, no_trail]).view(np.uint32).ravel()
+    table.flags.writeable = False  # one array serves every caller
+    return table
+
+
+def _word(text):
+    """The uint32 whose bytes are ``text``, padded with zero bytes."""
+    return np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0]
+
+
+def _two_product(a, b):
+    """hi + lo = a * b exactly (Dekker), for finite a * b far from overflow
+    and underflow."""
+    hi = a * b
+    c = 134217729.0 * a  # 2^27 + 1: Veltkamp's split into 26-bit halves
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _significands(mag):
+    """The correctly rounded 17-digit significands s (int64) and decimal
+    exponents X of values 1e-4 <= mag < 1e17: mag = s * 10^(X - 16) to
+    within half a unit of s.
+
+    mag * 10^(16 - X) is formed exactly as hi + lo by the two-product (10^k
+    is exact in float64 for k <= 22), the guess of X from log10 moves by one
+    while hi + lo lies outside [10^16, 10^17), and s = hi + rint(lo): hi is
+    an even integer there, so a tie rounds to even, as '%' does.  s never
+    rounds up to 10^17: every float below a power of ten 10^-3 .. 10^17 lies
+    more than 8 units of s below it.
+    """
+    exp = np.clip(np.floor(np.log10(mag)), -4, 16).astype(np.int64)
+    pow10 = np.array([10**k for k in range(21)], dtype=float)
+    while True:
+        hi, lo = _two_product(mag, pow10[16 - exp])
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        if not (low | high).any():
+            break
+        exp += high.astype(np.int64) - low
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), exp
+
+
+def _digit_words(sig, exp, words):
+    """Write the digits of s * 10^(X - 16) into ``words``, the last axis of
+    which holds the integer part's words, the point's and five words of
+    places: the integer part in groups of four digits without its leading
+    zeros (a lone 0 kept), the point if a place is nonzero, and the 20
+    places after it in groups without trailing zeros."""
+    table = _digit_groups()
+    ten = np.array([10**k for k in range(18)])
+    places = 16 - exp  # 0 .. 20
+    ip, frac = np.divmod(sig, ten[np.minimum(places, 17)])
+    int_words = words.shape[-1] - 6
+    for k in range(int_words):
+        above, group = np.divmod(ip // 10 ** (4 * (int_words - 1 - k)), 10000)
+        lone = _AT_LEAST_ONE if k == int_words - 1 else _NO_LEAD
+        words[..., k] = table[group + np.where(above > 0, _FULL, lone)]
+    # the places, padded with zeros to 20: the first four, then sixteen
+    lead, rest = np.divmod(frac, ten[np.maximum(places - 4, 0)])
+    first = lead * ten[np.maximum(4 - places, 0)]
+    rest *= ten[np.minimum(20 - places, 16)]
+    words[..., int_words] = np.where((first > 0) | (rest > 0), _word("."), 0)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = [first, *np.divmod(upper, 10000), *np.divmod(lower, 10000)]
+    nonzero_after = [rest > 0, (groups[2] > 0) | (lower > 0), lower > 0, groups[4] > 0, False]
+    for k, (group, more) in enumerate(zip(groups, nonzero_after)):
+        words[..., int_words + 1 + k] = table[group + np.where(more, _FULL, _NO_TRAIL)]
+
+
+def _vertex_text(rows, head, sep):
+    """The lines ``head x sep y sep z`` of an (n, 3) float block, each value
+    written exactly as ``'%.17g'`` writes it.
+
+    '%.17g' writes 17 significant digits, without trailing zeros, in fixed
+    notation when the rounded decimal exponent X is in [-4, 16]: for 0 and
+    for 1e-4 <= |x| < 1e17.  Such a value's text is built from its
+    significand (``_significands``) as a row of uint32 words read from
+    ``_digit_groups``: its sign, its digits (``_digit_words``) and ``sep``
+    (a newline after z), then the zero bytes are dropped.  A row holding
+    any other value (exponent form, nan, inf) is written by '%'.
+    """
+    n = len(rows)
+    mag = np.abs(rows)
+    zero = rows == 0
+    fixed = (mag >= 1e-4) & (mag < 1e17)  # False on nan
+    sig, exp = _significands(np.where(fixed, mag, 1.0))
+    sig[zero] = 0
+    # per value: sign, the integer part's words (at least one), point,
+    # places, sep
+    width = 8 + (max(int(exp.max()), 0) + 4) // 4
+    out = np.empty((n, 1 + 3 * width), np.uint32)
+    out[:, 0] = _word(head)
+    body = out[:, 1:].reshape(n, 3, width)
+    body[..., 0] = np.where(np.signbit(rows), _word("-"), 0)
+    _digit_words(sig, exp, body[..., 1:-1])
+    body[..., -1] = [_word(sep), _word(sep), _word("\n")]
+    # the text of each run of rows between those written by '%'
+    line = head + sep.join(["%.17g"] * 3) + "\n"
+    text = out.view(np.uint8)
+    pieces, start = [], 0
+    bad = (np.flatnonzero(~(fixed | zero)) // 3).tolist()
+    for stop in [*dict.fromkeys(bad), n]:
+        run = text[start:stop].ravel()
+        pieces.append(str(run.compress(run != 0), "ascii"))
+        if stop < n:
+            pieces.append(line % tuple(rows[stop]))
+        start = stop + 1
+    return "".join(pieces)

@@ -18,7 +18,14 @@ File formats:
   exact mode and a 17-significant-digit decimal in float mode; ints,
   booleans and None stay JSON literals.
 
-* Mesh: Wavefront OBJ (v/f records only) or CSV "x,y,z" rows.
+* Mesh: Wavefront OBJ (v/f records only) or CSV "x,y,z" rows, each
+  coordinate as '%.17g' writes it: 17 significant digits without trailing
+  zeros, in fixed notation for 0 and 1e-4 <= |x| < 1e17, in exponent form
+  otherwise, and nan, inf and -inf as Python prints them.  The file is
+  streamed a block of lines at a time.  numpy builds a block's vertex text
+  (``front._vertex_text``) from each fixed-notation value's correctly
+  rounded 17-digit significand, byte for byte what '%' gives; a line
+  holding any other value, and every face line, is written by '%'.
 
 Expression grammar (no implicit multiplication, '^' for powers)::
 
@@ -583,28 +590,33 @@ def emit_report(report, path_or_file):
     write_json(report, path_or_file)
 
 
-# Lines formatted per write: one % operation per block instead of per line,
-# with memory bounded by the block, not the mesh.
-_LINES_PER_WRITE = 1024
+# Lines written per block: one vectorized vertex text or one % operation per
+# block instead of per line, with memory bounded by the block, not the mesh.
+_LINES_PER_WRITE = 2048
 
 
 def _mesh_blocks(mesh, fmt):
     """The mesh file as a stream of strings, each a block of whole lines."""
     import numpy as np  # here, so that importing germ_io does not load numpy
 
+    from .front import _vertex_text
+
     vertices = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
     faces = np.asarray(mesh.faces, dtype=int).reshape(-1, 3) + 1
     if fmt == "csv":
         yield "x,y,z\n"
-        tables = [(vertices, "%.17g,%.17g,%.17g\n")]
+        head, sep = "", ","
     else:
         if not len(vertices) and not len(faces):
             yield "\n"
-        tables = [(vertices, "v %.17g %.17g %.17g\n"), (faces, "f %d %d %d\n")]
-    for rows, line in tables:
-        for start in range(0, len(rows), _LINES_PER_WRITE):
-            block = rows[start:start + _LINES_PER_WRITE]
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+        head, sep = "v ", " "
+    for start in range(0, len(vertices), _LINES_PER_WRITE):
+        yield _vertex_text(vertices[start:start + _LINES_PER_WRITE], head, sep)
+    if fmt == "csv":
+        return
+    for start in range(0, len(faces), _LINES_PER_WRITE):
+        block = faces[start:start + _LINES_PER_WRITE]
+        yield ("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def emit_mesh(mesh, path_or_file, fmt="obj"):

@@ -281,6 +281,23 @@ class TestMesh:
         assert json.loads(err) == {"error": "grid %s has more than 1048576 nodes" % grid}
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("kind", ["surface", "wavefront", "focal"])
+    @pytest.mark.parametrize("argv, message", [
+        ([], "mesh output requires --output"),
+        (["--output", "m.obj", "--grid", "8by8"], "--grid expects WIDTHxHEIGHT, e.g. 64x64"),
+        (["--output", "m.obj", "--grid", "1x8"], "--grid sizes must be >= 2"),
+    ])
+    def test_bad_output_or_grid_exits_before_classifying(self, tmp_path, capsys, monkeypatch,
+                                                         kind, argv, message):
+        calls = []
+        monkeypatch.setattr(cli.pipeline, "classify_spec", lambda *a, **k: calls.append(a))
+        path = write_germ(tmp_path, S1_GERM)
+        argv = [str(tmp_path / x) if x == "m.obj" else x for x in argv]
+        code, out, err = run(capsys, "mesh", "--input", path, "--kind", kind, *argv)
+        assert (code, out, calls) == (1, "", [])
+        assert json.loads(err) == {"error": message}
+        assert not (tmp_path / "m.obj").exists()
+
     @pytest.mark.parametrize("argv, name", [
         (["--kind", "focal", "--rmax", "0"], "r_max"),
         (["--extent", "0"], "extent"),

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,32 @@ class TestKernelMatchesScalarReference:
             want = ref_grid_faces(nu, nv, keep)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block_nodes", [1, 100, 2 * 53])
+    def test_grid_faces_in_blocks_match_double_loop(self, monkeypatch, block_nodes):
+        # one, one and two cell rows a block; the last block is shorter
+        monkeypatch.setattr(front, "_BLOCK_NODES", block_nodes)
+        rng = np.random.default_rng(8)
+        nu, nv = 37, 53
+        for keep in (rng.random(nu * nv) >= 0.05, np.zeros(nu * nv, dtype=bool)):
+            assert np.array_equal(_grid_faces(nu, nv, keep), ref_grid_faces(nu, nv, keep))
+
+    def test_grid_faces_hold_one_block_of_triangles(self, monkeypatch):
+        # besides the faces, the node-index grid, the keep masks and one
+        # block's triangles; building every cell's triangles first would
+        # take as much again as the faces
+        monkeypatch.setattr(front, "_BLOCK_NODES", 2**12)
+        nu = nv = 256
+        keep = np.ones(nu * nv, dtype=bool)
+        keep[nu * nv // 2 + nv // 2] = False
+        tracemalloc.start()
+        try:
+            faces = _grid_faces(nu, nv, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(faces) == 2 * (nu - 1) * (nv - 1) - 6
+        assert peak < 1.5 * faces.nbytes
 
     def test_curvature_undefined_where_mean_term_vanishes(self):
         # on z = u^2 - v^2 the term E N - 2 F M + G L is exactly 0 at |u| = |v|

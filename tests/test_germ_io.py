@@ -6,12 +6,13 @@ import pathlib
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from germforge import germ_io
+from germforge import front, germ_io
 from germforge.errors import ParseError, SchemaError, UsageError
 from germforge.germ_io import (
     MAX_ORDER,
@@ -739,3 +740,121 @@ class TestMeshIO:
         with pytest.raises(UsageError):
             emit_mesh(self._Mesh(), path, "ply")
         assert not path.exists()
+
+
+class TestVertexText:
+    """Vertex lines are built by numpy (``front._vertex_text``) for values
+    that '%.17g' writes in fixed notation, and by '%' for the other rows;
+    either way the file holds the bytes of '%.17g'."""
+
+    BLOCK = germ_io._LINES_PER_WRITE
+
+    @staticmethod
+    def _check(values):
+        """emit_mesh writes ``values`` (a multiple of 3) as '%.17g' does,
+        with no warning."""
+        mesh = Mesh(np.asarray(values, dtype=float).reshape(-1, 3), np.zeros((0, 3), dtype=int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fmt in ("obj", "csv"):
+                buf = io.StringIO()
+                emit_mesh(mesh, buf, fmt)
+                want = reference_mesh_text(mesh, fmt)
+                if buf.getvalue() != want:  # name the first wrong line
+                    got = buf.getvalue().splitlines()
+                    bad = next(i for i, line in enumerate(want.splitlines()) if got[i] != line)
+                    pytest.fail("line %d: %r, not %r" % (bad, got[bad], want.splitlines()[bad]))
+
+    @staticmethod
+    def _bits(rng, exponents, per_exponent):
+        """Random floats of the biased ``exponents``, ``per_exponent`` each,
+        of random sign and mantissa."""
+        e = np.repeat(np.asarray(exponents, dtype=np.uint64), per_exponent)
+        sign = rng.integers(0, 2, len(e), dtype=np.uint64) << np.uint64(63)
+        mantissa = rng.integers(0, 2**52, len(e), dtype=np.uint64)
+        bits = sign | (e << np.uint64(52)) | mantissa
+        return np.concatenate([bits, np.zeros(-len(bits) % 3, np.uint64)]).view(np.float64)
+
+    def test_random_bits_over_every_exponent(self):
+        rng = np.random.default_rng(35)
+        self._check(self._bits(rng, range(2048), 6))  # subnormals, nan and inf included
+        # the exponents '%.17g' writes in fixed notation, 2^-14 .. 2^57, and one past
+        self._check(self._bits(rng, range(1023 - 15, 1023 + 58), 300))
+
+    def test_log_uniform_values(self):
+        rng = np.random.default_rng(36)
+        values = 10.0 ** rng.uniform(-6, 18, 3 * 6000)
+        self._check(values * rng.choice([-1.0, 1.0], len(values)))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-5, 19):
+            p = float("1e%d" % k)
+            values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        self._check(values)
+        self._check([-x for x in values])
+
+    @pytest.mark.parametrize("top", [1e-3, 0.5, 9.5, 10.5, 99999.5, 1e16])
+    def test_blocks_of_small_and_of_large_values(self, top):
+        # the integer part takes as many words as the block's largest needs,
+        # at least one for a lone 0
+        rng = np.random.default_rng(39)
+        self._check(rng.uniform(1e-4, top, 3 * 50) * rng.choice([-1.0, 1.0], 3 * 50))
+
+    def test_exact_integers_past_two_to_the_53(self):
+        self._check([2.0**53 - 2, 2.0**53, 2.0**53 + 2, 99999999999999984.0, 1e17, 1e16])
+
+    @pytest.mark.parametrize("x, text", [
+        (1e15 + 0.25, "1000000000000000.2"),
+        (1e15 + 0.75, "1000000000000000.8"),
+        (123456789012345.125, "123456789012345.12"),
+    ])
+    def test_half_way_ties_round_to_even(self, x, text):
+        assert "%.17g" % x == text
+        buf = io.StringIO()
+        emit_mesh(Mesh(np.array([[x, -x, 0.0]]), np.zeros((0, 3), dtype=int)), buf, "csv")
+        assert buf.getvalue() == "x,y,z\n%s,-%s,0\n" % (text, text)
+
+    def test_signed_zero_subnormal_and_largest_float(self):
+        self._check([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -0.0])
+        self._check([-0.0, 1.0, 0.0, 1e-4, -1e-4, 0.5])
+
+    def test_nan_and_infinities(self):
+        # a Mesh is written as it is; emit_mesh does not validate it
+        self._check([math.nan, math.inf, -math.inf, 1.0, -math.nan, 0.25])
+
+    def test_rows_written_by_percent_at_block_edges(self):
+        rng = np.random.default_rng(37)
+        rows = rng.normal(size=(3 * self.BLOCK + 5, 3))
+        rows[0, 0] = 1e-7                   # the first line of the first block
+        rows[self.BLOCK - 1, 1] = -2e17     # its last line
+        rows[self.BLOCK, 2] = math.inf      # the first line of the second block
+        rows[2 * self.BLOCK:3 * self.BLOCK] = 1e-300 * rows[2 * self.BLOCK:3 * self.BLOCK]
+        rows[-1, 1] = math.nan              # the last line of the mesh
+        self._check(rows)
+
+    def test_only_fixed_notation_rows_use_the_digit_table(self, monkeypatch):
+        # with digits drawn as letters, exactly the fixed-notation rows change
+        table = front._digit_groups().view(np.uint8).copy()
+        table[table >= ord("0")] += ord("a") - ord("0")
+        monkeypatch.setattr(front, "_digit_groups", lambda: table.view(np.uint32))
+        rows = np.array([[0.1, -2.0, 0.0], [1e-5, 1.0, 2.0], [3.5, -1e16, 7e-4],
+                         [1.0, 1e17, 2.0], [math.nan, 0.0, 0.0], [-0.0, 99.0, 1e-4]])
+        buf = io.StringIO()
+        emit_mesh(Mesh(rows, np.zeros((0, 3), dtype=int)), buf, "csv")
+        letters = str.maketrans("0123456789", "abcdefghij")
+        want = ["x,y,z"]
+        for row in rows.tolist():
+            line = "%.17g,%.17g,%.17g" % tuple(row)
+            fixed = all(x == 0 or 1e-4 <= abs(x) < 1e17 for x in row)
+            want.append(line.translate(letters) if fixed else line)
+        assert buf.getvalue().splitlines() == want
+
+    def test_significands_are_correctly_rounded(self):
+        rng = np.random.default_rng(38)
+        mag = np.concatenate([10.0 ** rng.uniform(-4, 17, 20000), [1e-4, 1.0, 1e16, 9.5]])
+        mag = mag[(mag >= 1e-4) & (mag < 1e17)]
+        sig, exp = front._significands(mag)
+        want = [format(x, ".16e").split("e") for x in mag.tolist()]
+        assert sig.tolist() == [int(m.replace(".", "")) for m, _ in want]
+        assert exp.tolist() == [int(e) for _, e in want]
