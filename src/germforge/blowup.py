@@ -10,14 +10,10 @@ exceptional set r = 0 the unit normal, the fundamental forms, the Gaussian
 curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
 module computes those series numerically, once per theta list, through
-series_columns(ctx, thetas, depth) (one theta is [theta]).  Column k of a
-series reads columns 0..k of its inputs only, so each caller asks for the
-depth it reads: geometry_samples takes K0 and k20 from one depth-0 run, and
-the closed-form cross-check reads depths 1 and 2 of a full DEPTH run.  A run
-builds each series when it is first read, from the parts it reads: the
-sweep's K and k2 need no F, M, n1 or k1, the cross-check's coefficients no
-F, G, K or k2, and a product block entering past the run's depth is never
-formed.
+series_columns(ctx, thetas) (one theta is [theta]): one straight build of
+every series to depth DEPTH, whose coefficients have the same bits at a
+theta on any grid.  The one caller in the program is the closed-form
+cross-check (closed_forms.py).
 
 ridge_reports(ctx, thetas) is the one place a normal direction is
 evaluated, in one loop over a theta list that reads the context's constants
@@ -25,7 +21,9 @@ once: from one cos, sin and ma of each theta it takes the ridge and
 sub-parabolic invariants delta_1/2/3, the point type, the r = 0 unit normal,
 the bounded curvature k10 and, off the principal normal direction, k20.
 ridge_report(ctx, theta) is its one-theta case, and the closed forms
-k20_closed and K0_closed = k10 k20 are read off its report.  The
+k20_closed and K0_closed = k10 k20 are read off its report.
+geometry_samples, the report's sweep, is one ridge_reports loop: its K0 =
+k10 k20 and k20 are the r^0 columns of the series K and k2.  The
 wave-front/caustic prediction front_verdict is a table over its flags:
 
     not a ridge                        -> wave-front: cuspidal edge
@@ -34,11 +32,11 @@ wave-front/caustic prediction front_verdict is a table over its flags:
     anything else                      -> undetermined
 
 closed_forms.py checks the pipeline against independently stated closed-form
-expressions for the depth-1/2 coefficients it covers.
+expressions for the depth-1/2 coefficients it covers, and its r^0 columns K0
+and k20 against ridge_reports.
 """
 
 import math
-from collections.abc import Mapping
 from enum import Enum
 
 from .errors import (
@@ -270,103 +268,64 @@ def _dot(a_vec, b_vec):
     return acc
 
 
-def _normal_dot(cols, jets, r_shift=0):
+def _normal_dot(normal, jets, pull, r_shift=0):
     """The unit normal n1..n3 dotted with the pullbacks of three jets.  A zero
-    jet's term is left out, and with it the normal component it would read:
-    its product is +0.0, and +0.0 changes no sum here, as none is -0.0."""
-    acc = [[0.0] * len(cols.trig.thetas)] * (cols.depth + 1)
-    for key, jet in zip(("n1", "n2", "n3"), jets):
+    jet's term is left out: its product is +0.0, and +0.0 changes no sum
+    here, as none is -0.0."""
+    acc = [[0.0] * len(normal[0][0])] * (DEPTH + 1)
+    for part, jet in zip(normal, jets):
         if jet.coeffs:
-            acc = s_add(acc, s_mul(cols.part(key), cols.pull(jet, r_shift)))
+            acc = s_add(acc, s_mul(part, pull(jet, r_shift)))
     return acc
 
 
-def _less_square(cols, lead, key, shift):
-    """lead - r^shift key^2.  A block entering past the run's depth would
-    subtract exact zeros: it is not formed, and lead is returned as it is."""
-    if shift > cols.depth:
-        return lead
-    sq = cols.part(key)
+def _less_square(lead, sq, shift):
+    """lead - r^shift sq^2."""
     return s_sub(lead, s_shift_index(s_mul(sq, sq), shift))
 
-
-# Each series and each intermediate of the pipeline from the parts it reads,
-# in the operations and operand order that fix its bits.
-_BUILD = {
-    # the forms, F divided by r^(n+2), G by r^(2n+2) and M by r^n
-    "E": lambda cols: cols.pull(cols.ctx._efg[0]),
-    "F": lambda cols: cols.pull(cols.ctx._efg[1], cols.ctx.n + 2),
-    "G": lambda cols: cols.pull(cols.ctx._efg[2], 2 * cols.ctx.n + 2),
-    "w": lambda cols: [cols.pull(jet, cols.ctx.n + 1, cols.ctx.n) for jet in cols.ctx._cross],
-    "1/|w|": lambda cols: s_recip(s_sqrt(_dot(cols.part("w"), cols.part("w")))),
-    "n1": lambda cols: s_mul(cols.part("w")[0], cols.part("1/|w|")),
-    "n2": lambda cols: s_mul(cols.part("w")[1], cols.part("1/|w|")),
-    "n3": lambda cols: s_mul(cols.part("w")[2], cols.part("1/|w|")),
-    "L": lambda cols: _normal_dot(cols, cols.ctx._second["uu"]),
-    "M": lambda cols: _normal_dot(cols, cols.ctx._second["uv"], cols.ctx.n),
-    "N": lambda cols: _normal_dot(cols, cols.ctx._second["vv"]),
-    # numerator LN - M^2 of K (the M^2 block re-enters at r^(2n))
-    "LN-M2": lambda cols: _less_square(
-        cols, s_mul(cols.part("L"), cols.part("N")), "M", 2 * cols.ctx.n),
-    # denominator (EG - F^2) / r^(2n+2) (the F^2 block re-enters at r^2)
-    "1/(EG-F2)": lambda cols: s_recip(
-        _less_square(cols, s_mul(cols.part("E"), cols.part("G")), "F", 2)),
-    # the mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
-    "EN": lambda cols: s_mul(cols.part("E"), cols.part("N")),
-    "K": lambda cols: s_mul(cols.part("LN-M2"), cols.part("1/(EG-F2)")),
-    "k1": lambda cols: s_mul(cols.part("LN-M2"), s_recip(cols.part("EN"))),
-    "k2": lambda cols: s_mul(cols.part("EN"), cols.part("1/(EG-F2)")),
-}
 
 SERIES = ("n1", "n2", "n3", "E", "F", "G", "L", "M", "N", "K", "k1", "k2")
 
 
-class SeriesColumns(Mapping):
-    """The series of one pipeline run over a theta list, keyed by SERIES, each
-    built on its first read with the parts it needs (as TrigPowers builds
-    its powers): a caller pays only for what it reads."""
+def build_series(ctx, trig):
+    """Every series of the pipeline over the theta grid of trig (a
+    TrigPowers), keyed by SERIES, with no guard on the directions.  At pi/2
+    only the normal and the forms mean anything: E G - F^2 is of the order
+    of cos^(2n) there, and from n = 10 on it underflows to 0 and the build
+    raises."""
+    n = ctx.n
 
-    __slots__ = ("ctx", "trig", "depth", "_parts")
+    def pull(jet, r_shift=0, cos_shift=0):
+        return pullback_series(ctx, jet, trig, DEPTH, r_shift, cos_shift)
 
-    def __init__(self, ctx, trig, depth):
-        self.ctx, self.trig, self.depth = ctx, trig, depth
-        self._parts = {}
-
-    def part(self, key):
-        """A series or an intermediate of _BUILD, built on first use."""
-        col = self._parts.get(key)
-        if col is None:
-            col = self._parts[key] = _BUILD[key](self)
-        return col
-
-    def pull(self, jet, r_shift=0, cos_shift=0):
-        return pullback_series(self.ctx, jet, self.trig, self.depth, r_shift, cos_shift)
-
-    def __getitem__(self, key):
-        if key not in SERIES:
-            raise KeyError(key)
-        return self.part(key)
-
-    def __iter__(self):
-        return iter(SERIES)
-
-    def __len__(self):
-        return len(SERIES)
+    w = [pull(jet, n + 1, n) for jet in ctx._cross]
+    inv_w = s_recip(s_sqrt(_dot(w, w)))
+    out = {key: s_mul(part, inv_w) for key, part in zip(("n1", "n2", "n3"), w)}
+    normal = list(out.values())
+    # the forms, F divided by r^(n+2), G by r^(2n+2) and M by r^n
+    for key, jet, shift in zip("EFG", ctx._efg, (0, n + 2, 2 * n + 2)):
+        out[key] = pull(jet, shift)
+    for key, second, shift in (("L", "uu", 0), ("M", "uv", n), ("N", "vv", 0)):
+        out[key] = _normal_dot(normal, ctx._second[second], pull, shift)
+    # numerator LN - M^2 of K (the M^2 block re-enters at r^(2n), past DEPTH
+    # for n > 1, where it subtracts exact zeros)
+    num = _less_square(s_mul(out["L"], out["N"]), out["M"], 2 * n)
+    # denominator (EG - F^2) / r^(2n+2) (the F^2 block re-enters at r^2)
+    inv_den = s_recip(_less_square(s_mul(out["E"], out["G"]), out["F"], 2))
+    # the mean-curvature numerator EN + GL - 2FM enters at r^0 through EN only
+    en = s_mul(out["E"], out["N"])
+    out["K"] = s_mul(num, inv_den)
+    out["k1"] = s_mul(num, s_recip(en))
+    out["k2"] = s_mul(en, inv_den)
+    return out
 
 
-def series_columns(ctx, thetas, depth=DEPTH):
-    """The pipeline run once over a theta list: a mapping of depth + 1
-    columns each for the unit normal n1..n3, the forms E..N after factoring
-    their r-powers (F by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the
-    bounded principal curvature k1 and r^(2n+2) kappa_2 (k2).  Each theta
-    must be finite with |cos theta| > COS_TOL.  A series is built when it is
-    first read, from the parts it reads only.
-
-    Column k of every series operation reads columns 0..k of its inputs
-    only, so a run at a smaller ``depth`` gives the same bits in the columns
-    it keeps, and a series read alone has the bits it has in a full read."""
-    if not 0 <= depth <= DEPTH:
-        raise UsageError("series depth must lie in 0..%d, got %r" % (DEPTH, depth))
+def series_columns(ctx, thetas):
+    """The pipeline run once over a theta list: DEPTH + 1 columns each for
+    the unit normal n1..n3, the forms E..N after factoring their r-powers (F
+    by r^(n+2), G by r^(2n+2), M by r^n), r^(2n+2) K, the bounded principal
+    curvature k1 and r^(2n+2) kappa_2 (k2), keyed by SERIES.  Each theta
+    must be finite with |cos theta| > COS_TOL."""
     thetas = list(thetas)
     cos = []
     for theta in thetas:
@@ -377,7 +336,7 @@ def series_columns(ctx, thetas, depth=DEPTH):
             raise PrincipalNormalDirectionError(
                 "theta = %g is on the principal normal direction" % theta)
         cos.append(c)
-    return SeriesColumns(ctx, TrigPowers(thetas, cos), depth)
+    return build_series(ctx, TrigPowers(thetas, cos))
 
 
 def _not_finite(theta):
@@ -555,19 +514,14 @@ def theta_grid(samples=64):
 
 
 def geometry_samples(ctx, thetas):
-    """Per-theta geometry records for the report (cos-divided values off pi/2)
-    from one ridge_reports loop over thetas; the series pipeline runs once
-    for all thetas off the principal normal, at depth 0, and builds only K
-    and k2: K0 and k20 are their r^0 columns."""
+    """Per-theta geometry records for the report from one ridge_reports loop
+    over thetas; off the principal normal, K0 = k10 k20 and k20, the r^0
+    columns of the series K and k2."""
     records = []
     for rr in ridge_reports(ctx, thetas):
         records.append({
             "theta": rr.theta, "delta1": rr.delta1, "delta2": rr.delta2, "delta3": rr.delta3,
             "point_type": rr.point_type.value if rr.point_type else None, "flags": rr.flags,
-            "K0": None, "k10": rr.k10, "k20": None,
+            "K0": None if rr.k20 is None else rr.k10 * rr.k20, "k10": rr.k10, "k20": rr.k20,
         })
-    off = [rec for rec in records if rec["point_type"] is not None]
-    cols = series_columns(ctx, [rec["theta"] for rec in off], depth=0)
-    for rec, k0, k20 in zip(off, cols["K"][0], cols["k2"][0]):
-        rec["K0"], rec["k20"] = k0, k20
     return records

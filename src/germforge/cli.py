@@ -147,12 +147,28 @@ def _parse_grid(text):
 
 def _cmd_mesh(args):
     # front loads numpy, which no other subcommand needs
-    from .front import WavefrontSpec, focal_sheet_mesh, surface_mesh, wavefront_mesh
+    from .front import (
+        WavefrontSpec,
+        check_grid,
+        check_width,
+        focal_sheet_mesh,
+        surface_mesh,
+        wavefront_mesh,
+    )
 
-    # the cheap checks first: a bad call exits before the germ is classified
+    # the cheap checks first, those of the kind's front entry point among
+    # them: a bad call exits before the germ is classified
     if not args.output:
         raise UsageError("mesh output requires --output")
     grid = _parse_grid(args.grid)
+    if args.kind == "wavefront":
+        WavefrontSpec(t0=args.t0, grid=grid, extent=args.extent, r_max=args.rmax)
+    else:
+        check_grid(grid)
+        if args.kind == "surface":
+            check_width("extent", args.extent)
+        else:
+            check_width("r_max", args.rmax)
     spec, outcome = _load(args)
     sign = 1 if args.sign == "+" else -1
     germ = (

@@ -1,24 +1,27 @@
-"""Reference closed-form expressions for the depth-1/2 series coefficients.
+"""Reference values for the series coefficients the pipeline cross-checks.
 
 The series pipeline in blowup.py is the authoritative computation; the
-trigonometric-polynomial expressions below were transcribed from an
-independently stated coefficient table and are kept purely as a
-validation corpus.  ``crosscheck_closed_forms`` evaluates both sides and
-reports the differences, and every entry is expected to agree to
-rounding.  Three expressions differ from the printed table, where the
-table is wrong: L1 and M1 (see their functions) and the n = 1 term of N2,
-re-derived from the series expansion of the unit normal.
+trigonometric-polynomial expressions below for the depth-1/2 coefficients
+were transcribed from an independently stated coefficient table and are
+kept purely as a validation corpus.  The r^0 columns K0 and k20 are held to
+ridge_reports' k10 k20 and k20 over the same thetas.
+``crosscheck_closed_forms`` evaluates both sides and reports the
+differences, and every entry is expected to agree to rounding.  Three
+expressions differ from the printed table, where the table is wrong: L1 and
+M1 (see their functions) and the n = 1 term of N2, re-derived from the
+series expansion of the unit normal.
 """
 
 import math
 
-from .blowup import series_columns
+from .blowup import ridge_reports, series_columns
 from .records import Record
 
 
 def _shorthands(ctx, thetas):
     """The symbols the reference forms read, one dict per theta: the
-    theta-independent ones are evaluated once, cos, sin and ma once per theta."""
+    theta-independent ones are evaluated once, cos and sin once per theta,
+    and ma, k10 and k20 are ridge_reports'."""
     nf = ctx.nf
     n = ctx.n
     fixed = {
@@ -37,9 +40,9 @@ def _shorthands(ctx, thetas):
         "b2": nf.b_(2),
         "b3": nf.b_(3),
     }
-    for theta in thetas:
-        c, s = math.cos(theta), math.sin(theta)
-        yield dict(fixed, c=c, s=s, ma=ctx._ma(c, s))
+    for rr in ridge_reports(ctx, thetas):
+        c, s = math.cos(rr.theta), math.sin(rr.theta)
+        yield dict(fixed, c=c, s=s, ma=rr.ma, k10=rr.k10, k20=rr.k20)
 
 
 def ref_n21(h):
@@ -136,6 +139,14 @@ def ref_N2(h):
     return first - second + bracket * c**2 / ma**5 + eps_part
 
 
+def ref_K0(h):
+    return h["k10"] * h["k20"]
+
+
+def ref_k20(h):
+    return h["k20"]
+
+
 def ref_k11(h):
     c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
     a, m = h["a"], h["m"]
@@ -155,7 +166,9 @@ _REFERENCE = {
     "M1": ref_M1,
     "N1": ref_N1,
     "N2": ref_N2,
+    "K0": ref_K0,
     "k11": ref_k11,
+    "k20": ref_k20,
 }
 
 CROSSCHECK_SYMBOLS = tuple(_REFERENCE)
@@ -178,7 +191,7 @@ class CrosscheckEntry(Record):
 def pipeline_values(ctx, thetas):
     """Series-pipeline values of every cross-checked coefficient, each a list
     over thetas from one pipeline run.  A symbol names its series, then the
-    power of r (n21 is n2[1], N2 is N[2])."""
+    power of r (n21 is n2[1], N2 is N[2], K0 is K[0])."""
     cols = series_columns(ctx, thetas)
     return {symbol: cols[symbol[:-1]][int(symbol[-1])] for symbol in _REFERENCE}
 

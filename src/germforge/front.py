@@ -80,16 +80,16 @@ class WavefrontSpec(Record):
         self.context = context        # BlowupContext, required for "blowup"
         if self.t0 < 0 or not math.isfinite(self.t0):
             raise UsageError("t0 must be a finite nonnegative offset")
-        _check_grid(self.grid)
-        _check_width("extent", self.extent)
-        _check_width("r_max", self.r_max)
+        check_grid(self.grid)
+        check_width("extent", self.extent)
+        check_width("r_max", self.r_max)
         if self.chart not in ("direct", "blowup"):
             raise UsageError("chart must be 'direct' or 'blowup'")
         if self.chart == "blowup" and self.context is None:
             raise UsageError("the blow-up chart needs a BlowupContext")
 
 
-def _check_grid(grid):
+def check_grid(grid):
     """Reject a sampling grid without two sizes of at least 2, or with more
     than MAX_GRID_NODES nodes."""
     if len(grid) != 2 or min(grid) < 2:
@@ -99,7 +99,7 @@ def _check_grid(grid):
                          % (grid[0], grid[1], MAX_GRID_NODES))
 
 
-def _check_width(name, value):
+def check_width(name, value):
     """Reject a sampling half-width that is not a finite positive number."""
     if not (math.isfinite(value) and value > 0):
         raise UsageError("%s must be a finite positive number" % name)
@@ -221,8 +221,8 @@ def _mesh(verts, keep, grid, metadata):
 
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
-    _check_grid(grid)
-    _check_width("extent", extent)
+    check_grid(grid)
+    check_width("extent", extent)
     uu, vv = _parameter_grid(*grid, extent)
     pts = np.stack(_grid_values(germ.to_float().components(), uu, vv), axis=-1).reshape(-1, 3)
     keep = np.ones(len(pts), dtype=bool)
@@ -298,8 +298,8 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     Nodes where |kappa_1| <= KAPPA_MIN are skipped: their centers escape
     far from the surface and carry no information.
     """
-    _check_grid(grid)
-    _check_width("r_max", r_max)
+    check_grid(grid)
+    check_width("r_max", r_max)
     pts, normals, kappa, keep = _blowup_geometry(
         ctx, ctx.nf.reconstruct(), grid, r_max, curvature=True
     )

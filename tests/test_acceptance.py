@@ -407,7 +407,7 @@ def test_criterion_6_identity_suite():
             ctx = build_context(nf, mond)
             grid = theta_grid(32)
             # the normal exists on the whole grid, pi/2 included
-            forms = blowup.SeriesColumns(ctx, TrigPowers(grid), blowup.DEPTH)
+            forms = blowup.build_series(ctx, TrigPowers(grid))
             for idx in range(len(grid)):
                 defect = unit_defect(forms, idx)
                 assert max(abs(x) for x in defect) <= 1e-10

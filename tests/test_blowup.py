@@ -197,19 +197,28 @@ class TestColumnPipeline:
                     assert grid == [col[0].hex() for col in one[key]], (ctx.n, theta, key)
 
     @pytest.mark.parametrize("label", sorted(GEOMETRY_GERMS))
-    def test_depth0_sweep_keeps_column0_bits(self, label):
+    def test_sweep_reads_k0_and_k20_off_ridge_reports(self, label, monkeypatch):
         _, ctx = classified_ctx(GEOMETRY_GERMS[label])
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("the sweep runs no series")
+
+        for name in ("series_columns", "build_series", "pullback_series"):
+            monkeypatch.setattr(blowup, name, no_series)
         for samples in (16, 64, 128, 129):
-            records = geometry_samples(ctx, theta_grid(samples))
-            off = [rec for rec in records if rec["point_type"] is not None]
-            thetas = [rec["theta"] for rec in off]
-            full, low = series_columns(ctx, thetas), series_columns(ctx, thetas, depth=0)
-            assert [rec["K0"].hex() for rec in off] == [x.hex() for x in full["K"][0]]
-            assert [rec["k20"].hex() for rec in off] == [x.hex() for x in full["k2"][0]]
-            assert low.keys() == full.keys()
-            for key, cols in low.items():
-                assert len(cols) == 1, key
-                assert [x.hex() for x in cols[0]] == [x.hex() for x in full[key][0]], key
+            thetas = theta_grid(samples)
+            records = geometry_samples(ctx, thetas)
+            reports = ridge_reports(ctx, thetas)
+            assert len(records) == len(reports) == samples
+            for rec, rr in zip(records, reports):
+                assert rec["theta"] == rr.theta
+                if rr.k20 is None:
+                    assert (rec["K0"], rec["k20"], rec["point_type"]) == (None, None, None)
+                    continue
+                assert rec["K0"].hex() == (rr.k10 * rr.k20).hex()
+                assert rec["k20"].hex() == rr.k20.hex()
+                assert (rec["K0"] > 0) == (rec["point_type"] == "elliptic")
+                assert (rec["K0"] < 0) == (rec["point_type"] == "hyperbolic")
 
     def test_theta_grid_is_capped_before_it_is_built(self):
         cap = blowup.MAX_THETA_SAMPLES
@@ -220,11 +229,13 @@ class TestColumnPipeline:
                                    % cap):
                     grid(samples)
 
-    def test_depth_outside_the_series_window_raises(self):
+    def test_mapping_reads(self):
         ctx = BlowupContext(nf_s1(), 1)
-        for depth in (-1, blowup.DEPTH + 1):
-            with pytest.raises(UsageError, match="series depth"):
-                series_columns(ctx, [0.3], depth=depth)
+        cols = series_columns(ctx, [0.3, -0.4])
+        assert tuple(cols) == blowup.SERIES and "w" not in cols
+        with pytest.raises(KeyError):
+            cols["w"]
+        assert cols["K"] is cols["K"]
 
     def test_grid_with_principal_normal_direction_raises(self):
         ctx = BlowupContext(nf_s1(), 1)
@@ -316,45 +327,6 @@ class TestRidgeLoop:
         assert ridge_reports(BlowupContext(nf_s1(), 1), []) == []
 
 
-class TestLazySeries:
-    """series_columns builds a series when it is first read, from the parts
-    it reads only, with the bits of a run that reads everything."""
-
-    def test_each_series_read_alone_has_the_full_bits(self, rng):
-        thetas = theta_grid(32)[:-1]
-        for ctx in TestColumnPipeline.contexts(rng):
-            for depth in range(blowup.DEPTH + 1):
-                full = dict(series_columns(ctx, thetas, depth))
-                assert list(full) == list(blowup.SERIES)
-                for key in blowup.SERIES:
-                    alone = series_columns(ctx, thetas, depth)[key]
-                    assert [[x.hex() for x in col] for col in alone] == [
-                        [x.hex() for x in col] for col in full[key]], (ctx.n, depth, key)
-
-    def test_callers_build_only_what_they_read(self):
-        # the sweep reads K and k2 at depth 0, the cross-check seven
-        # coefficients at depth 2; neither builds F, M's square or n1
-        for label in sorted(GEOMETRY_GERMS):
-            _, ctx = classified_ctx(GEOMETRY_GERMS[label])
-            thetas = theta_grid(16)[:-1]
-            cols = series_columns(ctx, thetas, depth=0)
-            cols["K"], cols["k2"]
-            assert "F" not in cols._parts and "M" not in cols._parts
-            assert "n1" not in cols._parts and "k1" not in cols._parts
-            cols = series_columns(ctx, thetas)
-            for key in ("n2", "n3", "L", "M", "N", "k1"):
-                cols[key]
-            assert not {"F", "G", "K", "k2", "n1", "1/(EG-F2)"} & cols._parts.keys()
-
-    def test_mapping_reads(self):
-        ctx = BlowupContext(nf_s1(), 1)
-        cols = series_columns(ctx, [0.3, -0.4])
-        assert len(cols) == len(blowup.SERIES) and "K" in cols and "w" not in cols
-        with pytest.raises(KeyError):
-            cols["w"]
-        assert cols["K"] is cols["K"]
-
-
 class TestNonFiniteTheta:
     """Every entry point that takes a theta rejects NaN and +-inf by name."""
 
@@ -409,7 +381,7 @@ class TestExtendedNormal:
             for _ in range(10):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 # the forms, and the normal, exist at pi/2 too
-                cols = blowup.SeriesColumns(ctx, TrigPowers(theta_grid(64)), blowup.DEPTH)
+                cols = blowup.build_series(ctx, TrigPowers(theta_grid(64)))
                 for idx in range(64):
                     defect = unit_defect(cols, idx)
                     assert max(abs(x) for x in defect) < 1e-10
@@ -418,18 +390,18 @@ class TestExtendedNormal:
 class TestFormsAndCurvature:
     def test_e2_vanishes_at_pi_over_2(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
+        fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
         assert abs(fs["E"][2][0]) < 1e-12
 
     def test_g0_vanishes_at_pi_over_2(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
+            fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
             assert abs(fs["G"][0][0]) < 1e-12
 
     def test_l0_at_pi_over_2_is_a20(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup.SeriesColumns(ctx, TrigPowers([math.pi / 2]), blowup.DEPTH)
+        fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
         assert fs["L"][0][0] == pytest.approx(ctx.nf.a_(2, 0))
 
     def test_k0_at_theta_zero(self):
@@ -619,11 +591,11 @@ class TestRidge:
         assert counts == {"cos": len(thetas)}
         assert {key: [[x.hex() for x in col] for col in series] for key, series in cols.items()} \
             == {key: [[x.hex() for x in col] for col in series] for key, series in want.items()}
-        # a cross-check adds cos (and ma) once per theta for its reference
-        # forms, and reads each theta-independent coefficient once
+        # a cross-check adds cos twice per theta, in ridge_reports and for its
+        # reference forms, and reads each theta-independent coefficient once
         counts.clear()
         entries = crosscheck_closed_forms(ctx, thetas)
-        assert counts["cos"] == 2 * len(thetas)
+        assert counts["cos"] == 3 * len(thetas)
         assert counts["a_"] == 7
         assert [(e.symbol, e.pipeline.hex(), e.reference.hex()) for e in entries] == [
             (e.symbol, e.pipeline.hex(), e.reference.hex()) for e in want_entries]
@@ -636,7 +608,8 @@ class TestRidge:
 
 class TestCrosscheck:
     def test_table_complete_and_clean_entries_match(self, rng):
-        assert CROSSCHECK_SYMBOLS == ("n21", "n31", "L1", "M1", "N1", "N2", "k11")
+        assert CROSSCHECK_SYMBOLS == (
+            "n21", "n31", "L1", "M1", "N1", "N2", "K0", "k11", "k20")
         thetas = [math.pi / 6, math.pi / 4, math.pi / 3]
         for n in (1, 2, 3, 5):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)

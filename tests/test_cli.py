@@ -210,6 +210,10 @@ class TestFocal:
         assert focal["kind"] == "IntersectingPair"
 
 
+_WIDTH = "%s must be a finite positive number"
+_T0 = "t0 must be a finite nonnegative offset"
+
+
 class TestMesh:
     def test_surface_obj(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
@@ -286,9 +290,27 @@ class TestMesh:
         ([], "mesh output requires --output"),
         (["--output", "m.obj", "--grid", "8by8"], "--grid expects WIDTHxHEIGHT, e.g. 64x64"),
         (["--output", "m.obj", "--grid", "1x8"], "--grid sizes must be >= 2"),
+        (["--output", "m.obj", "--grid", "2000x2000"],
+         "grid 2000x2000 has more than 1048576 nodes"),
+        # the checks of each kind's front entry point, in its order, with its
+        # messages: surface grid and extent, wavefront t0, grid, extent and
+        # r_max, focal grid and r_max
+        (["--output", "m.obj", "--t0", "-1", "--extent", "0", "--rmax", "-1"],
+         {"surface": _WIDTH % "extent", "wavefront": _T0, "focal": _WIDTH % "r_max"}),
+        (["--output", "m.obj", "--extent", "0", "--rmax", "-1"],
+         {"surface": _WIDTH % "extent", "wavefront": _WIDTH % "extent",
+          "focal": _WIDTH % "r_max"}),
+        ({"surface": ["--output", "m.obj", "--extent", "0"],
+          "wavefront": ["--output", "m.obj", "--rmax", "-1"],
+          "focal": ["--output", "m.obj", "--rmax", "-1"]},
+         {"surface": _WIDTH % "extent", "wavefront": _WIDTH % "r_max",
+          "focal": _WIDTH % "r_max"}),
     ])
     def test_bad_output_or_grid_exits_before_classifying(self, tmp_path, capsys, monkeypatch,
                                                          kind, argv, message):
+        # a dict gives the arguments or the message per kind
+        argv = argv[kind] if isinstance(argv, dict) else argv
+        message = message[kind] if isinstance(message, dict) else message
         calls = []
         monkeypatch.setattr(cli.pipeline, "classify_spec", lambda *a, **k: calls.append(a))
         path = write_germ(tmp_path, S1_GERM)
@@ -515,7 +537,7 @@ class TestCase4aPinned:
 class TestGeometrySweepPinned:
     """128-theta geometry reports of an n = 1 germ (the S1+ germ above) and an
     n = 2 germ (C3+), pinned byte for byte.  Every sample but the principal
-    normal direction carries the series pipeline's K0 and k20."""
+    normal direction carries ridge_reports' K0 = k10 k20 and k20."""
 
     @pytest.mark.parametrize("germ, name", [
         ("s1_special_directions_germ.json", "s1_special_directions_geometry128.json"),

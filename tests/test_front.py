@@ -22,7 +22,7 @@ from germforge.errors import HypothesisError, UsageError
 from germforge.front import (
     MAX_GRID_NODES,
     WavefrontSpec,
-    _check_grid,
+    check_grid,
     _grid_faces,
     _point_geometry,
     focal_sheet_mesh,
@@ -398,7 +398,7 @@ class TestMeshes:
     def test_node_cap_admits_its_own_size(self):
         assert MAX_GRID_NODES == 1024 * 1024
         for grid in ((1024, 1024), (2, 2**19)):
-            _check_grid(grid)
+            check_grid(grid)
 
 
 class TestBlowupChartOffsets:
