@@ -11,9 +11,10 @@ curvature (times r^(2n+2)) and the bounded principal curvature all admit
 r-series whose coefficients are trigonometric polynomials in theta.  This
 module computes those series numerically, once per theta list, through
 series_columns(ctx, thetas) (one theta is [theta]): one straight build of
-every series to depth DEPTH, whose coefficients have the same bits at a
-theta on any grid.  The one caller in the program is the closed-form
-cross-check (closed_forms.py).
+every series to depth DEPTH from two plain lists of power columns,
+cos(theta)^e and sin(theta)^j over the list, made once per list.  Its
+coefficients have the same bits at a theta on any grid.  The one caller in
+the program is the closed-form cross-check (closed_forms.py).
 
 ridge_reports(ctx, thetas) is the one place a normal direction is
 evaluated, in one loop over a theta list that reads the context's constants
@@ -60,8 +61,9 @@ MAX_THETA_SAMPLES = 2**14
 
 # ---------------------------------------------------------------------------
 # truncated r-series over a theta grid: DEPTH + 1 columns, each a list of
-# floats over the grid.  Every helper keeps the one-theta loop order per
-# element, so a coefficient has the same bits on any grid.
+# floats over the grid, and a power of cos or sin is one such list too.
+# Every helper keeps the one-theta loop order per element, so a coefficient
+# has the same bits on any grid.
 # ---------------------------------------------------------------------------
 
 
@@ -113,22 +115,6 @@ def s_shift_index(a, shift):
     """Multiply by r^shift (shift >= 0) within the same depth window."""
     zero = [0.0] * len(a[0])
     return [a[k - shift] if k >= shift else zero for k in range(len(a))]
-
-
-class TrigPowers(dict):
-    """Columns cos(theta)^e and sin(theta)^e over a theta list, keyed (0, e)
-    and (1, e), each made on first use: the pullbacks of one grid share them."""
-
-    def __init__(self, thetas, cos=None):
-        """``cos``, when given, is the column cos(theta) the caller already took."""
-        self.thetas = list(thetas)
-        if cos is None:
-            cos = [math.cos(t) for t in self.thetas]
-        super().__init__({(0, 1): cos, (1, 1): [math.sin(t) for t in self.thetas]})
-
-    def __missing__(self, key):
-        col = self[key] = [x ** key[1] for x in self[key[0], 1]]
-        return col
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +222,19 @@ def build_context(nf, mond):
 # ---------------------------------------------------------------------------
 
 
-def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
-    """r-series columns of jet(u, v) composed with the resolving map over the
-    theta grid of trig (a TrigPowers).
+def pullback_series(ctx, jet, cos_pow, sin_pow, r_shift=0, cos_shift=0):
+    """r-series columns, to depth DEPTH, of jet(u, v) composed with the
+    resolving map over a theta list, from its power columns cos_pow[e] =
+    cos(theta)^e and sin_pow[j] = sin(theta)^j.
 
     With r_shift/cos_shift the common factor r^r_shift cos^cos_shift is
     divided out; the caller is responsible for its existence (guarded here).
     """
     n = ctx.n
-    out = [[0.0] * len(trig.thetas) for _ in range(depth + 1)]
+    out = [[0.0] * len(cos_pow[0]) for _ in range(DEPTH + 1)]
     for (i, j), coef in jet.coeffs.items():
         k = i + j * (n + 1) - r_shift
-        if k > depth:
+        if k > DEPTH:
             continue
         ce = i + j * n - cos_shift
         if k < 0 or ce < 0:
@@ -257,7 +244,7 @@ def pullback_series(ctx, jet, trig, depth=DEPTH, r_shift=0, cos_shift=0):
                     % (r_shift, cos_shift, i, j)
                 )
             continue
-        out[k] = [acc + coef * c * s for acc, c, s in zip(out[k], trig[0, ce], trig[1, j])]
+        out[k] = [acc + coef * c * s for acc, c, s in zip(out[k], cos_pow[ce], sin_pow[j])]
     return out
 
 
@@ -265,17 +252,6 @@ def _dot(a_vec, b_vec):
     acc = [[0.0] * len(a_vec[0][0])] * len(a_vec[0])
     for a, b in zip(a_vec, b_vec):
         acc = s_add(acc, s_mul(a, b))
-    return acc
-
-
-def _normal_dot(normal, jets, pull, r_shift=0):
-    """The unit normal n1..n3 dotted with the pullbacks of three jets.  A zero
-    jet's term is left out: its product is +0.0, and +0.0 changes no sum
-    here, as none is -0.0."""
-    acc = [[0.0] * len(normal[0][0])] * (DEPTH + 1)
-    for part, jet in zip(normal, jets):
-        if jet.coeffs:
-            acc = s_add(acc, s_mul(part, pull(jet, r_shift)))
     return acc
 
 
@@ -287,16 +263,21 @@ def _less_square(lead, sq, shift):
 SERIES = ("n1", "n2", "n3", "E", "F", "G", "L", "M", "N", "K", "k1", "k2")
 
 
-def build_series(ctx, trig):
-    """Every series of the pipeline over the theta grid of trig (a
-    TrigPowers), keyed by SERIES, with no guard on the directions.  At pi/2
-    only the normal and the forms mean anything: E G - F^2 is of the order
-    of cos^(2n) there, and from n = 10 on it underflows to 0 and the build
-    raises."""
+def build_series(ctx, thetas, cos):
+    """Every series of the pipeline over a theta list, whose column
+    cos(theta) the caller took, keyed by SERIES, with no guard on the
+    directions.  At pi/2 only the normal and the forms mean anything: E G -
+    F^2 is of the order of cos^(2n) there, and from n = 10 on it underflows
+    to 0 and the build raises."""
     n = ctx.n
+    # a term u^i v^j kept at depth <= DEPTH has i + j (n+1) <= DEPTH + r_shift
+    # <= 2n + 4, so it reads at most cos^(2n+4) and sin^3
+    cos_pow = [[x ** e for x in cos] for e in range(2 * n + 5)]
+    sin = [math.sin(t) for t in thetas]
+    sin_pow = [[x ** j for x in sin] for j in range(4)]
 
     def pull(jet, r_shift=0, cos_shift=0):
-        return pullback_series(ctx, jet, trig, DEPTH, r_shift, cos_shift)
+        return pullback_series(ctx, jet, cos_pow, sin_pow, r_shift, cos_shift)
 
     w = [pull(jet, n + 1, n) for jet in ctx._cross]
     inv_w = s_recip(s_sqrt(_dot(w, w)))
@@ -305,8 +286,13 @@ def build_series(ctx, trig):
     # the forms, F divided by r^(n+2), G by r^(2n+2) and M by r^n
     for key, jet, shift in zip("EFG", ctx._efg, (0, n + 2, 2 * n + 2)):
         out[key] = pull(jet, shift)
+    # L, M and N are the normal dotted with the second partials; a zero
+    # partial's term is left out: its product is +0.0, and +0.0 changes no
+    # sum here, as none is -0.0
     for key, second, shift in (("L", "uu", 0), ("M", "uv", n), ("N", "vv", 0)):
-        out[key] = _normal_dot(normal, ctx._second[second], pull, shift)
+        parts, jets = zip(*((p, jet) for p, jet in zip(normal, ctx._second[second])
+                            if jet.coeffs))
+        out[key] = _dot(parts, [pull(jet, shift) for jet in jets])
     # numerator LN - M^2 of K (the M^2 block re-enters at r^(2n), past DEPTH
     # for n > 1, where it subtracts exact zeros)
     num = _less_square(s_mul(out["L"], out["N"]), out["M"], 2 * n)
@@ -336,7 +322,7 @@ def series_columns(ctx, thetas):
             raise PrincipalNormalDirectionError(
                 "theta = %g is on the principal normal direction" % theta)
         cos.append(c)
-    return build_series(ctx, TrigPowers(thetas, cos))
+    return build_series(ctx, thetas, cos)
 
 
 def _not_finite(theta):

@@ -6,10 +6,12 @@ were transcribed from an independently stated coefficient table and are
 kept purely as a validation corpus.  The r^0 columns K0 and k20 are held to
 ridge_reports' k10 k20 and k20 over the same thetas.
 ``crosscheck_closed_forms`` evaluates both sides and reports the
-differences, and every entry is expected to agree to rounding.  Three
-expressions differ from the printed table, where the table is wrong: L1 and
-M1 (see their functions) and the n = 1 term of N2, re-derived from the
-series expansion of the unit normal.
+differences, and every entry is expected to agree to rounding.  L1 equals
+k11 identically, and one expression, ref_k11, is the reference for both:
+the table prints L1's correction term with a plus sign, where k11's display
+carries the minus sign used here.  Two more expressions differ from the
+printed table, where the table is wrong: M1 (see its function) and the
+n = 1 term of N2, re-derived from the series expansion of the unit normal.
 """
 
 import math
@@ -66,20 +68,6 @@ def ref_n31(h):
         * s
         / ((n + 2) * ma**3)
     )
-
-
-def ref_L1(h):
-    # The table prints the correction term with a plus sign; L1 equals k11
-    # identically, whose display carries the minus sign used here.
-    c, s, ma, n = h["c"], h["s"], h["ma"], h["n"]
-    a, m = h["a"], h["m"]
-    lead = (-a * h["b3"] * c + m * h["a30"] * s) * c / ma
-    inner = (
-        h["an2"] * a * h["a20"] * c**2
-        + m * ((n + 2) * a * h["a12"] * h["a20"] + h["an2"] * h["b2"]) * c * s
-        + (n + 2) * m**2 * h["a12"] * h["b2"] * s**2
-    )
-    return lead - m * inner * c * s / ((n + 2) * ma**3)
 
 
 def ref_M1(h):
@@ -162,7 +150,7 @@ def ref_k11(h):
 _REFERENCE = {
     "n21": ref_n21,
     "n31": ref_n31,
-    "L1": ref_L1,
+    "L1": ref_k11,  # L1 equals k11 identically
     "M1": ref_M1,
     "N1": ref_N1,
     "N2": ref_N2,

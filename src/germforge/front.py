@@ -14,7 +14,9 @@ counts the skipped ones.  Offsets use the exact unit normal away from the
 singular locus and the extended normal orientation across it (blow-up
 chart), whose r = 0 row takes its closed-form limits from one
 ``ridge_reports`` loop over the theta grid, so the offset-distance
-invariant holds to rounding.
+invariant holds to rounding.  Each mesh kind runs with numpy's float
+overflow raised: a grid whose geometry overflows is a UsageError, not
+warnings and an empty mesh.
 
 The mesh writer (``germ_io.emit_mesh``) takes the text of a block of vertex
 lines from ``_vertex_text``, here because only meshes load numpy: each
@@ -212,6 +214,21 @@ def _parameter_grid(nu, nv, extent):
     return np.meshgrid(us, vs, indexing="ij", sparse=True)
 
 
+def _float_range(mesh_kind):
+    """A mesh entry point run with numpy's float overflow raised, as a
+    UsageError: a grid whose geometry overflows gives no mesh, rather than
+    warnings and skipped nodes.  A division by zero or an invalid operation
+    gives inf or NaN, which the keep masks and ``Mesh.validate`` handle."""
+    @functools.wraps(mesh_kind)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+                return mesh_kind(*args, **kwargs)
+        except FloatingPointError:
+            raise UsageError("mesh geometry overflows float range") from None
+    return run
+
+
 def _mesh(verts, keep, grid, metadata):
     """Mesh of the kept nodes of a node grid: ``verts`` has one vertex per
     node of the flat row-major mask ``keep`` (picked by ``compress``, much
@@ -219,6 +236,7 @@ def _mesh(verts, keep, grid, metadata):
     return Mesh(verts, _grid_faces(*grid, keep), metadata, int((~keep).sum())).validate()
 
 
+@_float_range
 def surface_mesh(germ, grid=(64, 64), extent=1.0):
     """Image of a (u, v) parameter grid under the germ."""
     check_grid(grid)
@@ -229,6 +247,7 @@ def surface_mesh(germ, grid=(64, 64), extent=1.0):
     return _mesh(pts, keep, grid, {"kind": "surface", "grid": list(grid), "extent": extent})
 
 
+@_float_range
 def wavefront_mesh(germ, spec, sign=1):
     """Offset surface g +- t0 * n; see WavefrontSpec for the chart choice.
     The direct chart drops the nodes of a vanishing normal unless t0 = 0."""
@@ -275,8 +294,7 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
     rpow = (rs ** (n + 1))[:, None] * cos**n
     pts, cross, norms, kappa = _point_geometry(germ, rs[:, None] * cos, rpow * sin, curvature)
     orient = np.copysign(1.0, rpow)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normals = orient[..., None] * cross / norms[..., None]
+    normals = orient[..., None] * cross / norms[..., None]
     if curvature:
         kappa = orient * kappa  # flipping the normal flips kappa exactly
     keep = norms != 0.0
@@ -292,6 +310,7 @@ def _blowup_geometry(ctx, germ, grid, r_max, curvature=False):
     return pts.reshape(-1, 3), normals.reshape(-1, 3), kappa, keep.reshape(-1)
 
 
+@_float_range
 def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
     """Sheet of centers g + n / kappa_1 for the bounded curvature branch.
 

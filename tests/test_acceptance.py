@@ -10,7 +10,6 @@ import numpy as np
 from germforge import blowup
 from germforge.blowup import (
     K0_closed,
-    TrigPowers,
     build_context,
     ridge_report,
     series_columns,
@@ -407,7 +406,7 @@ def test_criterion_6_identity_suite():
             ctx = build_context(nf, mond)
             grid = theta_grid(32)
             # the normal exists on the whole grid, pi/2 included
-            forms = blowup.build_series(ctx, TrigPowers(grid))
+            forms = blowup.build_series(ctx, grid, [math.cos(t) for t in grid])
             for idx in range(len(grid)):
                 defect = unit_defect(forms, idx)
                 assert max(abs(x) for x in defect) <= 1e-10

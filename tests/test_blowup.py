@@ -10,7 +10,6 @@ from germforge.blowup import (
     BlowupContext,
     K0_closed,
     PointType,
-    TrigPowers,
     build_context,
     front_verdict,
     geometry_samples,
@@ -137,9 +136,20 @@ class TestContext:
             build_context(nf, MondClass(MondTag.CROSS_CAP))
 
 
-def pullback_at(ctx, jet, theta, *args, **kwargs):
+def trig_powers(thetas, count=8):
+    """The power columns cos(theta)^e and sin(theta)^e, e < count, over thetas."""
+    return ([[math.cos(t) ** e for t in thetas] for e in range(count)],
+            [[math.sin(t) ** e for t in thetas] for e in range(count)])
+
+
+def pullback_at(ctx, jet, theta, **shifts):
     """pullback_series on the one-theta grid, as a plain list of coefficients."""
-    return [col[0] for col in pullback_series(ctx, jet, TrigPowers([theta]), *args, **kwargs)]
+    return [col[0] for col in pullback_series(ctx, jet, *trig_powers([theta]), **shifts)]
+
+
+def build_series(ctx, thetas):
+    """blowup.build_series over thetas, with no guard on the directions."""
+    return blowup.build_series(ctx, thetas, [math.cos(t) for t in thetas])
 
 
 class TestPullback:
@@ -147,10 +157,12 @@ class TestPullback:
         ctx = BlowupContext(nf_s1(), 1)
         theta = 0.6
         jet = Jet2(6, {(1, 1): 1.0}, FLOAT)
-        series = pullback_at(ctx, jet, theta, depth=3)
+        # u v = r^3 cos^2 sin: with r divided out it sits at r^2
+        series = pullback_at(ctx, jet, theta, r_shift=1)
         c, s = math.cos(theta), math.sin(theta)
-        assert series[3] == pytest.approx(c * c * s)
-        assert series[:3] == [0.0, 0.0, 0.0]
+        assert series[2] == pytest.approx(c * c * s)
+        assert series[:2] == [0.0, 0.0]
+        assert pullback_at(ctx, jet, theta) == [0.0, 0.0, 0.0]
 
     def test_constant(self):
         ctx = BlowupContext(nf_s1(), 1)
@@ -161,19 +173,20 @@ class TestPullback:
         ctx = BlowupContext(nf_n2(), 2)
         theta = -0.4
         jet = Jet2(7, {(0, 2): 1.0}, FLOAT)
-        series = pullback_at(ctx, jet, theta, depth=6)
+        # v^2 = r^6 cos^4 sin^2: with r^4 divided out it sits at r^2
+        series = pullback_at(ctx, jet, theta, r_shift=4)
         c, s = math.cos(theta), math.sin(theta)
-        assert series[6] == pytest.approx(c**4 * s**2)
-        assert all(x == 0 for x in series[:6])
+        assert series[2] == pytest.approx(c**4 * s**2)
+        assert series[:2] == [0.0, 0.0]
 
     def test_shift_must_divide_every_term(self):
         ctx = BlowupContext(nf_s1(), 1)
         # u^2 / r^2 = cos^2 theta; u / r^2 has no series
-        assert pullback_at(ctx, Jet2(6, {(2, 0): 1.0}, FLOAT), 0.3, 2, 2)[0] == (
+        assert pullback_at(ctx, Jet2(6, {(2, 0): 1.0}, FLOAT), 0.3, r_shift=2)[0] == (
             math.cos(0.3) ** 2
         )
         with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
-            pullback_at(ctx, Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT), 0.3, 2, 2)
+            pullback_at(ctx, Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT), 0.3, r_shift=2)
 
 
 class TestColumnPipeline:
@@ -254,7 +267,7 @@ class TestColumnPipeline:
         ctx = BlowupContext(nf_s1(), 1)
         jet = Jet2(6, {(1, 0): 1e-6, (2, 0): 1.0}, FLOAT)
         with pytest.raises(InternalConsistencyError, match="does not divide the u\\^1 v\\^0"):
-            pullback_series(ctx, jet, TrigPowers([-0.5, 0.3, 1.2]), 2, 2)
+            pullback_series(ctx, jet, *trig_powers([-0.5, 0.3, 1.2]), r_shift=2)
 
 
 def report_bits(rr):
@@ -381,7 +394,7 @@ class TestExtendedNormal:
             for _ in range(10):
                 ctx = BlowupContext(random_geometry_nf(rng, n), n)
                 # the forms, and the normal, exist at pi/2 too
-                cols = blowup.build_series(ctx, TrigPowers(theta_grid(64)))
+                cols = build_series(ctx, theta_grid(64))
                 for idx in range(64):
                     defect = unit_defect(cols, idx)
                     assert max(abs(x) for x in defect) < 1e-10
@@ -390,18 +403,18 @@ class TestExtendedNormal:
 class TestFormsAndCurvature:
     def test_e2_vanishes_at_pi_over_2(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
+        fs = build_series(ctx, [math.pi / 2])
         assert abs(fs["E"][2][0]) < 1e-12
 
     def test_g0_vanishes_at_pi_over_2(self):
         for nfb, n in ((nf_s1(), 1), (nf_n2(), 2)):
             ctx = BlowupContext(nfb, n)
-            fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
+            fs = build_series(ctx, [math.pi / 2])
             assert abs(fs["G"][0][0]) < 1e-12
 
     def test_l0_at_pi_over_2_is_a20(self):
         ctx = BlowupContext(nf_s1(), 1)
-        fs = blowup.build_series(ctx, TrigPowers([math.pi / 2]))
+        fs = build_series(ctx, [math.pi / 2])
         assert fs["L"][0][0] == pytest.approx(ctx.nf.a_(2, 0))
 
     def test_k0_at_theta_zero(self):
@@ -611,7 +624,7 @@ class TestCrosscheck:
         assert CROSSCHECK_SYMBOLS == (
             "n21", "n31", "L1", "M1", "N1", "N2", "K0", "k11", "k20")
         thetas = [math.pi / 6, math.pi / 4, math.pi / 3]
-        for n in (1, 2, 3, 5):
+        for n in range(1, 9):
             ctx = BlowupContext(random_geometry_nf(rng, n), n)
             entries = crosscheck_closed_forms(ctx, thetas)
             assert len(entries) == len(CROSSCHECK_SYMBOLS) * len(thetas)

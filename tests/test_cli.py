@@ -349,6 +349,37 @@ class TestMesh:
             '{"error": "extent must be a finite positive number"}'
         ]
 
+    # widths whose geometry overflows float range on the S1 germ: every node
+    # would be skipped, or a vertex would be infinite
+    OVERFLOWING = [
+        ["--kind", "focal", "--rmax", "1e200"],
+        ["--kind", "focal", "--rmax", "1e30"],
+        ["--kind", "wavefront", "--extent", "1e200", "--t0", "0.1"],
+        ["--kind", "wavefront", "--extent", "1e100", "--t0", "0.1"],
+        ["--kind", "wavefront", "--chart", "blowup", "--rmax", "1e200", "--t0", "0.1"],
+        ["--extent", "1e308"],
+    ]
+    OVERFLOW_GERM = dict(S1_GERM, components=["u", "v^2/2", "u^2/2 + v^3 + u^2*v"])
+
+    @pytest.mark.parametrize("argv", OVERFLOWING)
+    def test_overflowing_geometry_is_usage_error(self, tmp_path, capsys, argv):
+        path = write_germ(tmp_path, self.OVERFLOW_GERM)
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path), "--grid", "4x4", *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ['{"error": "mesh geometry overflows float range"}']
+        assert not out_path.exists()
+
+    def test_overflow_prints_one_line_in_a_fresh_process(self, tmp_path):
+        # outside pytest's warning filters a numpy overflow warning would
+        # reach stderr ahead of the error object
+        path = write_germ(tmp_path, self.OVERFLOW_GERM)
+        proc = python("-m", "germforge.cli", "mesh", "--input", path, "--grid", "4x4",
+                      "--output", str(tmp_path / "m.obj"), *self.OVERFLOWING[0])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ['{"error": "mesh geometry overflows float range"}']
+
     @pytest.mark.parametrize("argv, summary", [
         (["--kind", "wavefront", "--t0", "0.1", "--extent", "0.75"],
          {"kind": "wavefront", "chart": "direct", "sign": 1, "t0": "0.10000000000000001",
