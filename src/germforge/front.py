@@ -18,10 +18,13 @@ invariant holds to rounding.  Each mesh kind runs with numpy's float
 overflow raised: a grid whose geometry overflows is a UsageError, not
 warnings and an empty mesh.
 
-The mesh writer (``germ_io.emit_mesh``) takes the text of a block of vertex
-lines from ``_vertex_text``, here because only meshes load numpy: each
-coordinate exactly as '%.17g' writes it, built from its correctly rounded
-17-digit significand when '%.17g' writes it in fixed notation.
+The mesh writer (``germ_io.emit_mesh``) takes the text of a block of lines
+from here, because only meshes load numpy: vertex lines from
+``_vertex_text``, each coordinate exactly as '%.17g' writes it, built from
+its correctly rounded 17-digit significand when '%.17g' writes it in fixed
+notation, and face lines from ``_face_text``, each index exactly as '%d'
+writes it.  Both lay a block out as rows of uint32 words, four ASCII bytes
+each, read from one table of four-digit groups, and drop the zero bytes.
 """
 
 import functools
@@ -328,7 +331,7 @@ def focal_sheet_mesh(ctx, grid=(33, 64), r_max=0.5):
 
 
 # ---------------------------------------------------------------------------
-# vertex text (germ_io writes mesh files through this)
+# mesh text (germ_io writes mesh files through this)
 # ---------------------------------------------------------------------------
 
 
@@ -355,6 +358,7 @@ def _digit_groups():
     return table
 
 
+@functools.lru_cache(maxsize=None)
 def _word(text):
     """The uint32 whose bytes are ``text``, padded with zero bytes."""
     return np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0]
@@ -397,6 +401,19 @@ def _significands(mag):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64), exp
 
 
+def _integer_words(ip, words):
+    """Write the integers 0 <= ip into ``words``, the last axis of which
+    holds as many groups of four digits as the largest needs: without
+    leading zeros, a lone 0 kept."""
+    table = _digit_groups()
+    lone = _AT_LEAST_ONE
+    for k in reversed(range(words.shape[-1])):
+        ip, group = np.divmod(ip, 10000)
+        group = group.astype(np.intp, copy=False)  # uint64 + int64 would be float
+        words[..., k] = table[group + np.where(ip > 0, _FULL, lone)]
+        lone = _NO_LEAD
+
+
 def _digit_words(sig, exp, words):
     """Write the digits of s * 10^(X - 16) into ``words``, the last axis of
     which holds the integer part's words, the point's and five words of
@@ -408,10 +425,7 @@ def _digit_words(sig, exp, words):
     places = 16 - exp  # 0 .. 20
     ip, frac = np.divmod(sig, ten[np.minimum(places, 17)])
     int_words = words.shape[-1] - 6
-    for k in range(int_words):
-        above, group = np.divmod(ip // 10 ** (4 * (int_words - 1 - k)), 10000)
-        lone = _AT_LEAST_ONE if k == int_words - 1 else _NO_LEAD
-        words[..., k] = table[group + np.where(above > 0, _FULL, lone)]
+    _integer_words(ip, words[..., :int_words])
     # the places, padded with zeros to 20: the first four, then sixteen
     lead, rest = np.divmod(frac, ten[np.maximum(places - 4, 0)])
     first = lead * ten[np.maximum(4 - places, 0)]
@@ -430,36 +444,60 @@ def _vertex_text(rows, head, sep):
 
     '%.17g' writes 17 significant digits, without trailing zeros, in fixed
     notation when the rounded decimal exponent X is in [-4, 16]: for 0 and
-    for 1e-4 <= |x| < 1e17.  Such a value's text is built from its
-    significand (``_significands``) as a row of uint32 words read from
-    ``_digit_groups``: its sign, its digits (``_digit_words``) and ``sep``
-    (a newline after z), then the zero bytes are dropped.  A row holding
-    any other value (exponent form, nan, inf) is written by '%'.
+    for 1e-4 <= |x| < 1e17.  Such a value's digits are built from its
+    significand (``_significands``) by ``_digit_words``, in the word rows
+    of ``_line_words``.  A row holding any other value (exponent form, nan,
+    inf) is written by '%'.
     """
-    n = len(rows)
     mag = np.abs(rows)
     zero = rows == 0
     fixed = (mag >= 1e-4) & (mag < 1e17)  # False on nan
     sig, exp = _significands(np.where(fixed, mag, 1.0))
     sig[zero] = 0
-    # per value: sign, the integer part's words (at least one), point,
-    # places, sep
-    width = 8 + (max(int(exp.max()), 0) + 4) // 4
-    out = np.empty((n, 1 + 3 * width), np.uint32)
-    out[:, 0] = _word(head)
-    body = out[:, 1:].reshape(n, 3, width)
-    body[..., 0] = np.where(np.signbit(rows), _word("-"), 0)
-    _digit_words(sig, exp, body[..., 1:-1])
-    body[..., -1] = [_word(sep), _word(sep), _word("\n")]
+    # per value: the integer part's words (at least one), point, places
+    width = 6 + (max(int(exp.max()), 0) + 4) // 4
+    words, digits = _line_words(np.signbit(rows), head, sep, width)
+    _digit_words(sig, exp, digits)
     # the text of each run of rows between those written by '%'
     line = head + sep.join(["%.17g"] * 3) + "\n"
-    text = out.view(np.uint8)
     pieces, start = [], 0
-    bad = (np.flatnonzero(~(fixed | zero)) // 3).tolist()
-    for stop in [*dict.fromkeys(bad), n]:
-        run = text[start:stop].ravel()
-        pieces.append(str(run.compress(run != 0), "ascii"))
-        if stop < n:
+    for stop in [*np.flatnonzero(~(fixed | zero).all(axis=1)).tolist(), len(rows)]:
+        pieces.append(_text(words[start:stop]))
+        if stop < len(rows):
             pieces.append(line % tuple(rows[stop]))
         start = stop + 1
     return "".join(pieces)
+
+
+def _face_text(faces):
+    """The lines ``f a b c`` of an (n, 3) int64 block, each index written
+    exactly as '%d' writes it: its digits in as many groups of four as the
+    block's largest |index| needs (``_integer_words``), in the word rows of
+    ``_line_words``.
+    """
+    mag = np.abs(faces).view(np.uint64)  # |-2^63| wraps to -2^63, whose bits are 2^63
+    width = (len(str(int(mag.max()))) + 3) // 4
+    words, digits = _line_words(faces < 0, "f ", " ", width)
+    _integer_words(mag, digits)
+    return _text(words)
+
+
+def _line_words(negative, head, sep, width):
+    """Rows of uint32 words for the lines ``head a sep b sep c`` of an (n, 3)
+    block, and the (n, 3, width) view of them that the caller fills with the
+    digits of a, b and c.  Each value takes a word of the text before it,
+    ``head`` or ``sep`` and then its sign, and ``width`` words of digits,
+    and a newline word ends the row."""
+    n = len(negative)
+    words = np.empty((n, 3 * (1 + width) + 1), np.uint32)
+    body = words[:, :-1].reshape(n, 3, 1 + width)
+    for k, text in enumerate((head, sep, sep)):
+        body[:, k, 0] = np.where(negative[:, k], _word(text + "-"), _word(text))
+    words[:, -1] = _word("\n")
+    return words, body[..., 1:]
+
+
+def _text(words):
+    """The text of rows of uint32 words, their zero bytes dropped."""
+    text = words.view(np.uint8).ravel()
+    return str(text.compress(text != 0), "ascii")

@@ -24,8 +24,9 @@ File formats:
   otherwise, and nan, inf and -inf as Python prints them.  The file is
   streamed a block of lines at a time.  numpy builds a block's vertex text
   (``front._vertex_text``) from each fixed-notation value's correctly
-  rounded 17-digit significand, byte for byte what '%' gives; a line
-  holding any other value, and every face line, is written by '%'.
+  rounded 17-digit significand, byte for byte what '%' gives; a vertex line
+  holding any other value is written by '%'.  numpy builds every face line
+  too (``front._face_text``), each index as '%d' writes it.
 
 Expression grammar (no implicit multiplication, '^' for powers)::
 
@@ -590,8 +591,8 @@ def emit_report(report, path_or_file):
     write_json(report, path_or_file)
 
 
-# Lines written per block: one vectorized vertex text or one % operation per
-# block instead of per line, with memory bounded by the block, not the mesh.
+# Lines written per block: one vectorized vertex or face text per block
+# instead of per line, with memory bounded by the block, not the mesh.
 _LINES_PER_WRITE = 2048
 
 
@@ -599,10 +600,10 @@ def _mesh_blocks(mesh, fmt):
     """The mesh file as a stream of strings, each a block of whole lines."""
     import numpy as np  # here, so that importing germ_io does not load numpy
 
-    from .front import _vertex_text
+    from .front import _face_text, _vertex_text
 
     vertices = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
-    faces = np.asarray(mesh.faces, dtype=int).reshape(-1, 3) + 1
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3) + 1
     if fmt == "csv":
         yield "x,y,z\n"
         head, sep = "", ","
@@ -615,8 +616,7 @@ def _mesh_blocks(mesh, fmt):
     if fmt == "csv":
         return
     for start in range(0, len(faces), _LINES_PER_WRITE):
-        block = faces[start:start + _LINES_PER_WRITE]
-        yield ("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist())
+        yield _face_text(faces[start:start + _LINES_PER_WRITE])
 
 
 def emit_mesh(mesh, path_or_file, fmt="obj"):

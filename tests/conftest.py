@@ -32,6 +32,21 @@ def rand_jet(rng, order, mode=EXACT, density=0.6, max_num=9, max_den=5):
     return Jet2(order, terms, mode)
 
 
+def reference_mesh_text(mesh, fmt):
+    """The whole mesh file, formatted value by value and joined."""
+    lines = []
+    if fmt == "obj":
+        for vx, vy, vz in mesh.vertices:
+            lines.append("v %.17g %.17g %.17g" % (vx, vy, vz))
+        for a, b, c in mesh.faces:
+            lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
+    else:
+        lines.append("x,y,z")
+        for vx, vy, vz in mesh.vertices:
+            lines.append("%.17g,%.17g,%.17g" % (vx, vy, vz))
+    return "\n".join(lines) + "\n"
+
+
 def make_nf(order=6, mode=EXACT, a=None, b=None):
     """Build NormalFormCoeffs from {(i,j): value} / {i: value} dicts."""
     a = dict(a or {})

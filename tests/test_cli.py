@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import germforge
-from germforge import cli, germ_io, pipeline
+from germforge import cli, front, germ_io, pipeline
 from germforge.blowup import MAX_THETA_SAMPLES
 from germforge.cli import main, verify_probes
 from germforge.closed_forms import CROSSCHECK_SYMBOLS
@@ -27,6 +27,8 @@ from germforge.distance import (
 )
 from germforge.errors import InternalConsistencyError
 from germforge.oracle import K_EQUIV, R_PLUS, SingularityType, split_and_type
+
+from conftest import reference_mesh_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -258,6 +260,24 @@ class TestMesh:
         lines = out_path.read_text().splitlines()
         assert sum(line.startswith("v ") for line in lines) == 80
         assert sum(line.startswith("f ") for line in lines) == summary["faces"]
+
+    @pytest.mark.parametrize("kind", ["surface", "wavefront"])
+    def test_obj_bytes_at_101x101(self, tmp_path, capsys, kind):
+        # 10 201 nodes: indices past 9 999 take two digit groups
+        path = write_germ(tmp_path, S1_GERM)
+        out_path = tmp_path / "m.obj"
+        code, out, err = run(
+            capsys, "mesh", "--input", path, "--output", str(out_path),
+            "--kind", kind, "--t0", "0.1", "--grid", "101x101",
+        )
+        assert code == 0, err
+        germ = pipeline.classify_spec(germ_io.read_germ_spec(path)).nf.reconstruct()
+        if kind == "surface":
+            mesh = front.surface_mesh(germ, (101, 101), 1.0)
+        else:
+            mesh = front.wavefront_mesh(germ, front.WavefrontSpec(t0=0.1, grid=(101, 101)), 1)
+        assert json.loads(out)["mesh"]["faces"] == len(mesh.faces) > 10**4
+        assert out_path.read_bytes() == reference_mesh_text(mesh, "obj").encode("ascii")
 
     @pytest.mark.parametrize("kind", ["surface", "wavefront", "focal"])
     @pytest.mark.parametrize("grid", ["-3x4", "0x4", "1x1", "8x1"])

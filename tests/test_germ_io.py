@@ -32,22 +32,9 @@ from germforge.pipeline import classify_spec
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
-from conftest import germ_from_strings, rand_jet, ref_parse_polynomial, ref_tokenize
-
-
-def reference_mesh_text(mesh, fmt):
-    """The whole mesh file, formatted value by value and joined."""
-    lines = []
-    if fmt == "obj":
-        for vx, vy, vz in mesh.vertices:
-            lines.append("v %.17g %.17g %.17g" % (vx, vy, vz))
-        for a, b, c in mesh.faces:
-            lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
-    else:
-        lines.append("x,y,z")
-        for vx, vy, vz in mesh.vertices:
-            lines.append("%.17g,%.17g,%.17g" % (vx, vy, vz))
-    return "\n".join(lines) + "\n"
+from conftest import (
+    germ_from_strings, rand_jet, ref_parse_polynomial, ref_tokenize, reference_mesh_text,
+)
 
 
 class TestParse:
@@ -858,3 +845,80 @@ class TestVertexText:
         want = [format(x, ".16e").split("e") for x in mag.tolist()]
         assert sig.tolist() == [int(m.replace(".", "")) for m, _ in want]
         assert exp.tolist() == [int(e) for _, e in want]
+
+
+class TestFaceText:
+    """Face lines are built by numpy (``front._face_text``) from the digit
+    table, each index byte for byte what '%d' writes, for every int64 a Mesh
+    may hold: emit_mesh does not validate a mesh, and its + 1 wraps
+    2^63 - 1 to -2^63."""
+
+    BLOCK = germ_io._LINES_PER_WRITE
+    # written indices at the edges of the four-digit groups
+    EDGES = [1, 9999, 10000, 99999999, 10**8, 2**31, 2**53, 2**63 - 2]
+
+    @staticmethod
+    def _check(faces, tmp_path, vertices=((0.5, -1.0, 0.0),)):
+        """emit_mesh writes ``faces`` (0-based) as reference_mesh_text does,
+        to a path and to a StringIO; returns the text."""
+        mesh = Mesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                    np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+        with np.errstate(over="ignore"):  # the reference's + 1 wraps as emit_mesh's does
+            want = reference_mesh_text(mesh, "obj")
+        path = tmp_path / "m.obj"
+        emit_mesh(mesh, path, "obj")
+        assert path.read_bytes() == want.encode("ascii")
+        buf = io.StringIO()
+        emit_mesh(mesh, buf, "obj")
+        assert buf.getvalue() == want
+        return want
+
+    @pytest.mark.parametrize("top", EDGES)
+    def test_random_blocks_up_to_each_group_edge(self, tmp_path, top):
+        rng = np.random.default_rng(top % 2**32)
+        written = rng.integers(1, top, 3 * 100, endpoint=True)
+        written[::7] = top
+        written[::11] = 1
+        self._check(written - 1, tmp_path)
+
+    def test_every_edge_and_its_neighbours_in_one_block(self, tmp_path):
+        written = np.array([v + d for v in self.EDGES for d in (-1, 0, 1)])
+        self._check(written - 1, tmp_path)
+
+    def test_zero_negative_and_the_wrapped_extremes(self, tmp_path):
+        big = 2**63 - 1
+        faces = [[-1, -2, -10001], [big, -big - 1, 4], [-10**8 - 1, -2**53 - 1, big - 1]]
+        want = self._check(faces, tmp_path)
+        assert want.splitlines()[1:] == [
+            "f 0 -1 -10000",
+            "f -9223372036854775808 -9223372036854775807 5",
+            "f -100000000 -9007199254740992 9223372036854775807",
+        ]
+
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_face_counts_at_the_block_size(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        faces = rng.integers(0, 3 * count, (count, 3))
+        faces[count // 2] = [10**8 - 1, 0, 10**4 - 1]  # the widest line, mid-block
+        self._check(faces, tmp_path, vertices=rng.normal(size=(count, 3)))
+
+    def test_empty_face_list(self, tmp_path):
+        want = self._check(np.zeros((0, 3)), tmp_path, vertices=[(0.5, -1.0, 0.0), (1, 2, 3)])
+        assert want == "v 0.5 -1 0\nv 1 2 3\n"
+
+    def test_every_face_line_uses_the_digit_table(self, monkeypatch):
+        # with digits drawn as letters, every face line changes, and the
+        # vertex line in exponent form does not
+        table = front._digit_groups().view(np.uint8).copy()
+        table[table >= ord("0")] += ord("a") - ord("0")
+        monkeypatch.setattr(front, "_digit_groups", lambda: table.view(np.uint32))
+        big = 2**63 - 1
+        faces = np.array([[0, 1, 9999], [10**4, -1, -2], [big, -big - 1, 2**53]])
+        mesh = Mesh(np.array([[1e20, 0.5, 2.0]]), faces)
+        buf = io.StringIO()
+        emit_mesh(mesh, buf, "obj")
+        with np.errstate(over="ignore"):
+            want = reference_mesh_text(mesh, "obj").splitlines()
+        letters = str.maketrans("0123456789", "abcdefghij")
+        assert buf.getvalue().splitlines() == [want[0]] + [
+            line.translate(letters) for line in want[1:]]
