@@ -54,14 +54,13 @@ one dict, which becomes a Jet2 once the whole expression is read.
 
 import json
 import re
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, UsageError
 from .jets import (
     EXACT, FLOAT, GermJets, Jet2, _accumulate, _finite, _power, _product,
-    scalar,
+    digit_limit, scalar,
 )
 from .records import Frozen, _set
 
@@ -189,7 +188,7 @@ class _Parser:
             return int(digits)
         except ValueError:  # more digits than int() converts
             raise self.error("number literal of %d characters exceeds %s"
-                             % (len(tok[1]), _digit_limit()), tok) from None
+                             % (len(tok[1]), _digit_limit_text()), tok) from None
 
     def _number(self, tok):
         kind, text, _ = tok
@@ -264,7 +263,7 @@ class _Parser:
             try:
                 value = _power(value, n, self.order, self.mode)
             except ValueError:  # a coefficient past the digit limit
-                raise self.error("power has a coefficient past %s" % _digit_limit(),
+                raise self.error("power has a coefficient past %s" % _digit_limit_text(),
                                  etok) from None
         return value
 
@@ -336,8 +335,8 @@ def print_polynomial(jet, variables=("u", "v")):
 # ---------------------------------------------------------------------------
 
 
-def _digit_limit():
-    return "the limit of %d digits on int/str conversion" % sys.get_int_max_str_digits()
+def _digit_limit_text():
+    return "the limit of %d digits on int/str conversion" % digit_limit()
 
 
 def format_number(x):
@@ -349,7 +348,7 @@ def format_number(x):
         try:
             return str(x)
         except ValueError:  # more digits than str() converts
-            raise UsageError("a number to write exceeds %s" % _digit_limit()) from None
+            raise UsageError("a number to write exceeds %s" % _digit_limit_text()) from None
     return format(float(x), ".17g")
 
 
@@ -426,14 +425,14 @@ _DIGITS = frozenset("0123456789")
 def _refusal(c, exc):
     """Why the entry ``c`` raised ``exc``: the digit limit where that is the
     cause, else at most ``_ECHO_CHARS`` characters of its repr and its length."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = digit_limit()  # 0: no limit
     if isinstance(exc, ValueError) and isinstance(c, str) and (
             0 < limit < sum(ch in _DIGITS for ch in c)):
-        return "number of %d characters exceeds %s" % (len(c), _digit_limit())
+        return "number of %d characters exceeds %s" % (len(c), _digit_limit_text())
     try:
         text = repr(c)
     except ValueError:  # an int from code, with more digits than repr converts
-        return "expected a finite number, got an integer past " + _digit_limit()
+        return "expected a finite number, got an integer past " + _digit_limit_text()
     if len(text) > _ECHO_CHARS:
         size = len(c) if isinstance(c, str) else len(text)
         text = "%s... (%d characters)" % (text[:_ECHO_CHARS], size)
@@ -458,12 +457,18 @@ def _parse_scalar(c, mode, where):
     return x
 
 
-def expand_germ(spec, order=None, mode=None):
-    """Expand a GermSpec's component strings into GermJets.  The order (the
-    spec's own unless given) must be an integer in 1..``MAX_ORDER``."""
-    order = spec.order if order is None else order
+def check_order(order):
+    """Raise UsageError unless the germ order ``order`` is an integer (not a
+    bool) in 1..``MAX_ORDER``: the one order rule of the library entries."""
     if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
         raise UsageError("germ order must be an integer in 1..%d, got %r" % (MAX_ORDER, order))
+
+
+def expand_germ(spec, order=None, mode=None):
+    """Expand a GermSpec's component strings into GermJets.  The order (the
+    spec's own unless given) must pass ``check_order``."""
+    order = spec.order if order is None else order
+    check_order(order)
     mode = spec.mode if mode is None else mode
     jets = [
         parse_polynomial(c, spec.variables, order, mode) for c in spec.components

@@ -5,7 +5,8 @@ truncated at a fixed total degree.  Coefficients live either in Q
 (``fractions.Fraction``, mode "exact") or in float64 (mode "float").
 Zero coefficients are never stored, so structural equality is
 mathematical equality at the given order.  All operations are pure;
-instances are never mutated after construction.
+``Jet2`` and ``GermJets`` are ``records.Frozen`` values, never assigned
+after construction, and copied and pickled through their constructors.
 """
 
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 from operator import itemgetter, truediv
 
 from .errors import ModeMismatchError, UsageError
+from .records import Frozen, _set
 
 EXACT = "exact"
 FLOAT = "float"
@@ -176,11 +178,11 @@ def _product(a, b, order, mode):
     return _finite({k: c for k, c in out.items() if c}, mode)
 
 
-def _digit_bits():
-    """The bits past which an integer has more digits than int/str
-    conversion admits (``sys.get_int_max_str_digits()``, at 10/3 bits a
-    digit), or 0 where there is no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() * 10 // 3
+def digit_limit():
+    """The interpreter's limit on the digits of an int/str conversion
+    (``sys.get_int_max_str_digits()``), or 0 for none: the one reader of it.
+    Python before 3.10.7 has no such limit, nor the function."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _check_digits(coeffs, bits):
@@ -220,10 +222,10 @@ def _power(a, n, order, mode):
     C(n, j) (x/c0)^j: x has no constant term, so x^j vanishes past the
     order, and ``order`` products on the base's own numbers replace the
     squares whose coefficients grow with n.  Any other power runs
-    square-and-multiply.  A coefficient past the digit limit
-    (``_digit_bits``) raises ValueError (``_check_digits``), in the sum or in
-    a product before the next square can double it; a float coefficient past
-    float range raises the constructor's UsageError.
+    square-and-multiply.  A coefficient past the digit limit (``digit_limit``,
+    at 10/3 bits a digit) raises ValueError (``_check_digits``), in the sum or
+    in a product before the next square can double it; a float coefficient
+    past float range raises the constructor's UsageError.
     """
     if not n:
         return {(0, 0): scalar(1, mode)}
@@ -231,7 +233,7 @@ def _power(a, n, order, mode):
         ((i, j), c), = a.items()
         if c == 1:
             return {(n * i, n * j): c} if n * (i + j) <= order else {}
-    bits = _digit_bits()
+    bits = digit_limit() * 10 // 3
     c0 = a.get((0, 0))
     if n > order and c0 in (1, -1):
         sign = c0 ** (n & 1)  # a float c0 ** n would round n to a float
@@ -322,18 +324,18 @@ class _Powers:
         return pows
 
 
-class Jet2:
+class Jet2(Frozen):
     """Sparse polynomial in (u, v) truncated at total degree ``order``."""
 
-    __slots__ = ("order", "mode", "coeffs")
+    __slots__ = _fields = ("order", "coeffs", "mode")
 
     def __init__(self, order, coeffs=None, mode=EXACT):
         if not isinstance(order, int) or order < 0:
             raise UsageError("jet order must be a nonnegative integer")
         if mode not in (EXACT, FLOAT):
             raise UsageError("mode must be 'exact' or 'float'")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mode", mode)
+        _set(self, "order", order)
+        _set(self, "mode", mode)
         clean = {}
         if coeffs:
             conv = _CONVERT[mode]
@@ -344,7 +346,7 @@ class Jet2:
                     c = conv(c)
                     if c:
                         clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
+        _set(self, "coeffs", clean)
 
     @classmethod
     def _trusted(cls, order, coeffs, mode=EXACT):
@@ -355,9 +357,9 @@ class Jet2:
         a nonzero finite float (float).
         """
         jet = object.__new__(cls)
-        object.__setattr__(jet, "order", order)
-        object.__setattr__(jet, "mode", mode)
-        object.__setattr__(jet, "coeffs", coeffs)
+        _set(jet, "order", order)
+        _set(jet, "mode", mode)
+        _set(jet, "coeffs", coeffs)
         return jet
 
     @classmethod
@@ -365,9 +367,6 @@ class Jet2:
         """Jet over ``coeffs``, the result of arithmetic on valid jets
         (checked by ``_finite``)."""
         return cls._trusted(order, _finite(coeffs, mode), mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet2 is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -398,18 +397,8 @@ class Jet2:
     def constant_term(self):
         return self.coeff(0, 0)
 
-    # -- structural comparison ---------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.mode == other.mode
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
+        # Frozen hashes the field tuple, and a dict has no hash
         return hash((self.order, self.mode, frozenset(self.coeffs.items())))
 
     # -- arithmetic ----------------------------------------------------
@@ -608,10 +597,10 @@ def _evaluate_jets(jets, u_val, v_val):
     return values
 
 
-class GermJets:
+class GermJets(Frozen):
     """A map-germ (R^2,0) -> (R^3,0) given by three jets of common order."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = _fields = ("x", "y", "z")
 
     def __init__(self, x, y, z):
         x._check_compatible(y)
@@ -619,12 +608,9 @@ class GermJets:
         for name, comp in (("x", x), ("y", y), ("z", z)):
             if comp.constant_term():
                 raise UsageError("germ component %s must vanish at the origin" % name)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GermJets is immutable")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @property
     def order(self):
@@ -665,11 +651,3 @@ class GermJets:
         return [
             [comp.coeff(1, 0), comp.coeff(0, 1)] for comp in self.components()
         ]
-
-    def __eq__(self, other):
-        if not isinstance(other, GermJets):
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __repr__(self):
-        return "GermJets(%r, %r, %r)" % self.components()

@@ -3,10 +3,12 @@
 A record class names its fields in ``_fields``, in constructor order, and
 assigns them in its own ``__init__``.  ``Record`` gives it equality (same
 class, equal fields) and a ``Name(field=value, ...)`` repr; ``Frozen`` also
-refuses assignment and hashes the field tuple, so a frozen record's
-``__init__`` sets its fields with ``_set``.  (``dataclasses`` would generate
-and compile these methods for each class at import, and import ``inspect``:
-start-up time that every CLI process pays.)
+refuses assignment, hashes the field tuple and copies and pickles through
+the constructor, so a frozen record's ``__init__`` sets its fields with
+``_set``.  The jets are frozen records too; ``Jet2`` keeps its own hash (a
+dict field has none) and repr.  (``dataclasses`` would generate and compile
+these methods for each class at import, and import ``inspect``: start-up
+time that every CLI process pays.)
 """
 
 _set = object.__setattr__

@@ -129,7 +129,7 @@ def sum_distance_jet(nf, p, order):
             + Jet2.const(half_p_sq, order, nf.mode))
 
 
-def _load_perfbench_corpus():
+def load_perfbench_corpus():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     module = importlib.util.module_from_spec(spec)
@@ -145,7 +145,7 @@ def analysis_forms(seeds=tuple(range(1, 11))):
     Cached for the session: a form keeps the last probe its rank test read
     (``NormalFormCoeffs._probe_slot``), so a test that counts the calls the
     rank test makes builds fresh forms (``analysis_forms.__wrapped__``)."""
-    corpus = _load_perfbench_corpus()
+    corpus = load_perfbench_corpus()
     forms = []
     for seed in seeds:
         for entry in corpus.analysis_corpus(seed):

@@ -1,6 +1,8 @@
 import ast
+import copy
 import math
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from germforge.jets import (
     EXACT, FLOAT, FLOAT_ZERO_REL, GermJets, Jet2, is_zero, scalar, zero_scale,
 )
 from germforge.normal_form import TransformLog
+from germforge.records import Frozen
 
 from conftest import make_nf, rand_jet
 
@@ -470,6 +473,55 @@ class TestGermJets:
         g = GermJets(U, V, Jet2.zero(3))
         rot = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert g.rotate(rot) == g
+
+
+def _round_trips(value):
+    """``value`` through copy, deepcopy and a pickle round trip."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+class TestJetsAreFrozenValues:
+    """Jet2 and GermJets take their value semantics from records.Frozen:
+    copies and pickles rebuild them through the constructor, bit for bit."""
+
+    def _jets(self):
+        rng = random.Random(4217)
+        u = Jet2.variable("u", 5, FLOAT)
+        v_new = Jet2(5, {(0, 1): 1 / math.sqrt(2), (2, 0): 0.3, (1, 1): -1e-7}, FLOAT)
+        substituted = jet(5, {(0, 3): 1.0, (2, 1): 0.7, (1, 2): -2.5}, FLOAT).substitute(u, v_new)
+        assert substituted.mode == FLOAT and len(substituted.coeffs) > 3
+        return [rand_jet(rng, 4, EXACT), jet(3, {(2, 1): Fraction(-7, 3), (0, 1): 1}),
+                rand_jet(rng, 4, FLOAT), _spread_float_jet(rng, 5),
+                Jet2.zero(3), Jet2.zero(2, FLOAT), substituted]
+
+    def test_both_are_frozen_records(self):
+        assert issubclass(Jet2, Frozen) and issubclass(GermJets, Frozen)
+        assert Jet2._fields == ("order", "coeffs", "mode")
+        assert GermJets._fields == ("x", "y", "z")
+
+    def test_jet_copies_keep_keys_bits_and_hash(self):
+        for original in self._jets():
+            for twin in _round_trips(original):
+                assert type(twin) is Jet2 and twin == original
+                assert (twin.order, twin.mode) == (original.order, original.mode)
+                assert _hex_items(twin) == _hex_items(original)
+                assert hash(twin) == hash(original)
+                assert repr(twin) == repr(original)
+
+    def test_germ_copies_keep_every_component(self):
+        rng = random.Random(4218)
+        for mode in (EXACT, FLOAT):
+            comps = [rand_jet(rng, 4, mode) for _ in range(3)]
+            germ = GermJets(*(c - Jet2.const(c.constant_term(), 4, mode) for c in comps))
+            for twin in _round_trips(germ):
+                assert type(twin) is GermJets and twin == germ
+                assert [_hex_items(c) for c in twin.components()] == [
+                    _hex_items(c) for c in germ.components()]
+                assert hash(twin) == hash(germ)
+
+    def test_germ_repr_names_its_fields(self):
+        g = GermJets(U, V, Jet2.zero(3))
+        assert repr(g) == "GermJets(x=%r, y=%r, z=%r)" % (U, V, Jet2.zero(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import copy
 import json
 import pathlib
+import pickle
 
 import pytest
 
 from germforge import distance, normal_form, pipeline
 from germforge.blowup import BLOWUP_EXPONENT
-from germforge.errors import UnsupportedGermError
-from germforge.germ_io import GermSpec, germ_spec_from_dict
+from germforge.errors import UnsupportedGermError, UsageError
+from germforge.germ_io import GermSpec, germ_spec_from_dict, read_germ_spec
 from germforge.jets import Jet2, cleared
 from germforge.mond import MondTag
 from germforge.normal_form import TwoJetClass
@@ -19,7 +21,9 @@ from germforge.pipeline import (
     working_order,
 )
 
-from conftest import GEOMETRY_GERMS, germ_from_strings, ref_distance_jet
+from conftest import GEOMETRY_GERMS, germ_from_strings, load_perfbench_corpus, ref_distance_jet
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestClassifyGerm:
@@ -170,6 +174,52 @@ class TestClassifySpec:
         spec = GermSpec(("u", "v"), ("u", "v^2", "u^2*v + v^5"), 4, "exact")
         out = classify_spec(spec)
         assert out.mond.tag is MondTag.B and out.mond.k == 2
+
+
+class TestClassifySpecInputRules:
+    """classify_spec refuses what the CLI refuses, before the working order
+    reads the values; the README germ is S1+ at every valid input."""
+
+    COMPONENTS = ("u", "v^2", "v^3 + u^2*v")
+
+    @pytest.mark.parametrize("order", [0, -3, 3.5, True, 21])
+    def test_order_outside_one_to_twenty(self, order):
+        spec = GermSpec(("u", "v"), self.COMPONENTS, order, "exact")
+        with pytest.raises(UsageError) as exc:
+            classify_spec(spec)
+        assert str(exc.value) == "germ order must be an integer in 1..20, got %r" % (order,)
+
+    @pytest.mark.parametrize("k_max", [0, -1, 2.5, True])
+    def test_k_max_below_one_or_not_an_integer(self, k_max):
+        spec = GermSpec(("u", "v"), self.COMPONENTS, 6, "exact")
+        with pytest.raises(UsageError) as exc:
+            classify_spec(spec, k_max=k_max)
+        assert str(exc.value) == "k_max must be an integer >= 1, got %r" % (k_max,)
+
+    @pytest.mark.parametrize("order, k_max", [(1, 1), (20, 1), (3, 8)])
+    def test_valid_inputs_classify(self, order, k_max):
+        spec = GermSpec(("u", "v"), self.COMPONENTS, order, "exact")
+        assert classify_spec(spec, k_max=k_max).mond.label == "S1+"
+
+
+def _survives(outcome):
+    """Whether a deepcopy and a pickle round trip of ``outcome`` equal it; a
+    value that refuses to be rebuilt (AttributeError) does not."""
+    try:
+        return (copy.deepcopy(outcome) == outcome
+                and pickle.loads(pickle.dumps(outcome)) == outcome)
+    except AttributeError:
+        return False
+
+
+def test_outcomes_survive_deepcopy_and_pickle():
+    # every tests/data germ and the benchmark's classify corpus at seed 1
+    outcomes = [(path.name, classify_spec(read_germ_spec(path)))
+                for path in sorted(DATA.glob("*_germ.json"))]
+    for idx, entry in enumerate(load_perfbench_corpus().classify_corpus(1)):
+        outcomes.append(("classify-1-%d" % idx, classify_spec(germ_spec_from_dict(entry["doc"]))))
+    assert len(outcomes) == 6 + 384
+    assert [name for name, outcome in outcomes if not _survives(outcome)] == []
 
 
 class TestHighIndexClasses:

@@ -6,8 +6,11 @@ from the same fields, so equality, hashing, immutability, defaults and repr
 are held to the ``dataclasses`` semantics they had.
 """
 
+import ast
 import copy
 import dataclasses
+import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -142,6 +145,8 @@ def test_record_keeps_its_dataclass_semantics(cls, frozen, fields, values):
     assert obj == cls(**dict(zip(names, values))) != ref(*values)
     assert repr(obj) == repr(ref(*values))
     assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
     assert _hash_or_error(obj) == _hash_or_error(ref(*values))
     if _hash_or_error(obj) is not TypeError:
         assert hash(obj) == hash(tuple(values))
@@ -160,3 +165,82 @@ def test_record_keeps_its_dataclass_semantics(cls, frozen, fields, values):
         for name, default in fields:
             if default in (list, dict):
                 assert getattr(first, name) is not getattr(second, name)
+
+
+class TestValueSemanticsLiveInRecords:
+    """Equality, assignment, copy and pickle of the package's values have one
+    implementation, ``records``: no class elsewhere under ``src/germforge``
+    defines those hooks, and a hash or repr of its own needs a reason."""
+
+    SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "germforge"
+    REFUSED = frozenset((
+        "__setattr__", "__delattr__", "__eq__", "__reduce__", "__reduce_ex__",
+        "__getstate__", "__setstate__", "__copy__", "__deepcopy__"))
+    REASONED = frozenset(("__hash__", "__repr__"))
+
+    # (module, "Class.hook") -> why the class overrides what records gives it
+    OVERRIDES = {
+        ("jets", "Jet2.__hash__"):
+            "Frozen hashes the field tuple, and the coefficient dict has no hash: "
+            "a jet hashes its coefficient items",
+        ("jets", "Jet2.__repr__"):
+            "a jet prints as its polynomial, as print_polynomial writes it",
+    }
+
+    @classmethod
+    def hooks(cls, source):
+        """[(class name, hook)] of every value hook a class in ``source``
+        defines, as a method or by assignment."""
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [(node.name, name) for name in names
+                          if name in cls.REFUSED | cls.REASONED]
+        return found
+
+    def sites(self, kinds):
+        """{(module, "Class.hook")} of the hooks in ``kinds`` that classes
+        outside records.py define."""
+        return {(path.stem, "%s.%s" % (cls, hook))
+                for path in sorted(self.SRC.glob("*.py")) if path.name != "records.py"
+                for cls, hook in self.hooks(path.read_text(encoding="utf-8"))
+                if hook in kinds}
+
+    def test_no_class_outside_records_defines_a_value_hook(self):
+        assert sorted(self.sites(self.REFUSED)) == []
+
+    def test_every_hash_or_repr_override_is_listed(self):
+        assert sorted(self.sites(self.REASONED) - set(self.OVERRIDES)) == []
+
+    def test_every_listed_override_still_exists(self):
+        # an override that went leaves the list
+        assert sorted(set(self.OVERRIDES) - self.sites(self.REASONED)) == []
+
+    def test_scan_sees_methods_and_assignments(self):
+        source = (
+            "class A:\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    __hash__ = None\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+            "def outer():\n"
+            "    class B:\n"
+            "        def __deepcopy__(self, memo):\n"
+            "            return self\n"
+            "        __repr__: object = object.__repr__\n"
+            "    return B\n"
+            "def __setattr__(self, name, value):\n"
+            "    pass\n"
+        )
+        assert self.hooks(source) == [
+            ("A", "__eq__"), ("A", "__hash__"), ("B", "__deepcopy__"), ("B", "__repr__")]
