@@ -95,20 +95,12 @@ def _build_parser():
 
 
 def _load(args):
-    if args.order is not None and args.order < 1:
-        raise UsageError("--order must be >= 1")
-    if args.order is not None and args.order > germ_io.MAX_ORDER:
-        raise UsageError("--order must be <= %d" % germ_io.MAX_ORDER)
-    if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
+    # GermSpec checks --order by the germ file's rule, and classify_spec --kmax
     spec = read_germ_spec(args.input)
     if args.order is not None:
-        spec = germ_io.GermSpec(
-            spec.variables, spec.components, args.order, spec.mode,
-            spec.probes, spec.theta_lambda,
-        )
-    outcome = pipeline.classify_spec(spec, k_max=args.kmax, mode=args.mode)
-    return spec, outcome
+        spec = germ_io.GermSpec(spec.variables, spec.components, args.order, spec.mode,
+                                spec.probes, spec.theta_lambda)
+    return spec, pipeline.classify_spec(spec, k_max=args.kmax, mode=args.mode)
 
 
 # the report subcommands: each adds at most one section to the base report,
@@ -137,12 +129,9 @@ def _cmd_report(args):
 def _parse_grid(text):
     try:
         a, b = text.lower().split("x")
-        grid = (int(a), int(b))
+        return int(a), int(b)
     except ValueError:
         raise UsageError("--grid expects WIDTHxHEIGHT, e.g. 64x64")
-    if min(grid) < 2:
-        raise UsageError("--grid sizes must be >= 2")
-    return grid
 
 
 def _cmd_mesh(args):

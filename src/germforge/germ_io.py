@@ -11,6 +11,8 @@ File formats:
 
   optionally with "probes": [[x, y, z], ...] and
   "theta_lambda": [[theta0, lambda], ...] for the distance workflow.
+  ``GermSpec`` checks every value, whoever builds the spec, and a refused
+  value names its field, as in "germ.order: ...".
 
 * Report file: JSON with top-level keys
   class / normal_form / geometry / distance / focal_locus / warnings.
@@ -63,20 +65,6 @@ from .jets import (
     digit_limit, scalar,
 )
 from .records import Frozen, _set
-
-
-class GermSpec(Frozen):
-    """Parsed contents of a germ file, before jet expansion."""
-
-    __slots__ = _fields = ("variables", "components", "order", "mode", "probes", "theta_lambda")
-
-    def __init__(self, variables, components, order, mode, probes=(), theta_lambda=()):
-        _set(self, "variables", variables)
-        _set(self, "components", components)
-        _set(self, "order", order)
-        _set(self, "mode", mode)
-        _set(self, "probes", probes)
-        _set(self, "theta_lambda", theta_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -363,55 +351,70 @@ def read_number(s, mode):
 # ---------------------------------------------------------------------------
 
 
-def _require(obj, key, typ, where):
-    if key not in obj:
-        raise SchemaError(f"{where}.{key}", "missing required field")
-    val = obj[key]
-    # a JSON true or false is a Python bool, which is also an int
-    if not isinstance(val, typ) or isinstance(val, bool):
-        raise SchemaError(f"{where}.{key}", "expected %s" % typ.__name__)
-    return val
+class GermSpec(Frozen):
+    """A germ (R^2, 0) -> (R^3, 0) before jet expansion, with the distance
+    workflow's optional probes [x, y, z] and [theta, lambda] pairs.
+
+    The constructor checks every field by the germ file's rules, whether a
+    file, a CLI flag or code builds the spec, and raises SchemaError naming
+    the field's ``germ.<field>`` path.  Each field is held as a tuple, a
+    probe in the spec's mode and a pair as floats, so specs built from lists
+    and from tuples are equal and hash alike.
+    """
+
+    __slots__ = _fields = ("variables", "components", "order", "mode", "probes", "theta_lambda")
+
+    def __init__(self, variables, components, order, mode, probes=(), theta_lambda=()):
+        variables = _strings(variables, "variables", 2, "expected two identifier strings")
+        for v in variables:
+            if not (v[:1].isalpha() and v.isalnum() and v.isascii()):
+                raise SchemaError(
+                    "germ.variables", "identifier %r must be ASCII alphanumeric" % v)
+        if variables[0] == variables[1]:
+            raise SchemaError("germ.variables", "variables must be distinct")
+        components = _strings(components, "components", 3, "expected three expression strings")
+        order = check_order(order)
+        if not isinstance(mode, str):
+            raise SchemaError("germ.mode", "expected str")
+        if mode not in (EXACT, FLOAT):
+            raise SchemaError("germ.mode", "mode must be 'exact' or 'float'")
+        _set(self, "variables", variables)
+        _set(self, "components", components)
+        _set(self, "order", order)
+        _set(self, "mode", mode)
+        _set(self, "probes", _points(probes, "probes", ("x", "y", "z"), mode))
+        _set(self, "theta_lambda",
+             _points(theta_lambda, "theta_lambda", ("theta", "lambda"), FLOAT))
 
 
-def germ_spec_from_dict(data, where="germ"):
+def _strings(value, key, count, message):
+    """The list or tuple ``value`` of ``count`` strings as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError("germ." + key, "expected list")
+    if len(value) != count or not all(isinstance(s, str) for s in value):
+        raise SchemaError("germ." + key, message)
+    return tuple(value)
+
+
+def germ_spec_from_dict(data):
+    """The GermSpec of a germ file's JSON object ``data``."""
     if not isinstance(data, dict):
-        raise SchemaError(where, "expected a JSON object")
-    variables = _require(data, "variables", list, where)
-    if len(variables) != 2 or not all(isinstance(v, str) for v in variables):
-        raise SchemaError(f"{where}.variables", "expected two identifier strings")
-    for v in variables:
-        if not (v[:1].isalpha() and v.isalnum() and v.isascii()):
-            raise SchemaError(
-                f"{where}.variables", "identifier %r must be ASCII alphanumeric" % v
-            )
-    if variables[0] == variables[1]:
-        raise SchemaError(f"{where}.variables", "variables must be distinct")
-    components = _require(data, "components", list, where)
-    if len(components) != 3 or not all(isinstance(c, str) for c in components):
-        raise SchemaError(f"{where}.components", "expected three expression strings")
-    order = _require(data, "order", int, where)
-    if order < 1:
-        raise SchemaError(f"{where}.order", "order must be >= 1")
-    if order > MAX_ORDER:
-        raise SchemaError(f"{where}.order", "order must be <= %d" % MAX_ORDER)
-    mode = _require(data, "mode", str, where)
-    if mode not in (EXACT, FLOAT):
-        raise SchemaError(f"{where}.mode", "mode must be 'exact' or 'float'")
-    probes = _points(data, "probes", ("x", "y", "z"), mode, where)
-    pairs = _points(data, "theta_lambda", ("theta", "lambda"), FLOAT, where)
-    return GermSpec(tuple(variables), tuple(components), order, mode, probes, pairs)
+        raise SchemaError("germ", "expected a JSON object")
+    for key in GermSpec._fields[:4]:  # "probes" and "theta_lambda" may be left out
+        if key not in data:
+            raise SchemaError("germ." + key, "missing required field")
+    return GermSpec(**{key: data[key] for key in GermSpec._fields if key in data})
 
 
-def _points(data, key, names, mode, where):
-    """The optional point list ``data[key]`` as a tuple of points, each a
-    list of one finite scalar of ``mode`` per coordinate in ``names``."""
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}.{key}", "expected a list")
+def _points(entries, key, names, mode):
+    """The list or tuple ``entries`` of the field ``key`` as a tuple of points,
+    each of one finite scalar of ``mode`` per coordinate in ``names``."""
+    if not isinstance(entries, (list, tuple)):
+        raise SchemaError("germ." + key, "expected a list")
     points = []
     for idx, p in enumerate(entries):
-        at = f"{where}.{key}[{idx}]"
-        if not isinstance(p, list) or len(p) != len(names):
+        at = "germ.%s[%d]" % (key, idx)
+        if not isinstance(p, (list, tuple)) or len(p) != len(names):
             raise SchemaError(at, "expected [%s]" % ", ".join(names))
         points.append(tuple(_parse_scalar(c, mode, at) for c in p))
     return tuple(points)
@@ -422,26 +425,33 @@ _ECHO_CHARS = 40
 _DIGITS = frozenset("0123456789")
 
 
+def _echo(c):
+    """At most ``_ECHO_CHARS`` characters of the repr of the refused value
+    ``c``, and its length where that cuts it."""
+    try:
+        text = repr(c)
+    except ValueError:  # an int from code, with more digits than repr converts
+        return "an integer past " + _digit_limit_text()
+    if len(text) > _ECHO_CHARS:
+        size = len(c) if isinstance(c, str) else len(text)
+        text = "%s... (%d characters)" % (text[:_ECHO_CHARS], size)
+    return text
+
+
 def _refusal(c, exc):
     """Why the entry ``c`` raised ``exc``: the digit limit where that is the
-    cause, else at most ``_ECHO_CHARS`` characters of its repr and its length."""
+    cause, else the ``_echo`` of ``c``."""
     limit = digit_limit()  # 0: no limit
     if isinstance(exc, ValueError) and isinstance(c, str) and (
             0 < limit < sum(ch in _DIGITS for ch in c)):
         return "number of %d characters exceeds %s" % (len(c), _digit_limit_text())
-    try:
-        text = repr(c)
-    except ValueError:  # an int from code, with more digits than repr converts
-        return "expected a finite number, got an integer past " + _digit_limit_text()
-    if len(text) > _ECHO_CHARS:
-        size = len(c) if isinstance(c, str) else len(text)
-        text = "%s... (%d characters)" % (text[:_ECHO_CHARS], size)
-    return "expected a finite number, got " + text
+    return "expected a finite number, got " + _echo(c)
 
 
 def _parse_scalar(c, mode, where):
-    """A JSON number or numeric string as a finite scalar of ``mode``."""
-    if not isinstance(c, (int, float, str)) or isinstance(c, bool):
+    """A JSON number, numeric string or Fraction as a finite scalar of
+    ``mode``."""
+    if not isinstance(c, (int, float, str, Fraction)) or isinstance(c, bool):
         raise SchemaError(where, "expected a number or numeric string")
     try:
         x = scalar(read_number(c, mode) if isinstance(c, str) else c, mode)
@@ -458,17 +468,19 @@ def _parse_scalar(c, mode, where):
 
 
 def check_order(order):
-    """Raise UsageError unless the germ order ``order`` is an integer (not a
-    bool) in 1..``MAX_ORDER``: the one order rule of the library entries."""
+    """The germ order ``order`` if it is an integer (not a bool) in
+    1..``MAX_ORDER``, else SchemaError: the one order rule, of ``GermSpec``
+    and of ``expand_germ``'s order."""
     if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
-        raise UsageError("germ order must be an integer in 1..%d, got %r" % (MAX_ORDER, order))
+        raise SchemaError("germ.order", "order must be an integer in 1..%d, got %s"
+                          % (MAX_ORDER, _echo(order)))
+    return order
 
 
 def expand_germ(spec, order=None, mode=None):
-    """Expand a GermSpec's component strings into GermJets.  The order (the
-    spec's own unless given) must pass ``check_order``."""
-    order = spec.order if order is None else order
-    check_order(order)
+    """Expand a GermSpec's component strings into GermJets, at the spec's
+    order or at ``order``, which must pass ``check_order``."""
+    order = spec.order if order is None else check_order(order)
     mode = spec.mode if mode is None else mode
     jets = [
         parse_polynomial(c, spec.variables, order, mode) for c in spec.components

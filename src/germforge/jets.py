@@ -330,7 +330,7 @@ class Jet2(Frozen):
     __slots__ = _fields = ("order", "coeffs", "mode")
 
     def __init__(self, order, coeffs=None, mode=EXACT):
-        if not isinstance(order, int) or order < 0:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise UsageError("jet order must be a nonnegative integer")
         if mode not in (EXACT, FLOAT):
             raise UsageError("mode must be 'exact' or 'float'")
@@ -441,7 +441,7 @@ class Jet2(Frozen):
         return self * other
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise UsageError("jet exponent must be a nonnegative integer")
         return Jet2._trusted(self.order, _power(self.coeffs, n, self.order, self.mode), self.mode)
 

@@ -306,9 +306,9 @@ def rank_of_rows(rows):
     return _eliminate(integer_rows())
 
 
-def integer_versality(f, family, flavor, order):
-    """True iff the rows of the unfolding span the jet space at ``order``;
-    with ``flavor`` a tuple of flavours, a tuple of those answers.
+def integer_versality(f, family, flavors, order):
+    """For each flavour of the tuple ``flavors``, whether the rows of the
+    unfolding span the jet space at ``order``: a tuple of those answers.
 
     The one versality kernel, of ``versality_rank_oracle`` and of
     ``distance``'s probe pass: ``f`` and each jet of ``family`` are
@@ -352,14 +352,11 @@ def integer_versality(f, family, flavor, order):
             return iter(({0: 1},))
         return module([(i + j, j, c) for (i, j), c in f.items() if 0 < i + j <= order])
 
-    flavors = flavor if isinstance(flavor, tuple) else (flavor,)
     pivots = {}
     if _eliminate(shared(), columns, pivots) == columns:
-        answers = (True,) * len(flavors)
-    else:
-        answers = tuple(_eliminate(own(fl), columns, dict(pivots)) == columns
-                        for fl in flavors)
-    return answers if flavors is flavor else answers[0]
+        return (True,) * len(flavors)
+    return tuple(_eliminate(own(flavor), columns, dict(pivots)) == columns
+                 for flavor in flavors)
 
 
 def versality_rank_oracle(family_jets, function_jet, flavor, order):
@@ -392,6 +389,6 @@ def versality_rank_oracle(family_jets, function_jet, flavor, order):
     return integer_versality(
         _cleared_terms(function_jet, order + 1)[0],
         [_cleared_terms(jet, order)[0] for jet in family_jets],
-        flavor,
+        (flavor,),
         order,
-    )
+    )[0]

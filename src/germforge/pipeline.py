@@ -16,7 +16,7 @@ from .distance import (
     singular_point_type,
 )
 from .errors import SchemaError, UnsupportedGermError, UsageError
-from .germ_io import MAX_ORDER, check_order, expand_germ
+from .germ_io import MAX_ORDER, expand_germ
 from .jets import FLOAT
 from .mond import DEFAULT_K_MAX, FLOAT_WARNING, MondClass, MondTag, classify
 from .normal_form import ReductionStart, TwoJetClass, corank_at_origin, reduce_to_normal_form
@@ -88,9 +88,8 @@ def working_order(spec, k_max=DEFAULT_K_MAX):
 
 
 def classify_spec(spec, k_max=DEFAULT_K_MAX, mode=None):
-    """Classify ``spec``'s germ; its order must pass ``check_order``, and
-    ``k_max`` be an integer (not a bool) of at least 1."""
-    check_order(spec.order)
+    """Classify ``spec``'s germ, whose fields ``GermSpec`` has checked;
+    ``k_max`` must be an integer (not a bool) of at least 1."""
     if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < 1:
         raise UsageError("k_max must be an integer >= 1, got %r" % (k_max,))
     germ = expand_germ(spec, order=working_order(spec, k_max), mode=mode)

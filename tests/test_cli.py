@@ -99,10 +99,13 @@ class TestClassify:
         "flag, value", [("--order", "-3"), ("--order", "0"), ("--kmax", "-2"), ("--kmax", "0")]
     )
     def test_order_and_kmax_below_one_are_usage_errors(self, tmp_path, capsys, flag, value):
+        # GermSpec's order rule and classify_spec's k_max rule, with their messages
         path = write_germ(tmp_path, S1_GERM)
         code, out, err = run(capsys, "classify", "--input", path, flag, value)
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "%s must be >= 1" % flag}
+        assert json.loads(err) == {"error": {
+            "--order": "germ.order: order must be an integer in 1..20, got %s",
+            "--kmax": "k_max must be an integer >= 1, got %s"}[flag] % value}
 
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_order_above_the_cap_exits_1_at_once(self, tmp_path, capsys, where):
@@ -116,8 +119,8 @@ class TestClassify:
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": {"file": "germ.order: order must be <= 20",
-                                             "flag": "--order must be <= 20"}[where]}
+        # the file's order and the flag's meet the one rule of GermSpec
+        assert json.loads(err) == {"error": "germ.order: order must be an integer in 1..20, got 21"}
 
     def test_order_override_reaches_the_report(self, tmp_path, capsys):
         path = write_germ(tmp_path, S1_GERM)
@@ -289,7 +292,7 @@ class TestMesh:
             "--kind", kind, "--grid=" + grid,
         )
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "--grid sizes must be >= 2"}
+        assert json.loads(err) == {"error": "grid sizes must be >= 2"}
         assert not out_path.exists()
 
     @pytest.mark.parametrize("kind", ["surface", "wavefront", "focal"])
@@ -309,7 +312,7 @@ class TestMesh:
     @pytest.mark.parametrize("argv, message", [
         ([], "mesh output requires --output"),
         (["--output", "m.obj", "--grid", "8by8"], "--grid expects WIDTHxHEIGHT, e.g. 64x64"),
-        (["--output", "m.obj", "--grid", "1x8"], "--grid sizes must be >= 2"),
+        (["--output", "m.obj", "--grid", "1x8"], "grid sizes must be >= 2"),
         (["--output", "m.obj", "--grid", "2000x2000"],
          "grid 2000x2000 has more than 1048576 nodes"),
         # the checks of each kind's front entry point, in its order, with its
@@ -836,7 +839,7 @@ class TestNonFiniteInput:
          "number literal of 401 characters lies outside float range"
          " (line 1, column 7)"),
         # a JSON true or false is not a number, though Python's bool is an int
-        (dict(S1_GERM, order=True), "germ.order: expected int"),
+        (dict(S1_GERM, order=True), "germ.order: order must be an integer in 1..20, got True"),
         (dict(S1_GERM, probes=[[False, True, 0]]),
          "germ.probes[0]: expected a number or numeric string"),
         (dict(FLOAT_S1, theta_lambda=[[0.4, 0.7], [True, 1]]),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import pickle
 import random
 import re
 import sys
@@ -11,9 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import front, germ_io
-from germforge.errors import ParseError, SchemaError, UsageError
+from germforge.errors import GermforgeError, ParseError, SchemaError, UsageError
 from germforge.germ_io import (
     MAX_ORDER,
     GermSpec,
@@ -28,7 +31,9 @@ from germforge.germ_io import (
     write_json,
 )
 from germforge.jets import EXACT, FLOAT, Jet2, scalar
-from germforge.pipeline import classify_spec
+from germforge.pipeline import (
+    base_report, classify_spec, distance_section, focal_section,
+)
 
 from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 
@@ -405,26 +410,28 @@ class TestGermFiles:
     def test_boolean_order_rejected(self):
         with pytest.raises(SchemaError) as exc:
             germ_spec_from_dict(dict(self.GERM, order=True))
-        assert str(exc.value) == "germ.order: expected int"
+        assert str(exc.value) == "germ.order: order must be an integer in 1..20, got True"
 
     def test_order_above_the_cap_rejected(self):
         assert germ_spec_from_dict(dict(self.GERM, order=MAX_ORDER)).order == 20
         with pytest.raises(SchemaError) as exc:
             germ_spec_from_dict(dict(self.GERM, order=MAX_ORDER + 1))
-        assert str(exc.value) == "germ.order: order must be <= 20"
+        assert str(exc.value) == "germ.order: order must be an integer in 1..20, got 21"
 
     def test_expand_germ_checks_the_order_cap(self):
-        # a GermSpec built in code skips the file schema; order 30 would
-        # otherwise reduce for about a second in classify_spec
-        spec = GermSpec(("u", "v"), ("u + v^2 + u^3", "v^2 + u*v^2", "u^2*v + v^3"),
-                        30, EXACT, (), ())
-        for call in (lambda: expand_germ(spec), lambda: classify_spec(spec)):
-            with pytest.raises(UsageError) as exc:
-                call()
-            assert str(exc.value) == "germ order must be an integer in 1..20, got 30"
+        # a GermSpec built in code meets the file's order rule, and so does
+        # an order given to expand_germ; order 30 would otherwise reduce for
+        # about a second in classify_spec
+        components = ("u + v^2 + u^3", "v^2 + u*v^2", "u^2*v + v^3")
+        with pytest.raises(SchemaError) as exc:
+            GermSpec(("u", "v"), components, 30, EXACT, (), ())
+        assert str(exc.value) == "germ.order: order must be an integer in 1..20, got 30"
+        spec = GermSpec(("u", "v"), components, 6, EXACT, (), ())
         for order in (0, MAX_ORDER + 1, True, 2.0):
-            with pytest.raises(UsageError, match="germ order must be an integer in 1..20"):
+            with pytest.raises(SchemaError) as exc:
                 expand_germ(spec, order=order)
+            assert str(exc.value) == (
+                "germ.order: order must be an integer in 1..20, got %r" % (order,))
         assert expand_germ(spec, order=MAX_ORDER).x.order == MAX_ORDER
         at_three = GermSpec(spec.variables, spec.components, 3, spec.mode,
                             spec.probes, spec.theta_lambda)
@@ -546,6 +553,134 @@ class TestGermFiles:
         want = {(j, 0): Fraction(math.comb(n, j)) for j in range(7)}
         assert parse_polynomial("(1+u)^%d" % n, order=6).coeffs == want
         assert parse_polynomial("10^4000", order=2).coeff(0, 0) == 10**4000
+
+
+class TestGermSpecChecksItsFields:
+    """GermSpec applies the germ file's rules to a spec built in code: each
+    malformed field raises SchemaError at construction, named by its path,
+    and a spec that is built classifies and reports with nothing but a
+    GermforgeError."""
+
+    VARIABLES, COMPONENTS = ("u", "v"), ("u", "v^2", "v^3 + u^2*v")
+
+    @pytest.mark.parametrize("fields, error", [
+        (dict(components=("u", "v^2")), "germ.components: expected three expression strings"),
+        (dict(components=("u", "v^2", 3)), "germ.components: expected three expression strings"),
+        (dict(variables=("u", "u")), "germ.variables: variables must be distinct"),
+        (dict(variables="uv"), "germ.variables: expected list"),
+        (dict(probes=((0, 0),)), "germ.probes[0]: expected [x, y, z]"),
+        (dict(theta_lambda=((0.3,),)), "germ.theta_lambda[0]: expected [theta, lambda]"),
+        (dict(probes=((0, "x", 1),)), "germ.probes[0]: expected a finite number, got 'x'"),
+        (dict(mode="fuzzy"), "germ.mode: mode must be 'exact' or 'float'"),
+        (dict(order=10**5000),
+         "germ.order: order must be an integer in 1..20, got an integer past "
+         + germ_io._digit_limit_text()),
+    ], ids=["two-components", "int-component", "same-variables", "variables-string",
+            "short-probe", "short-pair", "non-numeric-probe", "mode", "huge-order"])
+    def test_malformed_field_is_refused_at_construction(self, fields, error):
+        if "integer past" in error and not germ_io.digit_limit():
+            pytest.skip("no int/str digit limit: the order's repr is echoed")
+        given = dict(dict(variables=self.VARIABLES, components=self.COMPONENTS, order=6,
+                          mode=EXACT), **fields)
+        with pytest.raises(SchemaError) as exc:
+            GermSpec(**given)
+        assert str(exc.value) == error
+        assert exc.value.field == error.split(":")[0]
+
+    def test_code_and_file_meet_the_same_rules(self):
+        # each malformed document gives the file reader's message, whether
+        # read from a dict or built in code from the same values
+        good = dict(variables=["u", "v"], components=list(self.COMPONENTS), order=6,
+                    mode=EXACT)
+        for key, value in [("variables", ["u", "1v"]), ("components", "u"),
+                           ("order", 0), ("order", 21), ("order", True), ("order", 6.0),
+                           ("mode", None), ("probes", {}), ("probes", [[0, 1, None]]),
+                           ("theta_lambda", [[0.5, "inf"]])]:
+            doc = dict(good, **{key: value})
+            with pytest.raises(SchemaError) as from_file:
+                germ_spec_from_dict(doc)
+            with pytest.raises(SchemaError) as from_code:
+                GermSpec(**doc)
+            assert str(from_code.value) == str(from_file.value)
+            assert from_file.value.field.startswith("germ." + key)
+
+    def test_probes_are_held_in_the_spec_mode(self):
+        spec = GermSpec(self.VARIABLES, self.COMPONENTS, 6, EXACT,
+                        [[0, 0.1, Fraction(1, 3)]], [[Fraction(1, 2), 2]])
+        assert spec.probes == ((Fraction(0), Fraction(1, 10), Fraction(1, 3)),)
+        assert all(type(x) is Fraction for x in spec.probes[0])
+        assert spec.theta_lambda == ((0.5, 2.0),)
+        assert all(type(x) is float for x in spec.theta_lambda[0])
+        floats = GermSpec(self.VARIABLES, self.COMPONENTS, 6, FLOAT, [["1/4", 1, 0.5]])
+        assert floats.probes == ((0.25, 1.0, 0.5),)
+        assert all(type(x) is float for x in floats.probes[0])
+
+    # ill-typed values a caller might pass for any field: None, bools, ints,
+    # non-finite floats, strings and dicts
+    _JUNK = (st.none() | st.booleans() | st.integers(-3, 25)
+             | st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2.0])
+             | st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(),
+                                                     max_size=2))
+    _NUMBER = (st.integers(-4, 4) | st.fractions(max_denominator=5)
+               | st.floats(-3, 3, allow_subnormal=False) | st.sampled_from(["1/2", "-0.75"]))
+
+    @staticmethod
+    def _sequence(element, size, max_size=None):
+        """A list or tuple of ``size`` elements, or of up to ``max_size``."""
+        lists = st.lists(element, min_size=size, max_size=size if max_size is None else max_size)
+        return lists.flatmap(lambda items: st.sampled_from([items, tuple(items)]))
+
+    @classmethod
+    def _fields(cls):
+        """Well-typed fields, at most two of them replaced by an ill-typed
+        value: junk, a sequence of the wrong length, or one with a junk or
+        otherwise malformed entry."""
+        number, junk, seq = cls._NUMBER, cls._JUNK, cls._sequence
+        entry = number | junk | st.sampled_from(["1e400", "nan", "x", math.nan, math.inf])
+        good = {
+            "variables": seq(st.just("u"), 1).map(lambda s: type(s)(("u", "v"))),
+            "components": seq(st.sampled_from(["u", "v^2"]), 2).flatmap(lambda s: st.sampled_from(
+                ["v^3 + u^2*v", "u^2*v + v^5", "u*v", "v^4", "u^3 + v^3"]).map(
+                lambda z: type(s)(("u", "v^2", z)))),
+            "order": st.integers(1, 20),
+            "mode": st.sampled_from([EXACT, FLOAT]),
+            "probes": seq(seq(number, 3), 0, 2),
+            "theta_lambda": seq(seq(number, 2), 0, 2),
+        }
+        bad = {
+            "variables": seq(st.sampled_from(["u", "v", "x1", "1a", "\u00fc", "", "u_"]), 0, 3),
+            "components": seq(st.sampled_from(
+                ["u", "v^2", "u + 1", "v^2 +", "w", "0", "u^2", "u*v"]) | junk, 0, 4),
+            "order": st.integers(-2, 22) | st.floats(0, 21),
+            "mode": st.sampled_from(["Exact", "complex", ""]),
+            "probes": seq(seq(entry, 0, 4), 1, 2),
+            "theta_lambda": seq(seq(entry, 0, 3), 1, 2),
+        }
+        return st.lists(st.sampled_from(sorted(good)), max_size=2, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({
+                key: (bad[key] | junk) if key in keys else good[key] for key in good}))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_no_spec_ends_in_a_traceback(self, data):
+        fields = data.draw(self._fields())
+        try:
+            spec = GermSpec(**fields)
+        except GermforgeError:
+            return
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert hash(GermSpec(*[list(f) if isinstance(f, tuple) else f
+                               for f in spec._values()])) == hash(spec)
+        try:
+            outcome = classify_spec(spec)
+        except GermforgeError:
+            return
+        for section in (lambda: base_report(spec, outcome), lambda: focal_section(outcome),
+                        lambda: distance_section(outcome, spec)):
+            try:
+                section()
+            except GermforgeError:
+                pass
 
 
 class TestReports:

@@ -73,6 +73,25 @@ class TestMul:
         assert one_plus_u * series == Jet2.const(1, 2)
 
 
+class TestBoolIsNoOrder:
+    """A bool is an int to isinstance, but neither a jet order nor an
+    exponent: the rule of germ_io.check_order and of classify_spec's k_max."""
+
+    @pytest.mark.parametrize("order", [True, False])
+    def test_jet_order(self, order):
+        with pytest.raises(UsageError, match="jet order must be a nonnegative integer"):
+            Jet2(order, {(1, 0): 1})
+
+    @pytest.mark.parametrize("n", [True, False])
+    def test_jet_exponent(self, n):
+        with pytest.raises(UsageError, match="jet exponent must be a nonnegative integer"):
+            (U + V) ** n
+
+    def test_parse_order(self):
+        with pytest.raises(UsageError, match="jet order must be a nonnegative integer"):
+            parse_polynomial("u+v", order=True)
+
+
 class TestPow:
     def test_products_stop_at_the_last_bit(self, monkeypatch):
         # popcount(n) - 1 products into the result, one square per bit above

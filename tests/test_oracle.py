@@ -1127,12 +1127,12 @@ class TestFullRankStop:
         family = [{(0, 1): 1}, {(0, 2): 1}, {(0, 3): 1}]
         jets = [Jet2(5, {k: Fraction(c) for k, c in fam.items()}) for fam in family]
         f_jet = Jet2(6, {k: Fraction(c) for k, c in f.items()})
-        assert oracle.integer_versality(f, family, R_PLUS, 5)
+        assert oracle.integer_versality(f, family, (R_PLUS,), 5) == (True,)
         assert ref_versality_rank_oracle(jets, f_jet, R_PLUS, 5)
-        _, calls = with_rows(oracle.integer_versality, f, family[:2], R_PLUS, 5)
+        _, calls = with_rows(oracle.integer_versality, f, family[:2], (R_PLUS,), 5)
         (shared, _), (rows, columns) = calls
         assert rows[:len(shared)] == shared and rows[len(shared):] == [{0: 1}]
         assert len(rows) > columns == 21 and dense_rank(rows, columns) == 20
-        assert not oracle.integer_versality(f, family[:2], R_PLUS, 5)
+        assert oracle.integer_versality(f, family[:2], (R_PLUS,), 5) == (False,)
         assert not ref_versality_rank_oracle(jets[:2], f_jet, R_PLUS, 5)
 

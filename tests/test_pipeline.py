@@ -7,7 +7,7 @@ import pytest
 
 from germforge import distance, normal_form, pipeline
 from germforge.blowup import BLOWUP_EXPONENT
-from germforge.errors import UnsupportedGermError, UsageError
+from germforge.errors import SchemaError, UnsupportedGermError, UsageError
 from germforge.germ_io import GermSpec, germ_spec_from_dict, read_germ_spec
 from germforge.jets import Jet2, cleared
 from germforge.mond import MondTag
@@ -177,17 +177,18 @@ class TestClassifySpec:
 
 
 class TestClassifySpecInputRules:
-    """classify_spec refuses what the CLI refuses, before the working order
-    reads the values; the README germ is S1+ at every valid input."""
+    """A spec refuses the orders the CLI refuses, and classify_spec the k_max,
+    before the working order reads them; the README germ is S1+ at every
+    valid input."""
 
     COMPONENTS = ("u", "v^2", "v^3 + u^2*v")
 
     @pytest.mark.parametrize("order", [0, -3, 3.5, True, 21])
     def test_order_outside_one_to_twenty(self, order):
-        spec = GermSpec(("u", "v"), self.COMPONENTS, order, "exact")
-        with pytest.raises(UsageError) as exc:
-            classify_spec(spec)
-        assert str(exc.value) == "germ order must be an integer in 1..20, got %r" % (order,)
+        with pytest.raises(SchemaError) as exc:
+            GermSpec(("u", "v"), self.COMPONENTS, order, "exact")
+        assert str(exc.value) == (
+            "germ.order: order must be an integer in 1..20, got %r" % (order,))
 
     @pytest.mark.parametrize("k_max", [0, -1, 2.5, True])
     def test_k_max_below_one_or_not_an_integer(self, k_max):

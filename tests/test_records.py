@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from germforge import germ_io
 from germforge.blowup import BlowupContext, FrontType, FrontVerdict, PointType, RidgeReport
 from germforge.closed_forms import CrosscheckEntry
 from germforge.distance import (
@@ -27,6 +28,7 @@ from germforge.distance import (
     GeometricVerdict,
     ProbePoint,
 )
+from germforge.errors import SchemaError
 from germforge.front import Mesh, WavefrontSpec
 from germforge.germ_io import GermSpec
 from germforge.jets import EXACT, FLOAT, Jet2
@@ -77,7 +79,8 @@ RECORDS = [
     (GermSpec, True,
      [("variables", REQUIRED), ("components", REQUIRED), ("order", REQUIRED),
       ("mode", REQUIRED), ("probes", ()), ("theta_lambda", ())],
-     (("u", "v"), ("u", "v^2", "v^3"), 6, EXACT, ((0, 1, 2),), ((0.5, 1.0),))),
+     (("u", "v"), ("u", "v^2", "v^3"), 6, EXACT,
+      ((Fraction(0), Fraction(1), Fraction(2)),), ((0.5, 1.0),))),
     (MondClass, True,
      [("tag", REQUIRED), ("k", None), ("sign", None), ("reason", None)],
      (MondTag.INDETERMINATE, None, None, "corank 2 at the origin")),
@@ -165,6 +168,33 @@ def test_record_keeps_its_dataclass_semantics(cls, frozen, fields, values):
         for name, default in fields:
             if default in (list, dict):
                 assert getattr(first, name) is not getattr(second, name)
+
+
+class TestGermSpecValue:
+    """A GermSpec holds each field as a tuple, whatever sequence built it,
+    and a copy or pickle rebuilds it through its checks."""
+
+    FIELDS = (("u", "v"), ("u", "v^2", "v^3"), 6, EXACT, ((0, "1/2", 2),), ((0.5, 1),))
+
+    def test_spec_from_lists_equals_and_hashes_like_one_from_tuples(self):
+        as_lists = [list(f) if isinstance(f, tuple) else f for f in self.FIELDS]
+        as_lists[4] = [list(p) for p in as_lists[4]]
+        as_lists[5] = [list(p) for p in as_lists[5]]
+        from_lists, from_tuples = GermSpec(*as_lists), GermSpec(*self.FIELDS)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert all(type(f) is tuple for f in (from_lists.variables, from_lists.components,
+                                              from_lists.probes, from_lists.theta_lambda))
+        assert from_lists.probes == ((Fraction(0), Fraction(1, 2), Fraction(2)),)
+        assert from_lists.theta_lambda == ((0.5, 1.0),)
+
+    def test_pickle_reruns_the_checks(self, monkeypatch):
+        spec = GermSpec(*self.FIELDS)
+        data = pickle.dumps(spec)
+        assert pickle.loads(data) == spec
+        # under a lower order cap the same bytes no longer make a spec
+        monkeypatch.setattr(germ_io, "MAX_ORDER", 5)
+        with pytest.raises(SchemaError, match="order must be an integer in 1..5, got 6"):
+            pickle.loads(data)
 
 
 class TestValueSemanticsLiveInRecords:
