@@ -1,14 +1,15 @@
 import functools
-import importlib.util
+import itertools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import germ_source
 from germforge import germ_io, pipeline
+from germforge.distance import ProbePoint
 from germforge.errors import ParseError, UsageError
 from germforge.jets import EXACT, GermJets, Jet2, scalar
 from germforge.normal_form import NormalFormCoeffs
@@ -129,12 +130,18 @@ def sum_distance_jet(nf, p, order):
             + Jet2.const(half_p_sq, order, nf.mode))
 
 
-def load_perfbench_corpus():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def prenormal_configs(rng, count):
+    """``count`` (exact normal form, probe) pairs on pre-normal forms of the
+    gallery labels in turn, every second form tuned to reach case 4a; order
+    7 holds B3's v^7 term."""
+    configs = []
+    for idx in itertools.count():
+        label = germ_source.GALLERY[idx % len(germ_source.GALLERY)]
+        g, probes, _ = germ_source.prenormal(rng, label, idx % 2 == 1)
+        nf = make_nf(order=7, a=g.a, b=g.b)
+        configs += [(nf, ProbePoint(*p)) for p in probes]
+        if len(configs) >= count:
+            return configs[:count]
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,10 +152,9 @@ def analysis_forms(seeds=tuple(range(1, 11))):
     Cached for the session: a form keeps the last probe its rank test read
     (``NormalFormCoeffs._probe_slot``), so a test that counts the calls the
     rank test makes builds fresh forms (``analysis_forms.__wrapped__``)."""
-    corpus = load_perfbench_corpus()
     forms = []
     for seed in seeds:
-        for entry in corpus.analysis_corpus(seed):
+        for entry in germ_source.corpus.analysis_corpus(seed):
             spec = germ_io.germ_spec_from_dict(entry["doc"])
             forms.append((pipeline.classify_spec(spec).nf, tuple(spec.probes)))
     return forms

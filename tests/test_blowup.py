@@ -28,6 +28,7 @@ from germforge.errors import InternalConsistencyError, PrincipalNormalDirectionE
 from germforge.jets import FLOAT, Jet2
 from germforge.mond import MondClass, MondTag
 
+import germ_source
 from conftest import (
     GEOMETRY_GERMS,
     classified_ctx,
@@ -60,23 +61,17 @@ def nf_n2():
     )
 
 
-def random_geometry_nf(rng, n):
-    """Random float normal form admissible for blow-up exponent n."""
-    a = {
-        (n + 1, 1): rng.uniform(0.5, 2.0) * rng.choice([-1, 1]),
-        (2, 0): rng.uniform(-1, 1),
-        (3, 0): rng.uniform(-1, 1),
-        (4, 0): rng.uniform(-1, 1),
-        (1, 2): rng.uniform(-1, 1),
-        (2, 2): rng.uniform(-1, 1),
-    }
-    if n + 2 <= 5:
-        a[(n + 2, 1)] = rng.uniform(-1, 1)
-    a[(n + 3, 1)] = rng.uniform(-1, 1)
-    if n == 1:
-        a[(0, 3)] = rng.uniform(-1, 1)
-    b = {2: rng.uniform(-1, 1), 3: rng.uniform(-1, 1), 4: rng.uniform(-1, 1)}
-    return make_nf(order=n + 4, mode=FLOAT, a=a, b=b)
+@pytest.fixture
+def rng():
+    """The seeded source of this module's random forms (``dense_ctx``)."""
+    return germ_source.draw("blowup")
+
+
+def dense_ctx(rng, n):
+    """The blow-up context, exponent n, of a float order-(n + 4) normal form
+    with every coefficient that exponent admits nonzero."""
+    a, b = germ_source.dense_form(rng, n + 4, n)
+    return BlowupContext(make_nf(order=n + 4, mode=FLOAT, a=a, b=b), n)
 
 
 def lifted_series(ctx, thetas):
@@ -195,7 +190,7 @@ class TestColumnPipeline:
     @staticmethod
     def contexts(rng):
         ctxs = [classified_ctx(GEOMETRY_GERMS[label])[1] for label in sorted(GEOMETRY_GERMS)]
-        return ctxs + [BlowupContext(random_geometry_nf(rng, 3), 3)]
+        return ctxs + [dense_ctx(rng, 3)]
 
     def test_grid_equals_one_theta_bit_for_bit(self, rng):
         thetas = theta_grid(128)[:-1]  # every node but pi/2
@@ -392,7 +387,7 @@ class TestExtendedNormal:
     def test_unit_length_through_depth_two(self, rng):
         for n in (1, 2):
             for _ in range(10):
-                ctx = BlowupContext(random_geometry_nf(rng, n), n)
+                ctx = dense_ctx(rng, n)
                 # the forms, and the normal, exist at pi/2 too
                 cols = build_series(ctx, theta_grid(64))
                 for idx in range(64):
@@ -437,7 +432,7 @@ class TestFormsAndCurvature:
 
     def test_xi10_closed_form(self, rng):
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             thetas = (-1.1, -0.3, 0.2, 0.9)
             for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
                 assert cs.xi10 == pytest.approx(-ctx.a_lead / ctx.ma(theta))
@@ -445,7 +440,7 @@ class TestFormsAndCurvature:
     def test_eta10_closed_form(self, rng):
         # eta10 = -((n+2)! a12 sin + a_{n+2,1} cos) cos sin / ((n+2) ma)
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             nf = ctx.nf
             thetas = (-0.7, 0.4)
             for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
@@ -470,7 +465,7 @@ class TestFormsAndCurvature:
         # k10 = L0, K0 = k10 k20, K1 = k10 k21 + k11 k20 on random germs
         for n in (1, 2):
             for _ in range(5):
-                ctx = BlowupContext(random_geometry_nf(rng, n), n)
+                ctx = dense_ctx(rng, n)
                 thetas = [t for t in theta_grid(16) if abs(math.cos(t)) >= 0.05]
                 cols = series_columns(ctx, thetas)
                 for idx in range(len(thetas)):
@@ -484,7 +479,7 @@ class TestFormsAndCurvature:
     def test_k12_identity(self, rng):
         # k12 = -E2 L0 + L2 - eps M0^2 / N0
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             cols = series_columns(ctx, [0.5, -0.8])
             for idx in range(2):
                 q = series_at(cols, idx)
@@ -499,12 +494,12 @@ class TestRawSeriesOracle:
     def test_series_match_raw_fits(self, rng):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             thetas = (0.5, -0.9)
             cols = series_columns(ctx, thetas)
             for idx, theta in enumerate(thetas):
                 one = series_at(cols, idx)
-                vander = np.vander(rs, 4, increasing=True)
+                vander = np.vander(rs, 6, increasing=True)
                 raws = [raw_geometry(ctx, r, theta) for r in rs]
                 for key, vals, series in (
                     ("n2", [q["normal"][1] for q in raws], one["n2"]),
@@ -522,7 +517,7 @@ class TestRawSeriesOracle:
 class TestRidge:
     def test_theta_zero_trivia(self, rng):
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             nf = ctx.nf
             assert ridge_report(ctx, 0.0).delta1 == pytest.approx(ctx.a_lead * nf.b_(3))
             assert ridge_report(ctx, 0.0).delta3 == pytest.approx(nf.a_(2, 0) * ctx.a_lead)
@@ -557,7 +552,7 @@ class TestRidge:
     def test_delta1_zero_count(self, rng):
         # nonzero linear form in (cos, sin): at most one zero mod pi
         for _ in range(5):
-            ctx = BlowupContext(random_geometry_nf(rng, 1), 1)
+            ctx = dense_ctx(rng, 1)
             zeros = 0
             grid = theta_grid(512)
             vals = [ridge_report(ctx, t).delta1 for t in grid]
@@ -625,7 +620,7 @@ class TestCrosscheck:
             "n21", "n31", "L1", "M1", "N1", "N2", "K0", "k11", "k20")
         thetas = [math.pi / 6, math.pi / 4, math.pi / 3]
         for n in range(1, 9):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             entries = crosscheck_closed_forms(ctx, thetas)
             assert len(entries) == len(CROSSCHECK_SYMBOLS) * len(thetas)
             for e in entries:
@@ -701,7 +696,7 @@ class TestDirectionalDerivativeIdentities:
     def test_first_derivative_is_delta1(self, rng):
         for n in (1, 2):
             for _ in range(3):
-                ctx = BlowupContext(random_geometry_nf(rng, n), n)
+                ctx = dense_ctx(rng, n)
                 a, ma = ctx.a_lead, ctx.ma
                 for theta in (-0.9, -0.2, 0.5, 1.1):
                     got = self._v1_k1(ctx, theta)
@@ -711,7 +706,7 @@ class TestDirectionalDerivativeIdentities:
     def test_second_derivative_is_delta2_at_ridges(self, rng):
         for n in (1, 2):
             for _ in range(3):
-                ctx = BlowupContext(random_geometry_nf(rng, n), n)
+                ctx = dense_ctx(rng, n)
                 nf, a, m = ctx.nf, ctx.a_lead, ctx.fact
                 theta = math.atan(a * nf.b_(3) / (m * nf.a_(3, 0)))
                 rr = ridge_report(ctx, theta)
@@ -725,7 +720,7 @@ class TestDirectionalDerivativeIdentities:
 
     def test_unbounded_direction_derivative_is_minus_delta3_squared(self, rng):
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             a, m = ctx.a_lead, ctx.fact
             for theta in (-0.7, 0.2, 0.9):
                 stencil = self._stencil(ctx, theta)
@@ -757,11 +752,11 @@ class TestLiftedDirectionRawFits:
     def test_lift_coefficients_match_raw(self, rng):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
-            ctx = BlowupContext(random_geometry_nf(rng, n), n)
+            ctx = dense_ctx(rng, n)
             theta = 0.6
             c, s = math.cos(theta), math.sin(theta)
             cs = lifted_series(ctx, [theta])[0]
-            vander = np.vander(rs, 4, increasing=True)
+            vander = np.vander(rs, 6, increasing=True)
 
             def fit(fn):
                 vals = np.array([fn(r) for r in rs])

@@ -1,5 +1,4 @@
 import math
-import random
 import re
 from fractions import Fraction
 
@@ -26,10 +25,12 @@ from germforge.jets import EXACT, FLOAT, Jet2
 from germforge.normal_form import NormalFormCoeffs
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
+import germ_source
 from conftest import (
     analysis_forms,
     jets_close,
     make_nf,
+    prenormal_configs,
     rand_fraction,
     ref_distance_jet,
     sum_distance_jet,
@@ -63,14 +64,6 @@ class TestDistanceJet:
         assert d.coeff(0, 0) == (y0 * y0 + z0 * z0) / 2
         assert d.coeff(2, 0) == -Fraction(1, 2) * (2 * y0 + 3 * z0 - 1)
         assert d.coeff(0, 2) == -Fraction(1, 2) * y0
-
-
-def _random_form(rng, keys):
-    """An order-6 form with random a_ij at ``keys`` and random b_2, b_3, and
-    a random probe on its normal plane, drawn in that order."""
-    a = {key: rand_fraction(rng) for key in keys}
-    nf = make_nf(order=6, a=a, b={2: rand_fraction(rng), 3: rand_fraction(rng)})
-    return nf, probe(0, rand_fraction(rng), rand_fraction(rng))
 
 
 def _probe_kinds(rng, mode):
@@ -114,10 +107,10 @@ class TestDistanceBase:
     products are made anew for every probe."""
 
     def test_exact_equals_reference(self):
-        rng = random.Random(29)
+        rng = germ_source.draw("distance exact")
         seen = {"origin": 0, "singular": 0, "regular": 0}
         for idx in range(1000):
-            nf = _random_full_nf(rng, 8)
+            nf = make_nf(8, EXACT, *germ_source.dense_form(rng, 8))
             kind = ("origin", "singular", "regular", "regular")[idx % 4]
             x0, y0, z0 = (rand_fraction(rng, 40, 60) for _ in range(3))
             if kind == "origin":
@@ -145,9 +138,9 @@ class TestDistanceBase:
         assert probes >= 1000
 
     def test_float_within_1e12_of_reference(self):
-        rng = random.Random(31)
+        rng = germ_source.draw("distance float")
         for idx in range(120):
-            nf = _random_full_nf(rng, 8, FLOAT)
+            nf = make_nf(8, FLOAT, *germ_source.dense_form(rng, 8))
             p = _probe_kinds(rng, FLOAT)[idx % 3]
             for order in (6, 8):
                 got, want = distance_jet(nf, p, order), ref_distance_jet(nf, p, order)
@@ -155,9 +148,9 @@ class TestDistanceBase:
                 assert jets_close(got, want, 1e-12), (idx, order)
 
     def test_float_bits_equal_the_jet_sums(self):
-        rng = random.Random(53)
+        rng = germ_source.draw("distance float bits")
         forms = [nf.to_float() for nf, _ in analysis_forms()[::8]]
-        forms += [_random_full_nf(rng, 8, FLOAT) for _ in range(120)]
+        forms += [make_nf(8, FLOAT, *germ_source.dense_form(rng, 8)) for _ in range(120)]
         for idx, nf in enumerate(forms):
             for p in _probe_kinds(rng, FLOAT):
                 for order in (3, 6, 8):
@@ -173,7 +166,7 @@ class TestDistanceBase:
             distance_jet(nf, ProbePoint(0.0, 1e200, 1e200), 4)
 
     def test_cache_keyed_by_order_and_mode(self):
-        nf = _random_full_nf(random.Random(37), 8)
+        nf = make_nf(8, EXACT, *germ_source.dense_form(germ_source.draw("distance cache"), 8))
         base6, base8 = nf.distance_base(6), nf.distance_base(8)
         assert nf.distance_base(6) is base6 and nf.distance_base(8) is base8
         for order, (rows, _) in ((6, base6), (8, base8)):
@@ -190,7 +183,7 @@ class TestDistanceBase:
                 assert abs(float(Fraction(c, den)) - fc) <= 1e-12 * max(1.0, abs(fc)), key
 
     def test_base_columns_are_the_components(self):
-        nf = _random_full_nf(random.Random(38), 8)
+        nf = make_nf(8, EXACT, *germ_source.dense_form(germ_source.draw("distance base"), 8))
         rows, den = nf.distance_base(8)
         u = Jet2.variable("u", 8)
         y, z = nf.second_component(8), nf.third_component(8)
@@ -200,7 +193,7 @@ class TestDistanceBase:
             assert got == jet.coeffs, col
 
     def test_equality_and_hash_unchanged_by_the_caches(self):
-        nf = _random_full_nf(random.Random(41), 8)
+        nf = make_nf(8, EXACT, *germ_source.dense_form(germ_source.draw("distance hash"), 8))
         twin = NormalFormCoeffs(nf.order, nf.mode, dict(nf.a), dict(nf.b))
         before = (_hash_or_error(nf), repr(nf))
         nf.distance_base(6)
@@ -210,19 +203,19 @@ class TestDistanceBase:
         assert (_hash_or_error(nf), repr(nf)) == before == (_hash_or_error(twin), repr(twin))
 
     def test_zero_test_scale_is_the_per_call_scale(self):
-        rng = random.Random(43)
+        rng = germ_source.draw("distance zero scale")
         for idx in range(60):
             mode = (EXACT, FLOAT)[idx % 2]
-            nf = _random_full_nf(rng, 6, mode)
+            nf = make_nf(6, mode, *germ_source.dense_form(rng, 6))
             for p in _probe_kinds(rng, mode) + [None]:
                 scale = nf.distance_scale if p is None else max(nf.distance_scale, p.scale())
                 assert scale == ref_zero_test_scale(nf, p)
 
     def test_only_float_forms_build_their_sizes(self):
-        rng = random.Random(47)
+        rng = germ_source.draw("distance sizes")
         for idx in range(40):
             mode = (EXACT, FLOAT)[idx % 2]
-            nf = _random_full_nf(rng, 6, mode)
+            nf = make_nf(6, mode, *germ_source.dense_form(rng, 6))
             for p in _probe_kinds(rng, mode):
                 classify_distance(nf, p)
             focal_locus(nf)
@@ -281,18 +274,16 @@ class TestClassifyDistance:
         assert v.case == "3a"
         assert v.r_plus_versal and not v.k_versal
 
-    def test_oracle_agreement_random(self, rng):
-        for _ in range(60):
-            nf, p = _random_form(rng, [(2, 0), (2, 1), (0, 3), (3, 0), (1, 2), (0, 4)])
+    def test_oracle_agreement_random(self):
+        for nf, p in prenormal_configs(germ_source.draw("oracle agreement"), 60):
             v = classify_distance(nf, p)
             t = split_and_type(distance_jet(nf, p, 6), 6)
             assert agrees_with_oracle(v.sing_type, t), (v.sing_type, t.label)
 
 
 class TestVersalityDual:
-    def test_rank_test_matches_closed_forms(self, rng):
-        for _ in range(40):
-            nf, p = _random_form(rng, [(2, 0), (2, 1), (0, 3), (3, 0), (1, 2)])
+    def test_rank_test_matches_closed_forms(self):
+        for nf, p in prenormal_configs(germ_source.draw("rank test"), 40):
             v = classify_distance(nf, p)
             assert versality_rank_test(nf, p, R_PLUS) == v.r_plus_versal
             assert versality_rank_test(nf, p, K_EQUIV) == v.k_versal
@@ -504,33 +495,11 @@ def ref_split_residual_u(nf, p, order=6):
     return {i: d.coeff(i, 0) for i in range(3, order + 1)}
 
 
-def _random_full_nf(rng, order, mode="exact"):
-    a = {(i, d - i): rand_fraction(rng)
-         for d in range(3, order + 1) for i in range(d + 1) if rng.random() < 0.6}
-    a[(2, 0)] = rand_fraction(rng)
-    b = {i: rand_fraction(rng) for i in range(2, order + 1) if rng.random() < 0.6}
-    return make_nf(order, mode, a, b)
-
-
-def _case_4a_float_nf(rng, order=8):
-    """Float normal form and probe with pw = t3 = C4 = 0 (case 4a) by construction."""
-    nf = _random_full_nf(rng, order, FLOAT)
-    y0 = float(rand_fraction(rng, 3, 2, nonzero=True))
-    z0 = float(rand_fraction(rng, 3, 2))
-    a, b = dict(nf.a), dict(nf.b)
-    a20, a30, a40, a21 = (nf.a_(i, j) for i, j in ((2, 0), (3, 0), (4, 0), (2, 1)))
-    b[2] = (1 - a20 * z0) / y0
-    b[3] = -a30 * z0 / y0
-    b[4] = -(a40 * y0 * z0 - 3 * a21**2 * z0**2 - 3 * (a20**2 + b[2] ** 2) * y0) / y0**2
-    b = {i: c for i, c in b.items() if c}
-    return make_nf(order, FLOAT, a, b), ProbePoint(0.0, y0, z0)
-
-
 class TestResidualKernelMatchesReference:
     def test_exact_residual_dicts_equal(self):
-        rng = random.Random(5)
+        rng = germ_source.draw("residual kernel")
         for _ in range(150):
-            nf = _random_full_nf(rng, 8)
+            nf = make_nf(8, EXACT, *germ_source.dense_form(rng, 8))
             p = probe(0, rand_fraction(rng, nonzero=True), rand_fraction(rng))
             for order in (6, 7, 8):
                 got = distance._split_residual_u(nf, p, order)
@@ -538,15 +507,18 @@ class TestResidualKernelMatchesReference:
                 assert all(isinstance(c, Fraction) for c in got.values())
 
     def test_float_quintic_and_4a_verdict(self, monkeypatch):
-        rng = random.Random(8)
-        verdicts = []
-        for _ in range(40):
-            nf, p = _case_4a_float_nf(rng)
-            verdicts.append(classify_distance(nf, p))
+        # float pre-normal forms at their tuned focal/cubic-line intersection;
+        # each verdict reads a fresh form, since a form keeps its last probe's
+        rng = germ_source.draw("case 4a")
+        cases = []
+        for idx in range(40):
+            label = germ_source.GALLERY[idx % len(germ_source.GALLERY)]
+            g, probes, _ = germ_source.prenormal(rng, label, tune=True, order=8)
+            cases.append((g.a, g.b, ProbePoint(*map(float, probes[2]))))
+        verdicts = [classify_distance(make_nf(8, FLOAT, a, b), p) for a, b, p in cases]
         with monkeypatch.context() as m:
             m.setattr(distance, "_split_residual_u", ref_split_residual_u)
-            ref_verdicts = [classify_distance(nf, p) for nf, p in
-                            (_case_4a_float_nf(r) for r in [random.Random(8)] * 40)]
+            ref_verdicts = [classify_distance(make_nf(8, FLOAT, a, b), p) for a, b, p in cases]
         for got, want in zip(verdicts, ref_verdicts):
             assert got.case == want.case == "4a"
             assert (got.sing_type, got.r_plus_versal, got.k_versal) == (

@@ -18,6 +18,7 @@ from germforge.mond import (
 )
 from germforge.normal_form import reduce_to_normal_form
 
+import germ_source
 from conftest import germ_from_strings, make_nf, rand_fraction, shifted_a1
 
 
@@ -263,7 +264,8 @@ class TestIncrementalShiftConstants:
 
 
 class TestConjugationStability:
-    def test_random_conjugation_preserves_class(self, rng):
+    def test_random_conjugation_preserves_class(self):
+        rng = germ_source.draw("conjugation")
         base_cases = [
             (["u", "v^2", "u^2*v + v^3"], 5, MondTag.S, 1),
             (["u", "v^2", "u^2*v + v^5"], 6, MondTag.B, 2),
@@ -273,54 +275,16 @@ class TestConjugationStability:
         for comps, order, tag, k in base_cases:
             g = germ_from_strings(comps, order).to_float()
             for _ in range(4):
-                conj = _random_conjugate(rng, g)
+                # R o g o phi for a rational source change phi and target R
+                x, y, matrix = germ_source.conjugation(rng)
+                phi = [Jet2(order, {key: float(c) for key, c in poly.items()}, FLOAT)
+                       for poly in (x, y)]
+                conj = g.substitute(*phi).rotate([[float(c) for c in row] for row in matrix])
                 nf, _ = reduce_to_normal_form(conj)
                 res = classify(nf)
                 assert res.mond.tag is tag, (comps, res.mond)
                 if k is not None:
                     assert res.mond.k == k
-
-
-def _random_conjugate(rng, g):
-    """R o g o phi for a random small source diffeo and target rotation."""
-    import math
-
-    order = g.order
-    u = Jet2.variable("u", order, FLOAT)
-    v = Jet2.variable("v", order, FLOAT)
-    # source: unit-Jacobian polynomial jets
-    theta = rng.uniform(0, 2 * math.pi)
-    cu, su = math.cos(theta), math.sin(theta)
-    u_new = u * cu - v * su
-    v_new = u * su + v * cu
-    for _ in range(2):
-        i, j = rng.randint(0, 2), rng.randint(0, 2)
-        if 2 <= i + j <= 3:
-            u_new = u_new + Jet2(order, {(i, j): rng.uniform(-0.4, 0.4)}, FLOAT)
-            v_new = v_new + Jet2(order, {(j, i): rng.uniform(-0.4, 0.4)}, FLOAT)
-    conj = g.substitute(u_new, v_new)
-    # target: random rotation from three elementary angles
-    rot = _random_rotation(rng)
-    return conj.rotate(rot)
-
-
-def _random_rotation(rng):
-    import math
-
-    def rx(t):
-        return [[1, 0, 0], [0, math.cos(t), -math.sin(t)], [0, math.sin(t), math.cos(t)]]
-
-    def rz(t):
-        return [[math.cos(t), -math.sin(t), 0], [math.sin(t), math.cos(t), 0], [0, 0, 1]]
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    m = matmul(rx(rng.uniform(0, 6.28)), rz(rng.uniform(0, 6.28)))
-    return matmul(m, rx(rng.uniform(0, 6.28)))
 
 
 def _family_spec(k, a, s, t, mode):

@@ -21,7 +21,8 @@ from germforge.pipeline import (
     working_order,
 )
 
-from conftest import GEOMETRY_GERMS, germ_from_strings, load_perfbench_corpus, ref_distance_jet
+import germ_source
+from conftest import GEOMETRY_GERMS, germ_from_strings, ref_distance_jet
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -217,7 +218,7 @@ def test_outcomes_survive_deepcopy_and_pickle():
     # every tests/data germ and the benchmark's classify corpus at seed 1
     outcomes = [(path.name, classify_spec(read_germ_spec(path)))
                 for path in sorted(DATA.glob("*_germ.json"))]
-    for idx, entry in enumerate(load_perfbench_corpus().classify_corpus(1)):
+    for idx, entry in enumerate(germ_source.corpus.classify_corpus(1)):
         outcomes.append(("classify-1-%d" % idx, classify_spec(germ_spec_from_dict(entry["doc"]))))
     assert len(outcomes) == 6 + 384
     assert [name for name, outcome in outcomes if not _survives(outcome)] == []
