@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -131,15 +130,26 @@ def sum_distance_jet(nf, p, order):
 
 
 def prenormal_configs(rng, count):
-    """``count`` (exact normal form, probe) pairs on pre-normal forms of the
-    gallery labels in turn, every second form tuned to reach case 4a; order
-    7 holds B3's v^7 term."""
+    """``count`` (exact normal form, probe) pairs on ``germ_source``'s gallery
+    draws: each form at its five probes, then three twins of it: the
+    inflection (a20 = 0, b2 = a20 where b2 was 0) on its focal line y = 1/b2,
+    the degenerate inflection (a20 = b2 = 0) on its principal normal, and
+    the form of no class (every a_i1 = 0) with a30 = 0, or b3 = 0 in one
+    draw of two, at the focal-line probe.  Order 7 holds B3's v^7 term."""
     configs = []
-    for idx in itertools.count():
-        label = germ_source.GALLERY[idx % len(germ_source.GALLERY)]
-        g, probes, _ = germ_source.prenormal(rng, label, idx % 2 == 1)
-        nf = make_nf(order=7, a=g.a, b=g.b)
-        configs += [(nf, ProbePoint(*p)) for p in probes]
+    for _, g, probes, _ in germ_source.gallery_draws(rng):
+        configs += [(make_nf(7, a=g.a, b=g.b), ProbePoint(*p)) for p in probes]
+        b2 = g.B(2) or g.A(2, 0)
+        inflection = {**g.a, (2, 0): 0}
+        configs.append((make_nf(7, a=inflection, b={**g.b, 2: b2}),
+                        ProbePoint(0, 1 / b2, rand_fraction(rng))))
+        configs.append((make_nf(7, a=inflection, b={**g.b, 2: 0}),
+                        ProbePoint(0, 0, rand_fraction(rng))))
+        no_class = {key: c for key, c in g.a.items() if key[1] != 1}
+        if rng.random() < 0.5:
+            configs.append((make_nf(7, a=no_class, b={**g.b, 3: 0}), ProbePoint(*probes[1])))
+        else:
+            configs.append((make_nf(7, a={**no_class, (3, 0): 0}, b=g.b), ProbePoint(*probes[1])))
         if len(configs) >= count:
             return configs[:count]
 

@@ -7,7 +7,7 @@ under ``perfbench/``) and adds what the tests draw:
 
 * ``prenormal``: an exact pre-normal form of a given label, with probes
   placed to reach every branch of the distance tree and theta-lambda pairs
-  on the focal locus;
+  on the focal locus; ``gallery_draws`` cycles it through ``GALLERY``;
 * ``dense_form``: a normal form with every coefficient nonzero;
 * ``weighted_scaling``: the normal form of mu^2 g;
 * ``conjugation``: a rational source change and target rotation.
@@ -16,8 +16,12 @@ Coefficients are the factorial-scaled a_ij and b_i as Fractions, in dicts
 {(i, j): a_ij} and {i: b_i}; a test builds its NormalFormCoeffs from them
 in either scalar mode.  Nothing here imports germforge, so every label is
 decided independently of the program under test.
+
+Every function that draws takes a ``draw(...)`` source, not any
+``random.Random``: the corpus draws signs from its own ``rng.signs``.
 """
 
+import itertools
 import types
 from fractions import Fraction as Q
 from pathlib import Path
@@ -77,6 +81,14 @@ def prenormal(rng, label, tune=False, order=6):
     probes = [(zero, y1, z1), (zero, t, z2), (zero, y3, z3), (zero, zero, 1 / a20),
               (zero, zero, zp)]
     return g, probes, [(theta, 1 / g.k10(theta)) for theta in (theta_g, theta_r)]
+
+
+def gallery_draws(rng, order=6):
+    """Endless (label, g, probes, pairs) of ``prenormal`` forms of the
+    ``GALLERY`` labels in turn, every second form tuned to reach case 4a."""
+    for idx in itertools.count():
+        label = GALLERY[idx % len(GALLERY)]
+        yield (label, *prenormal(rng, label, idx % 2 == 1, order))
 
 
 def weighted_scaling(a, b, mu):

@@ -62,15 +62,15 @@ def nf_n2():
 
 
 @pytest.fixture
-def rng():
+def draw():
     """The seeded source of this module's random forms (``dense_ctx``)."""
     return germ_source.draw("blowup")
 
 
-def dense_ctx(rng, n):
+def dense_ctx(draw, n):
     """The blow-up context, exponent n, of a float order-(n + 4) normal form
     with every coefficient that exponent admits nonzero."""
-    a, b = germ_source.dense_form(rng, n + 4, n)
+    a, b = germ_source.dense_form(draw, n + 4, n)
     return BlowupContext(make_nf(order=n + 4, mode=FLOAT, a=a, b=b), n)
 
 
@@ -188,13 +188,13 @@ class TestColumnPipeline:
     """One pipeline run over a theta grid against one run per theta."""
 
     @staticmethod
-    def contexts(rng):
+    def contexts(draw):
         ctxs = [classified_ctx(GEOMETRY_GERMS[label])[1] for label in sorted(GEOMETRY_GERMS)]
-        return ctxs + [dense_ctx(rng, 3)]
+        return ctxs + [dense_ctx(draw, 3)]
 
-    def test_grid_equals_one_theta_bit_for_bit(self, rng):
+    def test_grid_equals_one_theta_bit_for_bit(self, draw):
         thetas = theta_grid(128)[:-1]  # every node but pi/2
-        ctxs = self.contexts(rng)
+        ctxs = self.contexts(draw)
         assert sorted({ctx.n for ctx in ctxs}) == [1, 2, 3]
         for ctx in ctxs:
             cols = series_columns(ctx, thetas)
@@ -288,9 +288,9 @@ class TestRidgeLoop:
         assert abs(math.cos(near)) > blowup.COS_TOL
         return theta_grid(64) + [0.0, math.pi / 2, -math.pi / 2, near, -near]
 
-    def test_loop_equals_one_theta_at_a_time_bit_for_bit(self, rng):
+    def test_loop_equals_one_theta_at_a_time_bit_for_bit(self, draw):
         thetas = self.thetas()
-        ctxs = TestColumnPipeline.contexts(rng)
+        ctxs = TestColumnPipeline.contexts(draw)
         assert sorted({ctx.n for ctx in ctxs}) == [1, 2, 3]
         for ctx in ctxs:
             reports = ridge_reports(ctx, thetas)
@@ -307,11 +307,11 @@ class TestRidgeLoop:
             assert types[thetas[-2]] is not None and types[thetas[-1]] is not None
             assert types[math.pi / 2] is None
 
-    def test_loop_matches_the_closed_form_helpers(self, rng):
+    def test_loop_matches_the_closed_form_helpers(self, draw):
         # ma, k10 and k20 as their formulas give them, in the loop's operation
         # order; K0_closed and k20_closed are read off the loop's report, and
         # K0's sign is the point type's
-        for ctx in TestColumnPipeline.contexts(rng):
+        for ctx in TestColumnPipeline.contexts(draw):
             a, m, b2, a20 = ctx.a_lead, ctx.fact, ctx.nf.b_(2), ctx.nf.a_(2, 0)
             for theta, rr in zip(theta_grid(64)[:-1], ridge_reports(ctx, theta_grid(64)[:-1])):
                 c, s = math.cos(theta), math.sin(theta)
@@ -384,10 +384,10 @@ class TestExtendedNormal:
         assert cols["n2"][0][0] == pytest.approx(n2)
         assert cols["n3"][0][0] == pytest.approx(n3)
 
-    def test_unit_length_through_depth_two(self, rng):
+    def test_unit_length_through_depth_two(self, draw):
         for n in (1, 2):
             for _ in range(10):
-                ctx = dense_ctx(rng, n)
+                ctx = dense_ctx(draw, n)
                 # the forms, and the normal, exist at pi/2 too
                 cols = build_series(ctx, theta_grid(64))
                 for idx in range(64):
@@ -430,17 +430,17 @@ class TestFormsAndCurvature:
         with pytest.raises(PrincipalNormalDirectionError):
             series_columns(ctx, [math.pi / 2])
 
-    def test_xi10_closed_form(self, rng):
+    def test_xi10_closed_form(self, draw):
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             thetas = (-1.1, -0.3, 0.2, 0.9)
             for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
                 assert cs.xi10 == pytest.approx(-ctx.a_lead / ctx.ma(theta))
 
-    def test_eta10_closed_form(self, rng):
+    def test_eta10_closed_form(self, draw):
         # eta10 = -((n+2)! a12 sin + a_{n+2,1} cos) cos sin / ((n+2) ma)
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             nf = ctx.nf
             thetas = (-0.7, 0.4)
             for theta, cs in zip(thetas, lifted_series(ctx, thetas)):
@@ -461,11 +461,11 @@ class TestFormsAndCurvature:
             )
             assert cs.eta20 == pytest.approx(expected, abs=1e-12)
 
-    def test_identity_suite_small(self, rng):
+    def test_identity_suite_small(self, draw):
         # k10 = L0, K0 = k10 k20, K1 = k10 k21 + k11 k20 on random germs
         for n in (1, 2):
             for _ in range(5):
-                ctx = dense_ctx(rng, n)
+                ctx = dense_ctx(draw, n)
                 thetas = [t for t in theta_grid(16) if abs(math.cos(t)) >= 0.05]
                 cols = series_columns(ctx, thetas)
                 for idx in range(len(thetas)):
@@ -476,10 +476,10 @@ class TestFormsAndCurvature:
                     assert abs(K[0] - k1[0] * k2[0]) <= 1e-10 * scale
                     assert abs(K[1] - (k1[0] * k2[1] + k1[1] * k2[0])) <= 1e-10 * scale
 
-    def test_k12_identity(self, rng):
+    def test_k12_identity(self, draw):
         # k12 = -E2 L0 + L2 - eps M0^2 / N0
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             cols = series_columns(ctx, [0.5, -0.8])
             for idx in range(2):
                 q = series_at(cols, idx)
@@ -491,10 +491,10 @@ class TestFormsAndCurvature:
 class TestRawSeriesOracle:
     """The series pipeline against direct evaluation at small r."""
 
-    def test_series_match_raw_fits(self, rng):
+    def test_series_match_raw_fits(self, draw):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             thetas = (0.5, -0.9)
             cols = series_columns(ctx, thetas)
             for idx, theta in enumerate(thetas):
@@ -515,9 +515,9 @@ class TestRawSeriesOracle:
 
 
 class TestRidge:
-    def test_theta_zero_trivia(self, rng):
+    def test_theta_zero_trivia(self, draw):
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             nf = ctx.nf
             assert ridge_report(ctx, 0.0).delta1 == pytest.approx(ctx.a_lead * nf.b_(3))
             assert ridge_report(ctx, 0.0).delta3 == pytest.approx(nf.a_(2, 0) * ctx.a_lead)
@@ -549,10 +549,10 @@ class TestRidge:
         assert rr.point_type is PointType.ELLIPTIC
         assert ridge_report(ctx, math.pi / 2).point_type is None
 
-    def test_delta1_zero_count(self, rng):
+    def test_delta1_zero_count(self, draw):
         # nonzero linear form in (cos, sin): at most one zero mod pi
         for _ in range(5):
-            ctx = dense_ctx(rng, 1)
+            ctx = dense_ctx(draw, 1)
             zeros = 0
             grid = theta_grid(512)
             vals = [ridge_report(ctx, t).delta1 for t in grid]
@@ -615,12 +615,12 @@ class TestRidge:
 
 
 class TestCrosscheck:
-    def test_table_complete_and_clean_entries_match(self, rng):
+    def test_table_complete_and_clean_entries_match(self, draw):
         assert CROSSCHECK_SYMBOLS == (
             "n21", "n31", "L1", "M1", "N1", "N2", "K0", "k11", "k20")
         thetas = [math.pi / 6, math.pi / 4, math.pi / 3]
         for n in range(1, 9):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             entries = crosscheck_closed_forms(ctx, thetas)
             assert len(entries) == len(CROSSCHECK_SYMBOLS) * len(thetas)
             for e in entries:
@@ -693,20 +693,20 @@ class TestDirectionalDerivativeIdentities:
             xi10p * c0.k1[1] + c0.xi10 * k11p + eta10p * k10p + c0.eta10 * k10pp
         )
 
-    def test_first_derivative_is_delta1(self, rng):
+    def test_first_derivative_is_delta1(self, draw):
         for n in (1, 2):
             for _ in range(3):
-                ctx = dense_ctx(rng, n)
+                ctx = dense_ctx(draw, n)
                 a, ma = ctx.a_lead, ctx.ma
                 for theta in (-0.9, -0.2, 0.5, 1.1):
                     got = self._v1_k1(ctx, theta)
                     want = a * ridge_report(ctx, theta).delta1 * math.cos(theta) / ma(theta) ** 2
                     assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
-    def test_second_derivative_is_delta2_at_ridges(self, rng):
+    def test_second_derivative_is_delta2_at_ridges(self, draw):
         for n in (1, 2):
             for _ in range(3):
-                ctx = dense_ctx(rng, n)
+                ctx = dense_ctx(draw, n)
                 nf, a, m = ctx.nf, ctx.a_lead, ctx.fact
                 theta = math.atan(a * nf.b_(3) / (m * nf.a_(3, 0)))
                 rr = ridge_report(ctx, theta)
@@ -718,9 +718,9 @@ class TestDirectionalDerivativeIdentities:
                 )
                 assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
 
-    def test_unbounded_direction_derivative_is_minus_delta3_squared(self, rng):
+    def test_unbounded_direction_derivative_is_minus_delta3_squared(self, draw):
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             a, m = ctx.a_lead, ctx.fact
             for theta in (-0.7, 0.2, 0.9):
                 stencil = self._stencil(ctx, theta)
@@ -749,10 +749,10 @@ class TestLiftedDirectionRawFits:
     lifted_series xi/eta coefficients.
     """
 
-    def test_lift_coefficients_match_raw(self, rng):
+    def test_lift_coefficients_match_raw(self, draw):
         rs = np.array([0.02, 0.01, 0.005, -0.02, -0.01, -0.005, 0.015, -0.015])
         for n in (1, 2):
-            ctx = dense_ctx(rng, n)
+            ctx = dense_ctx(draw, n)
             theta = 0.6
             c, s = math.cos(theta), math.sin(theta)
             cs = lifted_series(ctx, [theta])[0]

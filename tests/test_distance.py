@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -508,13 +509,12 @@ class TestResidualKernelMatchesReference:
 
     def test_float_quintic_and_4a_verdict(self, monkeypatch):
         # float pre-normal forms at their tuned focal/cubic-line intersection;
-        # each verdict reads a fresh form, since a form keeps its last probe's
+        # each verdict reads a fresh form, since a form keeps its last probe
+        # (``NormalFormCoeffs._probe_slot``)
         rng = germ_source.draw("case 4a")
-        cases = []
-        for idx in range(40):
-            label = germ_source.GALLERY[idx % len(germ_source.GALLERY)]
-            g, probes, _ = germ_source.prenormal(rng, label, tune=True, order=8)
-            cases.append((g.a, g.b, ProbePoint(*map(float, probes[2]))))
+        tuned = islice(germ_source.gallery_draws(rng, order=8), 1, None, 2)
+        cases = [(g.a, g.b, ProbePoint(*map(float, probes[2])))
+                 for _, g, probes, _ in islice(tuned, 40)]
         verdicts = [classify_distance(make_nf(8, FLOAT, a, b), p) for a, b, p in cases]
         with monkeypatch.context() as m:
             m.setattr(distance, "_split_residual_u", ref_split_residual_u)

@@ -48,12 +48,9 @@ def gallery():
     """{file stem: (label, pre-normal form, probes, pairs)} of the gallery,
     one germ per label of ``germ_source.GALLERY``; every second germ is tuned
     to reach case 4a at its focal/cubic-line intersection."""
-    rng = germ_source.draw("gallery")
-    out = {}
-    for idx, label in enumerate(germ_source.GALLERY):
-        stem = label.lower().replace("+", "_plus").replace("-", "_minus")
-        out[stem] = (label, *germ_source.prenormal(rng, label, idx % 2 == 1))
-    return out
+    draws = islice(germ_source.gallery_draws(germ_source.draw("gallery")), len(germ_source.GALLERY))
+    return {label.lower().replace("+", "_plus").replace("-", "_minus"): (label, g, probes, pairs)
+            for label, g, probes, pairs in draws}
 
 
 def run(argv):
