@@ -1,8 +1,6 @@
-import ast
 import io
 import json
 import math
-import pathlib
 import pickle
 import random
 import re
@@ -40,6 +38,7 @@ from germforge.front import Mesh, WavefrontSpec, surface_mesh, wavefront_mesh
 from conftest import (
     germ_from_strings, rand_jet, ref_parse_polynomial, ref_tokenize, reference_mesh_text,
 )
+from source_scan import modules, named, nodes, parse
 
 
 class TestParse:
@@ -777,16 +776,10 @@ class TestReports:
             assert buf.getvalue() == want, doc
 
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "germforge"
-
-
-def _format_number_lines(source):
+def _format_number_lines(tree):
     """Lines of a module that name format_number: a read, an attribute or an
     import."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if (isinstance(node, ast.Name) and node.id == "format_number")
-            or (isinstance(node, ast.Attribute) and node.attr == "format_number")
-            or (isinstance(node, ast.alias) and node.name == "format_number")]
+    return [node.lineno for node in nodes(tree) if named(node) == "format_number"]
 
 
 class TestOneNumberFormatter:
@@ -794,18 +787,17 @@ class TestOneNumberFormatter:
     formats a number for a report."""
 
     def test_only_germ_io_names_format_number(self):
-        modules = sorted(SRC.glob("*.py"))
-        assert len(modules) > 5 and SRC / "germ_io.py" in modules
-        named = {path.name: _format_number_lines(path.read_text()) for path in modules
-                 if path.name != "germ_io.py"}
-        assert {name: lines for name, lines in named.items() if lines} == {}
+        assert len(modules()) > 5 and "germ_io" in modules()
+        lines = {stem: _format_number_lines(tree) for stem, tree in modules().items()
+                 if stem != "germ_io"}
+        assert {stem: found for stem, found in lines.items() if found} == {}
 
     def test_guard_sees_a_planted_use(self):
         source = ("from .germ_io import format_number, write_json\n"
                   "from . import germ_io\n"
                   "def section(x):\n"
                   "    return {'x': format_number(x), 'y': germ_io.format_number(x)}\n")
-        assert sorted(_format_number_lines(source)) == [1, 4, 4]
+        assert sorted(_format_number_lines(parse(source))) == [1, 4, 4]
 
 
 class TestMeshIO:

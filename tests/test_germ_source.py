@@ -32,6 +32,7 @@ from germforge.distance import (
 from germforge.oracle import K_EQUIV, R_PLUS, split_and_type
 
 from conftest import make_nf
+from source_scan import nodes, parse_file
 
 TESTS = pathlib.Path(__file__).resolve().parent
 GALLERY = TESTS / "data" / "gallery"
@@ -63,7 +64,7 @@ def run(argv):
 def _scan(path):
     """(imported module names, string constants) of a Python file."""
     modules, strings = [], []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in nodes(parse_file(path)):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):

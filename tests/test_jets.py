@@ -1,7 +1,6 @@
 import ast
 import copy
 import math
-import pathlib
 import pickle
 import random
 from fractions import Fraction
@@ -21,8 +20,7 @@ from germforge.normal_form import TransformLog
 from germforge.records import Frozen
 
 from conftest import make_nf, rand_jet
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "germforge"
+from source_scan import called, functions, modules, named, nodes, parse, qualname, walk
 
 
 def jet(order, terms, mode=EXACT):
@@ -1000,16 +998,13 @@ class TestIsZeroMatchesTheReplacedTests:
                 assert parabolic == ref_blowup_parabolic(ctx, theta, k0), k0
 
 
-def _zero_test_leaks(source):
+def _zero_test_leaks(tree):
     """FLOAT_ZERO_REL names, 1e-9 constants and strings citing 1e-9 in a module."""
     leaks = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id == "FLOAT_ZERO_REL":
-            leaks.append((node.lineno, "FLOAT_ZERO_REL"))
-        elif isinstance(node, ast.Attribute) and node.attr == "FLOAT_ZERO_REL":
-            leaks.append((node.lineno, "FLOAT_ZERO_REL"))
-        elif isinstance(node, ast.alias) and node.name == "FLOAT_ZERO_REL":
-            leaks.append((node.lineno, "import FLOAT_ZERO_REL"))
+    for node in nodes(tree):
+        if named(node) == "FLOAT_ZERO_REL":
+            imported = isinstance(node, ast.alias)
+            leaks.append((node.lineno, "import FLOAT_ZERO_REL" if imported else "FLOAT_ZERO_REL"))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if "1e-9" in node.value:
                 leaks.append((node.lineno, node.value))
@@ -1019,22 +1014,13 @@ def _zero_test_leaks(source):
     return [text for _, text in sorted(leaks)]
 
 
-def _threshold_readers(source):
-    """Functions (as Class.method) that read FLOAT_ZERO_REL."""
-    readers = set()
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                name = prefix + child.name
-                if isinstance(child, ast.FunctionDef) and any(
-                        isinstance(n, ast.Name) and n.id == "FLOAT_ZERO_REL"
-                        and isinstance(n.ctx, ast.Load) for n in ast.walk(child)):
-                    readers.add(name)
-                visit(child, name + ".")
-
-    visit(ast.parse(source), "")
-    return sorted(readers)
+def _threshold_readers(tree):
+    """Functions (as Class.method) that read FLOAT_ZERO_REL, each function
+    around the read."""
+    return sorted({func for node, scopes in walk(tree)
+                   if isinstance(node, ast.Name) and node.id == "FLOAT_ZERO_REL"
+                   and isinstance(node.ctx, ast.Load)
+                   for func in functions(scopes)})
 
 
 class TestOneZeroTest:
@@ -1046,15 +1032,14 @@ class TestOneZeroTest:
     }
 
     def test_only_jets_knows_the_threshold(self):
-        modules = sorted(SRC.glob("*.py"))
-        assert len(modules) > 5 and SRC / "jets.py" in modules
-        for path in modules:
-            if path.name != "jets.py":
-                leaks = _zero_test_leaks(path.read_text())
-                assert leaks == self.ALLOWED.get(path.name, []), path.name
+        assert len(modules()) > 5 and "jets" in modules()
+        for stem, tree in modules().items():
+            if stem != "jets":
+                leaks = _zero_test_leaks(tree)
+                assert leaks == self.ALLOWED.get(stem + ".py", []), stem
 
     def test_in_jets_only_is_zero_reads_the_threshold(self):
-        assert _threshold_readers((SRC / "jets.py").read_text()) == ["is_zero"]
+        assert _threshold_readers(modules()["jets"]) == ["is_zero"]
 
     def test_guard_sees_another_reader_in_jets(self):
         source = (
@@ -1066,7 +1051,7 @@ class TestOneZeroTest:
             "        top = max(map(abs, coeffs.values()))\n"
             "        self.coeffs = {k: c for k, c in coeffs.items() if abs(c) > FLOAT_ZERO_REL * top}\n"
         )
-        assert _threshold_readers(source) == ["Jet2.__init__", "is_zero"]
+        assert _threshold_readers(parse(source)) == ["Jet2.__init__", "is_zero"]
 
     def test_guard_sees_a_local_zero_test(self):
         source = (
@@ -1075,42 +1060,27 @@ class TestOneZeroTest:
             "    return abs(x) > tol or abs(x) > jets.FLOAT_ZERO_REL\n"
             "WARN = 'below 1e-9'\n"
         )
-        assert _zero_test_leaks(source) == [
+        assert _zero_test_leaks(parse(source)) == [
             "import FLOAT_ZERO_REL", "1e-09", "FLOAT_ZERO_REL", "below 1e-9",
         ]
 
 
-def _jet2_dispatches(source):
+def _jet2_dispatches(tree):
     """Lines of every isinstance(..., Jet2) test in a module."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2
-                and any(isinstance(x, ast.Name) and x.id == "Jet2"
-                        for x in ast.walk(node.args[1]))):
-            lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in nodes(tree)
+            if called(node) == "isinstance" and len(node.args) == 2
+            and any(named(x) == "Jet2" for x in nodes(node.args[1]))]
 
 
-def _halving_loops(source):
+def _halving_loops(tree):
     """Functions (as Class.method) holding a loop that shifts a counter
-    right with ``>>=``: the shape of a square-and-multiply."""
-    found = set()
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                name = prefix + child.name
-                if isinstance(child, ast.FunctionDef) and any(
-                        isinstance(loop, (ast.While, ast.For)) and any(
-                            isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
-                            for n in ast.walk(loop))
-                        for loop in ast.walk(child)):
-                    found.add(name)
-                visit(child, name + ".")
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+    right with ``>>=``, the shape of a square-and-multiply: each function
+    around the loop."""
+    return sorted({func for node, scopes in walk(tree)
+                   if isinstance(node, (ast.While, ast.For)) and any(
+                       isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                       for n in nodes(node))
+                   for func in functions(scopes)})
 
 
 class TestOneProductAndPower:
@@ -1118,10 +1088,10 @@ class TestOneProductAndPower:
     own product and power: it holds no Jet2 dispatch and no power loop."""
 
     def test_parser_makes_no_jet2_dispatch(self):
-        assert _jet2_dispatches((SRC / "germ_io.py").read_text()) == []
+        assert _jet2_dispatches(modules()["germ_io"]) == []
 
     def test_one_square_and_multiply_in_src(self):
-        loops = {path.name: _halving_loops(path.read_text()) for path in SRC.glob("*.py")}
+        loops = {stem + ".py": _halving_loops(tree) for stem, tree in modules().items()}
         assert {name: found for name, found in loops.items() if found} == {
             "jets.py": ["_square_and_multiply"]}
 
@@ -1137,27 +1107,16 @@ class TestOneProductAndPower:
             "            n >>= 1\n"
             "        return result\n"
         )
-        assert _jet2_dispatches(source) == [3]
-        assert _halving_loops(source) == ["_Parser._pow"]
+        assert _jet2_dispatches(parse(source)) == [3]
+        assert _halving_loops(parse(source)) == ["_Parser._pow"]
 
 
-def _lcm_callers(source):
-    """Functions (as Class.method) that call lcm or as_integer_ratio."""
-    found = set()
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                name = prefix + child.name
-                if isinstance(child, ast.FunctionDef) and any(
-                        isinstance(n, ast.Call) and (getattr(n.func, "attr", None)
-                                                     or getattr(n.func, "id", None))
-                        in ("lcm", "as_integer_ratio") for n in ast.walk(child)):
-                    found.add(name)
-                visit(child, name + ".")
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+def _lcm_callers(tree):
+    """Functions (as Class.method) that call lcm or as_integer_ratio, each
+    function around the call."""
+    return sorted({func for node, scopes in walk(tree)
+                   if called(node) in ("lcm", "as_integer_ratio")
+                   for func in functions(scopes)})
 
 
 class TestCleared:
@@ -1179,7 +1138,7 @@ class TestCleared:
         assert Fraction(nums[0], den) == Fraction(0.1)
 
     def test_one_clearing_in_src(self):
-        callers = {path.name: _lcm_callers(path.read_text()) for path in SRC.glob("*.py")}
+        callers = {stem + ".py": _lcm_callers(tree) for stem, tree in modules().items()}
         assert {name: found for name, found in callers.items() if found} == {
             "jets.py": ["cleared"]}
 
@@ -1193,7 +1152,7 @@ class TestCleared:
             "    def base(self, cols):\n"
             "        return lcm(*(c.denominator for c in cols))\n"
         )
-        assert _lcm_callers(source) == ["NF.base", "_probe"]
+        assert _lcm_callers(parse(source)) == ["NF.base", "_probe"]
 
 
 class TestScalar:
@@ -1218,57 +1177,42 @@ class TestScalar:
             Jet2(2, {(1, 0): 10**400}, FLOAT)
 
 
+MODE_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn, ast.Is, ast.IsNot)
+
+
 def _compares_mode(test):
-    """Whether the expression ``test`` compares ``mode``, ``.mode`` or
-    ``.mode_used`` by == or !=."""
-    return any(
-        isinstance(sub, ast.Compare)
-        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops)
-        and any((isinstance(x, ast.Name) and x.id == "mode")
-                or (isinstance(x, ast.Attribute) and x.attr in ("mode", "mode_used"))
-                for x in [sub.left, *sub.comparators])
-        for sub in ast.walk(test)
-    )
+    """Whether the expression ``test`` compares a mode (``mode``, ``.mode``
+    or ``.mode_used``) by ==, !=, in, not in, is or is not, to anything but
+    None (``mode is None`` asks whether a mode was given)."""
+    for sub in nodes(test):
+        if isinstance(sub, ast.Compare):
+            operands = [sub.left, *sub.comparators]
+            for op, pair in zip(sub.ops, zip(operands, operands[1:])):
+                if (isinstance(op, MODE_TESTS)
+                        and any(named(x) in ("mode", "mode_used") for x in pair)
+                        and not any(isinstance(x, ast.Constant) and x.value is None for x in pair)):
+                    return True
+    return False
 
 
-def _mode_forks(source):
-    """Lines of conditional expressions that pick a value by ==/!= on a mode."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+def _mode_forks(tree):
+    """Lines of conditional expressions that pick a value by comparing a mode."""
+    return [node.lineno for node in nodes(tree)
             if isinstance(node, ast.IfExp) and _compares_mode(node.test)]
 
 
-def _mode_branches(source):
+def _mode_branches(tree):
     """(function, line) of every if or while statement, elif included, whose
-    test compares a mode by ==/!=; a method is named Class.method."""
-    branches = []
-
-    def walk(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            func = node.name if func is None else "%s.%s" % (func, node.name)
-        if isinstance(node, (ast.If, ast.While)) and _compares_mode(node.test):
-            branches.append((func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            walk(child, func)
-
-    walk(ast.parse(source), None)
-    return branches
+    test compares a mode; a method is named Class.method."""
+    return [(qualname(scopes), node.lineno) for node, scopes in walk(tree)
+            if isinstance(node, (ast.If, ast.While)) and _compares_mode(node.test)]
 
 
-def _float_calls(source):
-    """(enclosing function, argument) of every float() call in a module."""
-    calls = []
-
-    def walk(node, func):
-        if isinstance(node, ast.FunctionDef):
-            func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "float"):
-            calls.append((func, ast.unparse(node.args[0]) if node.args else ""))
-        for child in ast.iter_child_nodes(node):
-            walk(child, func)
-
-    walk(ast.parse(source), None)
-    return calls
+def _float_calls(tree):
+    """(enclosing function, argument) of every float() call in a module; a
+    method is named Class.method."""
+    return [(qualname(scopes), ast.unparse(node.args[0]) if node.args else "")
+            for node, scopes in walk(tree) if called(node) == "float"]
 
 
 class TestOneFloatConversion:
@@ -1277,21 +1221,21 @@ class TestOneFloatConversion:
     numbers, and a factorial is an int."""
 
     OWNERS = {"jets": {"is_zero", "_as_float"},
-              "germ_io": {"_number", "format_number", "read_number", "_parse_scalar"}}
+              "germ_io": {"_Parser._number", "format_number", "read_number", "_parse_scalar"}}
 
     def test_float_is_called_by_its_owners_and_on_factorials_only(self):
         stray = []
-        for path in sorted(SRC.glob("*.py")):
-            for func, arg in _float_calls(path.read_text()):
-                owned = func in self.OWNERS.get(path.stem, ())
+        for stem, tree in modules().items():
+            for func, arg in _float_calls(tree):
+                owned = func in self.OWNERS.get(stem, ())
                 if not owned and not arg.startswith("math.factorial("):
-                    stray.append((path.stem, func, arg))
+                    stray.append((stem, func, arg))
         assert stray == []
 
     def test_guard_sees_a_stray_call(self):
         source = ("def to_float(nf):\n    return {k: float(c) for k, c in nf.a.items()}\n"
                   "def fact(n):\n    return float(math.factorial(n))\n")
-        assert _float_calls(source) == [("to_float", "c"), ("fact", "math.factorial(n)")]
+        assert _float_calls(parse(source)) == [("to_float", "c"), ("fact", "math.factorial(n)")]
 
     def test_conversions_beyond_float_range_are_usage_errors(self):
         big = 10**400
@@ -1329,11 +1273,10 @@ class TestRepr:
 
 class TestOneScalarMode:
     def test_only_jets_forks_on_the_mode_inline(self):
-        modules = sorted(SRC.glob("*.py"))
-        assert len(modules) > 5 and SRC / "jets.py" in modules
-        for path in modules:
-            if path.name != "jets.py":
-                assert _mode_forks(path.read_text()) == [], path.name
+        assert len(modules()) > 5 and "jets" in modules()
+        for stem, tree in modules().items():
+            if stem != "jets":
+                assert _mode_forks(tree) == [], stem
 
     def test_guard_sees_an_inline_fork(self):
         source = (
@@ -1343,7 +1286,7 @@ class TestOneScalarMode:
             "    pass\n"
             "mode = spec.mode if mode is None else mode\n"
         )
-        assert _mode_forks(source) == [1, 2]
+        assert _mode_forks(parse(source)) == [1, 2]
 
     # (module, function) -> why it branches on the scalar mode outside jets,
     # where the numerator convention (_SPLIT, _JOIN), the conversion
@@ -1360,6 +1303,8 @@ class TestOneScalarMode:
             "a numeric string reads as a Fraction or as a float",
         ("germ_io", "_parse_scalar"):
             "an exact-mode JSON number reads as its nearest small fraction",
+        ("germ_io", "GermSpec.__init__"):
+            "a germ file's mode must be one of the two modes",
         ("mond", "bk_recursion"):
             "only a float zero test reads the sizes of the shift",
         ("normal_form", "NormalFormCoeffs.to_float"):
@@ -1375,9 +1320,8 @@ class TestOneScalarMode:
     }
 
     def _branch_sites(self):
-        return {(path.stem, func)
-                for path in sorted(SRC.glob("*.py")) if path.name != "jets.py"
-                for func, _ in _mode_branches(path.read_text())}
+        return {(stem, func) for stem, tree in modules().items() if stem != "jets"
+                for func, _ in _mode_branches(tree)}
 
     def test_mode_branches_outside_jets_are_listed(self):
         assert sorted(self._branch_sites() - set(self.BRANCHES)) == []
@@ -1404,8 +1348,25 @@ class TestOneScalarMode:
             "if mode == EXACT:\n"
             "    pass\n"
         )
-        assert _mode_branches(source) == [("f", 2), ("f", 4), ("f", 6), ("C.g", 12), (None, 14)]
-        assert _mode_forks(source) == [13]
+        assert _mode_branches(parse(source)) == [
+            ("f", 2), ("f", 4), ("f", 6), ("C.g", 12), (None, 14)]
+        assert _mode_forks(parse(source)) == [13]
+
+    def test_guard_sees_is_and_in_tests(self):
+        source = (
+            "def f(mode, nf):\n"
+            "    if mode is FLOAT:\n"
+            "        pass\n"
+            "    if nf.mode in (FLOAT,):\n"
+            "        pass\n"
+            "    while mode is not None and spec.mode not in MODES:\n"
+            "        pass\n"
+            "    if mode is None or None is not nf.mode:\n"
+            "        pass\n"
+            "    return 0.5 if nf.mode is EXACT else 1\n"
+        )
+        assert _mode_branches(parse(source)) == [("f", 2), ("f", 4), ("f", 6)]
+        assert _mode_forks(parse(source)) == [10]
 
 
 ARITHMETIC = ("__add__", "__neg__", "__mul__", "_compose")
@@ -1413,29 +1374,24 @@ ARITHMETIC = ("__add__", "__neg__", "__mul__", "_compose")
 SHARED = ("_product", "_power")
 
 
-def _arithmetic_forks(source):
+def _arithmetic_forks(tree):
     """(method, line) of every branch on the scalar mode in Jet2's arithmetic
     and the shared product and power: an if, conditional expression or
     boolean test naming a mode or EXACT/FLOAT."""
+    owners = {**{"Jet2." + name: name for name in ARITHMETIC}, **{name: name for name in SHARED}}
     forks = []
-    body = ast.parse(source).body
-    jet2 = next(node for node in body
-                if isinstance(node, ast.ClassDef) and node.name == "Jet2")
-    for method in jet2.body + body:
-        if not (isinstance(method, ast.FunctionDef) and method.name in ARITHMETIC + SHARED):
+    for node, scopes in walk(tree):
+        owner = owners.get(qualname(scopes[:1])) or owners.get(qualname(scopes[:2]))
+        if owner is None:
             continue
-        for node in ast.walk(method):
-            if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
-                tests = [node.test]
-            elif isinstance(node, ast.comprehension):
-                tests = node.ifs
-            else:
-                continue
-            for test in tests:
-                if any((isinstance(x, ast.Name) and x.id in ("mode", "EXACT", "FLOAT"))
-                       or (isinstance(x, ast.Attribute) and x.attr == "mode")
-                       for x in ast.walk(test)):
-                    forks.append((method.name, test.lineno))
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tests = [node.test]
+        elif isinstance(node, ast.comprehension):
+            tests = node.ifs
+        else:
+            continue
+        forks += [(owner, test.lineno) for test in tests
+                  if any(named(x) in ("mode", "EXACT", "FLOAT") for x in nodes(test))]
     return forks
 
 
@@ -1445,15 +1401,11 @@ class TestOneArithmetic:
     check of a float result lives in jets._finite)."""
 
     def test_arithmetic_has_no_mode_branch(self):
-        source = (SRC / "jets.py").read_text()
-        tree = ast.parse(source)
-        jet2 = next(node for node in tree.body
-                    if isinstance(node, ast.ClassDef) and node.name == "Jet2")
-        assert set(ARITHMETIC) <= {node.name for node in jet2.body
-                                   if isinstance(node, ast.FunctionDef)}
-        assert set(SHARED) <= {node.name for node in tree.body
-                               if isinstance(node, ast.FunctionDef)}
-        assert _arithmetic_forks(source) == []
+        tree = modules()["jets"]
+        defined = {qualname(scopes + (node,)) for node, scopes in walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert {"Jet2." + name for name in ARITHMETIC} | set(SHARED) <= defined
+        assert _arithmetic_forks(tree) == []
 
     def test_guard_sees_a_synthetic_fork(self):
         source = (
@@ -1471,4 +1423,4 @@ class TestOneArithmetic:
             "        if self.mode == EXACT:\n"
             "            pass\n"
         )
-        assert _arithmetic_forks(source) == [("__add__", 3), ("__mul__", 9), ("__mul__", 10)]
+        assert _arithmetic_forks(parse(source)) == [("__add__", 3), ("__mul__", 9), ("__mul__", 10)]

@@ -1,6 +1,4 @@
-import ast
 import math
-import pathlib
 import random
 from fractions import Fraction
 
@@ -20,6 +18,7 @@ from germforge.normal_form import reduce_to_normal_form
 
 import germ_source
 from conftest import germ_from_strings, make_nf, rand_fraction, shifted_a1
+from source_scan import called, modules, nodes, parse
 
 
 def classify_strings(components, order):
@@ -353,16 +352,10 @@ class TestXiScale:
                         assert outcome.mond.reason == "xi_n = 0 for all n <= 8", (outcome.nf.mode, e, c, d)
 
 
-def _scale_leaks(source):
+def _scale_leaks(tree):
     """(line, name) of every call of factorial or max_abs in a module."""
-    leaks = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in ("factorial", "max_abs"):
-                leaks.append((node.lineno, name))
-    return sorted(leaks)
+    return sorted((node.lineno, called(node)) for node in nodes(tree)
+                  if called(node) in ("factorial", "max_abs"))
 
 
 class TestOneFactorialConvention:
@@ -371,8 +364,7 @@ class TestOneFactorialConvention:
     a whole jet."""
 
     def test_mond_calls_neither_factorial_nor_max_abs(self):
-        path = pathlib.Path(mond.__file__)
-        assert _scale_leaks(path.read_text()) == []
+        assert _scale_leaks(modules()["mond"]) == []
 
     def test_guard_sees_both_calls(self):
         source = (
@@ -383,4 +375,4 @@ class TestOneFactorialConvention:
             "def scale(jet):\n"
             "    return max(1.0, float(jet.max_abs()))\n"
         )
-        assert _scale_leaks(source) == [(4, "factorial"), (4, "factorial"), (6, "max_abs")]
+        assert _scale_leaks(parse(source)) == [(4, "factorial"), (4, "factorial"), (6, "max_abs")]

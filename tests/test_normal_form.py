@@ -1,4 +1,3 @@
-import ast
 import math
 import pathlib
 import random
@@ -28,6 +27,7 @@ from germforge.normal_form import (
 from germforge.pipeline import classify_spec, working_order
 
 from conftest import germ_from_strings, jets_close, make_nf
+from source_scan import called, modules, parse, walk
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -527,29 +527,28 @@ GERM_CHANGES = ("rotate", "substitute", "to_float")
 CHANGE_SCOPES = ("RotationStep", "SubstitutionStep", "_in_mode", "_flattening")
 
 
-def _changes(source):
-    """{top-level name: [(line, method)]} of rotate/substitute/to_float calls."""
+def _changes(tree):
+    """{top-level def or class name: [(line, method)]} of rotate/substitute/
+    to_float calls; None names the module's own statements."""
     found = {}
-    for top in ast.parse(source).body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in GERM_CHANGES):
-                found.setdefault(getattr(top, "name", None), []).append(
-                    (node.lineno, node.func.attr))
+    for node, scopes in walk(tree):
+        if called(node) in GERM_CHANGES:
+            top = scopes[0].name if scopes else None
+            found.setdefault(top, []).append((node.lineno, called(node)))
     return found
 
 
-def _bypasses(source):
+def _bypasses(tree):
     """Lines that change a germ outside the step types and the promotion helper."""
-    return sorted(line for name, calls in _changes(source).items()
+    return sorted(line for name, calls in _changes(tree).items()
                   if name not in CHANGE_SCOPES for line, _ in calls)
 
 
 class TestOneWayToChangeTheGerm:
     def test_reducer_changes_germs_only_through_steps(self):
-        source = pathlib.Path(normal_form.__file__).read_text()
-        assert _bypasses(source) == []
-        calls = {name: [attr for _, attr in found] for name, found in _changes(source).items()}
+        tree = modules()["normal_form"]
+        assert _bypasses(tree) == []
+        calls = {name: [attr for _, attr in found] for name, found in _changes(tree).items()}
         assert calls == {"RotationStep": ["rotate"], "SubstitutionStep": ["substitute"],
                          "_in_mode": ["to_float"], "_flattening": ["substitute"]}
 
@@ -567,4 +566,4 @@ class TestOneWayToChangeTheGerm:
             "    def replay(self, g):\n"
             "        return g.to_float()\n"
         )
-        assert _bypasses(source) == [2, 3, 5, 11]
+        assert _bypasses(parse(source)) == [2, 3, 5, 11]

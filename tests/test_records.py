@@ -9,7 +9,6 @@ are held to the ``dataclasses`` semantics they had.
 import ast
 import copy
 import dataclasses
-import pathlib
 import pickle
 from fractions import Fraction
 
@@ -43,6 +42,7 @@ from germforge.oracle import SingularityType
 from germforge.pipeline import ClassificationOutcome
 
 from conftest import make_nf
+from source_scan import modules, nodes, parse
 
 REQUIRED = dataclasses.MISSING
 NF = make_nf(order=6, mode=FLOAT,
@@ -202,7 +202,6 @@ class TestValueSemanticsLiveInRecords:
     implementation, ``records``: no class elsewhere under ``src/germforge``
     defines those hooks, and a hash or repr of its own needs a reason."""
 
-    SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "germforge"
     REFUSED = frozenset((
         "__setattr__", "__delattr__", "__eq__", "__reduce__", "__reduce_ex__",
         "__getstate__", "__setstate__", "__copy__", "__deepcopy__"))
@@ -218,11 +217,11 @@ class TestValueSemanticsLiveInRecords:
     }
 
     @classmethod
-    def hooks(cls, source):
-        """[(class name, hook)] of every value hook a class in ``source``
+    def hooks(cls, tree):
+        """[(class name, hook)] of every value hook a class in ``tree``
         defines, as a method or by assignment."""
         found = []
-        for node in ast.walk(ast.parse(source)):
+        for node in nodes(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
@@ -240,10 +239,9 @@ class TestValueSemanticsLiveInRecords:
     def sites(self, kinds):
         """{(module, "Class.hook")} of the hooks in ``kinds`` that classes
         outside records.py define."""
-        return {(path.stem, "%s.%s" % (cls, hook))
-                for path in sorted(self.SRC.glob("*.py")) if path.name != "records.py"
-                for cls, hook in self.hooks(path.read_text(encoding="utf-8"))
-                if hook in kinds}
+        return {(stem, "%s.%s" % (cls, hook))
+                for stem, tree in modules().items() if stem != "records"
+                for cls, hook in self.hooks(tree) if hook in kinds}
 
     def test_no_class_outside_records_defines_a_value_hook(self):
         assert sorted(self.sites(self.REFUSED)) == []
@@ -272,5 +270,5 @@ class TestValueSemanticsLiveInRecords:
             "def __setattr__(self, name, value):\n"
             "    pass\n"
         )
-        assert self.hooks(source) == [
+        assert self.hooks(parse(source)) == [
             ("A", "__eq__"), ("A", "__hash__"), ("B", "__deepcopy__"), ("B", "__repr__")]
